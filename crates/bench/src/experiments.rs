@@ -910,7 +910,7 @@ pub fn jobs_sweep(scale: &ExpScale) -> Result<ExpTable> {
                 return Err(bench_err(&format!("job {id} ended {:?}: {:?}", st.state, st.error)));
             }
             let report = st.report.as_ref().ok_or_else(|| bench_err("missing report"))?;
-            logical.push(report.io.total_reads() + report.io.total_writes());
+            logical.push(report.logical_reads + report.logical_writes);
             let lat = st.latency.ok_or_else(|| bench_err("missing latency"))?;
             latencies_ms.push(lat.as_secs_f64() * 1000.0);
         }

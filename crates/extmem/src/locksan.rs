@@ -39,6 +39,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::ThreadId;
+use std::time::Duration;
 
 use crate::error::ExtError;
 
@@ -217,24 +218,47 @@ impl TrackedCondvar {
     }
 
     /// Atomically release the tracked guard, park, and re-acquire.
-    pub fn wait<'a, T>(&self, mut guard: TrackedGuard<'a, T>) -> TrackedGuard<'a, T> {
+    pub fn wait<'a, T>(&self, guard: TrackedGuard<'a, T>) -> TrackedGuard<'a, T> {
+        self.park(guard, |g| (recover_poison(self.inner.wait(g)), ())).0
+    }
+
+    /// [`wait`](Self::wait) for at most `timeout`. The flag is true when
+    /// the timeout elapsed; like `wait`, it belongs in a predicate loop.
+    pub fn wait_timeout<'a, T>(
+        &self,
+        guard: TrackedGuard<'a, T>,
+        timeout: Duration,
+    ) -> (TrackedGuard<'a, T>, bool) {
+        self.park(guard, |g| {
+            let (g, res) = recover_poison(self.inner.wait_timeout(g, timeout));
+            (g, res.timed_out())
+        })
+    }
+
+    /// Release bookkeeping, `block` (which parks on the inner condvar and
+    /// re-acquires), then acquire bookkeeping.
+    fn park<'a, T, R: Default>(
+        &self,
+        mut guard: TrackedGuard<'a, T>,
+        block: impl FnOnce(MutexGuard<'a, T>) -> (MutexGuard<'a, T>, R),
+    ) -> (TrackedGuard<'a, T>, R) {
         let lock = guard.lock;
         let inner = match guard.guard.take() {
             Some(g) => g,
-            None => return guard,
+            None => return (guard, R::default()),
         };
         drop(guard); // slot is empty: Drop is a no-op
         if enabled() {
             with_state(|st| st.on_release(lock.name));
         }
-        let inner = recover_poison(self.inner.wait(inner));
+        let (inner, result) = block(inner);
         if enabled() {
             with_state(|st| {
                 st.on_attempt(lock.name);
                 st.on_acquired(lock.name);
             });
         }
-        TrackedGuard { lock, guard: Some(inner) }
+        (TrackedGuard { lock, guard: Some(inner) }, result)
     }
 
     /// Wake one waiter.
@@ -564,6 +588,25 @@ mod tests {
         drop(done);
         t.join().expect("join");
         assert!(!violation_log().iter().any(|l| l.contains("lsu.cv")));
+    }
+
+    #[test]
+    fn condvar_wait_timeout_keeps_held_set_consistent() {
+        force_enable();
+        let m = TrackedMutex::new("lsu.cvt", 0u32);
+        let other = TrackedMutex::new("lsu.cvt.other", 0u32);
+        let cv = TrackedCondvar::new();
+        let (guard, timed_out) = cv.wait_timeout(m.lock(), Duration::from_millis(1));
+        assert!(timed_out, "nobody notifies, so the wait times out");
+        drop(guard);
+        // A stale `lsu.cvt` left in the held set by the timed wait would
+        // record `lsu.cvt -> lsu.cvt.other` here and report this nesting
+        // as an inversion.
+        {
+            let _o = other.lock();
+            let _g = m.lock();
+        }
+        assert!(!violation_log().iter().any(|l| l.contains("lsu.cvt")), "{:?}", violation_log());
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use std::path::{Path, PathBuf};
 
+use nexsort::SortReport;
 use nexsort_extmem::CachePolicy;
 
 use crate::json::{self, b, n, obj, s, Value};
@@ -213,6 +214,111 @@ impl JobState {
     }
 }
 
+/// What the daemon keeps of a finished job's [`SortReport`]: the fields
+/// `status` and `wait` send, plus `degenerate_merges`. Persisted in the
+/// manifest, so a done job keeps its report across restarts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobSummary {
+    /// Records sorted.
+    pub records: u64,
+    /// Input document size in bytes.
+    pub input_bytes: u64,
+    /// Logical block reads of the sort.
+    pub logical_reads: u64,
+    /// Logical block writes of the sort.
+    pub logical_writes: u64,
+    /// Physical transfers of every kind.
+    pub physical_total: u64,
+    /// Subtree sorts that ran externally.
+    pub external_sorts: u32,
+    /// Degenerate merge passes run (by this run, not skipped ones).
+    pub degenerate_merges: u32,
+    /// Journal-committed merge passes a resume skipped.
+    pub committed_passes_skipped: u32,
+    /// True when the sort went through journal resume.
+    pub resumed: bool,
+    /// True when the sort completed in degraded mode.
+    pub degraded: bool,
+    /// Blocks rebuilt from parity.
+    pub repairs: u64,
+    /// Blocks quarantined as bad sectors.
+    pub quarantined_blocks: u64,
+    /// Wall time of the sort in milliseconds.
+    pub elapsed_ms: f64,
+}
+
+impl JobSummary {
+    /// Summarize a finished sort's report.
+    pub fn of(report: &SortReport) -> Self {
+        JobSummary {
+            records: report.n_records,
+            input_bytes: report.input_bytes,
+            logical_reads: report.io.total_reads(),
+            logical_writes: report.io.total_writes(),
+            physical_total: report.io.grand_total_physical(),
+            external_sorts: report.external_sorts,
+            degenerate_merges: report.degenerate_merges,
+            committed_passes_skipped: report.committed_passes_skipped,
+            resumed: report.resumed,
+            degraded: report.degraded,
+            repairs: report.repairs,
+            quarantined_blocks: report.quarantined_blocks,
+            elapsed_ms: report.elapsed.as_secs_f64() * 1000.0,
+        }
+    }
+
+    /// The JSON object form, shared by the `status`/`wait` replies and the
+    /// manifest.
+    pub fn to_value(&self) -> Value {
+        obj(vec![
+            ("records", n(self.records)),
+            ("input_bytes", n(self.input_bytes)),
+            ("logical_reads", n(self.logical_reads)),
+            ("logical_writes", n(self.logical_writes)),
+            ("physical_total", n(self.physical_total)),
+            ("external_sorts", n(u64::from(self.external_sorts))),
+            ("resumed", b(self.resumed)),
+            ("committed_passes_skipped", n(u64::from(self.committed_passes_skipped))),
+            ("degraded", b(self.degraded)),
+            ("repairs", n(self.repairs)),
+            ("quarantined_blocks", n(self.quarantined_blocks)),
+            ("elapsed_ms", Value::Num(self.elapsed_ms)),
+            ("degenerate_merges", n(u64::from(self.degenerate_merges))),
+        ])
+    }
+
+    /// Parse the object [`to_value`](Self::to_value) writes.
+    pub fn from_value(v: &Value) -> Result<Self, String> {
+        let num = |key: &str| {
+            v.get(key).and_then(Value::as_u64).ok_or_else(|| format!("summary missing {key:?}"))
+        };
+        let count = |key: &str| {
+            num(key).and_then(|x| u32::try_from(x).map_err(|_| format!("summary {key:?} too big")))
+        };
+        let flag = |key: &str| {
+            v.get(key).and_then(Value::as_bool).ok_or_else(|| format!("summary missing {key:?}"))
+        };
+        Ok(JobSummary {
+            records: num("records")?,
+            input_bytes: num("input_bytes")?,
+            logical_reads: num("logical_reads")?,
+            logical_writes: num("logical_writes")?,
+            physical_total: num("physical_total")?,
+            external_sorts: count("external_sorts")?,
+            degenerate_merges: count("degenerate_merges")?,
+            committed_passes_skipped: count("committed_passes_skipped")?,
+            resumed: flag("resumed")?,
+            degraded: flag("degraded")?,
+            repairs: num("repairs")?,
+            quarantined_blocks: num("quarantined_blocks")?,
+            elapsed_ms: v
+                .get("elapsed_ms")
+                .and_then(Value::as_f64)
+                .ok_or("summary missing \"elapsed_ms\"")?,
+        })
+    }
+}
+
 /// The persisted manifest of one job.
 #[derive(Debug, Clone)]
 pub struct Manifest {
@@ -229,6 +335,10 @@ pub struct Manifest {
     pub error: Option<String>,
     /// True when the job has already been resumed at least once.
     pub resumed: bool,
+    /// The report summary of a done sort or top-k job.
+    pub summary: Option<JobSummary>,
+    /// Submit-to-finish latency of a job that has left its worker.
+    pub latency_ms: Option<f64>,
 }
 
 /// Cache-policy wire names.
@@ -415,6 +525,8 @@ impl Manifest {
             ("staged", staged),
             ("error", opt_str(&self.error)),
             ("resumed", b(self.resumed)),
+            ("summary", self.summary.as_ref().map_or(Value::Null, JobSummary::to_value)),
+            ("latency_ms", self.latency_ms.map_or(Value::Null, Value::Num)),
         ])
         .to_json()
     }
@@ -448,7 +560,13 @@ impl Manifest {
         };
         let error = v.get("error").and_then(Value::as_str).map(str::to_string);
         let resumed = v.get("resumed").and_then(Value::as_bool).unwrap_or(false);
-        Ok(Self { id, state, spec, staged, error, resumed })
+        // Manifests written before summaries existed load without one.
+        let summary = match v.get("summary") {
+            None | Some(Value::Null) => None,
+            Some(sum) => Some(JobSummary::from_value(sum)?),
+        };
+        let latency_ms = v.get("latency_ms").and_then(Value::as_f64);
+        Ok(Self { id, state, spec, staged, error, resumed, summary, latency_ms })
     }
 
     /// Write the manifest atomically (temp file + rename) into `job_dir`.
@@ -509,8 +627,26 @@ mod tests {
             staged: Some((vec![5, 6, 7], 1234)),
             error: None,
             resumed: true,
+            summary: Some(JobSummary {
+                records: 400,
+                input_bytes: 9000,
+                logical_reads: 31,
+                logical_writes: 29,
+                physical_total: 61,
+                external_sorts: 2,
+                degenerate_merges: 3,
+                committed_passes_skipped: 1,
+                resumed: true,
+                degraded: true,
+                repairs: 4,
+                quarantined_blocks: 5,
+                elapsed_ms: 2.625,
+            }),
+            latency_ms: Some(12.5),
         };
         let back = Manifest::from_json(&m.to_json(), Path::new("/jobs/job-9")).unwrap();
+        assert_eq!(back.summary, m.summary);
+        assert_eq!(back.latency_ms, Some(12.5));
         assert_eq!(back.id, 9);
         assert_eq!(back.state, JobState::Interrupted);
         assert_eq!(back.staged, Some((vec![5, 6, 7], 1234)));
@@ -533,6 +669,15 @@ mod tests {
             JobInput::Path(p) => assert_eq!(p, Path::new("/jobs/job-9/input.xml")),
             other => panic!("expected job-local input path, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn manifests_without_a_summary_still_load() {
+        let text = r#"{"id":3,"state":"done","spec":{"block":512},"staged":null,"error":null,"resumed":false}"#;
+        let m = Manifest::from_json(text, Path::new("/jobs/job-3")).unwrap();
+        assert_eq!(m.state, JobState::Done);
+        assert_eq!(m.summary, None);
+        assert_eq!(m.latency_ms, None);
     }
 
     #[test]
@@ -564,6 +709,8 @@ mod tests {
             staged: None,
             error: Some("boom".into()),
             resumed: false,
+            summary: None,
+            latency_ms: None,
         };
         m.store(&dir).unwrap();
         let back = Manifest::load(&dir).unwrap().expect("stored");

@@ -144,21 +144,29 @@ pub fn b(v: bool) -> Value {
     Value::Bool(v)
 }
 
+/// Every byte that needs escaping is ASCII, so the unescaped runs between
+/// them always end on char boundaries and are copied whole.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -272,67 +280,61 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1; // opening quote
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        // Surrogate pairs: join a high surrogate with the
-                        // following \uXXXX low surrogate.
-                        let c = if (0xD800..0xDC00).contains(&cp) {
-                            if bytes.get(*pos + 5..*pos + 7) != Some(b"\\u") {
-                                return Err("lone high surrogate".into());
-                            }
-                            let lo_hex = bytes
-                                .get(*pos + 7..*pos + 11)
-                                .ok_or_else(|| "truncated surrogate pair".to_string())?;
-                            let lo_hex = std::str::from_utf8(lo_hex).map_err(|e| e.to_string())?;
-                            let lo = u32::from_str_radix(lo_hex, 16)
-                                .map_err(|_| "bad surrogate".to_string())?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err("invalid low surrogate".into());
-                            }
-                            *pos += 6;
-                            char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
-                                .ok_or_else(|| "invalid surrogate pair".to_string())?
-                        } else {
-                            char::from_u32(cp).ok_or_else(|| "invalid code point".to_string())?
-                        };
-                        out.push(c);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or_else(|| "unterminated string".to_string())?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy the run up to the next quote or backslash in one go. Both
+        // are ASCII, so the run ends on a char boundary, and validating
+        // each run once keeps the parse linear in the string's length.
+        let run_len = bytes[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .ok_or_else(|| "unterminated string".to_string())?;
+        let run = std::str::from_utf8(&bytes[*pos..*pos + run_len]).map_err(|e| e.to_string())?;
+        out.push_str(run);
+        *pos += run_len + 1;
+        if bytes[*pos - 1] == b'"' {
+            return Ok(out);
         }
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{0008}'),
+            Some(b'f') => out.push('\u{000C}'),
+            Some(b'u') => {
+                let hex = bytes
+                    .get(*pos + 1..*pos + 5)
+                    .ok_or_else(|| "truncated \\u escape".to_string())?;
+                let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                let cp = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())?;
+                // Surrogate pairs: join a high surrogate with the following
+                // \uXXXX low surrogate.
+                let c = if (0xD800..0xDC00).contains(&cp) {
+                    if bytes.get(*pos + 5..*pos + 7) != Some(b"\\u") {
+                        return Err("lone high surrogate".into());
+                    }
+                    let lo_hex = bytes
+                        .get(*pos + 7..*pos + 11)
+                        .ok_or_else(|| "truncated surrogate pair".to_string())?;
+                    let lo_hex = std::str::from_utf8(lo_hex).map_err(|e| e.to_string())?;
+                    let lo =
+                        u32::from_str_radix(lo_hex, 16).map_err(|_| "bad surrogate".to_string())?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err("invalid low surrogate".into());
+                    }
+                    *pos += 6;
+                    char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+                        .ok_or_else(|| "invalid surrogate pair".to_string())?
+                } else {
+                    char::from_u32(cp).ok_or_else(|| "invalid code point".to_string())?
+                };
+                out.push(c);
+                *pos += 4;
+            }
+            _ => return Err(format!("bad escape at byte {pos}")),
+        }
+        *pos += 1;
     }
 }
 
@@ -365,6 +367,27 @@ mod tests {
         assert_eq!(parse(&text).unwrap(), v);
         // Standard escape forms parse too.
         assert_eq!(parse(r#""Aé😀\/""#).unwrap(), Value::Str("Aé\u{1F600}/".to_string()));
+    }
+
+    #[test]
+    fn multi_megabyte_strings_parse_in_linear_time() {
+        // One period of the encoded text and what it decodes to: ASCII,
+        // every short escape, \uXXXX (BMP and a surrogate pair), raw
+        // multi-byte and astral characters.
+        const ENCODED: &str = r#"ab\"\\\/\b\f\n\r\t\u00e9\ud83d\ude00é中😀"#;
+        const DECODED: &str = "ab\"\\/\u{8}\u{c}\n\r\t\u{e9}\u{1F600}é中😀";
+        let periods = (4 << 20) / ENCODED.len() + 1;
+        let text = format!("\"{}\"", ENCODED.repeat(periods));
+        assert!(text.len() >= 4 << 20);
+        let want = Value::Str(DECODED.repeat(periods));
+        // Generous for a debug build; a per-character rescan of the rest of
+        // the line needs minutes here.
+        let budget = std::time::Duration::from_secs(10);
+        let started = std::time::Instant::now();
+        assert_eq!(parse(&text).unwrap(), want);
+        assert_eq!(parse(&want.to_json()).unwrap(), want);
+        let took = started.elapsed();
+        assert!(took < budget, "4 MiB string took {took:?}");
     }
 
     #[test]

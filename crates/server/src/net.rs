@@ -198,12 +198,8 @@ pub fn serve_with(server: Server, addr: &str, opts: ServeOptions) -> Result<(), 
             Listener::Tcp(TcpListener::bind(hostport).map_err(|e| format!("bind {hostport}: {e}"))?)
         }
     };
-    match &listener {
-        Listener::Unix(l) => l.set_nonblocking(true),
-        Listener::Tcp(l) => l.set_nonblocking(true),
-    }
-    .map_err(|e| format!("set_nonblocking: {e}"))?;
-
+    let stop =
+        Arc::new(StopSignal { raised: AtomicBool::new(false), wake: wake_addr(&listener, addr)? });
     let server = Arc::new(server);
     let opts = Arc::new(opts);
     // The injector is shared by every connection thread so exchange indices
@@ -213,13 +209,18 @@ pub fn serve_with(server: Server, addr: &str, opts: ServeOptions) -> Result<(), 
         .fault_plan
         .clone()
         .map(|plan| Arc::new(TrackedMutex::new("server.netfault", NetFaultState::new(plan))));
-    let stop = Arc::new(AtomicBool::new(false));
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
+    loop {
+        // Blocks until a client connects, or until the stop signal's own
+        // wake-up connection arrives.
         let accepted = match &listener {
             Listener::Unix(l) => l.accept().map(|(st, _)| Stream::Unix(st)),
             Listener::Tcp(l) => l.accept().map(|(st, _)| Stream::Tcp(st)),
         };
+        if stop.raised.load(Ordering::SeqCst) {
+            break;
+        }
+        conns.retain(|h| !h.is_finished());
         match accepted {
             Ok(stream) => {
                 let server = server.clone();
@@ -230,10 +231,7 @@ pub fn serve_with(server: Server, addr: &str, opts: ServeOptions) -> Result<(), 
                     handle_conn(&server, &stop, stream, &opts, faults.as_deref());
                 }));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                conns.retain(|h| !h.is_finished());
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(format!("accept: {e}")),
         }
     }
@@ -246,6 +244,35 @@ pub fn serve_with(server: Server, addr: &str, opts: ServeOptions) -> Result<(), 
     // Last reference: drops the Server, which joins the worker pool.
     drop(server);
     Ok(())
+}
+
+/// Stops the accept loop from a connection thread.
+struct StopSignal {
+    raised: AtomicBool,
+    /// The listener's own address, dialed to wake its blocking `accept`.
+    wake: String,
+}
+
+impl StopSignal {
+    fn raise(&self) {
+        self.raised.store(true, Ordering::SeqCst);
+        // Nobody needs to talk on this connection: the accept loop sees
+        // the flag as soon as `accept` returns. If the dial fails, the
+        // next real client wakes the loop instead.
+        let _ = connect(&self.wake);
+    }
+}
+
+/// The address that reaches `listener`, bound from `addr`: the socket
+/// path itself, or the TCP address the listener actually got (`addr` may
+/// name port 0 or a host name).
+fn wake_addr(listener: &Listener, addr: &str) -> Result<String, String> {
+    match listener {
+        Listener::Unix(_) => Ok(addr.to_string()),
+        Listener::Tcp(l) => {
+            l.local_addr().map(|a| a.to_string()).map_err(|e| format!("local_addr: {e}"))
+        }
+    }
 }
 
 /// One framed request line, or why there isn't one.
@@ -315,7 +342,7 @@ fn read_frame(
 
 fn handle_conn(
     server: &Server,
-    stop: &AtomicBool,
+    stop: &StopSignal,
     stream: Stream,
     opts: &ServeOptions,
     faults: Option<&TrackedMutex<NetFaultState>>,
@@ -396,7 +423,7 @@ fn handle_conn(
             return;
         }
         if shutdown && delivered {
-            stop.store(true, Ordering::SeqCst);
+            stop.raise();
             return;
         }
     }
@@ -540,23 +567,7 @@ fn status_value(st: &JobStatus) -> Value {
         fields.push(("latency_ms", Value::Num(latency.as_secs_f64() * 1000.0)));
     }
     if let Some(report) = &st.report {
-        fields.push((
-            "report",
-            obj(vec![
-                ("records", n(report.n_records)),
-                ("input_bytes", n(report.input_bytes)),
-                ("logical_reads", n(report.io.total_reads())),
-                ("logical_writes", n(report.io.total_writes())),
-                ("physical_total", n(report.io.grand_total_physical())),
-                ("external_sorts", n(report.external_sorts as u64)),
-                ("resumed", b(report.resumed)),
-                ("committed_passes_skipped", n(report.committed_passes_skipped as u64)),
-                ("degraded", b(report.degraded)),
-                ("repairs", n(report.repairs)),
-                ("quarantined_blocks", n(report.quarantined_blocks)),
-                ("elapsed_ms", Value::Num(report.elapsed.as_secs_f64() * 1000.0)),
-            ]),
-        ));
+        fields.push(("report", report.to_value()));
     }
     obj(fields)
 }
@@ -1055,6 +1066,44 @@ mod tests {
         assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(false));
         request(&sock, &obj(vec![("op", s("shutdown"))])).unwrap();
         daemon.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shutdown_returns_promptly_from_a_blocking_accept() {
+        use crate::server::{Server, ServerConfig};
+        use std::sync::mpsc;
+
+        let dir = std::env::temp_dir().join(format!("nxsrv-net-stop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, mode) in ["now", "drain"].into_iter().enumerate() {
+            // An ephemeral port, released for the daemon to bind.
+            let port = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port();
+            let unix = format!("unix:{}", dir.join(format!("stop-{i}.sock")).display());
+            for addr in [unix, format!("127.0.0.1:{port}")] {
+                let server =
+                    Server::start(ServerConfig::new(1, dir.join(format!("jobs-{i}")))).unwrap();
+                let (tx, rx) = mpsc::channel();
+                let daemon = {
+                    let addr = addr.clone();
+                    std::thread::spawn(move || {
+                        let _ = tx.send(serve_with(server, &addr, ServeOptions::default()));
+                    })
+                };
+                connect_with_retry(&addr, &NetRetryPolicy::retries(300, 10, 7)).unwrap();
+                let req = obj(vec![("op", s("shutdown")), ("mode", s(mode))]);
+                let resp = request(&addr, &req).unwrap();
+                assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true), "{addr} {mode}");
+                // A missed wake-up leaves the daemon parked in accept: the
+                // timeout turns that into a failure instead of a hang.
+                match rx.recv_timeout(Duration::from_secs(2)) {
+                    Ok(result) => result.unwrap(),
+                    Err(_) => panic!("serve_with on {addr} ignored a delivered {mode} shutdown"),
+                }
+                daemon.join().unwrap();
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

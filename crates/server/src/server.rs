@@ -31,19 +31,20 @@
 //! one machine-wide budget with strict-FIFO fairness.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use nexsort::{Nexsort, NexsortOptions, SortReport};
+use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::stage_input;
 use nexsort_extmem::locksan::{self, TrackedCondvar, TrackedGuard, TrackedMutex};
 use nexsort_extmem::{BudgetArbiter, CrashPlan, Disk, DiskBuilder, DiskStack, ExtError, Extent};
 use nexsort_xml::{build_spec, XmlError};
 
-use crate::job::{JobInput, JobOp, JobSpec, JobState, Manifest};
+use crate::job::{JobInput, JobOp, JobSpec, JobState, JobSummary, Manifest};
 
 /// Configuration of a server instance.
 #[derive(Debug, Clone)]
@@ -106,8 +107,8 @@ pub struct JobStatus {
     pub output: PathBuf,
     /// True when the job was resumed from its journal at least once.
     pub resumed: bool,
-    /// The sort's full report, once the job is done.
-    pub report: Option<SortReport>,
+    /// The sort's report summary, once a sort or top-k job is done.
+    pub report: Option<JobSummary>,
     /// Submit-to-finish latency, once the job is terminal.
     pub latency: Option<Duration>,
 }
@@ -187,14 +188,15 @@ pub(crate) struct NetStats {
     pub(crate) lines_too_long: AtomicU64,
 }
 
-/// One job's record in the in-memory table.
+/// One live job's record in the in-memory table. Terminal jobs leave the
+/// table once their manifest is stored; they are served from it.
 struct JobRecord {
     spec: JobSpec,
     state: JobState,
     /// Start via journal resume (set for jobs adopted from manifests).
     resume: bool,
+    /// Why the job failed, for a job that stays live failed.
     error: Option<String>,
-    report: Option<SortReport>,
     output: PathBuf,
     submitted: Instant,
     latency: Option<Duration>,
@@ -203,7 +205,12 @@ struct JobRecord {
 
 struct Core {
     queue: VecDeque<u64>,
+    /// Live jobs only: queued, running, interrupted.
     jobs: BTreeMap<u64, JobRecord>,
+    /// Terminal jobs of this directory (adopted ones included), by state.
+    done: usize,
+    failed: usize,
+    canceled: usize,
     /// Idempotency token -> job id, covering every job ever accepted by
     /// this directory (terminal ones included): a retried submit must adopt
     /// its job no matter how far the job got in the meantime.
@@ -225,6 +232,18 @@ struct Shared {
     net: NetStats,
 }
 
+impl Core {
+    /// Count a job that just reached terminal `state`.
+    fn count_terminal(&mut self, state: JobState) {
+        match state {
+            JobState::Done => self.done += 1,
+            JobState::Failed => self.failed += 1,
+            JobState::Canceled => self.canceled += 1,
+            JobState::Queued | JobState::Running | JobState::Interrupted => {}
+        }
+    }
+}
+
 impl Shared {
     /// The single acquisition choke point for the core lock: the job
     /// table, queue, and lifetime counters are only ever touched through
@@ -237,6 +256,25 @@ impl Shared {
         let core = self.core.lock();
         locksan::access("server.job-table");
         core
+    }
+
+    fn job_path(&self, id: u64) -> PathBuf {
+        self.cfg.job_dir.join(format!("job-{id}"))
+    }
+
+    /// Status of a job that is not live, from its manifest. Call without
+    /// the core lock: this reads a file.
+    fn stored_status(&self, id: u64) -> Option<JobStatus> {
+        let m = Manifest::load(&self.job_path(id)).ok().flatten()?;
+        Some(JobStatus {
+            id,
+            state: m.state,
+            output: resolve_output(&self.cfg, id, &m.spec),
+            error: m.error,
+            resumed: m.resumed,
+            report: m.summary,
+            latency: m.latency_ms.and_then(|ms| Duration::try_from_secs_f64(ms / 1000.0).ok()),
+        })
     }
 }
 
@@ -291,6 +329,9 @@ impl Server {
         let mut core = Core {
             queue: VecDeque::new(),
             jobs: BTreeMap::new(),
+            done: 0,
+            failed: 0,
+            canceled: 0,
             idem: BTreeMap::new(),
             next_id: adopted.iter().map(|m| m.id + 1).max().unwrap_or(0),
             submitted: 0,
@@ -304,33 +345,33 @@ impl Server {
             if let Some(tok) = &m.spec.idem {
                 core.idem.insert(tok.clone(), m.id);
             }
-            let unfinished = !m.state.is_terminal();
+            if m.state.is_terminal() {
+                core.count_terminal(m.state);
+                continue;
+            }
             // A job with a staged input extent has a device image (and
             // journal) worth reattaching; one without re-runs from its
             // input copy. An unfinished pq job that already ran once is a
             // deterministic redo: flag it so the crash hook (which models
             // the daemon death that got us here) is not re-armed.
-            let resume = unfinished
-                && (m.staged.is_some() || (m.spec.op == JobOp::Pq && m.state != JobState::Queued));
+            let resume =
+                m.staged.is_some() || (m.spec.op == JobOp::Pq && m.state != JobState::Queued);
             let output = resolve_output(&cfg, m.id, &m.spec);
             core.jobs.insert(
                 m.id,
                 JobRecord {
                     spec: m.spec,
-                    state: if unfinished { JobState::Queued } else { m.state },
+                    state: JobState::Queued,
                     resume,
-                    error: m.error,
-                    report: None,
+                    error: None,
                     output,
                     submitted: Instant::now(),
                     latency: None,
                     resumed: m.resumed,
                 },
             );
-            if unfinished {
-                core.queue.push_back(m.id);
-                core.submitted += 1;
-            }
+            core.queue.push_back(m.id);
+            core.submitted += 1;
         }
         let arbiter = BudgetArbiter::new(cfg.budget_frames);
         arbiter.set_tenant_cap(cfg.tenant_cap);
@@ -425,7 +466,7 @@ impl Server {
             id
         };
         // Make the job durable before announcing it.
-        let job_dir = self.shared.cfg.job_dir.join(format!("job-{id}"));
+        let job_dir = self.shared.job_path(id);
         let persist = (|| -> Result<(), String> {
             std::fs::create_dir_all(&job_dir).map_err(|e| format!("mkdir {job_dir:?}: {e}"))?;
             std::fs::write(job_dir.join("input.xml"), &input_bytes)
@@ -439,6 +480,8 @@ impl Server {
                 staged: None,
                 error: None,
                 resumed: false,
+                summary: None,
+                latency_ms: None,
             }
             .store(&job_dir)
         })();
@@ -461,7 +504,6 @@ impl Server {
                 state: JobState::Queued,
                 resume: false,
                 error: None,
-                report: None,
                 output,
                 submitted: Instant::now(),
                 latency: None,
@@ -477,14 +519,29 @@ impl Server {
 
     /// Status of one job.
     pub fn status(&self, id: u64) -> Option<JobStatus> {
-        let core = self.shared.lock_core();
-        core.jobs.get(&id).map(|r| snapshot(id, r))
+        {
+            let core = self.shared.lock_core();
+            if let Some(rec) = core.jobs.get(&id) {
+                return Some(snapshot(id, rec));
+            }
+            if id >= core.next_id {
+                return None;
+            }
+        }
+        self.shared.stored_status(id)
     }
 
     /// Status of every known job, in id order.
     pub fn list(&self) -> Vec<JobStatus> {
-        let core = self.shared.lock_core();
-        core.jobs.iter().map(|(&id, r)| snapshot(id, r)).collect()
+        let (mut live, next_id) = {
+            let core = self.shared.lock_core();
+            let live: BTreeMap<u64, JobStatus> =
+                core.jobs.iter().map(|(&id, r)| (id, snapshot(id, r))).collect();
+            (live, core.next_id)
+        };
+        (0..next_id)
+            .filter_map(|id| live.remove(&id).or_else(|| self.shared.stored_status(id)))
+            .collect()
     }
 
     /// Cancel a queued job. Returns true when the job was dequeued; a job
@@ -498,15 +555,12 @@ impl Server {
             return false;
         }
         rec.state = JobState::Canceled;
-        rec.latency = Some(rec.submitted.elapsed());
-        let spec = rec.spec.clone();
-        let resumed = rec.resumed;
+        let (spec, resumed, submitted) = (rec.spec.clone(), rec.resumed, rec.submitted);
         core.queue.retain(|&q| q != id);
         drop(core);
-        let job_dir = self.shared.cfg.job_dir.join(format!("job-{id}"));
-        let _ =
-            Manifest { id, state: JobState::Canceled, spec, staged: None, error: None, resumed }
-                .store(&job_dir);
+        let canceled =
+            Outcome { state: JobState::Canceled, staged: None, error: None, report: None };
+        finish(&self.shared, id, spec, resumed, submitted, canceled);
         true
     }
 
@@ -534,6 +588,9 @@ impl Server {
         let mut st = ServerStats {
             workers: self.shared.cfg.workers,
             queue_depth: self.shared.cfg.queue_depth,
+            done: core.done,
+            failed: core.failed,
+            canceled: core.canceled,
             submitted: core.submitted,
             resumed: core.resumed_total,
             budget_total,
@@ -557,84 +614,107 @@ impl Server {
             match rec.state {
                 JobState::Queued => st.queued += 1,
                 JobState::Running => st.running += 1,
-                JobState::Done => st.done += 1,
-                JobState::Failed => st.failed += 1,
-                JobState::Canceled => st.canceled += 1,
                 JobState::Interrupted => st.interrupted += 1,
+                // Counted by `finish`: a terminal job is live only until
+                // its manifest is stored, or when storing it failed.
+                JobState::Done | JobState::Failed | JobState::Canceled => {}
             }
         }
         st
     }
 
+    /// The output path of a done job.
+    fn done_output(&self, id: u64) -> Result<PathBuf, String> {
+        let st = self.status(id).ok_or_else(|| format!("no such job {id}"))?;
+        if st.state != JobState::Done {
+            return Err(format!("job {id} is {}, not done", st.state.name()));
+        }
+        Ok(st.output)
+    }
+
     /// Read the finished output of a done job.
     pub fn fetch_output(&self, id: u64) -> Result<Vec<u8>, String> {
-        let (state, output) = {
-            let core = self.shared.lock_core();
-            let rec = core.jobs.get(&id).ok_or_else(|| format!("no such job {id}"))?;
-            (rec.state, rec.output.clone())
-        };
-        if state != JobState::Done {
-            return Err(format!("job {id} is {}, not done", state.name()));
-        }
+        let output = self.done_output(id)?;
         std::fs::read(&output).map_err(|e| format!("cannot read output {output:?}: {e}"))
     }
 
     /// Read one bounded chunk of a done job's output: up to `len` bytes
     /// starting at byte `offset`, trimmed back to a UTF-8 character
     /// boundary so every chunk is valid text on the wire. Returns
-    /// `(chunk, total_len, eof)`.
+    /// `(chunk, total_len, eof)`. Reads only the chunk (plus one byte to
+    /// see whether it ends inside a character), never the whole file.
     pub fn fetch_output_chunk(
         &self,
         id: u64,
         offset: u64,
         len: u64,
     ) -> Result<(Vec<u8>, u64, bool), String> {
-        let bytes = self.fetch_output(id)?;
-        let total = bytes.len() as u64;
-        let start = offset.min(total) as usize;
-        let mut end = (offset.saturating_add(len)).min(total) as usize;
+        let output = self.done_output(id)?;
+        let read_err = |e: std::io::Error| format!("cannot read output {output:?}: {e}");
+        let mut file = std::fs::File::open(&output).map_err(read_err)?;
+        let total = file.metadata().map_err(read_err)?.len();
+        let start = offset.min(total);
+        let end = offset.saturating_add(len).min(total);
+        let mut bytes = Vec::new();
+        file.seek(SeekFrom::Start(start)).map_err(read_err)?;
+        file.take(end - start + u64::from(end < total))
+            .read_to_end(&mut bytes)
+            .map_err(read_err)?;
         // Never split a multi-byte character: back off while the byte at
-        // `end` is a UTF-8 continuation byte (0b10xxxxxx).
-        while end > start && end < bytes.len() && bytes[end] & 0xC0 == 0x80 {
-            end -= 1;
+        // `cut` is a UTF-8 continuation byte (0b10xxxxxx).
+        let mut cut = ((end - start) as usize).min(bytes.len());
+        while cut > 0 && cut < bytes.len() && bytes[cut] & 0xC0 == 0x80 {
+            cut -= 1;
         }
-        let eof = end as u64 >= total;
-        Ok((bytes[start..end].to_vec(), total, eof))
+        bytes.truncate(cut);
+        let eof = start + cut as u64 >= total;
+        Ok((bytes, total, eof))
     }
 
     /// Block until job `id` reaches a settled state (terminal or
     /// interrupted) or `timeout` passes. Returns the final status.
     pub fn wait(&self, id: u64, timeout: Duration) -> Option<JobStatus> {
         let deadline = Instant::now() + timeout;
-        loop {
-            let status = self.status(id)?;
-            if status.state.is_terminal() || status.state == JobState::Interrupted {
-                return Some(status);
+        {
+            let mut core = self.shared.lock_core();
+            while let Some(rec) = core.jobs.get(&id) {
+                let now = Instant::now();
+                if rec.state.is_terminal() || rec.state == JobState::Interrupted || now >= deadline
+                {
+                    return Some(snapshot(id, rec));
+                }
+                core = self.shared.cv.wait_timeout(core, deadline - now).0;
             }
-            if Instant::now() >= deadline {
-                return Some(status);
+            if id >= core.next_id {
+                return None;
             }
-            std::thread::sleep(Duration::from_millis(2));
         }
+        // Not live: the job settled (and left the table) or never existed.
+        self.shared.stored_status(id)
     }
 
     /// Block until no job is queued or running, or `timeout` passes.
     /// Returns true when the server is idle.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
+        self.wait_until(timeout, |core| {
+            core.queue.is_empty() && !core.jobs.values().any(|r| r.state == JobState::Running)
+        })
+    }
+
+    /// Block on the core condvar until `idle(core)` holds or `timeout`
+    /// passes; returns whether it holds.
+    fn wait_until(&self, timeout: Duration, idle: impl Fn(&Core) -> bool) -> bool {
         let deadline = Instant::now() + timeout;
+        let mut core = self.shared.lock_core();
         loop {
-            {
-                let core = self.shared.lock_core();
-                let busy = !core.queue.is_empty()
-                    || core.jobs.values().any(|r| matches!(r.state, JobState::Running));
-                if !busy {
-                    return true;
-                }
+            if idle(&core) {
+                return true;
             }
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(2));
+            core = self.shared.cv.wait_timeout(core, deadline - now).0;
         }
     }
 
@@ -662,20 +742,7 @@ impl Server {
     /// next [`Server::open`] resumes without redoing committed passes).
     pub fn drain(&self, timeout: Duration) -> bool {
         self.begin_drain();
-        let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let core = self.shared.lock_core();
-                let busy = core.jobs.values().any(|r| matches!(r.state, JobState::Running));
-                if !busy {
-                    return true;
-                }
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.wait_until(timeout, |core| !core.jobs.values().any(|r| r.state == JobState::Running))
     }
 
     /// The socket front end's counters (bumped by `net::serve`).
@@ -715,7 +782,8 @@ fn snapshot(id: u64, rec: &JobRecord) -> JobStatus {
         error: rec.error.clone(),
         output: rec.output.clone(),
         resumed: rec.resumed,
-        report: rec.report.clone(),
+        // Reports live in manifests: a done job is no longer in the table.
+        report: None,
         latency: rec.latency,
     }
 }
@@ -730,54 +798,63 @@ fn resolve_output(cfg: &ServerConfig, id: u64, spec: &JobSpec) -> PathBuf {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let id = {
-            let mut core = shared.lock_core();
-            loop {
-                if core.shutdown || core.draining {
-                    return;
-                }
-                if let Some(id) = core.queue.pop_front() {
-                    // Mark Running inside the same critical section as the
-                    // pop: a drain that observed "queue empty, none
-                    // running" between the two would think the job never
-                    // existed and declare the server idle too early.
-                    if let Some(rec) = core.jobs.get_mut(&id) {
-                        rec.state = JobState::Running;
-                    }
-                    break id;
-                }
-                core = shared.cv.wait(core);
-            }
-        };
+    while let Some(id) = next_job(shared) {
         run_job(shared, id);
+    }
+    // A drain or shutdown may be waiting for the pool to wind down.
+    shared.cv.notify_all();
+}
+
+/// Block until a job is queued (`Some`) or the pool must stop (`None`).
+fn next_job(shared: &Shared) -> Option<u64> {
+    let mut core = shared.lock_core();
+    loop {
+        if core.shutdown || core.draining {
+            return None;
+        }
+        if let Some(id) = core.queue.pop_front() {
+            // Mark Running inside the same critical section as the pop: a
+            // drain that observed "queue empty, none running" between the
+            // two would think the job never existed and declare the server
+            // idle too early.
+            if let Some(rec) = core.jobs.get_mut(&id) {
+                rec.state = JobState::Running;
+            }
+            return Some(id);
+        }
+        core = shared.cv.wait(core);
     }
 }
 
 /// Run one job end to end on this thread. Every failure path lands in the
 /// job record and manifest; this function never panics the worker.
 fn run_job(shared: &Arc<Shared>, id: u64) {
-    let (spec, resume, was_resumed) = {
+    let (spec, resume, was_resumed, submitted) = {
         let mut core = shared.lock_core();
         let Some(rec) = core.jobs.get_mut(&id) else { return };
         rec.state = JobState::Running;
-        (rec.spec.clone(), rec.resume, rec.resumed)
+        (rec.spec.clone(), rec.resume, rec.resumed, rec.submitted)
     };
-    let job_dir = shared.cfg.job_dir.join(format!("job-{id}"));
-    let manifest = |state: JobState,
-                    staged: &Option<(Vec<u64>, u64)>,
-                    error: Option<String>,
-                    resumed: bool| {
-        let mut stored = spec.clone();
-        stored.input = JobInput::Path(job_dir.join("input.xml"));
-        let _ = Manifest { id, state, spec: stored, staged: staged.clone(), error, resumed }
-            .store(&job_dir);
-    };
+    let job_dir = shared.job_path(id);
     let resumed_now = was_resumed || resume;
+    let running = |staged: &Option<(Vec<u64>, u64)>| {
+        let _ = Manifest {
+            id,
+            state: JobState::Running,
+            spec: spec.clone(),
+            staged: staged.clone(),
+            error: None,
+            resumed: resumed_now,
+            summary: None,
+            latency_ms: None,
+        }
+        .store(&job_dir);
+    };
     // Keep whatever input extent an earlier (interrupted) run staged: the
-    // resume path reattaches through it.
-    let prior_staged = Manifest::load(&job_dir).ok().flatten().and_then(|m| m.staged);
-    manifest(JobState::Running, &prior_staged, None, resumed_now);
+    // resume path reattaches through it. A fresh job has none.
+    let prior_staged =
+        if resume { Manifest::load(&job_dir).ok().flatten().and_then(|m| m.staged) } else { None };
+    running(&prior_staged);
     if resume {
         let mut core = shared.lock_core();
         core.resumed_total += 1;
@@ -789,48 +866,97 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     // Lease the job's frames from the global budget (strict-FIFO with the
     // per-tenant cap; blocks until admitted) for the whole on-thread
     // lifetime of the stack.
-    let lease = match shared.arbiter.acquire_as(spec.frames_needed(), spec.tenant.as_deref()) {
-        Ok(lease) => lease,
-        Err(e) => {
-            finish(shared, id, JobState::Failed, Some(format!("budget lease: {e}")), None);
-            manifest(JobState::Failed, &None, Some(format!("budget lease: {e}")), resumed_now);
-            return;
+    let outcome = match shared.arbiter.acquire_as(spec.frames_needed(), spec.tenant.as_deref()) {
+        Ok(lease) => {
+            let outcome = execute(shared, id, &spec, resume, &job_dir, prior_staged, &running);
+            drop(lease);
+            outcome
         }
+        Err(e) => Outcome::failed(None, format!("budget lease: {e}")),
     };
-
-    let outcome = execute(shared, id, &spec, resume, &job_dir, &manifest);
-    drop(lease);
-    match outcome {
-        Outcome::Done(report) => finish(shared, id, JobState::Done, None, report.map(|b| *b)),
-        Outcome::Interrupted => finish(shared, id, JobState::Interrupted, None, None),
-        Outcome::Failed(msg) => finish(shared, id, JobState::Failed, Some(msg), None),
-    }
+    finish(shared, id, spec, resumed_now, submitted, outcome);
 }
 
-enum Outcome {
-    Done(Option<Box<SortReport>>),
-    Interrupted,
-    Failed(String),
-}
-
-/// Writer closure persisting the job manifest at each state change
-/// (state, staged input extent, error, resumed).
-type ManifestWriter<'a> = dyn Fn(JobState, &Option<(Vec<u64>, u64)>, Option<String>, bool) + 'a;
-
-fn finish(
-    shared: &Arc<Shared>,
-    id: u64,
+/// How a job left its worker (or the queue), as its manifest records it.
+struct Outcome {
     state: JobState,
+    /// The staged input extent `(blocks, byte_len)` a restart reattaches.
+    staged: Option<(Vec<u64>, u64)>,
     error: Option<String>,
-    report: Option<SortReport>,
-) {
-    let mut core = shared.lock_core();
-    if let Some(rec) = core.jobs.get_mut(&id) {
-        rec.state = state;
-        rec.error = error;
-        rec.report = report;
-        rec.latency = Some(rec.submitted.elapsed());
+    report: Option<JobSummary>,
+}
+
+impl Outcome {
+    fn done(staged: Option<(Vec<u64>, u64)>, report: Option<JobSummary>) -> Self {
+        Outcome { state: JobState::Done, staged, error: None, report }
     }
+
+    fn interrupted(staged: Option<(Vec<u64>, u64)>) -> Self {
+        Outcome { state: JobState::Interrupted, staged, error: None, report: None }
+    }
+
+    fn failed(staged: Option<(Vec<u64>, u64)>, error: String) -> Self {
+        Outcome { state: JobState::Failed, staged, error: Some(error), report: None }
+    }
+}
+
+/// Writer persisting a `running` manifest with the given staged extent.
+type RunningWriter<'a> = dyn Fn(&Option<(Vec<u64>, u64)>) + 'a;
+
+/// Record how job `id` ended up. In this order: store its manifest (with
+/// the report summary and latency), then -- for a terminal job -- drop it
+/// from the live table and bump its state's counter, then wake every
+/// waiter. A job is therefore never missing from both the table and a
+/// manifest that says how it ended.
+fn finish(
+    shared: &Shared,
+    id: u64,
+    spec: JobSpec,
+    resumed: bool,
+    submitted: Instant,
+    outcome: Outcome,
+) {
+    let latency = submitted.elapsed();
+    let job_dir = shared.job_path(id);
+    let state = outcome.state;
+    let persisted = Manifest {
+        id,
+        state,
+        spec,
+        staged: outcome.staged,
+        error: outcome.error.clone(),
+        resumed,
+        summary: outcome.report,
+        latency_ms: Some(latency.as_secs_f64() * 1000.0),
+    }
+    .store(&job_dir);
+    {
+        let mut core = shared.lock_core();
+        match persisted {
+            Ok(()) if state.is_terminal() => {
+                core.jobs.remove(&id);
+                core.count_terminal(state);
+            }
+            persisted => {
+                // Interrupted jobs stay live until a restart resumes them. A
+                // terminal job whose manifest could not be stored cannot be
+                // served from it, so it stays live, failed, with the reason.
+                let (state, error) = match persisted {
+                    Err(e) if state.is_terminal() => {
+                        (JobState::Failed, Some(format!("cannot record the job's end: {e}")))
+                    }
+                    _ => (state, outcome.error),
+                };
+                core.count_terminal(state);
+                if let Some(rec) = core.jobs.get_mut(&id) {
+                    rec.state = state;
+                    rec.error = error;
+                    rec.latency = Some(latency);
+                }
+            }
+        }
+    }
+    shared.cv.notify_all();
 }
 
 /// The single-threaded portion: device stack, staging, sort (or resume),
@@ -841,16 +967,17 @@ fn execute(
     spec: &JobSpec,
     resume: bool,
     job_dir: &std::path::Path,
-    manifest: &ManifestWriter<'_>,
+    prior_staged: Option<(Vec<u64>, u64)>,
+    running: &RunningWriter<'_>,
 ) -> Outcome {
     if spec.op == JobOp::Pq {
         // Not journaled: the script is deterministic, so an interrupted pq
         // job redoes the whole script from its input copy.
-        return execute_pq(shared, id, spec, resume, job_dir, manifest);
+        return execute_pq(shared, id, spec, resume, job_dir);
     }
     let sortspec = match build_spec(spec.default_rule.as_deref(), &spec.keys) {
         Ok(sp) => sp,
-        Err(e) => return Outcome::Failed(format!("ordering criterion: {e}")),
+        Err(e) => return Outcome::failed(None, format!("ordering criterion: {e}")),
     };
     let device_path = job_dir.join("device.bin");
     let mut builder = DiskBuilder::new(spec.block_size).stripe(spec.stripe);
@@ -862,35 +989,34 @@ fn execute(
     }
     let DiskStack { disk, injectors: _injectors, crash } = match builder.build() {
         Ok(stack) => stack,
-        Err(e) => return Outcome::Failed(e.to_string()),
+        Err(e) => return Outcome::failed(None, e.to_string()),
     };
 
     // Stage (or reattach) the input.
-    let manifest_of = Manifest::load(job_dir).ok().flatten();
     let (input, staged) = if resume {
-        match manifest_of.as_ref().and_then(|m| m.staged.clone()) {
+        match prior_staged {
             Some((blocks, len)) => {
                 let ext = Extent::from_raw(blocks.clone(), len);
                 (ext, Some((blocks, len)))
             }
-            None => return Outcome::Failed("resume without a staged input extent".into()),
+            None => return Outcome::failed(None, "resume without a staged input extent".into()),
         }
     } else {
         let bytes = match std::fs::read(job_dir.join("input.xml")) {
             Ok(b) => b,
-            Err(e) => return Outcome::Failed(format!("cannot read input copy: {e}")),
+            Err(e) => return Outcome::failed(None, format!("cannot read input copy: {e}")),
         };
         match stage_input(&disk, &bytes) {
             Ok(ext) => {
                 let staged = Some((ext.blocks().to_vec(), ext.len()));
                 (ext, staged)
             }
-            Err(e) => return Outcome::Failed(format!("staging: {e}")),
+            Err(e) => return Outcome::failed(None, format!("staging: {e}")),
         }
     };
     // The staged extent is what a restart reattaches: persist it before the
     // sort can be interrupted.
-    manifest(JobState::Running, &staged, None, resume);
+    running(&staged);
 
     let opts = NexsortOptions {
         mem_frames: spec.mem_frames,
@@ -915,7 +1041,7 @@ fn execute(
     if spec.op == JobOp::TopK {
         let topk = match nexsort_query::TopK::new(disk.clone(), opts, sortspec, spec.k) {
             Ok(t) => t,
-            Err(e) => return Outcome::Failed(e.to_string()),
+            Err(e) => return Outcome::failed(None, e.to_string()),
         };
         if let (Some(ctl), Some(after)) = (&crash, spec.crash_after_ios) {
             ctl.arm_after(ctl.ios() + after);
@@ -930,31 +1056,23 @@ fn execute(
             {
                 // Same durable state as a killed sort: the journal has the
                 // last sealed phase, and the next Server::open resumes it.
-                manifest(JobState::Interrupted, &staged, None, resume);
-                return Outcome::Interrupted;
+                return Outcome::interrupted(staged);
             }
-            Err(e) => {
-                let msg = e.to_string();
-                manifest(JobState::Failed, &staged, Some(msg.clone()), resume);
-                return Outcome::Failed(msg);
-            }
+            Err(e) => return Outcome::failed(staged, e.to_string()),
         };
         let output = resolve_output(&shared.cfg, id, spec);
         if let Err(e) = std::fs::write(&output, &text) {
-            let msg = format!("cannot write output {output:?}: {e}");
-            manifest(JobState::Failed, &staged, Some(msg.clone()), resume);
-            return Outcome::Failed(msg);
+            return Outcome::failed(staged, format!("cannot write output {output:?}: {e}"));
         }
         let _ = settle(&disk);
-        manifest(JobState::Done, &staged, None, resume);
         let mut sort_report = report.sort;
         sort_report.resumed = sort_report.resumed || resume;
-        return Outcome::Done(Some(Box::new(sort_report)));
+        return Outcome::done(staged, Some(JobSummary::of(&sort_report)));
     }
 
     let sorter = match Nexsort::new(disk.clone(), opts, sortspec) {
         Ok(s) => s,
-        Err(e) => return Outcome::Failed(e.to_string()),
+        Err(e) => return Outcome::failed(None, e.to_string()),
     };
     if let (Some(ctl), Some(after)) = (&crash, spec.crash_after_ios) {
         ctl.arm_after(ctl.ios() + after);
@@ -973,14 +1091,9 @@ fn execute(
             // The device froze mid-sort: the job's durable state (journal,
             // staged input, manifest) is exactly what a kill -9 leaves
             // behind. The next Server::open resumes it.
-            manifest(JobState::Interrupted, &staged, None, resume);
-            return Outcome::Interrupted;
+            return Outcome::interrupted(staged);
         }
-        Err(f) => {
-            let msg = f.to_string();
-            manifest(JobState::Failed, &staged, Some(msg.clone()), resume);
-            return Outcome::Failed(msg);
-        }
+        Err(f) => return Outcome::failed(staged, f.to_string()),
     };
     let xml = match doc.to_xml(spec.pretty) {
         Ok(xml) => xml,
@@ -989,28 +1102,20 @@ fn execute(
         {
             // Froze during the output phase: the sort itself is fully
             // journalled, so the restart replays it and redoes the output.
-            manifest(JobState::Interrupted, &staged, None, resume);
-            return Outcome::Interrupted;
+            return Outcome::interrupted(staged);
         }
-        Err(e) => {
-            let msg = format!("output phase: {e}");
-            manifest(JobState::Failed, &staged, Some(msg.clone()), resume);
-            return Outcome::Failed(msg);
-        }
+        Err(e) => return Outcome::failed(staged, format!("output phase: {e}")),
     };
     let output = resolve_output(&shared.cfg, id, spec);
     if let Err(e) = std::fs::write(&output, &xml) {
-        let msg = format!("cannot write output {output:?}: {e}");
-        manifest(JobState::Failed, &staged, Some(msg.clone()), resume);
-        return Outcome::Failed(msg);
+        return Outcome::failed(staged, format!("cannot write output {output:?}: {e}"));
     }
     // Settle the device image (flush write-back pages, drain write-behind)
     // so the on-disk file is consistent once the job is marked done.
     let _ = settle(&disk);
-    manifest(JobState::Done, &staged, None, resume);
     let mut report = doc.report.clone();
     report.resumed = report.resumed || resume;
-    Outcome::Done(Some(Box::new(report)))
+    Outcome::done(staged, Some(JobSummary::of(&report)))
 }
 
 /// Run a pq job: execute its `push KEY` / `pop` / `peek` script over an
@@ -1024,7 +1129,6 @@ fn execute_pq(
     spec: &JobSpec,
     redo: bool,
     job_dir: &std::path::Path,
-    manifest: &ManifestWriter<'_>,
 ) -> Outcome {
     let device_path = job_dir.join("device.bin");
     let mut builder = DiskBuilder::new(spec.block_size).stripe(spec.stripe).file(&device_path);
@@ -1035,15 +1139,15 @@ fn execute_pq(
     }
     let DiskStack { disk, injectors: _injectors, crash } = match builder.build() {
         Ok(stack) => stack,
-        Err(e) => return Outcome::Failed(e.to_string()),
+        Err(e) => return Outcome::failed(None, e.to_string()),
     };
     let script = match std::fs::read_to_string(job_dir.join("input.xml")) {
         Ok(s) => s,
-        Err(e) => return Outcome::Failed(format!("cannot read pq script copy: {e}")),
+        Err(e) => return Outcome::failed(None, format!("cannot read pq script copy: {e}")),
     };
     let mut pq = match nexsort_query::ExtPq::new(disk.clone(), spec.mem_frames, spec.parity_group) {
         Ok(q) => q,
-        Err(e) => return Outcome::Failed(e.to_string()),
+        Err(e) => return Outcome::failed(None, e.to_string()),
     };
     if let (Some(ctl), Some(after)) = (&crash, spec.crash_after_ios) {
         ctl.arm_after(ctl.ios() + after);
@@ -1067,10 +1171,13 @@ fn execute_pq(
                 None => out.push_str("peek -\n"),
             })
         } else {
-            return Outcome::Failed(format!(
-                "pq script line {}: expected \"push KEY\", \"pop\", or \"peek\", got {line:?}",
-                ln + 1
-            ));
+            return Outcome::failed(
+                None,
+                format!(
+                    "pq script line {}: expected \"push KEY\", \"pop\", or \"peek\", got {line:?}",
+                    ln + 1
+                ),
+            );
         };
         match step {
             Ok(()) => {}
@@ -1079,26 +1186,18 @@ fn execute_pq(
             {
                 // The device froze mid-script; the next Server::open
                 // re-queues the job, which redoes the script from scratch.
-                manifest(JobState::Interrupted, &None, None, false);
-                return Outcome::Interrupted;
+                return Outcome::interrupted(None);
             }
-            Err(e) => {
-                let msg = format!("pq script line {}: {e}", ln + 1);
-                manifest(JobState::Failed, &None, Some(msg.clone()), false);
-                return Outcome::Failed(msg);
-            }
+            Err(e) => return Outcome::failed(None, format!("pq script line {}: {e}", ln + 1)),
         }
     }
     out.push_str(&format!("len {}\n", pq.len()));
     let output = resolve_output(&shared.cfg, id, spec);
     if let Err(e) = std::fs::write(&output, &out) {
-        let msg = format!("cannot write output {output:?}: {e}");
-        manifest(JobState::Failed, &None, Some(msg.clone()), false);
-        return Outcome::Failed(msg);
+        return Outcome::failed(None, format!("cannot write output {output:?}: {e}"));
     }
     let _ = settle(&disk);
-    manifest(JobState::Done, &None, None, false);
-    Outcome::Done(None)
+    Outcome::done(None, None)
 }
 
 fn settle(disk: &Rc<Disk>) -> Result<(), ExtError> {
@@ -1172,12 +1271,144 @@ mod tests {
         assert_eq!(st.state, JobState::Done, "error: {:?}", st.error);
         assert_eq!(server.fetch_output(id).unwrap(), expected);
         let report = st.report.expect("done job carries a report");
-        assert!(report.n_records >= 40, "report covers the whole document");
+        assert!(report.records >= 40, "report covers the whole document");
         assert!(st.latency.is_some());
         // The manifest on disk agrees.
         let m = Manifest::load(&dir.join(format!("job-{id}"))).unwrap().unwrap();
         assert_eq!(m.state, JobState::Done);
         assert!(m.staged.is_some());
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn unit_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("nxsrv-unit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn small_job(xml: &[u8]) -> JobSpec {
+        JobSpec {
+            input: JobInput::Inline(xml.to_vec()),
+            default_rule: Some("@k".into()),
+            block_size: 512,
+            ..JobSpec::default()
+        }
+    }
+
+    #[test]
+    fn finished_jobs_leave_memory_but_stay_queryable() {
+        let dir = unit_dir("hist");
+        let mut cfg = ServerConfig::new(2, &dir);
+        cfg.queue_depth = 256;
+        let server = Server::start(cfg).unwrap();
+        let spec = small_job(b"<r><x k=\"2\"/><x k=\"1\"/></r>");
+        let JobInput::Inline(xml) = &spec.input else { unreachable!() };
+        let expected = direct_sort(xml, &spec);
+        let ids: Vec<u64> = (0..200).map(|_| server.submit(spec.clone()).unwrap()).collect();
+        assert!(server.wait_idle(Duration::from_secs(120)));
+        assert!(server.shared.lock_core().jobs.is_empty(), "terminal jobs stay in memory");
+        for &id in &ids {
+            let st = server.status(id).expect("a finished job is still known");
+            assert_eq!(st.state, JobState::Done, "job {id}: {:?}", st.error);
+            assert!(st.report.is_some() && st.latency.is_some(), "job {id} lost its report");
+            let waited = server.wait(id, Duration::ZERO).unwrap();
+            assert_eq!(waited.report, st.report);
+            let (chunk, total, eof) = server.fetch_output_chunk(id, 0, 1 << 20).unwrap();
+            assert_eq!((chunk, total, eof), (expected.clone(), expected.len() as u64, true));
+        }
+        let listed = server.list();
+        assert_eq!(listed.iter().map(|st| st.id).collect::<Vec<_>>(), ids);
+        assert!(listed.iter().all(|st| st.state == JobState::Done && st.report.is_some()));
+        let stats = server.stats();
+        assert_eq!((stats.done, stats.queued, stats.running), (200, 0, 0));
+        assert!(server.status(200).is_none(), "ids past the last one are unknown");
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_wait_sees_the_job_it_blocked_on_leave_the_table() {
+        let dir = unit_dir("evict");
+        let mut cfg = ServerConfig::new(1, &dir);
+        cfg.budget_frames = 32;
+        let server = Server::start(cfg).unwrap();
+        // Hold the whole budget so the job parks on its lease, running.
+        let lease = server.shared.arbiter.acquire(32).unwrap();
+        let id = server.submit(small_job(b"<r><x k=\"2\"/><x k=\"1\"/></r>")).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let st = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                tx.send(()).unwrap();
+                server.wait(id, Duration::from_secs(60))
+            });
+            rx.recv().unwrap();
+            drop(lease);
+            waiter.join().unwrap()
+        });
+        let st = st.expect("the evicted job is served from its manifest");
+        assert_eq!(st.state, JobState::Done, "{:?}", st.error);
+        assert!(st.report.is_some());
+        assert!(server.shared.lock_core().jobs.is_empty());
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn canceled_jobs_are_counted_across_a_restart() {
+        let dir = unit_dir("cancel");
+        let mut cfg = ServerConfig::new(1, &dir);
+        cfg.budget_frames = 32;
+        let server = Server::start(cfg.clone()).unwrap();
+        // The only worker parks on the first job's lease, so the second
+        // job stays queued until it is canceled.
+        let lease = server.shared.arbiter.acquire(32).unwrap();
+        let spec = small_job(b"<r><x k=\"1\"/></r>");
+        let first = server.submit(spec.clone()).unwrap();
+        let second = server.submit(spec).unwrap();
+        assert!(server.cancel(second));
+        drop(lease);
+        assert_eq!(server.wait(first, Duration::from_secs(30)).unwrap().state, JobState::Done);
+        let before = server.stats();
+        assert_eq!((before.done, before.canceled), (1, 1));
+        server.shutdown();
+        let server = Server::open(cfg).unwrap();
+        let after = server.stats();
+        assert_eq!((after.done, after.canceled, after.queued), (1, 1, 0));
+        assert_eq!(server.status(second).unwrap().state, JobState::Canceled);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fetch_chunks_never_split_a_character() {
+        let dir = unit_dir("utf8");
+        let server = Server::start(ServerConfig::new(1, &dir)).unwrap();
+        let xml = "<r><x k=\"2\">é中😀ü</x><x k=\"1\">€𝄞ß</x></r>";
+        let id = server.submit(small_job(xml.as_bytes())).unwrap();
+        assert_eq!(server.wait(id, Duration::from_secs(30)).unwrap().state, JobState::Done);
+        let full = server.fetch_output(id).unwrap();
+        let mut trimmed = false;
+        // Every chunk length from "fits one 4-byte character" up puts a
+        // boundary inside some multi-byte character.
+        for len in 4..=12u64 {
+            let (mut out, mut offset) = (Vec::new(), 0u64);
+            loop {
+                let (chunk, total, eof) = server.fetch_output_chunk(id, offset, len).unwrap();
+                assert_eq!(total, full.len() as u64);
+                assert!(std::str::from_utf8(&chunk).is_ok(), "len {len} offset {offset}");
+                trimmed |= !eof && (chunk.len() as u64) < len;
+                offset += chunk.len() as u64;
+                out.extend_from_slice(&chunk);
+                if eof {
+                    break;
+                }
+            }
+            assert_eq!(out, full, "chunks of {len} bytes reassemble the output");
+        }
+        assert!(trimmed, "some chunk boundary straddled a character");
+        let past = server.fetch_output_chunk(id, full.len() as u64 + 9, 16).unwrap();
+        assert_eq!(past, (Vec::new(), full.len() as u64, true), "past EOF: empty, eof");
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

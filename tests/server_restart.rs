@@ -276,6 +276,8 @@ fn restart_also_reruns_jobs_that_never_started() {
         staged: None,
         error: None,
         resumed: false,
+        summary: None,
+        latency_ms: None,
     }
     .store(&job_dir)
     .unwrap();
@@ -391,6 +393,49 @@ fn drained_daemon_restarts_without_redoing_committed_work() {
     }
     assert!(server.stats().draining);
     assert_eq!(server.stats().drains, 1);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restart_keeps_finished_jobs_reports_and_counts() {
+    // Finished jobs live in their manifests, not in the daemon's memory: a
+    // restarted daemon must answer for them exactly as the old one did.
+    let dir = tmpdir("history");
+    let cfg = ServerConfig::new(2, &dir);
+    let server = Server::open(cfg.clone()).unwrap();
+    let mut specs = mixed_specs(None);
+    specs.truncate(2);
+    specs.push(JobSpec {
+        input: JobInput::Inline(b"<root><item k=\"1\">unclosed".to_vec()),
+        default_rule: Some("@k".into()),
+        ..specs[0].clone()
+    });
+    let ids: Vec<u64> = specs.into_iter().map(|spec| server.submit(spec).unwrap()).collect();
+    let before: Vec<_> =
+        ids.iter().map(|&id| server.wait(id, Duration::from_secs(120)).unwrap()).collect();
+    let states: Vec<JobState> = before.iter().map(|st| st.state).collect();
+    assert_eq!(states, [JobState::Done, JobState::Done, JobState::Failed]);
+    let stats = server.stats();
+    server.shutdown();
+
+    let server = Server::open(cfg).unwrap();
+    for (id, old) in ids.iter().zip(&before) {
+        for st in [server.status(*id).unwrap(), server.wait(*id, Duration::ZERO).unwrap()] {
+            assert_eq!(st.state, old.state, "job {id}");
+            assert_eq!(st.error, old.error, "job {id}");
+            assert_eq!(st.report, old.report, "job {id}: the summary must survive the restart");
+            assert_eq!(st.latency, old.latency, "job {id}");
+        }
+    }
+    assert!(before[0].report.is_some() && before[1].report.is_some());
+    let again = server.stats();
+    assert_eq!(
+        (again.done, again.failed, again.canceled),
+        (stats.done, stats.failed, stats.canceled)
+    );
+    assert_eq!((again.done, again.failed), (2, 1));
+    assert_eq!(server.list().len(), ids.len());
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
