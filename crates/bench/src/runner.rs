@@ -12,9 +12,10 @@ use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::{sort_rec_extent, BaselineOptions};
 use nexsort_datagen::stage_as_recs;
 use nexsort_extmem::{
-    CachePolicy, CrashPlan, Disk, FaultCounts, FaultKind, FaultPlan, IoCat, IoSnapshot, MemDevice,
-    MemoryBudget, RetryPolicy, SchedConfig, WriteMode,
+    CachePolicy, CrashPlan, Disk, DiskBuilder, DiskStack, FaultCounts, FaultKind, FaultPlan, IoCat,
+    IoSnapshot, RetryPolicy, WriteMode,
 };
+use nexsort_server::JobSpec;
 use nexsort_xml::{EventSource, Result, SortSpec, XmlError};
 
 /// Simulated disk service time per block transfer. The paper's testbed did
@@ -88,36 +89,52 @@ impl Default for RunConfig {
     }
 }
 
-/// The sorter options a [`RunConfig`] describes.
-fn nexsort_opts(cfg: &RunConfig) -> NexsortOptions {
-    NexsortOptions {
+/// The job knobs a [`RunConfig`] describes: the bench maps them onto a
+/// device stack and sorter options through [`JobSpec`], exactly as `xsort`
+/// and the daemon do.
+fn job_spec(cfg: &RunConfig) -> JobSpec {
+    JobSpec {
+        block_size: cfg.block_size,
         mem_frames: cfg.mem_frames,
         threshold: cfg.threshold,
         depth_limit: cfg.depth_limit,
-        compaction: cfg.compaction,
         degeneration: cfg.degeneration,
-        path_stack_frames: cfg.path_stack_frames,
-        data_stack_frames: 1,
         cache_frames: cfg.cache_frames,
         cache_policy: cfg.cache_policy,
-        cache_write_mode: cfg.cache_write_mode,
+        write_back: cfg.cache_write_mode == WriteMode::Back,
         io_workers: cfg.io_workers,
         prefetch_depth: cfg.prefetch_depth,
         write_behind: cfg.write_behind,
+        stripe: cfg.stripe,
         parity_group: cfg.parity_group,
-        checkpoint: cfg.checkpoint,
-        journal_blocks: cfg.journal_blocks,
+        ..JobSpec::default()
     }
 }
 
-/// The configured simulated disk: striped over N in-memory devices when
-/// `cfg.stripe > 1`, a single in-memory device otherwise.
-fn bench_disk(cfg: &RunConfig) -> Rc<Disk> {
-    if cfg.stripe > 1 {
-        Disk::new_striped_mem(cfg.block_size, cfg.stripe)
-    } else {
-        Disk::new_mem(cfg.block_size)
+/// The sorter options a [`RunConfig`] describes.
+fn nexsort_opts(cfg: &RunConfig) -> NexsortOptions {
+    NexsortOptions {
+        compaction: cfg.compaction,
+        path_stack_frames: cfg.path_stack_frames,
+        journal_blocks: cfg.journal_blocks,
+        ..job_spec(cfg).nexsort_options(cfg.checkpoint)
     }
+}
+
+/// The device stack a [`RunConfig`] describes: in-memory, striped over
+/// `cfg.stripe` devices, with the configured page cache and I/O scheduler.
+/// Callers add fault or crash layers before building.
+fn bench_builder(cfg: &RunConfig) -> DiskBuilder {
+    job_spec(cfg).disk_builder()
+}
+
+fn build(builder: DiskBuilder) -> Result<DiskStack> {
+    builder.build().map_err(|e| XmlError::Record(e.to_string()))
+}
+
+/// The configured simulated disk (see [`bench_builder`]).
+fn bench_disk(cfg: &RunConfig) -> Result<Rc<Disk>> {
+    Ok(build(bench_builder(cfg))?.disk)
 }
 
 /// The outcome of one measured run.
@@ -181,7 +198,7 @@ pub fn measure_nexsort(
     spec: &SortSpec,
     cfg: &RunConfig,
 ) -> Result<Measurement> {
-    let disk = bench_disk(cfg);
+    let disk = bench_disk(cfg)?;
     let staged = stage_as_recs(&disk, gen, spec, cfg.compaction)?;
     let sorter = Nexsort::new(disk.clone(), nexsort_opts(cfg), spec.clone())?;
     let sorted = sorter.sort_rec_extent(&staged.extent, staged.dict.clone())?;
@@ -235,18 +252,13 @@ pub fn measure_nexsort_faulty(
     plan: FaultPlan,
     retries: u32,
 ) -> Result<(Measurement, FaultCounts)> {
-    let (disk, injectors) = if cfg.stripe > 1 {
-        // Each inner device runs its own copy of the plan (same seed: the
-        // schedules stay deterministic, drawn per-device).
-        let plans = (0..cfg.stripe).map(|_| plan.clone()).collect();
-        Disk::new_striped_faulty(cfg.block_size, plans)
-    } else {
-        let (disk, injector) = Disk::new_faulty(Box::new(MemDevice::new(cfg.block_size)), plan);
-        (disk, vec![injector])
-    };
+    // Each inner device runs its own copy of the plan (same seed: the
+    // schedules stay deterministic, drawn per-device).
+    let mut builder = bench_builder(cfg).faults_per_device(vec![plan; cfg.stripe.max(1)]);
     if retries > 0 {
-        disk.set_retry_policy(RetryPolicy::retries(retries));
+        builder = builder.retry(RetryPolicy::retries(retries));
     }
+    let DiskStack { disk, injectors, .. } = build(builder)?;
     let staged = stage_as_recs(&disk, gen, spec, cfg.compaction)?;
     let sorter = Nexsort::new(disk.clone(), nexsort_opts(cfg), spec.clone())?;
     let sorted = sorter
@@ -333,8 +345,10 @@ pub fn measure_nexsort_degraded(
     // Reference pass: trace the sorting phase to find blocks whose every
     // write is run-store data (a block recycled as a stack page or a parity
     // block is outside the parity layer's protection).
-    let (disk, _inj) =
-        Disk::new_faulty(Box::new(MemDevice::new(cfg.block_size)), FaultPlan::new(0));
+    let stripe = cfg.stripe.max(1) as u64;
+    let faulty =
+        || build(bench_builder(cfg).faults_per_device(vec![FaultPlan::new(0); stripe as usize]));
+    let disk = faulty()?.disk;
     let staged = stage_as_recs(&disk, gen_base, spec, cfg.compaction)?;
     disk.start_trace();
     let sorter = Nexsort::new(disk.clone(), nexsort_opts(cfg), spec.clone())?;
@@ -358,10 +372,10 @@ pub fn measure_nexsort_degraded(
 
     // Faulted pass: the identical input on a fresh disk with the bad
     // sectors armed before any byte is staged.
-    let (disk2, inj2) =
-        Disk::new_faulty(Box::new(MemDevice::new(cfg.block_size)), FaultPlan::new(0));
+    let DiskStack { disk: disk2, injectors: inj2, .. } = faulty()?;
     for &b in &targets {
-        inj2.script_block_write(b, FaultKind::BitFlip);
+        // Global block ids stripe round-robin over the devices.
+        inj2[(b % stripe) as usize].script_block_write(b / stripe, FaultKind::BitFlip);
     }
     let staged2 = stage_as_recs(&disk2, gen_fault, spec, cfg.compaction)?;
     let before = disk2.stats().snapshot();
@@ -428,8 +442,11 @@ pub fn measure_recovery(
     let cfg = RunConfig { checkpoint: true, ..cfg.clone() };
     // Reference run on a crash-capable (but disarmed) disk: its physical
     // I/O counter measures the sorting phase's span.
-    let (disk, ctl) =
-        Disk::new_crash(Box::new(MemDevice::new(cfg.block_size)), CrashPlan::Disarmed);
+    let crashable = || -> Result<(Rc<Disk>, nexsort_extmem::CrashController)> {
+        let stack = build(bench_builder(&cfg).crash(CrashPlan::Disarmed))?;
+        Ok((stack.disk, stack.crash.expect("a crash layer was configured")))
+    };
+    let (disk, ctl) = crashable()?;
     let staged = stage_as_recs(&disk, gen_base, spec, cfg.compaction)?;
     let stage_ios = ctl.ios();
     let before = disk.stats().snapshot();
@@ -440,8 +457,7 @@ pub fn measure_recovery(
     let base_recs = sorted.to_recs()?;
 
     // Crash run: the identical input on a fresh disk, interrupted mid-sort.
-    let (disk2, ctl2) =
-        Disk::new_crash(Box::new(MemDevice::new(cfg.block_size)), CrashPlan::Disarmed);
+    let (disk2, ctl2) = crashable()?;
     let staged2 = stage_as_recs(&disk2, gen_crash, spec, cfg.compaction)?;
     let crash_at = (sort_span * crash_num / crash_den.max(1)).max(1);
     ctl2.arm_after(ctl2.ios() + crash_at);
@@ -475,22 +491,8 @@ pub fn measure_mergesort(
     spec: &SortSpec,
     cfg: &RunConfig,
 ) -> Result<Measurement> {
-    let disk = bench_disk(cfg);
+    let disk = bench_disk(cfg)?;
     let staged = stage_as_recs(&disk, gen, spec, cfg.compaction)?;
-    if cfg.cache_frames > 0 {
-        // Enabled after staging so the measured pool starts cold.
-        let pool_budget = MemoryBudget::new(cfg.cache_frames);
-        disk.enable_cache(&pool_budget, cfg.cache_frames, cfg.cache_policy, cfg.cache_write_mode)?;
-    }
-    if cfg.io_workers > 0 {
-        // Likewise after staging, so staging transfers never tick the clock.
-        disk.enable_sched(SchedConfig {
-            workers: cfg.io_workers,
-            prefetch_depth: cfg.prefetch_depth,
-            write_behind: cfg.write_behind,
-            ..SchedConfig::default()
-        });
-    }
     let opts = BaselineOptions {
         mem_frames: cfg.mem_frames,
         compaction: cfg.compaction,

@@ -6,14 +6,14 @@ use std::rc::Rc;
 use nexsort::{FailureCategory, Nexsort, NexsortOptions, SortedDoc};
 use nexsort_baseline::{sort_xml_extent, stage_input, BaselineOptions};
 use nexsort_extmem::{
-    recover, CachePolicy, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent,
-    FaultInjector, FaultPlan, IoCat, JournalRecord, RetryPolicy, RunId, RunStore, SchedConfig,
-    ScrubReport, WriteMode,
+    recover, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent, FaultInjector,
+    FaultPlan, IoCat, JournalRecord, RetryPolicy, RunId, RunStore, ScrubReport,
 };
 use nexsort_merge::{BatchUpdate, MergeOptions, StructuralMerge};
+use nexsort_server::{JobInput, JobOp, JobSpec};
 use nexsort_xml::SortSpec;
 
-use crate::specarg::{build_spec, parse_size};
+use crate::specarg::parse_size;
 
 fn xml_err(e: nexsort_xml::XmlError) -> String {
     e.to_string()
@@ -35,24 +35,17 @@ pub enum Algo {
 pub struct Cli {
     /// Subcommand: sort, merge, or update.
     pub command: Command,
-    /// Output path (`-o`); stdout if absent.
-    pub output: Option<PathBuf>,
+    /// The sort knobs `xsort` shares with the daemon: output, block size,
+    /// memory (`--mem` converted to frames), threshold, depth, pool,
+    /// scheduler, stripe, parity, pretty-printing, and the `client submit`
+    /// job fields. `client submit` ships exactly this value.
+    pub job: JobSpec,
     /// Device file for the simulated disk (temp file if absent).
     pub device: Option<PathBuf>,
-    /// Block size in bytes.
-    pub block_size: u64,
-    /// Memory in bytes (converted to frames).
-    pub mem_bytes: u64,
-    /// Sort threshold in bytes (None = 2 blocks).
-    pub threshold: Option<u64>,
-    /// Depth limit.
-    pub depth_limit: Option<u32>,
-    /// Algorithm.
+    /// Algorithm (`--algo degen` also sets `job.degeneration`).
     pub algo: Algo,
     /// Output format for `sort`: XML text or the `.xrec` binary container.
     pub format: OutFormat,
-    /// Pretty-print the output.
-    pub pretty: bool,
     /// Print the sort report to stderr.
     pub stats: bool,
     /// Probability of a transient I/O error per transfer (fault injection).
@@ -66,50 +59,21 @@ pub struct Cli {
     /// Retries per transfer for transient faults (`None` = pick a default:
     /// 3 when faults are injected, otherwise 0).
     pub retries: Option<u32>,
-    /// Buffer-pool frames for the device page cache (0 = no pool). Extra
-    /// memory on top of `--mem`, so logical I/O counts stay comparable.
-    pub cache_frames: usize,
-    /// Buffer-pool eviction policy.
-    pub cache_policy: CachePolicy,
-    /// Write-back caching (coalesce writes in the pool) instead of the
-    /// default write-through.
-    pub write_back: bool,
-    /// I/O scheduler workers (0 = fully synchronous, the paper's model).
-    pub io_workers: usize,
-    /// Sequential read-ahead depth in blocks (needs workers and a cache).
-    pub prefetch_depth: usize,
-    /// Defer physical writes to the scheduler's write-behind queue.
-    pub write_behind: bool,
-    /// Stripe the block device round-robin over N backing devices.
-    pub stripe: usize,
     /// Maintain a write-ahead manifest journal so an interrupted sort can be
     /// resumed without redoing committed work.
     pub checkpoint: bool,
     /// After a simulated crash, thaw the device and resume from the journal
     /// instead of failing (needs `--checkpoint`).
     pub resume: bool,
-    /// Simulate a whole-device crash N physical I/Os into the sort (the
-    /// device freezes; every later transfer fails until recovery thaws it).
-    pub crash_after_ios: Option<u64>,
     /// With `--crash-after-ios N`: pick the crash point seeded-randomly in
     /// `0..N` instead of exactly at `N`.
     pub crash_seed: Option<u64>,
-    /// Parity blocks: one per K data blocks of every sealed run (1 =
-    /// mirror; 0 = no redundancy, the paper's model).
-    pub parity_group: usize,
     /// Scrub test hook: corrupt the IDX-th data block of the first
     /// parity-protected run instead of scrubbing.
     pub corrupt: Option<usize>,
-    /// Result size for `topk` (`-k` / `--limit`); also forwarded in
-    /// `client submit --op topk` job specs.
-    pub k: u64,
-    /// Tenant tag forwarded on `client submit` for per-tenant fairness.
-    pub tenant: Option<String>,
     /// Per-tenant outstanding-lease cap for `serve` (0 = disabled).
     pub tenant_cap: usize,
-    /// Operation a `client submit` requests: sort (default), topk, or pq.
-    pub client_op: Option<String>,
-    /// The ordering criterion.
+    /// The ordering criterion `job.default_rule` and `job.keys` name.
     pub spec: SortSpec,
 }
 
@@ -215,18 +179,12 @@ pub enum Command {
         args: Vec<String>,
         /// Timeout for `wait`, in milliseconds.
         timeout_ms: u64,
-        /// Raw `--default` rule string, forwarded in the job spec.
-        default_rule: Option<String>,
-        /// Raw `--key TAG=RULE` strings, forwarded in the job spec.
-        keys: Vec<String>,
         /// Retry budget: extra attempts after the first request fails.
         retry: u32,
         /// Base backoff delay between retries, in milliseconds.
         retry_base_ms: u64,
         /// Seed of the deterministic retry jitter.
         retry_seed: u64,
-        /// Idempotency token forwarded on `submit` (dedups retried submits).
-        idem: Option<String>,
         /// With `shutdown`: drain (finish running jobs) instead of stopping now.
         drain: bool,
     },
@@ -254,7 +212,7 @@ OPTIONS:
       --default RULE    default rule (default: doc)
       --algo A          nexsort | degen | mergesort   (default: nexsort)
       --mem SIZE        internal memory, e.g. 4M      (default: 4M)
-      --block SIZE      block size, e.g. 64K          (default: 64K)
+      --block SIZE      block size, 64 bytes to 1M    (default: 64K)
       --threshold SIZE  sort threshold t              (default: 2 blocks)
       --depth N         depth-limited sorting
       --device FILE     back the block device with FILE (default: in-memory)
@@ -370,10 +328,10 @@ SORT DAEMON (`xsort serve` / `xsort client`, newline-delimited JSON):
   `client shutdown --drain` puts the daemon in lame-duck mode: new submits
   are refused as busy, running jobs finish within the drain deadline, and
   the daemon exits; a restart on the same --job-dir redoes no committed work.
-  `client submit` forwards the sort flags above (--default, --key, --block,
-  --mem, --cache-frames, --stripe, --parity-group, ...) in the job spec and
-  ships FILE inline; `client fetch` streams the output in bounded chunks
-  (the `fetch_chunk` protocol verb) and writes it to -o or stdout.
+  `client submit` forwards exactly the sort flags above (--default, --key,
+  --block, --mem, --cache-frames, --stripe, --parity-group, ...) as the job
+  spec and ships FILE inline; `client fetch` streams the output in bounded
+  chunks (the `fetch_chunk` protocol verb) and writes it to -o or stdout.
 
 EXIT CODES:
   0  success
@@ -401,36 +359,22 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut it = args.iter().peekable();
     let sub = it.next().ok_or_else(|| "missing subcommand".to_string())?;
     let mut positional: Vec<PathBuf> = Vec::new();
-    let mut output = None;
-    let mut device = None;
-    let mut block_size = 64 * 1024;
+    let mut job = JobSpec { block_size: 64 * 1024, ..JobSpec::default() };
     let mut mem_bytes = 4 * 1024 * 1024;
-    let mut threshold = None;
-    let mut depth_limit = None;
+    let mut op_given = false;
+    let mut device = None;
     let mut algo = Algo::Nexsort;
     let mut format = OutFormat::Xml;
-    let mut pretty = false;
     let mut stats = false;
-    let mut default_rule: Option<String> = None;
-    let mut keys: Vec<String> = Vec::new();
     let mut seed = 42u64;
     let mut fault_rate = 0.0f64;
     let mut fault_flips = 0.0f64;
     let mut fault_torn = 0.0f64;
     let mut fault_seed = 42u64;
     let mut retries: Option<u32> = None;
-    let mut cache_frames = 0usize;
-    let mut cache_policy = CachePolicy::Lru;
-    let mut write_back = false;
-    let mut io_workers = 0usize;
-    let mut prefetch_depth = 0usize;
-    let mut write_behind = false;
-    let mut stripe = 1usize;
     let mut checkpoint = false;
     let mut resume = false;
-    let mut crash_after_ios: Option<u64> = None;
     let mut crash_seed: Option<u64> = None;
-    let mut parity_group = 0usize;
     let mut corrupt: Option<usize> = None;
     let mut listen: Option<String> = None;
     let mut connect: Option<String> = None;
@@ -439,10 +383,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut budget_frames = 4096usize;
     let mut job_dir: Option<PathBuf> = None;
     let mut timeout_ms = 60_000u64;
-    let mut k = 0u64;
-    let mut tenant: Option<String> = None;
     let mut tenant_cap = 0usize;
-    let mut client_op: Option<String> = None;
     let mut request_timeout_ms = 30_000u64;
     let mut idle_timeout_ms = 300_000u64;
     let mut drain_timeout_ms = 30_000u64;
@@ -450,7 +391,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut retry = 0u32;
     let mut retry_base_ms = 50u64;
     let mut retry_seed = 42u64;
-    let mut idem: Option<String> = None;
     let mut drain = false;
 
     let next_value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
@@ -468,13 +408,16 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
 
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "-o" | "--output" => output = Some(PathBuf::from(next_value(&mut it, arg)?)),
+            "-o" | "--output" => job.output = Some(PathBuf::from(next_value(&mut it, arg)?)),
             "--device" => device = Some(PathBuf::from(next_value(&mut it, arg)?)),
-            "--block" => block_size = parse_size(&next_value(&mut it, arg)?)?,
+            "--block" => {
+                job.block_size = usize::try_from(parse_size(&next_value(&mut it, arg)?)?)
+                    .map_err(|_| "--block is too large".to_string())?
+            }
             "--mem" => mem_bytes = parse_size(&next_value(&mut it, arg)?)?,
-            "--threshold" => threshold = Some(parse_size(&next_value(&mut it, arg)?)?),
+            "--threshold" => job.threshold = Some(parse_size(&next_value(&mut it, arg)?)?),
             "--depth" => {
-                depth_limit = Some(
+                job.depth_limit = Some(
                     next_value(&mut it, arg)?
                         .parse::<u32>()
                         .map_err(|_| "--depth needs a positive integer".to_string())?,
@@ -486,15 +429,16 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                     "degen" => Algo::Degen,
                     "mergesort" => Algo::Mergesort,
                     other => return Err(format!("unknown algorithm {other:?}")),
-                }
+                };
+                job.degeneration = algo == Algo::Degen;
             }
             "--seed" => {
                 seed = next_value(&mut it, arg)?
                     .parse::<u64>()
                     .map_err(|_| "--seed needs an integer".to_string())?
             }
-            "--default" => default_rule = Some(next_value(&mut it, arg)?),
-            "--key" => keys.push(next_value(&mut it, arg)?),
+            "--default" => job.default_rule = Some(next_value(&mut it, arg)?),
+            "--key" => job.keys.push(next_value(&mut it, arg)?),
             "--format" => {
                 format = match next_value(&mut it, arg)?.as_str() {
                     "xml" => OutFormat::Xml,
@@ -518,35 +462,35 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                 )
             }
             "--cache-frames" => {
-                cache_frames = next_value(&mut it, arg)?
+                job.cache_frames = next_value(&mut it, arg)?
                     .parse::<usize>()
                     .map_err(|_| "--cache-frames needs a nonnegative integer".to_string())?
             }
-            "--cache-policy" => cache_policy = next_value(&mut it, arg)?.parse()?,
-            "--write-back" => write_back = true,
+            "--cache-policy" => job.cache_policy = next_value(&mut it, arg)?.parse()?,
+            "--write-back" => job.write_back = true,
             "--io-workers" => {
-                io_workers = next_value(&mut it, arg)?
+                job.io_workers = next_value(&mut it, arg)?
                     .parse::<usize>()
                     .map_err(|_| "--io-workers needs a nonnegative integer".to_string())?
             }
             "--prefetch-depth" => {
-                prefetch_depth = next_value(&mut it, arg)?
+                job.prefetch_depth = next_value(&mut it, arg)?
                     .parse::<usize>()
                     .map_err(|_| "--prefetch-depth needs a nonnegative integer".to_string())?
             }
-            "--write-behind" => write_behind = true,
+            "--write-behind" => job.write_behind = true,
             "--stripe" => {
-                stripe = next_value(&mut it, arg)?
+                job.stripe = next_value(&mut it, arg)?
                     .parse::<usize>()
                     .map_err(|_| "--stripe needs a positive integer".to_string())?;
-                if stripe == 0 {
+                if job.stripe == 0 {
                     return Err("--stripe must be at least 1".into());
                 }
             }
             "--checkpoint" => checkpoint = true,
             "--resume" => resume = true,
             "--parity-group" => {
-                parity_group = next_value(&mut it, arg)?
+                job.parity_group = next_value(&mut it, arg)?
                     .parse::<usize>()
                     .map_err(|_| "--parity-group needs a nonnegative integer".to_string())?
             }
@@ -558,7 +502,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                 )
             }
             "--crash-after-ios" => {
-                crash_after_ios = Some(
+                job.crash_after_ios = Some(
                     next_value(&mut it, arg)?
                         .parse::<u64>()
                         .map_err(|_| "--crash-after-ios needs a nonnegative integer".to_string())?,
@@ -596,14 +540,14 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--job-dir" => job_dir = Some(PathBuf::from(next_value(&mut it, arg)?)),
             "-k" | "--limit" => {
-                k = next_value(&mut it, arg)?
+                job.k = next_value(&mut it, arg)?
                     .parse::<u64>()
                     .map_err(|_| "-k/--limit needs a positive integer".to_string())?;
-                if k == 0 {
+                if job.k == 0 {
                     return Err("-k/--limit must be at least 1".into());
                 }
             }
-            "--tenant" => tenant = Some(next_value(&mut it, arg)?),
+            "--tenant" => job.tenant = Some(next_value(&mut it, arg)?),
             "--tenant-cap" => {
                 tenant_cap = next_value(&mut it, arg)?
                     .parse::<usize>()
@@ -611,10 +555,9 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--op" => {
                 let op = next_value(&mut it, arg)?;
-                if !matches!(op.as_str(), "sort" | "topk" | "pq") {
-                    return Err(format!("--op must be sort, topk, or pq, got {op:?}"));
-                }
-                client_op = Some(op);
+                job.op = JobOp::from_name(&op)
+                    .map_err(|_| format!("--op must be sort, topk, or pq, got {op:?}"))?;
+                op_given = true;
             }
             "--timeout-ms" => {
                 timeout_ms = next_value(&mut it, arg)?
@@ -659,9 +602,9 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                     .parse::<u64>()
                     .map_err(|_| "--retry-seed needs an integer".to_string())?
             }
-            "--idem" => idem = Some(next_value(&mut it, arg)?),
+            "--idem" => job.idem = Some(next_value(&mut it, arg)?),
             "--drain" => drain = true,
-            "--pretty" => pretty = true,
+            "--pretty" => job.pretty = true,
             "--stats" => stats = true,
             "-h" | "--help" => return Err(USAGE.to_string()),
             other if other.starts_with('-') => return Err(format!("unknown option {other:?}")),
@@ -706,12 +649,9 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                 verb: words.next().expect("n >= 1"),
                 args: words.collect(),
                 timeout_ms,
-                default_rule: default_rule.clone(),
-                keys: keys.clone(),
                 retry,
                 retry_base_ms,
                 retry_seed,
-                idem: idem.clone(),
                 drain,
             }
         }
@@ -724,10 +664,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
         (other, _) => return Err(format!("unknown subcommand {other:?}\n\n{USAGE}")),
     };
 
-    if block_size < 64 {
-        return Err("--block must be at least 64 bytes".into());
-    }
-    if crash_seed.is_some() && crash_after_ios.is_none() {
+    if crash_seed.is_some() && job.crash_after_ios.is_none() {
         return Err("--crash-seed needs --crash-after-ios N as the crash-point range".into());
     }
     if resume && !checkpoint {
@@ -739,70 +676,55 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
     if corrupt.is_some() && !matches!(command, Command::Scrub { .. }) {
         return Err("--corrupt is a scrub-only test hook".into());
     }
-    if parity_group > 0 && algo == Algo::Mergesort {
+    if job.parity_group > 0 && algo == Algo::Mergesort {
         return Err(
             "--parity-group applies to nexsort/degen (the baseline is measured bare)".into()
         );
     }
-    if matches!(command, Command::TopK { .. }) && k == 0 {
+    if matches!(command, Command::TopK { .. }) && job.k == 0 {
         return Err("topk needs -k N (how many leading records to produce)".into());
     }
-    if client_op.as_deref() == Some("topk") && k == 0 {
-        return Err("--op topk needs -k N".into());
-    }
-    if client_op.is_some() && !matches!(command, Command::Client { .. }) {
+    if op_given && !matches!(command, Command::Client { .. }) {
         return Err("--op applies to client submit".into());
     }
-    if tenant.is_some() && !matches!(command, Command::Client { .. }) {
+    if job.tenant.is_some() && !matches!(command, Command::Client { .. }) {
         return Err("--tenant applies to client submit".into());
     }
     if tenant_cap > 0 && !matches!(command, Command::Serve { .. }) {
         return Err("--tenant-cap applies to serve".into());
     }
-    if (retry > 0 || idem.is_some() || drain) && !matches!(command, Command::Client { .. }) {
+    if (retry > 0 || job.idem.is_some() || drain) && !matches!(command, Command::Client { .. }) {
         return Err("--retry/--idem/--drain apply to client".into());
     }
     if drain && !matches!(&command, Command::Client { verb, .. } if verb == "shutdown") {
         return Err("--drain applies to client shutdown".into());
     }
-    if k > 0 && !matches!(command, Command::TopK { .. } | Command::Client { .. }) {
+    if job.k > 0 && !matches!(command, Command::TopK { .. } | Command::Client { .. }) {
         return Err("-k/--limit applies to topk (or client submit --op topk)".into());
     }
-    let spec = build_spec(default_rule.as_deref(), &keys)?;
+    let spec = job.validate()?;
+    // The unit conversion happens once, here: every consumer reads frames.
+    job.mem_frames = (mem_bytes / job.block_size as u64)
+        .max(NexsortOptions::MIN_MEM_FRAMES as u64)
+        .try_into()
+        .map_err(|_| "--mem is too large".to_string())?;
     Ok(Cli {
         command,
-        output,
+        job,
         device,
-        block_size,
-        mem_bytes,
-        threshold,
-        depth_limit,
         algo,
         format,
-        pretty,
         stats,
         fault_rate,
         fault_flips,
         fault_torn,
         fault_seed,
         retries,
-        cache_frames,
-        cache_policy,
-        write_back,
-        io_workers,
-        prefetch_depth,
-        write_behind,
-        stripe,
         checkpoint,
         resume,
-        crash_after_ios,
         crash_seed,
-        parity_group,
         corrupt,
-        k,
-        tenant,
         tenant_cap,
-        client_op,
         spec,
     })
 }
@@ -835,22 +757,11 @@ fn exit_code(cat: FailureCategory) -> u8 {
     }
 }
 
-fn mem_frames(cli: &Cli) -> usize {
-    ((cli.mem_bytes / cli.block_size).max(NexsortOptions::MIN_MEM_FRAMES as u64)) as usize
-}
-
-/// Journal extent size for `--checkpoint`: the default 32 blocks, clamped so
-/// the header (28 bytes of magic/count/crc plus 8 per block id) still
-/// self-describes the extent within a single block of `block_size`.
-fn journal_blocks(block_size: usize) -> usize {
-    32usize.min(((block_size.saturating_sub(28)) / 8).max(2))
-}
-
 /// The crash point (in sort I/Os) requested on the command line: exactly
 /// `--crash-after-ios N`, or a seed-scrambled point in `0..N` when
 /// `--crash-seed` is also given.
 fn crash_offset(cli: &Cli) -> Option<u64> {
-    let max = cli.crash_after_ios?;
+    let max = cli.job.crash_after_ios?;
     Some(match cli.crash_seed {
         None => max,
         Some(seed) => {
@@ -874,20 +785,21 @@ fn stripe_path(path: &Path, i: usize) -> PathBuf {
 /// the crash controller when `--crash-after-ios` is in play.
 type DiskSetup = (Rc<Disk>, Vec<FaultInjector>, Option<CrashController>);
 
-/// Map the parsed command line onto a [`DiskBuilder`] -- the stack itself
-/// is assembled by the builder (the one sanctioned assembly site), so the
-/// CLI and the server configure byte-identical stacks from the same knobs.
+/// Map the parsed command line onto a [`DiskBuilder`]: the job's own stack
+/// ([`JobSpec::disk_builder`], exactly what the daemon builds for the same
+/// flags) plus the CLI-only layers -- device file, fault injection,
+/// retries, and crash injection.
 pub fn disk_spec(cli: &Cli) -> Result<DiskBuilder, String> {
     // The crash layer is created *disarmed*: `--crash-after-ios` counts I/Os
     // of the sort itself (armed in `sort_one`), not the input staging.
-    let want_crash = cli.crash_after_ios.is_some();
+    let want_crash = cli.job.crash_after_ios.is_some();
     if want_crash && cli.faults_enabled() {
         return Err("--crash-after-ios cannot be combined with fault injection".into());
     }
-    if cli.faults_enabled() && cli.stripe > 1 && cli.device.is_some() {
+    if cli.faults_enabled() && cli.job.stripe > 1 && cli.device.is_some() {
         return Err("--stripe with fault injection uses the in-memory device; drop --device".into());
     }
-    let mut b = DiskBuilder::new(cli.block_size as usize).stripe(cli.stripe);
+    let mut b = cli.job.disk_builder();
     if let Some(path) = &cli.device {
         b = b.file(path);
     }
@@ -910,22 +822,6 @@ pub fn disk_spec(cli: &Cli) -> Result<DiskBuilder, String> {
     let retries = cli.retries.unwrap_or(if cli.faults_enabled() { 3 } else { 0 });
     if retries > 0 {
         b = b.retry(RetryPolicy::retries(retries));
-    }
-    if cli.cache_frames > 0 {
-        // The pool's frames come out of a dedicated budget so the sort
-        // algorithm's own `--mem` allowance is untouched.
-        let mode = if cli.write_back { WriteMode::Back } else { WriteMode::Through };
-        b = b.cache(cli.cache_frames, cli.cache_policy, mode);
-    }
-    if cli.io_workers > 0 {
-        // Configured here (not in the sorter) so every algorithm, including
-        // the mergesort baseline, runs under the same scheduler.
-        b = b.sched(SchedConfig {
-            workers: cli.io_workers,
-            prefetch_depth: cli.prefetch_depth,
-            write_behind: cli.write_behind,
-            ..SchedConfig::default()
-        });
     }
     Ok(b)
 }
@@ -966,22 +862,7 @@ fn sort_one(
     input: &Staged,
     crash: Option<&CrashController>,
 ) -> Result<SortedDoc, CliError> {
-    let opts = NexsortOptions {
-        mem_frames: mem_frames(cli),
-        threshold: cli.threshold,
-        depth_limit: cli.depth_limit,
-        degeneration: cli.algo == Algo::Degen,
-        cache_frames: cli.cache_frames,
-        cache_policy: cli.cache_policy,
-        cache_write_mode: if cli.write_back { WriteMode::Back } else { WriteMode::Through },
-        io_workers: cli.io_workers,
-        prefetch_depth: cli.prefetch_depth,
-        write_behind: cli.write_behind,
-        checkpoint: cli.checkpoint,
-        journal_blocks: journal_blocks(cli.block_size as usize),
-        parity_group: cli.parity_group,
-        ..Default::default()
-    };
+    let opts = cli.job.nexsort_options(cli.checkpoint);
     let sorter = Nexsort::new(disk.clone(), opts, cli.spec.clone()).map_err(|e| e.to_string())?;
     if let (Some(ctl), Some(offset)) = (crash, crash_offset(cli)) {
         // Counted from here, so staging I/O doesn't shift the crash point.
@@ -1030,12 +911,7 @@ fn sort_one(
     if cli.stats {
         eprintln!("sort: {}", doc.report.summary());
         eprintln!("{}", doc.report.io);
-        if let (Some(policy), Some(mode)) = (disk.cache_policy_name(), disk.cache_mode()) {
-            eprintln!("cache: {} frames, {policy}, {mode}", disk.cache_capacity().unwrap_or(0));
-        }
-        if let Some(ticks) = disk.sched_ticks() {
-            eprintln!("sched: {ticks} virtual ticks, stripe {}", disk.stripe_width());
-        }
+        print_stack_stats(disk);
         let retried = doc.report.io.total_retries();
         if retried > 0 {
             eprintln!("sort: {retried} transfer(s) healed by retry");
@@ -1058,23 +934,8 @@ fn topk_one(
     input: &Extent,
     crash: Option<&CrashController>,
 ) -> Result<nexsort_query::TopKDoc, CliError> {
-    let opts = NexsortOptions {
-        mem_frames: mem_frames(cli),
-        threshold: cli.threshold,
-        depth_limit: cli.depth_limit,
-        degeneration: cli.algo == Algo::Degen,
-        cache_frames: cli.cache_frames,
-        cache_policy: cli.cache_policy,
-        cache_write_mode: if cli.write_back { WriteMode::Back } else { WriteMode::Through },
-        io_workers: cli.io_workers,
-        prefetch_depth: cli.prefetch_depth,
-        write_behind: cli.write_behind,
-        checkpoint: cli.checkpoint,
-        journal_blocks: journal_blocks(cli.block_size as usize),
-        parity_group: cli.parity_group,
-        ..Default::default()
-    };
-    let topk = nexsort_query::TopK::new(disk.clone(), opts, cli.spec.clone(), cli.k)
+    let opts = cli.job.nexsort_options(cli.checkpoint);
+    let topk = nexsort_query::TopK::new(disk.clone(), opts, cli.spec.clone(), cli.job.k)
         .map_err(|e| e.to_string())?;
     if let (Some(ctl), Some(offset)) = (crash, crash_offset(cli)) {
         ctl.arm_after(ctl.ios() + offset);
@@ -1105,52 +966,26 @@ fn topk_one(
     Ok(doc)
 }
 
-/// Execute a priority-queue script (`push KEY` | `pop` | `peek`, one
-/// operation per line, `#` comments) and return the result transcript:
-/// one line per pop/peek plus a final `len N`.
-fn run_pq_script(cli: &Cli, disk: &Rc<Disk>, script: &str) -> Result<String, CliError> {
-    let mut pq = nexsort_query::ExtPq::new(disk.clone(), mem_frames(cli), cli.parity_group)
-        .map_err(|e| e.to_string())?;
-    let mut out = String::new();
-    for (ln, raw) in script.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let step = if let Some(key) = line.strip_prefix("push ") {
-            pq.push(key.as_bytes())
-        } else if line == "pop" {
-            pq.pop().map(|popped| match popped {
-                Some(k) => out.push_str(&format!("pop {}\n", String::from_utf8_lossy(&k))),
-                None => out.push_str("pop -\n"),
-            })
-        } else if line == "peek" {
-            pq.peek().map(|head| match head {
-                Some(k) => out.push_str(&format!("peek {}\n", String::from_utf8_lossy(&k))),
-                None => out.push_str("peek -\n"),
-            })
-        } else {
-            return Err(format!(
-                "pq script line {}: expected \"push KEY\", \"pop\", or \"peek\", got {line:?}",
-                ln + 1
-            )
-            .into());
-        };
-        step.map_err(|e| format!("pq script line {}: {e}", ln + 1))?;
+/// The `cache:` and `sched:` lines of `--stats`, when the stack has a pool
+/// or a scheduler.
+fn print_stack_stats(disk: &Disk) {
+    if let (Some(policy), Some(mode)) = (disk.cache_policy_name(), disk.cache_mode()) {
+        eprintln!("cache: {} frames, {policy}, {mode}", disk.cache_capacity().unwrap_or(0));
     }
-    out.push_str(&format!("len {}\n", pq.len()));
-    if cli.stats {
-        let s = &pq.stats;
-        eprintln!(
-            "pq: pushes={} pops={} runs_sealed={} restructures={} tombstones_dropped={}",
-            s.pushes, s.pops, s.runs_sealed, s.restructures, s.tombstones_dropped
-        );
+    if let Some(ticks) = disk.sched_ticks() {
+        eprintln!("sched: {ticks} virtual ticks, stripe {}", disk.stripe_width());
     }
-    Ok(out)
+}
+
+/// A sorted document as an `.xrec` container (records + dictionary).
+fn xrec_bytes(dict: &nexsort_xml::TagDict, recs: &[nexsort_xml::Rec]) -> Result<Vec<u8>, String> {
+    let mut buf = Vec::new();
+    nexsort_xml::write_xrec(&mut buf, dict, recs, nexsort_xml::FLAG_KEYS_FINAL).map_err(xml_err)?;
+    Ok(buf)
 }
 
 fn emit(cli: &Cli, xml: Vec<u8>) -> Result<(), String> {
-    match &cli.output {
+    match &cli.job.output {
         Some(path) => std::fs::write(path, xml).map_err(|e| format!("cannot write {path:?}: {e}")),
         None => {
             use std::io::Write;
@@ -1171,7 +1006,7 @@ pub fn run(cli: &Cli) -> Result<(), String> {
 /// exercised with end to end). Repaired extents are re-sealed into the
 /// journal, so the healed layout is what the next invocation sees.
 pub fn scrub_device(cli: &Cli, path: &Path) -> Result<ScrubReport, CliError> {
-    let disk = Disk::open_file(path, cli.block_size as usize)
+    let disk = Disk::open_file(path, cli.job.block_size)
         .map_err(|e| format!("cannot open device file {path:?}: {e}"))?;
     let recovered = recover(&disk, &[]).map_err(|e| format!("journal replay: {e}"))?;
     let Some((mut journal, state)) = recovered else {
@@ -1261,50 +1096,6 @@ fn run_serve(
     nexsort_server::serve_with(server, listen, serve_opts)
 }
 
-/// The job spec a `client submit` forwards: the shared sort flags mapped
-/// onto the wire spec, with the input document shipped inline.
-fn client_spec(
-    cli: &Cli,
-    default_rule: &Option<String>,
-    keys: &[String],
-    input: &Path,
-) -> Result<nexsort_server::JobSpec, String> {
-    let bytes = std::fs::read(input).map_err(|e| format!("cannot read {input:?}: {e}"))?;
-    let op = match cli.client_op.as_deref() {
-        None => nexsort_server::JobOp::Sort,
-        Some(name) => nexsort_server::JobOp::from_name(name)?,
-    };
-    let idem = match &cli.command {
-        Command::Client { idem, .. } => idem.clone(),
-        _ => None,
-    };
-    Ok(nexsort_server::JobSpec {
-        op,
-        k: cli.k,
-        tenant: cli.tenant.clone(),
-        idem,
-        input: nexsort_server::JobInput::Inline(bytes),
-        output: cli.output.clone(),
-        default_rule: default_rule.clone(),
-        keys: keys.to_vec(),
-        block_size: cli.block_size as usize,
-        mem_frames: mem_frames(cli),
-        threshold: cli.threshold,
-        depth_limit: cli.depth_limit,
-        degeneration: cli.algo == Algo::Degen,
-        cache_frames: cli.cache_frames,
-        cache_policy: cli.cache_policy,
-        write_back: cli.write_back,
-        io_workers: cli.io_workers,
-        prefetch_depth: cli.prefetch_depth,
-        write_behind: cli.write_behind,
-        stripe: cli.stripe,
-        parity_group: cli.parity_group,
-        pretty: cli.pretty,
-        crash_after_ios: cli.crash_after_ios,
-    })
-}
-
 /// One client exchange: build the request for `verb`, send it through the
 /// retrying client, and print the response. A `busy` rejection maps to
 /// exit code 3 (transient: a retry may pass), any other failure to 1.
@@ -1315,13 +1106,10 @@ fn run_client(cli: &Cli) -> Result<(), CliError> {
         verb,
         args,
         timeout_ms,
-        default_rule,
-        keys,
         retry,
         retry_base_ms,
         retry_seed,
         drain,
-        ..
     } = &cli.command
     else {
         unreachable!("run_client dispatched on a non-client command")
@@ -1343,7 +1131,7 @@ fn run_client(cli: &Cli) -> Result<(), CliError> {
         // verb): arbitrarily large results never need one giant response.
         let output = nexsort_server::request_fetch_chunked(connect, job_id(args)?, 64 * 1024)
             .map_err(CliError::from)?;
-        match &cli.output {
+        match &cli.job.output {
             Some(path) => {
                 std::fs::write(path, &output).map_err(|e| format!("cannot write {path:?}: {e}"))?
             }
@@ -1357,10 +1145,14 @@ fn run_client(cli: &Cli) -> Result<(), CliError> {
         }
         "ping" | "list" | "stats" | "shutdown" => obj(vec![("op", s(verb))]),
         "submit" => {
+            // The parsed sort flags are the job spec; the file rides inline.
             let input =
                 args.first().ok_or_else(|| "client submit needs an input file".to_string())?;
-            let spec = client_spec(cli, default_rule, keys, Path::new(input))?;
-            nexsort_server::submit_value(&spec)
+            let bytes = std::fs::read(input).map_err(|e| format!("cannot read {input:?}: {e}"))?;
+            nexsort_server::submit_value(&JobSpec {
+                input: JobInput::Inline(bytes),
+                ..cli.job.clone()
+            })
         }
         "status" | "cancel" => obj(vec![("op", s(verb)), ("id", n(job_id(args)?))]),
         "wait" => {
@@ -1420,9 +1212,9 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
             let staged = load(cli, &disk, input)?;
             let out = if cli.algo == Algo::Mergesort {
                 let opts = BaselineOptions {
-                    mem_frames: mem_frames(cli),
+                    mem_frames: cli.job.mem_frames,
                     compaction: true,
-                    depth_limit: cli.depth_limit,
+                    depth_limit: cli.job.depth_limit,
                 };
                 let sorted = match &staged {
                     Staged::Xml(ext) => sort_xml_extent(&disk, ext, &cli.spec, &opts),
@@ -1441,48 +1233,20 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                         sorted.report.passes, sorted.report.initial_runs, sorted.report.fan_in
                     );
                     eprintln!("{}", disk.stats().snapshot());
-                    if let (Some(policy), Some(mode)) =
-                        (disk.cache_policy_name(), disk.cache_mode())
-                    {
-                        eprintln!(
-                            "cache: {} frames, {policy}, {mode}",
-                            disk.cache_capacity().unwrap_or(0)
-                        );
-                    }
-                    if let Some(ticks) = disk.sched_ticks() {
-                        eprintln!("sched: {ticks} virtual ticks, stripe {}", disk.stripe_width());
-                    }
+                    print_stack_stats(&disk);
                 }
                 match cli.format {
-                    OutFormat::Xml => sorted.to_xml(cli.pretty).map_err(|e| e.to_string())?,
+                    OutFormat::Xml => sorted.to_xml(cli.job.pretty).map_err(|e| e.to_string())?,
                     OutFormat::Xrec => {
-                        let recs = sorted.to_recs().map_err(|e| e.to_string())?;
-                        let mut buf = Vec::new();
-                        nexsort_xml::write_xrec(
-                            &mut buf,
-                            &sorted.dict,
-                            &recs,
-                            nexsort_xml::FLAG_KEYS_FINAL,
-                        )
-                        .map_err(xml_err)?;
-                        buf
+                        xrec_bytes(&sorted.dict, &sorted.to_recs().map_err(|e| e.to_string())?)?
                     }
                 }
             } else {
                 let doc = sort_one(cli, &disk, &staged, crash.as_ref())?;
                 match cli.format {
-                    OutFormat::Xml => doc.to_xml(cli.pretty).map_err(|e| e.to_string())?,
+                    OutFormat::Xml => doc.to_xml(cli.job.pretty).map_err(|e| e.to_string())?,
                     OutFormat::Xrec => {
-                        let recs = doc.to_recs().map_err(|e| e.to_string())?;
-                        let mut buf = Vec::new();
-                        nexsort_xml::write_xrec(
-                            &mut buf,
-                            &doc.dict,
-                            &recs,
-                            nexsort_xml::FLAG_KEYS_FINAL,
-                        )
-                        .map_err(xml_err)?;
-                        buf
+                        xrec_bytes(&doc.dict, &doc.to_recs().map_err(|e| e.to_string())?)?
                     }
                 }
             };
@@ -1509,7 +1273,17 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
         Command::Pq { script } => {
             let text = std::fs::read_to_string(script)
                 .map_err(|e| format!("cannot read {script:?}: {e}"))?;
-            let out = run_pq_script(cli, &disk, &text)?;
+            let mut pq =
+                nexsort_query::ExtPq::new(disk.clone(), cli.job.mem_frames, cli.job.parity_group)
+                    .map_err(|e| e.to_string())?;
+            let out = pq.run_script(&text).map_err(|e| e.to_string())?;
+            if cli.stats {
+                let s = &pq.stats;
+                eprintln!(
+                    "pq: pushes={} pops={} runs_sealed={} restructures={} tombstones_dropped={}",
+                    s.pushes, s.pops, s.runs_sealed, s.restructures, s.tombstones_dropped
+                );
+            }
             emit(cli, out.into_bytes()).map_err(CliError::from)
         }
         Command::Merge { left, right } => {
@@ -1529,7 +1303,7 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                 eprintln!("merge: {stats:?}");
             }
             let events = nexsort_xml::recs_to_events(&out, &dict).map_err(|e| e.to_string())?;
-            emit(cli, nexsort_xml::events_to_xml(&events, cli.pretty)).map_err(CliError::from)
+            emit(cli, nexsort_xml::events_to_xml(&events, cli.job.pretty)).map_err(CliError::from)
         }
         Command::Check { input } => {
             let bytes = std::fs::read(input).map_err(|e| format!("cannot read {input:?}: {e}"))?;
@@ -1554,7 +1328,7 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                 while last.len() < lvl {
                     last.push(None);
                 }
-                let within = cli.depth_limit.is_none_or(|d| rec.level() <= d + 1);
+                let within = cli.job.depth_limit.is_none_or(|d| rec.level() <= d + 1);
                 if within {
                     if let Some(Some(prev)) = last.get(lvl - 1) {
                         if prev > rec.key() {
@@ -1615,7 +1389,7 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
             while let Some(ev) = gen.next_event().map_err(xml_err)? {
                 events.push(ev);
             }
-            emit(cli, nexsort_xml::events_to_xml(&events, cli.pretty)).map_err(CliError::from)
+            emit(cli, nexsort_xml::events_to_xml(&events, cli.job.pretty)).map_err(CliError::from)
         }
         Command::Update { base, updates } => {
             let b = sort_one(cli, &disk, &load(cli, &disk, base)?, crash.as_ref())?;
@@ -1634,7 +1408,7 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                 eprintln!("update: {stats:?}");
             }
             let events = nexsort_xml::recs_to_events(&out, &dict).map_err(|e| e.to_string())?;
-            emit(cli, nexsort_xml::events_to_xml(&events, cli.pretty)).map_err(CliError::from)
+            emit(cli, nexsort_xml::events_to_xml(&events, cli.job.pretty)).map_err(CliError::from)
         }
         Command::Scrub { .. } | Command::Serve { .. } | Command::Client { .. } => {
             unreachable!("scrub/serve/client are handled before device setup")
@@ -1667,6 +1441,7 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nexsort_extmem::{CachePolicy, SchedConfig, WriteMode};
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(ToString::to_string).collect()
@@ -1698,13 +1473,14 @@ mod tests {
         ]))
         .unwrap();
         assert!(matches!(cli.command, Command::Sort { .. }));
-        assert_eq!(cli.block_size, 32 * 1024);
-        assert_eq!(cli.mem_bytes, 8 * 1024 * 1024);
-        assert_eq!(cli.threshold, Some(64 * 1024));
-        assert_eq!(cli.depth_limit, Some(3));
+        assert_eq!(cli.job.block_size, 32 * 1024);
+        assert_eq!(cli.job.mem_frames, 8 * 1024 * 1024 / (32 * 1024));
+        assert_eq!(cli.job.threshold, Some(64 * 1024));
+        assert_eq!(cli.job.depth_limit, Some(3));
         assert_eq!(cli.algo, Algo::Degen);
-        assert!(cli.pretty && cli.stats);
-        assert_eq!(mem_frames(&cli), 256);
+        assert!(cli.job.degeneration);
+        assert!(cli.job.pretty && cli.stats);
+        assert_eq!(cli.job.mem_frames, 256);
     }
 
     #[test]
@@ -1810,9 +1586,9 @@ mod tests {
     #[test]
     fn cache_flags_parse_with_sane_defaults() {
         let plain = parse_args(&args(&["sort", "x.xml"])).unwrap();
-        assert_eq!(plain.cache_frames, 0);
-        assert_eq!(plain.cache_policy, CachePolicy::Lru);
-        assert!(!plain.write_back);
+        assert_eq!(plain.job.cache_frames, 0);
+        assert_eq!(plain.job.cache_policy, CachePolicy::Lru);
+        assert!(!plain.job.write_back);
 
         let cli = parse_args(&args(&[
             "sort",
@@ -1824,9 +1600,9 @@ mod tests {
             "--write-back",
         ]))
         .unwrap();
-        assert_eq!(cli.cache_frames, 32);
-        assert_eq!(cli.cache_policy, CachePolicy::Clock);
-        assert!(cli.write_back);
+        assert_eq!(cli.job.cache_frames, 32);
+        assert_eq!(cli.job.cache_policy, CachePolicy::Clock);
+        assert!(cli.job.write_back);
 
         assert!(parse_args(&args(&["sort", "x.xml", "--cache-frames", "many"])).is_err());
         let err = parse_args(&args(&["sort", "x.xml", "--cache-policy", "fifo"])).unwrap_err();
@@ -1869,10 +1645,10 @@ mod tests {
     #[test]
     fn sched_flags_parse_with_sane_defaults() {
         let plain = parse_args(&args(&["sort", "x.xml"])).unwrap();
-        assert_eq!(plain.io_workers, 0);
-        assert_eq!(plain.prefetch_depth, 0);
-        assert!(!plain.write_behind);
-        assert_eq!(plain.stripe, 1);
+        assert_eq!(plain.job.io_workers, 0);
+        assert_eq!(plain.job.prefetch_depth, 0);
+        assert!(!plain.job.write_behind);
+        assert_eq!(plain.job.stripe, 1);
 
         let cli = parse_args(&args(&[
             "sort",
@@ -1886,10 +1662,10 @@ mod tests {
             "4",
         ]))
         .unwrap();
-        assert_eq!(cli.io_workers, 4);
-        assert_eq!(cli.prefetch_depth, 8);
-        assert!(cli.write_behind);
-        assert_eq!(cli.stripe, 4);
+        assert_eq!(cli.job.io_workers, 4);
+        assert_eq!(cli.job.prefetch_depth, 8);
+        assert!(cli.job.write_behind);
+        assert_eq!(cli.job.stripe, 4);
 
         assert!(parse_args(&args(&["sort", "x.xml", "--io-workers", "lots"])).is_err());
         assert!(parse_args(&args(&["sort", "x.xml", "--stripe", "0"])).is_err());
@@ -1981,17 +1757,15 @@ mod tests {
             "emp=@name",
         ]))
         .unwrap();
+        assert_eq!(cli.job.default_rule.as_deref(), Some("@id"));
+        assert_eq!(cli.job.keys, vec!["emp=@name".to_string()]);
+        assert_eq!(cli.job.idem, None);
         match cli.command {
-            Command::Client {
-                connect, verb, args, default_rule, keys, retry, idem, drain, ..
-            } => {
+            Command::Client { connect, verb, args, retry, drain, .. } => {
                 assert_eq!(connect, "unix:/tmp/x.sock");
                 assert_eq!(verb, "submit");
                 assert_eq!(args, vec!["input.xml".to_string()]);
-                assert_eq!(default_rule.as_deref(), Some("@id"));
-                assert_eq!(keys, vec!["emp=@name".to_string()]);
                 assert_eq!(retry, 0);
-                assert_eq!(idem, None);
                 assert!(!drain);
             }
             other => panic!("expected client, got {other:?}"),
@@ -2012,12 +1786,12 @@ mod tests {
             "tok-1",
         ]))
         .unwrap();
+        assert_eq!(cli.job.idem.as_deref(), Some("tok-1"));
         match cli.command {
-            Command::Client { retry, retry_base_ms, retry_seed, idem, .. } => {
+            Command::Client { retry, retry_base_ms, retry_seed, .. } => {
                 assert_eq!(retry, 3);
                 assert_eq!(retry_base_ms, 20);
                 assert_eq!(retry_seed, 9);
-                assert_eq!(idem.as_deref(), Some("tok-1"));
             }
             other => panic!("expected client, got {other:?}"),
         }
@@ -2131,6 +1905,53 @@ mod tests {
         assert!(
             a.stats().snapshot() == b.stats().snapshot(),
             "identical stacks must account identically"
+        );
+
+        // Sort/submit parity: the same flags through `xsort sort` and through
+        // `client submit` (parse, JobSpec, JSON on the wire, the daemon's
+        // `spec_from_value`, `disk_builder`) give the same stack and the
+        // same sorter options.
+        let flags = [
+            "--block",
+            "512",
+            "--mem",
+            "8K",
+            "--stripe",
+            "3",
+            "--cache-frames",
+            "8",
+            "--cache-policy",
+            "clock",
+            "--write-back",
+            "--io-workers",
+            "2",
+            "--prefetch-depth",
+            "4",
+            "--write-behind",
+            "--parity-group",
+            "2",
+            "--threshold",
+            "2K",
+            "--depth",
+            "4",
+            "--algo",
+            "degen",
+            "--checkpoint",
+        ];
+        let local = parse_args(&args(&[&["sort", "x.xml"][..], &flags[..]].concat())).unwrap();
+        let remote =
+            parse_args(&args(&[&["client", "submit", "x.xml"][..], &flags[..]].concat())).unwrap();
+        let wire = nexsort_server::submit_value(&remote.job).to_json();
+        let request = nexsort_server::json::parse(&wire).unwrap();
+        let daemon = nexsort_server::job::spec_from_value(request.get("spec").unwrap()).unwrap();
+        let local_stack = disk_spec(&local).unwrap().describe();
+        assert_eq!(local_stack, daemon.disk_builder().describe());
+        assert!(local_stack.contains("cache=8/Clock/Back"), "{local_stack}");
+        assert!(local_stack.contains("sched=w2/p4/wb/"), "{local_stack}");
+        // The daemon always journals: compare against a checkpointed sort.
+        assert_eq!(
+            format!("{:?}", local.job.nexsort_options(local.checkpoint)),
+            format!("{:?}", daemon.nexsort_options(true))
         );
     }
 
@@ -2252,7 +2073,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(cli.checkpoint && cli.resume);
-        assert_eq!(cli.crash_after_ios, Some(120));
+        assert_eq!(cli.job.crash_after_ios, Some(120));
         assert_eq!(cli.crash_seed, Some(7));
         assert!(!parse_args(&args(&["sort", "x.xml"])).unwrap().checkpoint);
 
@@ -2395,11 +2216,11 @@ mod tests {
     #[test]
     fn parity_flags_parse_and_validate() {
         let plain = parse_args(&args(&["sort", "x.xml"])).unwrap();
-        assert_eq!(plain.parity_group, 0, "redundancy is opt-in");
+        assert_eq!(plain.job.parity_group, 0, "redundancy is opt-in");
         assert_eq!(plain.corrupt, None);
 
         let cli = parse_args(&args(&["sort", "x.xml", "--parity-group", "4"])).unwrap();
-        assert_eq!(cli.parity_group, 4);
+        assert_eq!(cli.job.parity_group, 4);
         let cli = parse_args(&args(&["scrub", "dev.bin", "--corrupt", "2"])).unwrap();
         assert!(matches!(cli.command, Command::Scrub { .. }));
         assert_eq!(cli.corrupt, Some(2));
@@ -2546,9 +2367,9 @@ mod tests {
     fn topk_and_pq_args_parse_and_validate() {
         let cli = parse_args(&args(&["topk", "in.xml", "-k", "10", "--default", "@id"])).unwrap();
         assert!(matches!(cli.command, Command::TopK { .. }));
-        assert_eq!(cli.k, 10);
+        assert_eq!(cli.job.k, 10);
         let cli = parse_args(&args(&["topk", "in.xml", "--limit", "3"])).unwrap();
-        assert_eq!(cli.k, 3);
+        assert_eq!(cli.job.k, 3);
         let cli = parse_args(&args(&["pq", "script.txt"])).unwrap();
         assert!(matches!(cli.command, Command::Pq { .. }));
 
@@ -2566,9 +2387,9 @@ mod tests {
             "client", "submit", "in.xml", "--op", "topk", "-k", "7", "--tenant", "acme",
         ]))
         .unwrap();
-        assert_eq!(cli.client_op.as_deref(), Some("topk"));
-        assert_eq!(cli.k, 7);
-        assert_eq!(cli.tenant.as_deref(), Some("acme"));
+        assert_eq!(cli.job.op, JobOp::TopK);
+        assert_eq!(cli.job.k, 7);
+        assert_eq!(cli.job.tenant.as_deref(), Some("acme"));
         assert!(parse_args(&args(&["client", "submit", "in.xml", "--op", "topk"])).is_err());
         assert!(parse_args(&args(&["client", "submit", "in.xml", "--op", "frob"])).is_err());
         assert!(parse_args(&args(&["sort", "x.xml", "--op", "topk"])).is_err());

@@ -48,7 +48,7 @@ pub use checkpoint::{
     journal_stats, restore_report, seal_record, seal_records, seal_records_except,
 };
 pub use failure::{FailureCategory, SortFailure};
-pub use options::NexsortOptions;
+pub use options::{journal_blocks, NexsortOptions};
 pub use output::{DocCursor, OutputReport, SortedDoc};
 pub use report::SortReport;
 pub use sorter::{is_beyond_parity, Nexsort};

@@ -1,8 +1,10 @@
 //! Configuration of a NEXSORT run.
 
-use nexsort_extmem::{CachePolicy, WriteMode};
-
 /// Tunables of the algorithm, mirroring the paper's parameters.
+///
+/// The device stack the sort runs on (page cache, I/O scheduler, striping)
+/// is outside the paper's cost model and is configured where the stack is
+/// built, on `nexsort_extmem::DiskBuilder`.
 #[derive(Debug, Clone)]
 pub struct NexsortOptions {
     /// Internal memory in block frames (the model's `m = M/B`). Figure 5
@@ -32,29 +34,6 @@ pub struct NexsortOptions {
     pub path_stack_frames: usize,
     /// Resident frames for the data stack (at least 1, Section 3.1).
     pub data_stack_frames: usize,
-    /// Buffer-pool frames for the disk's page cache, *on top of*
-    /// `mem_frames` (the pool is extra memory, not part of the model's `M`,
-    /// so logical I/O counts stay comparable across cache sizes). `0`
-    /// disables the pool entirely; behavior and counters are then identical
-    /// to a pool-less build.
-    pub cache_frames: usize,
-    /// Eviction policy for the buffer pool (ignored when `cache_frames` is 0).
-    pub cache_policy: CachePolicy,
-    /// Write policy for the buffer pool: write-back coalesces repeated
-    /// writes to hot blocks; write-through keeps the device current on every
-    /// logical write (ignored when `cache_frames` is 0).
-    pub cache_write_mode: WriteMode,
-    /// I/O scheduler workers: `0` keeps every transfer synchronous (the
-    /// paper's model, and the default); `>= 1` enables the asynchronous
-    /// scheduler, whose deterministic virtual-time ticks stand in for wall
-    /// time. Logical I/O counts and sorted output are identical either way.
-    pub io_workers: usize,
-    /// Sequential read-ahead depth in blocks (needs `io_workers >= 1` and
-    /// `cache_frames > 0` to hold the prefetched frames; `0` disables).
-    pub prefetch_depth: usize,
-    /// Defer physical writes onto the scheduler's bounded queue, drained in
-    /// the background and at run/output barriers (needs `io_workers >= 1`).
-    pub write_behind: bool,
     /// Crash-consistent checkpointing: maintain a write-ahead manifest
     /// journal on the device (see `nexsort_extmem::Journal`) whose commit
     /// records land only after an I/O barrier. An interrupted sort can then
@@ -90,6 +69,13 @@ impl NexsortOptions {
     }
 }
 
+/// Journal extent size for checkpointing on `block_size`-byte blocks: the
+/// default 32 blocks, clamped so the header (28 bytes of magic/count/crc
+/// plus 8 per block id) still self-describes the extent within one block.
+pub fn journal_blocks(block_size: usize) -> usize {
+    32usize.min(((block_size.saturating_sub(28)) / 8).max(2))
+}
+
 impl Default for NexsortOptions {
     fn default() -> Self {
         Self {
@@ -100,12 +86,6 @@ impl Default for NexsortOptions {
             degeneration: false,
             path_stack_frames: 2,
             data_stack_frames: 1,
-            cache_frames: 0,
-            cache_policy: CachePolicy::Lru,
-            cache_write_mode: WriteMode::Through,
-            io_workers: 0,
-            prefetch_depth: 0,
-            write_behind: false,
             checkpoint: false,
             journal_blocks: 32,
             parity_group: 0,
@@ -131,6 +111,24 @@ mod tests {
     }
 
     #[test]
+    fn journal_blocks_clamps_at_the_boundaries() {
+        // Nominal: 32 blocks whenever the block can describe that many.
+        assert_eq!(journal_blocks(284), 32, "(284-28)/8 = 32: smallest size at the cap");
+        assert_eq!(journal_blocks(1 << 20), 32, "huge blocks stay capped at 32");
+        assert_eq!(journal_blocks(usize::MAX), 32, "no overflow at the extreme");
+        // Small blocks: the 28-byte header eats into the self-description.
+        assert_eq!(journal_blocks(64), 4, "(64-28)/8 floors to 4");
+        assert_eq!(journal_blocks(52), 3);
+        assert_eq!(journal_blocks(44), 2);
+        // Just above the header: the floor of 2 takes over.
+        assert_eq!(journal_blocks(36), 2, "(36-28)/8 = 1 is clamped up to the floor");
+        assert_eq!(journal_blocks(29), 2);
+        // At or below the header size the subtraction saturates; still 2.
+        assert_eq!(journal_blocks(28), 2);
+        assert_eq!(journal_blocks(0), 2);
+    }
+
+    #[test]
     fn defaults_satisfy_the_paper_assumptions() {
         let o = NexsortOptions::default();
         assert!(o.path_stack_frames >= 2, "Lemma 4.11 premise");
@@ -138,12 +136,6 @@ mod tests {
         assert!(o.mem_frames >= NexsortOptions::MIN_MEM_FRAMES);
         assert!(o.compaction);
         assert!(!o.degeneration, "paper's measured configuration");
-        assert_eq!(o.cache_frames, 0, "no pool by default: counts match the paper's model");
-        assert_eq!(o.cache_policy, CachePolicy::Lru);
-        assert_eq!(o.cache_write_mode, WriteMode::Through);
-        assert_eq!(o.io_workers, 0, "synchronous I/O by default: the paper's model");
-        assert_eq!(o.prefetch_depth, 0);
-        assert!(!o.write_behind);
         assert!(!o.checkpoint, "journaling is opt-in: extra I/O outside the paper's model");
         assert!(o.journal_blocks >= 2, "journal needs a header block plus record space");
         assert_eq!(o.parity_group, 0, "redundancy is opt-in: parity I/O is outside the model");

@@ -16,7 +16,7 @@ use std::time::Instant;
 use nexsort_baseline::{ExtentRecSource, ParsedRecSource, RecSource};
 use nexsort_extmem::{
     recover, Disk, ExtStack, Extent, IoCat, IoPhase, Journal, JournalRecord, MemoryBudget,
-    RecoveredState, RunId, RunStore, SchedConfig,
+    RecoveredState, RunId, RunStore,
 };
 use nexsort_xml::{Rec, Result, SortSpec, TagDict, XmlError};
 
@@ -36,14 +36,8 @@ pub struct Nexsort {
 
 impl Nexsort {
     /// A sorter over `disk` with the given options and ordering criterion.
-    ///
-    /// When `opts.cache_frames > 0` and the disk does not already have a
-    /// buffer pool, one is enabled here with its own frame budget *on top
-    /// of* `mem_frames`: the algorithm's `M` (and therefore its logical I/O)
-    /// is unchanged, the pool only absorbs physical transfers. Likewise,
-    /// `opts.io_workers > 0` enables the asynchronous I/O scheduler
-    /// (read-ahead and write-behind in deterministic virtual time); neither
-    /// logical I/O nor the sorted bytes change.
+    /// Only validates: the disk's page cache and I/O scheduler, if any, were
+    /// attached when its stack was built (`nexsort_extmem::DiskBuilder`).
     pub fn new(disk: Rc<Disk>, opts: NexsortOptions, spec: SortSpec) -> Result<Self> {
         if opts.mem_frames < NexsortOptions::MIN_MEM_FRAMES {
             return Err(XmlError::Ext(nexsort_extmem::ExtError::BudgetExceeded {
@@ -55,23 +49,6 @@ impl Nexsort {
             return Err(XmlError::Record("stacks need at least one resident frame".into()));
         }
         spec.validate()?;
-        if opts.cache_frames > 0 && !disk.cache_enabled() {
-            let cache_budget = MemoryBudget::new(opts.cache_frames);
-            disk.enable_cache(
-                &cache_budget,
-                opts.cache_frames,
-                opts.cache_policy,
-                opts.cache_write_mode,
-            )?;
-        }
-        if opts.io_workers > 0 && !disk.sched_enabled() {
-            disk.enable_sched(SchedConfig {
-                workers: opts.io_workers,
-                prefetch_depth: opts.prefetch_depth,
-                write_behind: opts.write_behind,
-                ..SchedConfig::default()
-            });
-        }
         Ok(Self { disk, opts, spec })
     }
 
@@ -605,16 +582,20 @@ mod tests {
         // Full async configuration on a 4-way stripe: overlap changes only
         // virtual time and physical scheduling, never the sorted bytes or
         // the logical transfer counts the paper's analysis charges.
-        let opts = NexsortOptions {
-            cache_frames: 8,
-            io_workers: 4,
-            prefetch_depth: 8,
-            write_behind: true,
-            ..Default::default()
-        };
-        let disk = Disk::new_striped_mem(128, 4);
+        let disk = nexsort_extmem::DiskBuilder::new(128)
+            .stripe(4)
+            .cache(8, nexsort_extmem::CachePolicy::Lru, nexsort_extmem::WriteMode::Through)
+            .sched(nexsort_extmem::SchedConfig {
+                workers: 4,
+                prefetch_depth: 8,
+                write_behind: true,
+                ..Default::default()
+            })
+            .build()
+            .unwrap()
+            .disk;
         let input = stage_input(&disk, doc.as_bytes()).unwrap();
-        let nx = Nexsort::new(disk.clone(), opts, spec()).unwrap();
+        let nx = Nexsort::new(disk.clone(), NexsortOptions::default(), spec()).unwrap();
         assert!(disk.sched_enabled());
         let sorted = nx.sort_xml_extent(&input).unwrap();
         let got = events_to_dom(&sorted.to_events().unwrap()).unwrap();

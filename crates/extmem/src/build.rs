@@ -14,7 +14,11 @@
 //!
 //! This module is the device layer's one sanctioned raw-assembly site: it
 //! may name [`BlockDevice`] implementations directly (xlint rule R1 lists
-//! it), so front ends no longer need `xlint::allow(R1)` pragmas.
+//! it), so front ends no longer need `xlint::allow(R1)` pragmas. It is also
+//! the only place a page cache or an I/O scheduler is attached to a disk
+//! (`Disk::enable_cache` and `Disk::enable_sched` are crate-private): both
+//! are part of the stack a [`DiskStack`] hands out, so they are in place
+//! before the first byte is staged, whichever front end built the stack.
 
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -92,7 +96,6 @@ pub struct DiskBuilder {
     crash: Option<CrashPlan>,
     retry: Option<RetryPolicy>,
     cache: Option<(usize, CachePolicy, WriteMode)>,
-    cache_budget: Option<MemoryBudget>,
     sched: Option<SchedConfig>,
     shadow: bool,
 }
@@ -109,7 +112,6 @@ impl DiskBuilder {
             crash: None,
             retry: None,
             cache: None,
-            cache_budget: None,
             sched: None,
             shadow: false,
         }
@@ -166,25 +168,10 @@ impl DiskBuilder {
     }
 
     /// Enable the pinning page cache with `frames` frames from a dedicated
-    /// budget (see [`cache_from`](Self::cache_from) to meter the frames
-    /// from a caller-owned budget, e.g. a server job's lease).
+    /// budget: the pool is extra memory on top of the algorithm's own
+    /// allowance, so logical I/O counts stay comparable across cache sizes.
     pub fn cache(mut self, frames: usize, policy: CachePolicy, mode: WriteMode) -> Self {
         self.cache = Some((frames, policy, mode));
-        self.cache_budget = None;
-        self
-    }
-
-    /// [`cache`](Self::cache), reserving the frames from `budget` instead
-    /// of a fresh dedicated one.
-    pub fn cache_from(
-        mut self,
-        budget: &MemoryBudget,
-        frames: usize,
-        policy: CachePolicy,
-        mode: WriteMode,
-    ) -> Self {
-        self.cache = Some((frames, policy, mode));
-        self.cache_budget = Some(budget.clone());
         self
     }
 
@@ -222,10 +209,7 @@ impl DiskBuilder {
             if self.faults.is_empty() { "none".to_string() } else { format!("{:?}", self.faults) };
         let cache = match &self.cache {
             None => "none".to_string(),
-            Some((frames, policy, mode)) => format!(
-                "{frames}/{policy:?}/{mode:?}{}",
-                if self.cache_budget.is_some() { "/leased" } else { "/dedicated" }
-            ),
+            Some((frames, policy, mode)) => format!("{frames}/{policy:?}/{mode:?}"),
         };
         let sched = match &self.sched {
             None => "none".to_string(),
@@ -315,18 +299,7 @@ impl DiskBuilder {
         }
         if let Some((frames, policy, mode)) = self.cache {
             if frames > 0 {
-                // Dedicated budget by default: the pool's frames are extra
-                // memory on top of the algorithm's own allowance, so logical
-                // I/O counts stay comparable across cache sizes.
-                let dedicated;
-                let budget = match &self.cache_budget {
-                    Some(b) => b,
-                    None => {
-                        dedicated = MemoryBudget::new(frames);
-                        &dedicated
-                    }
-                };
-                disk.enable_cache(budget, frames, policy, mode)
+                disk.enable_cache(&MemoryBudget::new(frames), frames, policy, mode)
                     .map_err(|e| BuildError(format!("cannot enable the page cache: {e}")))?;
             }
         }
@@ -416,6 +389,32 @@ mod tests {
         let mut buf = [0u8; 128];
         stack.disk.read_block(b, &mut buf, IoCat::SortScratch).unwrap();
         assert_eq!(buf, [7u8; 128]);
+    }
+
+    #[test]
+    fn default_stack_has_no_pool_and_no_scheduler() {
+        // The paper's model: every logical transfer is one synchronous
+        // physical transfer unless a pool or scheduler is asked for.
+        let stack = DiskBuilder::new(128).build().unwrap();
+        assert!(!stack.disk.cache_enabled(), "no pool by default: counts match the paper's model");
+        assert!(!stack.disk.sched_enabled(), "synchronous I/O by default: the paper's model");
+        assert_eq!(stack.disk.prefetch_depth(), 0);
+        // A zero-frame pool or zero-worker scheduler attaches nothing.
+        let stack = DiskBuilder::new(128)
+            .cache(0, CachePolicy::Lru, WriteMode::Through)
+            .sched(SchedConfig { workers: 0, ..SchedConfig::default() })
+            .build()
+            .unwrap();
+        assert!(!stack.disk.cache_enabled() && !stack.disk.sched_enabled());
+        // Asked for, both are attached by the builder itself.
+        let stack = DiskBuilder::new(128)
+            .cache(4, CachePolicy::Clock, WriteMode::Back)
+            .sched(SchedConfig { workers: 2, prefetch_depth: 3, ..SchedConfig::default() })
+            .build()
+            .unwrap();
+        assert_eq!(stack.disk.cache_capacity(), Some(4));
+        assert!(stack.disk.sched_enabled());
+        assert_eq!(stack.disk.prefetch_depth(), 3);
     }
 
     #[test]

@@ -21,9 +21,7 @@ use crate::fault::{
     ChecksummedDevice, CrashController, CrashDevice, CrashPlan, DeviceHealth, DiskFailure,
     FaultInjector, FaultPlan, FaultyDevice, IoPhase, RetryPolicy,
 };
-use crate::pool::{
-    CachePolicy, EvictionPolicy, PinGuard, PinMutGuard, PoolCore, SlotAcquire, WriteMode,
-};
+use crate::pool::{CachePolicy, PinGuard, PinMutGuard, PoolCore, SlotAcquire, WriteMode};
 use crate::sched::{SchedConfig, SchedCore, StripedDevice, WbEntry};
 use crate::shadow::ShadowState;
 use crate::stats::{CacheEvent, IoCat, IoStats, SchedEvent};
@@ -286,13 +284,13 @@ impl BlockDevice for FileDevice {
 ///
 /// Every [`Disk::read_block`] / [`Disk::write_block`] call is one *logical*
 /// transfer -- the quantity the paper's analysis bounds. When a buffer pool
-/// is enabled ([`Disk::enable_cache`]), logical transfers that hit a resident
+/// is attached ([`DiskBuilder::cache`](crate::DiskBuilder::cache)), logical transfers that hit a resident
 /// frame are served from memory, so the *physical* transfer counters (and the
 /// trace, which records what actually reached the device) can fall below the
 /// logical ones. With no pool the two coincide and behavior is byte-identical
 /// to a pool-less build.
 ///
-/// An I/O scheduler ([`Disk::enable_sched`]) additionally defers and overlaps
+/// An I/O scheduler ([`DiskBuilder::sched`](crate::DiskBuilder::sched)) additionally defers and overlaps
 /// physical transfers (read-ahead, write-behind, striping) in deterministic
 /// virtual time -- see [`SchedConfig`]. Logical counts and
 /// the bytes an algorithm observes are scheduler-invariant.
@@ -999,23 +997,11 @@ impl Disk {
     ///
     /// Panics if `frames == 0` or a pool is already enabled (check
     /// [`Disk::cache_enabled`] first).
-    pub fn enable_cache(
+    pub(crate) fn enable_cache(
         &self,
         budget: &MemoryBudget,
         frames: usize,
         policy: CachePolicy,
-        mode: WriteMode,
-    ) -> Result<()> {
-        self.enable_cache_with(budget, frames, policy.build(frames), mode)
-    }
-
-    /// [`Disk::enable_cache`] with a caller-supplied [`EvictionPolicy`]
-    /// implementation (the policy must be sized for `frames` slots).
-    pub fn enable_cache_with(
-        &self,
-        budget: &MemoryBudget,
-        frames: usize,
-        policy: Box<dyn EvictionPolicy>,
         mode: WriteMode,
     ) -> Result<()> {
         assert!(frames > 0, "a buffer pool needs at least one frame");
@@ -1025,7 +1011,7 @@ impl Disk {
             sh.watch_budget(budget);
         }
         let reservation = budget.reserve(frames)?;
-        *slot = Some(PoolCore::new(reservation, self.block_size, policy, mode));
+        *slot = Some(PoolCore::new(reservation, self.block_size, policy.build(frames), mode));
         Ok(())
     }
 
@@ -1199,7 +1185,7 @@ impl Disk {
     ///
     /// Panics if `cfg.workers == 0`, `cfg.queue_capacity == 0`, or a
     /// scheduler is already enabled (check [`Disk::sched_enabled`] first).
-    pub fn enable_sched(&self, cfg: SchedConfig) {
+    pub(crate) fn enable_sched(&self, cfg: SchedConfig) {
         let mut slot = self.sched.borrow_mut();
         assert!(slot.is_none(), "I/O scheduler already enabled on this disk");
         *slot = Some(SchedCore::new(cfg, self.stripe.get()));

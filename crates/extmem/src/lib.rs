@@ -21,11 +21,11 @@
 //! * [`FaultyDevice`] / [`ChecksummedDevice`] / [`RetryPolicy`]: deterministic
 //!   fault injection, corruption detection, and transparent retry of
 //!   transient failures (see the [`fault`](crate::FaultPlan) types);
-//! * the pinning buffer pool ([`Disk::enable_cache`], [`PinGuard`],
+//! * the pinning buffer pool ([`DiskBuilder::cache`], [`PinGuard`],
 //!   [`CachePolicy`], [`WriteMode`]): an optional page cache between the
 //!   accounting layer and the device, so *physical* transfers can drop below
 //!   the *logical* transfers the paper's analysis counts;
-//! * the asynchronous I/O scheduler ([`Disk::enable_sched`], [`SchedConfig`],
+//! * the asynchronous I/O scheduler ([`DiskBuilder::sched`], [`SchedConfig`],
 //!   [`StripedDevice`]): sequential read-ahead into the pool, write-behind
 //!   with barrier semantics, and round-robin striping over independently
 //!   faultable devices -- all modeled in deterministic virtual time;

@@ -45,7 +45,8 @@ use crate::error::{ExtError, Result};
 use crate::fault::IoPhase;
 use crate::stats::IoCat;
 
-/// Configuration for [`Disk::enable_sched`](crate::Disk::enable_sched).
+/// Configuration of the asynchronous I/O scheduler, attached with
+/// [`DiskBuilder::sched`](crate::DiskBuilder::sched).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedConfig {
     /// Number of I/O worker threads being modeled (>= 1). The scheduler

@@ -16,7 +16,7 @@
 //!   been consumed), else the deepest frame (top-of-stack blocks stay hot).
 //!
 //! All paging goes through [`Disk::read_block`] / [`Disk::write_block`], so
-//! when the disk has a buffer pool enabled ([`Disk::enable_cache`]) the
+//! when the disk has a buffer pool enabled ([`DiskBuilder::cache`](crate::DiskBuilder::cache)) the
 //! stack's repaging of hot boundary blocks is absorbed by the pool: logical
 //! counts (the lemmas' quantities) are unchanged, physical transfers shrink.
 

@@ -316,7 +316,71 @@ impl ExtPq {
     pub fn disk(&self) -> &Rc<Disk> {
         &self.disk
     }
+
+    /// Execute a script of `push KEY` | `pop` | `peek` lines (blank lines
+    /// and `#` comments skipped) and return its transcript: one line per
+    /// pop/peek (`pop KEY`, or `pop -` on an empty queue) plus a final
+    /// `len N`. The script is deterministic, so rerunning it on a fresh
+    /// queue reproduces the transcript exactly.
+    pub fn run_script(&mut self, script: &str) -> std::result::Result<String, ScriptError> {
+        let mut out = String::new();
+        for (i, raw) in script.lines().enumerate() {
+            let line = raw.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let step = if let Some(key) = line.strip_prefix("push ") {
+                self.push(key.as_bytes()).map(|()| None)
+            } else if line == "pop" {
+                self.pop().map(Some)
+            } else if line == "peek" {
+                self.peek().map(Some)
+            } else {
+                return Err(ScriptError { line: i + 1, text: line.to_string(), error: None });
+            };
+            match step {
+                Ok(None) => {}
+                Ok(Some(head)) => {
+                    let key = head
+                        .map_or_else(|| "-".into(), |k| String::from_utf8_lossy(&k).into_owned());
+                    out.push_str(&format!("{line} {key}\n"));
+                }
+                Err(e) => {
+                    return Err(ScriptError { line: i + 1, text: line.to_string(), error: Some(e) })
+                }
+            }
+        }
+        out.push_str(&format!("len {}\n", self.len()));
+        Ok(out)
+    }
 }
+
+/// Why [`ExtPq::run_script`] stopped: the 1-based script line, its text,
+/// and the queue's error -- `None` when the line is not a known verb.
+#[derive(Debug)]
+pub struct ScriptError {
+    /// 1-based line number within the script.
+    pub line: usize,
+    /// The offending line, trimmed.
+    pub text: String,
+    /// The queue operation's error; `None` for an unknown verb.
+    pub error: Option<XmlError>,
+}
+
+impl std::fmt::Display for ScriptError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.error {
+            Some(e) => write!(f, "pq script line {}: {e}", self.line),
+            None => write!(
+                f,
+                "pq script line {}: expected \"push KEY\", \"pop\", or \"peek\", got {:?}",
+                self.line, self.text
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ScriptError {}
 
 #[derive(Clone, Copy)]
 enum MinSource {

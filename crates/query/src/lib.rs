@@ -24,5 +24,5 @@
 mod extpq;
 mod topk;
 
-pub use extpq::{ExtPq, PqStats};
+pub use extpq::{ExtPq, PqStats, ScriptError};
 pub use topk::{TopK, TopKDoc, TopKReport};

@@ -246,10 +246,9 @@ pub struct TopK {
 
 impl TopK {
     /// A top-k operator over `disk` for the given ordering criterion.
-    /// Shares [`Nexsort::new`](nexsort::Nexsort)'s setup: `opts.cache_frames`
-    /// / `opts.io_workers` enable the buffer pool and scheduler if the disk
-    /// does not have them yet. Deferred (end-tag-resolved) keys are not
-    /// supported (same restriction as degeneration mode).
+    /// Validates exactly like [`Nexsort::new`](nexsort::Nexsort). Deferred
+    /// (end-tag-resolved) keys are not supported (same restriction as
+    /// degeneration mode).
     pub fn new(disk: Rc<Disk>, opts: NexsortOptions, spec: SortSpec, k: u64) -> Result<Self> {
         if k == 0 {
             return Err(XmlError::Record("top-k needs k >= 1".into()));
@@ -259,7 +258,7 @@ impl TopK {
                 "deferred keys are not supported by the top-k operator".into(),
             ));
         }
-        // Reuse the sorter's validation and cache/scheduler setup verbatim.
+        // Reuse the sorter's validation verbatim.
         let nx = nexsort::Nexsort::new(disk.clone(), opts, spec)?;
         let (opts, spec) = (nx.options().clone(), nx.spec().clone());
         Ok(Self { disk, opts, spec, k })

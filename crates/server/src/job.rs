@@ -16,8 +16,9 @@
 
 use std::path::{Path, PathBuf};
 
-use nexsort::SortReport;
-use nexsort_extmem::CachePolicy;
+use nexsort::{journal_blocks, NexsortOptions, SortReport};
+use nexsort_extmem::{CachePolicy, DiskBuilder, SchedConfig, WriteMode};
+use nexsort_xml::{build_spec, SortSpec};
 
 use crate::json::{self, b, n, obj, s, Value};
 
@@ -67,8 +68,20 @@ impl JobOp {
     }
 }
 
-/// Everything needed to run one sort job. Plain data (`Send`): the worker
-/// thread builds the actual device stack and sorter from it.
+/// Smallest accepted device block size in bytes.
+pub const MIN_BLOCK_SIZE: usize = 64;
+
+/// Largest accepted device block size in bytes (1 MiB; the paper's
+/// experiments use 64 KB blocks). Every stream over the device holds whole
+/// blocks in memory, so an unbounded block size is an unbounded allocation.
+pub const MAX_BLOCK_SIZE: usize = 1 << 20;
+
+/// Everything needed to run one sort job, and the one declaration of the
+/// sort knobs: `xsort` parses its flags into a `JobSpec`, `client submit`
+/// ships the same value to the daemon, and both map it onto a device stack
+/// ([`disk_builder`](Self::disk_builder)) and sorter options
+/// ([`nexsort_options`](Self::nexsort_options)) the same way. Plain data
+/// (`Send`): the worker thread builds the actual stack and sorter from it.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// What to do with the input.
@@ -160,6 +173,67 @@ impl JobSpec {
     /// memory plus its private page cache.
     pub fn frames_needed(&self) -> usize {
         self.mem_frames + self.cache_frames
+    }
+
+    /// Reject what could never run, and return the ordering criterion the
+    /// spec names. The one validator shared by `xsort`, `Server::submit`,
+    /// and the restart path that adopts persisted manifests.
+    pub fn validate(&self) -> Result<SortSpec, String> {
+        let spec = build_spec(self.default_rule.as_deref(), &self.keys)?;
+        if self.block_size < MIN_BLOCK_SIZE {
+            return Err(format!(
+                "block size {} is below the {MIN_BLOCK_SIZE}-byte minimum",
+                self.block_size
+            ));
+        }
+        if self.block_size > MAX_BLOCK_SIZE {
+            return Err(format!(
+                "block size {} is above the {MAX_BLOCK_SIZE}-byte maximum",
+                self.block_size
+            ));
+        }
+        if self.stripe == 0 {
+            return Err("stripe width must be at least 1".into());
+        }
+        if self.op == JobOp::TopK && self.k == 0 {
+            return Err("top-k jobs need k >= 1".into());
+        }
+        Ok(spec)
+    }
+
+    /// The device stack the spec's knobs describe: block size, striping,
+    /// page cache, and I/O scheduler. Callers add their own backing and
+    /// test layers (device file, faults, retries, crash injection).
+    pub fn disk_builder(&self) -> DiskBuilder {
+        let mut b = DiskBuilder::new(self.block_size).stripe(self.stripe);
+        if self.cache_frames > 0 {
+            let mode = if self.write_back { WriteMode::Back } else { WriteMode::Through };
+            b = b.cache(self.cache_frames, self.cache_policy, mode);
+        }
+        if self.io_workers > 0 {
+            b = b.sched(SchedConfig {
+                workers: self.io_workers,
+                prefetch_depth: self.prefetch_depth,
+                write_behind: self.write_behind,
+                ..SchedConfig::default()
+            });
+        }
+        b
+    }
+
+    /// The sorter options the spec's knobs describe; `checkpoint` turns on
+    /// the write-ahead journal (always on for daemon jobs).
+    pub fn nexsort_options(&self, checkpoint: bool) -> NexsortOptions {
+        NexsortOptions {
+            mem_frames: self.mem_frames,
+            threshold: self.threshold,
+            depth_limit: self.depth_limit,
+            degeneration: self.degeneration,
+            checkpoint,
+            journal_blocks: journal_blocks(self.block_size),
+            parity_group: self.parity_group,
+            ..Default::default()
+        }
     }
 }
 
@@ -424,34 +498,25 @@ pub fn spec_from_value(v: &Value) -> Result<JobSpec, String> {
             }
         }
     };
-    if let Some(op) = v.get("op") {
-        if let Some(name) = op.as_str() {
-            spec.op = JobOp::from_name(name)?;
+    let get_str = |key: &str| -> Result<Option<String>, String> {
+        match v.get(key) {
+            None | Some(Value::Null) => Ok(None),
+            Some(x) => x
+                .as_str()
+                .map(|t| Some(t.to_string()))
+                .ok_or_else(|| format!("field {key:?} must be a string")),
         }
+    };
+    if let Some(name) = get_str("op")? {
+        spec.op = JobOp::from_name(&name)?;
     }
     if let Some(x) = get_usize("k")? {
         spec.k = x as u64;
     }
-    if let Some(t) = v.get("tenant") {
-        if let Some(name) = t.as_str() {
-            spec.tenant = Some(name.to_string());
-        }
-    }
-    if let Some(t) = v.get("idem") {
-        if let Some(token) = t.as_str() {
-            spec.idem = Some(token.to_string());
-        }
-    }
-    if let Some(out) = v.get("output") {
-        if let Some(path) = out.as_str() {
-            spec.output = Some(PathBuf::from(path));
-        }
-    }
-    if let Some(d) = v.get("default") {
-        if let Some(rule) = d.as_str() {
-            spec.default_rule = Some(rule.to_string());
-        }
-    }
+    spec.tenant = get_str("tenant")?;
+    spec.idem = get_str("idem")?;
+    spec.output = get_str("output")?.map(PathBuf::from);
+    spec.default_rule = get_str("default")?;
     if let Some(keys) = v.get("keys") {
         let items = keys.as_arr().ok_or("field \"keys\" must be an array of TAG=RULE strings")?;
         for item in items {
@@ -468,7 +533,9 @@ pub fn spec_from_value(v: &Value) -> Result<JobSpec, String> {
         spec.threshold = Some(x as u64);
     }
     if let Some(x) = get_usize("depth_limit")? {
-        spec.depth_limit = Some(x as u32);
+        let depth = u32::try_from(x)
+            .map_err(|_| format!("field \"depth_limit\" must be at most {}", u32::MAX))?;
+        spec.depth_limit = Some(depth);
     }
     if let Some(x) = get_bool("degeneration")? {
         spec.degeneration = x;
@@ -476,10 +543,8 @@ pub fn spec_from_value(v: &Value) -> Result<JobSpec, String> {
     if let Some(x) = get_usize("cache_frames")? {
         spec.cache_frames = x;
     }
-    if let Some(p) = v.get("cache_policy") {
-        if let Some(name) = p.as_str() {
-            spec.cache_policy = policy_from_name(name)?;
-        }
+    if let Some(name) = get_str("cache_policy")? {
+        spec.cache_policy = policy_from_name(&name)?;
     }
     if let Some(x) = get_bool("write_back")? {
         spec.write_back = x;
@@ -678,6 +743,49 @@ mod tests {
         assert_eq!(m.state, JobState::Done);
         assert_eq!(m.summary, None);
         assert_eq!(m.latency_ms, None);
+    }
+
+    #[test]
+    fn wrong_typed_fields_are_rejected_by_name() {
+        for key in ["op", "tenant", "idem", "output", "default", "cache_policy"] {
+            let err = spec_from_value(&obj(vec![(key, n(7))])).unwrap_err();
+            assert!(err.contains(&format!("{key:?}")), "{key}: {err}");
+        }
+        // Out of u32 range: rejected, not truncated to depth 1.
+        let err = spec_from_value(&obj(vec![("depth_limit", n(4_294_967_297))])).unwrap_err();
+        assert!(err.contains("depth_limit"), "{err}");
+        let spec = spec_from_value(&obj(vec![("depth_limit", n(u64::from(u32::MAX)))])).unwrap();
+        assert_eq!(spec.depth_limit, Some(u32::MAX));
+        // Null still means "absent": the default stays.
+        let spec = spec_from_value(&obj(vec![("default", Value::Null)])).unwrap();
+        assert_eq!(spec.default_rule, None);
+    }
+
+    #[test]
+    fn validate_bounds_the_block_size_and_names_the_criterion() {
+        let ok = JobSpec { default_rule: Some("@k".into()), ..JobSpec::default() };
+        assert!(ok.validate().is_ok());
+        for block_size in [MIN_BLOCK_SIZE, MAX_BLOCK_SIZE] {
+            assert!(
+                JobSpec { block_size, ..JobSpec::default() }.validate().is_ok(),
+                "{block_size}"
+            );
+        }
+        let err = JobSpec { block_size: MAX_BLOCK_SIZE + 1, ..JobSpec::default() }
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("maximum"), "{err}");
+        let err = JobSpec { block_size: 1 << 40, ..JobSpec::default() }.validate().unwrap_err();
+        assert!(err.contains("maximum"), "{err}");
+        let err = JobSpec { block_size: MIN_BLOCK_SIZE - 1, ..JobSpec::default() }
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("minimum"), "{err}");
+        assert!(JobSpec { default_rule: Some("::".into()), ..JobSpec::default() }
+            .validate()
+            .is_err());
+        assert!(JobSpec { op: JobOp::TopK, ..JobSpec::default() }.validate().is_err());
+        assert!(JobSpec { stripe: 0, ..JobSpec::default() }.validate().is_err());
     }
 
     #[test]

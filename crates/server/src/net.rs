@@ -1070,6 +1070,33 @@ mod tests {
     }
 
     #[test]
+    fn unrunnable_submits_are_refused_and_the_daemon_keeps_serving() {
+        let (sock, dir, daemon) = start_daemon("bounds", ServeOptions::default());
+        let submit = |spec: Vec<(&str, Value)>| {
+            request(&sock, &obj(vec![("op", s("submit")), ("spec", obj(spec))])).unwrap()
+        };
+        // A 1 TiB block would abort the daemon on its first allocation.
+        let resp = submit(vec![("xml", s("<r/>")), ("block", n(1 << 40))]);
+        assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(false), "{}", resp.to_json());
+        let err = resp.get("error").and_then(Value::as_str).unwrap();
+        assert!(err.contains("maximum"), "{err}");
+        let resp = request(&sock, &obj(vec![("op", s("ping"))])).unwrap();
+        assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true), "{}", resp.to_json());
+        // A wrong-typed field is named, not dropped.
+        let resp = submit(vec![("xml", s("<r/>")), ("default", n(7))]);
+        assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(false), "{}", resp.to_json());
+        assert!(resp.get("error").and_then(Value::as_str).unwrap().contains("\"default\""));
+        let resp = request(&sock, &obj(vec![("op", s("stats"))])).unwrap();
+        assert_eq!(
+            resp.get("stats").and_then(|st| st.get("submitted")).and_then(Value::as_u64),
+            Some(0)
+        );
+        request(&sock, &obj(vec![("op", s("shutdown"))])).unwrap();
+        daemon.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn shutdown_returns_promptly_from_a_blocking_accept() {
         use crate::server::{Server, ServerConfig};
         use std::sync::mpsc;

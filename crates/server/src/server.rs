@@ -41,8 +41,8 @@ use std::time::{Duration, Instant};
 use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::stage_input;
 use nexsort_extmem::locksan::{self, TrackedCondvar, TrackedGuard, TrackedMutex};
-use nexsort_extmem::{BudgetArbiter, CrashPlan, Disk, DiskBuilder, DiskStack, ExtError, Extent};
-use nexsort_xml::{build_spec, XmlError};
+use nexsort_extmem::{BudgetArbiter, CrashPlan, Disk, DiskStack, ExtError, Extent};
+use nexsort_xml::XmlError;
 
 use crate::job::{JobInput, JobOp, JobSpec, JobState, JobSummary, Manifest};
 
@@ -286,12 +286,6 @@ pub struct Server {
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Journal extent size for a given block size: 32 blocks, clamped so the
-/// header still self-describes the extent within one block.
-pub fn journal_blocks(block_size: usize) -> usize {
-    32usize.min(((block_size.saturating_sub(28)) / 8).max(2))
-}
-
 impl Server {
     /// Start a fresh server over `cfg.job_dir` (created if missing).
     pub fn start(cfg: ServerConfig) -> Result<Self, String> {
@@ -316,10 +310,18 @@ impl Server {
             if !name.starts_with("job-") {
                 continue;
             }
-            match Manifest::load(&entry.path())? {
-                Some(m) => adopted.push(m),
-                None => continue,
+            let Some(mut m) = Manifest::load(&entry.path())? else { continue };
+            // A manifest written before a bound existed (or edited by hand)
+            // may hold a spec no worker can run: fail it instead of
+            // re-queueing a job that would take the daemon down again.
+            if !m.state.is_terminal() {
+                if let Err(e) = m.spec.validate() {
+                    m.state = JobState::Failed;
+                    m.error = Some(format!("invalid job spec: {e}"));
+                    m.store(&entry.path())?;
+                }
             }
+            adopted.push(m);
         }
         adopted.sort_by_key(|m| m.id);
         Ok(Self::boot(cfg, adopted))
@@ -401,18 +403,8 @@ impl Server {
     /// a full queue returns [`SubmitError::Busy`] without accepting.
     pub fn submit(&self, mut spec: JobSpec) -> Result<u64, SubmitError> {
         // Validation first: reject what could never run.
-        build_spec(spec.default_rule.as_deref(), &spec.keys).map_err(SubmitError::Invalid)?;
-        if spec.block_size < 64 {
-            return Err(SubmitError::Invalid(format!(
-                "block size {} is below the 64-byte minimum",
-                spec.block_size
-            )));
-        }
+        spec.validate().map_err(SubmitError::Invalid)?;
         spec.mem_frames = spec.mem_frames.max(NexsortOptions::MIN_MEM_FRAMES);
-        spec.stripe = spec.stripe.max(1);
-        if spec.op == JobOp::TopK && spec.k == 0 {
-            return Err(SubmitError::Invalid("top-k jobs need k >= 1".into()));
-        }
         if spec.frames_needed() > self.shared.arbiter.total_frames() {
             return Err(SubmitError::Invalid(format!(
                 "job needs {} frames ({} sort + {} cache); the global budget is {}",
@@ -975,12 +967,12 @@ fn execute(
         // job redoes the whole script from its input copy.
         return execute_pq(shared, id, spec, resume, job_dir);
     }
-    let sortspec = match build_spec(spec.default_rule.as_deref(), &spec.keys) {
+    let sortspec = match spec.validate() {
         Ok(sp) => sp,
-        Err(e) => return Outcome::failed(None, format!("ordering criterion: {e}")),
+        Err(e) => return Outcome::failed(None, format!("invalid job spec: {e}")),
     };
     let device_path = job_dir.join("device.bin");
-    let mut builder = DiskBuilder::new(spec.block_size).stripe(spec.stripe);
+    let mut builder = spec.disk_builder();
     builder = if resume { builder.open_file(&device_path) } else { builder.file(&device_path) };
     if !resume && spec.crash_after_ios.is_some() {
         // Created disarmed; armed only after staging so the crash point
@@ -1006,38 +998,25 @@ fn execute(
             Ok(b) => b,
             Err(e) => return Outcome::failed(None, format!("cannot read input copy: {e}")),
         };
-        match stage_input(&disk, &bytes) {
-            Ok(ext) => {
-                let staged = Some((ext.blocks().to_vec(), ext.len()));
-                (ext, staged)
-            }
+        let ext = match stage_input(&disk, &bytes) {
+            Ok(ext) => ext,
             Err(e) => return Outcome::failed(None, format!("staging: {e}")),
+        };
+        // The pool and scheduler are already attached: push the staged
+        // blocks through them onto the device file before the extent is
+        // recorded, or a job killed mid-sort resumes from blocks that never
+        // reached the device.
+        if let Err(e) = settle(&disk) {
+            return Outcome::failed(None, format!("staging: {e}"));
         }
+        let staged = Some((ext.blocks().to_vec(), ext.len()));
+        (ext, staged)
     };
     // The staged extent is what a restart reattaches: persist it before the
     // sort can be interrupted.
     running(&staged);
 
-    let opts = NexsortOptions {
-        mem_frames: spec.mem_frames,
-        threshold: spec.threshold,
-        depth_limit: spec.depth_limit,
-        degeneration: spec.degeneration,
-        cache_frames: spec.cache_frames,
-        cache_policy: spec.cache_policy,
-        cache_write_mode: if spec.write_back {
-            nexsort_extmem::WriteMode::Back
-        } else {
-            nexsort_extmem::WriteMode::Through
-        },
-        io_workers: spec.io_workers,
-        prefetch_depth: spec.prefetch_depth,
-        write_behind: spec.write_behind,
-        checkpoint: true,
-        journal_blocks: journal_blocks(spec.block_size),
-        parity_group: spec.parity_group,
-        ..Default::default()
-    };
+    let opts = spec.nexsort_options(true);
     if spec.op == JobOp::TopK {
         let topk = match nexsort_query::TopK::new(disk.clone(), opts, sortspec, spec.k) {
             Ok(t) => t,
@@ -1130,8 +1109,7 @@ fn execute_pq(
     redo: bool,
     job_dir: &std::path::Path,
 ) -> Outcome {
-    let device_path = job_dir.join("device.bin");
-    let mut builder = DiskBuilder::new(spec.block_size).stripe(spec.stripe).file(&device_path);
+    let mut builder = spec.disk_builder().file(&job_dir.join("device.bin"));
     if !redo && spec.crash_after_ios.is_some() {
         // The crash hook models the daemon death; a post-restart redo runs
         // the script to completion on a clean device.
@@ -1152,46 +1130,18 @@ fn execute_pq(
     if let (Some(ctl), Some(after)) = (&crash, spec.crash_after_ios) {
         ctl.arm_after(ctl.ios() + after);
     }
-    let mut out = String::new();
-    for (ln, raw) in script.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    let out = match pq.run_script(&script) {
+        Ok(out) => out,
+        Err(e)
+            if matches!(e.error, Some(XmlError::Ext(ExtError::SimulatedCrash { .. })))
+                && crash.as_ref().is_some_and(|c| c.crashed()) =>
+        {
+            // The device froze mid-script; the next Server::open
+            // re-queues the job, which redoes the script from scratch.
+            return Outcome::interrupted(None);
         }
-        let step = if let Some(key) = line.strip_prefix("push ") {
-            pq.push(key.as_bytes())
-        } else if line == "pop" {
-            pq.pop().map(|popped| match popped {
-                Some(k) => out.push_str(&format!("pop {}\n", String::from_utf8_lossy(&k))),
-                None => out.push_str("pop -\n"),
-            })
-        } else if line == "peek" {
-            pq.peek().map(|head| match head {
-                Some(k) => out.push_str(&format!("peek {}\n", String::from_utf8_lossy(&k))),
-                None => out.push_str("peek -\n"),
-            })
-        } else {
-            return Outcome::failed(
-                None,
-                format!(
-                    "pq script line {}: expected \"push KEY\", \"pop\", or \"peek\", got {line:?}",
-                    ln + 1
-                ),
-            );
-        };
-        match step {
-            Ok(()) => {}
-            Err(XmlError::Ext(ExtError::SimulatedCrash { .. }))
-                if crash.as_ref().is_some_and(|c| c.crashed()) =>
-            {
-                // The device froze mid-script; the next Server::open
-                // re-queues the job, which redoes the script from scratch.
-                return Outcome::interrupted(None);
-            }
-            Err(e) => return Outcome::failed(None, format!("pq script line {}: {e}", ln + 1)),
-        }
-    }
-    out.push_str(&format!("len {}\n", pq.len()));
+        Err(e) => return Outcome::failed(None, e.to_string()),
+    };
     let output = resolve_output(&shared.cfg, id, spec);
     if let Err(e) = std::fs::write(&output, &out) {
         return Outcome::failed(None, format!("cannot write output {output:?}: {e}"));
@@ -1209,6 +1159,8 @@ fn settle(disk: &Rc<Disk>) -> Result<(), ExtError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nexsort_extmem::DiskBuilder;
+    use nexsort_xml::build_spec;
 
     fn sample_xml() -> Vec<u8> {
         let mut doc = String::from("<catalog>");
@@ -1227,24 +1179,6 @@ mod tests {
         let opts = NexsortOptions { mem_frames: spec.mem_frames, ..Default::default() };
         let sorter = Nexsort::new(stack.disk.clone(), opts, sortspec).unwrap();
         sorter.sort_xml_extent(&input).unwrap().to_xml(spec.pretty).unwrap()
-    }
-
-    #[test]
-    fn journal_blocks_clamps_at_the_boundaries() {
-        // Nominal: 32 blocks whenever the block can describe that many.
-        assert_eq!(journal_blocks(284), 32, "(284-28)/8 = 32: smallest size at the cap");
-        assert_eq!(journal_blocks(1 << 20), 32, "huge blocks stay capped at 32");
-        assert_eq!(journal_blocks(usize::MAX), 32, "no overflow at the extreme");
-        // Small blocks: the 28-byte header eats into the self-description.
-        assert_eq!(journal_blocks(64), 4, "(64-28)/8 floors to 4");
-        assert_eq!(journal_blocks(52), 3);
-        assert_eq!(journal_blocks(44), 2);
-        // Just above the header: the floor of 2 takes over.
-        assert_eq!(journal_blocks(36), 2, "(36-28)/8 = 1 is clamped up to the floor");
-        assert_eq!(journal_blocks(29), 2);
-        // At or below the header size the subtraction saturates; still 2.
-        assert_eq!(journal_blocks(28), 2);
-        assert_eq!(journal_blocks(0), 2);
     }
 
     #[test]
@@ -1414,6 +1348,41 @@ mod tests {
     }
 
     #[test]
+    fn restart_fails_an_adopted_job_whose_spec_cannot_run() {
+        // A manifest holding a 1 TiB block size (written before the bound
+        // existed) must not be re-queued: staging it would abort the daemon
+        // on the allocation, and every restart would abort again.
+        let dir = unit_dir("badspec");
+        let job_dir = dir.join("job-0");
+        std::fs::create_dir_all(&job_dir).unwrap();
+        std::fs::write(job_dir.join("input.xml"), b"<r/>").unwrap();
+        Manifest {
+            id: 0,
+            state: JobState::Queued,
+            spec: JobSpec { block_size: 1 << 40, ..JobSpec::default() },
+            staged: None,
+            error: None,
+            resumed: false,
+            summary: None,
+            latency_ms: None,
+        }
+        .store(&job_dir)
+        .unwrap();
+        let server = Server::open(ServerConfig::new(1, &dir)).unwrap();
+        let st = server.status(0).expect("the adopted job is known");
+        assert_eq!(st.state, JobState::Failed);
+        assert!(st.error.as_deref().unwrap_or("").contains("maximum"), "{:?}", st.error);
+        assert_eq!(server.stats().failed, 1);
+        assert_eq!(Manifest::load(&job_dir).unwrap().unwrap().state, JobState::Failed);
+        // The daemon is alive and takes the next job.
+        let id = server.submit(small_job(b"<r><x k=\"2\"/><x k=\"1\"/></r>")).unwrap();
+        assert_eq!(id, 1);
+        assert_eq!(server.wait(id, Duration::from_secs(30)).unwrap().state, JobState::Done);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn invalid_jobs_are_rejected_at_submit() {
         let dir = std::env::temp_dir().join(format!("nxsrv-unit-inv-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1438,6 +1407,13 @@ mod tests {
         let no_input =
             JobSpec { input: JobInput::Path(dir.join("nope.xml")), ..JobSpec::default() };
         assert!(matches!(server.submit(no_input), Err(SubmitError::Invalid(_))));
+        // A block size no stream could allocate.
+        let huge_block = JobSpec {
+            input: JobInput::Inline(b"<a/>".to_vec()),
+            block_size: 1 << 40,
+            ..JobSpec::default()
+        };
+        assert!(matches!(server.submit(huge_block), Err(SubmitError::Invalid(_))));
         assert_eq!(server.stats().submitted, 0);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

@@ -5,7 +5,7 @@
 //! 1. the pool is *transparent*: sorted output is bit-identical across
 //!    uncached, LRU, and CLOCK configurations, write-through and write-back,
 //!    and the logical transfer counts (the paper's cost model) never move;
-//! 2. `cache_frames: 0` leaves the accounting byte-identical to a pool-less
+//! 2. a zero-frame pool leaves the accounting byte-identical to a pool-less
 //!    run -- physical equals logical, no cache counters, no extra report
 //!    lines;
 //! 3. a warm pool performs strictly fewer physical reads than logical reads;
@@ -18,7 +18,7 @@ use std::rc::Rc;
 use nexsort::{Nexsort, NexsortOptions, SortFailure, SortedDoc};
 use nexsort_baseline::stage_input;
 use nexsort_extmem::{
-    CachePolicy, Disk, ExtError, FaultKind, FaultPlan, IoCat, IoPhase, IoSnapshot, MemDevice,
+    CachePolicy, Disk, DiskBuilder, ExtError, FaultKind, FaultPlan, IoCat, IoPhase, IoSnapshot,
     RetryPolicy, WriteMode,
 };
 use nexsort_xml::{SortSpec, XmlError};
@@ -41,21 +41,22 @@ fn doc() -> String {
     d
 }
 
-fn opts_with(cache_frames: usize, policy: CachePolicy, mode: WriteMode) -> NexsortOptions {
-    NexsortOptions {
-        mem_frames: 12,
-        cache_frames,
-        cache_policy: policy,
-        cache_write_mode: mode,
-        ..Default::default()
-    }
+fn opts() -> NexsortOptions {
+    NexsortOptions { mem_frames: 12, ..Default::default() }
 }
 
-fn sort_with(opts: NexsortOptions) -> (Vec<u8>, IoSnapshot, Rc<Disk>) {
-    let disk = Disk::new_mem(BLOCK);
+/// A stack over `BLOCK`-byte blocks with a `cache_frames`-frame pool (none
+/// at 0); the pool is part of the stack from the start, so staging goes
+/// through it too.
+fn cached(cache_frames: usize, policy: CachePolicy, mode: WriteMode) -> DiskBuilder {
+    DiskBuilder::new(BLOCK).cache(cache_frames, policy, mode)
+}
+
+fn sort_with(stack: DiskBuilder) -> (Vec<u8>, IoSnapshot, Rc<Disk>) {
+    let disk = stack.build().unwrap().disk;
     let input = stage_input(&disk, doc().as_bytes()).unwrap();
     let spec = SortSpec::by_attribute("k");
-    let sorted = Nexsort::new(disk.clone(), opts, spec).unwrap().sort_xml_extent(&input).unwrap();
+    let sorted = Nexsort::new(disk.clone(), opts(), spec).unwrap().sort_xml_extent(&input).unwrap();
     let xml = sorted.to_xml(false).unwrap();
     disk.cache_flush_all().unwrap();
     (xml, disk.stats().snapshot(), disk)
@@ -67,12 +68,12 @@ fn phys_reads_total(s: &IoSnapshot) -> u64 {
 
 #[test]
 fn every_cache_configuration_sorts_bit_identically() {
-    let (clean, clean_io, _) = sort_with(opts_with(0, CachePolicy::Lru, WriteMode::Through));
+    let (clean, clean_io, _) = sort_with(cached(0, CachePolicy::Lru, WriteMode::Through));
     // A pool small enough to force evictions and one big enough to go warm.
     for frames in [3usize, 64] {
         for policy in [CachePolicy::Lru, CachePolicy::Clock] {
             for mode in [WriteMode::Through, WriteMode::Back] {
-                let (xml, io, _) = sort_with(opts_with(frames, policy, mode));
+                let (xml, io, _) = sort_with(cached(frames, policy, mode));
                 assert_eq!(
                     xml, clean,
                     "{frames} frames, {policy}, {mode}: output must be bit-identical"
@@ -89,8 +90,8 @@ fn every_cache_configuration_sorts_bit_identically() {
 
 #[test]
 fn zero_cache_frames_is_byte_identical_accounting() {
-    let (_, io, disk) = sort_with(opts_with(0, CachePolicy::Lru, WriteMode::Through));
-    assert!(!disk.cache_enabled(), "cache_frames: 0 must not build a pool");
+    let (_, io, disk) = sort_with(cached(0, CachePolicy::Lru, WriteMode::Through));
+    assert!(!disk.cache_enabled(), "a zero-frame pool must not be built");
     assert_eq!(io.grand_total_physical(), io.grand_total(), "physical == logical without a pool");
     assert_eq!(io.total_cache_hits() + io.total_cache_misses(), 0);
     assert_eq!(io.total_cache_evictions() + io.total_cache_writebacks(), 0);
@@ -102,9 +103,9 @@ fn zero_cache_frames_is_byte_identical_accounting() {
 
 #[test]
 fn a_warm_pool_reads_physically_less_than_logically() {
-    let (_, uncached, _) = sort_with(opts_with(0, CachePolicy::Lru, WriteMode::Through));
+    let (_, uncached, _) = sort_with(cached(0, CachePolicy::Lru, WriteMode::Through));
     for policy in [CachePolicy::Lru, CachePolicy::Clock] {
-        let (_, io, disk) = sort_with(opts_with(64, policy, WriteMode::Back));
+        let (_, io, disk) = sort_with(cached(64, policy, WriteMode::Back));
         assert!(disk.cache_enabled());
         assert_eq!(io.grand_total(), uncached.grand_total(), "{policy}: logical count fixed");
         assert!(
@@ -124,16 +125,16 @@ fn a_warm_pool_reads_physically_less_than_logically() {
 }
 
 fn sort_faulty_cached(plan: FaultPlan, retries: u32) -> Result<SortedDoc, Box<SortFailure>> {
-    let (disk, _injector) = Disk::new_faulty(Box::new(MemDevice::new(BLOCK)), plan);
+    let mut stack = cached(4, CachePolicy::Lru, WriteMode::Back).faults(plan);
     if retries > 0 {
-        disk.set_retry_policy(RetryPolicy::retries(retries));
+        stack = stack.retry(RetryPolicy::retries(retries));
     }
+    let disk = stack.build().expect("faulty cached stack").disk;
     let input = stage_input(&disk, doc().as_bytes())
         .map_err(|e| SortFailure::classify(&disk, XmlError::Ext(e), &disk.stats().snapshot()))
         .map_err(Box::new)?;
     let spec = SortSpec::by_attribute("k");
-    let opts = opts_with(4, CachePolicy::Lru, WriteMode::Back);
-    let sorter = Nexsort::new(disk.clone(), opts, spec)
+    let sorter = Nexsort::new(disk.clone(), opts(), spec)
         .map_err(|e| SortFailure::classify(&disk, e, &disk.stats().snapshot()))
         .map_err(Box::new)?;
     sorter.try_sort_xml_extent(&input)
@@ -177,12 +178,14 @@ fn transient_faults_heal_identically_with_and_without_the_pool() {
     // The retry layer sits *below* the pool (physical ops), so a transient
     // rate that heals uncached must heal cached too, with the same output.
     let sort_under = |cache_frames: usize| -> Vec<u8> {
-        let (disk, _inj) =
-            Disk::new_faulty(Box::new(MemDevice::new(BLOCK)), FaultPlan::transient(77, 0.01));
-        disk.set_retry_policy(RetryPolicy::retries(4));
+        let disk = cached(cache_frames, CachePolicy::Clock, WriteMode::Back)
+            .faults(FaultPlan::transient(77, 0.01))
+            .retry(RetryPolicy::retries(4))
+            .build()
+            .unwrap()
+            .disk;
         let input = stage_input(&disk, doc().as_bytes()).unwrap();
-        let opts = opts_with(cache_frames, CachePolicy::Clock, WriteMode::Back);
-        let sorted = Nexsort::new(disk.clone(), opts, SortSpec::by_attribute("k"))
+        let sorted = Nexsort::new(disk.clone(), opts(), SortSpec::by_attribute("k"))
             .unwrap()
             .try_sort_xml_extent(&input)
             .unwrap_or_else(|f| panic!("cache_frames {cache_frames} must heal: {f}"));

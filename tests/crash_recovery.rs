@@ -22,7 +22,8 @@ use proptest::prelude::*;
 use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::stage_input;
 use nexsort_extmem::{
-    recover, CrashController, CrashPlan, Disk, ExtError, IoCat, Journal, MemDevice,
+    recover, CachePolicy, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent, IoCat,
+    Journal, SchedConfig, WriteMode,
 };
 use nexsort_xml::{SortSpec, XmlError};
 
@@ -45,26 +46,40 @@ fn flat_doc(n: usize) -> String {
     d
 }
 
-fn opts(workers: usize) -> NexsortOptions {
+fn opts() -> NexsortOptions {
     NexsortOptions {
         mem_frames: 8,
         degeneration: true,
         checkpoint: true,
         journal_blocks: JOURNAL_BLOCKS,
-        io_workers: workers,
-        write_behind: workers > 0,
-        cache_frames: if workers > 0 { 8 } else { 0 },
-        prefetch_depth: if workers > 0 { 4 } else { 0 },
         ..Default::default()
     }
 }
 
-fn make_disk(stripe: usize) -> (Rc<Disk>, CrashController) {
-    if stripe == 1 {
-        Disk::new_crash(Box::new(MemDevice::new(BLOCK)), CrashPlan::Disarmed)
-    } else {
-        Disk::new_striped_crash(BLOCK, stripe, CrashPlan::Disarmed)
+/// A disarmed crash-capable stack striped `stripe` ways; with `workers > 0`
+/// it also carries an 8-frame pool and a write-behind scheduler with
+/// 4-block read-ahead.
+fn make_disk(stripe: usize, workers: usize) -> (Rc<Disk>, CrashController) {
+    let mut b = DiskBuilder::new(BLOCK).stripe(stripe).crash(CrashPlan::Disarmed);
+    if workers > 0 {
+        b = b.cache(8, CachePolicy::Lru, WriteMode::Through).sched(SchedConfig {
+            workers,
+            prefetch_depth: 4,
+            write_behind: true,
+            ..SchedConfig::default()
+        });
     }
+    let stack = b.build().unwrap();
+    (stack.disk, stack.crash.unwrap())
+}
+
+/// Stage `doc` and push it through the pool and scheduler onto the device,
+/// so every crash point falls inside the sort, never inside staging.
+fn stage(disk: &Rc<Disk>, doc: &str) -> Extent {
+    let input = stage_input(disk, doc.as_bytes()).unwrap();
+    disk.cache_flush_all().unwrap();
+    disk.io_barrier().unwrap();
+    input
 }
 
 fn is_simulated_crash(e: &XmlError) -> bool {
@@ -84,9 +99,15 @@ struct Baseline {
     sort_ios: u64,
 }
 
-fn baseline(stripe: usize, o: &NexsortOptions, doc: &str, spec: &SortSpec) -> Baseline {
-    let (disk, ctl) = make_disk(stripe);
-    let input = stage_input(&disk, doc.as_bytes()).unwrap();
+fn baseline(
+    stripe: usize,
+    workers: usize,
+    o: &NexsortOptions,
+    doc: &str,
+    spec: &SortSpec,
+) -> Baseline {
+    let (disk, ctl) = make_disk(stripe, workers);
+    let input = stage(&disk, doc);
     let stage_ios = ctl.ios();
     let nx = Nexsort::new(disk, o.clone(), spec.clone()).unwrap();
     let sorted = nx.sort_xml_extent(&input).unwrap();
@@ -105,14 +126,15 @@ fn baseline(stripe: usize, o: &NexsortOptions, doc: &str, spec: &SortSpec) -> Ba
 /// (as opposed to the crash landing before any journal header survived).
 fn crash_resume_check(
     stripe: usize,
+    workers: usize,
     o: &NexsortOptions,
     doc: &str,
     spec: &SortSpec,
     base: &Baseline,
     n: u64,
 ) -> bool {
-    let (disk, ctl) = make_disk(stripe);
-    let input = stage_input(&disk, doc.as_bytes()).unwrap();
+    let (disk, ctl) = make_disk(stripe, workers);
+    let input = stage(&disk, doc);
     assert_eq!(ctl.ios(), base.stage_ios, "staging must be deterministic");
     ctl.arm_after(n);
     let nx = Nexsort::new(disk.clone(), o.clone(), spec.clone()).unwrap();
@@ -169,13 +191,13 @@ fn crash_resume_check(
 
 fn sweep_every_crash_point(stripe: usize, workers: usize) {
     let doc = flat_doc(300);
-    let o = opts(workers);
+    let o = opts();
     let spec = SortSpec::by_attribute("k");
-    let base = baseline(stripe, &o, &doc, &spec);
+    let base = baseline(stripe, workers, &o, &doc, &spec);
     assert!(base.merges >= 2, "workload too small: need intermediate passes plus a final merge");
     let mut real_resumes = 0u64;
     for n in base.stage_ios..base.sort_ios {
-        if crash_resume_check(stripe, &o, &doc, &spec, &base, n) {
+        if crash_resume_check(stripe, workers, &o, &doc, &spec, &base, n) {
             real_resumes += 1;
         }
     }
@@ -200,7 +222,7 @@ fn crash_sweep_write_behind_and_striping() {
 #[test]
 fn resume_on_a_finished_sort_reattaches_without_merge_io() {
     let doc = flat_doc(300);
-    let o = opts(0);
+    let o = opts();
     let spec = SortSpec::by_attribute("k");
     let disk = Disk::new_mem(BLOCK);
     let input = stage_input(&disk, doc.as_bytes()).unwrap();
@@ -247,8 +269,8 @@ fn standard_mode_crash_resume_restarts_and_matches() {
         ..Default::default()
     };
     let spec = SortSpec::by_attribute("k");
-    let (disk, ctl) = make_disk(1);
-    let input = stage_input(&disk, doc.as_bytes()).unwrap();
+    let (disk, ctl) = make_disk(1, 0);
+    let input = stage(&disk, &doc);
     let stage_ios = ctl.ios();
     let nx = Nexsort::new(disk, o.clone(), spec.clone()).unwrap();
     let sorted = nx.sort_xml_extent(&input).unwrap();
@@ -257,8 +279,8 @@ fn standard_mode_crash_resume_restarts_and_matches() {
     drop(sorted);
 
     for n in (stage_ios..sort_ios).step_by(5) {
-        let (disk, ctl) = make_disk(1);
-        let input = stage_input(&disk, doc.as_bytes()).unwrap();
+        let (disk, ctl) = make_disk(1, 0);
+        let input = stage(&disk, &doc);
         ctl.arm_after(n);
         let nx = Nexsort::new(disk, o.clone(), spec.clone()).unwrap();
         let Err(e) = nx.sort_xml_extent(&input) else {
@@ -279,14 +301,14 @@ fn shadow_sanitizer_stays_clean_across_crash_and_resume() {
     // the journal replay touch blocks outside the normal read/write path,
     // and any bookkeeping slip shows up as a ShadowViolation here.
     let doc = flat_doc(300);
-    let o = opts(4);
+    let o = opts();
     let spec = SortSpec::by_attribute("k");
-    let base = baseline(4, &o, &doc, &spec);
+    let base = baseline(4, 4, &o, &doc, &spec);
     let mid = base.stage_ios + (base.sort_ios - base.stage_ios) / 2;
 
-    let (disk, ctl) = make_disk(4);
+    let (disk, ctl) = make_disk(4, 4);
     disk.enable_shadow();
-    let input = stage_input(&disk, doc.as_bytes()).unwrap();
+    let input = stage(&disk, &doc);
     ctl.arm_after(mid);
     let nx = Nexsort::new(disk.clone(), o, spec).unwrap();
     let e = match nx.sort_xml_extent(&input) {
@@ -302,7 +324,7 @@ fn shadow_sanitizer_stays_clean_across_crash_and_resume() {
 #[test]
 fn a_corrupted_journal_is_a_structured_error_not_a_wrong_resume() {
     let doc = flat_doc(120);
-    let o = opts(0);
+    let o = opts();
     let spec = SortSpec::by_attribute("k");
     let disk = Disk::new_mem(BLOCK);
     let input = stage_input(&disk, doc.as_bytes()).unwrap();
@@ -358,12 +380,12 @@ fn gen_doc(height: u32, fanout: usize, seed: u64) -> String {
 }
 
 fn random_doc_crash_sweep(doc: &str, stride: u64) -> Result<(), TestCaseError> {
-    let o = opts(0);
+    let o = opts();
     let spec = SortSpec::by_attribute("k");
-    let base = baseline(1, &o, doc, &spec);
+    let base = baseline(1, 0, &o, doc, &spec);
     let mut n = base.stage_ios;
     while n < base.sort_ios {
-        crash_resume_check(1, &o, doc, &spec, &base, n);
+        crash_resume_check(1, 0, &o, doc, &spec, &base, n);
         n += stride;
     }
     Ok(())

@@ -26,7 +26,7 @@ use proptest::prelude::*;
 
 use nexsort::{Nexsort, NexsortOptions, SortReport};
 use nexsort_baseline::stage_input;
-use nexsort_extmem::{Disk, FaultKind, FaultPlan, IoCat, MemDevice};
+use nexsort_extmem::{Disk, DiskBuilder, FaultKind, FaultPlan, IoCat, SchedConfig};
 use nexsort_xml::{Rec, SortSpec};
 
 const BLOCK: usize = 128;
@@ -41,18 +41,10 @@ fn doc() -> String {
     d
 }
 
-fn opts(write_behind: bool, parity_group: usize) -> NexsortOptions {
+fn opts(parity_group: usize) -> NexsortOptions {
     // Degeneration merges scratch runs *during* the sort, so injected
     // faults exercise the repair path mid-sort, not only at output time.
-    NexsortOptions {
-        degeneration: true,
-        mem_frames: 10,
-        parity_group,
-        write_behind,
-        io_workers: if write_behind { 2 } else { 0 },
-        prefetch_depth: if write_behind { 4 } else { 0 },
-        ..Default::default()
-    }
+    NexsortOptions { degeneration: true, mem_frames: 10, parity_group, ..Default::default() }
 }
 
 /// A synchronous fault-injected in-memory disk; `faults` are device block
@@ -61,18 +53,29 @@ fn opts(write_behind: bool, parity_group: usize) -> NexsortOptions {
 /// fails checksum verification no matter how often it is retried -- a
 /// permanent hard media fault.
 fn sync_disk(faults: &[u64]) -> Rc<Disk> {
-    let (disk, inj) = Disk::new_faulty(Box::new(MemDevice::new(BLOCK)), FaultPlan::new(0));
+    let stack = DiskBuilder::new(BLOCK).faults(FaultPlan::new(0)).build().unwrap();
     for &b in faults {
-        inj.script_block_write(b, FaultKind::BitFlip);
+        stack.injectors[0].script_block_write(b, FaultKind::BitFlip);
     }
-    disk
+    stack.disk
 }
 
-/// A 2-way striped disk with per-device injectors; global block ids map to
+/// A 2-way striped disk with per-device injectors under a write-behind
+/// scheduler (2 workers, 4-block read-ahead); global block ids map to
 /// `(id % STRIPE, id / STRIPE)`.
 fn striped_disk(faults: &[u64]) -> Rc<Disk> {
-    let plans = (0..STRIPE).map(|_| FaultPlan::new(0)).collect();
-    let (disk, injs) = Disk::new_striped_faulty(BLOCK, plans);
+    let stack = DiskBuilder::new(BLOCK)
+        .stripe(STRIPE as usize)
+        .faults_per_device(vec![FaultPlan::new(0); STRIPE as usize])
+        .sched(SchedConfig {
+            workers: 2,
+            prefetch_depth: 4,
+            write_behind: true,
+            ..Default::default()
+        })
+        .build()
+        .unwrap();
+    let (disk, injs) = (stack.disk, stack.injectors);
     for &b in faults {
         injs[(b % STRIPE) as usize].script_block_write(b / STRIPE, FaultKind::BitFlip);
     }
@@ -97,6 +100,8 @@ fn run(build: &dyn Fn(&[u64]) -> Rc<Disk>, opts: &NexsortOptions, faults: &[u64]
     let disk = build(faults);
     disk.enable_shadow();
     let input = stage_input(&disk, doc().as_bytes()).expect("stage input");
+    // Drain staging's deferred writes so the trace holds the sort's alone.
+    disk.io_barrier().expect("drain staging");
     disk.start_trace();
     let nx = Nexsort::new(disk.clone(), opts.clone(), SortSpec::by_attribute("k"))
         .expect("construct sorter");
@@ -170,20 +175,18 @@ fn sweep(build: &dyn Fn(&[u64]) -> Rc<Disk>, opts: &NexsortOptions) {
 
 #[test]
 fn every_block_loss_heals_bit_identically_on_a_sync_device() {
-    sweep(&sync_disk, &opts(false, 2));
+    sweep(&sync_disk, &opts(2));
 }
 
 #[test]
 fn every_block_loss_heals_bit_identically_under_write_behind_striping() {
-    sweep(&striped_disk, &opts(true, 2));
+    sweep(&striped_disk, &opts(2));
 }
 
 #[test]
 fn fault_rate_zero_repairs_nothing_on_either_stack() {
-    for (build, wb) in
-        [(&sync_disk as &dyn Fn(&[u64]) -> Rc<Disk>, false), (&striped_disk as _, true)]
-    {
-        let out = run(build, &opts(wb, 4), &[]);
+    for build in [&sync_disk as &dyn Fn(&[u64]) -> Rc<Disk>, &striped_disk] {
+        let out = run(build, &opts(4), &[]);
         assert!(!out.report.degraded);
         assert_eq!(out.report.repairs, 0);
         assert_eq!(out.report.quarantined_blocks, 0);
@@ -197,7 +200,7 @@ fn fault_rate_zero_repairs_nothing_on_either_stack() {
 fn mirror_reference() -> &'static (Vec<Rec>, Vec<u64>, BTreeSet<u64>) {
     static REF: OnceLock<(Vec<Rec>, Vec<u64>, BTreeSet<u64>)> = OnceLock::new();
     REF.get_or_init(|| {
-        let clean = run(&sync_disk, &opts(false, 1), &[]);
+        let clean = run(&sync_disk, &opts(1), &[]);
         (clean.recs, clean.scratch, clean.read_back)
     })
 }
@@ -219,7 +222,7 @@ proptest! {
             .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();
-        let hurt = run(&sync_disk, &opts(false, 1), &faults);
+        let hurt = run(&sync_disk, &opts(1), &faults);
         prop_assert!(&hurt.recs == clean_recs, "faults at {faults:?} changed the output");
         if faults.iter().any(|b| read_back.contains(b)) {
             prop_assert!(hurt.report.degraded, "in-sort losses at {:?} must degrade", faults);

@@ -242,6 +242,45 @@ fn killed_daemon_restarts_and_resumes_every_job() {
 }
 
 #[test]
+fn write_back_job_killed_before_any_eviction_resumes_from_its_staged_input() {
+    // The pool is part of the job's stack from the start, so staging writes
+    // land in write-back frames. A pool big enough to hold the whole input
+    // and a crash on the sort's first physical I/O leave nothing but the
+    // device file: the staged extent the manifest records must already be
+    // on it, or the restart resumes from blocks that were never written.
+    let dir = tmpdir("wbstage");
+    let spec = JobSpec {
+        input: JobInput::Inline(flat_doc(300, 13)),
+        default_rule: Some("@k:num".into()),
+        block_size: BLOCK,
+        mem_frames: 8,
+        degeneration: true,
+        cache_frames: 96,
+        write_back: true,
+        crash_after_ios: Some(1),
+        ..JobSpec::default()
+    };
+    let (want, _) = {
+        let JobInput::Inline(xml) = &spec.input else { unreachable!() };
+        one_shot(xml, &spec)
+    };
+    let cfg = ServerConfig::new(1, &dir);
+    let server = Server::open(cfg.clone()).unwrap();
+    let id = server.submit(spec).unwrap();
+    let st = server.wait(id, Duration::from_secs(120)).unwrap();
+    assert_eq!(st.state, JobState::Interrupted, "{:?}", st.error);
+    server.shutdown();
+
+    let server = Server::open(cfg).unwrap();
+    let st = server.wait(id, Duration::from_secs(120)).unwrap();
+    assert_eq!(st.state, JobState::Done, "{:?}", st.error);
+    assert!(st.resumed);
+    assert_eq!(server.fetch_output(id).unwrap(), want, "resumed from a torn input");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn restart_also_reruns_jobs_that_never_started() {
     // A job killed while still queued (manifest written, no worker yet) has
     // no journal to resume from; the restart must re-run it from the input
