@@ -101,14 +101,11 @@ pub fn external_merge_sort(
 
     // Label the disk with the phase each transfer belongs to, so an
     // unrecoverable fault is reported against run formation / merge pass k /
-    // the final merge. The caller's phase is restored on success; on error
-    // the failing phase stays in force for failure classification.
-    let entry_phase = disk.phase();
+    // the final merge.
 
     // ---- Run formation ----
-    disk.set_phase(IoPhase::RunFormation);
     let mut runs: VecDeque<RunId> = VecDeque::new();
-    {
+    disk.in_phase(IoPhase::RunFormation, || {
         // One frame stays free for the spill writer.
         let free = budget.free_frames();
         if free < 2 {
@@ -154,7 +151,8 @@ pub fn external_merge_sort(
         if !buf.is_empty() || runs.is_empty() {
             spill(&mut buf, &mut scratch, &mut report, &mut runs)?;
         }
-    }
+        Ok(())
+    })?;
     report.passes = 1;
 
     // ---- Merge passes ----
@@ -173,21 +171,24 @@ pub fn external_merge_sort(
 
     // Intermediate merges until the remainder fits in one final merge.
     while runs.len() > fan_in {
-        disk.set_phase(IoPhase::MergePass(report.intermediate_merges + 1));
-        let group: Vec<RunId> = runs.drain(..fan_in).collect();
-        let streams = open_streams(&group, opts.scratch_cat)?;
-        let mut merger = KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))?;
-        let mut w = store.create(budget, opts.scratch_cat)?;
-        let mut scratch = Vec::new();
-        while let Some((p, _)) = merger.next_merged()? {
-            scratch.clear();
-            p.encode(&mut scratch)?;
-            w.write_all(&scratch)?;
-        }
-        runs.push_back(w.finish()?);
-        for id in group {
-            store.discard(id)?;
-        }
+        disk.in_phase(IoPhase::MergePass(report.intermediate_merges + 1), || -> Result<()> {
+            let group: Vec<RunId> = runs.drain(..fan_in).collect();
+            let streams = open_streams(&group, opts.scratch_cat)?;
+            let mut merger =
+                KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))?;
+            let mut w = store.create(budget, opts.scratch_cat)?;
+            let mut scratch = Vec::new();
+            while let Some((p, _)) = merger.next_merged()? {
+                scratch.clear();
+                p.encode(&mut scratch)?;
+                w.write_all(&scratch)?;
+            }
+            runs.push_back(w.finish()?);
+            for id in group {
+                store.discard(id)?;
+            }
+            Ok(())
+        })?;
         report.intermediate_merges += 1;
     }
     // Count pass levels: every intermediate merge touches a subset; the
@@ -201,26 +202,27 @@ pub fn external_merge_sort(
     report.passes += levels.max(1); // the final merge is always one pass
 
     // ---- Final merge: strip paths, write the sorted output run ----
-    disk.set_phase(IoPhase::FinalMerge);
-    let group: Vec<RunId> = runs.drain(..).collect();
-    let streams = open_streams(&group, opts.scratch_cat)?;
-    let mut merger = KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))?;
-    let mut w = store.create(budget, opts.final_cat)?;
-    let mut scratch = Vec::new();
-    while let Some((p, _)) = merger.next_merged()? {
-        scratch.clear();
-        if opts.strip_paths {
-            p.rec.encode(&mut scratch)?;
-        } else {
-            p.encode(&mut scratch)?;
+    let final_run = disk.in_phase(IoPhase::FinalMerge, || -> Result<RunId> {
+        let group: Vec<RunId> = runs.drain(..).collect();
+        let streams = open_streams(&group, opts.scratch_cat)?;
+        let mut merger = KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))?;
+        let mut w = store.create(budget, opts.final_cat)?;
+        let mut scratch = Vec::new();
+        while let Some((p, _)) = merger.next_merged()? {
+            scratch.clear();
+            if opts.strip_paths {
+                p.rec.encode(&mut scratch)?;
+            } else {
+                p.encode(&mut scratch)?;
+            }
+            w.write_all(&scratch)?;
         }
-        w.write_all(&scratch)?;
-    }
-    let final_run = w.finish()?;
-    for id in group {
-        store.discard(id)?;
-    }
-    disk.set_phase(entry_phase);
+        let final_run = w.finish()?;
+        for id in group {
+            store.discard(id)?;
+        }
+        Ok(final_run)
+    })?;
     Ok((final_run, report))
 }
 

@@ -13,7 +13,6 @@
 //!   stream-reversal pre-pass that makes complex (end-tag-resolved) ordering
 //!   criteria usable with key-path sorting.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod docsort;

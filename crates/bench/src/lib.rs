@@ -5,7 +5,6 @@
 //! The `xsort-bench` binary drives it; Criterion benches under `benches/`
 //! wrap the same experiments at quick scale.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod experiments;

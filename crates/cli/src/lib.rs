@@ -3,7 +3,6 @@
 //! `xsort`: a command-line XML sorter, merger, and batch updater built on
 //! the NEXSORT reproduction. See [`app::USAGE`] for the interface.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod app;

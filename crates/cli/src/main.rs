@@ -1,5 +1,4 @@
 //! `xsort` binary entry point.
-#![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 

@@ -144,18 +144,17 @@ impl Degenerate<'_> {
             pathed.push(PathedRec { path: KeyPath { comps: path.clone() }, rec });
         }
         pathed.sort_by(PathedRec::cmp_order);
-        // Spilling an incomplete run is run formation; on an error the
-        // phase stays set for failure classification.
-        let entry_phase = self.store.disk().phase();
-        self.store.disk().set_phase(IoPhase::RunFormation);
-        let mut w = self.store.create(self.budget, IoCat::SortScratch)?;
-        let mut buf = Vec::new();
-        for p in &pathed {
-            buf.clear();
-            p.encode(&mut buf)?;
-            w.write_all(&buf)?;
-        }
-        let run = w.finish()?;
+        // Spilling an incomplete run is run formation.
+        let run = self.store.disk().in_phase(IoPhase::RunFormation, || -> Result<RunId> {
+            let mut w = self.store.create(self.budget, IoCat::SortScratch)?;
+            let mut buf = Vec::new();
+            for p in &pathed {
+                buf.clear();
+                p.encode(&mut buf)?;
+                w.write_all(&buf)?;
+            }
+            Ok(w.finish()?)
+        })?;
         self.report.incomplete_runs += 1;
         match self.owner_depth {
             0 => self.super_pendings.push(run),
@@ -165,15 +164,12 @@ impl Degenerate<'_> {
             f.start_idx = None;
         }
         self.total_staged_bytes = 0;
-        self.store.disk().set_phase(entry_phase);
         Ok(())
     }
 
     /// Multi-level merge of incomplete runs into the complete root run.
-    /// The caller's phase is restored on success; on error the failing phase
-    /// stays in force for failure classification.
     fn merge_all(&mut self, mut runs: Vec<RunId>) -> Result<RunId> {
-        let entry_phase = self.store.disk().phase();
+        let disk = self.store.disk().clone();
         let fan_in = self.budget.free_frames().saturating_sub(1).max(2);
         let open = |store: &Rc<RunStore>, budget: &MemoryBudget, id: RunId| -> Result<PStream> {
             let left = store.run_len(id)?;
@@ -182,76 +178,80 @@ impl Degenerate<'_> {
         };
         while runs.len() > fan_in {
             let pass = self.pass_base + self.report.degenerate_merges + 1;
-            self.store.disk().set_phase(IoPhase::MergePass(pass));
-            if let Some(j) = self.journal.as_mut() {
-                // Intent record; uncommitted until the pass's checkpoint, so
-                // a crash mid-pass replays to the previous commit.
-                j.append(&JournalRecord::MergePassStarted { pass })?;
-            }
-            let group: Vec<RunId> = runs.drain(..fan_in).collect();
-            let streams = group
+            disk.in_phase(IoPhase::MergePass(pass), || -> Result<()> {
+                if let Some(j) = self.journal.as_mut() {
+                    // Intent record; uncommitted until the pass's checkpoint, so
+                    // a crash mid-pass replays to the previous commit.
+                    j.append(&JournalRecord::MergePassStarted { pass })?;
+                }
+                let group: Vec<RunId> = runs.drain(..fan_in).collect();
+                let streams = group
+                    .iter()
+                    .map(|&id| open(&self.store, self.budget, id))
+                    .collect::<Result<Vec<_>>>()?;
+                let mut merger =
+                    KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))?;
+                let mut w = self.store.create(self.budget, IoCat::SortScratch)?;
+                let mut buf = Vec::new();
+                while let Some((p, _)) = merger.next_merged()? {
+                    buf.clear();
+                    p.encode(&mut buf)?;
+                    w.write_all(&buf)?;
+                }
+                let out = w.finish()?;
+                runs.push(out);
+                if let Some(j) = self.journal.as_mut() {
+                    // Seal the output and commit the pass in one batch -- only
+                    // then may the consumed inputs be discarded, or a crash here
+                    // would find the committed pending list naming freed blocks.
+                    j.checkpoint(&[
+                        seal_record(&self.store, out)?,
+                        JournalRecord::MergePassCommitted {
+                            pass,
+                            output: out.0,
+                            consumed: group.iter().map(|r| r.0).collect(),
+                        },
+                    ])?;
+                }
+                for id in group {
+                    self.store.discard(id)?;
+                }
+                Ok(())
+            })?;
+            self.report.degenerate_merges += 1;
+        }
+        // Final merge strips key paths: the complete, sorted root run.
+        let final_run = disk.in_phase(IoPhase::FinalMerge, || -> Result<RunId> {
+            let streams = runs
                 .iter()
                 .map(|&id| open(&self.store, self.budget, id))
                 .collect::<Result<Vec<_>>>()?;
             let mut merger =
                 KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))?;
-            let mut w = self.store.create(self.budget, IoCat::SortScratch)?;
+            let mut w = self.store.create(self.budget, IoCat::RunWrite)?;
             let mut buf = Vec::new();
             while let Some((p, _)) = merger.next_merged()? {
+                if matches!(p.rec, Rec::RunPtr(_)) {
+                    self.root_has_ptrs = true;
+                }
                 buf.clear();
-                p.encode(&mut buf)?;
+                p.rec.encode(&mut buf)?;
                 w.write_all(&buf)?;
             }
-            let out = w.finish()?;
-            runs.push(out);
-            if let Some(j) = self.journal.as_mut() {
-                // Seal the output and commit the pass in one batch -- only
-                // then may the consumed inputs be discarded, or a crash here
-                // would find the committed pending list naming freed blocks.
-                j.checkpoint(&[
-                    seal_record(&self.store, out)?,
-                    JournalRecord::MergePassCommitted {
-                        pass,
-                        output: out.0,
-                        consumed: group.iter().map(|r| r.0).collect(),
-                    },
-                ])?;
+            let final_run = w.finish()?;
+            if self.journal.is_some() {
+                // The final run commits as part of `SortDone`; until that lands,
+                // the last committed pending list still names these inputs, so
+                // their discard is deferred past the commit.
+                self.deferred_discards = runs;
+            } else {
+                for id in runs {
+                    self.store.discard(id)?;
+                }
             }
-            for id in group {
-                self.store.discard(id)?;
-            }
-            self.report.degenerate_merges += 1;
-        }
-        // Final merge strips key paths: the complete, sorted root run.
-        self.store.disk().set_phase(IoPhase::FinalMerge);
-        let streams = runs
-            .iter()
-            .map(|&id| open(&self.store, self.budget, id))
-            .collect::<Result<Vec<_>>>()?;
-        let mut merger = KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))?;
-        let mut w = self.store.create(self.budget, IoCat::RunWrite)?;
-        let mut buf = Vec::new();
-        while let Some((p, _)) = merger.next_merged()? {
-            if matches!(p.rec, Rec::RunPtr(_)) {
-                self.root_has_ptrs = true;
-            }
-            buf.clear();
-            p.rec.encode(&mut buf)?;
-            w.write_all(&buf)?;
-        }
-        let final_run = w.finish()?;
-        if self.journal.is_some() {
-            // The final run commits as part of `SortDone`; until that lands,
-            // the last committed pending list still names these inputs, so
-            // their discard is deferred past the commit.
-            self.deferred_discards = runs;
-        } else {
-            for id in runs {
-                self.store.discard(id)?;
-            }
-        }
+            Ok(final_run)
+        })?;
         self.report.degenerate_merges += 1;
-        self.store.disk().set_phase(entry_phase);
         Ok(final_run)
     }
 
@@ -308,17 +308,16 @@ impl Degenerate<'_> {
                             )))
                         }
                     };
-                    let entry_phase = self.store.disk().phase();
-                    self.store.disk().set_phase(IoPhase::RunFormation);
-                    let mut w = self.store.create(self.budget, IoCat::RunWrite)?;
-                    let mut buf = Vec::new();
-                    for r in &sorted {
-                        buf.clear();
-                        r.encode(&mut buf)?;
-                        w.write_all(&buf)?;
-                    }
-                    let run = w.finish()?;
-                    self.store.disk().set_phase(entry_phase);
+                    let run = self.store.disk().in_phase(IoPhase::RunFormation, || {
+                        let mut w = self.store.create(self.budget, IoCat::RunWrite)?;
+                        let mut buf = Vec::new();
+                        for r in &sorted {
+                            buf.clear();
+                            r.encode(&mut buf)?;
+                            w.write_all(&buf)?;
+                        }
+                        Ok::<_, XmlError>(w.finish()?)
+                    })?;
                     if is_root {
                         self.root_run = Some(run);
                     } else {
@@ -367,8 +366,6 @@ pub(crate) fn sort_degenerate(
     let start_time = Instant::now();
     let stats = disk.stats();
     let io_before = stats.snapshot();
-    let entry_phase = disk.phase();
-    disk.set_phase(IoPhase::InputScan);
     let block_size = disk.block_size();
     let threshold = opts.threshold_bytes(block_size);
     let mut report = SortReport::new(block_size, opts.mem_frames, threshold);
@@ -484,7 +481,6 @@ pub(crate) fn sort_degenerate(
     disk.io_barrier()?;
     report.io = stats.snapshot().since(&io_before);
     report.elapsed = start_time.elapsed();
-    disk.set_phase(entry_phase);
     Ok((st.store, root_run, report))
 }
 
@@ -528,7 +524,6 @@ pub(crate) fn resume_degenerate(
     let start_time = Instant::now();
     let stats = disk.stats();
     let io_before = stats.snapshot();
-    let entry_phase = disk.phase();
     let block_size = disk.block_size();
     let threshold = opts.threshold_bytes(block_size);
     let mut report = SortReport::new(block_size, opts.mem_frames, threshold);
@@ -570,7 +565,6 @@ pub(crate) fn resume_degenerate(
     disk.io_barrier()?;
     report.io = stats.snapshot().since(&io_before);
     report.elapsed = start_time.elapsed();
-    disk.set_phase(entry_phase);
     Ok((st.store, root_run, report))
 }
 

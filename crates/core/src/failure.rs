@@ -214,6 +214,24 @@ mod tests {
     }
 
     #[test]
+    fn a_parse_error_keeps_the_phase_it_failed_in() {
+        // No transfer gives up here, so classification falls back to the
+        // disk's live phase label: the scan must leave it standing on error.
+        let disk = Disk::new_mem(128);
+        let input = stage_input(&disk, br#"<root><a k="2"/><b k="1"></root>"#).unwrap();
+        let nx = Nexsort::new(disk.clone(), NexsortOptions::default(), SortSpec::by_attribute("k"))
+            .unwrap();
+        let failure = match nx.try_sort_xml_extent(&input) {
+            Err(f) => f,
+            Ok(_) => panic!("a malformed document must not sort"),
+        };
+        assert_eq!(failure.phase, IoPhase::InputScan);
+        assert_eq!(failure.cat, None);
+        let msg = failure.to_string();
+        assert!(msg.contains("during input scan"), "{msg}");
+    }
+
+    #[test]
     fn non_io_errors_classify_with_unknown_transfer() {
         let disk = Disk::new_mem(128);
         let before = disk.stats().snapshot();

@@ -31,8 +31,21 @@
 //! assert_eq!(xml, r#"<staff><emp ID="3"></emp><emp ID="9"></emp></staff>"#);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Failures surface as `ExtError`/`SortFailure`, never as a panic: the
+// fault-injection and crash suites' recovery guarantees depend on it. Test
+// code may unwrap freely.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod analysis;
 mod checkpoint;

@@ -93,25 +93,22 @@ impl SortedDoc {
         let start = Instant::now();
         let stats = self.disk.stats();
         let before = stats.snapshot();
-        // On an error the phase stays set for failure classification.
-        let entry_phase = self.disk.phase();
-        self.disk.set_phase(IoPhase::OutputEmit);
-        let mut cursor = self.cursor()?;
-        let budget = MemoryBudget::new(2);
-        let mut w = self.store.create(&budget, IoCat::OutputWrite)?;
-        let mut buf = Vec::new();
-        let mut records = 0u64;
-        while let Some(rec) = cursor.next_rec()? {
-            buf.clear();
-            rec.encode(&mut buf)?;
-            w.write_all(&buf)?;
-            records += 1;
-        }
-        let run = w.finish()?;
-        let report =
-            OutputReport { records, io: stats.snapshot().since(&before), elapsed: start.elapsed() };
-        self.disk.set_phase(entry_phase);
-        Ok((run, report))
+        self.disk.in_phase(IoPhase::OutputEmit, || {
+            let mut cursor = self.cursor()?;
+            let budget = MemoryBudget::new(2);
+            let mut w = self.store.create(&budget, IoCat::OutputWrite)?;
+            let mut buf = Vec::new();
+            let mut records = 0u64;
+            while let Some(rec) = cursor.next_rec()? {
+                buf.clear();
+                rec.encode(&mut buf)?;
+                w.write_all(&buf)?;
+                records += 1;
+            }
+            let run = w.finish()?;
+            let io = stats.snapshot().since(&before);
+            Ok((run, OutputReport { records, io, elapsed: start.elapsed() }))
+        })
     }
 
     /// Collect the sorted document's records in memory (tests/inspection).
@@ -188,11 +185,7 @@ impl SortedDoc {
     /// path of Section 3.2, usable even when the document is deeper than
     /// memory. Returns the text and the records emitted.
     pub fn write_xml_external(&self, sink: &mut Vec<u8>, pretty: bool) -> Result<u64> {
-        let entry_phase = self.disk.phase();
-        self.disk.set_phase(IoPhase::OutputEmit);
-        let records = self.write_xml_external_inner(sink, pretty)?;
-        self.disk.set_phase(entry_phase);
-        Ok(records)
+        self.disk.in_phase(IoPhase::OutputEmit, || self.write_xml_external_inner(sink, pretty))
     }
 
     fn write_xml_external_inner(&self, sink: &mut Vec<u8>, pretty: bool) -> Result<u64> {

@@ -308,12 +308,17 @@ impl Nexsort {
         budget: &MemoryBudget,
         journal: &mut Option<Journal>,
     ) -> Result<(Rc<RunStore>, RunId, SortReport)> {
-        if self.opts.degeneration && !self.spec.has_deferred_keys() {
-            return crate::degenerate::sort_degenerate(
-                &self.disk, &self.opts, &self.spec, src, budget, journal,
-            );
-        }
-        self.sort_standard(src, budget, journal)
+        // The scan drives the whole sorting phase: run formation and merges
+        // nest their own phases inside it.
+        self.disk.in_phase(IoPhase::InputScan, || {
+            if self.opts.degeneration && !self.spec.has_deferred_keys() {
+                crate::degenerate::sort_degenerate(
+                    &self.disk, &self.opts, &self.spec, src, budget, journal,
+                )
+            } else {
+                self.sort_standard(src, budget, journal)
+            }
+        })
     }
 
     /// Figure 4's sorting phase, as published.
@@ -326,8 +331,6 @@ impl Nexsort {
         let start_time = Instant::now();
         let stats = self.disk.stats();
         let io_before = stats.snapshot();
-        let entry_phase = self.disk.phase();
-        self.disk.set_phase(IoPhase::InputScan);
         let block_size = self.disk.block_size();
         let threshold = self.opts.threshold_bytes(block_size);
         let mut report = SortReport::new(block_size, self.opts.mem_frames, threshold);
@@ -474,7 +477,6 @@ impl Nexsort {
         }
         report.io = stats.snapshot().since(&io_before);
         report.elapsed = start_time.elapsed();
-        self.disk.set_phase(entry_phase);
         Ok((store, root_run, report))
     }
 }

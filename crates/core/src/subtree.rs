@@ -49,14 +49,10 @@ impl SubtreeSorter<'_> {
         report.sum_sorted_bytes += len;
         report.max_sort_bytes = report.max_sort_bytes.max(len);
 
-        // On an error the failing phase stays set for failure classification.
-        let entry_phase = self.disk.phase();
-        self.disk.set_phase(IoPhase::RunFormation);
-
-        let at_depth_limit = self.depth_limit.is_some_and(|d| level > d);
-        let result = if at_depth_limit {
-            self.dump_range(stack_ext, start, len, level, report)
-        } else {
+        self.disk.in_phase(IoPhase::RunFormation, || {
+            if self.depth_limit.is_some_and(|d| level > d) {
+                return self.dump_range(stack_ext, start, len, level, report);
+            }
             let block_size = self.disk.block_size() as u64;
             // Frames left after the sorting phase's fixtures: we need one for
             // the range reader and one for the run writer; the rest buffer
@@ -69,11 +65,7 @@ impl SubtreeSorter<'_> {
             } else {
                 self.sort_external(stack_ext, start, len, level, report)
             }
-        };
-        if result.is_ok() {
-            self.disk.set_phase(entry_phase);
-        }
-        result
+        })
     }
 
     /// Internal-memory recursive sort of the range.

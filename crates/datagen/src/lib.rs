@@ -17,7 +17,6 @@
 //! [`EventSource`]s: multi-million-element documents never materialize in
 //! host memory.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::rngs::StdRng;

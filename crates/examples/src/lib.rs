@@ -1,2 +1,1 @@
 // placeholder
-#![forbid(unsafe_code)]

@@ -25,9 +25,12 @@ use std::rc::Rc;
 
 use crate::budget::MemoryBudget;
 use crate::device::{BlockDevice, Disk, FileDevice, MemDevice};
-use crate::fault::{CrashController, CrashPlan, FaultInjector, FaultPlan, RetryPolicy};
+use crate::fault::{
+    ChecksummedDevice, CrashController, CrashDevice, CrashPlan, FaultInjector, FaultPlan,
+    FaultyDevice, RetryPolicy,
+};
 use crate::pool::{CachePolicy, WriteMode};
-use crate::sched::SchedConfig;
+use crate::sched::{SchedConfig, StripedDevice};
 
 /// What backs the bottom of the stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -332,8 +335,15 @@ impl DiskBuilder {
                 } else {
                     (0..self.stripe).map(|i| base.clone().reseeded(i as u64)).collect()
                 };
-                let (disk, injectors) = Disk::new_striped_faulty(self.block_size, plans);
-                return Ok((disk, injectors, None));
+                let mut inners: Vec<Box<dyn BlockDevice>> = Vec::with_capacity(self.stripe);
+                let mut injectors = Vec::with_capacity(self.stripe);
+                for plan in plans {
+                    let faulty = FaultyDevice::new(MemDevice::new(self.block_size), plan);
+                    injectors.push(faulty.injector());
+                    inners.push(Box::new(faulty));
+                }
+                let dev = ChecksummedDevice::new(StripedDevice::new(inners));
+                return Ok((Disk::with_stripe(Box::new(dev), self.stripe), injectors, None));
             }
             let base = self.backing_device(0, created)?;
             let (disk, injector) = Disk::new_faulty(base, self.faults[0].clone());
@@ -352,26 +362,23 @@ impl DiskBuilder {
                 }
             }
         }
-
-        if let Some(plan) = self.crash {
-            if self.stripe > 1 {
-                let (disk, ctl) = Disk::new_striped_crash_over(inners, plan);
-                return Ok((disk, Vec::new(), Some(ctl)));
-            }
+        let mut dev: Box<dyn BlockDevice> = if self.stripe > 1 {
+            Box::new(StripedDevice::new(inners))
+        } else {
             let Some(single) = inners.pop() else {
                 return Err(BuildError("stripe width must be at least 1".into()));
             };
-            let (disk, ctl) = Disk::new_crash(single, plan);
-            return Ok((disk, Vec::new(), Some(ctl)));
-        }
-
-        if self.stripe > 1 {
-            return Ok((Disk::new_striped(inners), Vec::new(), None));
-        }
-        let Some(single) = inners.pop() else {
-            return Err(BuildError("stripe width must be at least 1".into()));
+            single
         };
-        Ok((Disk::new(single), Vec::new(), None))
+        // The crash layer sits above the stripe, so the I/O index that
+        // triggers the crash counts transfers across the whole stripe set.
+        let mut ctl = None;
+        if let Some(plan) = self.crash {
+            let crash = CrashDevice::new(dev, plan);
+            ctl = Some(crash.controller());
+            dev = Box::new(crash);
+        }
+        Ok((Disk::with_stripe(dev, self.stripe), Vec::new(), ctl))
     }
 }
 

@@ -18,11 +18,11 @@ use std::rc::Rc;
 use crate::budget::MemoryBudget;
 use crate::error::{ExtError, Result};
 use crate::fault::{
-    ChecksummedDevice, CrashController, CrashDevice, CrashPlan, DeviceHealth, DiskFailure,
-    FaultInjector, FaultPlan, FaultyDevice, IoPhase, RetryPolicy,
+    ChecksummedDevice, DeviceHealth, DiskFailure, FaultInjector, FaultPlan, FaultyDevice, IoPhase,
+    RetryPolicy,
 };
 use crate::pool::{CachePolicy, PinGuard, PinMutGuard, PoolCore, SlotAcquire, WriteMode};
-use crate::sched::{SchedConfig, SchedCore, StripedDevice, WbEntry};
+use crate::sched::{SchedConfig, SchedCore, WbEntry};
 use crate::shadow::ShadowState;
 use crate::stats::{CacheEvent, IoCat, IoStats, SchedEvent};
 
@@ -304,7 +304,7 @@ pub struct Disk {
     last_failure: Cell<Option<DiskFailure>>,
     pool: RefCell<Option<PoolCore>>,
     sched: RefCell<Option<SchedCore>>,
-    stripe: Cell<usize>,
+    stripe: usize,
     shadow: RefCell<Option<ShadowState>>,
     health: RefCell<DeviceHealth>,
 }
@@ -323,6 +323,13 @@ pub struct TraceEntry {
 impl Disk {
     /// Wrap an arbitrary device.
     pub fn new(dev: Box<dyn BlockDevice>) -> Rc<Self> {
+        Self::with_stripe(dev, 1)
+    }
+
+    /// Wrap `dev`, which stripes blocks round-robin over `stripe` devices;
+    /// the width routes blocks to per-device queues once a scheduler is
+    /// attached ([`DiskBuilder::sched`](crate::DiskBuilder::sched)).
+    pub(crate) fn with_stripe(dev: Box<dyn BlockDevice>, stripe: usize) -> Rc<Self> {
         let block_size = dev.block_size();
         let shadow = ShadowState::from_env(dev.num_blocks());
         Rc::new(Self {
@@ -335,7 +342,7 @@ impl Disk {
             last_failure: Cell::new(None),
             pool: RefCell::new(None),
             sched: RefCell::new(None),
-            stripe: Cell::new(1),
+            stripe: stripe.max(1),
             shadow: RefCell::new(shadow),
             health: RefCell::new(DeviceHealth::new()),
         })
@@ -366,13 +373,6 @@ impl Disk {
         (Self::new(Box::new(ChecksummedDevice::new(faulty))), injector)
     }
 
-    /// Wrap `dev` with checksum verification only (no injected faults):
-    /// real-device corruption surfaces as
-    /// [`ExtError::ChecksumMismatch`](crate::ExtError::ChecksumMismatch).
-    pub fn new_checksummed(dev: Box<dyn BlockDevice>) -> Rc<Self> {
-        Self::new(Box::new(ChecksummedDevice::new(dev)))
-    }
-
     /// Start recording every *physical* block transfer (id + direction +
     /// category). Used to inspect access patterns -- e.g. asserting that a
     /// pass is sequential, or visualizing stack paging. With a buffer pool
@@ -394,94 +394,10 @@ impl Disk {
         Self::new(Box::new(MemDevice::new(block_size)))
     }
 
-    /// A disk striped over the given inner devices (see [`StripedDevice`]).
-    /// The stripe width is remembered so a later [`Disk::enable_sched`] can
-    /// route blocks to per-device queues.
-    pub fn new_striped(inners: Vec<Box<dyn BlockDevice>>) -> Rc<Self> {
-        let n = inners.len();
-        let disk = Self::new(Box::new(StripedDevice::new(inners)));
-        disk.stripe.set(n.max(1));
-        disk
-    }
-
-    /// A disk striped over `stripe` in-memory devices.
-    pub fn new_striped_mem(block_size: usize, stripe: usize) -> Rc<Self> {
-        assert!(stripe >= 1, "a stripe needs at least one device");
-        let inners: Vec<Box<dyn BlockDevice>> =
-            (0..stripe).map(|_| Box::new(MemDevice::new(block_size)) as _).collect();
-        Self::new_striped(inners)
-    }
-
-    /// A striped in-memory disk whose inner devices are each independently
-    /// fault-injected per the matching plan (one per device), under a shared
-    /// checksum layer keyed by global block id. Returns one
-    /// [`FaultInjector`] per inner device, in stripe order.
-    pub fn new_striped_faulty(
-        block_size: usize,
-        plans: Vec<FaultPlan>,
-    ) -> (Rc<Self>, Vec<FaultInjector>) {
-        assert!(!plans.is_empty(), "a striped faulty disk needs at least one plan");
-        let mut inners: Vec<Box<dyn BlockDevice>> = Vec::with_capacity(plans.len());
-        let mut injectors = Vec::with_capacity(plans.len());
-        for plan in plans {
-            let faulty = FaultyDevice::new(MemDevice::new(block_size), plan);
-            injectors.push(faulty.injector());
-            inners.push(Box::new(faulty));
-        }
-        let n = inners.len();
-        let disk = Self::new(Box::new(ChecksummedDevice::new(StripedDevice::new(inners))));
-        disk.stripe.set(n);
-        (disk, injectors)
-    }
-
-    /// Wrap `dev` in a [`CrashDevice`] armed per `plan`: at the crash point
-    /// every transfer starts failing with
-    /// [`ExtError::SimulatedCrash`](crate::ExtError::SimulatedCrash) and the
-    /// device image freezes until the returned [`CrashController`] thaws it.
-    pub fn new_crash(dev: Box<dyn BlockDevice>, plan: CrashPlan) -> (Rc<Self>, CrashController) {
-        let crash = CrashDevice::new(dev, plan);
-        let ctl = crash.controller();
-        (Self::new(Box::new(crash)), ctl)
-    }
-
-    /// A crash-injected disk striped over `stripe` in-memory devices. The
-    /// crash layer sits *above* the stripe, so the I/O index that triggers
-    /// the crash counts transfers across the whole stripe set.
-    pub fn new_striped_crash(
-        block_size: usize,
-        stripe: usize,
-        plan: CrashPlan,
-    ) -> (Rc<Self>, CrashController) {
-        assert!(stripe >= 1, "a stripe needs at least one device");
-        let inners: Vec<Box<dyn BlockDevice>> =
-            (0..stripe).map(|_| Box::new(MemDevice::new(block_size)) as _).collect();
-        let crash = CrashDevice::new(StripedDevice::new(inners), plan);
-        let ctl = crash.controller();
-        let disk = Self::new(Box::new(crash));
-        disk.stripe.set(stripe);
-        (disk, ctl)
-    }
-
-    /// Like [`new_striped_crash`](Self::new_striped_crash) but over
-    /// caller-supplied inner devices (e.g. file-backed stripes), for
-    /// assembly sites that need crash injection above a non-memory stripe.
-    pub fn new_striped_crash_over(
-        inners: Vec<Box<dyn BlockDevice>>,
-        plan: CrashPlan,
-    ) -> (Rc<Self>, CrashController) {
-        assert!(!inners.is_empty(), "a stripe needs at least one device");
-        let n = inners.len();
-        let crash = CrashDevice::new(StripedDevice::new(inners), plan);
-        let ctl = crash.controller();
-        let disk = Self::new(Box::new(crash));
-        disk.stripe.set(n);
-        (disk, ctl)
-    }
-
     /// How many devices the underlying storage is striped across (1 when
     /// not striped).
     pub fn stripe_width(&self) -> usize {
-        self.stripe.get()
+        self.stripe
     }
 
     /// A file-backed disk at `path` (truncates any existing file).
@@ -522,7 +438,7 @@ impl Disk {
             s.wb.retain(|e| e.block != block);
             s.inflight.remove(&block);
         }
-        let device = (block % self.stripe.get().max(1) as u64) as u32;
+        let device = (block % self.stripe as u64) as u32;
         self.health.borrow_mut().quarantine(block, device);
     }
 
@@ -559,9 +475,28 @@ impl Disk {
     }
 
     /// Label subsequent transfers with the algorithm phase performing them,
-    /// so failures can be reported against it.
-    pub fn set_phase(&self, phase: IoPhase) {
+    /// so failures can be reported against it. Crate-private: everything
+    /// outside the substrate stamps a phase through [`Disk::in_phase`],
+    /// which cannot forget to restore it.
+    pub(crate) fn set_phase(&self, phase: IoPhase) {
         self.phase.set(phase);
+    }
+
+    /// Run `f` with its transfers labelled `phase`. When `f` succeeds the
+    /// caller's phase is restored; when it fails the failing phase stays in
+    /// force, so [`Disk::phase`] still names where the work died (failure
+    /// classification falls back to it when no transfer gave up).
+    pub fn in_phase<T, E>(
+        &self,
+        phase: IoPhase,
+        f: impl FnOnce() -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        let entry = self.phase.replace(phase);
+        let out = f();
+        if out.is_ok() {
+            self.phase.set(entry);
+        }
+        out
     }
 
     /// The phase label currently in force.
@@ -1176,7 +1111,8 @@ impl Disk {
     }
 }
 
-/// I/O scheduler management (see [`SchedConfig`] and [`StripedDevice`]).
+/// I/O scheduler management (see [`SchedConfig`] and
+/// [`StripedDevice`](crate::StripedDevice)).
 impl Disk {
     /// Enable the asynchronous I/O scheduler. Read-ahead additionally needs
     /// a buffer pool ([`Disk::enable_cache`]) to hold prefetched frames.
@@ -1188,7 +1124,7 @@ impl Disk {
     pub(crate) fn enable_sched(&self, cfg: SchedConfig) {
         let mut slot = self.sched.borrow_mut();
         assert!(slot.is_none(), "I/O scheduler already enabled on this disk");
-        *slot = Some(SchedCore::new(cfg, self.stripe.get()));
+        *slot = Some(SchedCore::new(cfg, self.stripe));
     }
 
     /// Whether an I/O scheduler is currently enabled.

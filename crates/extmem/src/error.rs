@@ -81,8 +81,11 @@ impl ExtError {
     /// transient; everything else is a logic error, a hard media fault, or an
     /// exhausted retry budget, where retrying again is pointless.
     ///
-    /// Every variant is classified explicitly (no wildcard arm) so that
-    /// adding a variant forces a decision here; xlint rule R10 enforces this.
+    /// Every variant is classified explicitly (no `_` or binding catch-all
+    /// arm) so that adding a variant forces a decision here; the two clippy
+    /// lints denied on this function enforce it (the second one covers a
+    /// catch-all that happens to absorb a single variant).
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     pub fn is_transient(&self) -> bool {
         match self {
             ExtError::Io(_) | ExtError::ChecksumMismatch { .. } => true,

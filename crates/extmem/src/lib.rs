@@ -39,8 +39,21 @@
 //! OS threads, so the paper's sequential logical I/O accounting -- and every
 //! run's bit-for-bit reproducibility -- survives intact.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Failures surface as `ExtError`/`SortFailure`, never as a panic: the
+// fault-injection and crash suites' recovery guarantees depend on it. Test
+// code may unwrap freely.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod arbiter;
 mod budget;

@@ -177,7 +177,7 @@ impl<T> Deref for TrackedGuard<'_, T> {
             Some(g) => g,
             // The empty slot exists only inside TrackedCondvar::wait,
             // which owns the guard exclusively.
-            // xlint::allow(R2): structurally-unreachable empty-slot arm.
+            #[expect(clippy::unreachable, reason = "the slot is empty only inside wait")]
             None => unreachable!("TrackedGuard slot empty outside wait"),
         }
     }
@@ -187,7 +187,7 @@ impl<T> DerefMut for TrackedGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         match self.guard.as_mut() {
             Some(g) => g,
-            // xlint::allow(R2): see Deref — structurally unreachable.
+            #[expect(clippy::unreachable, reason = "see Deref: empty only inside wait")]
             None => unreachable!("TrackedGuard slot empty outside wait"),
         }
     }

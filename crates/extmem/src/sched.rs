@@ -360,7 +360,8 @@ mod core_tests {
 #[cfg(test)]
 mod striped_tests {
     use super::*;
-    use crate::device::{Disk, MemDevice};
+    use crate::build::DiskBuilder;
+    use crate::device::MemDevice;
     use crate::fault::{FaultKind, FaultPlan, FaultyDevice};
 
     fn mems(n: usize, bs: usize) -> Vec<Box<dyn BlockDevice>> {
@@ -378,7 +379,7 @@ mod striped_tests {
 
     #[test]
     fn striped_blocks_roundtrip_and_recycle() {
-        let disk = Disk::new_striped_mem(64, 4);
+        let disk = DiskBuilder::new(64).stripe(4).build().unwrap().disk;
         assert_eq!(disk.stripe_width(), 4);
         let ids: Vec<u64> = (0..8).map(|_| disk.alloc_block()).collect();
         for (i, &id) in ids.iter().enumerate() {
@@ -422,6 +423,7 @@ mod striped_tests {
 mod disk_sched_tests {
     use super::*;
     use crate::budget::MemoryBudget;
+    use crate::build::DiskBuilder;
     use crate::device::{Disk, MemDevice};
     use crate::extent::{ByteReader, ByteSink, ExtentReader, ExtentWriter};
     use crate::fault::{FaultKind, FaultPlan};
@@ -644,7 +646,7 @@ mod disk_sched_tests {
         let sync_disk = Disk::new_mem(BS);
         let (sync_bytes, sync_ticks) = extent_workload(&sync_disk);
 
-        let async_disk = Disk::new_striped_mem(BS, 4);
+        let async_disk = DiskBuilder::new(BS).stripe(4).build().unwrap().disk;
         let cache_budget = MemoryBudget::new(16);
         async_disk.enable_cache(&cache_budget, 16, CachePolicy::Lru, WriteMode::Through).unwrap();
         async_disk.enable_sched(SchedConfig {

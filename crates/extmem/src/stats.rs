@@ -7,7 +7,7 @@
 //! tagged with an [`IoCat`] so experiments can report exactly that breakdown
 //! and tests can check each of Lemmas 4.9-4.13 individually.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
@@ -135,38 +135,15 @@ pub enum SchedEvent {
     DeferredWrite,
 }
 
-#[derive(Default)]
-struct Counters {
-    reads: [Cell<u64>; NCATS],
-    writes: [Cell<u64>; NCATS],
-    // Physical transfers: what actually reached the device. Equal to the
-    // logical counts above unless a buffer pool absorbs or defers some.
-    phys_reads: [Cell<u64>; NCATS],
-    phys_writes: [Cell<u64>; NCATS],
-    retries: [Cell<u64>; NCATS],
-    backoff_units: Cell<u64>,
-    // Buffer-pool events, bucketed by IoPhase class.
-    cache_hits: [Cell<u64>; NPHASES],
-    cache_misses: [Cell<u64>; NPHASES],
-    cache_evictions: [Cell<u64>; NPHASES],
-    cache_writebacks: [Cell<u64>; NPHASES],
-    // I/O-scheduler events, bucketed by IoPhase class.
-    prefetch_issued: [Cell<u64>; NPHASES],
-    prefetch_hits: [Cell<u64>; NPHASES],
-    prefetch_wasted: [Cell<u64>; NPHASES],
-    deferred_writes: [Cell<u64>; NPHASES],
-    // Write-ahead journal events (records appended / commit records).
-    journal_appends: Cell<u64>,
-    journal_commits: Cell<u64>,
-}
-
 /// Shared, cheaply-clonable I/O counters.
 ///
 /// Cloning an `IoStats` yields a handle onto the same counters; the device
 /// and every paged structure hold one, so a single snapshot sees all traffic.
+/// The live counters are themselves an [`IoSnapshot`], so reset and snapshot
+/// cover every counter by construction.
 #[derive(Clone, Default)]
 pub struct IoStats {
-    inner: Rc<Counters>,
+    inner: Rc<RefCell<IoSnapshot>>,
 }
 
 impl IoStats {
@@ -177,77 +154,73 @@ impl IoStats {
 
     /// Record `n` block reads in category `cat`.
     pub fn add_reads(&self, cat: IoCat, n: u64) {
-        let c = &self.inner.reads[cat.index()];
-        c.set(c.get() + n);
+        self.inner.borrow_mut().reads[cat.index()] += n;
     }
 
     /// Record `n` block writes in category `cat`.
     pub fn add_writes(&self, cat: IoCat, n: u64) {
-        let c = &self.inner.writes[cat.index()];
-        c.set(c.get() + n);
+        self.inner.borrow_mut().writes[cat.index()] += n;
     }
 
     /// Record `n` *physical* block reads in category `cat` -- transfers that
     /// actually reached the device. The [`Disk`](crate::Disk) charges one per
     /// device read; a buffer-pool hit charges the logical read only.
     pub fn add_phys_reads(&self, cat: IoCat, n: u64) {
-        let c = &self.inner.phys_reads[cat.index()];
-        c.set(c.get() + n);
+        self.inner.borrow_mut().phys_reads[cat.index()] += n;
     }
 
     /// Record `n` physical block writes in category `cat`.
     pub fn add_phys_writes(&self, cat: IoCat, n: u64) {
-        let c = &self.inner.phys_writes[cat.index()];
-        c.set(c.get() + n);
+        self.inner.borrow_mut().phys_writes[cat.index()] += n;
     }
 
     /// Roll back `n` block reads from `cat` (saturating). Used to make
     /// harness setup work (staging inputs) invisible to measurements.
     pub fn sub_reads(&self, cat: IoCat, n: u64) {
-        let c = &self.inner.reads[cat.index()];
-        c.set(c.get().saturating_sub(n));
+        let c = &mut self.inner.borrow_mut().reads[cat.index()];
+        *c = c.saturating_sub(n);
     }
 
     /// Roll back `n` block writes from `cat` (saturating).
     pub fn sub_writes(&self, cat: IoCat, n: u64) {
-        let c = &self.inner.writes[cat.index()];
-        c.set(c.get().saturating_sub(n));
+        let c = &mut self.inner.borrow_mut().writes[cat.index()];
+        *c = c.saturating_sub(n);
     }
 
     /// Roll back `n` physical block reads from `cat` (saturating).
     pub fn sub_phys_reads(&self, cat: IoCat, n: u64) {
-        let c = &self.inner.phys_reads[cat.index()];
-        c.set(c.get().saturating_sub(n));
+        let c = &mut self.inner.borrow_mut().phys_reads[cat.index()];
+        *c = c.saturating_sub(n);
     }
 
     /// Roll back `n` physical block writes from `cat` (saturating).
     pub fn sub_phys_writes(&self, cat: IoCat, n: u64) {
-        let c = &self.inner.phys_writes[cat.index()];
-        c.set(c.get().saturating_sub(n));
+        let c = &mut self.inner.borrow_mut().phys_writes[cat.index()];
+        *c = c.saturating_sub(n);
     }
 
     /// Record one buffer-pool `event` against the class of `phase`.
     pub fn add_cache_event(&self, phase: IoPhase, event: CacheEvent) {
-        let i = phase.class_index();
-        let c = match event {
-            CacheEvent::Hit => &self.inner.cache_hits[i],
-            CacheEvent::Miss => &self.inner.cache_misses[i],
-            CacheEvent::Eviction => &self.inner.cache_evictions[i],
-            CacheEvent::DirtyWriteback => &self.inner.cache_writebacks[i],
+        let mut s = self.inner.borrow_mut();
+        let row = match event {
+            CacheEvent::Hit => &mut s.cache_hits,
+            CacheEvent::Miss => &mut s.cache_misses,
+            CacheEvent::Eviction => &mut s.cache_evictions,
+            CacheEvent::DirtyWriteback => &mut s.cache_writebacks,
         };
-        c.set(c.get() + 1);
+        row[phase.class_index()] += 1;
     }
 
     /// Record one I/O-scheduler `event` against the class of `phase`.
     pub fn add_sched_event(&self, phase: IoPhase, event: SchedEvent) {
-        let i = phase.class_index();
-        let c = match event {
-            SchedEvent::PrefetchIssued => &self.inner.prefetch_issued[i],
-            SchedEvent::PrefetchHit => &self.inner.prefetch_hits[i],
-            SchedEvent::PrefetchWasted => &self.inner.prefetch_wasted[i],
-            SchedEvent::DeferredWrite => &self.inner.deferred_writes[i],
+        let mut s = self.inner.borrow_mut();
+        let row = match event {
+            SchedEvent::PrefetchIssued => &mut s.prefetch_issued,
+            SchedEvent::PrefetchHit => &mut s.prefetch_hits,
+            SchedEvent::PrefetchWasted => &mut s.prefetch_wasted,
+            SchedEvent::DeferredWrite => &mut s.deferred_writes,
         };
-        c.set(c.get() + 1);
+        row[phase.class_index()] += 1;
     }
 
     /// Record `n` retried transfer attempts in category `cat`. Retries are
@@ -255,164 +228,94 @@ impl IoStats {
     /// each *logical* transfer once, and this counter exposes how many extra
     /// physical attempts the retry policy spent on top.
     pub fn add_retries(&self, cat: IoCat, n: u64) {
-        let c = &self.inner.retries[cat.index()];
-        c.set(c.get() + n);
+        self.inner.borrow_mut().retries[cat.index()] += n;
     }
 
     /// Record `n` units of simulated retry backoff (dimensionless; see
     /// `RetryPolicy`).
     pub fn add_backoff(&self, n: u64) {
-        let c = &self.inner.backoff_units;
-        c.set(c.get() + n);
+        self.inner.borrow_mut().backoff_units += n;
     }
 
     /// Record `n` journal records appended (intent records and data, not
     /// block transfers -- the transfers are charged to [`IoCat::Journal`]).
     pub fn add_journal_appends(&self, n: u64) {
-        let c = &self.inner.journal_appends;
-        c.set(c.get() + n);
+        self.inner.borrow_mut().journal_appends += n;
     }
 
     /// Record `n` journal *commit* records appended.
     pub fn add_journal_commits(&self, n: u64) {
-        let c = &self.inner.journal_commits;
-        c.set(c.get() + n);
+        self.inner.borrow_mut().journal_commits += n;
     }
 
     /// Journal records appended so far (commits included).
     pub fn journal_appends(&self) -> u64 {
-        self.inner.journal_appends.get()
+        self.inner.borrow().journal_appends
     }
 
     /// Journal commit records appended so far.
     pub fn journal_commits(&self) -> u64 {
-        self.inner.journal_commits.get()
+        self.inner.borrow().journal_commits
     }
 
     /// Retried transfer attempts charged to `cat` so far.
     pub fn retries(&self, cat: IoCat) -> u64 {
-        self.inner.retries[cat.index()].get()
+        self.inner.borrow().retries(cat)
     }
 
     /// Retried transfer attempts across all categories.
     pub fn total_retries(&self) -> u64 {
-        IoCat::ALL.iter().map(|&c| self.retries(c)).sum()
+        self.inner.borrow().total_retries()
     }
 
     /// Simulated backoff spent so far, in policy units.
     pub fn backoff_units(&self) -> u64 {
-        self.inner.backoff_units.get()
+        self.inner.borrow().backoff_units
     }
 
     /// Block reads charged to `cat` so far.
     pub fn reads(&self, cat: IoCat) -> u64 {
-        self.inner.reads[cat.index()].get()
+        self.inner.borrow().reads(cat)
     }
 
     /// Block writes charged to `cat` so far.
     pub fn writes(&self, cat: IoCat) -> u64 {
-        self.inner.writes[cat.index()].get()
+        self.inner.borrow().writes(cat)
     }
 
     /// Physical block reads charged to `cat` so far.
     pub fn phys_reads(&self, cat: IoCat) -> u64 {
-        self.inner.phys_reads[cat.index()].get()
+        self.inner.borrow().phys_reads(cat)
     }
 
     /// Physical block writes charged to `cat` so far.
     pub fn phys_writes(&self, cat: IoCat) -> u64 {
-        self.inner.phys_writes[cat.index()].get()
+        self.inner.borrow().phys_writes(cat)
     }
 
     /// Reads + writes charged to `cat`.
     pub fn total(&self, cat: IoCat) -> u64 {
-        self.reads(cat) + self.writes(cat)
+        self.inner.borrow().total(cat)
     }
 
     /// Grand total of all block transfers, every category.
     pub fn grand_total(&self) -> u64 {
-        IoCat::ALL.iter().map(|&c| self.total(c)).sum()
+        self.inner.borrow().grand_total()
     }
 
     /// Grand total of *physical* transfers across all categories.
     pub fn grand_total_physical(&self) -> u64 {
-        IoCat::ALL.iter().map(|&c| self.phys_reads(c) + self.phys_writes(c)).sum()
+        self.inner.borrow().grand_total_physical()
     }
 
     /// Reset every counter to zero.
     pub fn reset(&self) {
-        for i in 0..NCATS {
-            self.inner.reads[i].set(0);
-            self.inner.writes[i].set(0);
-            self.inner.phys_reads[i].set(0);
-            self.inner.phys_writes[i].set(0);
-            self.inner.retries[i].set(0);
-        }
-        for i in 0..NPHASES {
-            self.inner.cache_hits[i].set(0);
-            self.inner.cache_misses[i].set(0);
-            self.inner.cache_evictions[i].set(0);
-            self.inner.cache_writebacks[i].set(0);
-            self.inner.prefetch_issued[i].set(0);
-            self.inner.prefetch_hits[i].set(0);
-            self.inner.prefetch_wasted[i].set(0);
-            self.inner.deferred_writes[i].set(0);
-        }
-        self.inner.backoff_units.set(0);
-        self.inner.journal_appends.set(0);
-        self.inner.journal_commits.set(0);
+        *self.inner.borrow_mut() = IoSnapshot::default();
     }
 
     /// An owned point-in-time copy of all counters, for before/after diffs.
     pub fn snapshot(&self) -> IoSnapshot {
-        let mut reads = [0u64; NCATS];
-        let mut writes = [0u64; NCATS];
-        let mut phys_reads = [0u64; NCATS];
-        let mut phys_writes = [0u64; NCATS];
-        let mut retries = [0u64; NCATS];
-        for i in 0..NCATS {
-            reads[i] = self.inner.reads[i].get();
-            writes[i] = self.inner.writes[i].get();
-            phys_reads[i] = self.inner.phys_reads[i].get();
-            phys_writes[i] = self.inner.phys_writes[i].get();
-            retries[i] = self.inner.retries[i].get();
-        }
-        let mut cache_hits = [0u64; NPHASES];
-        let mut cache_misses = [0u64; NPHASES];
-        let mut cache_evictions = [0u64; NPHASES];
-        let mut cache_writebacks = [0u64; NPHASES];
-        let mut prefetch_issued = [0u64; NPHASES];
-        let mut prefetch_hits = [0u64; NPHASES];
-        let mut prefetch_wasted = [0u64; NPHASES];
-        let mut deferred_writes = [0u64; NPHASES];
-        for i in 0..NPHASES {
-            cache_hits[i] = self.inner.cache_hits[i].get();
-            cache_misses[i] = self.inner.cache_misses[i].get();
-            cache_evictions[i] = self.inner.cache_evictions[i].get();
-            cache_writebacks[i] = self.inner.cache_writebacks[i].get();
-            prefetch_issued[i] = self.inner.prefetch_issued[i].get();
-            prefetch_hits[i] = self.inner.prefetch_hits[i].get();
-            prefetch_wasted[i] = self.inner.prefetch_wasted[i].get();
-            deferred_writes[i] = self.inner.deferred_writes[i].get();
-        }
-        IoSnapshot {
-            reads,
-            writes,
-            phys_reads,
-            phys_writes,
-            retries,
-            backoff_units: self.inner.backoff_units.get(),
-            cache_hits,
-            cache_misses,
-            cache_evictions,
-            cache_writebacks,
-            prefetch_issued,
-            prefetch_hits,
-            prefetch_wasted,
-            deferred_writes,
-            journal_appends: self.inner.journal_appends.get(),
-            journal_commits: self.inner.journal_commits.get(),
-        }
+        *self.inner.borrow()
     }
 }
 
@@ -422,23 +325,32 @@ impl fmt::Debug for IoStats {
     }
 }
 
-/// An immutable copy of the counters; subtraction gives interval costs.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// Every I/O counter as one value: [`IoStats`] holds the live one and
+/// [`IoStats::snapshot`] copies it; subtraction gives interval costs.
+///
+/// [`since`](Self::since) and the `Display` impl name every field (no `..`),
+/// so a new counter does not compile until both handle it.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoSnapshot {
     reads: [u64; NCATS],
     writes: [u64; NCATS],
+    // Physical transfers: what actually reached the device. Equal to the
+    // logical counts above unless a buffer pool absorbs or defers some.
     phys_reads: [u64; NCATS],
     phys_writes: [u64; NCATS],
     retries: [u64; NCATS],
     backoff_units: u64,
+    // Buffer-pool events, bucketed by IoPhase class.
     cache_hits: [u64; NPHASES],
     cache_misses: [u64; NPHASES],
     cache_evictions: [u64; NPHASES],
     cache_writebacks: [u64; NPHASES],
+    // I/O-scheduler events, bucketed by IoPhase class.
     prefetch_issued: [u64; NPHASES],
     prefetch_hits: [u64; NPHASES],
     prefetch_wasted: [u64; NPHASES],
     deferred_writes: [u64; NPHASES],
+    // Write-ahead journal events (records appended / commit records).
     journal_appends: u64,
     journal_commits: u64,
 }
@@ -618,34 +530,31 @@ impl IoSnapshot {
 
     /// Counter-wise difference `self - earlier` (saturating).
     pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        let mut out = *self;
-        for i in 0..NCATS {
-            out.reads[i] = out.reads[i].saturating_sub(earlier.reads[i]);
-            out.writes[i] = out.writes[i].saturating_sub(earlier.writes[i]);
-            out.phys_reads[i] = out.phys_reads[i].saturating_sub(earlier.phys_reads[i]);
-            out.phys_writes[i] = out.phys_writes[i].saturating_sub(earlier.phys_writes[i]);
-            out.retries[i] = out.retries[i].saturating_sub(earlier.retries[i]);
+        let e = earlier;
+        IoSnapshot {
+            reads: diff(self.reads, e.reads),
+            writes: diff(self.writes, e.writes),
+            phys_reads: diff(self.phys_reads, e.phys_reads),
+            phys_writes: diff(self.phys_writes, e.phys_writes),
+            retries: diff(self.retries, e.retries),
+            backoff_units: self.backoff_units.saturating_sub(e.backoff_units),
+            cache_hits: diff(self.cache_hits, e.cache_hits),
+            cache_misses: diff(self.cache_misses, e.cache_misses),
+            cache_evictions: diff(self.cache_evictions, e.cache_evictions),
+            cache_writebacks: diff(self.cache_writebacks, e.cache_writebacks),
+            prefetch_issued: diff(self.prefetch_issued, e.prefetch_issued),
+            prefetch_hits: diff(self.prefetch_hits, e.prefetch_hits),
+            prefetch_wasted: diff(self.prefetch_wasted, e.prefetch_wasted),
+            deferred_writes: diff(self.deferred_writes, e.deferred_writes),
+            journal_appends: self.journal_appends.saturating_sub(e.journal_appends),
+            journal_commits: self.journal_commits.saturating_sub(e.journal_commits),
         }
-        for i in 0..NPHASES {
-            out.cache_hits[i] = out.cache_hits[i].saturating_sub(earlier.cache_hits[i]);
-            out.cache_misses[i] = out.cache_misses[i].saturating_sub(earlier.cache_misses[i]);
-            out.cache_evictions[i] =
-                out.cache_evictions[i].saturating_sub(earlier.cache_evictions[i]);
-            out.cache_writebacks[i] =
-                out.cache_writebacks[i].saturating_sub(earlier.cache_writebacks[i]);
-            out.prefetch_issued[i] =
-                out.prefetch_issued[i].saturating_sub(earlier.prefetch_issued[i]);
-            out.prefetch_hits[i] = out.prefetch_hits[i].saturating_sub(earlier.prefetch_hits[i]);
-            out.prefetch_wasted[i] =
-                out.prefetch_wasted[i].saturating_sub(earlier.prefetch_wasted[i]);
-            out.deferred_writes[i] =
-                out.deferred_writes[i].saturating_sub(earlier.deferred_writes[i]);
-        }
-        out.backoff_units = out.backoff_units.saturating_sub(earlier.backoff_units);
-        out.journal_appends = out.journal_appends.saturating_sub(earlier.journal_appends);
-        out.journal_commits = out.journal_commits.saturating_sub(earlier.journal_commits);
-        out
     }
+}
+
+/// Element-wise saturating `now - then`.
+fn diff<const N: usize>(now: [u64; N], then: [u64; N]) -> [u64; N] {
+    std::array::from_fn(|i| now[i].saturating_sub(then[i]))
 }
 
 impl fmt::Debug for IoSnapshot {
@@ -690,50 +599,62 @@ impl fmt::Debug for IoSnapshot {
 /// byte-identical to the plain synchronous substrate in that case.
 impl fmt::Display for IoSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Every counter is bound here; one the report leaves unused is a
+        // warning, which the workspace's `-D warnings` gate rejects.
+        let IoSnapshot {
+            reads,
+            writes,
+            phys_reads,
+            phys_writes,
+            retries,
+            backoff_units,
+            cache_hits,
+            cache_misses,
+            cache_evictions,
+            cache_writebacks,
+            prefetch_issued,
+            prefetch_hits,
+            prefetch_wasted,
+            deferred_writes,
+            journal_appends,
+            journal_commits,
+        } = self;
+        let sum = |row: &[u64]| row.iter().sum::<u64>();
         writeln!(f, "{:<14} {:>12} {:>12} {:>12}", "category", "reads", "writes", "total")?;
         for cat in IoCat::ALL {
-            if self.total(cat) > 0 {
-                writeln!(
-                    f,
-                    "{:<14} {:>12} {:>12} {:>12}",
-                    cat.label(),
-                    self.reads(cat),
-                    self.writes(cat),
-                    self.total(cat)
-                )?;
+            let (r, w) = (reads[cat.index()], writes[cat.index()]);
+            if r + w > 0 {
+                writeln!(f, "{:<14} {:>12} {:>12} {:>12}", cat.label(), r, w, r + w)?;
             }
         }
-        write!(f, "{:<14} {:>12} {:>12} {:>12}", "TOTAL", "", "", self.grand_total())?;
+        let total = sum(reads) + sum(writes);
+        write!(f, "{:<14} {:>12} {:>12} {:>12}", "TOTAL", "", "", total)?;
         // Pool lines appear only when a buffer pool was in play, keeping the
         // report byte-identical to the uncached substrate otherwise.
-        if self.total_cache_hits() + self.total_cache_misses() > 0
-            || self.grand_total_physical() != self.grand_total()
-        {
+        let (hits, misses) = (sum(cache_hits), sum(cache_misses));
+        let (phys_r, phys_w) = (sum(phys_reads), sum(phys_writes));
+        if hits + misses > 0 || phys_r + phys_w != total {
             write!(
                 f,
                 "\n{:<14} {:>12} {:>12} {:>12}",
                 "PHYSICAL",
-                self.total_phys_reads(),
-                self.total_phys_writes(),
-                self.grand_total_physical()
+                phys_r,
+                phys_w,
+                phys_r + phys_w
             )?;
             let ratio = self.cache_hit_ratio().unwrap_or(0.0) * 100.0;
             write!(
                 f,
                 "\n{:<14} {:>12} hits / {} misses ({ratio:.1}% hit ratio), {} evictions, {} writebacks",
                 "CACHE",
-                self.total_cache_hits(),
-                self.total_cache_misses(),
-                self.total_cache_evictions(),
-                self.total_cache_writebacks()
+                hits,
+                misses,
+                sum(cache_evictions),
+                sum(cache_writebacks)
             )?;
             for i in 0..NPHASES {
-                let (h, m, e, w) = (
-                    self.cache_hits[i],
-                    self.cache_misses[i],
-                    self.cache_evictions[i],
-                    self.cache_writebacks[i],
-                );
+                let (h, m, e, w) =
+                    (cache_hits[i], cache_misses[i], cache_evictions[i], cache_writebacks[i]);
                 if h + m + e + w > 0 {
                     write!(
                         f,
@@ -748,28 +669,17 @@ impl fmt::Display for IoSnapshot {
             }
         }
         // Scheduler lines likewise appear only when a scheduler was active.
-        if self.total_prefetch_issued()
-            + self.total_prefetch_hits()
-            + self.total_prefetch_wasted()
-            + self.total_deferred_writes()
-            > 0
-        {
+        let (p, h, wa, d) =
+            (sum(prefetch_issued), sum(prefetch_hits), sum(prefetch_wasted), sum(deferred_writes));
+        if p + h + wa + d > 0 {
             write!(
                 f,
                 "\n{:<14} {:>12} prefetched ({} hits, {} wasted), {} deferred writes",
-                "SCHED",
-                self.total_prefetch_issued(),
-                self.total_prefetch_hits(),
-                self.total_prefetch_wasted(),
-                self.total_deferred_writes()
+                "SCHED", p, h, wa, d
             )?;
             for i in 0..NPHASES {
-                let (p, h, wa, d) = (
-                    self.prefetch_issued[i],
-                    self.prefetch_hits[i],
-                    self.prefetch_wasted[i],
-                    self.deferred_writes[i],
-                );
+                let (p, h, wa, d) =
+                    (prefetch_issued[i], prefetch_hits[i], prefetch_wasted[i], deferred_writes[i]);
                 if p + h + wa + d > 0 {
                     write!(
                         f,
@@ -783,20 +693,19 @@ impl fmt::Display for IoSnapshot {
                 }
             }
         }
-        if self.journal_appends > 0 {
+        if *journal_appends > 0 {
             write!(
                 f,
                 "\n{:<14} {:>12} records appended, {} commits",
-                "JOURNAL", self.journal_appends, self.journal_commits
+                "JOURNAL", journal_appends, journal_commits
             )?;
         }
-        if self.total_retries() > 0 || self.backoff_units > 0 {
+        let retried = sum(retries);
+        if retried > 0 || *backoff_units > 0 {
             write!(
                 f,
                 "\n{:<14} {:>12} retried attempts, {} backoff units",
-                "RETRIES",
-                self.total_retries(),
-                self.backoff_units
+                "RETRIES", retried, backoff_units
             )?;
         }
         Ok(())

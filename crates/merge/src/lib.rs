@@ -13,7 +13,6 @@
 //! * [`annotate_order`] / [`restore_order`] -- the sequence-number trick
 //!   that preserves original document order across a sort + merge pipeline.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cursor;

@@ -18,7 +18,6 @@
 //!   at the next amortized restructuring merge. Wei & Yi's equivalence
 //!   result says this costs what sorting costs -- and no more.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod extpq;

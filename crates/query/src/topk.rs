@@ -433,7 +433,6 @@ impl TopK {
         let stats = self.disk.stats();
         let io_before = stats.snapshot();
         let start = Instant::now();
-        let entry_phase = self.disk.phase();
         let block_size = self.disk.block_size();
         let threshold = self.opts.threshold_bytes(block_size);
         let mut report = TopKReport::new(self.k, block_size, self.opts.mem_frames, threshold);
@@ -474,7 +473,6 @@ impl TopK {
         self.disk.io_barrier().map_err(XmlError::Ext)?;
         report.sort.io = stats.snapshot().since(&io_before);
         report.sort.elapsed = start.elapsed();
-        self.disk.set_phase(entry_phase);
         Ok((store, root, dict, report))
     }
 
@@ -486,58 +484,57 @@ impl TopK {
         budget: &MemoryBudget,
         report: &mut TopKReport,
     ) -> Result<Vec<RunMeta>> {
-        let entry_phase = self.disk.phase();
-        self.disk.set_phase(IoPhase::InputScan);
-        let block_size = self.disk.block_size() as u64;
-        let staging_frames = budget.free_frames().saturating_sub(2);
-        if staging_frames < 2 {
-            return Err(XmlError::Ext(nexsort_extmem::ExtError::BudgetExceeded {
-                requested: 4,
-                free: budget.free_frames(),
-            }));
-        }
-        let staging_guard = budget.reserve(staging_frames).map_err(XmlError::Ext)?;
-        let capacity = staging_frames as u64 * block_size;
+        self.disk.in_phase(IoPhase::InputScan, || {
+            let block_size = self.disk.block_size() as u64;
+            let staging_frames = budget.free_frames().saturating_sub(2);
+            if staging_frames < 2 {
+                return Err(XmlError::Ext(nexsort_extmem::ExtError::BudgetExceeded {
+                    requested: 4,
+                    free: budget.free_frames(),
+                }));
+            }
+            let staging_guard = budget.reserve(staging_frames).map_err(XmlError::Ext)?;
+            let capacity = staging_frames as u64 * block_size;
 
-        let mut heap: BinaryHeap<ByPath> = BinaryHeap::new();
-        let mut retained_bytes = 0u64;
-        let mut scanned_bytes = 0u64;
-        let mut metas = Vec::new();
-        while let Some(p) = src.next_pathed()? {
-            let enc = p.encoded_len() as u64;
-            report.sort.n_records += 1;
-            report.sort.max_level = report.sort.max_level.max(p.rec.level());
-            report.sort.input_bytes += p.rec.encoded_len() as u64;
-            scanned_bytes += enc;
-            if (heap.len() as u64) < self.k {
-                retained_bytes += enc;
-                heap.push(ByPath(p));
-            } else if heap.peek().is_some_and(|top| p.cmp_order(&top.0) == Ordering::Less) {
-                // Strictly better than the load's current k-th: swap it in.
-                if let Some(ByPath(out)) = heap.pop() {
-                    retained_bytes = retained_bytes.saturating_sub(out.encoded_len() as u64);
+            let mut heap: BinaryHeap<ByPath> = BinaryHeap::new();
+            let mut retained_bytes = 0u64;
+            let mut scanned_bytes = 0u64;
+            let mut metas = Vec::new();
+            while let Some(p) = src.next_pathed()? {
+                let enc = p.encoded_len() as u64;
+                report.sort.n_records += 1;
+                report.sort.max_level = report.sort.max_level.max(p.rec.level());
+                report.sort.input_bytes += p.rec.encoded_len() as u64;
+                scanned_bytes += enc;
+                if (heap.len() as u64) < self.k {
+                    retained_bytes += enc;
+                    heap.push(ByPath(p));
+                } else if heap.peek().is_some_and(|top| p.cmp_order(&top.0) == Ordering::Less) {
+                    // Strictly better than the load's current k-th: swap it in.
+                    if let Some(ByPath(out)) = heap.pop() {
+                        retained_bytes = retained_bytes.saturating_sub(out.encoded_len() as u64);
+                    }
+                    retained_bytes += enc;
+                    heap.push(ByPath(p));
+                    report.bound_drops += 1;
+                } else {
+                    report.bound_drops += 1;
                 }
-                retained_bytes += enc;
-                heap.push(ByPath(p));
-                report.bound_drops += 1;
-            } else {
-                report.bound_drops += 1;
+                // Seal when a memory-load of input has been scanned (run
+                // formation's natural boundary) or the retained set itself
+                // outgrows memory (k larger than a memory-load).
+                if (scanned_bytes >= capacity || retained_bytes >= capacity) && !heap.is_empty() {
+                    metas.push(self.seal(store, &mut heap, budget, report)?);
+                    scanned_bytes = 0;
+                    retained_bytes = 0;
+                }
             }
-            // Seal when a memory-load of input has been scanned (run
-            // formation's natural boundary) or the retained set itself
-            // outgrows memory (k larger than a memory-load).
-            if (scanned_bytes >= capacity || retained_bytes >= capacity) && !heap.is_empty() {
+            if !heap.is_empty() {
                 metas.push(self.seal(store, &mut heap, budget, report)?);
-                scanned_bytes = 0;
-                retained_bytes = 0;
             }
-        }
-        if !heap.is_empty() {
-            metas.push(self.seal(store, &mut heap, budget, report)?);
-        }
-        drop(staging_guard);
-        self.disk.set_phase(entry_phase);
-        Ok(metas)
+            drop(staging_guard);
+            Ok(metas)
+        })
     }
 
     /// Seal the current load's retained records as one sorted insertion run.
@@ -548,21 +545,20 @@ impl TopK {
         budget: &MemoryBudget,
         report: &mut TopKReport,
     ) -> Result<RunMeta> {
-        let entry_phase = self.disk.phase();
-        self.disk.set_phase(IoPhase::RunFormation);
         let sorted: Vec<PathedRec> =
             std::mem::take(heap).into_sorted_vec().into_iter().map(|ByPath(p)| p).collect();
-        let mut w = store.create(budget, IoCat::SortScratch).map_err(XmlError::Ext)?;
-        let mut buf = Vec::new();
-        for p in &sorted {
-            buf.clear();
-            p.encode(&mut buf)?;
-            w.write_all(&buf).map_err(XmlError::Ext)?;
-        }
-        let id = w.finish().map_err(XmlError::Ext)?;
+        let id = self.disk.in_phase(IoPhase::RunFormation, || -> Result<RunId> {
+            let mut w = store.create(budget, IoCat::SortScratch).map_err(XmlError::Ext)?;
+            let mut buf = Vec::new();
+            for p in &sorted {
+                buf.clear();
+                p.encode(&mut buf)?;
+                w.write_all(&buf).map_err(XmlError::Ext)?;
+            }
+            w.finish().map_err(XmlError::Ext)
+        })?;
         report.runs_formed += 1;
         report.sort.incomplete_runs += 1;
-        self.disk.set_phase(entry_phase);
         Ok(RunMeta {
             id,
             count: sorted.len() as u64,
@@ -583,7 +579,6 @@ impl TopK {
         report: &mut TopKReport,
         pass_base: u32,
     ) -> Result<RunId> {
-        let entry_phase = self.disk.phase();
         let fan_in = budget.free_frames().saturating_sub(1).max(2);
         let open = |id: RunId| -> Result<PStream> {
             let left = store.run_len(id).map_err(XmlError::Ext)?;
@@ -593,91 +588,96 @@ impl TopK {
 
         while runs.len() > fan_in {
             let pass = pass_base + report.sort.degenerate_merges + 1;
-            self.disk.set_phase(IoPhase::MergePass(pass));
-            if let Some(j) = journal.as_mut() {
-                j.append(&JournalRecord::MergePassStarted { pass }).map_err(XmlError::Ext)?;
-            }
-            let group: Vec<RunId> = runs.drain(..fan_in).collect();
-            let streams = group.iter().map(|&id| open(id)).collect::<Result<Vec<_>>>()?;
-            let mut merger =
-                KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))
+            self.disk.in_phase(IoPhase::MergePass(pass), || -> Result<()> {
+                if let Some(j) = journal.as_mut() {
+                    j.append(&JournalRecord::MergePassStarted { pass }).map_err(XmlError::Ext)?;
+                }
+                let group: Vec<RunId> = runs.drain(..fan_in).collect();
+                let streams = group.iter().map(|&id| open(id)).collect::<Result<Vec<_>>>()?;
+                let mut merger =
+                    KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))
+                        .map_err(XmlError::Ext)?;
+                let mut w = store.create(budget, IoCat::SortScratch).map_err(XmlError::Ext)?;
+                let mut buf = Vec::new();
+                let mut emitted = 0u64;
+                // k-truncation: only the k best of any run subset can be in
+                // the global top k, so the pass output stops there.
+                while emitted < self.k {
+                    let Some((p, _)) = merger.next_merged().map_err(XmlError::Ext)? else {
+                        break;
+                    };
+                    buf.clear();
+                    p.encode(&mut buf)?;
+                    w.write_all(&buf).map_err(XmlError::Ext)?;
+                    emitted += 1;
+                }
+                let out = w.finish().map_err(XmlError::Ext)?;
+                runs.push(out);
+                if let Some(j) = journal.as_mut() {
+                    j.checkpoint(&[
+                        seal_record(store, out)?,
+                        JournalRecord::MergePassCommitted {
+                            pass,
+                            output: out.0,
+                            consumed: group.iter().map(|r| r.0).collect(),
+                        },
+                    ])
                     .map_err(XmlError::Ext)?;
-            let mut w = store.create(budget, IoCat::SortScratch).map_err(XmlError::Ext)?;
-            let mut buf = Vec::new();
-            let mut emitted = 0u64;
-            // k-truncation: only the k best of any run subset can be in
-            // the global top k, so the pass output stops there.
-            while emitted < self.k {
-                let Some((p, _)) = merger.next_merged().map_err(XmlError::Ext)? else {
-                    break;
-                };
-                buf.clear();
-                p.encode(&mut buf)?;
-                w.write_all(&buf).map_err(XmlError::Ext)?;
-                emitted += 1;
-            }
-            let out = w.finish().map_err(XmlError::Ext)?;
-            runs.push(out);
-            if let Some(j) = journal.as_mut() {
-                j.checkpoint(&[
-                    seal_record(store, out)?,
-                    JournalRecord::MergePassCommitted {
-                        pass,
-                        output: out.0,
-                        consumed: group.iter().map(|r| r.0).collect(),
-                    },
-                ])
-                .map_err(XmlError::Ext)?;
-            }
-            for id in group {
-                store.discard(id).map_err(XmlError::Ext)?;
-            }
+                }
+                for id in group {
+                    store.discard(id).map_err(XmlError::Ext)?;
+                }
+                Ok(())
+            })?;
             report.sort.degenerate_merges += 1;
             report.merge_passes += 1;
         }
 
         // Final merge: strip key paths, stop after k records.
-        self.disk.set_phase(IoPhase::FinalMerge);
-        let streams = runs.iter().map(|&id| open(id)).collect::<Result<Vec<_>>>()?;
-        let mut merger = KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))
-            .map_err(XmlError::Ext)?;
-        let mut w = store.create(budget, IoCat::RunWrite).map_err(XmlError::Ext)?;
-        let mut buf = Vec::new();
-        while report.records_emitted < self.k {
-            let Some((p, _)) = merger.next_merged().map_err(XmlError::Ext)? else {
-                break;
-            };
-            buf.clear();
-            p.rec.encode(&mut buf)?;
-            w.write_all(&buf).map_err(XmlError::Ext)?;
-            report.records_emitted += 1;
-        }
-        drop(merger);
-        let root = w.finish().map_err(XmlError::Ext)?;
-        report.sort.degenerate_merges += 1;
-        report.merge_passes += 1;
-        report.sort.root_flat = true;
-        report.merge_passes_skipped = full_merge_passes(report.runs_formed as usize, fan_in)
-            .saturating_sub(pass_base + report.merge_passes);
-
-        if journal.is_some() {
-            let consumed: Vec<u32> = runs.iter().map(|r| r.0).collect();
-            if let Some(j) = journal.as_mut() {
-                let mut recs = seal_records_except(store, &consumed)?;
-                recs.extend(consumed.iter().map(|&token| JournalRecord::RunDiscarded { token }));
-                recs.push(JournalRecord::SortDone {
-                    root: root.0,
-                    root_flat: true,
-                    stats: journal_stats(&report.sort),
-                });
-                j.checkpoint(&recs).map_err(XmlError::Ext)?;
+        self.disk.in_phase(IoPhase::FinalMerge, || {
+            let streams = runs.iter().map(|&id| open(id)).collect::<Result<Vec<_>>>()?;
+            let mut merger =
+                KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))
+                    .map_err(XmlError::Ext)?;
+            let mut w = store.create(budget, IoCat::RunWrite).map_err(XmlError::Ext)?;
+            let mut buf = Vec::new();
+            while report.records_emitted < self.k {
+                let Some((p, _)) = merger.next_merged().map_err(XmlError::Ext)? else {
+                    break;
+                };
+                buf.clear();
+                p.rec.encode(&mut buf)?;
+                w.write_all(&buf).map_err(XmlError::Ext)?;
+                report.records_emitted += 1;
             }
-        }
-        for id in runs {
-            store.discard(id).map_err(XmlError::Ext)?;
-        }
-        self.disk.set_phase(entry_phase);
-        Ok(root)
+            drop(merger);
+            let root = w.finish().map_err(XmlError::Ext)?;
+            report.sort.degenerate_merges += 1;
+            report.merge_passes += 1;
+            report.sort.root_flat = true;
+            report.merge_passes_skipped = full_merge_passes(report.runs_formed as usize, fan_in)
+                .saturating_sub(pass_base + report.merge_passes);
+
+            if journal.is_some() {
+                let consumed: Vec<u32> = runs.iter().map(|r| r.0).collect();
+                if let Some(j) = journal.as_mut() {
+                    let mut recs = seal_records_except(store, &consumed)?;
+                    recs.extend(
+                        consumed.iter().map(|&token| JournalRecord::RunDiscarded { token }),
+                    );
+                    recs.push(JournalRecord::SortDone {
+                        root: root.0,
+                        root_flat: true,
+                        stats: journal_stats(&report.sort),
+                    });
+                    j.checkpoint(&recs).map_err(XmlError::Ext)?;
+                }
+            }
+            for id in runs {
+                store.discard(id).map_err(XmlError::Ext)?;
+            }
+            Ok(root)
+        })
     }
 }
 

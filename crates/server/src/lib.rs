@@ -23,7 +23,6 @@
 //! - [`json`]: a dependency-free JSON reader/writer for the protocol and
 //!   the manifests.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod job;

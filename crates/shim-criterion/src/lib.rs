@@ -10,7 +10,6 @@
 //! small fixed number of iterations and reports mean wall-clock per
 //! iteration. That keeps `cargo bench` (and plain `cargo build --benches`)
 //! working for regression-spotting without the real crate's dependencies.
-#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::time::{Duration, Instant};

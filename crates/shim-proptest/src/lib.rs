@@ -18,7 +18,6 @@
 //!
 //! Set `PROPTEST_SHIM_SEED=<u64>` to perturb every test's seed, e.g. for a
 //! soak run exploring fresh cases.
-#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::marker::PhantomData;

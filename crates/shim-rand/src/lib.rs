@@ -7,7 +7,6 @@
 //! xoshiro256** seeded via SplitMix64 -- high-quality, deterministic, and
 //! dependency-free. It does NOT reproduce upstream `rand`'s exact value
 //! streams; everything in this workspace only needs determinism per seed.
-#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

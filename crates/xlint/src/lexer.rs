@@ -15,7 +15,7 @@ pub struct Masked {
     /// The source with comments and literal contents blanked to spaces.
     /// Byte-for-byte the same length as the input; newlines are preserved.
     pub code: String,
-    /// Rules suppressed per line: `// xlint::allow(R2)` registers `R2` on
+    /// Rules suppressed per line: `// xlint::allow(R7)` registers `R7` on
     /// the line the comment ends on (a finding is suppressed by a pragma on
     /// its own line or on the line directly above).
     pub allows: HashMap<usize, Vec<String>>,
@@ -365,11 +365,11 @@ mod tests {
 
     #[test]
     fn pragmas_are_collected_per_line() {
-        let m = mask("x();\n// xlint::allow(R2, R5)\ny();\nz(); // xlint::allow(R1)\n");
-        assert!(m.allowed(2, "R2") && m.allowed(2, "R5"));
-        assert!(m.allowed(3, "R2"), "pragma applies to the following line");
+        let m = mask("x();\n// xlint::allow(R7, R5)\ny();\nz(); // xlint::allow(R1)\n");
+        assert!(m.allowed(2, "R7") && m.allowed(2, "R5"));
+        assert!(m.allowed(3, "R7"), "pragma applies to the following line");
         assert!(m.allowed(4, "R1"));
-        assert!(!m.allowed(1, "R2"));
+        assert!(!m.allowed(1, "R7"));
     }
 
     #[test]
@@ -377,10 +377,10 @@ mod tests {
         // Windows checkouts: `\r\n` line endings must not shift line
         // numbers, leak `\r` into tokens, or detach pragmas from the line
         // they cover.
-        let src = "a();\r\n// xlint::allow(R2)\r\nb.unwrap();\r\nc();\r\n";
+        let src = "a();\r\n// xlint::allow(R7)\r\nb.unwrap();\r\nc();\r\n";
         let m = mask(src);
-        assert!(m.allowed(3, "R2"), "pragma covers the line below across CRLF");
-        assert!(!m.allowed(4, "R2"));
+        assert!(m.allowed(3, "R7"), "pragma covers the line below across CRLF");
+        assert!(!m.allowed(4, "R7"));
         let toks = tokens(&m.code);
         assert!(toks.iter().all(|t| !t.text.contains('\r')), "no \\r inside tokens");
         let c = toks.iter().find(|t| t.text == "c").expect("c survives");

@@ -1,8 +1,6 @@
 //! CLI entry point:
 //! `cargo run -p xlint -- [--deny] [--root DIR] [--list-rules] [--rules-table] [--json]`.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -37,36 +37,10 @@ pub const RULES: &[(&str, &str, &str)] = &[
          accounting the Section-4 lemmas are asserted against",
     ),
     (
-        "R2",
-        "no panics in the substrate",
-        "no unwrap, expect, panic!, unreachable!, todo!, or unimplemented! in non-test extmem or \
-         core code; every failure surfaces as ExtError or SortFailure, which is what makes the \
-         fault-injection suite's recovery guarantees meaningful",
-    ),
-    (
-        "R3",
-        "counter parity",
-        "every Counters field in stats.rs appears in reset, snapshot, since, and the IoSnapshot \
-         Display impl, so a new counter cannot silently vanish from a reporting path the \
-         experiments read",
-    ),
-    (
-        "R4",
-        "phase pair-restore",
-        "a function that stamps set_phase(IoPhase::..) also restores a saved phase, so \
-         deferred-write attribution survives nesting",
-    ),
-    (
         "R5",
         "no wildcard ExtError arms",
         "a match whose patterns name ExtError variants may not have a bare `_ =>` arm: adding an \
          error variant forces every classification site to decide explicitly",
-    ),
-    (
-        "R6",
-        "forbid(unsafe_code)",
-        "#![forbid(unsafe_code)] is present in every crate root; the whole reproduction is safe \
-         Rust",
     ),
     (
         "R7",
@@ -77,9 +51,11 @@ pub const RULES: &[(&str, &str, &str)] = &[
     ),
     (
         "R8",
-        "path-only dependencies",
+        "path-only dependencies, workspace lints",
         "every manifest dependency resolves inside the workspace (path = or workspace = true): \
-         the build is offline and the crates/shim-* stand-ins are the only registry substitutes",
+         the build is offline and the crates/shim-* stand-ins are the only registry substitutes; \
+         every member manifest inherits the workspace lints ([lints] workspace = true), which is \
+         what forbids unsafe code in every crate",
     ),
     (
         "R9",
@@ -87,13 +63,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "a journal Commit record is appended only after an io_barrier in the same function body \
          (Journal::checkpoint is the sanctioned wrapper), guarding the crash-consistency \
          contract the crash_recovery sweep relies on",
-    ),
-    (
-        "R10",
-        "total is_transient classification",
-        "every ExtError variant appears explicitly in ExtError::is_transient and the function \
-         has no wildcard arm; is_transient is the oracle behind the retry policy and exit-code \
-         mapping",
     ),
     (
         "R11",
@@ -162,18 +131,6 @@ const R7_MUTATORS: &[&str] = &[
     "add_sched_event",
 ];
 
-/// Panicking constructs R2 bans in non-test substrate/sorter code.
-const R2_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-const R2_METHODS: &[&str] = &["unwrap", "expect"];
-
-fn is_crate_root(rel: &str) -> bool {
-    let parts: Vec<&str> = rel.split('/').collect();
-    parts.len() == 4
-        && parts[0] == "crates"
-        && parts[2] == "src"
-        && (parts[3] == "lib.rs" || parts[3] == "main.rs")
-}
-
 /// Lint one Rust source file in isolation: the cross-file rules (R11–R14)
 /// see only this file's call graph. `rel` is the workspace-relative path,
 /// which selects each rule's scope.
@@ -219,8 +176,6 @@ pub fn check_masked(
     let non_test = |pos: usize| !in_tests_dir && !m.in_test(pos);
 
     rule_r1(rel, toks, &non_test, &mut out);
-    rule_r2(rel, toks, &non_test, &mut out);
-    rule_r4(rel, toks, &non_test, &mut out);
     rule_r5(rel, toks, &non_test, &mut out);
     rule_r7(rel, toks, &non_test, &mut out);
     rule_r9(rel, toks, &non_test, &mut out);
@@ -229,15 +184,6 @@ pub fn check_masked(
     rule_r13(rel, toks, &non_test, &mut out);
     rule_r14(rel, toks, analysis, &non_test, &mut out);
     rule_r15(rel, toks, &non_test, &mut out);
-    if is_crate_root(rel) {
-        rule_r6(rel, &m.code, &mut out);
-    }
-    if rel == "crates/extmem/src/stats.rs" {
-        rule_r3(rel, toks, &mut out);
-    }
-    if rel == "crates/extmem/src/error.rs" {
-        rule_r10(rel, toks, &mut out);
-    }
 
     let mut findings: Vec<Finding> =
         out.into_iter().filter(|f| !m.allowed(f.line, f.rule)).collect();
@@ -265,125 +211,6 @@ fn rule_r1(rel: &str, toks: &[Tok], non_test: &dyn Fn(usize) -> bool, out: &mut 
                 "raw BlockDevice access outside the extmem device layer; go through Disk"
                     .to_string(),
             );
-        }
-    }
-}
-
-/// R2: the substrate (`extmem`) and the sorter (`core`) report failures as
-/// `ExtError`/`SortFailure`; they never panic in non-test code.
-fn rule_r2(rel: &str, toks: &[Tok], non_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {
-    if !(rel.starts_with("crates/extmem/src/") || rel.starts_with("crates/core/src/")) {
-        return;
-    }
-    for (i, t) in toks.iter().enumerate() {
-        if !non_test(t.pos) {
-            continue;
-        }
-        let next = toks.get(i + 1).map(|n| n.text);
-        if R2_MACROS.contains(&t.text) && next == Some("!") {
-            push(
-                out,
-                rel,
-                line_at(toks, t.pos),
-                "R2",
-                format!("`{}!` in non-test code; return ExtError/SortFailure instead", t.text),
-            );
-        }
-        if R2_METHODS.contains(&t.text) && next == Some("(") && i > 0 && toks[i - 1].text == "." {
-            push(
-                out,
-                rel,
-                line_at(toks, t.pos),
-                "R2",
-                format!("`.{}()` in non-test code; return ExtError/SortFailure instead", t.text),
-            );
-        }
-    }
-}
-
-/// R3: every `Counters` field is wired through `reset`, `snapshot`, `since`,
-/// and the `IoSnapshot` `Display` impl — counter parity, so a new counter
-/// cannot silently vanish from one of the reporting paths.
-fn rule_r3(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
-    let Some(fields_span) = struct_span(toks, "Counters") else {
-        push(out, rel, 1, "R3", "struct Counters not found".to_string());
-        return;
-    };
-    // Field names: `ident :` pairs at depth 1 of the struct body.
-    let mut fields: Vec<(&str, usize)> = Vec::new();
-    let mut depth = 0usize;
-    for i in fields_span.0..fields_span.1 {
-        match toks[i].text {
-            "{" | "[" | "(" => depth += 1,
-            "}" | "]" | ")" => depth = depth.saturating_sub(1),
-            _ => {
-                if depth == 1
-                    && toks.get(i + 1).map(|t| t.text) == Some(":")
-                    && toks[i].text.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-                {
-                    fields.push((toks[i].text, toks[i].pos));
-                }
-            }
-        }
-    }
-    let paths: Vec<(&str, Option<(usize, usize)>)> = vec![
-        ("fn reset", fn_span(toks, "reset")),
-        ("fn snapshot", fn_span(toks, "snapshot")),
-        ("fn since", fn_span(toks, "since")),
-        ("Display for IoSnapshot", display_span(toks, "IoSnapshot")),
-    ];
-    for (field, pos) in fields {
-        for (what, span) in &paths {
-            let present =
-                span.is_some_and(|(s, e)| toks[s..e].iter().any(|t| t.text.contains(field)));
-            if !present {
-                push(
-                    out,
-                    rel,
-                    line_at(toks, pos),
-                    "R3",
-                    format!("counter `{field}` does not appear in {what}"),
-                );
-            }
-        }
-    }
-}
-
-/// R4: a function that stamps a literal phase (`set_phase(IoPhase::..)`)
-/// must also restore a saved one (`set_phase(<ident>)`) — the pair-restore
-/// idiom that keeps failure attribution correct across nesting.
-fn rule_r4(rel: &str, toks: &[Tok], non_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {
-    for (start, end) in fn_spans(toks) {
-        let body = &toks[start..end];
-        let mut first_stamp: Option<usize> = None;
-        let mut restored = false;
-        for (i, t) in body.iter().enumerate() {
-            if t.text != "set_phase" || body.get(i + 1).map(|n| n.text) != Some("(") {
-                continue;
-            }
-            let arg = body.get(i + 2).map(|n| n.text).unwrap_or("");
-            if arg == "IoPhase" {
-                if first_stamp.is_none() && non_test(t.pos) {
-                    first_stamp = Some(t.pos);
-                }
-            } else if body.get(i + 3).map(|n| n.text) == Some(")")
-                && arg.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-            {
-                restored = true;
-            }
-        }
-        if let Some(pos) = first_stamp {
-            if !restored {
-                push(
-                    out,
-                    rel,
-                    line_at(toks, pos),
-                    "R4",
-                    "set_phase(IoPhase::..) stamped but no saved phase is restored in this \
-                     function"
-                        .to_string(),
-                );
-            }
         }
     }
 }
@@ -477,19 +304,6 @@ fn check_match_arms(
     }
 }
 
-/// R6: every crate root opts out of `unsafe` for good.
-fn rule_r6(rel: &str, code: &str, out: &mut Vec<Finding>) {
-    let has = code
-        .split_whitespace()
-        .collect::<Vec<_>>()
-        .join(" ")
-        .replace(' ', "")
-        .contains("#![forbid(unsafe_code)]");
-    if !has {
-        push(out, rel, 1, "R6", "crate root is missing #![forbid(unsafe_code)]".to_string());
-    }
-}
-
 /// R7: only the accounting layer mutates the counters, so logical I/O
 /// accounting cannot drift.
 fn rule_r7(rel: &str, toks: &[Tok], non_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {
@@ -542,66 +356,6 @@ fn rule_r9(rel: &str, toks: &[Tok], non_test: &dyn Fn(usize) -> bool, out: &mut 
                 "R9",
                 "journal commit appended without a preceding io_barrier() in this function; \
                  go through Journal::checkpoint"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// R10: `ExtError::is_transient` is the oracle behind the retry policy and
-/// the CLI's exit-code mapping, so its classification must be *total*:
-/// every `ExtError` variant appears in the function by name, and no
-/// wildcard `_ =>` arm swallows future variants. A binding arm
-/// (`other => ...`) passes R5 but still hides any variant it absorbs, so
-/// the per-variant presence check convicts it too. Runs only on the real
-/// `crates/extmem/src/error.rs`.
-fn rule_r10(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
-    let Some((open, close)) = enum_span(toks, "ExtError") else {
-        push(out, rel, 1, "R10", "enum ExtError not found".to_string());
-        return;
-    };
-    // Variant names: uppercase idents at depth 1 of the enum body (field
-    // types and attribute contents sit at depth >= 2).
-    let mut variants: Vec<(&str, usize)> = Vec::new();
-    let mut depth = 0usize;
-    for tok in &toks[open..close] {
-        match tok.text {
-            "{" | "[" | "(" => depth += 1,
-            "}" | "]" | ")" => depth = depth.saturating_sub(1),
-            t => {
-                if depth == 1 && t.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-                    variants.push((t, tok.pos));
-                }
-            }
-        }
-    }
-    let Some((s, e)) = fn_span(toks, "is_transient") else {
-        push(out, rel, 1, "R10", "fn is_transient not found".to_string());
-        return;
-    };
-    let body = &toks[s..e];
-    for (variant, pos) in variants {
-        if !body.iter().any(|t| t.text == variant) {
-            push(
-                out,
-                rel,
-                line_at(toks, pos),
-                "R10",
-                format!("ExtError variant `{variant}` is not classified in is_transient"),
-            );
-        }
-    }
-    for (k, t) in body.iter().enumerate() {
-        if t.text == "_"
-            && body.get(k + 1).map(|n| n.text) == Some("=")
-            && body.get(k + 2).map(|n| n.text) == Some(">")
-        {
-            push(
-                out,
-                rel,
-                line_at(toks, t.pos),
-                "R10",
-                "wildcard `_ =>` arm in is_transient; classify every variant explicitly"
                     .to_string(),
             );
         }
@@ -815,18 +569,26 @@ fn rule_r15(rel: &str, toks: &[Tok], non_test: &dyn Fn(usize) -> bool, out: &mut
 
 /// R8: every dependency in a manifest must resolve inside the workspace
 /// (`path = ...` or `workspace = true`): the build environment is offline.
+/// A member manifest (anything but the workspace root's `Cargo.toml`) must
+/// also inherit the workspace lints, `[lints] workspace = true`, so no
+/// crate escapes `unsafe_code = "forbid"`.
 pub fn check_manifest(rel: &str, src: &str) -> Vec<Finding> {
     let mut out = Vec::new();
+    let mut section = "";
     let mut in_deps = false;
     let mut allow_prev = false;
+    let mut inherits_lints = false;
     for (idx, raw) in src.lines().enumerate() {
         let line = raw.trim();
         let allow_here = raw.contains("xlint::allow(R8)");
         if line.starts_with('[') {
-            let section = line.trim_matches(['[', ']']);
+            section = line.trim_matches(['[', ']']);
             in_deps = section.ends_with("dependencies");
             allow_prev = allow_here;
             continue;
+        }
+        if section == "lints" && line.replace(' ', "") == "workspace=true" {
+            inherits_lints = true;
         }
         if in_deps
             && !line.is_empty()
@@ -849,46 +611,20 @@ pub fn check_manifest(rel: &str, src: &str) -> Vec<Finding> {
         }
         allow_prev = allow_here;
     }
+    if rel != "Cargo.toml" && !inherits_lints {
+        out.push(Finding {
+            file: rel.to_string(),
+            line: 1,
+            rule: "R8",
+            message: "member manifest does not inherit the workspace lints; add \
+                      `[lints] workspace = true`"
+                .to_string(),
+        });
+    }
     out
 }
 
 // ---- token-walking helpers (line_at/body_open/brace_match live in symbols.rs) ----
-
-/// Token span (exclusive) of `struct <name> { ... }`.
-fn struct_span(toks: &[Tok], name: &str) -> Option<(usize, usize)> {
-    for i in 0..toks.len().saturating_sub(1) {
-        if toks[i].text == "struct" && toks[i + 1].text == name {
-            let open = body_open(toks, i)?;
-            let close = brace_match(toks, open)?;
-            return Some((open, close + 1));
-        }
-    }
-    None
-}
-
-/// Token span (exclusive) of `enum <name> { ... }`.
-fn enum_span(toks: &[Tok], name: &str) -> Option<(usize, usize)> {
-    for i in 0..toks.len().saturating_sub(1) {
-        if toks[i].text == "enum" && toks[i + 1].text == name {
-            let open = body_open(toks, i)?;
-            let close = brace_match(toks, open)?;
-            return Some((open, close + 1));
-        }
-    }
-    None
-}
-
-/// Token span of the body of `fn <name>`.
-fn fn_span(toks: &[Tok], name: &str) -> Option<(usize, usize)> {
-    for i in 0..toks.len().saturating_sub(1) {
-        if toks[i].text == "fn" && toks[i + 1].text == name {
-            let open = body_open(toks, i)?;
-            let close = brace_match(toks, open)?;
-            return Some((open, close + 1));
-        }
-    }
-    None
-}
 
 /// Token spans of every `fn` body in the file. Nested fns get their own
 /// spans (overlapping with the enclosing one); closures are checked as
@@ -909,31 +645,4 @@ fn fn_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
         i += 1;
     }
     spans
-}
-
-/// Token span of `impl ... Display for <name> { ... }`.
-fn display_span(toks: &[Tok], name: &str) -> Option<(usize, usize)> {
-    for i in 0..toks.len() {
-        if toks[i].text == "impl" {
-            // Look ahead a few tokens for `Display for <name>`.
-            let window = &toks[i..toks.len().min(i + 8)];
-            let mut saw_display = false;
-            let mut saw_name = false;
-            for (j, t) in window.iter().enumerate() {
-                if t.text == "Display" {
-                    saw_display = true;
-                }
-                if saw_display && t.text == "for" && window.get(j + 1).map(|n| n.text) == Some(name)
-                {
-                    saw_name = true;
-                }
-            }
-            if saw_display && saw_name {
-                let open = toks[i..].iter().position(|t| t.text == "{")? + i;
-                let close = brace_match(toks, open)?;
-                return Some((open, close + 1));
-            }
-        }
-    }
-    None
 }

@@ -7,7 +7,6 @@
 //! (including the complex single-pass subtree criteria), and the key-path
 //! representation (Table 1) that the external merge-sort baseline sorts by.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod dom;
