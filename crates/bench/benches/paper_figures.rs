@@ -18,7 +18,7 @@ fn fig5_memory(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig5_memory");
     group.sample_size(10);
     for mem in [10usize, 16, 32, 64] {
-        let cfg = RunConfig { block_size: BS, mem_frames: mem, ..Default::default() };
+        let cfg = RunConfig::sized(BS, mem);
         group.bench_with_input(BenchmarkId::new("nexsort", mem), &cfg, |b, cfg| {
             b.iter(|| {
                 let mut g = IbmGen::new(5, 24, Some(8_000), GenConfig::default());
@@ -42,7 +42,7 @@ fn fig6_scaling(c: &mut Criterion) {
     group.sample_size(10);
     for target in [2_000u64, 8_000, 30_000] {
         let fanouts = fanouts_for(target, 85);
-        let cfg = RunConfig { block_size: BS, mem_frames: 16, ..Default::default() };
+        let cfg = RunConfig::sized(BS, 16);
         group.bench_with_input(BenchmarkId::new("nexsort", target), &fanouts, |b, f| {
             b.iter(|| {
                 let mut g = ExactGen::new(f, GenConfig::default());
@@ -65,7 +65,7 @@ fn fig7_shape(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7_shape");
     group.sample_size(10);
     for shape in table2_shapes(512) {
-        let cfg = RunConfig { block_size: BS, mem_frames: 16, ..Default::default() };
+        let cfg = RunConfig::sized(BS, 16);
         group.bench_with_input(
             BenchmarkId::new("nexsort", shape.height),
             &shape.fanouts,
@@ -80,7 +80,8 @@ fn fig7_shape(c: &mut Criterion) {
             BenchmarkId::new("nexsort_degen", shape.height),
             &shape.fanouts,
             |b, f| {
-                let cfg = RunConfig { degeneration: true, ..cfg.clone() };
+                let mut cfg = cfg.clone();
+                cfg.job.degeneration = true;
                 b.iter(|| {
                     let mut g = ExactGen::new(f, GenConfig::default());
                     measure_nexsort(&mut g, &spec, &cfg).unwrap().total_ios()
@@ -107,12 +108,8 @@ fn fig_threshold(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig_threshold");
     group.sample_size(10);
     for mult in [1u64, 2, 8, 32] {
-        let cfg = RunConfig {
-            block_size: BS,
-            mem_frames: 32,
-            threshold: Some(mult * BS as u64),
-            ..Default::default()
-        };
+        let mut cfg = RunConfig::sized(BS, 32);
+        cfg.job.threshold = Some(mult * BS as u64);
         group.bench_with_input(BenchmarkId::new("nexsort", mult), &cfg, |b, cfg| {
             b.iter(|| {
                 let mut g = IbmGen::new(5, 24, Some(8_000), GenConfig::default());

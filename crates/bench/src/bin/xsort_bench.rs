@@ -4,7 +4,7 @@
 //! ```text
 //! xsort-bench [--quick|--full] [--csv DIR] [--json DIR] [all|table1|table2|
 //!              threshold|fig5|fig6|fig7|ablate-compaction|ablate-frames|
-//!              bounds|faults|cache|overlap|recovery|degradation|jobs|topk]
+//!              bounds|faults|cache|recovery|degradation|jobs|topk]
 //! ```
 
 use std::path::PathBuf;
@@ -12,14 +12,14 @@ use std::process::ExitCode;
 
 use nexsort_bench::{
     ablate_compaction, ablate_frames, bounds_vs_measured, cache_sweep, degradation_sweep,
-    fault_sweep, fig5, fig6, fig7, jobs_sweep, overlap_sweep, recovery_sweep, table1, table2,
+    fault_sweep, fig5, fig6, fig7, jobs_sweep, recovery_sweep, table1, table2,
     threshold_experiment, topk_sweep, ExpScale, ExpTable,
 };
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: xsort-bench [--quick|--full] [--csv DIR] [--json DIR] \
-         [all|table1|table2|threshold|fig5|fig6|fig7|ablate-compaction|ablate-frames|bounds|faults|cache|overlap|recovery|degradation|jobs|topk]..."
+         [all|table1|table2|threshold|fig5|fig6|fig7|ablate-compaction|ablate-frames|bounds|faults|cache|recovery|degradation|jobs|topk]..."
     );
     ExitCode::FAILURE
 }
@@ -66,7 +66,6 @@ fn main() -> ExitCode {
             "bounds" => bounds_vs_measured(scale).map_err(|e| e.to_string())?,
             "faults" => fault_sweep(scale).map_err(|e| e.to_string())?,
             "cache" => cache_sweep(scale).map_err(|e| e.to_string())?,
-            "overlap" => overlap_sweep(scale).map_err(|e| e.to_string())?,
             "recovery" => recovery_sweep(scale).map_err(|e| e.to_string())?,
             "degradation" => degradation_sweep(scale).map_err(|e| e.to_string())?,
             "jobs" => jobs_sweep(scale).map_err(|e| e.to_string())?,
@@ -88,7 +87,6 @@ fn main() -> ExitCode {
         "bounds",
         "faults",
         "cache",
-        "overlap",
         "recovery",
         "degradation",
         "jobs",

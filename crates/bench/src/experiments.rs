@@ -179,12 +179,8 @@ pub fn threshold_experiment(scale: &ExpScale) -> Result<ExpTable> {
     );
     for mult in [0.5f64, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0] {
         let threshold = (mult * scale.block_size as f64) as u64;
-        let cfg = RunConfig {
-            block_size: scale.block_size,
-            mem_frames: 32,
-            threshold: Some(threshold),
-            ..Default::default()
-        };
+        let mut cfg = RunConfig::sized(scale.block_size, 32);
+        cfg.job.threshold = Some(threshold);
         let mut g = IbmGen::new(5, 40, Some(scale.base_elements), GenConfig::default());
         let m = measure_nexsort(&mut g, &spec, &cfg)?;
         let mut row = vec![format!("{mult}"), threshold.to_string()];
@@ -204,7 +200,7 @@ pub fn fig5(scale: &ExpScale) -> Result<ExpTable> {
         &[&["mem(frames)", "algo"], &IOS_HEADERS[..]].concat(),
     );
     for &mem in &scale.fig5_mems {
-        let cfg = RunConfig { block_size: scale.block_size, mem_frames: mem, ..Default::default() };
+        let cfg = RunConfig::sized(scale.block_size, mem);
         let mut g = IbmGen::new(5, 40, Some(scale.base_elements), GenConfig::default());
         let nx = measure_nexsort(&mut g, &spec, &cfg)?;
         let mut row = vec![mem.to_string(), nx.algo.clone()];
@@ -232,7 +228,7 @@ pub fn fig6(scale: &ExpScale) -> Result<ExpTable> {
     for &target in &scale.fig6_sizes {
         let fanouts = fanouts_for(target, 85);
         let n = ExactGen::total_elements(&fanouts);
-        let cfg = RunConfig { block_size: scale.block_size, mem_frames: 24, ..Default::default() };
+        let cfg = RunConfig::sized(scale.block_size, 24);
         let mut g = ExactGen::new(&fanouts, GenConfig::default());
         let nx = measure_nexsort(&mut g, &spec, &cfg)?;
         let mut row = vec![n.to_string(), format!("{fanouts:?}"), nx.algo.clone()];
@@ -268,9 +264,10 @@ pub fn fig7(scale: &ExpScale) -> Result<ExpTable> {
     for shape in table2_shapes(scale.table2_scale) {
         let n = ExactGen::total_elements(&shape.fanouts);
         let k = *shape.fanouts.iter().max().unwrap_or(&0);
-        let cfg = RunConfig { block_size, mem_frames: mem, ..Default::default() };
+        let cfg = RunConfig::sized(block_size, mem);
         for (algo, degeneration) in [("nexsort", false), ("nexsort+degen", true)] {
-            let cfg = RunConfig { degeneration, ..cfg.clone() };
+            let mut cfg = cfg.clone();
+            cfg.job.degeneration = degeneration;
             let mut g = ExactGen::new(&shape.fanouts, GenConfig::default());
             let m = measure_nexsort(&mut g, &spec, &cfg)?;
             let mut row =
@@ -301,12 +298,7 @@ pub fn ablate_compaction(scale: &ExpScale) -> Result<ExpTable> {
     );
     let n = scale.base_elements / 2;
     for compaction in [true, false] {
-        let cfg = RunConfig {
-            block_size: scale.block_size,
-            mem_frames: 32,
-            compaction,
-            ..Default::default()
-        };
+        let cfg = RunConfig { compaction, ..RunConfig::sized(scale.block_size, 32) };
         let mut g = IbmGen::new(5, 40, Some(n), GenConfig::default());
         let nx = measure_nexsort(&mut g, &spec, &cfg)?;
         let mut row = vec![compaction.to_string(), nx.algo.clone(), nx.input_bytes.to_string()];
@@ -342,12 +334,7 @@ pub fn ablate_frames(scale: &ExpScale) -> Result<ExpTable> {
     fanouts.push(200); // many siblings right at the boundary
     fanouts.extend([2u64; 5]); // each a small bushy subtree crossing it
     for frames in [1usize, 2, 4, 8] {
-        let cfg = RunConfig {
-            block_size: scale.block_size,
-            mem_frames: 32,
-            path_stack_frames: frames,
-            ..Default::default()
-        };
+        let cfg = RunConfig { path_stack_frames: frames, ..RunConfig::sized(scale.block_size, 32) };
         let mut g = ExactGen::new(&fanouts, GenConfig::default());
         let m = measure_nexsort(&mut g, &spec, &cfg)?;
         t.push_row(vec![
@@ -363,22 +350,23 @@ pub fn ablate_frames(scale: &ExpScale) -> Result<ExpTable> {
 /// **Bounds check** -- Section 4's formulas against a measured run.
 pub fn bounds_vs_measured(scale: &ExpScale) -> Result<ExpTable> {
     let spec = bench_spec();
-    let cfg = RunConfig { block_size: scale.block_size, mem_frames: 32, ..Default::default() };
+    let cfg = RunConfig::sized(scale.block_size, 32);
     let mut g = IbmGen::new(5, 40, Some(scale.base_elements / 2), GenConfig::default());
     let m = measure_nexsort(&mut g, &spec, &cfg)?;
     let b_elems = (scale.block_size / 150).max(1) as u64; // ~150 B/element
     let n_blocks = m.input_blocks;
     let t_elems = (2 * scale.block_size as u64) / 150;
-    let lower = analysis::lower_bound_ios(n_blocks, cfg.mem_frames as u64, m.max_fanout, b_elems);
+    let lower =
+        analysis::lower_bound_ios(n_blocks, cfg.job.mem_frames as u64, m.max_fanout, b_elems);
     let upper = analysis::nexsort_bound_ios(
         n_blocks,
-        cfg.mem_frames as u64,
+        cfg.job.mem_frames as u64,
         m.max_fanout,
         t_elems.max(1),
         m.n_elements,
         b_elems,
     );
-    let flat = analysis::mergesort_bound_ios(n_blocks, cfg.mem_frames as u64);
+    let flat = analysis::mergesort_bound_ios(n_blocks, cfg.job.mem_frames as u64);
     let mut t = ExpTable::new(
         "bounds",
         "Section 4 bounds vs a measured NEXSORT run (constants dropped in bounds)",
@@ -408,7 +396,7 @@ pub fn bounds_vs_measured(scale: &ExpScale) -> Result<ExpTable> {
 /// and the final row shows persistent corruption defeating the retry layer.
 pub fn fault_sweep(scale: &ExpScale) -> Result<ExpTable> {
     let spec = bench_spec();
-    let cfg = RunConfig { block_size: scale.block_size, mem_frames: 24, ..Default::default() };
+    let cfg = RunConfig::sized(scale.block_size, 24);
     let mut t = ExpTable::new(
         "faults",
         "NEXSORT on a fault-injecting checksummed disk (retry budget 4)",
@@ -500,12 +488,11 @@ pub fn degradation_sweep(scale: &ExpScale) -> Result<ExpTable> {
     let elems = Some(scale.base_elements / 4);
     // Tight memory + degeneration: scratch runs are merged *during* the
     // sort, so the faulted rows exercise the repair path mid-sort.
-    let cfg_for = |parity_group: usize| RunConfig {
-        block_size: scale.block_size,
-        mem_frames: 12,
-        degeneration: true,
-        parity_group,
-        ..Default::default()
+    let cfg_for = |parity_group: usize| {
+        let mut cfg = RunConfig::sized(scale.block_size, 12);
+        cfg.job.degeneration = true;
+        cfg.job.parity_group = parity_group;
+        cfg
     };
     let mut phys0: Option<u64> = None;
     let mut data0: Option<u64> = None;
@@ -612,14 +599,10 @@ pub fn cache_sweep(scale: &ExpScale) -> Result<ExpTable> {
             if frames == 0 && !(policy == CachePolicy::Lru && mode == WriteMode::Through) {
                 continue;
             }
-            let cfg = RunConfig {
-                block_size: scale.block_size,
-                mem_frames: 24,
-                cache_frames: frames,
-                cache_policy: policy,
-                cache_write_mode: mode,
-                ..Default::default()
-            };
+            let mut cfg = RunConfig::sized(scale.block_size, 24);
+            cfg.job.cache_frames = frames;
+            cfg.job.cache_policy = policy;
+            cfg.job.write_back = mode == WriteMode::Back;
             let mut g = IbmGen::new(5, 40, elems, GenConfig::default());
             let m = measure_nexsort(&mut g, &spec, &cfg)?;
             let b = &m.breakdown;
@@ -656,118 +639,6 @@ pub fn cache_sweep(scale: &ExpScale) -> Result<ExpTable> {
     Ok(t)
 }
 
-/// **Overlap sweep** -- the asynchronous I/O scheduler: simulated wall time
-/// vs workers x stripe, with sequential read-ahead and write-behind. The
-/// *logical* transfer count (the paper's Aggarwal-Vitter cost) must be
-/// identical on every row -- the scheduler only overlaps physical transfers
-/// in deterministic virtual time -- so the sweep shows wall time falling
-/// while the paper's cost model stands still.
-pub fn overlap_sweep(scale: &ExpScale) -> Result<ExpTable> {
-    let spec = bench_spec();
-    let mut t = ExpTable::new(
-        "overlap",
-        "I/O scheduler sweep: virtual wall time vs workers x stripe (prefetch 8, write-behind)",
-        &[
-            "workers",
-            "stripe",
-            "logical-io",
-            "phys-io",
-            "ticks",
-            "sim-wall-s",
-            "speedup",
-            "pf-issued",
-            "pf-hits",
-            "pf-wasted",
-            "deferred",
-        ],
-    );
-    // A deep fixed-seed document: run formation and merging are dominated by
-    // sequential extent scans, the scheduler's best case.
-    let elems = Some(scale.base_elements / 4);
-    let mut logical0: Option<u64> = None;
-    let mut sync_ticks: Option<u64> = None;
-    for &(workers, stripe) in &[(0usize, 1usize), (1, 1), (1, 4), (4, 1), (4, 4)] {
-        let cfg = RunConfig {
-            block_size: scale.block_size,
-            mem_frames: 24,
-            cache_frames: 16,
-            io_workers: workers,
-            prefetch_depth: if workers > 0 { 8 } else { 0 },
-            write_behind: workers > 0,
-            stripe,
-            ..Default::default()
-        };
-        let mut g = IbmGen::new(7, 8, elems, GenConfig::default());
-        let m = measure_nexsort(&mut g, &spec, &cfg)?;
-        let b = &m.breakdown;
-        let logical = b.grand_total();
-        match logical0 {
-            None => logical0 = Some(logical),
-            Some(c) if c != logical => t.note(format!(
-                "WARNING: logical I/O drifted at workers={workers} stripe={stripe}: {logical} vs {c}"
-            )),
-            Some(_) => {}
-        }
-        if workers == 0 {
-            sync_ticks = Some(m.ticks);
-        }
-        let speedup = sync_ticks
-            .map_or_else(|| "-".into(), |s| format!("{:.2}x", s as f64 / m.ticks.max(1) as f64));
-        t.push_row(vec![
-            workers.to_string(),
-            stripe.to_string(),
-            logical.to_string(),
-            b.grand_total_physical().to_string(),
-            m.ticks.to_string(),
-            format!("{:.1}", m.sim_wall_seconds()),
-            speedup,
-            b.total_prefetch_issued().to_string(),
-            b.total_prefetch_hits().to_string(),
-            b.total_prefetch_wasted().to_string(),
-            b.total_deferred_writes().to_string(),
-        ]);
-    }
-    // One fault-injection row at full overlap: transient faults retry at the
-    // point of the physical transfer (including deferred writes at their
-    // barrier), and the logical count still must not move.
-    let cfg = RunConfig {
-        block_size: scale.block_size,
-        mem_frames: 24,
-        cache_frames: 16,
-        io_workers: 4,
-        prefetch_depth: 8,
-        write_behind: true,
-        stripe: 4,
-        ..Default::default()
-    };
-    let plan = FaultPlan::transient(0xFA_u64, 0.005);
-    let mut g = IbmGen::new(7, 8, elems, GenConfig::default());
-    let (m, counts) = measure_nexsort_faulty(&mut g, &spec, &cfg, plan, 4)?;
-    if logical0.is_some_and(|c| c != m.breakdown.grand_total()) {
-        t.note(format!(
-            "WARNING: logical I/O drifted under faults: {} vs {}",
-            m.breakdown.grand_total(),
-            logical0.unwrap_or(0)
-        ));
-    }
-    t.push_row(vec![
-        "4 (faulty)".into(),
-        "4".into(),
-        m.breakdown.grand_total().to_string(),
-        m.breakdown.grand_total_physical().to_string(),
-        m.ticks.to_string(),
-        format!("{:.1}", m.sim_wall_seconds()),
-        format!("injected={} retried={}", counts.total(), m.breakdown.total_retries()),
-        m.breakdown.total_prefetch_issued().to_string(),
-        m.breakdown.total_prefetch_hits().to_string(),
-        m.breakdown.total_prefetch_wasted().to_string(),
-        m.breakdown.total_deferred_writes().to_string(),
-    ]);
-    t.note("logical transfers are the paper's cost model and never move with the scheduler");
-    t.note("ticks: virtual device time; workers x stripe queues overlap prefetches and deferred writes, so deep configurations finish in a fraction of the serialized time");
-    Ok(t)
-}
-
 /// **Recovery sweep** -- the crash-consistency layer's price and payoff.
 /// Every row crashes the same checkpointed degenerate sort at a different
 /// fraction of its sorting phase and resumes it from the journal: the
@@ -795,13 +666,8 @@ pub fn recovery_sweep(scale: &ExpScale) -> Result<ExpTable> {
     // A flat document under tight memory: degeneration's merge passes are
     // the committed work units a late resume gets to skip.
     let n = scale.base_elements / 4;
-    let cfg = RunConfig {
-        block_size: scale.block_size,
-        mem_frames: 12,
-        degeneration: true,
-        checkpoint: true,
-        ..Default::default()
-    };
+    let mut cfg = RunConfig { checkpoint: true, ..RunConfig::sized(scale.block_size, 12) };
+    cfg.job.degeneration = true;
     for (num, den) in [(1u64, 4u64), (2, 4), (3, 4), (19, 20)] {
         let mut a = ExactGen::new(&[n], GenConfig::default());
         let mut b = ExactGen::new(&[n], GenConfig::default());
@@ -942,7 +808,7 @@ pub fn jobs_sweep(scale: &ExpScale) -> Result<ExpTable> {
     }
     let _ = std::fs::remove_dir_all(&base);
     t.note("logical-io-per-job: mean per-job logical transfers; asserted identical across all rows (concurrency and queueing never change the paper's cost model)");
-    t.note("wall-s/latency: real threads on real time -- the one table where wall clock, not virtual ticks, is the measurement");
+    t.note("wall-s/latency: real threads on real time -- the one table where wall clock, not simulated disk time, is the measurement");
     t.note(format!(
         "host parallelism: {} hardware thread(s); throughput scales with min(workers, host threads)",
         std::thread::available_parallelism().map_or(1, usize::from)
@@ -1202,31 +1068,6 @@ mod tests {
             cell(warm.iter().find(|r| r[1] == policy && r[2] == mode).unwrap(), 4)
         };
         assert!(phys_of("lru", "write-back") <= phys_of("lru", "write-through"));
-    }
-
-    #[test]
-    fn quick_overlap_sweep_cuts_virtual_time_without_moving_logical_io() {
-        let t = overlap_sweep(&ExpScale::quick()).unwrap();
-        assert!(!t.notes.iter().any(|n| n.contains("WARNING")), "{:?}", t.notes);
-        // Columns: workers, stripe, logical, phys, ticks, sim-wall, speedup, ...
-        let cell = |r: &Vec<String>, i: usize| -> u64 { r[i].parse().unwrap() };
-        let sync = t.rows.iter().find(|r| r[0] == "0").unwrap();
-        let full = t.rows.iter().find(|r| r[0] == "4" && r[1] == "4").unwrap();
-        // Acceptance bar: >= 1.5x virtual-time speedup at 4 workers x 4
-        // stripes with prefetch 8, logical I/O bit-identical.
-        assert_eq!(cell(full, 2), cell(sync, 2), "logical I/O must not move");
-        assert!(
-            cell(full, 4) * 3 <= cell(sync, 4) * 2,
-            "expected >= 1.5x: sync {} vs overlapped {}",
-            cell(sync, 4),
-            cell(full, 4)
-        );
-        assert!(cell(full, 8) > 0, "deep config must score prefetch hits: {full:?}");
-        assert!(cell(full, 10) > 0, "write-behind must defer writes: {full:?}");
-        // The faulty row heals by retry and keeps the logical count.
-        let faulty = t.rows.iter().find(|r| r[0].contains("faulty")).unwrap();
-        assert_eq!(cell(faulty, 2), cell(sync, 2));
-        assert!(faulty[6].contains("retried"), "{faulty:?}");
     }
 
     #[test]

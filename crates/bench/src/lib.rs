@@ -13,8 +13,8 @@ mod table;
 
 pub use experiments::{
     ablate_compaction, ablate_frames, bench_spec, bounds_vs_measured, cache_sweep,
-    degradation_sweep, fanouts_for, fault_sweep, fig5, fig6, fig7, jobs_sweep, overlap_sweep,
-    recovery_sweep, table1, table2, threshold_experiment, topk_sweep, ExpScale,
+    degradation_sweep, fanouts_for, fault_sweep, fig5, fig6, fig7, jobs_sweep, recovery_sweep,
+    table1, table2, threshold_experiment, topk_sweep, ExpScale,
 };
 pub use runner::{
     measure_mergesort, measure_nexsort, measure_nexsort_degraded, measure_nexsort_faulty,

@@ -12,8 +12,8 @@ use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::{sort_rec_extent, BaselineOptions};
 use nexsort_datagen::stage_as_recs;
 use nexsort_extmem::{
-    CachePolicy, CrashPlan, Disk, DiskBuilder, DiskStack, FaultCounts, FaultKind, FaultPlan, IoCat,
-    IoSnapshot, RetryPolicy, WriteMode,
+    CrashPlan, Disk, DiskBuilder, DiskStack, FaultCounts, FaultKind, FaultPlan, IoCat, IoSnapshot,
+    RetryPolicy,
 };
 use nexsort_server::JobSpec;
 use nexsort_xml::{EventSource, Result, SortSpec, XmlError};
@@ -23,41 +23,18 @@ use nexsort_xml::{EventSource, Result, SortSpec, XmlError};
 /// the absolute value only scales the "sim time" column, never the shapes.
 pub const SIM_MS_PER_IO: f64 = 12.0;
 
-/// Configuration of one measured run.
+/// Configuration of one measured run: the job knobs `xsort` and the daemon
+/// share, plus the sorter knobs only the bench sweeps.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    /// Device block size in bytes.
-    pub block_size: usize,
-    /// Internal memory in block frames.
-    pub mem_frames: usize,
-    /// NEXSORT sort threshold (None = 2 blocks, the paper's choice).
-    pub threshold: Option<u64>,
+    /// Block size, memory, threshold, depth limit, degeneration, page cache,
+    /// stripe and parity, mapped onto a device stack and sorter options
+    /// exactly as `xsort` and the daemon map them.
+    pub job: JobSpec,
     /// Compaction (tag dictionary) on/off.
     pub compaction: bool,
-    /// NEXSORT graceful-degeneration variant.
-    pub degeneration: bool,
-    /// Depth-limited sorting.
-    pub depth_limit: Option<u32>,
     /// Path-stack resident frames (Lemma 4.11 ablation).
     pub path_stack_frames: usize,
-    /// Buffer-pool frames for the device page cache, on top of `mem_frames`
-    /// (0 disables the pool; logical I/O is identical either way).
-    pub cache_frames: usize,
-    /// Buffer-pool eviction policy (ignored when `cache_frames` is 0).
-    pub cache_policy: CachePolicy,
-    /// Buffer-pool write policy (ignored when `cache_frames` is 0).
-    pub cache_write_mode: WriteMode,
-    /// I/O scheduler workers (0 = fully synchronous, the paper's model).
-    pub io_workers: usize,
-    /// Sequential read-ahead depth in blocks (needs workers and a cache).
-    pub prefetch_depth: usize,
-    /// Defer physical writes to the scheduler's write-behind queue.
-    pub write_behind: bool,
-    /// Stripe the in-memory device round-robin over N backing devices.
-    pub stripe: usize,
-    /// XOR parity group size for sealed runs (0 = unprotected, 1 = mirror;
-    /// extra physical I/O the paper's model does not charge).
-    pub parity_group: usize,
     /// Crash-consistent checkpointing: keep a write-ahead manifest journal
     /// on the device (extra I/O the paper's model does not charge).
     pub checkpoint: bool,
@@ -68,46 +45,19 @@ pub struct RunConfig {
 impl Default for RunConfig {
     fn default() -> Self {
         Self {
-            block_size: 4096,
-            mem_frames: 32,
-            threshold: None,
+            job: JobSpec::default(),
             compaction: true,
-            degeneration: false,
-            depth_limit: None,
             path_stack_frames: 2,
-            cache_frames: 0,
-            cache_policy: CachePolicy::Lru,
-            cache_write_mode: WriteMode::Through,
-            io_workers: 0,
-            prefetch_depth: 0,
-            write_behind: false,
-            stripe: 1,
-            parity_group: 0,
             checkpoint: false,
             journal_blocks: 32,
         }
     }
 }
 
-/// The job knobs a [`RunConfig`] describes: the bench maps them onto a
-/// device stack and sorter options through [`JobSpec`], exactly as `xsort`
-/// and the daemon do.
-fn job_spec(cfg: &RunConfig) -> JobSpec {
-    JobSpec {
-        block_size: cfg.block_size,
-        mem_frames: cfg.mem_frames,
-        threshold: cfg.threshold,
-        depth_limit: cfg.depth_limit,
-        degeneration: cfg.degeneration,
-        cache_frames: cfg.cache_frames,
-        cache_policy: cfg.cache_policy,
-        write_back: cfg.cache_write_mode == WriteMode::Back,
-        io_workers: cfg.io_workers,
-        prefetch_depth: cfg.prefetch_depth,
-        write_behind: cfg.write_behind,
-        stripe: cfg.stripe,
-        parity_group: cfg.parity_group,
-        ..JobSpec::default()
+impl RunConfig {
+    /// The default run at the given block size and memory.
+    pub fn sized(block_size: usize, mem_frames: usize) -> Self {
+        Self { job: JobSpec { block_size, mem_frames, ..JobSpec::default() }, ..Self::default() }
     }
 }
 
@@ -117,24 +67,18 @@ fn nexsort_opts(cfg: &RunConfig) -> NexsortOptions {
         compaction: cfg.compaction,
         path_stack_frames: cfg.path_stack_frames,
         journal_blocks: cfg.journal_blocks,
-        ..job_spec(cfg).nexsort_options(cfg.checkpoint)
+        ..cfg.job.nexsort_options(cfg.checkpoint)
     }
-}
-
-/// The device stack a [`RunConfig`] describes: in-memory, striped over
-/// `cfg.stripe` devices, with the configured page cache and I/O scheduler.
-/// Callers add fault or crash layers before building.
-fn bench_builder(cfg: &RunConfig) -> DiskBuilder {
-    job_spec(cfg).disk_builder()
 }
 
 fn build(builder: DiskBuilder) -> Result<DiskStack> {
     builder.build().map_err(|e| XmlError::Record(e.to_string()))
 }
 
-/// The configured simulated disk (see [`bench_builder`]).
+/// The configured simulated disk: in-memory, striped over `job.stripe`
+/// devices, with the configured page cache.
 fn bench_disk(cfg: &RunConfig) -> Result<Rc<Disk>> {
-    Ok(build(bench_builder(cfg))?.disk)
+    Ok(build(cfg.job.disk_builder())?.disk)
 }
 
 /// The outcome of one measured run.
@@ -166,10 +110,6 @@ pub struct Measurement {
     pub detail: String,
     /// Wall-clock of the measured phases.
     pub wall: Duration,
-    /// Virtual device-time ticks: the scheduler's clock when one is enabled
-    /// (overlapped transfers advance it less than serialized ones), otherwise
-    /// the physical transfer count (every transfer serialized).
-    pub ticks: u64,
 }
 
 impl Measurement {
@@ -181,14 +121,6 @@ impl Measurement {
     /// Simulated disk time in seconds at [`SIM_MS_PER_IO`].
     pub fn sim_seconds(&self) -> f64 {
         self.total_ios() as f64 * SIM_MS_PER_IO / 1000.0
-    }
-
-    /// Simulated *wall* time in seconds at [`SIM_MS_PER_IO`], from the
-    /// virtual device-time ticks: with an I/O scheduler, overlapped
-    /// transfers make this smaller than [`sim_seconds`](Self::sim_seconds)
-    /// even though the logical transfer count is unchanged.
-    pub fn sim_wall_seconds(&self) -> f64 {
-        self.ticks as f64 * SIM_MS_PER_IO / 1000.0
     }
 }
 
@@ -207,21 +139,18 @@ pub fn measure_nexsort(
     let report = &sorted.report;
     let sort_ios = report.io.grand_total();
     let output_ios = out_report.io.grand_total();
-    // Under write-back the pool may still hold dirty frames; flush (and
-    // drain any scheduler-deferred writes) so the physical counters in the
-    // breakdown are final.
+    // Under write-back the pool may still hold dirty frames; flush them so
+    // the physical counters in the breakdown are final.
     disk.cache_flush_all()?;
-    disk.io_barrier()?;
     let breakdown = disk.stats().snapshot();
-    let ticks = disk.sched_ticks().unwrap_or_else(|| breakdown.grand_total_physical());
     Ok(Measurement {
-        algo: if cfg.degeneration { "nexsort+degen".into() } else { "nexsort".into() },
+        algo: if cfg.job.degeneration { "nexsort+degen".into() } else { "nexsort".into() },
         n_elements: staged.n_elements,
         input_bytes: staged.bytes,
-        input_blocks: staged.bytes.div_ceil(cfg.block_size as u64),
+        input_blocks: staged.bytes.div_ceil(cfg.job.block_size as u64),
         max_fanout: report.max_fanout,
         height: report.max_level,
-        mem_frames: cfg.mem_frames,
+        mem_frames: cfg.job.mem_frames,
         sort_ios,
         output_ios,
         breakdown,
@@ -236,7 +165,6 @@ pub fn measure_nexsort(
             report.degenerate_merges
         ),
         wall: report.elapsed + out_report.elapsed,
-        ticks,
     })
 }
 
@@ -254,7 +182,7 @@ pub fn measure_nexsort_faulty(
 ) -> Result<(Measurement, FaultCounts)> {
     // Each inner device runs its own copy of the plan (same seed: the
     // schedules stay deterministic, drawn per-device).
-    let mut builder = bench_builder(cfg).faults_per_device(vec![plan; cfg.stripe.max(1)]);
+    let mut builder = cfg.job.disk_builder().faults_per_device(vec![plan; cfg.job.stripe.max(1)]);
     if retries > 0 {
         builder = builder.retry(RetryPolicy::retries(retries));
     }
@@ -270,17 +198,15 @@ pub fn measure_nexsort_faulty(
     let sort_ios = report.io.grand_total();
     let output_ios = out_report.io.grand_total();
     disk.cache_flush_all()?;
-    disk.io_barrier()?;
     let breakdown = disk.stats().snapshot();
-    let ticks = disk.sched_ticks().unwrap_or_else(|| breakdown.grand_total_physical());
     let m = Measurement {
         algo: "nexsort+faults".into(),
         n_elements: staged.n_elements,
         input_bytes: staged.bytes,
-        input_blocks: staged.bytes.div_ceil(cfg.block_size as u64),
+        input_blocks: staged.bytes.div_ceil(cfg.job.block_size as u64),
         max_fanout: report.max_fanout,
         height: report.max_level,
-        mem_frames: cfg.mem_frames,
+        mem_frames: cfg.job.mem_frames,
         sort_ios,
         output_ios,
         breakdown,
@@ -291,7 +217,6 @@ pub fn measure_nexsort_faulty(
             breakdown.backoff_units()
         ),
         wall: report.elapsed + out_report.elapsed,
-        ticks,
     };
     let mut counts = FaultCounts::default();
     for inj in &injectors {
@@ -345,9 +270,10 @@ pub fn measure_nexsort_degraded(
     // Reference pass: trace the sorting phase to find blocks whose every
     // write is run-store data (a block recycled as a stack page or a parity
     // block is outside the parity layer's protection).
-    let stripe = cfg.stripe.max(1) as u64;
-    let faulty =
-        || build(bench_builder(cfg).faults_per_device(vec![FaultPlan::new(0); stripe as usize]));
+    let stripe = cfg.job.stripe.max(1) as u64;
+    let faulty = || {
+        build(cfg.job.disk_builder().faults_per_device(vec![FaultPlan::new(0); stripe as usize]))
+    };
     let disk = faulty()?.disk;
     let staged = stage_as_recs(&disk, gen_base, spec, cfg.compaction)?;
     disk.start_trace();
@@ -385,7 +311,6 @@ pub fn measure_nexsort_degraded(
         .map_err(|f| XmlError::Record(f.to_string()))?;
     let recs = sorted2.to_recs()?;
     disk2.cache_flush_all()?;
-    disk2.io_barrier()?;
     let io = disk2.stats().snapshot().since(&before);
     // Health is read after serialization so repairs on the final output run
     // count too; the report's `degraded` bit covers only the sort itself.
@@ -443,7 +368,7 @@ pub fn measure_recovery(
     // Reference run on a crash-capable (but disarmed) disk: its physical
     // I/O counter measures the sorting phase's span.
     let crashable = || -> Result<(Rc<Disk>, nexsort_extmem::CrashController)> {
-        let stack = build(bench_builder(&cfg).crash(CrashPlan::Disarmed))?;
+        let stack = build(cfg.job.disk_builder().crash(CrashPlan::Disarmed))?;
         Ok((stack.disk, stack.crash.expect("a crash layer was configured")))
     };
     let (disk, ctl) = crashable()?;
@@ -494,27 +419,25 @@ pub fn measure_mergesort(
     let disk = bench_disk(cfg)?;
     let staged = stage_as_recs(&disk, gen, spec, cfg.compaction)?;
     let opts = BaselineOptions {
-        mem_frames: cfg.mem_frames,
+        mem_frames: cfg.job.mem_frames,
         compaction: cfg.compaction,
-        depth_limit: cfg.depth_limit,
+        depth_limit: cfg.job.depth_limit,
     };
     let start = std::time::Instant::now();
     let sorted = sort_rec_extent(&disk, &staged.extent, staged.dict.clone(), spec, &opts)?;
     let wall = start.elapsed();
     disk.cache_flush_all()?;
-    disk.io_barrier()?;
     let breakdown = disk.stats().snapshot();
-    let ticks = disk.sched_ticks().unwrap_or_else(|| breakdown.grand_total_physical());
     let output_ios = breakdown.total(IoCat::OutputWrite);
     let sort_ios = breakdown.grand_total() - output_ios;
     Ok(Measurement {
         algo: "mergesort".into(),
         n_elements: staged.n_elements,
         input_bytes: staged.bytes,
-        input_blocks: staged.bytes.div_ceil(cfg.block_size as u64),
+        input_blocks: staged.bytes.div_ceil(cfg.job.block_size as u64),
         max_fanout: 0,
         height: 0,
-        mem_frames: cfg.mem_frames,
+        mem_frames: cfg.job.mem_frames,
         sort_ios,
         output_ios,
         breakdown,
@@ -527,7 +450,6 @@ pub fn measure_mergesort(
             sorted.report.bytes
         ),
         wall,
-        ticks,
     })
 }
 
@@ -539,12 +461,12 @@ pub fn outputs_agree(
     spec: &SortSpec,
     cfg: &RunConfig,
 ) -> Result<bool> {
-    let disk = Disk::new_mem(cfg.block_size);
+    let disk = Disk::new_mem(cfg.job.block_size);
     let staged = stage_as_recs(&disk, gen_a, spec, cfg.compaction)?;
     let opts = NexsortOptions {
-        mem_frames: cfg.mem_frames,
-        threshold: cfg.threshold,
-        degeneration: cfg.degeneration,
+        mem_frames: cfg.job.mem_frames,
+        threshold: cfg.job.threshold,
+        degeneration: cfg.job.degeneration,
         compaction: cfg.compaction,
         ..Default::default()
     };
@@ -552,10 +474,10 @@ pub fn outputs_agree(
         .sort_rec_extent(&staged.extent, staged.dict.clone())?;
     let nx_recs = nx.to_recs()?;
 
-    let disk_b: Rc<Disk> = Disk::new_mem(cfg.block_size);
+    let disk_b: Rc<Disk> = Disk::new_mem(cfg.job.block_size);
     let staged_b = stage_as_recs(&disk_b, gen_b, spec, cfg.compaction)?;
     let b_opts = BaselineOptions {
-        mem_frames: cfg.mem_frames,
+        mem_frames: cfg.job.mem_frames,
         compaction: cfg.compaction,
         depth_limit: None,
     };
@@ -578,7 +500,7 @@ mod tests {
 
     #[test]
     fn nexsort_and_mergesort_measurements_agree_on_output() {
-        let cfg = RunConfig { mem_frames: 12, block_size: 512, ..Default::default() };
+        let cfg = RunConfig::sized(512, 12);
         let mut a = ExactGen::new(&[12, 8], GenConfig::default());
         let mut b = ExactGen::new(&[12, 8], GenConfig::default());
         assert!(outputs_agree(&mut a, &mut b, &spec(), &cfg).unwrap());
@@ -586,7 +508,7 @@ mod tests {
 
     #[test]
     fn measurements_carry_sane_numbers() {
-        let cfg = RunConfig { mem_frames: 12, block_size: 512, ..Default::default() };
+        let cfg = RunConfig::sized(512, 12);
         let mut g = IbmGen::new(7, 8, Some(800), GenConfig::default());
         let m = measure_nexsort(&mut g, &spec(), &cfg).unwrap();
         assert!(m.n_elements > 500, "budget should bind: {}", m.n_elements);
@@ -605,7 +527,7 @@ mod tests {
     fn hierarchical_input_favors_nexsort() {
         // A 5-level document with modest fan-out, sized so merge sort needs
         // several passes: the headline claim of the paper (13-27% faster).
-        let cfg = RunConfig { mem_frames: 16, block_size: 512, ..Default::default() };
+        let cfg = RunConfig::sized(512, 16);
         let fanouts = [10, 10, 10, 10];
         let mut g = ExactGen::new(&fanouts, GenConfig::default());
         let nx = measure_nexsort(&mut g, &spec(), &cfg).unwrap();
@@ -621,7 +543,7 @@ mod tests {
 
     #[test]
     fn flat_input_favors_mergesort_without_degeneration() {
-        let cfg = RunConfig { mem_frames: 10, block_size: 512, ..Default::default() };
+        let cfg = RunConfig::sized(512, 10);
         let mut g = ExactGen::new(&[600], GenConfig::default());
         let nx = measure_nexsort(&mut g, &spec(), &cfg).unwrap();
         let mut g = ExactGen::new(&[600], GenConfig::default());
@@ -634,8 +556,9 @@ mod tests {
         );
         // ...and degeneration repairs it (within a small margin).
         let mut g = ExactGen::new(&[600], GenConfig::default());
-        let dg =
-            measure_nexsort(&mut g, &spec(), &RunConfig { degeneration: true, ..cfg }).unwrap();
+        let mut cfg = cfg;
+        cfg.job.degeneration = true;
+        let dg = measure_nexsort(&mut g, &spec(), &cfg).unwrap();
         assert!(
             (dg.total_ios() as f64) <= ms.total_ios() as f64 * 1.15,
             "degeneration {} should be within 15% of merge sort {}",

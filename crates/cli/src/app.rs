@@ -37,7 +37,7 @@ pub struct Cli {
     pub command: Command,
     /// The sort knobs `xsort` shares with the daemon: output, block size,
     /// memory (`--mem` converted to frames), threshold, depth, pool,
-    /// scheduler, stripe, parity, pretty-printing, and the `client submit`
+    /// stripe, parity, pretty-printing, and the `client submit`
     /// job fields. `client submit` ships exactly this value.
     pub job: JobSpec,
     /// Device file for the simulated disk (temp file if absent).
@@ -243,13 +243,7 @@ BUFFER POOL (a pinning page cache between the sorter and the device):
       --write-back      coalesce repeated writes in the pool; the default
                         write-through keeps the device current on every write
 
-I/O SCHEDULER (asynchronous read-ahead / write-behind in deterministic
-virtual time; sorted bytes and logical I/O counts never change):
-      --io-workers N    modeled I/O workers (default: 0 = synchronous)
-      --prefetch-depth N  sequential read-ahead in blocks (default: 0;
-                        needs --io-workers >= 1 and --cache-frames > 0)
-      --write-behind    defer writes to a bounded background queue, drained
-                        at run/output barriers
+STRIPING (sorted bytes and logical I/O counts never change):
       --stripe N        stripe the device round-robin over N backing devices
                         (default: 1; with --device FILE, uses FILE.0..FILE.N-1)
 
@@ -468,17 +462,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--cache-policy" => job.cache_policy = next_value(&mut it, arg)?.parse()?,
             "--write-back" => job.write_back = true,
-            "--io-workers" => {
-                job.io_workers = next_value(&mut it, arg)?
-                    .parse::<usize>()
-                    .map_err(|_| "--io-workers needs a nonnegative integer".to_string())?
-            }
-            "--prefetch-depth" => {
-                job.prefetch_depth = next_value(&mut it, arg)?
-                    .parse::<usize>()
-                    .map_err(|_| "--prefetch-depth needs a nonnegative integer".to_string())?
-            }
-            "--write-behind" => job.write_behind = true,
             "--stripe" => {
                 job.stripe = next_value(&mut it, arg)?
                     .parse::<usize>()
@@ -966,14 +949,10 @@ fn topk_one(
     Ok(doc)
 }
 
-/// The `cache:` and `sched:` lines of `--stats`, when the stack has a pool
-/// or a scheduler.
+/// The `cache:` line of `--stats`, when the stack has a pool.
 fn print_stack_stats(disk: &Disk) {
     if let (Some(policy), Some(mode)) = (disk.cache_policy_name(), disk.cache_mode()) {
         eprintln!("cache: {} frames, {policy}, {mode}", disk.cache_capacity().unwrap_or(0));
-    }
-    if let Some(ticks) = disk.sched_ticks() {
-        eprintln!("sched: {ticks} virtual ticks, stripe {}", disk.stripe_width());
     }
 }
 
@@ -1415,13 +1394,9 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
         }
     };
     // Under write-back the pool may still hold dirty frames; push them to the
-    // device so a `--device` file is complete on exit. The cache flush can
-    // enqueue deferred writes, so the scheduler barrier comes after it.
+    // device so a `--device` file is complete on exit.
     let result = result.and_then(|()| {
         disk.cache_flush_all().map_err(|e| CliError::from(format!("final cache flush: {e}")))
-    });
-    let result = result.and_then(|()| {
-        disk.io_barrier().map_err(|e| CliError::from(format!("final write-behind drain: {e}")))
     });
     if cli.stats {
         for (i, inj) in injectors.iter().enumerate() {
@@ -1441,7 +1416,7 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nexsort_extmem::{CachePolicy, SchedConfig, WriteMode};
+    use nexsort_extmem::{CachePolicy, WriteMode};
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(ToString::to_string).collect()
@@ -1643,32 +1618,19 @@ mod tests {
     }
 
     #[test]
-    fn sched_flags_parse_with_sane_defaults() {
+    fn stripe_flag_parses_and_the_scheduler_flags_are_unknown() {
         let plain = parse_args(&args(&["sort", "x.xml"])).unwrap();
-        assert_eq!(plain.job.io_workers, 0);
-        assert_eq!(plain.job.prefetch_depth, 0);
-        assert!(!plain.job.write_behind);
         assert_eq!(plain.job.stripe, 1);
-
-        let cli = parse_args(&args(&[
-            "sort",
-            "x.xml",
-            "--io-workers",
-            "4",
-            "--prefetch-depth",
-            "8",
-            "--write-behind",
-            "--stripe",
-            "4",
-        ]))
-        .unwrap();
-        assert_eq!(cli.job.io_workers, 4);
-        assert_eq!(cli.job.prefetch_depth, 8);
-        assert!(cli.job.write_behind);
+        let cli = parse_args(&args(&["sort", "x.xml", "--stripe", "4"])).unwrap();
         assert_eq!(cli.job.stripe, 4);
-
-        assert!(parse_args(&args(&["sort", "x.xml", "--io-workers", "lots"])).is_err());
         assert!(parse_args(&args(&["sort", "x.xml", "--stripe", "0"])).is_err());
+
+        // Scripts still passing the retired scheduler flags fail loudly
+        // instead of silently sorting without them.
+        for flag in [&["--io-workers", "1"][..], &["--prefetch-depth", "8"], &["--write-behind"]] {
+            let err = parse_args(&args(&[&["sort", "x.xml"][..], flag].concat())).unwrap_err();
+            assert!(err.contains("unknown option"), "{flag:?}: {err}");
+        }
     }
 
     #[test]
@@ -1830,25 +1792,15 @@ mod tests {
             "--cache-policy",
             "clock",
             "--write-back",
-            "--io-workers",
-            "2",
-            "--prefetch-depth",
-            "4",
-            "--write-behind",
             "--retries",
             "2",
         ]))
         .unwrap();
-        let by_hand = DiskBuilder::new(256)
-            .stripe(4)
-            .retry(RetryPolicy::retries(2))
-            .cache(8, CachePolicy::Clock, WriteMode::Back)
-            .sched(SchedConfig {
-                workers: 2,
-                prefetch_depth: 4,
-                write_behind: true,
-                ..SchedConfig::default()
-            });
+        let by_hand = DiskBuilder::new(256).stripe(4).retry(RetryPolicy::retries(2)).cache(
+            8,
+            CachePolicy::Clock,
+            WriteMode::Back,
+        );
         assert_eq!(disk_spec(&cli).unwrap().describe(), by_hand.describe());
 
         // Fault flags map to one reseedable base plan plus default retries.
@@ -1886,7 +1838,6 @@ mod tests {
                 let b = disk.alloc_block();
                 disk.write_block(b, &[i; 128], IoCat::SortScratch).unwrap();
             }
-            disk.io_barrier().unwrap();
         }
         // (the faulty hand-built stack has block size 128; the CLI stack 256
         // -- compare each against itself over time, and the two fault-free
@@ -1923,11 +1874,6 @@ mod tests {
             "--cache-policy",
             "clock",
             "--write-back",
-            "--io-workers",
-            "2",
-            "--prefetch-depth",
-            "4",
-            "--write-behind",
             "--parity-group",
             "2",
             "--threshold",
@@ -1947,7 +1893,7 @@ mod tests {
         let local_stack = disk_spec(&local).unwrap().describe();
         assert_eq!(local_stack, daemon.disk_builder().describe());
         assert!(local_stack.contains("cache=8/Clock/Back"), "{local_stack}");
-        assert!(local_stack.contains("sched=w2/p4/wb/"), "{local_stack}");
+        assert!(local_stack.contains("stripe=3"), "{local_stack}");
         // The daemon always journals: compare against a checkpointed sort.
         assert_eq!(
             format!("{:?}", local.job.nexsort_options(local.checkpoint)),
@@ -1956,7 +1902,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_sorts_match_the_synchronous_output_bit_for_bit() {
+    fn striped_and_write_back_sorts_match_the_uncached_output_bit_for_bit() {
         let dir = std::env::temp_dir().join(format!("xsort-sch-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let raw = dir.join("raw.xml");
@@ -1976,31 +1922,20 @@ mod tests {
 
         let out = dir.join("out.xml");
         let sync = sort_with(&[], &out);
-        let full = [
-            "--io-workers",
-            "4",
-            "--prefetch-depth",
-            "8",
-            "--write-behind",
-            "--cache-frames",
-            "8",
-            "--stripe",
-            "4",
-        ];
+        let full = ["--cache-frames", "8", "--write-back", "--stripe", "4"];
         for extra in [
-            &["--io-workers", "1"][..],
-            &["--io-workers", "4", "--write-behind"][..],
             &["--stripe", "4"][..],
+            &["--cache-frames", "8", "--write-back"][..],
             &full[..],
-            &["--io-workers", "2", "--write-behind", "--algo", "mergesort"][..],
+            &["--cache-frames", "8", "--write-back", "--stripe", "2", "--algo", "mergesort"][..],
         ] {
             // Mergesort output differs from nexsort's only in report, not
             // bytes: both are fully sorted documents under the same spec.
             assert_eq!(sort_with(extra, &out), sync, "{extra:?}");
         }
 
-        // A scheduled sort on a striped faulty disk still heals by retry and
-        // agrees with the synchronous output.
+        // A write-back sort on a striped faulty disk still heals by retry
+        // and agrees with the uncached output.
         let mut f = vec!["sort", raw.to_str().unwrap(), "-o", out.to_str().unwrap()];
         f.extend_from_slice(&base);
         f.extend_from_slice(&full);
@@ -2031,9 +1966,9 @@ mod tests {
             dev.to_str().unwrap(),
             "--stripe",
             "3",
-            "--io-workers",
-            "2",
-            "--write-behind",
+            "--cache-frames",
+            "4",
+            "--write-back",
         ]))
         .unwrap();
         run(&cli).unwrap();
@@ -2136,11 +2071,11 @@ mod tests {
                 "--resume",
                 "--crash-after-ios",
                 "120",
-                "--io-workers",
-                "2",
-                "--write-behind",
                 "--cache-frames",
                 "6",
+                "--write-back",
+                "--stripe",
+                "4",
             ][..],
         ] {
             assert_eq!(sort_with(extra, &out), clean, "{extra:?}");

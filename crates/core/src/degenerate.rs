@@ -477,8 +477,6 @@ pub(crate) fn sort_degenerate(
     st.report.root_flat = !st.root_has_ptrs;
     finish_degenerate(&mut st, root_run)?;
     report = st.report;
-    // Settle any scheduler-deferred writes before the final I/O snapshot.
-    disk.io_barrier()?;
     report.io = stats.snapshot().since(&io_before);
     report.elapsed = start_time.elapsed();
     Ok((st.store, root_run, report))
@@ -562,7 +560,6 @@ pub(crate) fn resume_degenerate(
     st.report.root_flat = !st.root_has_ptrs;
     finish_degenerate(&mut st, root_run)?;
     let mut report = st.report;
-    disk.io_barrier()?;
     report.io = stats.snapshot().since(&io_before);
     report.elapsed = start_time.elapsed();
     Ok((st.store, root_run, report))

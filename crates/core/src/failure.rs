@@ -123,9 +123,9 @@ impl SortFailure {
     }
 
     /// Human name of the failure site. A stack-paging or journal fault keeps
-    /// the algorithm phase in the name: a deferred write-behind failure
-    /// surfaces at a later barrier, and the recorded phase (the one that
-    /// *deferred* the write) is the only clue to what work was in flight.
+    /// the algorithm phase in the name: the category alone says which
+    /// structure failed, and the recorded phase is the only clue to what
+    /// work was in flight.
     pub fn site(&self) -> String {
         match self.cat {
             Some(c) if self.is_stack_paging() => {
@@ -255,8 +255,7 @@ mod tests {
         };
         assert!(f.is_stack_paging());
         assert!(f.site().starts_with("stack paging"));
-        // The deferring phase is stamped: a write-behind drain that fails at
-        // a later barrier still names the phase that queued the write.
+        // The phase is stamped next to the stack's name.
         assert!(f.site().contains("run formation"), "{}", f.site());
         let msg = f.to_string();
         assert!(msg.contains("block 9"), "{msg}");

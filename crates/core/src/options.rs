@@ -2,7 +2,7 @@
 
 /// Tunables of the algorithm, mirroring the paper's parameters.
 ///
-/// The device stack the sort runs on (page cache, I/O scheduler, striping)
+/// The device stack the sort runs on (page cache, striping)
 /// is outside the paper's cost model and is configured where the stack is
 /// built, on `nexsort_extmem::DiskBuilder`.
 #[derive(Debug, Clone)]
@@ -36,7 +36,7 @@ pub struct NexsortOptions {
     pub data_stack_frames: usize,
     /// Crash-consistent checkpointing: maintain a write-ahead manifest
     /// journal on the device (see `nexsort_extmem::Journal`) whose commit
-    /// records land only after an I/O barrier. An interrupted sort can then
+    /// records land only after the page cache is flushed. An interrupted sort can then
     /// be resumed with [`Nexsort::resume_xml_extent`]
     /// (crate::Nexsort::resume_xml_extent) without redoing committed work.
     /// Off by default: journal writes are extra I/O the paper's model does

@@ -36,8 +36,8 @@ pub struct Nexsort {
 
 impl Nexsort {
     /// A sorter over `disk` with the given options and ordering criterion.
-    /// Only validates: the disk's page cache and I/O scheduler, if any, were
-    /// attached when its stack was built (`nexsort_extmem::DiskBuilder`).
+    /// Only validates: the disk's page cache, if any, was attached when its
+    /// stack was built (`nexsort_extmem::DiskBuilder`).
     pub fn new(disk: Rc<Disk>, opts: NexsortOptions, spec: SortSpec) -> Result<Self> {
         if opts.mem_frames < NexsortOptions::MIN_MEM_FRAMES {
             return Err(XmlError::Ext(nexsort_extmem::ExtError::BudgetExceeded {
@@ -458,10 +458,6 @@ impl Nexsort {
         // A single subtree sort means nothing was ever collapsed into a
         // pointer: the root run is the whole sorted document.
         report.root_flat = report.subtree_sorts == 1;
-        // Drain any writes still queued behind the scheduler so a deferred
-        // fault surfaces inside the sort (and inside `SortFailure`'s phase
-        // attribution) and the report's physical counts are settled.
-        self.disk.io_barrier()?;
         // The standard algorithm checkpoints at sort-done granularity: one
         // committed batch sealing the whole run tree. (Finer grain would
         // journal every subtree collapse; the stack-resident intermediate
@@ -576,29 +572,23 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_and_striping_leave_bytes_and_logical_io_unchanged() {
+    fn striping_and_write_back_leave_bytes_and_logical_io_unchanged() {
         let doc = figure_1_d1();
         let baseline = sort_doc(doc, NexsortOptions::default());
         let expect = events_to_dom(&baseline.to_events().unwrap()).unwrap();
 
-        // Full async configuration on a 4-way stripe: overlap changes only
-        // virtual time and physical scheduling, never the sorted bytes or
+        // A write-back pool on a 4-way stripe changes only where blocks
+        // live and when they reach the device, never the sorted bytes or
         // the logical transfer counts the paper's analysis charges.
         let disk = nexsort_extmem::DiskBuilder::new(128)
             .stripe(4)
-            .cache(8, nexsort_extmem::CachePolicy::Lru, nexsort_extmem::WriteMode::Through)
-            .sched(nexsort_extmem::SchedConfig {
-                workers: 4,
-                prefetch_depth: 8,
-                write_behind: true,
-                ..Default::default()
-            })
+            .cache(8, nexsort_extmem::CachePolicy::Lru, nexsort_extmem::WriteMode::Back)
             .build()
             .unwrap()
             .disk;
         let input = stage_input(&disk, doc.as_bytes()).unwrap();
         let nx = Nexsort::new(disk.clone(), NexsortOptions::default(), spec()).unwrap();
-        assert!(disk.sched_enabled());
+        assert_eq!(disk.stripe_width(), 4);
         let sorted = nx.sort_xml_extent(&input).unwrap();
         let got = events_to_dom(&sorted.to_events().unwrap()).unwrap();
         assert_eq!(got, expect);

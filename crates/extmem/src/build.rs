@@ -3,8 +3,7 @@
 //!
 //! The substrate's device middleware composes in a fixed order (bottom to
 //! top): backing device(s) -> stripe -> fault injection -> checksums ->
-//! crash injection -> the accounting [`Disk`] -> page cache -> I/O
-//! scheduler. Before this module, that assembly lived inline in
+//! crash injection -> the accounting [`Disk`] -> page cache. Before this module, that assembly lived inline in
 //! `cli::make_disk`; a server spawning one stack per job, the benches, and
 //! the tests all need the same composition, so [`DiskBuilder`] makes it an
 //! explicit, inspectable value. [`DiskBuilder::describe`] renders the
@@ -15,10 +14,10 @@
 //! This module is the device layer's one sanctioned raw-assembly site: it
 //! may name [`BlockDevice`] implementations directly (xlint rule R1 lists
 //! it), so front ends no longer need `xlint::allow(R1)` pragmas. It is also
-//! the only place a page cache or an I/O scheduler is attached to a disk
-//! (`Disk::enable_cache` and `Disk::enable_sched` are crate-private): both
-//! are part of the stack a [`DiskStack`] hands out, so they are in place
-//! before the first byte is staged, whichever front end built the stack.
+//! the only place a page cache is attached to a disk (`Disk::enable_cache`
+//! is crate-private): the pool is part of the stack a [`DiskStack`] hands
+//! out, so it is in place before the first byte is staged, whichever front
+//! end built the stack.
 
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -30,7 +29,7 @@ use crate::fault::{
     FaultyDevice, RetryPolicy,
 };
 use crate::pool::{CachePolicy, WriteMode};
-use crate::sched::{SchedConfig, StripedDevice};
+use crate::stripe::StripedDevice;
 
 /// What backs the bottom of the stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,12 +78,10 @@ impl std::fmt::Debug for DiskStack {
 /// Builder for a layered device stack; see the [module docs](self).
 ///
 /// ```
-/// use nexsort_extmem::{CachePolicy, DiskBuilder, SchedConfig, WriteMode};
+/// use nexsort_extmem::{CachePolicy, DiskBuilder, WriteMode};
 /// let stack = DiskBuilder::new(512)
 ///     .stripe(4)
 ///     .cache(8, CachePolicy::Lru, WriteMode::Back)
-///     .sched(SchedConfig { workers: 4, prefetch_depth: 8, write_behind: true,
-///                          ..SchedConfig::default() })
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(stack.disk.stripe_width(), 4);
@@ -99,7 +96,6 @@ pub struct DiskBuilder {
     crash: Option<CrashPlan>,
     retry: Option<RetryPolicy>,
     cache: Option<(usize, CachePolicy, WriteMode)>,
-    sched: Option<SchedConfig>,
     shadow: bool,
 }
 
@@ -115,7 +111,6 @@ impl DiskBuilder {
             crash: None,
             retry: None,
             cache: None,
-            sched: None,
             shadow: false,
         }
     }
@@ -178,12 +173,6 @@ impl DiskBuilder {
         self
     }
 
-    /// Enable the asynchronous I/O scheduler.
-    pub fn sched(mut self, cfg: SchedConfig) -> Self {
-        self.sched = Some(cfg);
-        self
-    }
-
     /// Force-attach the shadow-state sanitizer (it also auto-attaches when
     /// `NEXSORT_SHADOW=1` is set in the environment).
     pub fn shadow(mut self, on: bool) -> Self {
@@ -214,19 +203,8 @@ impl DiskBuilder {
             None => "none".to_string(),
             Some((frames, policy, mode)) => format!("{frames}/{policy:?}/{mode:?}"),
         };
-        let sched = match &self.sched {
-            None => "none".to_string(),
-            Some(c) => format!(
-                "w{}/p{}/{}q{}",
-                c.workers,
-                c.prefetch_depth,
-                if c.write_behind { "wb/" } else { "" },
-                c.queue_capacity
-            ),
-        };
         format!(
-            "block={} backing={} stripe={} faults={} crash={:?} retry={:?} cache={} sched={} \
-             shadow={}",
+            "block={} backing={} stripe={} faults={} crash={:?} retry={:?} cache={} shadow={}",
             self.block_size,
             backing,
             self.stripe,
@@ -234,7 +212,6 @@ impl DiskBuilder {
             self.crash,
             self.retry,
             cache,
-            sched,
             self.shadow,
         )
     }
@@ -306,11 +283,6 @@ impl DiskBuilder {
                     .map_err(|e| BuildError(format!("cannot enable the page cache: {e}")))?;
             }
         }
-        if let Some(cfg) = self.sched {
-            if cfg.workers > 0 {
-                disk.enable_sched(cfg);
-            }
-        }
         if self.shadow {
             disk.enable_shadow();
         }
@@ -318,7 +290,7 @@ impl DiskBuilder {
     }
 
     /// The raw device layers, bottom-up, before the accounting disk's own
-    /// optional layers (retry, cache, scheduler) are configured.
+    /// optional layers (retry, cache) are configured.
     #[allow(clippy::type_complexity)]
     fn assemble(
         &self,
@@ -399,29 +371,17 @@ mod tests {
     }
 
     #[test]
-    fn default_stack_has_no_pool_and_no_scheduler() {
+    fn default_stack_has_no_pool() {
         // The paper's model: every logical transfer is one synchronous
-        // physical transfer unless a pool or scheduler is asked for.
+        // physical transfer unless a pool is asked for.
         let stack = DiskBuilder::new(128).build().unwrap();
         assert!(!stack.disk.cache_enabled(), "no pool by default: counts match the paper's model");
-        assert!(!stack.disk.sched_enabled(), "synchronous I/O by default: the paper's model");
-        assert_eq!(stack.disk.prefetch_depth(), 0);
-        // A zero-frame pool or zero-worker scheduler attaches nothing.
-        let stack = DiskBuilder::new(128)
-            .cache(0, CachePolicy::Lru, WriteMode::Through)
-            .sched(SchedConfig { workers: 0, ..SchedConfig::default() })
-            .build()
-            .unwrap();
-        assert!(!stack.disk.cache_enabled() && !stack.disk.sched_enabled());
-        // Asked for, both are attached by the builder itself.
-        let stack = DiskBuilder::new(128)
-            .cache(4, CachePolicy::Clock, WriteMode::Back)
-            .sched(SchedConfig { workers: 2, prefetch_depth: 3, ..SchedConfig::default() })
-            .build()
-            .unwrap();
-        assert_eq!(stack.disk.cache_capacity(), Some(4));
-        assert!(stack.disk.sched_enabled());
-        assert_eq!(stack.disk.prefetch_depth(), 3);
+        // A zero-frame pool attaches nothing.
+        let stack = DiskBuilder::new(128).cache(0, CachePolicy::Lru, WriteMode::Through).build();
+        assert!(!stack.unwrap().disk.cache_enabled());
+        // Asked for, the pool is attached by the builder itself.
+        let stack = DiskBuilder::new(128).cache(4, CachePolicy::Clock, WriteMode::Back).build();
+        assert_eq!(stack.unwrap().disk.cache_capacity(), Some(4));
     }
 
     #[test]

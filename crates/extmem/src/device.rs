@@ -22,9 +22,8 @@ use crate::fault::{
     RetryPolicy,
 };
 use crate::pool::{CachePolicy, PinGuard, PinMutGuard, PoolCore, SlotAcquire, WriteMode};
-use crate::sched::{SchedConfig, SchedCore, WbEntry};
 use crate::shadow::ShadowState;
-use crate::stats::{CacheEvent, IoCat, IoStats, SchedEvent};
+use crate::stats::{CacheEvent, IoCat, IoStats};
 
 /// Raw block storage: fixed-size blocks addressed by a dense `u64` id.
 pub trait BlockDevice {
@@ -289,11 +288,6 @@ impl BlockDevice for FileDevice {
 /// trace, which records what actually reached the device) can fall below the
 /// logical ones. With no pool the two coincide and behavior is byte-identical
 /// to a pool-less build.
-///
-/// An I/O scheduler ([`DiskBuilder::sched`](crate::DiskBuilder::sched)) additionally defers and overlaps
-/// physical transfers (read-ahead, write-behind, striping) in deterministic
-/// virtual time -- see [`SchedConfig`]. Logical counts and
-/// the bytes an algorithm observes are scheduler-invariant.
 pub struct Disk {
     dev: RefCell<Box<dyn BlockDevice>>,
     stats: IoStats,
@@ -303,7 +297,6 @@ pub struct Disk {
     phase: Cell<IoPhase>,
     last_failure: Cell<Option<DiskFailure>>,
     pool: RefCell<Option<PoolCore>>,
-    sched: RefCell<Option<SchedCore>>,
     stripe: usize,
     shadow: RefCell<Option<ShadowState>>,
     health: RefCell<DeviceHealth>,
@@ -327,8 +320,7 @@ impl Disk {
     }
 
     /// Wrap `dev`, which stripes blocks round-robin over `stripe` devices;
-    /// the width routes blocks to per-device queues once a scheduler is
-    /// attached ([`DiskBuilder::sched`](crate::DiskBuilder::sched)).
+    /// the width attributes quarantined blocks to their stripe device.
     pub(crate) fn with_stripe(dev: Box<dyn BlockDevice>, stripe: usize) -> Rc<Self> {
         let block_size = dev.block_size();
         let shadow = ShadowState::from_env(dev.num_blocks());
@@ -341,7 +333,6 @@ impl Disk {
             phase: Cell::new(IoPhase::default()),
             last_failure: Cell::new(None),
             pool: RefCell::new(None),
-            sched: RefCell::new(None),
             stripe: stripe.max(1),
             shadow: RefCell::new(shadow),
             health: RefCell::new(DeviceHealth::new()),
@@ -425,18 +416,14 @@ impl Disk {
     /// Quarantine `block`: it is never freed, never reallocated, and every
     /// subsequent transfer addressing it fails with
     /// [`ExtError::BlockQuarantined`](crate::ExtError::BlockQuarantined).
-    /// Any cached frame or deferred write of the block is dropped -- its
-    /// content is untrustworthy and must not resurface. The fault is
+    /// Any cached frame of the block is dropped -- its content is
+    /// untrustworthy and must not resurface. The fault is
     /// attributed to stripe device `block % stripe_width` for clustering.
     pub fn quarantine_block(&self, block: u64) {
         if let Some(pool) = self.pool.borrow_mut().as_mut() {
             // A pinned frame on a quarantined block would be a repair-layer
             // bug; invalidation failure is not actionable here.
             let _ = pool.invalidate(block);
-        }
-        if let Some(s) = self.sched.borrow_mut().as_mut() {
-            s.wb.retain(|e| e.block != block);
-            s.inflight.remove(&block);
         }
         let device = (block % self.stripe as u64) as u32;
         self.health.borrow_mut().quarantine(block, device);
@@ -591,15 +578,7 @@ impl Disk {
             return Ok(());
         }
         if let Some(pool) = self.pool.borrow_mut().as_mut() {
-            if pool.invalidate(id)? {
-                self.stats.add_sched_event(self.phase.get(), SchedEvent::PrefetchWasted);
-            }
-        }
-        if let Some(s) = self.sched.borrow_mut().as_mut() {
-            // Deferred writes of a dead block must never land: a recycled id
-            // would read back the stale bytes.
-            s.wb.retain(|e| e.block != id);
-            s.inflight.remove(&id);
+            pool.invalidate(id)?;
         }
         self.dev.borrow_mut().free(id)?;
         if let Some(sh) = self.shadow.borrow().as_ref() {
@@ -608,9 +587,9 @@ impl Disk {
         Ok(())
     }
 
-    /// One physical read reaching the device *right now*: retry loop,
-    /// physical counter, trace entry. No logical charge, no scheduling.
-    fn phys_read_now(&self, id: u64, buf: &mut [u8], cat: IoCat) -> Result<()> {
+    /// One physical read reaching the device: retry loop, physical
+    /// counter, trace entry. No logical charge.
+    fn phys_read(&self, id: u64, buf: &mut [u8], cat: IoCat) -> Result<()> {
         self.with_retries(cat, id, true, |dev| dev.read(id, buf))?;
         self.stats.add_phys_reads(cat, 1);
         if let Some(t) = self.trace.borrow_mut().as_mut() {
@@ -619,95 +598,13 @@ impl Disk {
         Ok(())
     }
 
-    /// One physical write reaching the device *right now*: retry loop,
-    /// physical counter, trace entry. No logical charge, no scheduling.
-    fn phys_write_now(&self, id: u64, data: &[u8], cat: IoCat) -> Result<()> {
+    /// One physical write reaching the device: retry loop, physical
+    /// counter, trace entry. No logical charge.
+    fn phys_write(&self, id: u64, data: &[u8], cat: IoCat) -> Result<()> {
         self.with_retries(cat, id, false, |dev| dev.write(id, data))?;
         self.stats.add_phys_writes(cat, 1);
         if let Some(t) = self.trace.borrow_mut().as_mut() {
             t.push(TraceEntry { is_read: false, block: id, cat });
-        }
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.note_landed(id);
-        }
-        Ok(())
-    }
-
-    /// A physical read, through the scheduler when one is enabled: any
-    /// deferred write of `id` still parked on the write-behind queue is
-    /// drained first (FIFO, so earlier writes to other blocks land too),
-    /// then the read is accounted as one synchronous transfer.
-    fn phys_read(&self, id: u64, buf: &mut [u8], cat: IoCat) -> Result<()> {
-        if self.sched.borrow().is_some() {
-            self.drain_writes_for(id)?;
-            if let Some(s) = self.sched.borrow_mut().as_mut() {
-                s.tick_sync(id);
-            }
-        }
-        self.phys_read_now(id, buf, cat)
-    }
-
-    /// A physical write, through the scheduler when one is enabled: with
-    /// write-behind on, the write is copied onto the bounded dirty queue
-    /// (backpressuring by draining the oldest entry when full) and reaches
-    /// the device later; otherwise it reaches the device immediately. With
-    /// write-behind off the physical transfer sequence is byte-identical to
-    /// a scheduler-less disk.
-    fn phys_write(&self, id: u64, data: &[u8], cat: IoCat) -> Result<()> {
-        let write_behind = self.sched.borrow().as_ref().is_some_and(|s| s.write_behind);
-        if !write_behind {
-            if let Some(s) = self.sched.borrow_mut().as_mut() {
-                s.tick_sync(id);
-            }
-            return self.phys_write_now(id, data, cat);
-        }
-        while self.sched.borrow().as_ref().is_some_and(|s| s.wb.len() >= s.queue_capacity) {
-            self.drain_one_write()?;
-        }
-        {
-            let mut s_ref = self.sched.borrow_mut();
-            // Single-threaded, so the scheduler checked above is still there;
-            // if it ever were not, falling back to an immediate write keeps
-            // the data safe without panicking.
-            let Some(s) = s_ref.as_mut() else {
-                drop(s_ref);
-                return self.phys_write_now(id, data, cat);
-            };
-            s.wb.push_back(WbEntry {
-                block: id,
-                data: data.to_vec(),
-                cat,
-                phase: self.phase.get(),
-            });
-            s.tick_async(id);
-        }
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.note_deferred(id);
-        }
-        self.stats.add_sched_event(self.phase.get(), SchedEvent::DeferredWrite);
-        Ok(())
-    }
-
-    /// Send the oldest deferred write to the device. On failure the entry
-    /// stays queued (nothing is lost) and the recorded [`DiskFailure`] names
-    /// the block under the phase that *issued* the write.
-    fn drain_one_write(&self) -> Result<()> {
-        let mut s_ref = self.sched.borrow_mut();
-        let Some(s) = s_ref.as_mut() else { return Ok(()) };
-        let Some(front) = s.wb.front() else { return Ok(()) };
-        let (block, cat, phase) = (front.block, front.cat, front.phase);
-        let saved = self.phase.replace(phase);
-        let result = self.phys_write_now(block, &front.data, cat);
-        self.phase.set(saved);
-        result?;
-        s.wb.pop_front();
-        Ok(())
-    }
-
-    /// Drain the write-behind queue until no deferred write of `id` remains.
-    fn drain_writes_for(&self, id: u64) -> Result<()> {
-        while self.sched.borrow().as_ref().is_some_and(|s| s.has_pending_write(id)) {
-            self.drain_one_write()?;
         }
         Ok(())
     }
@@ -766,7 +663,6 @@ impl Disk {
         let phase = self.phase.get();
         if let Some(slot) = pool.lookup(id) {
             self.stats.add_cache_event(phase, CacheEvent::Hit);
-            self.note_prefetch_consumed(pool, slot, id);
             buf[..self.block_size]
                 .copy_from_slice(&pool.slot_data(slot).borrow()[..self.block_size]);
             return Ok(());
@@ -841,13 +737,7 @@ impl Disk {
                     self.stats.add_cache_event(self.phase.get(), CacheEvent::DirtyWriteback);
                 }
                 self.stats.add_cache_event(self.phase.get(), CacheEvent::Eviction);
-                if pool.detach(slot) {
-                    // Evicted before anyone read it: the prefetch was wasted.
-                    self.stats.add_sched_event(self.phase.get(), SchedEvent::PrefetchWasted);
-                    if let Some(s) = self.sched.borrow_mut().as_mut() {
-                        s.inflight.remove(&block);
-                    }
-                }
+                pool.detach(slot);
                 Ok(slot)
             }
         }
@@ -860,14 +750,13 @@ impl Disk {
         if let Some(sh) = self.shadow.borrow().as_ref() {
             sh.check_read(id, self.dev.borrow().num_blocks())?;
         }
-        self.phys_read_now(id, buf, IoCat::Journal)?;
+        self.phys_read(id, buf, IoCat::Journal)?;
         self.stats.add_reads(IoCat::Journal, 1);
         Ok(())
     }
 
-    /// Write a journal block *synchronously*, bypassing the buffer pool and
-    /// the write-behind queue: when this returns, the bytes are on the
-    /// device. Journal records must be durable before the commit record
+    /// Write a journal block *synchronously*, bypassing the buffer pool:
+    /// when this returns, the bytes are on the device. Journal records must be durable before the commit record
     /// that covers them, so deferring them is never correct. Any stale
     /// cached frame for the block is invalidated first.
     pub fn journal_write(&self, id: u64, data: &[u8]) -> Result<()> {
@@ -878,41 +767,18 @@ impl Disk {
         if let Some(pool) = self.pool.borrow_mut().as_mut() {
             pool.invalidate(id)?;
         }
-        self.phys_write_now(id, data, IoCat::Journal)?;
+        self.phys_write(id, data, IoCat::Journal)?;
         self.stats.add_writes(IoCat::Journal, 1);
         Ok(())
     }
 
-    /// Discard all volatile I/O state: every deferred write still parked on
-    /// the write-behind queue and every buffer-pool frame, without writing
-    /// anything back. Crash recovery only -- after a simulated crash the
-    /// device image (not what this process had in memory) is the
-    /// authoritative state, and replaying stale frames or deferred writes
-    /// over it would corrupt the recovered sort.
+    /// Discard every buffer-pool frame without writing anything back. Crash
+    /// recovery only -- after a simulated crash the device image (not what
+    /// this process had in memory) is the authoritative state, and writing
+    /// stale dirty frames over it would corrupt the recovered sort.
     pub fn purge_volatile(&self) {
-        if let Some(s) = self.sched.borrow_mut().as_mut() {
-            s.wb.clear();
-            s.inflight.clear();
-        }
         if let Some(pool) = self.pool.borrow_mut().as_mut() {
             pool.purge_all();
-        }
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.note_purged();
-        }
-    }
-
-    /// Hit-path bookkeeping: the first logical read of a prefetched frame is
-    /// a prefetch hit, and the algorithm catches up with the background
-    /// transfer's completion tick.
-    fn note_prefetch_consumed(&self, pool: &mut PoolCore, slot: usize, id: u64) {
-        if pool.take_prefetched(slot) {
-            self.stats.add_sched_event(self.phase.get(), SchedEvent::PrefetchHit);
-            if let Some(s) = self.sched.borrow_mut().as_mut() {
-                if let Some(tick) = s.inflight.remove(&id) {
-                    s.observe_completion(tick);
-                }
-            }
         }
     }
 }
@@ -1072,7 +938,6 @@ impl Disk {
         let phase = self.phase.get();
         let slot = if let Some(slot) = pool.lookup(block) {
             self.stats.add_cache_event(phase, CacheEvent::Hit);
-            self.note_prefetch_consumed(pool, slot, block);
             slot
         } else {
             self.stats.add_cache_event(phase, CacheEvent::Miss);
@@ -1107,128 +972,6 @@ impl Disk {
         }
         if let Some(sh) = self.shadow.borrow().as_ref() {
             sh.note_unpin(block, shared);
-        }
-    }
-}
-
-/// I/O scheduler management (see [`SchedConfig`] and
-/// [`StripedDevice`](crate::StripedDevice)).
-impl Disk {
-    /// Enable the asynchronous I/O scheduler. Read-ahead additionally needs
-    /// a buffer pool ([`Disk::enable_cache`]) to hold prefetched frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.workers == 0`, `cfg.queue_capacity == 0`, or a
-    /// scheduler is already enabled (check [`Disk::sched_enabled`] first).
-    pub(crate) fn enable_sched(&self, cfg: SchedConfig) {
-        let mut slot = self.sched.borrow_mut();
-        assert!(slot.is_none(), "I/O scheduler already enabled on this disk");
-        *slot = Some(SchedCore::new(cfg, self.stripe));
-    }
-
-    /// Whether an I/O scheduler is currently enabled.
-    pub fn sched_enabled(&self) -> bool {
-        self.sched.borrow().is_some()
-    }
-
-    /// Drain every deferred write and tear the scheduler down. Errors (from
-    /// a failing deferred write) leave the scheduler enabled with the
-    /// failing entry still queued.
-    pub fn disable_sched(&self) -> Result<()> {
-        if self.sched.borrow().is_none() {
-            return Ok(());
-        }
-        self.io_barrier()?;
-        *self.sched.borrow_mut() = None;
-        Ok(())
-    }
-
-    /// Wait for all background I/O: drain the write-behind queue in FIFO
-    /// order and advance the virtual clock past every busy device queue.
-    /// Errors surface here with the [`DiskFailure`] naming the deferred
-    /// block and the phase that issued it; the failing entry stays queued so
-    /// a retry loses nothing. A no-op when no scheduler is enabled.
-    pub fn io_barrier(&self) -> Result<()> {
-        if self.sched.borrow().is_none() {
-            return Ok(());
-        }
-        while self.sched.borrow().as_ref().is_some_and(|s| !s.wb.is_empty()) {
-            self.drain_one_write()?;
-        }
-        if let Some(s) = self.sched.borrow_mut().as_mut() {
-            s.barrier_clock();
-        }
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.check_barrier()?;
-        }
-        Ok(())
-    }
-
-    /// Virtual time elapsed on this disk in scheduler ticks, if a scheduler
-    /// is enabled. With one worker on one device this equals the number of
-    /// physical transfers; overlap drives it below that.
-    pub fn sched_ticks(&self) -> Option<u64> {
-        self.sched.borrow().as_ref().map(SchedCore::ticks)
-    }
-
-    /// The effective read-ahead depth: the configured `prefetch_depth` when
-    /// both a scheduler and a buffer pool (to hold the frames) are enabled,
-    /// otherwise 0.
-    pub fn prefetch_depth(&self) -> usize {
-        if self.pool.borrow().is_none() {
-            return 0;
-        }
-        self.sched.borrow().as_ref().map_or(0, |s| s.prefetch_depth)
-    }
-
-    /// Speculatively load `blocks` into the buffer pool as background reads.
-    ///
-    /// Best-effort: blocks already resident or with a deferred write still
-    /// queued are skipped (reading the device would resurrect stale bytes),
-    /// and any error -- pool pressure or an injected fault -- abandons the
-    /// remaining window without reporting a failure. A prefetch is charged
-    /// as a physical (never logical) read; the sync read that later consumes
-    /// the frame counts a cache hit plus a prefetch hit. A no-op unless
-    /// [`Disk::prefetch_depth`] is nonzero.
-    pub fn prefetch(&self, blocks: &[u64], cat: IoCat) {
-        if self.prefetch_depth() == 0 {
-            return;
-        }
-        // Speculation must not disturb failure reporting: whatever happens
-        // in here, `last_failure` reads as if the prefetch never ran.
-        let saved_failure = self.last_failure.get();
-        for &id in blocks {
-            if self.sched.borrow().as_ref().is_some_and(|s| s.has_pending_write(id)) {
-                continue;
-            }
-            let mut pool_ref = self.pool.borrow_mut();
-            let Some(pool) = pool_ref.as_mut() else { return };
-            if pool.peek(id).is_some() {
-                continue;
-            }
-            let Ok(slot) = self.obtain_slot(pool) else {
-                self.last_failure.set(saved_failure);
-                return;
-            };
-            let data = pool.slot_data(slot);
-            let read = {
-                let mut d = data.borrow_mut();
-                self.phys_read_now(id, &mut d, cat)
-            };
-            if read.is_err() {
-                pool.release_slot(slot);
-                self.last_failure.set(saved_failure);
-                return;
-            }
-            pool.install(slot, id);
-            pool.set_prefetched(slot);
-            drop(pool_ref);
-            if let Some(s) = self.sched.borrow_mut().as_mut() {
-                let done = s.tick_async(id);
-                s.inflight.insert(id, done);
-            }
-            self.stats.add_sched_event(self.phase.get(), SchedEvent::PrefetchIssued);
         }
     }
 }

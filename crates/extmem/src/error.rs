@@ -41,7 +41,7 @@ pub enum ExtError {
     CacheDisabled,
     /// The shadow-state sanitizer (see `shadow.rs`, enabled with
     /// `NEXSORT_SHADOW=1`) observed an operation that violates the
-    /// substrate's allocation / pin / barrier discipline. `check` names the
+    /// substrate's allocation / pin discipline. `check` names the
     /// violated check (e.g. `read-after-free`); `block` is the offending
     /// block id (for `budget-frame-leak`, the number of leaked frames).
     ShadowViolation { check: &'static str, block: u64 },

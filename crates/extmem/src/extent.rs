@@ -308,26 +308,8 @@ impl ExtentReader {
 
     fn load(&mut self, block_idx: usize) -> Result<()> {
         if self.loaded != Some(block_idx) {
-            let prev = self.loaded;
             self.disk.read_block(self.blocks[block_idx], &mut self.frame, self.cat)?;
             self.loaded = Some(block_idx);
-            // Sequential scans (each load one block past the previous, from
-            // the extent's start) trigger read-ahead of the next window into
-            // the buffer pool. Issued after the synchronous read so the
-            // physical order -- and the fault layer's op indexing -- of the
-            // demand path is unchanged. Seek-driven random access never
-            // prefetches.
-            let sequential = match prev {
-                Some(p) => p + 1 == block_idx,
-                None => block_idx == 0,
-            };
-            if sequential {
-                let depth = self.disk.prefetch_depth();
-                if depth > 0 {
-                    let end = (block_idx + 1 + depth).min(self.blocks.len());
-                    self.disk.prefetch(&self.blocks[block_idx + 1..end], self.cat);
-                }
-            }
         }
         Ok(())
     }

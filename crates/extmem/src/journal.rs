@@ -1,8 +1,8 @@
 //! Write-ahead manifest journal: the durable record of run-store lifecycle.
 //!
-//! A crash mid-sort leaves the device in a state that write-behind and
-//! striping (PR 3) make genuinely non-trivial: deferred writes may or may
-//! not have landed, in any order the scheduler chose. The journal makes
+//! A crash mid-sort leaves the device in a state that a write-back buffer
+//! pool makes genuinely non-trivial: dirty frames may or may not have
+//! reached the device, in whatever order eviction chose. The journal makes
 //! that state recoverable by logging, *before* they take effect, the events
 //! that change what the run store means: a run sealed, a merge pass
 //! started or committed, an extent freed. Recovery (see
@@ -30,11 +30,10 @@
 //! # Commit protocol
 //!
 //! Appends are *synchronous* ([`Disk::journal_write`] bypasses the buffer
-//! pool and the write-behind queue), but the data writes they describe may
-//! still be parked in the scheduler. A record therefore only *counts* once
-//! a later `Commit` record covers it -- and [`Journal::checkpoint`] writes
-//! that `Commit` only after [`Disk::cache_flush_all`] +
-//! [`Disk::io_barrier`] have forced every described data write onto the
+//! pool), but the data writes they describe may still sit in dirty pool
+//! frames. A record therefore only *counts* once a later `Commit` record
+//! covers it -- and [`Journal::checkpoint`] writes that `Commit` only after
+//! [`Disk::cache_flush_all`] has forced every described data write onto the
 //! device. Replay folds state strictly up to the last `Commit`; everything
 //! after it is an uncommitted tail that recovery discards.
 //!
@@ -186,7 +185,7 @@ pub enum JournalRecord {
         stats: JournalStats,
     },
     /// Everything before this record is durable on the device. Only written
-    /// by [`Journal::checkpoint`], after an I/O barrier.
+    /// by [`Journal::checkpoint`], after the pool flush.
     Commit,
 }
 
@@ -477,7 +476,7 @@ impl Journal {
 
     /// Append one record durably: when this returns `Ok`, the record is on
     /// the device. Note that the record only *counts* once a later `Commit`
-    /// covers it -- use [`Journal::checkpoint`] for the barrier + commit
+    /// covers it -- use [`Journal::checkpoint`] for the flush + commit
     /// sequence.
     pub fn append(&mut self, rec: &JournalRecord) -> Result<()> {
         let payload = rec.encode_payload();
@@ -525,21 +524,21 @@ impl Journal {
     }
 
     /// Checkpoint: append `recs`, force every outstanding data write onto
-    /// the device (pool flush + I/O barrier), then append the `Commit`
-    /// record that makes them count. This ordering is the whole crash-
-    /// consistency contract -- the commit must never precede the barrier.
+    /// the device (pool flush), then append the `Commit` record that makes
+    /// them count. This ordering is the whole crash-consistency contract --
+    /// the commit must never precede the flush.
     pub fn checkpoint(&mut self, recs: &[JournalRecord]) -> Result<()> {
         for rec in recs {
             debug_assert!(!rec.is_commit(), "checkpoint writes the commit itself");
             self.append(rec)?;
         }
         self.disk.cache_flush_all()?;
-        self.disk.io_barrier()?;
         self.append_commit()
     }
 
-    /// Append the commit record. Callers must have issued an `io_barrier`
-    /// first; [`Journal::checkpoint`] is the sanctioned wrapper.
+    /// Append the commit record. Callers must have flushed the pool
+    /// (`cache_flush_all`) first; [`Journal::checkpoint`] is the sanctioned
+    /// wrapper.
     fn append_commit(&mut self) -> Result<()> {
         self.append(&JournalRecord::Commit)
     }

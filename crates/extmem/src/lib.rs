@@ -25,19 +25,16 @@
 //!   [`CachePolicy`], [`WriteMode`]): an optional page cache between the
 //!   accounting layer and the device, so *physical* transfers can drop below
 //!   the *logical* transfers the paper's analysis counts;
-//! * the asynchronous I/O scheduler ([`DiskBuilder::sched`], [`SchedConfig`],
-//!   [`StripedDevice`]): sequential read-ahead into the pool, write-behind
-//!   with barrier semantics, and round-robin striping over independently
-//!   faultable devices -- all modeled in deterministic virtual time;
+//! * [`StripedDevice`] ([`DiskBuilder::stripe`]): round-robin striping over
+//!   independently faultable devices;
 //! * the crash-consistency layer ([`Journal`], [`recover`], [`CrashDevice`]):
-//!   a write-ahead manifest journal whose commit records land only after an
-//!   I/O barrier, replay with strict torn-tail rules, free-map
-//!   reconciliation, and a deterministic crash-point injector.
+//!   a write-ahead manifest journal whose commit records land only after the
+//!   pool's dirty frames are flushed, replay with strict torn-tail rules,
+//!   free-map reconciliation, and a deterministic crash-point injector.
 //!
-//! Everything here is deliberately single-threaded (`Rc`/`Cell`). The I/O
-//! scheduler models worker overlap in deterministic virtual time rather than
-//! OS threads, so the paper's sequential logical I/O accounting -- and every
-//! run's bit-for-bit reproducibility -- survives intact.
+//! Everything here is deliberately single-threaded (`Rc`/`Cell`), so the
+//! paper's sequential logical I/O accounting -- and every run's
+//! bit-for-bit reproducibility -- survives intact.
 
 #![warn(missing_docs)]
 // Failures surface as `ExtError`/`SortFailure`, never as a panic: the
@@ -69,10 +66,10 @@ mod pool;
 mod recovery;
 mod repair;
 mod run_store;
-mod sched;
 mod shadow;
 mod stack;
 mod stats;
+mod stripe;
 
 pub use arbiter::{BudgetArbiter, BudgetLease};
 pub use budget::{FrameGuard, MemoryBudget};
@@ -84,8 +81,7 @@ pub use extent::{
 };
 pub use fault::{
     ChecksummedDevice, CrashController, CrashDevice, CrashPlan, DeviceHealth, DiskFailure,
-    FaultCounts, FaultInjector, FaultKind, FaultPlan, FaultyDevice, IoPhase, NetFaultCounts,
-    NetFaultKind, NetFaultPlan, NetFaultState, NetRetryPolicy, RetryPolicy,
+    FaultCounts, FaultInjector, FaultKind, FaultPlan, FaultRng, FaultyDevice, IoPhase, RetryPolicy,
 };
 pub use journal::{Journal, JournalRecord, JournalStats};
 pub use kway::{KWayMerger, MergeStream, VecStream};
@@ -95,7 +91,7 @@ pub use pool::{
 pub use recovery::{fold_records, recover, RecoveredState};
 pub use repair::{RunParity, RunReader, ScrubReport};
 pub use run_store::{RunId, RunStore, RunWriter};
-pub use sched::{SchedConfig, StripedDevice};
 pub use shadow::ShadowState;
 pub use stack::ExtStack;
-pub use stats::{CacheEvent, IoCat, IoSnapshot, IoStats, SchedEvent};
+pub use stats::{CacheEvent, IoCat, IoSnapshot, IoStats};
+pub use stripe::StripedDevice;

@@ -249,10 +249,6 @@ struct Frame {
     /// logical write that dirtied the frame).
     cat: IoCat,
     pins: u32,
-    /// True while the frame holds speculatively prefetched data that no
-    /// logical read has consumed yet; used by the I/O scheduler to count
-    /// prefetch hits vs. wasted prefetches.
-    prefetched: bool,
 }
 
 /// How the pool hands out a slot for a new block (see
@@ -296,7 +292,6 @@ impl PoolCore {
                 dirty_len: None,
                 cat: IoCat::SortScratch,
                 pins: 0,
-                prefetched: false,
             })
             .collect();
         // Free slots are popped from the back; keep ascending order of use.
@@ -405,9 +400,8 @@ impl PoolCore {
     }
 
     /// Remove the mapping of `slot` (after any writeback), leaving the slot
-    /// loose for `install` or `release_slot`. Returns true when the frame
-    /// still held unconsumed prefetched data (a wasted prefetch).
-    pub(crate) fn detach(&mut self, slot: usize) -> bool {
+    /// loose for `install` or `release_slot`.
+    pub(crate) fn detach(&mut self, slot: usize) {
         let block = self.frames[slot].block;
         self.index.remove(&block);
         self.policy.on_remove(slot);
@@ -415,7 +409,6 @@ impl PoolCore {
         f.block = u64::MAX;
         f.dirty_len = None;
         f.pins = 0;
-        std::mem::take(&mut f.prefetched)
     }
 
     /// Return a loose slot to the free list (e.g. after a failed load).
@@ -429,35 +422,21 @@ impl PoolCore {
         f.block = block;
         f.dirty_len = None;
         f.pins = 0;
-        f.prefetched = false;
         self.index.insert(block, slot);
         self.policy.on_insert(slot);
     }
 
-    /// Flag `slot` as holding speculatively prefetched, not-yet-read data.
-    pub(crate) fn set_prefetched(&mut self, slot: usize) {
-        self.frames[slot].prefetched = true;
-    }
-
-    /// Clear and return `slot`'s prefetched flag (true exactly once, on the
-    /// first logical read that consumes the prefetched frame).
-    pub(crate) fn take_prefetched(&mut self, slot: usize) -> bool {
-        std::mem::take(&mut self.frames[slot].prefetched)
-    }
-
     /// Drop `block`'s frame without writing it back (the block is dead, e.g.
-    /// freed). Errors if the frame is pinned. Returns true when the dropped
-    /// frame held unconsumed prefetched data.
-    pub(crate) fn invalidate(&mut self, block: u64) -> Result<bool> {
+    /// freed). Errors if the frame is pinned.
+    pub(crate) fn invalidate(&mut self, block: u64) -> Result<()> {
         if let Some(&slot) = self.index.get(&block) {
             if self.frames[slot].pins > 0 {
                 return Err(ExtError::FramePinned { block });
             }
-            let wasted = self.detach(slot);
+            self.detach(slot);
             self.release_slot(slot);
-            return Ok(wasted);
         }
-        Ok(false)
+        Ok(())
     }
 
     /// Slots holding dirty frames, in ascending block order (deterministic

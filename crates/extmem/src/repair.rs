@@ -5,7 +5,7 @@
 //! whose reads exhaust the retry budget -- used to abort the whole sort.
 //! This module makes sealed runs *redundant*: every `K` data blocks of a
 //! run get one XOR parity block (`K = 1` is mirroring), written through the
-//! normal pool/scheduler path and charged to [`IoCat::Parity`]. When a
+//! normal pool path and charged to [`IoCat::Parity`]. When a
 //! merge read hits a hard fault, [`RunReader`] reconstructs the block from
 //! the surviving `K - 1` members plus parity, verifies the reconstruction
 //! against a per-block FNV-1a sum recorded at seal time, relocates the data
@@ -299,23 +299,8 @@ impl RunReader {
 
     fn load(&mut self, block_idx: usize) -> Result<()> {
         if self.loaded != Some(block_idx) {
-            let prev = self.loaded;
             self.store.read_run_block(self.id, block_idx, &mut self.frame, self.cat)?;
             self.loaded = Some(block_idx);
-            // Same read-ahead policy as `ExtentReader`: sequential loads
-            // prefetch the next window, seeks never do. The store filters
-            // quarantined ids out of the window, so speculation cannot trip
-            // over a retired sector.
-            let sequential = match prev {
-                Some(p) => p + 1 == block_idx,
-                None => block_idx == 0,
-            };
-            if sequential {
-                let depth = self.store.disk().prefetch_depth();
-                if depth > 0 {
-                    self.store.prefetch_window(self.id, block_idx + 1, depth, self.cat);
-                }
-            }
         }
         Ok(())
     }

@@ -228,23 +228,6 @@ impl RunStore {
         Ok(())
     }
 
-    /// Read-ahead helper for [`RunReader`]: prefetch up to `depth` blocks of
-    /// run `id` starting at data-block `from`, skipping quarantined ids so
-    /// speculation never touches a retired sector.
-    pub(crate) fn prefetch_window(&self, id: RunId, from: usize, depth: usize, cat: IoCat) {
-        let window: Vec<u64> = {
-            let runs = self.runs.borrow();
-            let Some(ext) = runs.get(id.0 as usize) else { return };
-            let blocks = ext.blocks();
-            let end = (from + depth).min(blocks.len());
-            if from >= end {
-                return;
-            }
-            blocks[from..end].iter().copied().filter(|&b| !self.disk.is_quarantined(b)).collect()
-        };
-        self.disk.prefetch(&window, cat);
-    }
-
     /// Verify-and-repair pass over every parity-protected run: each data
     /// block is read back and checked against its sealed FNV sum; failures
     /// (bad sums *or* unreadable blocks) are reconstructed from parity,
@@ -343,10 +326,7 @@ impl RunWriter {
         self.len() == 0
     }
 
-    /// Flush and register the run, returning its id. Acts as an I/O barrier:
-    /// any write-behind of the run's blocks is drained first, so a finished
-    /// run is durably ordered before anything that follows it and a deferred
-    /// write failure surfaces here, naming the failing block.
+    /// Flush and register the run, returning its id.
     pub fn finish(mut self) -> Result<RunId> {
         let Some(inner) = self.inner.take() else {
             return Err(ExtError::Corrupt("run writer finished twice".into()));
@@ -356,7 +336,6 @@ impl RunWriter {
             Some(b) => b.finish(self.store.disk())?,
             None => None,
         };
-        self.store.disk().io_barrier()?;
         Ok(self.store.install(ext, par))
     }
 }

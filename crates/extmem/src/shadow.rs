@@ -2,10 +2,9 @@
 //!
 //! Native tooling (ASan, Miri, the race detector) cannot see through a
 //! *simulated* block device: to the host allocator a freed block is still
-//! perfectly valid memory, and a write slipping past an [`io_barrier`]
-//! reorders nothing the OS can observe. `ShadowState` closes that gap by
-//! mirroring, per block, the allocation state, pin discipline, and deferred
-//! write set that [`Disk`](crate::Disk) is supposed to maintain -- and
+//! perfectly valid memory. `ShadowState` closes that gap by mirroring, per
+//! block, the allocation state and pin discipline that
+//! [`Disk`](crate::Disk) is supposed to maintain -- and
 //! failing loudly (as [`ExtError::ShadowViolation`]) the moment an operation
 //! contradicts the mirror.
 //!
@@ -19,9 +18,6 @@
 //! - **write-to-pinned-shared** -- a logical write (or exclusive pin) of a
 //!   block while a shared [`PinGuard`](crate::PinGuard) on it is alive,
 //!   which would mutate bytes a reader holds borrowed.
-//! - **write-survived-barrier** -- a deferred write that was queued before an
-//!   [`io_barrier`] is still pending after the barrier reported success,
-//!   i.e. the scheduler let a write reorder across the barrier.
 //! - **budget-frame-leak** -- at pool teardown (when the pool's frame
 //!   reservation guard drops), the cache's [`MemoryBudget`] did not return
 //!   to its enable-time baseline: frames leaked.
@@ -30,8 +26,6 @@
 //! variable `NEXSORT_SHADOW=1` set (CI runs the whole test suite that way),
 //! or explicitly via [`Disk::enable_shadow`](crate::Disk::enable_shadow).
 //! When disabled it costs one `Option` check per logical transfer.
-//!
-//! [`io_barrier`]: crate::Disk::io_barrier
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -48,11 +42,11 @@ enum BlockState {
     Freed,
 }
 
-/// Mirror of the allocation / pin / barrier discipline of one [`Disk`].
+/// Mirror of the allocation / pin discipline of one [`Disk`].
 ///
 /// All methods are cheap (`BTreeMap`/`BTreeSet` operations keyed by block
 /// id) and deterministic, so enabling the sanitizer never perturbs the
-/// simulated I/O schedule -- it only observes it.
+/// I/O sequence -- it only observes it.
 ///
 /// [`Disk`]: crate::Disk
 #[derive(Debug)]
@@ -65,8 +59,6 @@ pub struct ShadowState {
     shared_pins: RefCell<BTreeMap<u64, usize>>,
     /// Blocks with a live exclusive pin (from [`crate::PinMutGuard`]).
     excl_pins: RefCell<BTreeSet<u64>>,
-    /// Blocks with a deferred (write-behind) write that has not yet landed.
-    pending: RefCell<BTreeSet<u64>>,
     /// The cache's budget and its `used_frames()` baseline at enable time.
     budget_watch: RefCell<Option<(MemoryBudget, usize)>>,
 }
@@ -80,7 +72,6 @@ impl ShadowState {
             state: RefCell::new(BTreeMap::new()),
             shared_pins: RefCell::new(BTreeMap::new()),
             excl_pins: RefCell::new(BTreeSet::new()),
-            pending: RefCell::new(BTreeSet::new()),
             budget_watch: RefCell::new(None),
         }
     }
@@ -99,10 +90,9 @@ impl ShadowState {
         self.state.borrow_mut().insert(id, BlockState::Allocated);
     }
 
-    /// Record that `id` was freed; its deferred writes were purged with it.
+    /// Record that `id` was freed.
     pub fn note_free(&self, id: u64) {
         self.state.borrow_mut().insert(id, BlockState::Freed);
-        self.pending.borrow_mut().remove(&id);
     }
 
     /// Validate a logical read of `id` on a device with `total` blocks.
@@ -163,32 +153,6 @@ impl ShadowState {
         } else {
             self.excl_pins.borrow_mut().remove(&id);
         }
-    }
-
-    /// Record that a write of `id` was parked on the write-behind queue.
-    pub fn note_deferred(&self, id: u64) {
-        self.pending.borrow_mut().insert(id);
-    }
-
-    /// Record that a physical write of `id` reached the device.
-    pub fn note_landed(&self, id: u64) {
-        self.pending.borrow_mut().remove(&id);
-    }
-
-    /// Record that the write-behind queue was discarded wholesale (crash
-    /// recovery): the parked writes will never land, by design, so they
-    /// must not trip the next barrier check.
-    pub fn note_purged(&self) {
-        self.pending.borrow_mut().clear();
-    }
-
-    /// After an `io_barrier` reports success, no deferred write queued
-    /// before it may still be pending.
-    pub fn check_barrier(&self) -> Result<()> {
-        if let Some(&block) = self.pending.borrow().iter().next() {
-            return Err(ExtError::ShadowViolation { check: "write-survived-barrier", block });
-        }
-        Ok(())
     }
 
     /// Start watching `budget`: record the baseline `used_frames()` that the
@@ -266,18 +230,6 @@ mod tests {
         sh.note_pin(1, false);
         assert!(sh.check_write(1, 2).is_ok());
         sh.note_unpin(1, false);
-    }
-
-    #[test]
-    fn negative_a_deferred_write_surviving_a_barrier_trips() {
-        let sh = ShadowState::new(0);
-        sh.note_alloc(5);
-        sh.note_deferred(5);
-        // A buggy scheduler would report barrier success with the write
-        // still parked: the sanitizer refuses.
-        assert_eq!(violation_check(sh.check_barrier()), "write-survived-barrier");
-        sh.note_landed(5);
-        assert!(sh.check_barrier().is_ok());
     }
 
     #[test]

@@ -120,21 +120,6 @@ pub enum CacheEvent {
     DirtyWriteback,
 }
 
-/// An I/O-scheduler event recorded against the current [`IoPhase`]; see
-/// [`IoStats::add_sched_event`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedEvent {
-    /// A speculative read-ahead was issued for a block.
-    PrefetchIssued,
-    /// A logical read was served by a frame the scheduler prefetched.
-    PrefetchHit,
-    /// A prefetched frame was evicted or invalidated before any read used it.
-    PrefetchWasted,
-    /// A write was deferred to the write-behind queue instead of reaching
-    /// the device inline.
-    DeferredWrite,
-}
-
 /// Shared, cheaply-clonable I/O counters.
 ///
 /// Cloning an `IoStats` yields a handle onto the same counters; the device
@@ -207,18 +192,6 @@ impl IoStats {
             CacheEvent::Miss => &mut s.cache_misses,
             CacheEvent::Eviction => &mut s.cache_evictions,
             CacheEvent::DirtyWriteback => &mut s.cache_writebacks,
-        };
-        row[phase.class_index()] += 1;
-    }
-
-    /// Record one I/O-scheduler `event` against the class of `phase`.
-    pub fn add_sched_event(&self, phase: IoPhase, event: SchedEvent) {
-        let mut s = self.inner.borrow_mut();
-        let row = match event {
-            SchedEvent::PrefetchIssued => &mut s.prefetch_issued,
-            SchedEvent::PrefetchHit => &mut s.prefetch_hits,
-            SchedEvent::PrefetchWasted => &mut s.prefetch_wasted,
-            SchedEvent::DeferredWrite => &mut s.deferred_writes,
         };
         row[phase.class_index()] += 1;
     }
@@ -345,11 +318,6 @@ pub struct IoSnapshot {
     cache_misses: [u64; NPHASES],
     cache_evictions: [u64; NPHASES],
     cache_writebacks: [u64; NPHASES],
-    // I/O-scheduler events, bucketed by IoPhase class.
-    prefetch_issued: [u64; NPHASES],
-    prefetch_hits: [u64; NPHASES],
-    prefetch_wasted: [u64; NPHASES],
-    deferred_writes: [u64; NPHASES],
     // Write-ahead journal events (records appended / commit records).
     journal_appends: u64,
     journal_commits: u64,
@@ -441,46 +409,6 @@ impl IoSnapshot {
         self.cache_writebacks.iter().sum()
     }
 
-    /// Read-aheads issued in the class of `phase`.
-    pub fn prefetch_issued_in(&self, phase: IoPhase) -> u64 {
-        self.prefetch_issued[phase.class_index()]
-    }
-
-    /// Prefetch hits recorded in the class of `phase`.
-    pub fn prefetch_hits_in(&self, phase: IoPhase) -> u64 {
-        self.prefetch_hits[phase.class_index()]
-    }
-
-    /// Wasted prefetches recorded in the class of `phase`.
-    pub fn prefetch_wasted_in(&self, phase: IoPhase) -> u64 {
-        self.prefetch_wasted[phase.class_index()]
-    }
-
-    /// Writes deferred to the write-behind queue in the class of `phase`.
-    pub fn deferred_writes_in(&self, phase: IoPhase) -> u64 {
-        self.deferred_writes[phase.class_index()]
-    }
-
-    /// Read-aheads issued across all phases.
-    pub fn total_prefetch_issued(&self) -> u64 {
-        self.prefetch_issued.iter().sum()
-    }
-
-    /// Prefetch hits across all phases.
-    pub fn total_prefetch_hits(&self) -> u64 {
-        self.prefetch_hits.iter().sum()
-    }
-
-    /// Wasted prefetches across all phases.
-    pub fn total_prefetch_wasted(&self) -> u64 {
-        self.prefetch_wasted.iter().sum()
-    }
-
-    /// Deferred writes across all phases.
-    pub fn total_deferred_writes(&self) -> u64 {
-        self.deferred_writes.iter().sum()
-    }
-
     /// Hit ratio of the buffer pool, or `None` when it saw no lookups.
     pub fn cache_hit_ratio(&self) -> Option<f64> {
         let hits = self.total_cache_hits();
@@ -542,10 +470,6 @@ impl IoSnapshot {
             cache_misses: diff(self.cache_misses, e.cache_misses),
             cache_evictions: diff(self.cache_evictions, e.cache_evictions),
             cache_writebacks: diff(self.cache_writebacks, e.cache_writebacks),
-            prefetch_issued: diff(self.prefetch_issued, e.prefetch_issued),
-            prefetch_hits: diff(self.prefetch_hits, e.prefetch_hits),
-            prefetch_wasted: diff(self.prefetch_wasted, e.prefetch_wasted),
-            deferred_writes: diff(self.deferred_writes, e.deferred_writes),
             journal_appends: self.journal_appends.saturating_sub(e.journal_appends),
             journal_commits: self.journal_commits.saturating_sub(e.journal_commits),
         }
@@ -581,7 +505,7 @@ impl fmt::Debug for IoSnapshot {
 }
 
 /// The report layout is stable and documented so diffs between runs (and
-/// between scheduler/cache configurations) are meaningful:
+/// between cache configurations) are meaningful:
 ///
 /// 1. one row per *nonzero* category, in [`IoCat::ALL`] order;
 /// 2. the `TOTAL` row;
@@ -589,13 +513,11 @@ impl fmt::Debug for IoSnapshot {
 ///    lines, then one `cache <phase>` row per phase class with activity, in
 ///    [`IoPhase::class_index`] order (setup, input-scan, run-formation,
 ///    merge-pass, final-merge, output-emit);
-/// 4. when an I/O scheduler was active: the `SCHED` summary line, then one
-///    `sched <phase>` row per phase class with activity, in the same order;
-/// 5. when a write-ahead journal was active: the `JOURNAL` line with the
+/// 4. when a write-ahead journal was active: the `JOURNAL` line with the
 ///    record-append and commit counts;
-/// 6. the `RETRIES` line when any transfer was retried or backed off.
+/// 5. the `RETRIES` line when any transfer was retried or backed off.
 ///
-/// Sections 3-6 are omitted entirely when inactive, keeping the report
+/// Sections 3-5 are omitted entirely when inactive, keeping the report
 /// byte-identical to the plain synchronous substrate in that case.
 impl fmt::Display for IoSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -612,10 +534,6 @@ impl fmt::Display for IoSnapshot {
             cache_misses,
             cache_evictions,
             cache_writebacks,
-            prefetch_issued,
-            prefetch_hits,
-            prefetch_wasted,
-            deferred_writes,
             journal_appends,
             journal_commits,
         } = self;
@@ -664,31 +582,6 @@ impl fmt::Display for IoSnapshot {
                         m,
                         e,
                         w
-                    )?;
-                }
-            }
-        }
-        // Scheduler lines likewise appear only when a scheduler was active.
-        let (p, h, wa, d) =
-            (sum(prefetch_issued), sum(prefetch_hits), sum(prefetch_wasted), sum(deferred_writes));
-        if p + h + wa + d > 0 {
-            write!(
-                f,
-                "\n{:<14} {:>12} prefetched ({} hits, {} wasted), {} deferred writes",
-                "SCHED", p, h, wa, d
-            )?;
-            for i in 0..NPHASES {
-                let (p, h, wa, d) =
-                    (prefetch_issued[i], prefetch_hits[i], prefetch_wasted[i], deferred_writes[i]);
-                if p + h + wa + d > 0 {
-                    write!(
-                        f,
-                        "\n  sched {:<16} {:>8} prefetched ({} hits, {} wasted), {} deferred writes",
-                        IoPhase::class_label(i),
-                        p,
-                        h,
-                        wa,
-                        d
                     )?;
                 }
             }
@@ -854,51 +747,6 @@ mod tests {
         assert!(cached.contains("CACHE"), "{cached}");
         assert!(cached.contains("PHYSICAL"), "{cached}");
         assert!(cached.contains("hit ratio"), "{cached}");
-    }
-
-    #[test]
-    fn sched_events_bucket_by_phase_class_and_diff() {
-        let s = IoStats::new();
-        s.add_sched_event(IoPhase::InputScan, SchedEvent::PrefetchIssued);
-        s.add_sched_event(IoPhase::InputScan, SchedEvent::PrefetchHit);
-        s.add_sched_event(IoPhase::MergePass(2), SchedEvent::PrefetchWasted);
-        s.add_sched_event(IoPhase::RunFormation, SchedEvent::DeferredWrite);
-        let before = s.snapshot();
-        assert_eq!(before.prefetch_issued_in(IoPhase::InputScan), 1);
-        assert_eq!(before.prefetch_hits_in(IoPhase::InputScan), 1);
-        // Merge passes share one class.
-        assert_eq!(before.prefetch_wasted_in(IoPhase::MergePass(9)), 1);
-        assert_eq!(before.deferred_writes_in(IoPhase::RunFormation), 1);
-        assert_eq!(before.total_prefetch_issued(), 1);
-        assert_eq!(before.total_deferred_writes(), 1);
-        s.add_sched_event(IoPhase::OutputEmit, SchedEvent::DeferredWrite);
-        let delta = s.snapshot().since(&before);
-        assert_eq!(delta.total_deferred_writes(), 1);
-        assert_eq!(delta.total_prefetch_issued(), 0);
-        // Scheduler events are not transfers.
-        assert_eq!(delta.grand_total(), 0);
-        s.reset();
-        assert_eq!(s.snapshot().total_prefetch_hits(), 0);
-        assert_eq!(s.snapshot().total_deferred_writes(), 0);
-    }
-
-    #[test]
-    fn display_reports_sched_lines_only_when_a_scheduler_was_active() {
-        let s = IoStats::new();
-        s.add_reads(IoCat::InputRead, 2);
-        s.add_phys_reads(IoCat::InputRead, 2);
-        let plain = s.snapshot().to_string();
-        assert!(!plain.contains("SCHED"), "{plain}");
-        s.add_sched_event(IoPhase::InputScan, SchedEvent::PrefetchIssued);
-        s.add_sched_event(IoPhase::OutputEmit, SchedEvent::DeferredWrite);
-        let sched = s.snapshot().to_string();
-        assert!(sched.contains("SCHED"), "{sched}");
-        assert!(sched.contains("sched input-scan"), "{sched}");
-        assert!(sched.contains("sched output-emit"), "{sched}");
-        // Phase rows appear in class-index order.
-        let scan = sched.find("sched input-scan").unwrap();
-        let emit = sched.find("sched output-emit").unwrap();
-        assert!(scan < emit, "{sched}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # nexsort-query
 //!
 //! Query operators built on the NEXSORT substrate (run store, buffer pool,
-//! scheduler, write-ahead journal, parity repair) that answer questions a
+//! write-ahead journal, parity repair) that answer questions a
 //! full sort would over-answer:
 //!
 //! * [`TopK`] -- `ORDER BY ... LIMIT k` over an XML document. Reuses the

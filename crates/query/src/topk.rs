@@ -390,7 +390,6 @@ impl TopK {
                 &mut report,
                 state.committed_passes,
             )?;
-            self.disk.io_barrier().map_err(XmlError::Ext)?;
             report.sort.io = stats.snapshot().since(&io_before);
             report.sort.elapsed = start.elapsed();
             absorb_health(&mut report.sort, &health_before, &self.disk.health());
@@ -470,7 +469,6 @@ impl TopK {
         }
 
         let root = self.select(&store, pending, budget, journal, &mut report, 0)?;
-        self.disk.io_barrier().map_err(XmlError::Ext)?;
         report.sort.io = stats.snapshot().since(&io_before);
         report.sort.elapsed = start.elapsed();
         Ok((store, root, dict, report))

@@ -17,7 +17,7 @@
 use std::path::{Path, PathBuf};
 
 use nexsort::{journal_blocks, NexsortOptions, SortReport};
-use nexsort_extmem::{CachePolicy, DiskBuilder, SchedConfig, WriteMode};
+use nexsort_extmem::{CachePolicy, DiskBuilder, WriteMode};
 use nexsort_xml::{build_spec, SortSpec};
 
 use crate::json::{self, b, n, obj, s, Value};
@@ -121,12 +121,6 @@ pub struct JobSpec {
     pub cache_policy: CachePolicy,
     /// Write-back caching instead of write-through.
     pub write_back: bool,
-    /// I/O scheduler workers (0 = synchronous).
-    pub io_workers: usize,
-    /// Read-ahead depth in blocks.
-    pub prefetch_depth: usize,
-    /// Defer physical writes to the write-behind queue.
-    pub write_behind: bool,
     /// Stripe the device over N backing files.
     pub stripe: usize,
     /// Parity blocks per K data blocks of each sealed run (0 = none).
@@ -157,9 +151,6 @@ impl Default for JobSpec {
             cache_frames: 0,
             cache_policy: CachePolicy::Lru,
             write_back: false,
-            io_workers: 0,
-            prefetch_depth: 0,
-            write_behind: false,
             stripe: 1,
             parity_group: 0,
             pretty: false,
@@ -202,21 +193,13 @@ impl JobSpec {
     }
 
     /// The device stack the spec's knobs describe: block size, striping,
-    /// page cache, and I/O scheduler. Callers add their own backing and
+    /// and page cache. Callers add their own backing and
     /// test layers (device file, faults, retries, crash injection).
     pub fn disk_builder(&self) -> DiskBuilder {
         let mut b = DiskBuilder::new(self.block_size).stripe(self.stripe);
         if self.cache_frames > 0 {
             let mode = if self.write_back { WriteMode::Back } else { WriteMode::Through };
             b = b.cache(self.cache_frames, self.cache_policy, mode);
-        }
-        if self.io_workers > 0 {
-            b = b.sched(SchedConfig {
-                workers: self.io_workers,
-                prefetch_depth: self.prefetch_depth,
-                write_behind: self.write_behind,
-                ..SchedConfig::default()
-            });
         }
         b
     }
@@ -465,9 +448,6 @@ pub fn spec_to_value(spec: &JobSpec) -> Value {
         ("cache_frames", n(spec.cache_frames as u64)),
         ("cache_policy", s(policy_name(spec.cache_policy))),
         ("write_back", b(spec.write_back)),
-        ("io_workers", n(spec.io_workers as u64)),
-        ("prefetch_depth", n(spec.prefetch_depth as u64)),
-        ("write_behind", b(spec.write_behind)),
         ("stripe", n(spec.stripe as u64)),
         ("parity_group", n(spec.parity_group as u64)),
         ("pretty", b(spec.pretty)),
@@ -476,9 +456,10 @@ pub fn spec_to_value(spec: &JobSpec) -> Value {
 }
 
 /// Parse the spec fields out of a JSON object (absent fields keep their
-/// defaults). The `input` field is handled by the caller: the protocol
-/// accepts `input` (a path) or `xml` (inline text); the manifest always
-/// uses the job-local copy.
+/// defaults; unknown fields, such as the I/O-scheduler knobs older
+/// manifests carry, are ignored). The `input` field is handled by the
+/// caller: the protocol accepts `input` (a path) or `xml` (inline text);
+/// the manifest always uses the job-local copy.
 pub fn spec_from_value(v: &Value) -> Result<JobSpec, String> {
     let mut spec = JobSpec::default();
     let get_usize = |key: &str| -> Result<Option<usize>, String> {
@@ -549,17 +530,8 @@ pub fn spec_from_value(v: &Value) -> Result<JobSpec, String> {
     if let Some(x) = get_bool("write_back")? {
         spec.write_back = x;
     }
-    if let Some(x) = get_usize("io_workers")? {
-        spec.io_workers = x;
-    }
-    if let Some(x) = get_usize("prefetch_depth")? {
-        spec.prefetch_depth = x;
-    }
-    if let Some(x) = get_bool("write_behind")? {
-        spec.write_behind = x;
-    }
     if let Some(x) = get_usize("stripe")? {
-        spec.stripe = x.max(1);
+        spec.stripe = x;
     }
     if let Some(x) = get_usize("parity_group")? {
         spec.parity_group = x;
@@ -676,9 +648,6 @@ mod tests {
             cache_frames: 8,
             cache_policy: CachePolicy::Clock,
             write_back: true,
-            io_workers: 2,
-            prefetch_depth: 4,
-            write_behind: true,
             stripe: 3,
             parity_group: 4,
             pretty: true,
@@ -720,7 +689,7 @@ mod tests {
         assert_eq!(back.spec.mem_frames, 16);
         assert_eq!(back.spec.threshold, Some(512));
         assert_eq!(back.spec.depth_limit, Some(3));
-        assert!(back.spec.degeneration && back.spec.write_back && back.spec.write_behind);
+        assert!(back.spec.degeneration && back.spec.write_back);
         assert_eq!(back.spec.cache_policy, CachePolicy::Clock);
         assert_eq!(back.spec.stripe, 3);
         assert_eq!(back.spec.parity_group, 4);
@@ -743,6 +712,18 @@ mod tests {
         assert_eq!(m.state, JobState::Done);
         assert_eq!(m.summary, None);
         assert_eq!(m.latency_ms, None);
+    }
+
+    #[test]
+    fn manifests_with_the_retired_scheduler_keys_still_load() {
+        // Written before the I/O scheduler was removed: its three keys are
+        // ignored and the rest of the spec loads as before.
+        let text = r#"{"id":4,"state":"queued","spec":{"block":512,"cache_frames":16,"write_back":true,"io_workers":4,"prefetch_depth":8,"write_behind":true,"stripe":4},"staged":null,"error":null,"resumed":false}"#;
+        let m = Manifest::from_json(text, Path::new("/jobs/job-4")).unwrap();
+        assert_eq!(m.state, JobState::Queued);
+        assert_eq!((m.spec.block_size, m.spec.cache_frames, m.spec.stripe), (512, 16, 4));
+        assert!(m.spec.write_back);
+        assert!(m.spec.validate().is_ok());
     }
 
     #[test]
@@ -786,6 +767,11 @@ mod tests {
             .is_err());
         assert!(JobSpec { op: JobOp::TopK, ..JobSpec::default() }.validate().is_err());
         assert!(JobSpec { stripe: 0, ..JobSpec::default() }.validate().is_err());
+        // A submitted `"stripe": 0` reaches the same check instead of being
+        // clamped to 1.
+        let spec = spec_from_value(&obj(vec![("stripe", n(0))])).unwrap();
+        let err = spec.validate().unwrap_err();
+        assert_eq!(err, "stripe width must be at least 1");
     }
 
     #[test]

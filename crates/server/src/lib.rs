@@ -20,16 +20,19 @@
 //! - [`server`]: the in-process daemon (worker pool, admission control,
 //!   restart/resume);
 //! - [`net`]: the socket front end and the client helper;
+//! - [`fault`]: network fault injection and the client's retry policy;
 //! - [`json`]: a dependency-free JSON reader/writer for the protocol and
 //!   the manifests.
 
 #![warn(missing_docs)]
 
+pub mod fault;
 pub mod job;
 pub mod json;
 pub mod net;
 pub mod server;
 
+pub use fault::{NetFaultCounts, NetFaultKind, NetFaultPlan, NetFaultState, NetRetryPolicy};
 pub use job::{JobInput, JobOp, JobSpec, JobState, Manifest};
 pub use net::{
     connect_with_retry, parse_addr, request, request_fetch_chunked, request_submit,

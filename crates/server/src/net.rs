@@ -52,8 +52,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::fault::{NetFaultKind, NetFaultPlan, NetFaultState, NetRetryPolicy};
 use nexsort_extmem::locksan::TrackedMutex;
-use nexsort_extmem::{NetFaultKind, NetFaultPlan, NetFaultState, NetRetryPolicy};
 
 use crate::job::{spec_from_value, spec_to_value};
 use crate::json::{b, n, obj, parse, s, Value};

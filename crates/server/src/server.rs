@@ -33,7 +33,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,7 +40,7 @@ use std::time::{Duration, Instant};
 use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::stage_input;
 use nexsort_extmem::locksan::{self, TrackedCondvar, TrackedGuard, TrackedMutex};
-use nexsort_extmem::{BudgetArbiter, CrashPlan, Disk, DiskStack, ExtError, Extent};
+use nexsort_extmem::{BudgetArbiter, CrashPlan, DiskStack, ExtError, Extent};
 use nexsort_xml::XmlError;
 
 use crate::job::{JobInput, JobOp, JobSpec, JobState, JobSummary, Manifest};
@@ -1002,11 +1001,11 @@ fn execute(
             Ok(ext) => ext,
             Err(e) => return Outcome::failed(None, format!("staging: {e}")),
         };
-        // The pool and scheduler are already attached: push the staged
-        // blocks through them onto the device file before the extent is
+        // The pool is already attached: push the staged blocks through it
+        // onto the device file before the extent is
         // recorded, or a job killed mid-sort resumes from blocks that never
         // reached the device.
-        if let Err(e) = settle(&disk) {
+        if let Err(e) = disk.cache_flush_all() {
             return Outcome::failed(None, format!("staging: {e}"));
         }
         let staged = Some((ext.blocks().to_vec(), ext.len()));
@@ -1043,7 +1042,7 @@ fn execute(
         if let Err(e) = std::fs::write(&output, &text) {
             return Outcome::failed(staged, format!("cannot write output {output:?}: {e}"));
         }
-        let _ = settle(&disk);
+        let _ = disk.cache_flush_all();
         let mut sort_report = report.sort;
         sort_report.resumed = sort_report.resumed || resume;
         return Outcome::done(staged, Some(JobSummary::of(&sort_report)));
@@ -1089,9 +1088,8 @@ fn execute(
     if let Err(e) = std::fs::write(&output, &xml) {
         return Outcome::failed(staged, format!("cannot write output {output:?}: {e}"));
     }
-    // Settle the device image (flush write-back pages, drain write-behind)
-    // so the on-disk file is consistent once the job is marked done.
-    let _ = settle(&disk);
+    // Settle the device image (flush write-back pages) so the on-disk file is consistent once the job is marked done.
+    let _ = disk.cache_flush_all();
     let mut report = doc.report.clone();
     report.resumed = report.resumed || resume;
     Outcome::done(staged, Some(JobSummary::of(&report)))
@@ -1146,14 +1144,8 @@ fn execute_pq(
     if let Err(e) = std::fs::write(&output, &out) {
         return Outcome::failed(None, format!("cannot write output {output:?}: {e}"));
     }
-    let _ = settle(&disk);
+    let _ = disk.cache_flush_all();
     Outcome::done(None, None)
-}
-
-fn settle(disk: &Rc<Disk>) -> Result<(), ExtError> {
-    disk.cache_flush_all()?;
-    disk.io_barrier()?;
-    Ok(())
 }
 
 #[cfg(test)]

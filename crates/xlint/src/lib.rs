@@ -2,8 +2,8 @@
 //!
 //! Clippy checks Rust; nothing checks *this repo's* layering rules: that
 //! raw [`BlockDevice`] I/O stays confined to the accounting layer, that
-//! only that layer moves the counters, that a journal commit follows an
-//! I/O barrier, and so on. `xlint` closes that gap with a hand-rolled lexer
+//! only that layer moves the counters, that a journal commit follows a
+//! page-cache flush, and so on. `xlint` closes that gap with a hand-rolled lexer
 //! (no `syn`, no dependencies — the build is offline) and ten rules: five
 //! lexical ones (R1, R5, R7–R9) plus five concurrency rules (R11–R15)
 //! powered by a cross-file symbol/call-graph pass

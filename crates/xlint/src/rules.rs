@@ -59,9 +59,9 @@ pub const RULES: &[(&str, &str, &str)] = &[
     ),
     (
         "R9",
-        "barrier-before-commit",
-        "a journal Commit record is appended only after an io_barrier in the same function body \
-         (Journal::checkpoint is the sanctioned wrapper), guarding the crash-consistency \
+        "flush-before-commit",
+        "a journal Commit record is appended only after a cache_flush_all in the same function \
+         body (Journal::checkpoint is the sanctioned wrapper), guarding the crash-consistency \
          contract the crash_recovery sweep relies on",
     ),
     (
@@ -87,8 +87,8 @@ pub const RULES: &[(&str, &str, &str)] = &[
     (
         "R14",
         "no guard across barriers",
-        "arbiter and core lock guards are never held across io_barrier, checkpoint, or \
-         cache_flush, even transitively: critical sections stay memory-only and never couple to \
+        "arbiter and core lock guards are never held across checkpoint or cache_flush, even \
+         transitively: critical sections stay memory-only and never couple to \
          device flushing",
     ),
     (
@@ -106,7 +106,7 @@ pub const RULES: &[(&str, &str, &str)] = &[
 const R1_ALLOW: &[&str] = &[
     "crates/extmem/src/device.rs",
     "crates/extmem/src/fault.rs",
-    "crates/extmem/src/sched.rs",
+    "crates/extmem/src/stripe.rs",
     "crates/extmem/src/pool.rs",
     "crates/extmem/src/lib.rs",
     "crates/extmem/src/build.rs",
@@ -128,7 +128,6 @@ const R7_MUTATORS: &[&str] = &[
     "add_retries",
     "add_backoff",
     "add_cache_event",
-    "add_sched_event",
 ];
 
 /// Lint one Rust source file in isolation: the cross-file rules (R11–R14)
@@ -327,9 +326,10 @@ fn rule_r7(rel: &str, toks: &[Tok], non_test: &dyn Fn(usize) -> bool, out: &mut 
 }
 
 /// R9: a journal `Commit` record asserts that every data write it covers is
-/// already durable, so appending one is only sound after an I/O barrier:
-/// each `.append_commit()` call must be preceded by `io_barrier` in the
-/// same function body ([`Journal::checkpoint`] is the sanctioned wrapper).
+/// already durable, so appending one is only sound after the page cache's
+/// dirty frames are flushed: each `.append_commit()` call must be preceded
+/// by `cache_flush_all` in the same function body ([`Journal::checkpoint`]
+/// is the sanctioned wrapper).
 ///
 /// [`Journal::checkpoint`]: ../nexsort_extmem/struct.Journal.html#method.checkpoint
 fn rule_r9(rel: &str, toks: &[Tok], non_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {
@@ -344,17 +344,18 @@ fn rule_r9(rel: &str, toks: &[Tok], non_test: &dyn Fn(usize) -> bool, out: &mut 
             continue;
         }
         // The innermost fn body containing the call; a call outside any fn
-        // (e.g. a const initialiser) has no barrier to find and fires.
+        // (e.g. a const initialiser) has no flush to find and fires.
         let span =
             spans.iter().filter(|&&(s, e)| s <= i && i < e).min_by_key(|&&(s, e)| e - s).copied();
-        let guarded = span.is_some_and(|(s, _)| toks[s..i].iter().any(|t| t.text == "io_barrier"));
+        let guarded =
+            span.is_some_and(|(s, _)| toks[s..i].iter().any(|t| t.text == "cache_flush_all"));
         if !guarded {
             push(
                 out,
                 rel,
                 line_at(toks, t.pos),
                 "R9",
-                "journal commit appended without a preceding io_barrier() in this function; \
+                "journal commit appended without a preceding cache_flush_all() in this function; \
                  go through Journal::checkpoint"
                     .to_string(),
             );
@@ -530,7 +531,7 @@ fn rule_r14(
                         line_at(toks, toks[i].pos),
                         "R14",
                         format!(
-                            "`{callee}` may reach a durability barrier (io_barrier/checkpoint/\
+                            "`{callee}` may reach a durability barrier (checkpoint/\
                              cache_flush) while {} is held",
                             class.describe()
                         ),

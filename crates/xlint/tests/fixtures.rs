@@ -17,7 +17,7 @@ fn attach(dev: &dyn BlockDevice) -> u64 {
     assert_eq!(rules_fired("crates/merge/src/fake.rs", bad), ["R1"]);
 
     // The device layer itself may name the trait.
-    assert_eq!(rules_fired("crates/extmem/src/sched.rs", bad), Vec::<String>::new());
+    assert_eq!(rules_fired("crates/extmem/src/stripe.rs", bad), Vec::<String>::new());
 
     let silenced = r#"
 // xlint::allow(R1): fixture exception.
@@ -195,21 +195,20 @@ fn seal(j: &mut Journal) -> Result<()> {
 "#;
     assert_eq!(rules_fired("crates/core/src/fake.rs", bad), ["R9"]);
 
-    // The sanctioned shape: barrier first, commit after, same body.
+    // The sanctioned shape: flush first, commit after, same body.
     let good = r#"
 fn seal(d: &Disk, j: &mut Journal) -> Result<()> {
     d.cache_flush_all()?;
-    d.io_barrier()?;
     j.append_commit()
 }
 "#;
     assert_eq!(rules_fired("crates/core/src/fake.rs", good), Vec::<String>::new());
 
-    // A barrier *after* the commit does not make the commit sound.
+    // A flush *after* the commit does not make the commit sound.
     let late = r#"
 fn seal(d: &Disk, j: &mut Journal) -> Result<()> {
     j.append_commit()?;
-    d.io_barrier()
+    d.cache_flush_all()
 }
 "#;
     assert_eq!(rules_fired("crates/core/src/fake.rs", late), ["R9"]);
@@ -222,10 +221,10 @@ fn append_commit(&mut self) -> Result<()> {
 "#;
     assert_eq!(rules_fired("crates/extmem/src/fake.rs", def), Vec::<String>::new());
 
-    // A barrier in the *enclosing* fn does not cover a nested fn's commit.
+    // A flush in the *enclosing* fn does not cover a nested fn's commit.
     let nested = r#"
 fn outer(d: &Disk, j: &mut Journal) {
-    d.io_barrier();
+    d.cache_flush_all();
     fn inner(j: &mut Journal) {
         j.append_commit();
     }
@@ -411,7 +410,7 @@ fn r13_concurrency_primitives_outside_the_sanctioned_sites() {
 fn r14_guard_held_across_a_durability_barrier() {
     let bad = r#"
 fn persist(d: &Disk) -> Result<()> {
-    d.io_barrier()
+    d.cache_flush_all()
 }
 fn commit_all(sh: &Shared, d: &Disk) -> Result<()> {
     let core = sh.lock_core();
@@ -427,7 +426,7 @@ fn commit_all(sh: &Shared, d: &Disk) -> Result<()> {
     // Clean twin: release before flushing.
     let good = r#"
 fn persist(d: &Disk) -> Result<()> {
-    d.io_barrier()
+    d.cache_flush_all()
 }
 fn commit_all(sh: &Shared, d: &Disk) -> Result<()> {
     let core = sh.lock_core();

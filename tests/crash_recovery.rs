@@ -3,7 +3,7 @@
 //! The contract under test:
 //!
 //! 1. for *every* physical I/O index `N` of a small checkpointed sort --
-//!    including configurations with write-behind and striping -- crashing at
+//!    including a striped configuration with a write-back pool -- crashing at
 //!    `N`, thawing, and resuming yields output byte-identical to the
 //!    uninterrupted run;
 //! 2. a resume never redoes a committed merge pass: the resumed run's own
@@ -23,7 +23,7 @@ use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::stage_input;
 use nexsort_extmem::{
     recover, CachePolicy, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent, IoCat,
-    Journal, SchedConfig, WriteMode,
+    Journal, WriteMode,
 };
 use nexsort_xml::{SortSpec, XmlError};
 
@@ -56,29 +56,23 @@ fn opts() -> NexsortOptions {
     }
 }
 
-/// A disarmed crash-capable stack striped `stripe` ways; with `workers > 0`
-/// it also carries an 8-frame pool and a write-behind scheduler with
-/// 4-block read-ahead.
-fn make_disk(stripe: usize, workers: usize) -> (Rc<Disk>, CrashController) {
+/// A disarmed crash-capable stack striped `stripe` ways; with `write_back`
+/// it also carries an 8-frame write-back pool, so crash points fall while
+/// data writes the journal describes exist only in dirty frames.
+fn make_disk(stripe: usize, write_back: bool) -> (Rc<Disk>, CrashController) {
     let mut b = DiskBuilder::new(BLOCK).stripe(stripe).crash(CrashPlan::Disarmed);
-    if workers > 0 {
-        b = b.cache(8, CachePolicy::Lru, WriteMode::Through).sched(SchedConfig {
-            workers,
-            prefetch_depth: 4,
-            write_behind: true,
-            ..SchedConfig::default()
-        });
+    if write_back {
+        b = b.cache(8, CachePolicy::Lru, WriteMode::Back);
     }
     let stack = b.build().unwrap();
     (stack.disk, stack.crash.unwrap())
 }
 
-/// Stage `doc` and push it through the pool and scheduler onto the device,
-/// so every crash point falls inside the sort, never inside staging.
+/// Stage `doc` and push it through the pool onto the device, so every
+/// crash point falls inside the sort, never inside staging.
 fn stage(disk: &Rc<Disk>, doc: &str) -> Extent {
     let input = stage_input(disk, doc.as_bytes()).unwrap();
     disk.cache_flush_all().unwrap();
-    disk.io_barrier().unwrap();
     input
 }
 
@@ -101,12 +95,12 @@ struct Baseline {
 
 fn baseline(
     stripe: usize,
-    workers: usize,
+    write_back: bool,
     o: &NexsortOptions,
     doc: &str,
     spec: &SortSpec,
 ) -> Baseline {
-    let (disk, ctl) = make_disk(stripe, workers);
+    let (disk, ctl) = make_disk(stripe, write_back);
     let input = stage(&disk, doc);
     let stage_ios = ctl.ios();
     let nx = Nexsort::new(disk, o.clone(), spec.clone()).unwrap();
@@ -126,14 +120,14 @@ fn baseline(
 /// (as opposed to the crash landing before any journal header survived).
 fn crash_resume_check(
     stripe: usize,
-    workers: usize,
+    write_back: bool,
     o: &NexsortOptions,
     doc: &str,
     spec: &SortSpec,
     base: &Baseline,
     n: u64,
 ) -> bool {
-    let (disk, ctl) = make_disk(stripe, workers);
+    let (disk, ctl) = make_disk(stripe, write_back);
     let input = stage(&disk, doc);
     assert_eq!(ctl.ios(), base.stage_ios, "staging must be deterministic");
     ctl.arm_after(n);
@@ -189,15 +183,15 @@ fn crash_resume_check(
     }
 }
 
-fn sweep_every_crash_point(stripe: usize, workers: usize) {
+fn sweep_every_crash_point(stripe: usize, write_back: bool) {
     let doc = flat_doc(300);
     let o = opts();
     let spec = SortSpec::by_attribute("k");
-    let base = baseline(stripe, workers, &o, &doc, &spec);
+    let base = baseline(stripe, write_back, &o, &doc, &spec);
     assert!(base.merges >= 2, "workload too small: need intermediate passes plus a final merge");
     let mut real_resumes = 0u64;
     for n in base.stage_ios..base.sort_ios {
-        if crash_resume_check(stripe, workers, &o, &doc, &spec, &base, n) {
+        if crash_resume_check(stripe, write_back, &o, &doc, &spec, &base, n) {
             real_resumes += 1;
         }
     }
@@ -211,12 +205,12 @@ fn sweep_every_crash_point(stripe: usize, workers: usize) {
 
 #[test]
 fn crash_sweep_synchronous_single_device() {
-    sweep_every_crash_point(1, 0);
+    sweep_every_crash_point(1, false);
 }
 
 #[test]
-fn crash_sweep_write_behind_and_striping() {
-    sweep_every_crash_point(4, 4);
+fn crash_sweep_write_back_and_striping() {
+    sweep_every_crash_point(4, true);
 }
 
 #[test]
@@ -269,7 +263,7 @@ fn standard_mode_crash_resume_restarts_and_matches() {
         ..Default::default()
     };
     let spec = SortSpec::by_attribute("k");
-    let (disk, ctl) = make_disk(1, 0);
+    let (disk, ctl) = make_disk(1, false);
     let input = stage(&disk, &doc);
     let stage_ios = ctl.ios();
     let nx = Nexsort::new(disk, o.clone(), spec.clone()).unwrap();
@@ -279,7 +273,7 @@ fn standard_mode_crash_resume_restarts_and_matches() {
     drop(sorted);
 
     for n in (stage_ios..sort_ios).step_by(5) {
-        let (disk, ctl) = make_disk(1, 0);
+        let (disk, ctl) = make_disk(1, false);
         let input = stage(&disk, &doc);
         ctl.arm_after(n);
         let nx = Nexsort::new(disk, o.clone(), spec.clone()).unwrap();
@@ -303,10 +297,10 @@ fn shadow_sanitizer_stays_clean_across_crash_and_resume() {
     let doc = flat_doc(300);
     let o = opts();
     let spec = SortSpec::by_attribute("k");
-    let base = baseline(4, 4, &o, &doc, &spec);
+    let base = baseline(4, true, &o, &doc, &spec);
     let mid = base.stage_ios + (base.sort_ios - base.stage_ios) / 2;
 
-    let (disk, ctl) = make_disk(4, 4);
+    let (disk, ctl) = make_disk(4, true);
     disk.enable_shadow();
     let input = stage(&disk, &doc);
     ctl.arm_after(mid);
@@ -382,10 +376,10 @@ fn gen_doc(height: u32, fanout: usize, seed: u64) -> String {
 fn random_doc_crash_sweep(doc: &str, stride: u64) -> Result<(), TestCaseError> {
     let o = opts();
     let spec = SortSpec::by_attribute("k");
-    let base = baseline(1, 0, &o, doc, &spec);
+    let base = baseline(1, false, &o, doc, &spec);
     let mut n = base.stage_ios;
     while n < base.sort_ios {
-        crash_resume_check(1, 0, &o, doc, &spec, &base, n);
+        crash_resume_check(1, false, &o, doc, &spec, &base, n);
         n += stride;
     }
     Ok(())

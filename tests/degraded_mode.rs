@@ -9,7 +9,7 @@
 //!    or source re-derivation: the output is bit-identical to the
 //!    fault-free run and the sort reports `degraded`;
 //! 2. the same holds across device stacks: a plain synchronous device and
-//!    a write-behind scheduler over a 2-way stripe;
+//!    an 8-frame write-back pool over a 4-way stripe;
 //! 3. at fault rate zero nothing is repaired, quarantined, or re-derived;
 //! 4. (property) any random set of hard faults within parity tolerance --
 //!    mirrored runs tolerate every data-block loss -- never changes output.
@@ -26,11 +26,11 @@ use proptest::prelude::*;
 
 use nexsort::{Nexsort, NexsortOptions, SortReport};
 use nexsort_baseline::stage_input;
-use nexsort_extmem::{Disk, DiskBuilder, FaultKind, FaultPlan, IoCat, SchedConfig};
+use nexsort_extmem::{CachePolicy, Disk, DiskBuilder, FaultKind, FaultPlan, IoCat, WriteMode};
 use nexsort_xml::{Rec, SortSpec};
 
 const BLOCK: usize = 128;
-const STRIPE: u64 = 2;
+const STRIPE: u64 = 4;
 
 fn doc() -> String {
     let mut d = String::from("<root>");
@@ -60,19 +60,13 @@ fn sync_disk(faults: &[u64]) -> Rc<Disk> {
     stack.disk
 }
 
-/// A 2-way striped disk with per-device injectors under a write-behind
-/// scheduler (2 workers, 4-block read-ahead); global block ids map to
-/// `(id % STRIPE, id / STRIPE)`.
+/// A 4-way striped disk with per-device injectors under an 8-frame
+/// write-back pool; global block ids map to `(id % STRIPE, id / STRIPE)`.
 fn striped_disk(faults: &[u64]) -> Rc<Disk> {
     let stack = DiskBuilder::new(BLOCK)
         .stripe(STRIPE as usize)
         .faults_per_device(vec![FaultPlan::new(0); STRIPE as usize])
-        .sched(SchedConfig {
-            workers: 2,
-            prefetch_depth: 4,
-            write_behind: true,
-            ..Default::default()
-        })
+        .cache(8, CachePolicy::Lru, WriteMode::Back)
         .build()
         .unwrap();
     let (disk, injs) = (stack.disk, stack.injectors);
@@ -100,8 +94,8 @@ fn run(build: &dyn Fn(&[u64]) -> Rc<Disk>, opts: &NexsortOptions, faults: &[u64]
     let disk = build(faults);
     disk.enable_shadow();
     let input = stage_input(&disk, doc().as_bytes()).expect("stage input");
-    // Drain staging's deferred writes so the trace holds the sort's alone.
-    disk.io_barrier().expect("drain staging");
+    // Flush staging's dirty frames so the trace holds the sort's alone.
+    disk.cache_flush_all().expect("flush staging");
     disk.start_trace();
     let nx = Nexsort::new(disk.clone(), opts.clone(), SortSpec::by_attribute("k"))
         .expect("construct sorter");
@@ -179,7 +173,7 @@ fn every_block_loss_heals_bit_identically_on_a_sync_device() {
 }
 
 #[test]
-fn every_block_loss_heals_bit_identically_under_write_behind_striping() {
+fn every_block_loss_heals_bit_identically_under_write_back_striping() {
     sweep(&striped_disk, &opts(2));
 }
 

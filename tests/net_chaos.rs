@@ -22,11 +22,12 @@ use std::path::{Path, PathBuf};
 use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::stage_input;
 use nexsort_extmem::locksan::TrackedMutex;
-use nexsort_extmem::{DiskBuilder, NetFaultKind, NetFaultPlan, NetFaultState, NetRetryPolicy};
+use nexsort_extmem::DiskBuilder;
 use nexsort_server::json::{n, obj, s, Value};
 use nexsort_server::{
     connect_with_retry, request_with_retry, request_with_retry_injected, serve_with, submit_value,
-    ClientOptions, JobInput, JobSpec, ServeOptions, Server, ServerConfig,
+    ClientOptions, JobInput, JobSpec, NetFaultKind, NetFaultPlan, NetFaultState, NetRetryPolicy,
+    ServeOptions, Server, ServerConfig,
 };
 use nexsort_xml::build_spec;
 

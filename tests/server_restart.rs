@@ -2,7 +2,7 @@
 //!
 //! 1. **Concurrency without drift**: jobs running concurrently on real
 //!    worker threads under one arbitrated memory budget -- across cache,
-//!    striping, parity, and scheduler configurations -- produce output
+//!    striping, and parity configurations -- produce output
 //!    byte-identical to a one-shot in-process sort of the same document.
 //! 2. **Kill-9 restart**: a daemon that dies mid-flight (modeled by the
 //!    per-job crash hook freezing each job's device, the in-process
@@ -19,11 +19,11 @@ use std::time::Duration;
 
 use nexsort::{Nexsort, NexsortOptions, SortReport};
 use nexsort_baseline::stage_input;
-use nexsort_extmem::{DiskBuilder, NetRetryPolicy};
+use nexsort_extmem::DiskBuilder;
 use nexsort_server::json::Value;
 use nexsort_server::{
     connect_with_retry, request_with_retry, submit_value, ClientOptions, JobInput, JobSpec,
-    JobState, Server, ServerConfig,
+    JobState, NetRetryPolicy, Server, ServerConfig,
 };
 use nexsort_xml::build_spec;
 
@@ -57,7 +57,7 @@ fn flat_doc(n: usize, seed: u64) -> Vec<u8> {
 
 /// The ground truth: a one-shot, in-memory, single-threaded sort with the
 /// same ordering criterion and memory geometry. Sorted bytes must not
-/// depend on cache/stripe/parity/scheduler choices, so the baseline uses
+/// depend on cache/stripe/parity choices, so the baseline uses
 /// none of them.
 fn one_shot(xml: &[u8], spec: &JobSpec) -> (Vec<u8>, SortReport) {
     let stack = DiskBuilder::new(spec.block_size).build().unwrap();
@@ -110,14 +110,13 @@ fn mixed_specs(crashes: Option<&[u64]>) -> Vec<JobSpec> {
             parity_group: 2,
             ..base.clone()
         },
-        // Asynchronous I/O scheduler with read-ahead and write-behind.
+        // Write-back page cache over a four-way stripe.
         JobSpec {
             input: JobInput::Inline(flat_doc(280, 5)),
             default_rule: Some("@k".into()),
-            io_workers: 2,
-            prefetch_depth: 4,
             cache_frames: 8,
-            write_behind: true,
+            write_back: true,
+            stripe: 4,
             ..base.clone()
         },
     ];
