@@ -9,8 +9,8 @@
 
 use std::rc::Rc;
 
-use nexsort_extmem::{Disk, Extent, ExtentWriter, IoCat, MemoryBudget, RunId, RunStore};
-use nexsort_xml::{Event, Rec, RecEmitter, Result, SortSpec, TagDict};
+use nexsort_extmem::{ByteSink, Disk, Extent, ExtentWriter, IoCat, MemoryBudget, RunId, RunStore};
+use nexsort_xml::{Event, Rec, RecDecoder, RecEmitter, RecXmlWriter, Result, SortSpec, TagDict};
 
 use crate::extsort::{external_merge_sort, ExtSortOptions, ExtSortReport};
 use crate::resolve::resolve_deferred;
@@ -65,9 +65,25 @@ impl BaselineSorted {
         Ok(out)
     }
 
-    /// Serialize the sorted document to XML text.
+    /// Stream the sorted document as XML text into `sink`, decoding the
+    /// final run one record at a time (a 2-frame budget of its own, like
+    /// [`Self::to_recs`]).
+    pub fn write_xml(&self, sink: impl ByteSink, pretty: bool) -> Result<()> {
+        let budget = MemoryBudget::new(2);
+        let mut dec = RecDecoder::new(self.store.open(self.run, &budget, IoCat::RunRead)?);
+        let mut w = RecXmlWriter::new(sink, pretty);
+        while let Some(rec) = dec.next_rec()? {
+            w.push_rec(&rec, &self.dict)?;
+        }
+        w.finish()?;
+        Ok(())
+    }
+
+    /// Serialize the sorted document to XML text in memory (convenience).
     pub fn to_xml(&self, pretty: bool) -> Result<Vec<u8>> {
-        Ok(nexsort_xml::events_to_xml(&self.to_events()?, pretty))
+        let mut out = Vec::new();
+        self.write_xml(&mut out, pretty)?;
+        Ok(out)
     }
 }
 
@@ -125,7 +141,6 @@ fn sort_source(
             while let Some(rec) = src.next_rec()? {
                 buf.clear();
                 rec.encode(&mut buf)?;
-                use nexsort_extmem::ByteSink;
                 w.write_all(&buf)?;
             }
             w.finish()?

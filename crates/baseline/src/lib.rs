@@ -26,6 +26,6 @@ pub use extsort::{external_merge_sort, run_to_recs, ExtSortOptions, ExtSortRepor
 pub use internal::{sort_dom, sort_recs, sorted_dom};
 pub use resolve::resolve_deferred;
 pub use source::{
-    stage_input, stage_recs, unstage, ExtentRecSource, ParsedRecSource, PathedAdapter,
-    PathedSource, RecSource, VecRecSource,
+    stage_input, stage_reader, stage_recs, unstage, ExtentRecSource, ParsedRecSource,
+    PathedAdapter, PathedSource, RecSource, VecRecSource,
 };

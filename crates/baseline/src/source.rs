@@ -6,11 +6,12 @@
 //! extent (used by the benchmarks to factor out parse CPU, and internally
 //! after the deferred-key resolution pre-pass).
 
-use nexsort_extmem::{ByteReader, Disk, Extent, ExtentReader, IoCat, MemoryBudget};
+use nexsort_extmem::{ByteReader, Disk, Extent, ExtentReader, IoCat, MemoryBudget, STREAM_BUF};
 use nexsort_xml::{
     EventSource, KeyValue, PathComp, PathedRec, Rec, RecBuilder, RecDecoder, Result, SortSpec,
     TagDict, XmlError, XmlParser,
 };
+use std::io::{BufRead, BufReader, Read};
 use std::rc::Rc;
 
 /// A stream of records in document order.
@@ -207,6 +208,13 @@ impl<S: RecSource> PathedSource for PathedAdapter<S> {
 /// staging input documents; writes are *not* charged -- staging the input is
 /// not part of the measured sort).
 pub fn stage_input(disk: &Rc<Disk>, data: &[u8]) -> nexsort_extmem::Result<Extent> {
+    stage_reader(disk, data)
+}
+
+/// Copy everything `src` yields onto the disk as a fresh extent, through one
+/// fixed [`STREAM_BUF`] buffer, so staging a file never holds the file in
+/// memory. Uncharged like [`stage_input`]: staging is setup, not sort cost.
+pub fn stage_reader(disk: &Rc<Disk>, src: impl Read) -> nexsort_extmem::Result<Extent> {
     use nexsort_extmem::ByteSink;
     // A private budget so staging never competes with the sort's frames.
     let staging_budget = MemoryBudget::new(1);
@@ -214,7 +222,21 @@ pub fn stage_input(disk: &Rc<Disk>, data: &[u8]) -> nexsort_extmem::Result<Exten
     let before = stats.snapshot();
     let mut w =
         nexsort_extmem::ExtentWriter::new(disk.clone(), &staging_budget, IoCat::SortScratch)?;
-    w.write_all(data)?;
+    // A `BufReader`'s buffer is filled by the reads themselves, so a small
+    // input costs only the pages it touches, not the whole buffer.
+    let mut src = BufReader::with_capacity(STREAM_BUF, src);
+    loop {
+        let n = match src.fill_buf() {
+            Ok([]) => break,
+            Ok(chunk) => {
+                w.write_all(chunk)?;
+                chunk.len()
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        src.consume(n);
+    }
     let ext = w.finish()?;
     // Roll back the accounting (logical and physical): staging is setup,
     // not algorithm cost.
@@ -275,6 +297,30 @@ mod tests {
         assert_eq!(n, 3);
         assert!(disk.stats().reads(IoCat::InputRead) >= 1);
         assert_eq!(src.into_dict().len(), 3); // r, a, name
+    }
+
+    #[test]
+    fn stage_reader_matches_stage_input_whatever_the_read_sizes() {
+        /// Yields 7 bytes per read, interrupted before every other read.
+        struct Trickle<'a>(&'a [u8], bool);
+        impl Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.1 = !self.1;
+                if self.1 {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                let n = buf.len().min(7).min(self.0.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+        let disk = Disk::new_mem(64);
+        let ext = stage_reader(&disk, Trickle(&data, false)).unwrap();
+        assert_eq!(disk.stats().grand_total(), 0, "staging is uncharged");
+        assert_eq!(ext.num_blocks(), stage_input(&disk, &data).unwrap().num_blocks());
+        assert_eq!(unstage(&disk, &ext).unwrap(), data);
     }
 
     #[test]

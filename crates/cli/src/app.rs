@@ -1,17 +1,20 @@
 //! The `xsort` application: argument handling and command execution.
 
+use std::fs::File;
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use nexsort::{FailureCategory, Nexsort, NexsortOptions, SortedDoc};
-use nexsort_baseline::{sort_xml_extent, stage_input, BaselineOptions};
+use nexsort_baseline::{sort_xml_extent, stage_reader, BaselineOptions};
 use nexsort_extmem::{
-    recover, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent, FaultInjector,
-    FaultPlan, IoCat, JournalRecord, RetryPolicy, RunId, RunStore, ScrubReport,
+    recover, ByteSink, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent,
+    FaultInjector, FaultPlan, IoCat, IoSink, JournalRecord, PartFile, RetryPolicy, RunId, RunStore,
+    ScrubReport, STREAM_BUF,
 };
 use nexsort_merge::{BatchUpdate, MergeOptions, StructuralMerge};
 use nexsort_server::{JobInput, JobOp, JobSpec};
-use nexsort_xml::SortSpec;
+use nexsort_xml::{RecXmlWriter, SortSpec, XmlWriter};
 
 use crate::specarg::parse_size;
 
@@ -40,7 +43,7 @@ pub struct Cli {
     /// stripe, parity, pretty-printing, and the `client submit`
     /// job fields. `client submit` ships exactly this value.
     pub job: JobSpec,
-    /// Device file for the simulated disk (temp file if absent).
+    /// Device file for the simulated disk (in memory if absent).
     pub device: Option<PathBuf>,
     /// Algorithm (`--algo degen` also sets `job.degeneration`).
     pub algo: Algo,
@@ -822,21 +825,25 @@ enum Staged {
 
 /// Read a document; `.xrec` inputs (detected by magic) skip XML parsing, but
 /// their keys are re-extracted under the current criterion so `--key`
-/// arguments always apply.
+/// arguments always apply. XML text streams from the file onto the device
+/// through `stage_reader`'s fixed buffer, never whole in memory.
 fn load(cli: &Cli, disk: &Rc<Disk>, path: &Path) -> Result<Staged, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    if nexsort_xml::is_xrec(&bytes) {
-        let mut src = nexsort_extmem::SliceReader::new(&bytes);
-        let (dict, recs, _flags) = nexsort_xml::read_xrec(&mut src).map_err(xml_err)?;
-        let events = nexsort_xml::recs_to_events(&recs, &dict).map_err(xml_err)?;
-        let mut new_dict = nexsort_xml::TagDict::new();
-        let rekeyed = nexsort_xml::events_to_recs(&events, &cli.spec, &mut new_dict, true)
-            .map_err(xml_err)?;
-        let ext = nexsort_baseline::stage_recs(disk, &rekeyed).map_err(xml_err)?;
-        Ok(Staged::Recs(ext, new_dict))
-    } else {
-        Ok(Staged::Xml(stage_input(disk, &bytes).map_err(|e| e.to_string())?))
+    let cannot_read = |e: std::io::Error| format!("cannot read {path:?}: {e}");
+    let mut file = File::open(path).map_err(cannot_read)?;
+    let mut bytes = nexsort_xml::read_head(&mut file).map_err(cannot_read)?;
+    if !nexsort_xml::is_xrec(&bytes) {
+        let ext = stage_reader(disk, bytes.as_slice().chain(file)).map_err(|e| e.to_string())?;
+        return Ok(Staged::Xml(ext));
     }
+    file.read_to_end(&mut bytes).map_err(cannot_read)?;
+    let mut src = nexsort_extmem::SliceReader::new(&bytes);
+    let (dict, recs, _flags) = nexsort_xml::read_xrec(&mut src).map_err(xml_err)?;
+    let events = nexsort_xml::recs_to_events(&recs, &dict).map_err(xml_err)?;
+    let mut new_dict = nexsort_xml::TagDict::new();
+    let rekeyed =
+        nexsort_xml::events_to_recs(&events, &cli.spec, &mut new_dict, true).map_err(xml_err)?;
+    let ext = nexsort_baseline::stage_recs(disk, &rekeyed).map_err(xml_err)?;
+    Ok(Staged::Recs(ext, new_dict))
 }
 
 fn sort_one(
@@ -963,14 +970,40 @@ fn xrec_bytes(dict: &nexsort_xml::TagDict, recs: &[nexsort_xml::Rec]) -> Result<
     Ok(buf)
 }
 
-fn emit(cli: &Cli, xml: Vec<u8>) -> Result<(), String> {
-    match &cli.job.output {
-        Some(path) => std::fs::write(path, xml).map_err(|e| format!("cannot write {path:?}: {e}")),
-        None => {
-            use std::io::Write;
-            std::io::stdout().write_all(&xml).map_err(|e| e.to_string())
-        }
+/// Stream a command's output: `body` writes through a [`STREAM_BUF`]
+/// buffer to locked stdout, or for `-o PATH` to a [`PartFile`] that becomes
+/// `PATH` only once `body` succeeds, so a failed command never leaves a
+/// truncated file there. An existing `PATH` that is not a regular file
+/// (`/dev/null`, a FIFO) is written in place.
+fn emit_with(
+    cli: &Cli,
+    body: impl FnOnce(&mut dyn ByteSink) -> Result<(), String>,
+) -> Result<(), CliError> {
+    fn buffered<W: Write>(
+        w: W,
+        name: &str,
+        body: impl FnOnce(&mut dyn ByteSink) -> Result<(), String>,
+    ) -> Result<(), CliError> {
+        let mut out = IoSink(BufWriter::with_capacity(STREAM_BUF, w));
+        body(&mut out)?;
+        out.0.flush().map_err(|e| format!("cannot write {name}: {e}").into())
     }
+    let Some(path) = &cli.job.output else {
+        return buffered(std::io::stdout().lock(), "stdout", body);
+    };
+    let cannot_write = |e: ExtError| CliError::from(format!("cannot write {path:?}: {e}"));
+    if std::fs::metadata(path).is_ok_and(|m| !m.is_file()) {
+        let file = File::create(path).map_err(|e| cannot_write(e.into()))?;
+        return buffered(file, &format!("{path:?}"), body);
+    }
+    let mut out = PartFile::create(path).map_err(cannot_write)?;
+    body(&mut out)?;
+    out.commit().map_err(cannot_write)
+}
+
+/// Emit output already held in memory (listings, `.xrec` containers).
+fn emit(cli: &Cli, bytes: &[u8]) -> Result<(), CliError> {
+    emit_with(cli, |out| out.write_all(bytes).map_err(|e| e.to_string()))
 }
 
 /// Execute a parsed command line. Convenience wrapper over [`run_code`]
@@ -1189,7 +1222,7 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
     let result: Result<(), CliError> = match &cli.command {
         Command::Sort { input } => {
             let staged = load(cli, &disk, input)?;
-            let out = if cli.algo == Algo::Mergesort {
+            if cli.algo == Algo::Mergesort {
                 let opts = BaselineOptions {
                     mem_frames: cli.job.mem_frames,
                     compaction: true,
@@ -1215,21 +1248,24 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                     print_stack_stats(&disk);
                 }
                 match cli.format {
-                    OutFormat::Xml => sorted.to_xml(cli.job.pretty).map_err(|e| e.to_string())?,
+                    OutFormat::Xml => {
+                        emit_with(cli, |out| sorted.write_xml(out, cli.job.pretty).map_err(xml_err))
+                    }
                     OutFormat::Xrec => {
-                        xrec_bytes(&sorted.dict, &sorted.to_recs().map_err(|e| e.to_string())?)?
+                        emit(cli, &xrec_bytes(&sorted.dict, &sorted.to_recs().map_err(xml_err)?)?)
                     }
                 }
             } else {
                 let doc = sort_one(cli, &disk, &staged, crash.as_ref())?;
                 match cli.format {
-                    OutFormat::Xml => doc.to_xml(cli.job.pretty).map_err(|e| e.to_string())?,
+                    OutFormat::Xml => {
+                        emit_with(cli, |out| doc.write_xml(out, cli.job.pretty).map_err(xml_err))
+                    }
                     OutFormat::Xrec => {
-                        xrec_bytes(&doc.dict, &doc.to_recs().map_err(|e| e.to_string())?)?
+                        emit(cli, &xrec_bytes(&doc.dict, &doc.to_recs().map_err(xml_err)?)?)
                     }
                 }
-            };
-            emit(cli, out).map_err(CliError::from)
+            }
         }
         Command::TopK { input } => {
             let staged = load(cli, &disk, input)?;
@@ -1247,7 +1283,7 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                         .into())
                 }
             };
-            emit(cli, out).map_err(CliError::from)
+            emit(cli, &out)
         }
         Command::Pq { script } => {
             let text = std::fs::read_to_string(script)
@@ -1263,7 +1299,7 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                     s.pushes, s.pops, s.runs_sealed, s.restructures, s.tombstones_dropped
                 );
             }
-            emit(cli, out.into_bytes()).map_err(CliError::from)
+            emit(cli, out.as_bytes())
         }
         Command::Merge { left, right } => {
             let a = sort_one(cli, &disk, &load(cli, &disk, left)?, crash.as_ref())?;
@@ -1271,18 +1307,17 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
             let merge = StructuralMerge::new(&a.dict, &b.dict, MergeOptions::default());
             let mut ca = a.cursor().map_err(|e| e.to_string())?;
             let mut cb = b.cursor().map_err(|e| e.to_string())?;
-            let mut out = Vec::new();
-            let (dict, stats) = merge
-                .run(&mut ca, &mut cb, &mut |r| {
-                    out.push(r);
-                    Ok(())
-                })
-                .map_err(|e| e.to_string())?;
-            if cli.stats {
-                eprintln!("merge: {stats:?}");
-            }
-            let events = nexsort_xml::recs_to_events(&out, &dict).map_err(|e| e.to_string())?;
-            emit(cli, nexsort_xml::events_to_xml(&events, cli.job.pretty)).map_err(CliError::from)
+            emit_with(cli, |out| {
+                let mut w = RecXmlWriter::new(out, cli.job.pretty);
+                let (_, stats) = merge
+                    .run(&mut ca, &mut cb, &mut |r, dict| w.push_rec(&r, dict))
+                    .map_err(xml_err)?;
+                w.finish().map_err(xml_err)?;
+                if cli.stats {
+                    eprintln!("merge: {stats:?}");
+                }
+                Ok(())
+            })
         }
         Command::Check { input } => {
             let bytes = std::fs::read(input).map_err(|e| format!("cannot read {input:?}: {e}"))?;
@@ -1364,11 +1399,13 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                 )
                 .into());
             };
-            let mut events = Vec::new();
-            while let Some(ev) = gen.next_event().map_err(xml_err)? {
-                events.push(ev);
-            }
-            emit(cli, nexsort_xml::events_to_xml(&events, cli.job.pretty)).map_err(CliError::from)
+            emit_with(cli, |out| {
+                let mut w = XmlWriter::new(out).pretty(cli.job.pretty);
+                while let Some(ev) = gen.next_event().map_err(xml_err)? {
+                    w.write(&ev).map_err(xml_err)?;
+                }
+                Ok(())
+            })
         }
         Command::Update { base, updates } => {
             let b = sort_one(cli, &disk, &load(cli, &disk, base)?, crash.as_ref())?;
@@ -1376,18 +1413,17 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
             let apply = BatchUpdate::new(&b.dict, &u.dict, MergeOptions::default());
             let mut cb = b.cursor().map_err(|e| e.to_string())?;
             let mut cu = u.cursor().map_err(|e| e.to_string())?;
-            let mut out = Vec::new();
-            let (dict, stats) = apply
-                .run(&mut cb, &mut cu, &mut |r| {
-                    out.push(r);
-                    Ok(())
-                })
-                .map_err(|e| e.to_string())?;
-            if cli.stats {
-                eprintln!("update: {stats:?}");
-            }
-            let events = nexsort_xml::recs_to_events(&out, &dict).map_err(|e| e.to_string())?;
-            emit(cli, nexsort_xml::events_to_xml(&events, cli.job.pretty)).map_err(CliError::from)
+            emit_with(cli, |out| {
+                let mut w = RecXmlWriter::new(out, cli.job.pretty);
+                let (_, stats) = apply
+                    .run(&mut cb, &mut cu, &mut |r, dict| w.push_rec(&r, dict))
+                    .map_err(xml_err)?;
+                w.finish().map_err(xml_err)?;
+                if cli.stats {
+                    eprintln!("update: {stats:?}");
+                }
+                Ok(())
+            })
         }
         Command::Scrub { .. } | Command::Serve { .. } | Command::Client { .. } => {
             unreachable!("scrub/serve/client are handled before device setup")
@@ -2493,6 +2529,35 @@ mod tests {
         let sorted2 = std::fs::read_to_string(&out).unwrap();
         assert_eq!(sorted, sorted2, "both algorithms and devices agree");
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn output_appears_at_the_path_only_when_the_command_succeeds() {
+        let dir = std::env::temp_dir().join(format!("xsort-emit-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("out.xml");
+        let cli = parse_args(&args(&["gen", "exact:2", "-o", out.to_str().unwrap()])).unwrap();
+
+        // Fails after writing more than one buffer's worth: nothing remains.
+        let part = dir.join("out.xml.part");
+        let failed = emit_with(&cli, |sink| {
+            sink.write_all(&vec![b'x'; 3 * STREAM_BUF]).map_err(|e| e.to_string())?;
+            Err("output phase failed".into())
+        });
+        assert_eq!(failed.unwrap_err().message, "output phase failed");
+        assert!(!out.exists() && !part.exists());
+
+        // A failure replaces nothing either: an earlier output survives it.
+        emit(&cli, b"first").unwrap();
+        assert!(emit_with(&cli, |_| Err("late failure".into())).is_err());
+        assert_eq!(std::fs::read(&out).unwrap(), b"first");
+        assert!(!part.exists());
+
+        // A path that is not a regular file is written in place.
+        let null = parse_args(&args(&["gen", "exact:2", "-o", "/dev/null"])).unwrap();
+        emit(&null, b"discarded").unwrap();
+        assert!(!Path::new("/dev/null.part").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

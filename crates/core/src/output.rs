@@ -14,9 +14,9 @@ use std::time::Instant;
 
 use nexsort_baseline::RecSource;
 use nexsort_extmem::{
-    Disk, ExtStack, IoCat, IoPhase, IoSnapshot, MemoryBudget, RunId, RunReader, RunStore,
+    ByteSink, Disk, ExtStack, IoCat, IoPhase, IoSnapshot, MemoryBudget, RunId, RunReader, RunStore,
 };
-use nexsort_xml::{Event, Rec, RecDecoder, Result, TagDict, XmlError};
+use nexsort_xml::{Event, Rec, RecDecoder, RecXmlWriter, Result, TagDict, XmlError, XmlWriter};
 
 use crate::report::SortReport;
 
@@ -76,7 +76,6 @@ impl SortedDoc {
     /// stream (the measured "Writing the output" cost) and reporting its
     /// I/O breakdown.
     pub fn write_output_run(&self) -> Result<(RunId, OutputReport)> {
-        use nexsort_extmem::ByteSink;
         if self.report.root_flat {
             // The root run has no pointers: it *is* the sorted output, no
             // copy needed (cf. merge sort, whose final pass is the output).
@@ -134,9 +133,26 @@ impl SortedDoc {
         Ok(out)
     }
 
+    /// Stream the sorted document as XML text into `sink`: the output
+    /// phase's single DFS over the run tree (Figure 4, lines 13-21), each
+    /// record written as soon as the cursor yields it. Resident memory is
+    /// the cursor's frames plus O(depth) open-tag names, whatever the size
+    /// of the document.
+    pub fn write_xml(&self, sink: impl ByteSink, pretty: bool) -> Result<()> {
+        let mut cursor = self.cursor()?;
+        let mut w = RecXmlWriter::new(sink, pretty);
+        while let Some(rec) = cursor.next_rec()? {
+            w.push_rec(&rec, &self.dict)?;
+        }
+        w.finish()?;
+        Ok(())
+    }
+
     /// Serialize the sorted document to XML text in memory (convenience).
     pub fn to_xml(&self, pretty: bool) -> Result<Vec<u8>> {
-        Ok(nexsort_xml::events_to_xml(&self.to_events()?, pretty))
+        let mut out = Vec::new();
+        self.write_xml(&mut out, pretty)?;
+        Ok(out)
     }
 
     /// Stream the document once and verify it is *fully sorted* under
@@ -183,26 +199,25 @@ impl SortedDoc {
     /// Serialize to XML text using an *external* stack of unclosed tag
     /// names for end-tag reconstruction -- the fully external-memory output
     /// path of Section 3.2, usable even when the document is deeper than
-    /// memory. Returns the text and the records emitted.
-    pub fn write_xml_external(&self, sink: &mut Vec<u8>, pretty: bool) -> Result<u64> {
+    /// memory. Returns the records emitted.
+    pub fn write_xml_external(&self, sink: impl ByteSink, pretty: bool) -> Result<u64> {
         self.disk.in_phase(IoPhase::OutputEmit, || self.write_xml_external_inner(sink, pretty))
     }
 
-    fn write_xml_external_inner(&self, sink: &mut Vec<u8>, pretty: bool) -> Result<u64> {
+    fn write_xml_external_inner<S: ByteSink>(&self, sink: S, pretty: bool) -> Result<u64> {
         let mut cursor = self.cursor()?;
         let budget = MemoryBudget::new(2);
         let mut tags = ExtStack::new(self.disk.clone(), &budget, IoCat::OutTagStack, 1)?;
-        let mut writer = nexsort_xml::XmlWriter::new(Vec::new()).pretty(pretty);
+        let mut writer = XmlWriter::new(sink).pretty(pretty);
         let mut open_levels = 0u32;
         let mut records = 0u64;
 
-        let close_one =
-            |tags: &mut ExtStack, w: &mut nexsort_xml::XmlWriter<Vec<u8>>| -> Result<()> {
-                let len = tags.pop_u32()? as usize;
-                let name = tags.pop(len)?;
-                w.write(&Event::End { name })?;
-                Ok(())
-            };
+        let close_one = |tags: &mut ExtStack, w: &mut XmlWriter<S>| -> Result<()> {
+            let len = tags.pop_u32()? as usize;
+            let name = tags.pop(len)?;
+            w.write(&Event::End { name })?;
+            Ok(())
+        };
 
         while let Some(rec) = cursor.next_rec()? {
             records += 1;
@@ -243,7 +258,6 @@ impl SortedDoc {
             close_one(&mut tags, &mut writer)?;
             open_levels -= 1;
         }
-        sink.extend_from_slice(&writer.into_inner());
         Ok(records)
     }
 }

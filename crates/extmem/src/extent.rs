@@ -12,6 +12,9 @@
 //! can be served from resident frames at zero physical transfers, without
 //! changing the `ceil(L / B)` logical count.
 
+use std::fs::File;
+use std::io::BufWriter;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use crate::budget::{FrameGuard, MemoryBudget};
@@ -146,10 +149,78 @@ pub trait ByteSink {
     }
 }
 
+impl<S: ByteSink + ?Sized> ByteSink for &mut S {
+    fn write_all(&mut self, buf: &[u8]) -> Result<()> {
+        (**self).write_all(buf)
+    }
+}
+
 impl ByteSink for Vec<u8> {
     fn write_all(&mut self, buf: &[u8]) -> Result<()> {
         self.extend_from_slice(buf);
         Ok(())
+    }
+}
+
+/// A [`ByteSink`] over any [`std::io::Write`]: a file, locked stdout, or a
+/// `BufWriter` around either. OS errors surface as [`ExtError::Io`].
+pub struct IoSink<W: std::io::Write>(pub W);
+
+impl<W: std::io::Write> ByteSink for IoSink<W> {
+    fn write_all(&mut self, buf: &[u8]) -> Result<()> {
+        Ok(self.0.write_all(buf)?)
+    }
+}
+
+/// Bytes a stream of a whole document (staging its input, writing its
+/// output) holds in memory at a time.
+pub const STREAM_BUF: usize = 64 * 1024;
+
+/// An output file that appears at its path only once it is complete. Bytes
+/// go through a [`STREAM_BUF`] buffer into `PATH.part`; [`PartFile::commit`]
+/// flushes it and renames it to `PATH`. Dropped uncommitted -- its writer
+/// failed -- it removes the part file, so a failure never leaves a
+/// truncated file at `PATH`, nor a stray `PATH.part`.
+pub struct PartFile {
+    out: IoSink<BufWriter<File>>,
+    part: PathBuf,
+    path: PathBuf,
+    committed: bool,
+}
+
+impl PartFile {
+    /// Create (or truncate) `path.part`.
+    pub fn create(path: &Path) -> Result<Self> {
+        let mut part = path.as_os_str().to_owned();
+        part.push(".part");
+        let part = PathBuf::from(part);
+        let file = File::create(&part)?;
+        let out = IoSink(BufWriter::with_capacity(STREAM_BUF, file));
+        Ok(Self { out, part, path: path.to_path_buf(), committed: false })
+    }
+
+    /// Flush everything written and move the file to its path.
+    pub fn commit(mut self) -> Result<()> {
+        std::io::Write::flush(&mut self.out.0)?;
+        std::fs::rename(&self.part, &self.path)?;
+        self.committed = true;
+        Ok(())
+    }
+}
+
+impl ByteSink for PartFile {
+    fn write_all(&mut self, buf: &[u8]) -> Result<()> {
+        self.out.write_all(buf)
+    }
+}
+
+impl Drop for PartFile {
+    fn drop(&mut self) {
+        if !self.committed {
+            // Best effort: the error that abandoned the file is the one
+            // the caller reports.
+            let _ = std::fs::remove_file(&self.part);
+        }
     }
 }
 

@@ -92,13 +92,14 @@ impl<'a> StructuralMerge<'a> {
         }
     }
 
-    /// Run the merge, emitting output records in document order. Returns the
-    /// unified dictionary and statistics.
+    /// Run the merge, emitting output records in document order, each with
+    /// the unified dictionary as it stands (every name the record uses is
+    /// already interned). Returns the final dictionary and statistics.
     pub fn run(
         mut self,
         a: &mut dyn RecSource,
         b: &mut dyn RecSource,
-        out: &mut dyn FnMut(Rec) -> Result<()>,
+        out: &mut dyn FnMut(Rec, &TagDict) -> Result<()>,
     ) -> Result<(TagDict, MergeStats)> {
         let mut pa = Peek::new(DynSource(a));
         let mut pb = Peek::new(DynSource(b));
@@ -174,7 +175,7 @@ impl<'a> StructuralMerge<'a> {
         src: &mut Peek<DynSource<'_, '_>>,
         level: u32,
         left: bool,
-        out: &mut dyn FnMut(Rec) -> Result<()>,
+        out: &mut dyn FnMut(Rec, &TagDict) -> Result<()>,
     ) -> Result<()> {
         let root = src.take()?.ok_or_else(|| XmlError::Record("copy from empty stream".into()))?;
         debug_assert_eq!(root.level(), level);
@@ -185,7 +186,7 @@ impl<'a> StructuralMerge<'a> {
             self.stats.right_only += 1;
         }
         self.stats.emitted += 1;
-        out(mapped)?;
+        out(mapped, &self.out_dict)?;
         while let Some(r) = src.peek()? {
             if r.level() <= level {
                 break;
@@ -198,7 +199,7 @@ impl<'a> StructuralMerge<'a> {
                 self.stats.right_only += 1;
             }
             self.stats.emitted += 1;
-            out(mapped)?;
+            out(mapped, &self.out_dict)?;
         }
         Ok(())
     }
@@ -209,7 +210,7 @@ impl<'a> StructuralMerge<'a> {
         a: &mut Peek<DynSource<'_, '_>>,
         b: &mut Peek<DynSource<'_, '_>>,
         level: u32,
-        out: &mut dyn FnMut(Rec) -> Result<()>,
+        out: &mut dyn FnMut(Rec, &TagDict) -> Result<()>,
     ) -> Result<()> {
         if level > self.opts.max_depth {
             return Err(XmlError::Record(format!(
@@ -241,7 +242,7 @@ impl<'a> StructuralMerge<'a> {
         }
         self.stats.merged += 1;
         self.stats.emitted += 1;
-        out(merged)?;
+        out(merged, &self.out_dict)?;
         self.merge_level(a, b, level + 1, out)
     }
 
@@ -251,7 +252,7 @@ impl<'a> StructuralMerge<'a> {
         a: &mut Peek<DynSource<'_, '_>>,
         b: &mut Peek<DynSource<'_, '_>>,
         level: u32,
-        out: &mut dyn FnMut(Rec) -> Result<()>,
+        out: &mut dyn FnMut(Rec, &TagDict) -> Result<()>,
     ) -> Result<()> {
         loop {
             let ha = a.peek_at(level)?.cloned();
@@ -292,7 +293,7 @@ pub fn merge_rec_vecs(
     let mut va = nexsort_baseline::VecRecSource::new(a);
     let mut vb = nexsort_baseline::VecRecSource::new(b);
     let mut out = Vec::new();
-    let (dict, stats) = merge.run(&mut va, &mut vb, &mut |r| {
+    let (dict, stats) = merge.run(&mut va, &mut vb, &mut |r, _| {
         out.push(r);
         Ok(())
     })?;

@@ -82,12 +82,13 @@ impl<'a> BatchUpdate<'a> {
         }
     }
 
-    /// Apply the batch; emits the updated (still sorted) document.
+    /// Apply the batch; emits the updated (still sorted) document, each
+    /// record with the output dictionary its names are interned in.
     pub fn run(
         mut self,
         base: &mut dyn RecSource,
         updates: &mut dyn RecSource,
-        out: &mut dyn FnMut(Rec) -> Result<()>,
+        out: &mut dyn FnMut(Rec, &TagDict) -> Result<()>,
     ) -> Result<(TagDict, UpdateStats)> {
         let mut pb = Peek::new(DynSource(base));
         let mut pu = Peek::new(DynSource(updates));
@@ -157,18 +158,18 @@ impl<'a> BatchUpdate<'a> {
         src: &mut P<'_, '_>,
         level: u32,
         from_base: bool,
-        out: &mut dyn FnMut(Rec) -> Result<()>,
+        out: &mut dyn FnMut(Rec, &TagDict) -> Result<()>,
     ) -> Result<()> {
         let root = src.take()?.ok_or_else(|| XmlError::Record("copy from empty stream".into()))?;
         let mapped = self.remap(root, from_base)?;
-        out(mapped)?;
+        out(mapped, &self.out_dict)?;
         while let Some(r) = src.peek()? {
             if r.level() <= level {
                 break;
             }
             let r = src.take()?.expect("peeked");
             let mapped = self.remap(r, from_base)?;
-            out(mapped)?;
+            out(mapped, &self.out_dict)?;
         }
         Ok(())
     }
@@ -190,7 +191,7 @@ impl<'a> BatchUpdate<'a> {
         base: &mut P<'_, '_>,
         upd: &mut P<'_, '_>,
         level: u32,
-        out: &mut dyn FnMut(Rec) -> Result<()>,
+        out: &mut dyn FnMut(Rec, &TagDict) -> Result<()>,
     ) -> Result<()> {
         loop {
             let hb = base.peek_at(level)?.cloned();
@@ -246,7 +247,7 @@ impl<'a> BatchUpdate<'a> {
                                     }
                                 }
                                 self.stats.merged += 1;
-                                out(merged)?;
+                                out(merged, &self.out_dict)?;
                                 self.apply_level(base, upd, level + 1, out)?;
                             }
                         }
@@ -263,7 +264,7 @@ impl<'a> BatchUpdate<'a> {
         upd: &mut P<'_, '_>,
         level: u32,
         head: &Rec,
-        out: &mut dyn FnMut(Rec) -> Result<()>,
+        out: &mut dyn FnMut(Rec, &TagDict) -> Result<()>,
     ) -> Result<()> {
         match self.op_of(head)? {
             Op::Delete => {
@@ -306,7 +307,7 @@ mod tests {
         let mut su = VecRecSource::new(ru);
         let mut out = Vec::new();
         let (dict, stats) = b
-            .run(&mut sb, &mut su, &mut |r| {
+            .run(&mut sb, &mut su, &mut |r, _| {
                 out.push(r);
                 Ok(())
             })
@@ -390,7 +391,7 @@ mod tests {
         let b = BatchUpdate::new(&db, &du, MergeOptions::default());
         let mut sb = VecRecSource::new(rb);
         let mut su = VecRecSource::new(ru);
-        let res = b.run(&mut sb, &mut su, &mut |_| Ok(()));
+        let res = b.run(&mut sb, &mut su, &mut |_, _| Ok(()));
         assert!(res.is_err());
     }
 }

@@ -38,9 +38,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nexsort::{Nexsort, NexsortOptions};
-use nexsort_baseline::stage_input;
+use nexsort_baseline::stage_reader;
 use nexsort_extmem::locksan::{self, TrackedCondvar, TrackedGuard, TrackedMutex};
-use nexsort_extmem::{BudgetArbiter, CrashPlan, DiskStack, ExtError, Extent};
+use nexsort_extmem::{BudgetArbiter, CrashPlan, DiskStack, ExtError, Extent, PartFile};
 use nexsort_xml::XmlError;
 
 use crate::job::{JobInput, JobOp, JobSpec, JobState, JobSummary, Manifest};
@@ -413,12 +413,20 @@ impl Server {
                 self.shared.arbiter.total_frames()
             )));
         }
-        let input_bytes = match &spec.input {
-            JobInput::Path(path) => std::fs::read(path)
-                .map_err(|e| SubmitError::Invalid(format!("cannot read {path:?}: {e}")))?,
-            JobInput::Inline(bytes) => bytes.clone(),
+        // Take the input out of the spec: inline bytes move into the job's
+        // copy and are never cloned; a file is checked by its first bytes
+        // here and copied by the OS below.
+        let input = std::mem::replace(&mut spec.input, JobInput::Inline(Vec::new()));
+        let xrec = match &input {
+            JobInput::Path(path) => {
+                let head = std::fs::File::open(path)
+                    .and_then(nexsort_xml::read_head)
+                    .map_err(|e| SubmitError::Invalid(format!("cannot read {path:?}: {e}")))?;
+                nexsort_xml::is_xrec(&head)
+            }
+            JobInput::Inline(bytes) => nexsort_xml::is_xrec(bytes),
         };
-        if spec.op != JobOp::Pq && nexsort_xml::is_xrec(&input_bytes) {
+        if spec.op != JobOp::Pq && xrec {
             return Err(SubmitError::Invalid(
                 "server jobs take XML text; .xrec inputs are not resumable across restarts".into(),
             ));
@@ -458,16 +466,19 @@ impl Server {
         };
         // Make the job durable before announcing it.
         let job_dir = self.shared.job_path(id);
+        spec.input = JobInput::Path(job_dir.join("input.xml"));
         let persist = (|| -> Result<(), String> {
             std::fs::create_dir_all(&job_dir).map_err(|e| format!("mkdir {job_dir:?}: {e}"))?;
-            std::fs::write(job_dir.join("input.xml"), &input_bytes)
-                .map_err(|e| format!("cannot copy input: {e}"))?;
-            let mut stored = spec.clone();
-            stored.input = JobInput::Path(job_dir.join("input.xml"));
+            let copy = job_dir.join("input.xml");
+            match &input {
+                JobInput::Path(path) => std::fs::copy(path, &copy).map(drop),
+                JobInput::Inline(bytes) => std::fs::write(&copy, bytes),
+            }
+            .map_err(|e| format!("cannot copy input: {e}"))?;
             Manifest {
                 id,
                 state: JobState::Queued,
-                spec: stored,
+                spec: spec.clone(),
                 staged: None,
                 error: None,
                 resumed: false,
@@ -485,7 +496,6 @@ impl Server {
             }
             return Err(SubmitError::Invalid(e));
         }
-        spec.input = JobInput::Path(job_dir.join("input.xml"));
         let output = resolve_output(&self.shared.cfg, id, &spec);
         let mut core = self.shared.lock_core();
         core.jobs.insert(
@@ -993,11 +1003,11 @@ fn execute(
             None => return Outcome::failed(None, "resume without a staged input extent".into()),
         }
     } else {
-        let bytes = match std::fs::read(job_dir.join("input.xml")) {
-            Ok(b) => b,
+        let copy = match std::fs::File::open(job_dir.join("input.xml")) {
+            Ok(f) => f,
             Err(e) => return Outcome::failed(None, format!("cannot read input copy: {e}")),
         };
-        let ext = match stage_input(&disk, &bytes) {
+        let ext = match stage_reader(&disk, copy) {
             Ok(ext) => ext,
             Err(e) => return Outcome::failed(None, format!("staging: {e}")),
         };
@@ -1073,8 +1083,16 @@ fn execute(
         }
         Err(f) => return Outcome::failed(staged, f.to_string()),
     };
-    let xml = match doc.to_xml(spec.pretty) {
-        Ok(xml) => xml,
+    // The output streams into a part file, renamed only once it is
+    // complete: a job that dies mid-output never leaves a partial file
+    // where `fetch` could serve it.
+    let output = resolve_output(&shared.cfg, id, spec);
+    let written = PartFile::create(&output).map_err(XmlError::from).and_then(|mut out| {
+        doc.write_xml(&mut out, spec.pretty)?;
+        Ok(out.commit()?)
+    });
+    match written {
+        Ok(()) => {}
         Err(XmlError::Ext(ExtError::SimulatedCrash { .. }))
             if crash.as_ref().is_some_and(|c| c.crashed()) =>
         {
@@ -1083,10 +1101,6 @@ fn execute(
             return Outcome::interrupted(staged);
         }
         Err(e) => return Outcome::failed(staged, format!("output phase: {e}")),
-    };
-    let output = resolve_output(&shared.cfg, id, spec);
-    if let Err(e) = std::fs::write(&output, &xml) {
-        return Outcome::failed(staged, format!("cannot write output {output:?}: {e}"));
     }
     // Settle the device image (flush write-back pages) so the on-disk file is consistent once the job is marked done.
     let _ = disk.cache_flush_all();
@@ -1151,6 +1165,7 @@ fn execute_pq(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nexsort_baseline::stage_input;
     use nexsort_extmem::DiskBuilder;
     use nexsort_xml::build_spec;
 

@@ -30,11 +30,13 @@ pub use key::{KeyRule, KeySource, KeyType, KeyValue, SortSpec, TextKey};
 pub use keypath::{attach_paths, KeyPath, PathBuilder, PathComp, PathedRec};
 pub use parser::{parse_events, XmlParser};
 pub use rec::{ElemRec, PatchRec, PtrRec, Rec, RecDecoder, TextRec};
-pub use recstream::{apply_patches, events_to_recs, recs_to_events, RecBuilder, RecEmitter};
+pub use recstream::{
+    apply_patches, events_to_recs, recs_to_events, RecBuilder, RecEmitter, RecXmlWriter,
+};
 pub use specstr::{build_spec, parse_key_arg, parse_rule};
 pub use sym::{NameRef, TagDict};
 pub use varint::{
     read_bytes, read_ivarint, read_uvarint, uvarint_len, write_bytes, write_ivarint, write_uvarint,
 };
 pub use writer::{events_to_xml, XmlWriter};
-pub use xrec::{is_xrec, read_xrec, write_xrec, XrecReader, FLAG_KEYS_FINAL};
+pub use xrec::{is_xrec, read_head, read_xrec, write_xrec, XrecReader, FLAG_KEYS_FINAL};

@@ -12,13 +12,16 @@
 //! [`RecEmitter`] is the output half: it regenerates events from records,
 //! reconstructing end tags from level transitions ("a transition from a start
 //! tag on level l1 to a start tag on level l2 <= l1 must have l1 - l2 + 1 end
-//! tags in between").
+//! tags in between"). [`RecXmlWriter`] runs the same reconstruction straight
+//! into an [`XmlWriter`], one record at a time.
 
 use crate::error::{Result, XmlError};
 use crate::event::Event;
 use crate::key::{KeyRule, KeySource, KeyValue, SortSpec};
 use crate::rec::{ElemRec, PatchRec, Rec, TextRec};
 use crate::sym::{NameRef, TagDict};
+use crate::writer::XmlWriter;
+use nexsort_extmem::ByteSink;
 
 /// Deferred-key evaluation state for one open element.
 #[derive(Debug)]
@@ -241,55 +244,48 @@ pub fn apply_patches(recs: Vec<Rec>) -> Result<Vec<Rec>> {
     Ok(out)
 }
 
-/// Streaming records-to-events converter (end-tag reconstruction).
-pub struct RecEmitter<'a> {
-    dict: &'a TagDict,
-    open: Vec<Vec<u8>>,
-}
+/// End-tag reconstruction state: the names of the open elements. A record
+/// at level `l` first closes every open element at level `>= l`.
+#[derive(Default)]
+struct OpenTags(Vec<Vec<u8>>);
 
-impl<'a> RecEmitter<'a> {
-    /// An emitter resolving interned names against `dict`.
-    pub fn new(dict: &'a TagDict) -> Self {
-        Self { dict, open: Vec::new() }
-    }
-
+impl OpenTags {
     fn close_to(&mut self, target_open: usize, out: &mut Vec<Event>) {
-        while self.open.len() > target_open {
-            let name = self.open.pop().expect("checked non-empty");
+        while self.0.len() > target_open {
+            let name = self.0.pop().expect("checked non-empty");
             out.push(Event::End { name });
         }
     }
 
-    /// Feed one record; resulting events are appended to `out`.
-    pub fn push_rec(&mut self, rec: &Rec, out: &mut Vec<Event>) -> Result<()> {
+    fn push_rec(&mut self, rec: &Rec, dict: &TagDict, out: &mut Vec<Event>) -> Result<()> {
         match rec {
             Rec::Elem(r) => {
                 let target = (r.level - 1) as usize;
-                if target > self.open.len() {
+                if target > self.0.len() {
                     return Err(XmlError::Record(format!(
                         "level jump: element at level {} under {} open elements",
                         r.level,
-                        self.open.len()
+                        self.0.len()
                     )));
                 }
                 self.close_to(target, out);
-                let name = r.name.resolve(self.dict)?.to_vec();
+                let name = r.name.resolve(dict)?.to_vec();
                 let attrs = r
                     .attrs
                     .iter()
-                    .map(|(k, v)| Ok((k.resolve(self.dict)?.to_vec(), v.clone())))
+                    .map(|(k, v)| Ok((k.resolve(dict)?.to_vec(), v.clone())))
                     .collect::<Result<Vec<_>>>()?;
                 out.push(Event::Start { name: name.clone(), attrs });
-                self.open.push(name);
+                self.0.push(name);
                 Ok(())
             }
             Rec::Text(r) => {
                 let target = (r.level.max(1) - 1) as usize;
-                if r.level < 2 || target > self.open.len() {
+                if r.level < 2 || target > self.0.len() {
                     return Err(XmlError::Record(format!(
                         "level jump: text at level {} under {} open elements",
                         r.level,
-                        self.open.len()
+                        self.0.len()
                     )));
                 }
                 self.close_to(target, out);
@@ -303,10 +299,69 @@ impl<'a> RecEmitter<'a> {
             Rec::KeyPatch(_) => Ok(()), // metadata only
         }
     }
+}
+
+/// Streaming records-to-events converter (end-tag reconstruction).
+pub struct RecEmitter<'a> {
+    dict: &'a TagDict,
+    open: OpenTags,
+}
+
+impl<'a> RecEmitter<'a> {
+    /// An emitter resolving interned names against `dict`.
+    pub fn new(dict: &'a TagDict) -> Self {
+        Self { dict, open: OpenTags::default() }
+    }
+
+    /// Feed one record; resulting events are appended to `out`.
+    pub fn push_rec(&mut self, rec: &Rec, out: &mut Vec<Event>) -> Result<()> {
+        self.open.push_rec(rec, self.dict, out)
+    }
 
     /// Close any still-open elements.
     pub fn finish(&mut self, out: &mut Vec<Event>) {
-        self.close_to(0, out);
+        self.open.close_to(0, out);
+    }
+}
+
+/// Records straight to XML text: the events of each record are regenerated
+/// as [`RecEmitter`] does, written, and dropped before the next record
+/// arrives. Memory is O(depth) open-tag names whatever the document's size,
+/// so a sorted document streams to a file or stdout without being held.
+pub struct RecXmlWriter<S: ByteSink> {
+    open: OpenTags,
+    events: Vec<Event>,
+    xml: XmlWriter<S>,
+}
+
+impl<S: ByteSink> RecXmlWriter<S> {
+    /// A writer into `sink`, compact or indented like [`XmlWriter`].
+    pub fn new(sink: S, pretty: bool) -> Self {
+        Self {
+            open: OpenTags::default(),
+            events: Vec::new(),
+            xml: XmlWriter::new(sink).pretty(pretty),
+        }
+    }
+
+    /// Write one record, resolving its interned names against `dict`.
+    pub fn push_rec(&mut self, rec: &Rec, dict: &TagDict) -> Result<()> {
+        self.open.push_rec(rec, dict, &mut self.events)?;
+        self.write_events()
+    }
+
+    fn write_events(&mut self) -> Result<()> {
+        for ev in self.events.drain(..) {
+            self.xml.write(&ev)?;
+        }
+        Ok(())
+    }
+
+    /// Close the still-open elements and return the sink.
+    pub fn finish(mut self) -> Result<S> {
+        self.open.close_to(0, &mut self.events);
+        self.write_events()?;
+        Ok(self.xml.into_inner())
     }
 }
 
@@ -483,6 +538,25 @@ mod tests {
         let ptr =
             Rec::RunPtr(crate::rec::PtrRec { level: 1, run: 0, key: KeyValue::Missing, seq: 0 });
         assert!(em.push_rec(&ptr, &mut out).is_err());
+    }
+
+    #[test]
+    fn rec_xml_writer_equals_the_whole_document_serialization() {
+        let doc = "<r><a name=\"z\" k=\"&quot;\">x &amp; y<b name=\"m\"/></a>\
+                   <a name=\"y\"><c><d>deep</d></c></a>tail</r>";
+        let events = parse_events(doc.as_bytes()).unwrap();
+        let mut dict = TagDict::new();
+        let spec = SortSpec::by_attribute("name");
+        let recs = events_to_recs(&events, &spec, &mut dict, true).unwrap();
+        for pretty in [false, true] {
+            let whole =
+                crate::writer::events_to_xml(&recs_to_events(&recs, &dict).unwrap(), pretty);
+            let mut w = RecXmlWriter::new(Vec::new(), pretty);
+            for r in &recs {
+                w.push_rec(r, &dict).unwrap();
+            }
+            assert_eq!(w.finish().unwrap(), whole, "pretty={pretty}");
+        }
     }
 
     #[test]

@@ -47,6 +47,16 @@ pub fn is_xrec(bytes: &[u8]) -> bool {
     bytes.len() >= MAGIC.len() && &bytes[..MAGIC.len()] == MAGIC
 }
 
+/// Read the first bytes of a stream, as many as the `.xrec` magic has (fewer
+/// only at end of stream): enough for [`is_xrec`] to tell a container from
+/// XML text without reading the rest.
+pub fn read_head(src: impl std::io::Read) -> std::io::Result<Vec<u8>> {
+    use std::io::Read;
+    let mut head = Vec::with_capacity(MAGIC.len());
+    src.take(MAGIC.len() as u64).read_to_end(&mut head)?;
+    Ok(head)
+}
+
 /// Deserialize an `.xrec` stream.
 pub fn read_xrec(src: &mut impl ByteReader) -> Result<(TagDict, Vec<Rec>, u64)> {
     let mut magic = [0u8; 5];

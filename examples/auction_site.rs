@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut a = sorted_east.cursor()?;
     let mut b = sorted_west.cursor()?;
     let mut merged = Vec::new();
-    let (dict, stats) = merge.run(&mut a, &mut b, &mut |r| {
+    let (dict, stats) = merge.run(&mut a, &mut b, &mut |r, _| {
         merged.push(r);
         Ok(())
     })?;

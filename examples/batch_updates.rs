@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut base_cur = sorted_base.cursor()?;
     let mut upd_cur = sorted_updates.cursor()?;
     let mut result = Vec::new();
-    let (dict, stats) = apply.run(&mut base_cur, &mut upd_cur, &mut |rec| {
+    let (dict, stats) = apply.run(&mut base_cur, &mut upd_cur, &mut |rec, _| {
         result.push(rec);
         Ok(())
     })?;

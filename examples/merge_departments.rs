@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut a = sorted1.cursor()?;
     let mut b = sorted2.cursor()?;
     let mut merged = Vec::new();
-    let (out_dict, stats) = merge.run(&mut a, &mut b, &mut |rec| {
+    let (out_dict, stats) = merge.run(&mut a, &mut b, &mut |rec, _| {
         merged.push(rec);
         Ok(())
     })?;

@@ -28,7 +28,7 @@ fn merge_sorted(
     let mut cb = b.cursor().unwrap();
     let mut out = Vec::new();
     let (dict, _stats) = merge
-        .run(&mut ca, &mut cb, &mut |r| {
+        .run(&mut ca, &mut cb, &mut |r, _| {
             out.push(r);
             Ok(())
         })
@@ -143,7 +143,7 @@ fn merge_then_batch_update_composes() {
     let mut mu = upd.cursor().unwrap();
     let mut out = Vec::new();
     let (dict2, stats) = apply
-        .run(&mut mb, &mut mu, &mut |r| {
+        .run(&mut mb, &mut mu, &mut |r, _| {
             out.push(r);
             Ok(())
         })
