@@ -20,7 +20,7 @@ use std::rc::Rc;
 use nexsort_extmem::{
     ByteSink, IoCat, IoPhase, KWayMerger, MemoryBudget, MergeStream, RunId, RunReader, RunStore,
 };
-use nexsort_xml::{PathedRec, Rec, Result, XmlError};
+use nexsort_xml::{cmp_encoded_paths, read_pathed_raw, PathedBytes, Rec, Result, XmlError};
 
 use crate::source::PathedSource;
 
@@ -59,26 +59,95 @@ pub struct ExtSortReport {
     pub fan_in: usize,
 }
 
-struct RunStream {
+/// One sorted run of encoded key-path records, read record by record as
+/// [`PathedBytes`] (validated, never decoded): the merge stream of every
+/// key-path merge -- this module's, graceful degeneration's and top-k's.
+pub struct PathedRunStream {
     reader: RunReader,
     left: u64,
+    /// Size of the last record read: the next buffer's starting capacity.
+    hint: usize,
 }
 
-impl MergeStream for RunStream {
-    type Item = PathedRec;
+impl PathedRunStream {
+    /// Open every run of `ids`, in order, charging reads to `cat` (one
+    /// frame each).
+    pub fn open_all(
+        store: &Rc<RunStore>,
+        ids: &[RunId],
+        budget: &MemoryBudget,
+        cat: IoCat,
+    ) -> Result<Vec<Self>> {
+        ids.iter()
+            .map(|&id| {
+                let left = store.run_len(id)?;
+                let reader = store.open(id, budget, cat)?;
+                Ok(Self { reader, left, hint: 64 })
+            })
+            .collect()
+    }
+}
 
-    fn next_item(&mut self) -> nexsort_extmem::Result<Option<PathedRec>> {
+impl MergeStream for PathedRunStream {
+    type Item = PathedBytes;
+
+    fn next_item(&mut self) -> nexsort_extmem::Result<Option<PathedBytes>> {
         if self.left == 0 {
             return Ok(None);
         }
-        match PathedRec::decode(&mut self.reader) {
-            Ok((p, consumed)) => {
-                self.left = self.left.saturating_sub(consumed);
-                Ok(Some(p))
+        let mut bytes = Vec::with_capacity(self.hint);
+        match read_pathed_raw(&mut self.reader, &mut bytes) {
+            Ok(path_len) => {
+                self.left = self.left.saturating_sub(bytes.len() as u64);
+                self.hint = bytes.len();
+                Ok(Some(PathedBytes { bytes, path_len }))
             }
-            Err(nexsort_xml::XmlError::Ext(e)) => Err(e),
+            Err(XmlError::Ext(e)) => Err(e),
             Err(e) => Err(nexsort_extmem::ExtError::Corrupt(e.to_string())),
         }
+    }
+}
+
+/// A memory-load of encoded key-path records: one byte arena plus each
+/// record's span, sorted in place by [`cmp_encoded_paths`] and spilled as
+/// one run -- run formation without a decoded record in sight.
+#[derive(Debug, Default)]
+pub struct PathedArena {
+    bytes: Vec<u8>,
+    spans: Vec<(usize, usize)>,
+}
+
+impl PathedArena {
+    /// An empty arena.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// True if no record is held.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Add one encoded `(path, rec)` pair.
+    pub fn push(&mut self, pathed: &[u8]) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(pathed);
+        self.spans.push((start, self.bytes.len()));
+    }
+
+    /// Write the records to `w` in key-path order and empty the arena. Ties
+    /// keep arrival order (key paths are unique, but stay stable anyway).
+    pub fn spill(&mut self, w: &mut impl ByteSink) -> Result<()> {
+        let bytes = &self.bytes;
+        self.spans.sort_unstable_by(|a, b| {
+            cmp_encoded_paths(&bytes[a.0..a.1], &bytes[b.0..b.1]).then(a.0.cmp(&b.0))
+        });
+        for &(s, e) in &self.spans {
+            w.write_all(&bytes[s..e])?;
+        }
+        self.bytes.clear();
+        self.spans.clear();
+        Ok(())
     }
 }
 
@@ -116,40 +185,38 @@ pub fn external_merge_sort(
         }
         let buffer_guard = budget.reserve(free - 1).expect("just checked");
         let capacity = buffer_guard.frames() as u64 * block_size;
-        let mut buf: Vec<PathedRec> = Vec::new();
+        let mut arena = PathedArena::new();
         let mut buf_bytes = 0u64;
-        let mut scratch = Vec::new();
+        let mut rec = Vec::new();
 
-        let spill = |buf: &mut Vec<PathedRec>,
-                     scratch: &mut Vec<u8>,
+        let spill = |arena: &mut PathedArena,
                      report: &mut ExtSortReport,
                      runs: &mut VecDeque<RunId>|
          -> Result<()> {
-            buf.sort_by(PathedRec::cmp_order);
             let mut w = store.create(budget, opts.scratch_cat)?;
-            for p in buf.drain(..) {
-                scratch.clear();
-                p.encode(scratch)?;
-                w.write_all(scratch)?;
-            }
+            arena.spill(&mut w)?;
             runs.push_back(w.finish()?);
             report.initial_runs += 1;
             Ok(())
         };
 
-        while let Some(p) = src.next_pathed()? {
-            let len = p.encoded_len() as u64;
-            if buf_bytes + len > capacity && !buf.is_empty() {
-                spill(&mut buf, &mut scratch, &mut report, &mut runs)?;
+        loop {
+            rec.clear();
+            if src.next_encoded(&mut rec)?.is_none() {
+                break;
+            }
+            let len = rec.len() as u64;
+            if buf_bytes + len > capacity && !arena.is_empty() {
+                spill(&mut arena, &mut report, &mut runs)?;
                 buf_bytes = 0;
             }
             buf_bytes += len;
             report.items += 1;
             report.bytes += len;
-            buf.push(p);
+            arena.push(&rec);
         }
-        if !buf.is_empty() || runs.is_empty() {
-            spill(&mut buf, &mut scratch, &mut report, &mut runs)?;
+        if !arena.is_empty() || runs.is_empty() {
+            spill(&mut arena, &mut report, &mut runs)?;
         }
         Ok(())
     })?;
@@ -159,29 +226,15 @@ pub fn external_merge_sort(
     let fan_in = budget.free_frames().saturating_sub(1).max(2);
     report.fan_in = fan_in;
 
-    let open_streams = |ids: &[RunId], cat: IoCat| -> Result<Vec<RunStream>> {
-        ids.iter()
-            .map(|&id| {
-                let reader = store.open(id, budget, cat)?;
-                let left = store.run_len(id)?;
-                Ok(RunStream { reader, left })
-            })
-            .collect()
-    };
-
     // Intermediate merges until the remainder fits in one final merge.
     while runs.len() > fan_in {
         disk.in_phase(IoPhase::MergePass(report.intermediate_merges + 1), || -> Result<()> {
             let group: Vec<RunId> = runs.drain(..fan_in).collect();
-            let streams = open_streams(&group, opts.scratch_cat)?;
-            let mut merger =
-                KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))?;
+            let streams = PathedRunStream::open_all(store, &group, budget, opts.scratch_cat)?;
+            let mut merger = KWayMerger::new(streams, PathedBytes::cmp_path)?;
             let mut w = store.create(budget, opts.scratch_cat)?;
-            let mut scratch = Vec::new();
             while let Some((p, _)) = merger.next_merged()? {
-                scratch.clear();
-                p.encode(&mut scratch)?;
-                w.write_all(&scratch)?;
+                w.write_all(&p.bytes)?;
             }
             runs.push_back(w.finish()?);
             for id in group {
@@ -204,18 +257,11 @@ pub fn external_merge_sort(
     // ---- Final merge: strip paths, write the sorted output run ----
     let final_run = disk.in_phase(IoPhase::FinalMerge, || -> Result<RunId> {
         let group: Vec<RunId> = runs.drain(..).collect();
-        let streams = open_streams(&group, opts.scratch_cat)?;
-        let mut merger = KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))?;
+        let streams = PathedRunStream::open_all(store, &group, budget, opts.scratch_cat)?;
+        let mut merger = KWayMerger::new(streams, PathedBytes::cmp_path)?;
         let mut w = store.create(budget, opts.final_cat)?;
-        let mut scratch = Vec::new();
         while let Some((p, _)) = merger.next_merged()? {
-            scratch.clear();
-            if opts.strip_paths {
-                p.rec.encode(&mut scratch)?;
-            } else {
-                p.encode(&mut scratch)?;
-            }
-            w.write_all(&scratch)?;
+            w.write_all(if opts.strip_paths { p.rec_bytes() } else { &p.bytes })?;
         }
         let final_run = w.finish()?;
         for id in group {
@@ -368,7 +414,7 @@ mod tests {
         let (run, _) = external_merge_sort(&store, &budget, &mut src, &opts).unwrap();
         // Decodes as pathed records.
         let mut reader = store.open(run, &budget, IoCat::SortScratch).unwrap();
-        let (p, _) = PathedRec::decode(&mut reader).unwrap();
+        let (p, _) = nexsort_xml::PathedRec::decode(&mut reader).unwrap();
         assert_eq!(p.path.len(), 1);
     }
 }

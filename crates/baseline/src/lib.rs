@@ -22,7 +22,9 @@ mod resolve;
 mod source;
 
 pub use docsort::{sort_rec_extent, sort_xml_extent, BaselineOptions, BaselineSorted};
-pub use extsort::{external_merge_sort, run_to_recs, ExtSortOptions, ExtSortReport};
+pub use extsort::{
+    external_merge_sort, run_to_recs, ExtSortOptions, ExtSortReport, PathedArena, PathedRunStream,
+};
 pub use internal::{sort_dom, sort_recs, sorted_dom};
 pub use resolve::resolve_deferred;
 pub use source::{

@@ -6,9 +6,11 @@
 //! extent (used by the benchmarks to factor out parse CPU, and internally
 //! after the deferred-key resolution pre-pass).
 
-use nexsort_extmem::{ByteReader, Disk, Extent, ExtentReader, IoCat, MemoryBudget, STREAM_BUF};
+use nexsort_extmem::{
+    ByteReader, Disk, Extent, ExtentReader, IoCat, MemoryBudget, SliceReader, STREAM_BUF,
+};
 use nexsort_xml::{
-    EventSource, KeyValue, PathComp, PathedRec, Rec, RecBuilder, RecDecoder, Result, SortSpec,
+    EncodedPath, EventSource, KeyValue, PathedRec, Rec, RecBuilder, RecDecoder, Result, SortSpec,
     TagDict, XmlError, XmlParser,
 };
 use std::io::{BufRead, BufReader, Read};
@@ -137,8 +139,19 @@ impl RecSource for VecRecSource {
 
 /// A stream of key-path-annotated records.
 pub trait PathedSource {
-    /// The next annotated record, or `None` at end of stream.
-    fn next_pathed(&mut self) -> Result<Option<PathedRec>>;
+    /// Append the next record's encoded `(path, rec)` pair (the
+    /// [`PathedRec`] format) to `out` and return its path prefix's length,
+    /// or `None` at end of stream.
+    fn next_encoded(&mut self, out: &mut Vec<u8>) -> Result<Option<usize>>;
+
+    /// The next annotated record, decoded (or `None` at end of stream).
+    fn next_pathed(&mut self) -> Result<Option<PathedRec>> {
+        let mut buf = Vec::new();
+        if self.next_encoded(&mut buf)?.is_none() {
+            return Ok(None);
+        }
+        Ok(Some(PathedRec::decode(&mut SliceReader::new(&buf))?.0))
+    }
 }
 
 /// Adapts a [`RecSource`] (deferred keys already resolved) into a
@@ -149,7 +162,7 @@ pub trait PathedSource {
 /// siblings keep document order (the sequence tiebreak).
 pub struct PathedAdapter<S: RecSource> {
     src: S,
-    path: Vec<PathComp>,
+    path: EncodedPath,
     base: u32,
     depth_limit: Option<u32>,
     started: bool,
@@ -159,7 +172,7 @@ impl<S: RecSource> PathedAdapter<S> {
     /// Adapt `src`; the first record's level defines the path base (so
     /// subtree streams with absolute levels work unchanged).
     pub fn new(src: S, depth_limit: Option<u32>) -> Self {
-        Self { src, path: Vec::new(), base: 0, depth_limit, started: false }
+        Self { src, path: EncodedPath::new(), base: 0, depth_limit, started: false }
     }
 
     /// Recover the wrapped source.
@@ -169,7 +182,7 @@ impl<S: RecSource> PathedAdapter<S> {
 }
 
 impl<S: RecSource> PathedSource for PathedAdapter<S> {
-    fn next_pathed(&mut self) -> Result<Option<PathedRec>> {
+    fn next_encoded(&mut self, out: &mut Vec<u8>) -> Result<Option<usize>> {
         let Some(rec) = self.src.next_rec()? else {
             return Ok(None);
         };
@@ -190,7 +203,7 @@ impl<S: RecSource> PathedSource for PathedAdapter<S> {
             )));
         }
         let rel = (rec.level() - self.base) as usize;
-        if rel > self.path.len() + 1 {
+        if rel > self.path.depth() + 1 {
             return Err(XmlError::Record(format!(
                 "level jump to {} (relative {rel}) in pathed stream",
                 rec.level()
@@ -198,9 +211,9 @@ impl<S: RecSource> PathedSource for PathedAdapter<S> {
         }
         self.path.truncate(rel - 1);
         let masked = self.depth_limit.is_some_and(|d| rec.level() > d + 1);
-        let key = if masked { KeyValue::Missing } else { rec.key().clone() };
-        self.path.push(PathComp { key, seq: rec.seq() });
-        Ok(Some(PathedRec { path: nexsort_xml::KeyPath { comps: self.path.clone() }, rec }))
+        let key = if masked { &KeyValue::Missing } else { rec.key() };
+        self.path.push(key, rec.seq())?;
+        Ok(Some(self.path.encode_with(&rec, out)?))
     }
 }
 
@@ -365,6 +378,25 @@ mod tests {
         let p2 = a.next_pathed().unwrap().unwrap();
         assert_eq!(p2.path.len(), 2);
         assert_eq!(p2.path.comps[0].key, KeyValue::Num(1));
+    }
+
+    #[test]
+    fn encoded_pairs_match_the_decoded_path_builder() {
+        let doc = b"<r name=\"r\"><a name=\"z\"><c name=\"2\">t</c><c/></a><b name=\"y\"/></r>";
+        let events = parse_events(doc).unwrap();
+        let spec = SortSpec::by_attribute("name");
+        let mut dict = TagDict::new();
+        let recs = events_to_recs(&events, &spec, &mut dict, true).unwrap();
+        let mut expect = Vec::new();
+        for p in nexsort_xml::attach_paths(recs.clone()).unwrap() {
+            p.encode(&mut expect).unwrap();
+        }
+        let mut a = PathedAdapter::new(VecRecSource::new(recs), None);
+        let mut got = Vec::new();
+        while let Some(path_len) = a.next_encoded(&mut got).unwrap() {
+            assert!(path_len > 0);
+        }
+        assert_eq!(got, expect);
     }
 
     #[test]

@@ -28,12 +28,12 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use nexsort_baseline::{sort_recs, RecSource};
+use nexsort_baseline::{sort_recs, PathedArena, PathedRunStream, RecSource};
 use nexsort_extmem::{
-    ByteSink, Disk, IoCat, IoPhase, Journal, JournalRecord, KWayMerger, MemoryBudget, MergeStream,
-    RecoveredState, RunId, RunReader, RunStore,
+    ByteSink, Disk, IoCat, IoPhase, Journal, JournalRecord, KWayMerger, MemoryBudget,
+    RecoveredState, RunId, RunStore,
 };
-use nexsort_xml::{KeyPath, PathComp, PathedRec, PtrRec, Rec, Result, SortSpec, XmlError};
+use nexsort_xml::{EncodedPath, PathComp, PathedBytes, PtrRec, Rec, Result, SortSpec, XmlError};
 
 use crate::checkpoint::{journal_stats, restore_report, seal_record, seal_records};
 use crate::options::NexsortOptions;
@@ -50,29 +50,6 @@ struct Frame {
     /// Incomplete runs whose contents lie entirely within this subtree.
     pendings: Vec<RunId>,
     fanout: u64,
-}
-
-struct PStream {
-    reader: RunReader,
-    left: u64,
-}
-
-impl MergeStream for PStream {
-    type Item = PathedRec;
-
-    fn next_item(&mut self) -> nexsort_extmem::Result<Option<PathedRec>> {
-        if self.left == 0 {
-            return Ok(None);
-        }
-        match PathedRec::decode(&mut self.reader) {
-            Ok((p, consumed)) => {
-                self.left = self.left.saturating_sub(consumed);
-                Ok(Some(p))
-            }
-            Err(nexsort_xml::XmlError::Ext(e)) => Err(e),
-            Err(e) => Err(nexsort_extmem::ExtError::Corrupt(e.to_string())),
-        }
-    }
 }
 
 struct Degenerate<'a> {
@@ -129,30 +106,30 @@ impl Degenerate<'_> {
         // every ancestor of the first staged record. Ancestors that closed
         // mid-fragment are covered by the seed; elements opened later have
         // their own records in the staging buffer.
-        let mut path: Vec<PathComp> = std::mem::take(&mut self.fragment_seed);
-        let mut pathed: Vec<PathedRec> = Vec::with_capacity(self.staging.len());
+        let mut path = EncodedPath::new();
+        for c in std::mem::take(&mut self.fragment_seed) {
+            path.push(&c.key, c.seq)?;
+        }
+        let mut arena = PathedArena::new();
+        let mut pathed = Vec::new();
         for rec in self.staging.drain(..) {
             let level = rec.level() as usize;
-            if level == 0 || level > path.len() + 1 {
+            if level == 0 || level > path.depth() + 1 {
                 return Err(XmlError::Record(format!(
                     "staged record at level {level} jumps past path depth {}",
-                    path.len()
+                    path.depth()
                 )));
             }
             path.truncate(level - 1);
-            path.push(PathComp { key: rec.key().clone(), seq: rec.seq() });
-            pathed.push(PathedRec { path: KeyPath { comps: path.clone() }, rec });
+            path.push(rec.key(), rec.seq())?;
+            pathed.clear();
+            path.encode_with(&rec, &mut pathed)?;
+            arena.push(&pathed);
         }
-        pathed.sort_by(PathedRec::cmp_order);
         // Spilling an incomplete run is run formation.
         let run = self.store.disk().in_phase(IoPhase::RunFormation, || -> Result<RunId> {
             let mut w = self.store.create(self.budget, IoCat::SortScratch)?;
-            let mut buf = Vec::new();
-            for p in &pathed {
-                buf.clear();
-                p.encode(&mut buf)?;
-                w.write_all(&buf)?;
-            }
+            arena.spill(&mut w)?;
             Ok(w.finish()?)
         })?;
         self.report.incomplete_runs += 1;
@@ -171,11 +148,6 @@ impl Degenerate<'_> {
     fn merge_all(&mut self, mut runs: Vec<RunId>) -> Result<RunId> {
         let disk = self.store.disk().clone();
         let fan_in = self.budget.free_frames().saturating_sub(1).max(2);
-        let open = |store: &Rc<RunStore>, budget: &MemoryBudget, id: RunId| -> Result<PStream> {
-            let left = store.run_len(id)?;
-            let reader = store.open(id, budget, IoCat::SortScratch)?;
-            Ok(PStream { reader, left })
-        };
         while runs.len() > fan_in {
             let pass = self.pass_base + self.report.degenerate_merges + 1;
             disk.in_phase(IoPhase::MergePass(pass), || -> Result<()> {
@@ -185,18 +157,16 @@ impl Degenerate<'_> {
                     j.append(&JournalRecord::MergePassStarted { pass })?;
                 }
                 let group: Vec<RunId> = runs.drain(..fan_in).collect();
-                let streams = group
-                    .iter()
-                    .map(|&id| open(&self.store, self.budget, id))
-                    .collect::<Result<Vec<_>>>()?;
-                let mut merger =
-                    KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))?;
+                let streams = PathedRunStream::open_all(
+                    &self.store,
+                    &group,
+                    self.budget,
+                    IoCat::SortScratch,
+                )?;
+                let mut merger = KWayMerger::new(streams, PathedBytes::cmp_path)?;
                 let mut w = self.store.create(self.budget, IoCat::SortScratch)?;
-                let mut buf = Vec::new();
                 while let Some((p, _)) = merger.next_merged()? {
-                    buf.clear();
-                    p.encode(&mut buf)?;
-                    w.write_all(&buf)?;
+                    w.write_all(&p.bytes)?;
                 }
                 let out = w.finish()?;
                 runs.push(out);
@@ -222,21 +192,13 @@ impl Degenerate<'_> {
         }
         // Final merge strips key paths: the complete, sorted root run.
         let final_run = disk.in_phase(IoPhase::FinalMerge, || -> Result<RunId> {
-            let streams = runs
-                .iter()
-                .map(|&id| open(&self.store, self.budget, id))
-                .collect::<Result<Vec<_>>>()?;
-            let mut merger =
-                KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))?;
+            let streams =
+                PathedRunStream::open_all(&self.store, &runs, self.budget, IoCat::SortScratch)?;
+            let mut merger = KWayMerger::new(streams, PathedBytes::cmp_path)?;
             let mut w = self.store.create(self.budget, IoCat::RunWrite)?;
-            let mut buf = Vec::new();
             while let Some((p, _)) = merger.next_merged()? {
-                if matches!(p.rec, Rec::RunPtr(_)) {
-                    self.root_has_ptrs = true;
-                }
-                buf.clear();
-                p.rec.encode(&mut buf)?;
-                w.write_all(&buf)?;
+                self.root_has_ptrs |= p.is_run_ptr();
+                w.write_all(p.rec_bytes())?;
             }
             let final_run = w.finish()?;
             if self.journal.is_some() {
@@ -403,6 +365,8 @@ pub(crate) fn sort_degenerate(
         report,
     };
 
+    // Sizes staged records by encoding each into one reused buffer.
+    let mut sizer = Vec::new();
     while let Some(rec) = src.next_rec()? {
         let lvl = rec.level();
         if matches!(rec, Rec::KeyPatch(_)) {
@@ -413,7 +377,9 @@ pub(crate) fn sort_degenerate(
         while st.frames.len() as u32 >= lvl {
             st.close_top()?;
         }
-        let encoded_len = rec.encoded_len() as u64;
+        sizer.clear();
+        rec.encode(&mut sizer)?;
+        let encoded_len = sizer.len() as u64;
         if st.total_staged_bytes + encoded_len > st.capacity && !st.staging.is_empty() {
             st.flush()?;
         }

@@ -14,6 +14,7 @@
 
 use std::fs::File;
 use std::io::BufWriter;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
@@ -103,6 +104,19 @@ pub trait ByteReader {
         Ok(b[0])
     }
 
+    /// The bytes from the current position on that are already in memory
+    /// (the rest of the loaded block frame, the rest of a slice): reading
+    /// them costs no transfer. Empty when the next read must load a block.
+    fn resident(&self) -> &[u8] {
+        &[]
+    }
+
+    /// Move past the first `n` bytes of [`Self::resident`] (at most all of
+    /// them).
+    fn consume(&mut self, n: usize) {
+        let _ = n;
+    }
+
     /// Read a little-endian `u32`.
     fn read_u32(&mut self) -> Result<u32> {
         let mut b = [0u8; 4];
@@ -125,6 +139,18 @@ impl<R: ByteReader + ?Sized> ByteReader for &mut R {
 
     fn remaining(&self) -> u64 {
         (**self).remaining()
+    }
+
+    fn read_u8(&mut self) -> Result<u8> {
+        (**self).read_u8()
+    }
+
+    fn resident(&self) -> &[u8] {
+        (**self).resident()
+    }
+
+    fn consume(&mut self, n: usize) {
+        (**self).consume(n)
     }
 }
 
@@ -153,11 +179,20 @@ impl<S: ByteSink + ?Sized> ByteSink for &mut S {
     fn write_all(&mut self, buf: &[u8]) -> Result<()> {
         (**self).write_all(buf)
     }
+
+    fn write_u8(&mut self, v: u8) -> Result<()> {
+        (**self).write_u8(v)
+    }
 }
 
 impl ByteSink for Vec<u8> {
     fn write_all(&mut self, buf: &[u8]) -> Result<()> {
         self.extend_from_slice(buf);
+        Ok(())
+    }
+
+    fn write_u8(&mut self, v: u8) -> Result<()> {
+        self.push(v);
         Ok(())
     }
 }
@@ -243,6 +278,21 @@ impl<'a> SliceReader<'a> {
 }
 
 impl ByteReader for SliceReader<'_> {
+    fn resident(&self) -> &[u8] {
+        self.data.get(self.pos..).unwrap_or(&[])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.pos += n.min(self.resident().len());
+    }
+
+    fn read_u8(&mut self) -> Result<u8> {
+        let b =
+            *self.data.get(self.pos).ok_or(ExtError::UnexpectedEof { wanted: 1, available: 0 })?;
+        self.pos += 1;
+        Ok(b)
+    }
+
     fn read_exact(&mut self, buf: &mut [u8]) -> Result<()> {
         let available = self.data.len() - self.pos;
         if buf.len() > available {
@@ -337,6 +387,8 @@ pub struct ExtentReader {
     pos: u64,
     frame: Vec<u8>,
     loaded: Option<usize>,
+    /// Extent offsets the loaded frame holds (empty until a load).
+    resident: Range<u64>,
 }
 
 impl ExtentReader {
@@ -353,6 +405,7 @@ impl ExtentReader {
             pos: 0,
             frame: vec![0u8; bs],
             loaded: None,
+            resident: 0..0,
         })
     }
 
@@ -381,12 +434,55 @@ impl ExtentReader {
         if self.loaded != Some(block_idx) {
             self.disk.read_block(self.blocks[block_idx], &mut self.frame, self.cat)?;
             self.loaded = Some(block_idx);
+            self.resident = resident_range(block_idx, self.frame.len(), self.len);
         }
         Ok(())
     }
 }
 
+/// Offsets `[idx * bs, min((idx + 1) * bs, len))` of a stream whose block
+/// `idx` sits in a `bs`-byte frame.
+pub(crate) fn resident_range(block_idx: usize, bs: usize, len: u64) -> Range<u64> {
+    let lo = block_idx as u64 * bs as u64;
+    lo..(lo + bs as u64).min(len)
+}
+
+/// The bytes of `frame`, which holds stream offsets `range`, from offset
+/// `pos` to the range's end; empty when `pos` lies outside it.
+pub(crate) fn resident_bytes<'a>(frame: &'a [u8], range: &Range<u64>, pos: u64) -> &'a [u8] {
+    if !range.contains(&pos) {
+        return &[];
+    }
+    let (from, to) = ((pos - range.start) as usize, (range.end - range.start) as usize);
+    frame.get(from..to).unwrap_or(&[])
+}
+
 impl ByteReader for ExtentReader {
+    /// A byte inside the loaded frame comes straight from it; anything else
+    /// goes through [`Self::read_exact`], so transfers are exactly those of
+    /// a `read_exact` per byte.
+    fn read_u8(&mut self) -> Result<u8> {
+        match self.resident().first() {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => {
+                let mut b = [0u8; 1];
+                self.read_exact(&mut b)?;
+                Ok(b[0])
+            }
+        }
+    }
+
+    fn resident(&self) -> &[u8] {
+        resident_bytes(&self.frame, &self.resident, self.pos)
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.pos += n.min(self.resident().len()) as u64;
+    }
+
     fn read_exact(&mut self, buf: &mut [u8]) -> Result<()> {
         let available = (self.len - self.pos) as usize;
         if buf.len() > available {
@@ -513,6 +609,32 @@ mod tests {
         let mut w = ExtentWriter::new(disk.clone(), budget, IoCat::SortScratch).unwrap();
         w.write_all(data).unwrap();
         w.finish().unwrap()
+    }
+
+    #[test]
+    fn byte_reads_cost_what_read_exact_costs() {
+        let (disk, budget) = setup(16, 4);
+        let data: Vec<u8> = (0..100u8).collect();
+        let ext = build_extent(&disk, &budget, &data);
+        let before = disk.stats().reads(IoCat::SortScratch);
+        let mut r = ExtentReader::new(disk.clone(), &budget, &ext, IoCat::SortScratch).unwrap();
+        r.seek(30);
+        assert!(r.resident().is_empty());
+        assert_eq!(r.read_u8().unwrap(), 30);
+        assert_eq!(r.resident(), &data[31..32], "block 1 ends at offset 32");
+        r.consume(usize::MAX);
+        assert_eq!(r.position(), 32);
+        let mut got = Vec::new();
+        while r.remaining() > 0 {
+            got.push(r.read_u8().unwrap());
+        }
+        assert_eq!(got, &data[32..]);
+        // Blocks 1..=6, each loaded once.
+        assert_eq!(disk.stats().reads(IoCat::SortScratch) - before, 6);
+        // Seeking back into the loaded block reads from the frame again.
+        r.seek(97);
+        assert_eq!(r.read_u8().unwrap(), 97);
+        assert_eq!(disk.stats().reads(IoCat::SortScratch) - before, 6);
     }
 
     #[test]

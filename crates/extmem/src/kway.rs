@@ -4,7 +4,7 @@
 //! NEXSORT for subtrees too large to sort in memory, and by the graceful-
 //! degeneration optimization to combine incomplete runs) merges up to
 //! `m - 1` sorted runs per pass. This module provides the merging engine: a
-//! binary heap of stream heads driven by a caller-supplied comparator.
+//! tournament tree of stream heads driven by a caller-supplied comparator.
 //!
 //! The merger is device-agnostic; when its streams read runs through a
 //! [`Disk`](crate::Disk) with a buffer pool enabled, fan-in block fetches
@@ -45,19 +45,21 @@ impl<T> MergeStream for VecStream<T> {
     }
 }
 
-struct Head<T> {
-    item: T,
-    stream: usize,
-}
-
 /// Merges `k` sorted streams into one sorted sequence.
 ///
-/// Ties are broken by stream index (earlier streams win), which makes the
-/// merge *stable* with respect to stream order -- important when incomplete
-/// runs must preserve document order among equal keys.
+/// A tournament (loser) tree over the stream heads: each output costs one
+/// comparison per tree level, `ceil(log2 k)`, where a binary heap's sift
+/// needs two. Ties are broken by stream index (earlier streams win), which
+/// makes the merge *stable* with respect to stream order -- important when
+/// incomplete runs must preserve document order among equal keys.
 pub struct KWayMerger<S: MergeStream, F> {
     streams: Vec<S>,
-    heap: Vec<Head<S::Item>>,
+    /// Each stream's buffered head; `None` once the stream is exhausted.
+    heads: Vec<Option<S::Item>>,
+    /// `tree[0]` is the current winner's stream; `tree[n]` for `n` in
+    /// `1..k` is the loser of the match at internal node `n`, whose
+    /// children are nodes `2n` and `2n + 1` (leaf `i` is node `k + i`).
+    tree: Vec<usize>,
     cmp: F,
 }
 
@@ -70,72 +72,65 @@ where
     /// item of every stream (one buffered item per stream -- the caller is
     /// responsible for reserving the per-stream block frames).
     pub fn new(mut streams: Vec<S>, cmp: F) -> Result<Self> {
-        let mut heap = Vec::with_capacity(streams.len());
-        for (i, s) in streams.iter_mut().enumerate() {
-            if let Some(item) = s.next_item()? {
-                heap.push(Head { item, stream: i });
-            }
+        let mut heads = Vec::with_capacity(streams.len());
+        for s in &mut streams {
+            heads.push(s.next_item()?);
         }
-        let mut m = Self { streams, heap, cmp };
-        // Heapify.
-        for i in (0..m.heap.len() / 2).rev() {
-            m.sift_down(i);
+        let k = streams.len();
+        let mut m = Self { streams, heads, tree: vec![0; k], cmp };
+        // Play every match bottom-up; `winners[n]` is node n's winner.
+        let mut winners = vec![0; k];
+        winners.extend(0..k);
+        for n in (1..k).rev() {
+            let (a, b) = (winners[2 * n], winners[2 * n + 1]);
+            let (win, lose) = if m.less(a, b) { (a, b) } else { (b, a) };
+            winners[n] = win;
+            m.tree[n] = lose;
+        }
+        if k > 0 {
+            m.tree[0] = winners[1];
         }
         Ok(m)
     }
 
-    fn less(&self, a: &Head<S::Item>, b: &Head<S::Item>) -> bool {
-        match (self.cmp)(&a.item, &b.item) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => a.stream < b.stream,
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut smallest = i;
-            if l < self.heap.len() && self.less(&self.heap[l], &self.heap[smallest]) {
-                smallest = l;
-            }
-            if r < self.heap.len() && self.less(&self.heap[r], &self.heap[smallest]) {
-                smallest = r;
-            }
-            if smallest == i {
-                return;
-            }
-            self.heap.swap(i, smallest);
-            i = smallest;
+    /// Whether stream `a`'s head goes out before stream `b`'s: exhausted
+    /// streams lose to live ones, ties go to the lower stream index.
+    fn less(&self, a: usize, b: usize) -> bool {
+        match (&self.heads[a], &self.heads[b]) {
+            (Some(x), Some(y)) => match (self.cmp)(x, y) {
+                Ordering::Less => true,
+                Ordering::Greater => false,
+                Ordering::Equal => a < b,
+            },
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => a < b,
         }
     }
 
     /// Produce the next smallest item across all streams, with the index of
     /// the stream it came from.
     pub fn next_merged(&mut self) -> Result<Option<(S::Item, usize)>> {
-        if self.heap.is_empty() {
+        let Some(&w) = self.tree.first() else { return Ok(None) };
+        if self.heads[w].is_none() {
+            // The winner is exhausted, so every stream is.
             return Ok(None);
         }
-        let stream = self.heap[0].stream;
-        let replacement = self.streams[stream].next_item()?;
-        let out = match replacement {
-            Some(item) => std::mem::replace(&mut self.heap[0], Head { item, stream }),
-            None => {
-                // The heap was checked non-empty above; an empty pop would
-                // mean the merge is (vacuously) finished.
-                let Some(last) = self.heap.pop() else { return Ok(None) };
-                if self.heap.is_empty() {
-                    last
-                } else {
-                    std::mem::replace(&mut self.heap[0], last)
-                }
+        // Pull the replacement first: if the stream fails, the winner stays
+        // buffered and the next call retries it.
+        let replacement = self.streams[w].next_item()?;
+        let out = std::mem::replace(&mut self.heads[w], replacement);
+        // Replay the winner's path from its leaf to the root.
+        let mut cur = w;
+        let mut n = (w + self.heads.len()) / 2;
+        while n > 0 {
+            if self.less(self.tree[n], cur) {
+                std::mem::swap(&mut self.tree[n], &mut cur);
             }
-        };
-        if !self.heap.is_empty() {
-            self.sift_down(0);
+            n /= 2;
         }
-        Ok(Some((out.item, out.stream)))
+        self.tree[0] = cur;
+        Ok(out.map(|item| (item, w)))
     }
 
     /// Drain the merge into a vector (convenience for tests and small merges).
@@ -206,6 +201,27 @@ mod tests {
             }
             all.sort_unstable();
             assert_eq!(merge_vecs(streams), all);
+        }
+    }
+
+    #[test]
+    fn wide_merges_order_by_key_then_stream_index() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for k in 1..40usize {
+            let mut expect = Vec::new();
+            let mut streams = Vec::new();
+            for s in 0..k {
+                let n = rng.gen_range(0..12);
+                let mut v: Vec<(i64, usize)> = (0..n).map(|_| (rng.gen_range(0..6), s)).collect();
+                v.sort_unstable();
+                expect.extend(v.iter().map(|&(key, _)| (key, s)));
+                streams.push(VecStream::new(v));
+            }
+            expect.sort_unstable();
+            let m = KWayMerger::new(streams, |a: &(i64, usize), b: &(i64, usize)| a.0.cmp(&b.0));
+            let got: Vec<(i64, usize)> = m.unwrap().collect_all().unwrap();
+            assert_eq!(got, expect, "k={k}");
         }
     }
 

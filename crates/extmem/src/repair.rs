@@ -25,12 +25,13 @@
 //! [`ChecksummedDevice`](crate::ChecksummedDevice): metadata-scale state
 //! outside the paper's `M`-block budget, like a real controller's NVRAM.
 
+use std::ops::Range;
 use std::rc::Rc;
 
 use crate::budget::{FrameGuard, MemoryBudget};
 use crate::device::Disk;
 use crate::error::{ExtError, Result};
-use crate::extent::ByteReader;
+use crate::extent::{resident_bytes, resident_range, ByteReader};
 use crate::fault::{fnv1a64, fnv1a64_seed, fnv1a64_update};
 use crate::run_store::{RunId, RunStore};
 use crate::stats::IoCat;
@@ -251,6 +252,8 @@ pub struct RunReader {
     pos: u64,
     frame: Vec<u8>,
     loaded: Option<usize>,
+    /// Run offsets the loaded frame holds (empty until a load).
+    resident: Range<u64>,
 }
 
 impl RunReader {
@@ -273,6 +276,7 @@ impl RunReader {
             pos: 0,
             frame: vec![0u8; bs],
             loaded: None,
+            resident: 0..0,
         })
     }
 
@@ -301,12 +305,37 @@ impl RunReader {
         if self.loaded != Some(block_idx) {
             self.store.read_run_block(self.id, block_idx, &mut self.frame, self.cat)?;
             self.loaded = Some(block_idx);
+            self.resident = resident_range(block_idx, self.frame.len(), self.len);
         }
         Ok(())
     }
 }
 
 impl ByteReader for RunReader {
+    /// A byte inside the loaded frame comes straight from it; anything else
+    /// goes through [`Self::read_exact`] (see `ExtentReader::read_u8`).
+    fn read_u8(&mut self) -> Result<u8> {
+        match self.resident().first() {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => {
+                let mut b = [0u8; 1];
+                self.read_exact(&mut b)?;
+                Ok(b[0])
+            }
+        }
+    }
+
+    fn resident(&self) -> &[u8] {
+        resident_bytes(&self.frame, &self.resident, self.pos)
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.pos += n.min(self.resident().len()) as u64;
+    }
+
     fn read_exact(&mut self, buf: &mut [u8]) -> Result<()> {
         let available = (self.len - self.pos) as usize;
         if buf.len() > available {

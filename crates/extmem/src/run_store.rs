@@ -381,6 +381,29 @@ mod tests {
     }
 
     #[test]
+    fn byte_reads_serve_the_resident_frame_and_load_blocks_as_read_exact_does() {
+        let (disk, budget, store) = setup();
+        let data: Vec<u8> = (0..100u8).collect();
+        let mut w = store.create(&budget, IoCat::RunWrite).unwrap();
+        w.write_all(&data).unwrap();
+        let id = w.finish().unwrap();
+        let before = disk.stats().reads(IoCat::RunRead);
+        let mut r = store.open(id, &budget, IoCat::RunRead).unwrap();
+        assert!(r.resident().is_empty(), "nothing is resident before the first read");
+        let mut got = vec![r.read_u8().unwrap()];
+        assert_eq!(r.resident(), &data[1..32], "the rest of the first 32-byte block");
+        r.consume(5);
+        got.extend_from_slice(&data[1..6]);
+        while r.remaining() > 0 {
+            got.push(r.read_u8().unwrap());
+        }
+        assert_eq!(got, data);
+        assert!(r.resident().is_empty() && r.read_u8().is_err());
+        // One logical read per block, exactly as a single read_exact.
+        assert_eq!(disk.stats().reads(IoCat::RunRead) - before, 4);
+    }
+
+    #[test]
     fn run_ids_are_dense_and_ordered() {
         let (_disk, budget, store) = setup();
         let a = store.create(&budget, IoCat::RunWrite).unwrap().finish().unwrap();

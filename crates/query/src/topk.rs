@@ -33,12 +33,12 @@ use nexsort::{
     is_beyond_parity, journal_stats, restore_report, seal_record, seal_records,
     seal_records_except, NexsortOptions, SortReport,
 };
-use nexsort_baseline::{ParsedRecSource, PathedAdapter, PathedSource, RecSource};
+use nexsort_baseline::{ParsedRecSource, PathedAdapter, PathedRunStream, PathedSource, RecSource};
 use nexsort_extmem::{
     recover, ByteSink, Disk, Extent, IoCat, IoPhase, Journal, JournalRecord, KWayMerger,
-    MemoryBudget, MergeStream, RunId, RunReader, RunStore,
+    MemoryBudget, RunId, RunStore,
 };
-use nexsort_xml::{KeyPath, PathedRec, Rec, RecDecoder, Result, SortSpec, TagDict, XmlError};
+use nexsort_xml::{PathedBytes, Rec, RecDecoder, Result, SortSpec, TagDict, XmlError};
 
 /// Per-operator counters: what the pruning actually saved, alongside the
 /// sort-level accounting (I/O snapshot, health, resume provenance) in
@@ -181,13 +181,13 @@ impl TopKDoc {
     }
 }
 
-/// Max-heap wrapper: orders [`PathedRec`]s by key path so the heap root is
+/// Max-heap wrapper: orders encoded records by key path so the heap root is
 /// the *largest* retained record -- the one the k-bound evicts first.
-struct ByPath(PathedRec);
+struct ByPath(PathedBytes);
 
 impl PartialEq for ByPath {
     fn eq(&self, other: &Self) -> bool {
-        self.0.cmp_order(&other.0) == Ordering::Equal
+        self.0.cmp_path(&other.0) == Ordering::Equal
     }
 }
 impl Eq for ByPath {}
@@ -198,7 +198,7 @@ impl PartialOrd for ByPath {
 }
 impl Ord for ByPath {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0.cmp_order(&other.0)
+        self.0.cmp_path(&other.0)
     }
 }
 
@@ -207,33 +207,8 @@ impl Ord for ByPath {
 struct RunMeta {
     id: RunId,
     count: u64,
-    min: KeyPath,
-    max: KeyPath,
-}
-
-/// One open insertion run in a merge: decodes pathed records off a
-/// self-healing [`RunReader`].
-struct PStream {
-    reader: RunReader,
-    left: u64,
-}
-
-impl MergeStream for PStream {
-    type Item = PathedRec;
-
-    fn next_item(&mut self) -> nexsort_extmem::Result<Option<PathedRec>> {
-        if self.left == 0 {
-            return Ok(None);
-        }
-        match PathedRec::decode(&mut self.reader) {
-            Ok((p, consumed)) => {
-                self.left = self.left.saturating_sub(consumed);
-                Ok(Some(p))
-            }
-            Err(XmlError::Ext(e)) => Err(e),
-            Err(e) => Err(nexsort_extmem::ExtError::Corrupt(e.to_string())),
-        }
-    }
+    min: PathedBytes,
+    max: PathedBytes,
 }
 
 /// The top-k operator: configuration plus the disk it runs on.
@@ -498,24 +473,34 @@ impl TopK {
             let mut retained_bytes = 0u64;
             let mut scanned_bytes = 0u64;
             let mut metas = Vec::new();
-            while let Some(p) = src.next_pathed()? {
-                let enc = p.encoded_len() as u64;
+            // The next record is read into `spare`; a retained record moves
+            // into the heap and an evicted one's buffer becomes the spare.
+            let mut spare = Vec::new();
+            loop {
+                spare.clear();
+                let Some(path_len) = src.next_encoded(&mut spare)? else {
+                    break;
+                };
+                let p = PathedBytes { bytes: std::mem::take(&mut spare), path_len };
+                let enc = p.bytes.len() as u64;
                 report.sort.n_records += 1;
-                report.sort.max_level = report.sort.max_level.max(p.rec.level());
-                report.sort.input_bytes += p.rec.encoded_len() as u64;
+                report.sort.max_level = report.sort.max_level.max(p.level());
+                report.sort.input_bytes += p.rec_bytes().len() as u64;
                 scanned_bytes += enc;
                 if (heap.len() as u64) < self.k {
                     retained_bytes += enc;
                     heap.push(ByPath(p));
-                } else if heap.peek().is_some_and(|top| p.cmp_order(&top.0) == Ordering::Less) {
+                } else if heap.peek().is_some_and(|top| p.cmp_path(&top.0) == Ordering::Less) {
                     // Strictly better than the load's current k-th: swap it in.
                     if let Some(ByPath(out)) = heap.pop() {
-                        retained_bytes = retained_bytes.saturating_sub(out.encoded_len() as u64);
+                        retained_bytes = retained_bytes.saturating_sub(out.bytes.len() as u64);
+                        spare = out.bytes;
                     }
                     retained_bytes += enc;
                     heap.push(ByPath(p));
                     report.bound_drops += 1;
                 } else {
+                    spare = p.bytes;
                     report.bound_drops += 1;
                 }
                 // Seal when a memory-load of input has been scanned (run
@@ -543,15 +528,12 @@ impl TopK {
         budget: &MemoryBudget,
         report: &mut TopKReport,
     ) -> Result<RunMeta> {
-        let sorted: Vec<PathedRec> =
+        let sorted: Vec<PathedBytes> =
             std::mem::take(heap).into_sorted_vec().into_iter().map(|ByPath(p)| p).collect();
         let id = self.disk.in_phase(IoPhase::RunFormation, || -> Result<RunId> {
             let mut w = store.create(budget, IoCat::SortScratch).map_err(XmlError::Ext)?;
-            let mut buf = Vec::new();
             for p in &sorted {
-                buf.clear();
-                p.encode(&mut buf)?;
-                w.write_all(&buf).map_err(XmlError::Ext)?;
+                w.write_all(&p.bytes).map_err(XmlError::Ext)?;
             }
             w.finish().map_err(XmlError::Ext)
         })?;
@@ -560,8 +542,8 @@ impl TopK {
         Ok(RunMeta {
             id,
             count: sorted.len() as u64,
-            min: sorted.first().map(|p| p.path.clone()).unwrap_or_default(),
-            max: sorted.last().map(|p| p.path.clone()).unwrap_or_default(),
+            min: sorted.first().cloned().unwrap_or_default(),
+            max: sorted.last().cloned().unwrap_or_default(),
         })
     }
 
@@ -578,11 +560,6 @@ impl TopK {
         pass_base: u32,
     ) -> Result<RunId> {
         let fan_in = budget.free_frames().saturating_sub(1).max(2);
-        let open = |id: RunId| -> Result<PStream> {
-            let left = store.run_len(id).map_err(XmlError::Ext)?;
-            let reader = store.open(id, budget, IoCat::SortScratch).map_err(XmlError::Ext)?;
-            Ok(PStream { reader, left })
-        };
 
         while runs.len() > fan_in {
             let pass = pass_base + report.sort.degenerate_merges + 1;
@@ -591,12 +568,10 @@ impl TopK {
                     j.append(&JournalRecord::MergePassStarted { pass }).map_err(XmlError::Ext)?;
                 }
                 let group: Vec<RunId> = runs.drain(..fan_in).collect();
-                let streams = group.iter().map(|&id| open(id)).collect::<Result<Vec<_>>>()?;
+                let streams = PathedRunStream::open_all(store, &group, budget, IoCat::SortScratch)?;
                 let mut merger =
-                    KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))
-                        .map_err(XmlError::Ext)?;
+                    KWayMerger::new(streams, PathedBytes::cmp_path).map_err(XmlError::Ext)?;
                 let mut w = store.create(budget, IoCat::SortScratch).map_err(XmlError::Ext)?;
-                let mut buf = Vec::new();
                 let mut emitted = 0u64;
                 // k-truncation: only the k best of any run subset can be in
                 // the global top k, so the pass output stops there.
@@ -604,9 +579,7 @@ impl TopK {
                     let Some((p, _)) = merger.next_merged().map_err(XmlError::Ext)? else {
                         break;
                     };
-                    buf.clear();
-                    p.encode(&mut buf)?;
-                    w.write_all(&buf).map_err(XmlError::Ext)?;
+                    w.write_all(&p.bytes).map_err(XmlError::Ext)?;
                     emitted += 1;
                 }
                 let out = w.finish().map_err(XmlError::Ext)?;
@@ -633,19 +606,15 @@ impl TopK {
 
         // Final merge: strip key paths, stop after k records.
         self.disk.in_phase(IoPhase::FinalMerge, || {
-            let streams = runs.iter().map(|&id| open(id)).collect::<Result<Vec<_>>>()?;
+            let streams = PathedRunStream::open_all(store, &runs, budget, IoCat::SortScratch)?;
             let mut merger =
-                KWayMerger::new(streams, |a: &PathedRec, b: &PathedRec| a.cmp_order(b))
-                    .map_err(XmlError::Ext)?;
+                KWayMerger::new(streams, PathedBytes::cmp_path).map_err(XmlError::Ext)?;
             let mut w = store.create(budget, IoCat::RunWrite).map_err(XmlError::Ext)?;
-            let mut buf = Vec::new();
             while report.records_emitted < self.k {
                 let Some((p, _)) = merger.next_merged().map_err(XmlError::Ext)? else {
                     break;
                 };
-                buf.clear();
-                p.rec.encode(&mut buf)?;
-                w.write_all(&buf).map_err(XmlError::Ext)?;
+                w.write_all(p.rec_bytes()).map_err(XmlError::Ext)?;
                 report.records_emitted += 1;
             }
             drop(merger);
@@ -683,7 +652,7 @@ impl TopK {
 /// from run metadata alone: take runs in ascending-max order until their
 /// counts cover k; B is the last taken run's max. `None` when fewer than k
 /// records exist (no pruning is sound then).
-fn kth_bound(metas: &[RunMeta], k: u64) -> Option<KeyPath> {
+fn kth_bound(metas: &[RunMeta], k: u64) -> Option<PathedBytes> {
     let mut by_max: Vec<&RunMeta> = metas.iter().collect();
     by_max.sort_by(|a, b| a.max.cmp_path(&b.max));
     let mut covered = 0u64;

@@ -120,23 +120,11 @@ pub struct PathedRec {
 }
 
 impl PathedRec {
-    /// Sort order of the key-path representation.
-    pub fn cmp_order(&self, other: &Self) -> Ordering {
-        self.path.cmp_path(&other.path)
-    }
-
     /// Append the encoded `(path, rec)` pair.
     pub fn encode(&self, out: &mut Vec<u8>) -> Result<()> {
         self.path.encode(out)?;
         self.rec.encode(out)?;
         Ok(())
-    }
-
-    /// Encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf).expect("Vec sink cannot fail");
-        buf.len()
     }
 
     /// Decode one `(path, rec)` pair, returning it and the bytes consumed.
@@ -242,16 +230,16 @@ mod tests {
         let pathed = attach_paths(d1_recs()).unwrap();
         let root = &pathed[0];
         for p in &pathed[1..] {
-            assert_eq!(root.cmp_order(p), Ordering::Less);
+            assert_eq!(root.path.cmp_path(&p.path), Ordering::Less);
         }
         // /AC/Durham before /AC/Durham/454.
-        assert_eq!(pathed[3].cmp_order(&pathed[4]), Ordering::Less);
+        assert_eq!(pathed[3].path.cmp_path(&pathed[4].path), Ordering::Less);
     }
 
     #[test]
     fn sorting_by_key_path_yields_sorted_sibling_order() {
         let mut pathed = attach_paths(d1_recs()).unwrap();
-        pathed.sort_by(|a, b| a.cmp_order(b));
+        pathed.sort_by(|a, b| a.path.cmp_path(&b.path));
         let shown: Vec<String> = pathed.iter().map(|p| p.path.display()).collect();
         // AC < NE; Atlanta < Durham; 323 < 454 (byte comparison).
         assert_eq!(shown[1], "/AC");
@@ -278,7 +266,7 @@ mod tests {
         let p1 = b1.attach(mk(7)).unwrap();
         let mut b2 = PathBuilder::new();
         let p2 = b2.attach(mk(9)).unwrap();
-        assert_eq!(p1.cmp_order(&p2), Ordering::Less);
+        assert_eq!(p1.path.cmp_path(&p2.path), Ordering::Less);
     }
 
     #[test]
@@ -316,7 +304,11 @@ mod tests {
         let recs = events_to_recs(&events, &spec, &mut dict, true).unwrap();
         let plain: usize = recs.iter().map(Rec::encoded_len).sum();
         let pathed = attach_paths(recs).unwrap();
-        let with_paths: usize = pathed.iter().map(PathedRec::encoded_len).sum();
+        let mut with_paths = Vec::new();
+        for p in &pathed {
+            p.encode(&mut with_paths).unwrap();
+        }
+        let with_paths = with_paths.len();
         assert!(
             with_paths > plain * (depth / 8),
             "expected super-linear blow-up: plain={plain} pathed={with_paths}"

@@ -10,6 +10,7 @@
 #![warn(missing_docs)]
 
 mod dom;
+mod encoded;
 mod error;
 mod event;
 mod key;
@@ -24,6 +25,7 @@ mod writer;
 mod xrec;
 
 pub use dom::{events_to_dom, parse_dom, Element, XNode};
+pub use encoded::{cmp_encoded_paths, read_pathed_raw, EncodedPath, PathedBytes};
 pub use error::{Result, XmlError};
 pub use event::{Event, EventSource, VecEvents};
 pub use key::{KeyRule, KeySource, KeyType, KeyValue, SortSpec, TextKey};

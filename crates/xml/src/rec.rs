@@ -94,10 +94,10 @@ pub enum Rec {
     KeyPatch(PatchRec),
 }
 
-const KIND_ELEM: u8 = 1;
-const KIND_TEXT: u8 = 2;
-const KIND_PTR: u8 = 3;
-const KIND_PATCH: u8 = 4;
+pub(crate) const KIND_ELEM: u8 = 1;
+pub(crate) const KIND_TEXT: u8 = 2;
+pub(crate) const KIND_PTR: u8 = 3;
+pub(crate) const KIND_PATCH: u8 = 4;
 
 fn write_name(buf: &mut Vec<u8>, name: &NameRef) -> Result<()> {
     match name {
@@ -283,16 +283,13 @@ impl Rec {
         if total < 5 || total as u64 - 4 > cursor.remaining() {
             return Err(XmlError::Record(format!("implausible backward record length {total}")));
         }
-        let mut buf = vec![0u8; total - 4];
-        cursor.read_back(&mut buf)?;
-        let mut src = SliceReader::new(&buf);
-        // Re-append the trailer so forward decode's verification passes.
-        let kind = src.read_u8()?;
-        let _ = kind;
-        let mut full = buf.clone();
-        full.write_u32(total as u32)?;
-        let mut src = SliceReader::new(&full);
-        let (rec, consumed) = Rec::decode(&mut src)?;
+        // Body and trailer in one buffer, so the forward decode verifies
+        // the trailer it would see on a forward stream.
+        let mut buf = vec![0u8; total];
+        let (body, trailer) = buf.split_at_mut(total - 4);
+        cursor.read_back(body)?;
+        trailer.copy_from_slice(&(total as u32).to_le_bytes());
+        let (rec, consumed) = Rec::decode(&mut SliceReader::new(&buf))?;
         debug_assert_eq!(consumed as usize, total);
         Ok(rec)
     }

@@ -155,3 +155,92 @@ fn invalid_specs_are_rejected_by_every_entry_point() {
     assert!(Nexsort::new(disk.clone(), NexsortOptions::default(), bad.clone()).is_err());
     assert!(sort_xml_extent(&disk, &input, &bad, &BaselineOptions::default()).is_err());
 }
+
+/// An `ExactGen` document whose `k` values are rewritten so a numeric rule
+/// sees every kind of value: some fail to parse (`KeyValue::from_bytes`
+/// falls back to `Bytes`, so `Num` and `Bytes` keys meet at one position),
+/// some are negative, some large, some empty.
+fn mixed_numeric_doc(fanouts: &[u64], seed: u64) -> Vec<u8> {
+    use nexsort_datagen::{ExactGen, GenConfig};
+    use nexsort_xml::{events_to_xml, Event, EventSource};
+    let mut gen = ExactGen::new(fanouts, GenConfig { seed, ..Default::default() });
+    let mut events = Vec::new();
+    let mut i = 0u64;
+    while let Some(mut ev) = gen.next_event().unwrap() {
+        if let Event::Start { attrs, .. } = &mut ev {
+            for (_, value) in attrs.iter_mut().filter(|(n, _)| n == b"k") {
+                i += 1;
+                match i % 7 {
+                    1 => value.insert(0, b'x'),
+                    2 => value.insert(0, b'-'),
+                    3 => value.extend_from_slice(b"0000000000"),
+                    4 => value.clear(),
+                    _ => {}
+                }
+            }
+        }
+        events.push(ev);
+    }
+    events_to_xml(&events, false)
+}
+
+fn exact_doc(fanouts: &[u64], seed: u64) -> Vec<u8> {
+    use nexsort_datagen::{ExactGen, GenConfig};
+    use nexsort_xml::{events_to_xml, EventSource};
+    let mut gen = ExactGen::new(fanouts, GenConfig { seed, ..Default::default() });
+    let mut events = Vec::new();
+    while let Some(ev) = gen.next_event().unwrap() {
+        events.push(ev);
+    }
+    events_to_xml(&events, false)
+}
+
+/// Sort `doc` with the key-path baseline at 4 and 5 frames, graceful
+/// degeneration at 9 and a top-k, all on 512-byte blocks so every one of
+/// them merges runs in several passes, and check each against the
+/// in-memory oracle (the top-k against the full sort's first k records).
+fn check_multi_pass_merges(doc: &[u8], spec: &SortSpec) {
+    use nexsort_query::TopK;
+    let oracle = sorted_dom(&parse_dom(doc).unwrap(), spec, None);
+    for mem_frames in [4, 5] {
+        let disk = Disk::new_mem(512);
+        let input = stage_input(&disk, doc).unwrap();
+        let opts = BaselineOptions { mem_frames, ..Default::default() };
+        let sorted = sort_xml_extent(&disk, &input, spec, &opts).unwrap();
+        assert!(sorted.report.intermediate_merges > 0, "{:?}", sorted.report);
+        assert!(sorted.report.passes >= 3, "{:?}", sorted.report);
+        assert_eq!(events_to_dom(&sorted.to_events().unwrap()).unwrap(), oracle);
+    }
+
+    let disk = Disk::new_mem(512);
+    let input = stage_input(&disk, doc).unwrap();
+    let opts = NexsortOptions { degeneration: true, mem_frames: 9, ..Default::default() };
+    let degen = Nexsort::new(disk, opts, spec.clone()).unwrap().sort_xml_extent(&input).unwrap();
+    assert!(degen.report.degenerate_merges > 1, "{}", degen.report.summary());
+    assert_eq!(events_to_dom(&degen.to_events().unwrap()).unwrap(), oracle);
+
+    let full = degen.to_recs().unwrap();
+    for k in [1u64, 37, 400] {
+        let disk = Disk::new_mem(512);
+        let input = stage_input(&disk, doc).unwrap();
+        let opts = NexsortOptions { mem_frames: 9, ..Default::default() };
+        let top = TopK::new(disk, opts, spec.clone(), k).unwrap().topk_xml_extent(&input).unwrap();
+        assert!(top.report.runs_formed > 1, "{}", top.report.summary());
+        assert_eq!(top.to_recs().unwrap(), full[..k as usize], "k={k}");
+    }
+}
+
+#[test]
+fn descending_composite_keys_survive_multi_pass_merges() {
+    let spec = nexsort_xml::build_spec(Some("@k:num:desc+@k"), &[]).unwrap();
+    check_multi_pass_merges(&exact_doc(&[12, 20, 4], 7), &spec);
+}
+
+#[test]
+fn partly_numeric_keys_survive_multi_pass_merges() {
+    let doc = mixed_numeric_doc(&[12, 20, 4], 11);
+    for rule in ["@k:num", "@k:num:desc", "@k:num:desc+@k"] {
+        let spec = nexsort_xml::build_spec(Some(rule), &[]).unwrap();
+        check_multi_pass_merges(&doc, &spec);
+    }
+}
