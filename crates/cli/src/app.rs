@@ -238,7 +238,7 @@ QUERY OPERATORS (`xsort topk` / `xsort pq`):
   prints one result line per pop/peek plus a final `len N`. Duplicate keys
   pop in FIFO order. --parity-group protects the sealed runs.
 
-BUFFER POOL (a pinning page cache between the sorter and the device):
+BUFFER POOL (a page cache between the sorter and the device):
       --cache-frames N  pool capacity in frames (default: 0 = no cache);
                         extra memory on top of --mem, so the logical I/O
                         counts stay comparable across cache sizes

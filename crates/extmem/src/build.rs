@@ -22,7 +22,6 @@
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use crate::budget::MemoryBudget;
 use crate::device::{BlockDevice, Disk, FileDevice, MemDevice};
 use crate::fault::{
     ChecksummedDevice, CrashController, CrashDevice, CrashPlan, FaultInjector, FaultPlan,
@@ -96,7 +95,6 @@ pub struct DiskBuilder {
     crash: Option<CrashPlan>,
     retry: Option<RetryPolicy>,
     cache: Option<(usize, CachePolicy, WriteMode)>,
-    shadow: bool,
 }
 
 impl DiskBuilder {
@@ -111,7 +109,6 @@ impl DiskBuilder {
             crash: None,
             retry: None,
             cache: None,
-            shadow: false,
         }
     }
 
@@ -165,18 +162,11 @@ impl DiskBuilder {
         self
     }
 
-    /// Enable the pinning page cache with `frames` frames from a dedicated
-    /// budget: the pool is extra memory on top of the algorithm's own
-    /// allowance, so logical I/O counts stay comparable across cache sizes.
+    /// Enable the page cache with `frames` frames: the pool is extra memory
+    /// on top of the algorithm's own allowance, so logical I/O counts stay
+    /// comparable across cache sizes.
     pub fn cache(mut self, frames: usize, policy: CachePolicy, mode: WriteMode) -> Self {
         self.cache = Some((frames, policy, mode));
-        self
-    }
-
-    /// Force-attach the shadow-state sanitizer (it also auto-attaches when
-    /// `NEXSORT_SHADOW=1` is set in the environment).
-    pub fn shadow(mut self, on: bool) -> Self {
-        self.shadow = on;
         self
     }
 
@@ -204,15 +194,8 @@ impl DiskBuilder {
             Some((frames, policy, mode)) => format!("{frames}/{policy:?}/{mode:?}"),
         };
         format!(
-            "block={} backing={} stripe={} faults={} crash={:?} retry={:?} cache={} shadow={}",
-            self.block_size,
-            backing,
-            self.stripe,
-            faults,
-            self.crash,
-            self.retry,
-            cache,
-            self.shadow,
+            "block={} backing={} stripe={} faults={} crash={:?} retry={:?} cache={}",
+            self.block_size, backing, self.stripe, faults, self.crash, self.retry, cache,
         )
     }
 
@@ -279,12 +262,8 @@ impl DiskBuilder {
         }
         if let Some((frames, policy, mode)) = self.cache {
             if frames > 0 {
-                disk.enable_cache(&MemoryBudget::new(frames), frames, policy, mode)
-                    .map_err(|e| BuildError(format!("cannot enable the page cache: {e}")))?;
+                disk.enable_cache(frames, policy, mode);
             }
-        }
-        if self.shadow {
-            disk.enable_shadow();
         }
         Ok(DiskStack { disk, injectors, crash })
     }

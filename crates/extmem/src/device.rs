@@ -15,14 +15,12 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::rc::Rc;
 
-use crate::budget::MemoryBudget;
 use crate::error::{ExtError, Result};
 use crate::fault::{
     ChecksummedDevice, DeviceHealth, DiskFailure, FaultInjector, FaultPlan, FaultyDevice, IoPhase,
     RetryPolicy,
 };
-use crate::pool::{CachePolicy, PinGuard, PinMutGuard, PoolCore, SlotAcquire, WriteMode};
-use crate::shadow::ShadowState;
+use crate::pool::{CachePolicy, PoolCore, SlotAcquire, WriteMode};
 use crate::stats::{CacheEvent, IoCat, IoStats};
 
 /// Raw block storage: fixed-size blocks addressed by a dense `u64` id.
@@ -40,15 +38,16 @@ pub trait BlockDevice {
     /// Overwrite a whole block from `data` (`data.len() <= block_size`; the
     /// remainder of the block is unspecified and must not be relied upon).
     fn write(&mut self, id: u64, data: &[u8]) -> Result<()>;
+    /// Whether `id` is allocated and not freed since: the allocator's own
+    /// answer, which [`Disk`] consults before every logical transfer.
+    fn is_live(&self, id: u64) -> bool;
     /// Ids of all currently-allocated (live) blocks, in ascending order.
     ///
     /// Crash recovery uses this to reconcile the allocator against the
     /// journal: blocks that are live on the device but belong to no
     /// committed structure are leaked by an interrupted sort and get freed.
-    /// The default conservatively reports every id ever allocated; devices
-    /// that track a free list override it to report exactly the live set.
     fn live_blocks(&self) -> Vec<u64> {
-        (0..self.num_blocks()).collect()
+        (0..self.num_blocks()).filter(|&id| self.is_live(id)).collect()
     }
 }
 
@@ -73,8 +72,8 @@ impl<T: BlockDevice + ?Sized> BlockDevice for Box<T> {
     fn write(&mut self, id: u64, data: &[u8]) -> Result<()> {
         (**self).write(id, data)
     }
-    fn live_blocks(&self) -> Vec<u64> {
-        (**self).live_blocks()
+    fn is_live(&self, id: u64) -> bool {
+        (**self).is_live(id)
     }
 }
 
@@ -163,8 +162,8 @@ impl BlockDevice for MemDevice {
         Ok(())
     }
 
-    fn live_blocks(&self) -> Vec<u64> {
-        (0..self.blocks.len() as u64).filter(|id| !self.free_set.contains(id)).collect()
+    fn is_live(&self, id: u64) -> bool {
+        id < self.blocks.len() as u64 && !self.free_set.contains(&id)
     }
 }
 
@@ -268,8 +267,8 @@ impl BlockDevice for FileDevice {
         Ok(())
     }
 
-    fn live_blocks(&self) -> Vec<u64> {
-        (0..self.num_blocks).filter(|id| !self.free_set.contains(id)).collect()
+    fn is_live(&self, id: u64) -> bool {
+        id < self.num_blocks && !self.free_set.contains(&id)
     }
 }
 
@@ -298,7 +297,6 @@ pub struct Disk {
     last_failure: Cell<Option<DiskFailure>>,
     pool: RefCell<Option<PoolCore>>,
     stripe: usize,
-    shadow: RefCell<Option<ShadowState>>,
     health: RefCell<DeviceHealth>,
 }
 
@@ -323,7 +321,6 @@ impl Disk {
     /// the width attributes quarantined blocks to their stripe device.
     pub(crate) fn with_stripe(dev: Box<dyn BlockDevice>, stripe: usize) -> Rc<Self> {
         let block_size = dev.block_size();
-        let shadow = ShadowState::from_env(dev.num_blocks());
         Rc::new(Self {
             dev: RefCell::new(dev),
             stats: IoStats::new(),
@@ -334,24 +331,8 @@ impl Disk {
             last_failure: Cell::new(None),
             pool: RefCell::new(None),
             stripe: stripe.max(1),
-            shadow: RefCell::new(shadow),
             health: RefCell::new(DeviceHealth::new()),
         })
-    }
-
-    /// Attach the shadow-state sanitizer (see [`ShadowState`]) regardless of
-    /// the `NEXSORT_SHADOW` environment variable. Blocks already allocated
-    /// are grandfathered in as valid. A no-op if already attached.
-    pub fn enable_shadow(&self) {
-        let mut slot = self.shadow.borrow_mut();
-        if slot.is_none() {
-            *slot = Some(ShadowState::new(self.dev.borrow().num_blocks()));
-        }
-    }
-
-    /// Whether the shadow-state sanitizer is attached.
-    pub fn shadow_enabled(&self) -> bool {
-        self.shadow.borrow().is_some()
     }
 
     /// Wrap `dev` in the fault-injection stack: faults injected per `plan`
@@ -421,9 +402,7 @@ impl Disk {
     /// attributed to stripe device `block % stripe_width` for clustering.
     pub fn quarantine_block(&self, block: u64) {
         if let Some(pool) = self.pool.borrow_mut().as_mut() {
-            // A pinned frame on a quarantined block would be a repair-layer
-            // bug; invalidation failure is not actionable here.
-            let _ = pool.invalidate(block);
+            pool.invalidate(block);
         }
         let device = (block % self.stripe as u64) as u32;
         self.health.borrow_mut().quarantine(block, device);
@@ -559,17 +538,12 @@ impl Disk {
     /// Allocate a fresh block. Allocation itself is free in the I/O model;
     /// only transfers cost.
     pub fn alloc_block(&self) -> u64 {
-        let id = self.dev.borrow_mut().allocate();
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.note_alloc(id);
-        }
-        id
+        self.dev.borrow_mut().allocate()
     }
 
     /// Return a block for reuse (e.g. popped stack blocks). Any cached frame
     /// for the block is invalidated first -- its dirty contents are dead, and
-    /// must not be written back over a future reallocation of the id. Errors
-    /// with [`ExtError::FramePinned`] if a pin guard on the block is alive.
+    /// must not be written back over a future reallocation of the id.
     pub fn free_block(&self, id: u64) -> Result<()> {
         // A quarantined block is permanently retired: it must never re-enter
         // the allocator (a recycled bad sector would fault again), so freeing
@@ -578,13 +552,23 @@ impl Disk {
             return Ok(());
         }
         if let Some(pool) = self.pool.borrow_mut().as_mut() {
-            pool.invalidate(id)?;
+            pool.invalidate(id);
         }
-        self.dev.borrow_mut().free(id)?;
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.note_free(id);
+        self.dev.borrow_mut().free(id)
+    }
+
+    /// The liveness check every logical transfer makes first: the block
+    /// must be one the device's allocator holds live. It runs before the
+    /// pool, so a write-back write to a freed block is refused at once
+    /// instead of landing in a frame. Ids past the end are left to the
+    /// device, which reports them as [`ExtError::BadBlock`].
+    fn check_live(&self, id: u64) -> Result<()> {
+        let dev = self.dev.borrow();
+        if dev.is_live(id) || id >= dev.num_blocks() {
+            Ok(())
+        } else {
+            Err(ExtError::BlockNotLive { block: id })
         }
-        Ok(())
     }
 
     /// One physical read reaching the device: retry loop, physical
@@ -615,9 +599,7 @@ impl Disk {
     /// counted in the stats' retry tally. With a buffer pool enabled, a
     /// resident block is served from its frame with no physical transfer.
     pub fn read_block(&self, id: u64, buf: &mut [u8], cat: IoCat) -> Result<()> {
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.check_read(id, self.dev.borrow().num_blocks())?;
-        }
+        self.check_live(id)?;
         if self.health.borrow().is_quarantined(id) {
             return Err(ExtError::BlockQuarantined { block: id });
         }
@@ -640,9 +622,7 @@ impl Disk {
     /// device at eviction or flush.
     pub fn write_block(&self, id: u64, data: &[u8], cat: IoCat) -> Result<()> {
         debug_assert!(data.len() <= self.block_size);
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.check_write(id, self.dev.borrow().num_blocks())?;
-        }
+        self.check_live(id)?;
         if self.health.borrow().is_quarantined(id) {
             return Err(ExtError::BlockQuarantined { block: id });
         }
@@ -663,23 +643,17 @@ impl Disk {
         let phase = self.phase.get();
         if let Some(slot) = pool.lookup(id) {
             self.stats.add_cache_event(phase, CacheEvent::Hit);
-            buf[..self.block_size]
-                .copy_from_slice(&pool.slot_data(slot).borrow()[..self.block_size]);
+            buf[..self.block_size].copy_from_slice(pool.slot_data(slot));
             return Ok(());
         }
         self.stats.add_cache_event(phase, CacheEvent::Miss);
         let slot = self.obtain_slot(pool)?;
-        let data = pool.slot_data(slot);
-        {
-            let mut d = data.borrow_mut();
-            if let Err(e) = self.phys_read(id, &mut d, cat) {
-                drop(d);
-                pool.release_slot(slot);
-                return Err(e);
-            }
+        if let Err(e) = self.phys_read(id, pool.slot_data_mut(slot), cat) {
+            pool.release_slot(slot);
+            return Err(e);
         }
         pool.install(slot, id);
-        buf[..self.block_size].copy_from_slice(&data.borrow()[..self.block_size]);
+        buf[..self.block_size].copy_from_slice(pool.slot_data(slot));
         Ok(())
     }
 
@@ -698,25 +672,22 @@ impl Disk {
                 // Keep any resident frame coherent. Not a cache hit or miss:
                 // through-writes are never absorbed by the pool.
                 if let Some(slot) = pool.peek(id) {
-                    pool.slot_data(slot).borrow_mut()[..data_in.len()].copy_from_slice(data_in);
+                    pool.slot_data_mut(slot)[..data_in.len()].copy_from_slice(data_in);
                 }
                 Ok(())
             }
             WriteMode::Back => {
                 if let Some(slot) = pool.lookup(id) {
                     self.stats.add_cache_event(phase, CacheEvent::Hit);
-                    pool.slot_data(slot).borrow_mut()[..data_in.len()].copy_from_slice(data_in);
+                    pool.slot_data_mut(slot)[..data_in.len()].copy_from_slice(data_in);
                     pool.mark_dirty(slot, data_in.len(), cat);
                     return Ok(());
                 }
                 self.stats.add_cache_event(phase, CacheEvent::Miss);
                 let slot = self.obtain_slot(pool)?;
-                {
-                    let data = pool.slot_data(slot);
-                    let mut d = data.borrow_mut();
-                    d[..data_in.len()].copy_from_slice(data_in);
-                    d[data_in.len()..].fill(0);
-                }
+                let frame = pool.slot_data_mut(slot);
+                frame[..data_in.len()].copy_from_slice(data_in);
+                frame[data_in.len()..].fill(0);
                 pool.install(slot, id);
                 pool.mark_dirty(slot, data_in.len(), cat);
                 Ok(())
@@ -729,11 +700,11 @@ impl Disk {
     /// stays resident and dirty, so nothing is lost and the recorded
     /// [`DiskFailure`] names the victim block under the current phase.
     fn obtain_slot(&self, pool: &mut PoolCore) -> Result<usize> {
-        match pool.acquire_plan()? {
+        match pool.acquire_plan() {
             SlotAcquire::Free(slot) => Ok(slot),
-            SlotAcquire::Evict { slot, block, dirty, data } => {
+            SlotAcquire::Evict { slot, block, dirty } => {
                 if let Some((len, wcat)) = dirty {
-                    self.phys_write(block, &data.borrow()[..len], wcat)?;
+                    self.phys_write(block, &pool.slot_data(slot)[..len], wcat)?;
                     self.stats.add_cache_event(self.phase.get(), CacheEvent::DirtyWriteback);
                 }
                 self.stats.add_cache_event(self.phase.get(), CacheEvent::Eviction);
@@ -747,9 +718,7 @@ impl Disk {
     /// journal replay must see the device image, never a cached frame.
     /// Charged as one logical + one physical read under [`IoCat::Journal`].
     pub fn journal_read(&self, id: u64, buf: &mut [u8]) -> Result<()> {
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.check_read(id, self.dev.borrow().num_blocks())?;
-        }
+        self.check_live(id)?;
         self.phys_read(id, buf, IoCat::Journal)?;
         self.stats.add_reads(IoCat::Journal, 1);
         Ok(())
@@ -761,11 +730,9 @@ impl Disk {
     /// cached frame for the block is invalidated first.
     pub fn journal_write(&self, id: u64, data: &[u8]) -> Result<()> {
         debug_assert!(data.len() <= self.block_size);
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.check_write(id, self.dev.borrow().num_blocks())?;
-        }
+        self.check_live(id)?;
         if let Some(pool) = self.pool.borrow_mut().as_mut() {
-            pool.invalidate(id)?;
+            pool.invalidate(id);
         }
         self.phys_write(id, data, IoCat::Journal)?;
         self.stats.add_writes(IoCat::Journal, 1);
@@ -783,37 +750,21 @@ impl Disk {
     }
 }
 
-/// Buffer-pool management and pinning (see the [`pool`](crate::pool) module).
+/// Buffer-pool management (see the [`pool`](crate::pool) module).
 impl Disk {
-    /// Enable a buffer pool of `frames` frames reserved from `budget`,
-    /// using the named eviction `policy` and write `mode`. The frames stay
-    /// reserved (RAII) until [`Disk::disable_cache`] or the disk is dropped.
-    ///
-    /// Reserve cache frames from a budget *separate* from the sorting
-    /// algorithm's `M`-frame budget if the paper's logical I/O counts must
-    /// stay comparable: the pool is extra memory on top of `M`, not part
-    /// of it.
+    /// Enable a buffer pool of `frames` frames, using the named eviction
+    /// `policy` and write `mode`. The frames are extra memory on top of the
+    /// sorting algorithm's `M`, not part of it, so the paper's logical I/O
+    /// counts stay comparable across pool sizes.
     ///
     /// # Panics
     ///
     /// Panics if `frames == 0` or a pool is already enabled (check
     /// [`Disk::cache_enabled`] first).
-    pub(crate) fn enable_cache(
-        &self,
-        budget: &MemoryBudget,
-        frames: usize,
-        policy: CachePolicy,
-        mode: WriteMode,
-    ) -> Result<()> {
-        assert!(frames > 0, "a buffer pool needs at least one frame");
+    pub(crate) fn enable_cache(&self, frames: usize, policy: CachePolicy, mode: WriteMode) {
         let mut slot = self.pool.borrow_mut();
         assert!(slot.is_none(), "buffer pool already enabled on this disk");
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.watch_budget(budget);
-        }
-        let reservation = budget.reserve(frames)?;
-        *slot = Some(PoolCore::new(reservation, self.block_size, policy.build(frames), mode));
-        Ok(())
+        *slot = Some(PoolCore::new(frames, self.block_size, policy.build(frames), mode));
     }
 
     /// Whether a buffer pool is currently enabled.
@@ -841,23 +792,6 @@ impl Disk {
         self.pool.borrow().as_ref().map_or(0, PoolCore::resident)
     }
 
-    /// Write back `block`'s frame now if it is resident and dirty (one
-    /// physical write, counted as a dirty writeback). The frame stays
-    /// resident and becomes clean. Errors with [`ExtError::CacheDisabled`]
-    /// if no pool is enabled.
-    pub fn cache_flush(&self, block: u64) -> Result<()> {
-        let mut pool_ref = self.pool.borrow_mut();
-        let pool = pool_ref.as_mut().ok_or(ExtError::CacheDisabled)?;
-        if let Some(slot) = pool.peek(block) {
-            if let Some((len, cat)) = pool.dirty_of(slot) {
-                self.phys_write(block, &pool.slot_data(slot).borrow()[..len], cat)?;
-                pool.clean(slot);
-                self.stats.add_cache_event(self.phase.get(), CacheEvent::DirtyWriteback);
-            }
-        }
-        Ok(())
-    }
-
     /// Write back every dirty frame, in ascending block order (deterministic
     /// for the fault layer's operation indexing). Frames stay resident. A
     /// no-op when no pool is enabled. On error, already-flushed frames are
@@ -869,110 +803,19 @@ impl Disk {
         for slot in pool.dirty_slots_in_block_order() {
             let Some((len, cat)) = pool.dirty_of(slot) else { continue };
             let block = pool.slot_block(slot);
-            self.phys_write(block, &pool.slot_data(slot).borrow()[..len], cat)?;
+            self.phys_write(block, &pool.slot_data(slot)[..len], cat)?;
             pool.clean(slot);
             self.stats.add_cache_event(self.phase.get(), CacheEvent::DirtyWriteback);
         }
         Ok(())
     }
 
-    /// Flush all dirty frames, then tear the pool down, returning its frames
-    /// to the budget they were reserved from. Errors with
-    /// [`ExtError::FramePinned`] (and leaves the pool enabled) if any pin
-    /// guard is still alive. A no-op when no pool is enabled.
+    /// Flush all dirty frames, then tear the pool down. A no-op when no pool
+    /// is enabled; on a flush error the pool stays enabled.
     pub fn disable_cache(&self) -> Result<()> {
-        {
-            let pool_ref = self.pool.borrow();
-            let Some(pool) = pool_ref.as_ref() else { return Ok(()) };
-            if let Some(block) = pool.first_pinned_block() {
-                return Err(ExtError::FramePinned { block });
-            }
-        }
         self.cache_flush_all()?;
         *self.pool.borrow_mut() = None;
-        // The pool's frame reservation guard has dropped with it: the
-        // watched budget must be back at its enable-time baseline.
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.check_budget_restored()?;
-        }
         Ok(())
-    }
-
-    /// Pin `block` into the pool for reading and return an RAII guard; the
-    /// frame cannot be evicted while the guard lives. Charges one logical
-    /// read to `cat` (a miss also costs one physical read to load the
-    /// frame). Errors with [`ExtError::CacheDisabled`] if no pool is
-    /// enabled, or [`ExtError::AllFramesPinned`] if loading the block would
-    /// need a frame and every frame is pinned.
-    pub fn pin(self: &Rc<Self>, block: u64, cat: IoCat) -> Result<PinGuard> {
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.check_read(block, self.dev.borrow().num_blocks())?;
-        }
-        let data = self.pin_load(block, cat, false)?;
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.note_pin(block, true);
-        }
-        Ok(PinGuard::new(Rc::clone(self), block, data))
-    }
-
-    /// Pin `block` for writing. Like [`Disk::pin`], but also charges one
-    /// logical write to `cat` and marks the whole frame dirty: edits through
-    /// the guard reach the device at eviction, flush, or
-    /// [`PinMutGuard::commit`] -- in *both* write modes, pinned edits behave
-    /// like write-back, because the pool cannot see individual edits to
-    /// write them through.
-    pub fn pin_mut(self: &Rc<Self>, block: u64, cat: IoCat) -> Result<PinMutGuard> {
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.check_write(block, self.dev.borrow().num_blocks())?;
-        }
-        let data = self.pin_load(block, cat, true)?;
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.note_pin(block, false);
-        }
-        Ok(PinMutGuard::new(Rc::clone(self), block, data))
-    }
-
-    fn pin_load(&self, block: u64, cat: IoCat, for_write: bool) -> Result<Rc<RefCell<Vec<u8>>>> {
-        let mut pool_ref = self.pool.borrow_mut();
-        let pool = pool_ref.as_mut().ok_or(ExtError::CacheDisabled)?;
-        let phase = self.phase.get();
-        let slot = if let Some(slot) = pool.lookup(block) {
-            self.stats.add_cache_event(phase, CacheEvent::Hit);
-            slot
-        } else {
-            self.stats.add_cache_event(phase, CacheEvent::Miss);
-            let slot = self.obtain_slot(pool)?;
-            let data = pool.slot_data(slot);
-            {
-                let mut d = data.borrow_mut();
-                if let Err(e) = self.phys_read(block, &mut d, cat) {
-                    drop(d);
-                    pool.release_slot(slot);
-                    return Err(e);
-                }
-            }
-            pool.install(slot, block);
-            slot
-        };
-        pool.pin(slot);
-        self.stats.add_reads(cat, 1);
-        if for_write {
-            pool.mark_dirty(slot, self.block_size, cat);
-            self.stats.add_writes(cat, 1);
-        }
-        Ok(pool.slot_data(slot))
-    }
-
-    /// Drop one pin on `block` (guard Drop path; no-op if no pool).
-    /// `shared` distinguishes a [`PinGuard`] from a [`PinMutGuard`] so the
-    /// shadow sanitizer can release the matching pin kind.
-    pub(crate) fn cache_unpin(&self, block: u64, shared: bool) {
-        if let Some(pool) = self.pool.borrow_mut().as_mut() {
-            pool.unpin_block(block);
-        }
-        if let Some(sh) = self.shadow.borrow().as_ref() {
-            sh.note_unpin(block, shared);
-        }
     }
 }
 
@@ -1237,15 +1080,13 @@ mod trace_tests {
 #[cfg(test)]
 mod cached_tests {
     use super::*;
-    use crate::budget::MemoryBudget;
     use crate::fault::FaultKind;
 
     const BS: usize = 64;
 
     fn cached_disk(frames: usize, policy: CachePolicy, mode: WriteMode) -> Rc<Disk> {
         let disk = Disk::new_mem(BS);
-        let budget = MemoryBudget::new(frames);
-        disk.enable_cache(&budget, frames, policy, mode).unwrap();
+        disk.enable_cache(frames, policy, mode);
         disk
     }
 
@@ -1370,71 +1211,6 @@ mod cached_tests {
     }
 
     #[test]
-    fn pins_protect_frames_and_unpin_on_drop() {
-        let disk = cached_disk(1, CachePolicy::Clock, WriteMode::Through);
-        let a = block_of(&disk, 1);
-        let b = block_of(&disk, 2);
-        let guard = disk.pin(a, IoCat::SortScratch).unwrap();
-        assert_eq!(guard.block(), a);
-        guard.with(|data| assert_eq!(data, [1u8; BS]));
-        assert_eq!(guard.data()[0], 1);
-        // The single frame is pinned: loading b cannot find a victim.
-        let mut buf = [0u8; BS];
-        let err = disk.read_block(b, &mut buf, IoCat::SortScratch).unwrap_err();
-        assert!(matches!(err, ExtError::AllFramesPinned { frames: 1 }));
-        assert!(matches!(
-            disk.free_block(a),
-            Err(ExtError::FramePinned { block }) if block == a
-        ));
-        drop(guard);
-        disk.read_block(b, &mut buf, IoCat::SortScratch).unwrap();
-        assert_eq!(buf, [2u8; BS]);
-        disk.free_block(a).unwrap();
-    }
-
-    #[test]
-    fn pin_mut_commit_forces_a_writeback() {
-        let disk = cached_disk(2, CachePolicy::Lru, WriteMode::Through);
-        let a = block_of(&disk, 0);
-        let before = disk.stats().snapshot();
-        let guard = disk.pin_mut(a, IoCat::SortScratch).unwrap();
-        guard.data_mut().copy_from_slice(&[0x5A; BS]);
-        assert_eq!(guard.data()[BS - 1], 0x5A);
-        guard.commit().unwrap();
-        let snap = disk.stats().snapshot();
-        let d = snap.since(&before);
-        assert_eq!(d.reads(IoCat::SortScratch), 1, "a pin charges one logical read");
-        assert_eq!(d.writes(IoCat::SortScratch), 1, "a mutable pin charges one logical write");
-        assert_eq!(d.phys_writes(IoCat::SortScratch), 1, "commit wrote the frame back");
-        assert_eq!(d.total_cache_writebacks(), 1);
-        // The frame is clean and unpinned: eviction needs no second write.
-        let b = block_of(&disk, 1);
-        let c = block_of(&disk, 2);
-        let mut buf = [0u8; BS];
-        disk.read_block(b, &mut buf, IoCat::RunRead).unwrap();
-        disk.read_block(c, &mut buf, IoCat::RunRead).unwrap();
-        disk.read_block(a, &mut buf, IoCat::RunRead).unwrap();
-        assert_eq!(buf, [0x5A; BS], "committed bytes survived eviction");
-    }
-
-    #[test]
-    fn pin_mut_dirty_frame_reaches_device_on_eviction() {
-        let disk = cached_disk(1, CachePolicy::Lru, WriteMode::Through);
-        let a = block_of(&disk, 0);
-        {
-            let guard = disk.pin_mut(a, IoCat::SortScratch).unwrap();
-            guard.data_mut()[0] = 0x77;
-        } // dropped without commit: frame stays dirty
-        let b = block_of(&disk, 1);
-        let mut buf = [0u8; BS];
-        // Loading b's frame evicts dirty a: that is the writeback.
-        disk.read_block(b, &mut buf, IoCat::RunRead).unwrap();
-        assert_eq!(disk.stats().snapshot().total_cache_writebacks(), 1);
-        disk.read_block(a, &mut buf, IoCat::RunRead).unwrap();
-        assert_eq!(buf[0], 0x77, "uncommitted pinned edit was written back on eviction");
-    }
-
-    #[test]
     fn free_block_invalidates_stale_frames() {
         let disk = cached_disk(2, CachePolicy::Lru, WriteMode::Back);
         let a = disk.alloc_block();
@@ -1456,41 +1232,25 @@ mod cached_tests {
         let disk = Disk::new_mem(BS);
         assert!(!disk.cache_enabled());
         assert_eq!(disk.cache_capacity(), None);
-        assert!(matches!(disk.pin(0, IoCat::RunRead), Err(ExtError::CacheDisabled)));
-        assert!(matches!(disk.cache_flush(0), Err(ExtError::CacheDisabled)));
+        assert_eq!(disk.cache_resident(), 0);
         disk.cache_flush_all().unwrap(); // no-op without a pool
         disk.disable_cache().unwrap(); // likewise
 
-        let budget = MemoryBudget::new(8);
-        disk.enable_cache(&budget, 3, CachePolicy::Clock, WriteMode::Back).unwrap();
+        disk.enable_cache(3, CachePolicy::Clock, WriteMode::Back);
         assert!(disk.cache_enabled());
         assert_eq!(disk.cache_capacity(), Some(3));
         assert_eq!(disk.cache_policy_name(), Some("clock"));
         assert_eq!(disk.cache_mode(), Some(WriteMode::Back));
-        assert_eq!(budget.used_frames(), 3);
 
         let id = block_of(&disk, 9);
         assert_eq!(disk.cache_resident(), 1);
-        let guard = disk.pin(id, IoCat::RunRead).unwrap();
-        assert!(matches!(disk.disable_cache(), Err(ExtError::FramePinned { .. })));
-        assert!(disk.cache_enabled(), "a failed disable leaves the pool up");
-        drop(guard);
         disk.disable_cache().unwrap();
         assert!(!disk.cache_enabled());
-        assert_eq!(budget.used_frames(), 0, "frames returned to the budget");
+        assert_eq!(disk.cache_resident(), 0);
         // The dirty frame was flushed on the way down.
         let mut buf = [0u8; BS];
         disk.read_block(id, &mut buf, IoCat::RunRead).unwrap();
         assert_eq!(buf, [9u8; BS]);
-    }
-
-    #[test]
-    fn budget_rejects_an_oversized_pool() {
-        let disk = Disk::new_mem(BS);
-        let budget = MemoryBudget::new(2);
-        let err = disk.enable_cache(&budget, 5, CachePolicy::Lru, WriteMode::Through).unwrap_err();
-        assert!(matches!(err, ExtError::BudgetExceeded { requested: 5, free: 2 }));
-        assert!(!disk.cache_enabled());
     }
 
     #[test]
@@ -1504,8 +1264,7 @@ mod cached_tests {
             .at_write(5, FaultKind::TransientError);
         let (disk, _inj) = Disk::new_faulty(Box::new(MemDevice::new(BS)), plan);
         disk.set_retry_policy(RetryPolicy::retries(2));
-        let budget = MemoryBudget::new(1);
-        disk.enable_cache(&budget, 1, CachePolicy::Lru, WriteMode::Back).unwrap();
+        disk.enable_cache(1, CachePolicy::Lru, WriteMode::Back);
 
         let a = disk.alloc_block();
         let b = disk.alloc_block();
@@ -1534,5 +1293,157 @@ mod cached_tests {
         // The victim stayed resident and dirty: its bytes are not lost.
         disk.read_block(a, &mut buf, IoCat::RunRead).unwrap();
         assert_eq!(buf, [4; BS]);
+    }
+}
+
+#[cfg(test)]
+mod liveness_tests {
+    use super::*;
+    use crate::build::DiskBuilder;
+    use crate::fault::FaultRng;
+    use crate::stripe::StripedDevice;
+    use std::collections::BTreeSet;
+
+    const BS: usize = 64;
+
+    /// Allocate a block, write it, and free it again.
+    fn freed_block(disk: &Disk) -> u64 {
+        let id = disk.alloc_block();
+        disk.write_block(id, &[7u8; BS], IoCat::RunWrite).unwrap();
+        disk.free_block(id).unwrap();
+        id
+    }
+
+    /// On a 3-wide stripe, allocation rotates over devices 0, 1, 2, 0 (ids
+    /// 0..=3). Id 1 is freed and recycled on device 1; the next allocation
+    /// lands on device 2 at local 1, global id 5. That leaves id 4 (device
+    /// 1, local 1) in range but never allocated.
+    fn stripe_gap(disk: &Disk) -> u64 {
+        let ids: Vec<u64> = (0..4).map(|_| disk.alloc_block()).collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        disk.free_block(1).unwrap();
+        assert_eq!(disk.alloc_block(), 1);
+        assert_eq!(disk.alloc_block(), 5);
+        4
+    }
+
+    fn read(disk: &Disk, id: u64) -> Result<()> {
+        disk.read_block(id, &mut [0u8; BS], IoCat::RunRead)
+    }
+
+    fn write(disk: &Disk, id: u64) -> Result<()> {
+        disk.write_block(id, &[1u8; BS], IoCat::RunWrite)
+    }
+
+    /// Every transfer through the disk to a block its allocator does not
+    /// hold live is refused before it is charged, with nothing to switch on
+    /// first.
+    #[test]
+    fn transfers_to_blocks_that_are_not_live_are_refused() {
+        type Setup = fn(&Disk) -> u64;
+        type Access = fn(&Disk, u64) -> Result<()>;
+        let plain = || DiskBuilder::new(BS);
+        let cases: [(&str, DiskBuilder, Setup, Access); 6] = [
+            ("read-after-free", plain(), freed_block, read),
+            ("write-after-free", plain(), freed_block, write),
+            ("journal-read-after-free", plain(), freed_block, |disk, id| {
+                disk.journal_read(id, &mut [0u8; BS])
+            }),
+            ("journal-write-after-free", plain(), freed_block, |disk, id| {
+                disk.journal_write(id, &[1u8; BS])
+            }),
+            ("never-allocated id on a 3-wide stripe", plain().stripe(3), stripe_gap, read),
+            // A write-back frame would take this write silently and flush it
+            // over whoever owns the id next.
+            (
+                "write-after-free into a write-back pool",
+                plain().cache(2, CachePolicy::Lru, WriteMode::Back),
+                freed_block,
+                write,
+            ),
+        ];
+        for (name, builder, setup, access) in cases {
+            let disk = builder.build().unwrap().disk;
+            let id = setup(&disk);
+            let before = disk.stats().snapshot();
+            match access(&disk, id) {
+                Err(ExtError::BlockNotLive { block }) => assert_eq!(block, id, "{name}"),
+                other => panic!("{name}: expected BlockNotLive, got {other:?}"),
+            }
+            let d = disk.stats().snapshot().since(&before);
+            assert_eq!(d.grand_total() + d.grand_total_physical(), 0, "{name}: nothing charged");
+            assert_eq!(disk.cache_resident(), 0, "{name}: no frame took the transfer");
+            assert!(disk.last_failure().is_none(), "{name}");
+        }
+    }
+
+    /// A block is live from allocation to free; reallocating the freed id
+    /// makes it live again.
+    #[test]
+    fn alloc_free_lifecycle_is_tracked() {
+        let disk = DiskBuilder::new(BS).build().unwrap().disk;
+        let id = disk.alloc_block();
+        write(&disk, id).unwrap();
+        read(&disk, id).unwrap();
+        disk.free_block(id).unwrap();
+        assert!(matches!(read(&disk, id), Err(ExtError::BlockNotLive { block }) if block == id));
+        assert!(matches!(write(&disk, id), Err(ExtError::BlockNotLive { block }) if block == id));
+        assert_eq!(disk.alloc_block(), id, "the freed id is recycled");
+        write(&disk, id).unwrap();
+        read(&disk, id).unwrap();
+    }
+
+    /// An id inside the device that was never allocated is not live; an id
+    /// past the end is left to the device, which reports a bad block.
+    #[test]
+    fn in_range_unallocated_blocks_are_not_live() {
+        let disk = DiskBuilder::new(BS).stripe(3).build().unwrap().disk;
+        let gap = stripe_gap(&disk);
+        assert!(gap < disk.num_blocks());
+        assert!(matches!(read(&disk, gap), Err(ExtError::BlockNotLive { block }) if block == gap));
+        let past = disk.num_blocks();
+        assert!(
+            matches!(read(&disk, past), Err(ExtError::BadBlock { block, .. }) if block == past)
+        );
+    }
+
+    /// Drive `dev` through a seeded random alloc/free sequence, checking
+    /// after every step that `is_live` and the derived `live_blocks` agree
+    /// with a model set.
+    fn check_against_model(name: &str, dev: &mut dyn BlockDevice, seed: u64) {
+        let mut rng = FaultRng::new(seed);
+        let mut model: BTreeSet<u64> = BTreeSet::new();
+        for step in 0..400 {
+            let free_one = !model.is_empty() && rng.next_f64() < 0.45;
+            if free_one {
+                let pick = (rng.next_u64() % model.len() as u64) as usize;
+                let id = *model.iter().nth(pick).unwrap();
+                dev.free(id).unwrap();
+                model.remove(&id);
+            } else {
+                let id = dev.allocate();
+                assert!(model.insert(id), "{name} step {step}: id {id} handed out twice");
+            }
+            let live = dev.live_blocks();
+            assert_eq!(live, model.iter().copied().collect::<Vec<_>>(), "{name} step {step}");
+            for id in 0..dev.num_blocks() + 2 {
+                assert_eq!(dev.is_live(id), model.contains(&id), "{name} step {step} id {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn derived_live_blocks_match_a_model_on_every_device() {
+        let dir = std::env::temp_dir().join(format!("nexsort-live-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("blocks.bin");
+        for seed in [1, 7, 42] {
+            check_against_model("mem", &mut MemDevice::new(BS), seed);
+            check_against_model("file", &mut FileDevice::create(&path, BS).unwrap(), seed);
+            let inners: Vec<Box<dyn BlockDevice>> =
+                (0..3).map(|_| Box::new(MemDevice::new(BS)) as Box<dyn BlockDevice>).collect();
+            check_against_model("stripe-3", &mut StripedDevice::new(inners), seed);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -32,19 +32,11 @@ pub enum ExtError {
     /// A transfer kept failing after the retry policy's attempt budget.
     /// `last` is the error of the final attempt.
     RetriesExhausted { attempts: u32, last: Box<ExtError> },
-    /// A buffer-pool operation needed a block whose frame is pinned (e.g.
-    /// freeing a block while a `PinGuard` on it is alive).
-    FramePinned { block: u64 },
-    /// The buffer pool needed a victim frame but every frame is pinned.
-    AllFramesPinned { frames: usize },
-    /// A pin was requested on a disk whose buffer pool is not enabled.
-    CacheDisabled,
-    /// The shadow-state sanitizer (see `shadow.rs`, enabled with
-    /// `NEXSORT_SHADOW=1`) observed an operation that violates the
-    /// substrate's allocation / pin discipline. `check` names the
-    /// violated check (e.g. `read-after-free`); `block` is the offending
-    /// block id (for `budget-frame-leak`, the number of leaked frames).
-    ShadowViolation { check: &'static str, block: u64 },
+    /// A transfer addressed an in-range block that the device's allocator
+    /// does not hold live: it was freed (use-after-free) or never handed
+    /// out (an id inside a stripe gap). The `Disk` checks this on every
+    /// logical transfer, before the buffer pool.
+    BlockNotLive { block: u64 },
     /// A `CrashDevice` reached its armed crash point: the device image is
     /// frozen and every transfer fails until the controller thaws it.
     /// `after_ios` is the physical I/O index at which the crash fired.
@@ -97,10 +89,7 @@ impl ExtError {
             | ExtError::Corrupt(_)
             | ExtError::DoubleFree { .. }
             | ExtError::RetriesExhausted { .. }
-            | ExtError::FramePinned { .. }
-            | ExtError::AllFramesPinned { .. }
-            | ExtError::CacheDisabled
-            | ExtError::ShadowViolation { .. }
+            | ExtError::BlockNotLive { .. }
             | ExtError::SimulatedCrash { .. }
             | ExtError::JournalCorrupt { .. }
             | ExtError::ParityMismatch { .. }
@@ -126,10 +115,7 @@ impl ExtError {
             | ExtError::Corrupt(_)
             | ExtError::Io(_)
             | ExtError::DoubleFree { .. }
-            | ExtError::FramePinned { .. }
-            | ExtError::AllFramesPinned { .. }
-            | ExtError::CacheDisabled
-            | ExtError::ShadowViolation { .. }
+            | ExtError::BlockNotLive { .. }
             | ExtError::SimulatedCrash { .. }
             | ExtError::JournalCorrupt { .. }
             | ExtError::ParityMismatch { .. }
@@ -168,17 +154,8 @@ impl fmt::Display for ExtError {
             ExtError::RetriesExhausted { attempts, last } => {
                 write!(f, "gave up after {attempts} attempts; last error: {last}")
             }
-            ExtError::FramePinned { block } => {
-                write!(f, "block {block} is pinned in the buffer pool")
-            }
-            ExtError::AllFramesPinned { frames } => {
-                write!(f, "all {frames} buffer-pool frames are pinned; cannot evict")
-            }
-            ExtError::CacheDisabled => {
-                write!(f, "buffer pool is not enabled on this disk")
-            }
-            ExtError::ShadowViolation { check, block } => {
-                write!(f, "shadow sanitizer caught {check} (block {block})")
+            ExtError::BlockNotLive { block } => {
+                write!(f, "block {block} is not live: freed or never allocated")
             }
             ExtError::SimulatedCrash { after_ios } => {
                 write!(f, "simulated crash after {after_ios} physical I/Os: device frozen")
@@ -218,10 +195,7 @@ impl std::error::Error for ExtError {
             | ExtError::Corrupt(_)
             | ExtError::ChecksumMismatch { .. }
             | ExtError::DoubleFree { .. }
-            | ExtError::FramePinned { .. }
-            | ExtError::AllFramesPinned { .. }
-            | ExtError::CacheDisabled
-            | ExtError::ShadowViolation { .. }
+            | ExtError::BlockNotLive { .. }
             | ExtError::SimulatedCrash { .. }
             | ExtError::JournalCorrupt { .. }
             | ExtError::ParityMismatch { .. }
@@ -283,23 +257,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_variants_display() {
-        let s = ExtError::FramePinned { block: 4 }.to_string();
-        assert!(s.contains("pinned") && s.contains('4'));
-        let s = ExtError::AllFramesPinned { frames: 2 }.to_string();
-        assert!(s.contains("pinned") && s.contains('2'));
-        let s = ExtError::CacheDisabled.to_string();
-        assert!(s.contains("not enabled"));
-        assert!(!ExtError::FramePinned { block: 0 }.is_transient());
-        assert!(!ExtError::AllFramesPinned { frames: 0 }.is_transient());
-        assert!(!ExtError::CacheDisabled.is_transient());
-    }
-
-    #[test]
-    fn shadow_violation_displays_and_is_fatal() {
-        let e = ExtError::ShadowViolation { check: "read-after-free", block: 7 };
-        assert!(e.to_string().contains("read-after-free") && e.to_string().contains('7'));
+    fn block_not_live_displays_and_is_fatal() {
+        let e = ExtError::BlockNotLive { block: 7 };
+        assert!(e.to_string().contains("not live") && e.to_string().contains('7'));
         assert!(!e.is_transient());
+        assert!(!e.is_hard_media_fault());
         assert!(std::error::Error::source(&e).is_none());
     }
 

@@ -805,9 +805,7 @@ mod tests {
     #[test]
     fn rescans_keep_the_logical_cost_but_hit_a_warm_pool() {
         let (disk, budget) = setup(16, 4);
-        let cache_budget = MemoryBudget::new(8);
-        disk.enable_cache(&cache_budget, 8, crate::CachePolicy::Lru, crate::WriteMode::Through)
-            .unwrap();
+        disk.enable_cache(8, crate::CachePolicy::Lru, crate::WriteMode::Through);
         let data: Vec<u8> = (0..100u8).collect();
         let ext = build_extent(&disk, &budget, &data); // 7 blocks, written through
         let mut out = vec![0u8; 100];

@@ -333,8 +333,8 @@ impl<D: BlockDevice> BlockDevice for FaultyDevice<D> {
         self.inner.free(id)
     }
 
-    fn live_blocks(&self) -> Vec<u64> {
-        self.inner.live_blocks()
+    fn is_live(&self, id: u64) -> bool {
+        self.inner.is_live(id)
     }
 
     fn read(&mut self, id: u64, buf: &mut [u8]) -> Result<()> {
@@ -572,8 +572,8 @@ impl<D: BlockDevice> BlockDevice for CrashDevice<D> {
         self.inner.free(id)
     }
 
-    fn live_blocks(&self) -> Vec<u64> {
-        self.inner.live_blocks()
+    fn is_live(&self, id: u64) -> bool {
+        self.inner.is_live(id)
     }
 
     fn read(&mut self, id: u64, buf: &mut [u8]) -> Result<()> {
@@ -707,8 +707,8 @@ impl<D: BlockDevice> BlockDevice for ChecksummedDevice<D> {
         Ok(())
     }
 
-    fn live_blocks(&self) -> Vec<u64> {
-        self.inner.live_blocks()
+    fn is_live(&self, id: u64) -> bool {
+        self.inner.is_live(id)
     }
 
     fn read(&mut self, id: u64, buf: &mut [u8]) -> Result<()> {

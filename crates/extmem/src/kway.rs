@@ -290,8 +290,7 @@ mod pooled_tests {
         assert_eq!(expect, (0..128).collect::<Vec<u32>>());
         for policy in [CachePolicy::Lru, CachePolicy::Clock] {
             let cached = Disk::new_mem(32);
-            let cache_budget = MemoryBudget::new(16);
-            cached.enable_cache(&cache_budget, 16, policy, WriteMode::Back).unwrap();
+            cached.enable_cache(16, policy, WriteMode::Back);
             let got = merge_on(&cached);
             assert_eq!(got, expect, "{policy}: the pool must not change merge output");
             let p = plain.stats().snapshot();

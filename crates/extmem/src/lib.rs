@@ -21,10 +21,10 @@
 //! * [`FaultyDevice`] / [`ChecksummedDevice`] / [`RetryPolicy`]: deterministic
 //!   fault injection, corruption detection, and transparent retry of
 //!   transient failures (see the [`fault`](crate::FaultPlan) types);
-//! * the pinning buffer pool ([`DiskBuilder::cache`], [`PinGuard`],
-//!   [`CachePolicy`], [`WriteMode`]): an optional page cache between the
-//!   accounting layer and the device, so *physical* transfers can drop below
-//!   the *logical* transfers the paper's analysis counts;
+//! * the buffer pool ([`DiskBuilder::cache`], [`CachePolicy`],
+//!   [`WriteMode`]): an optional page cache between the accounting layer and
+//!   the device, so *physical* transfers can drop below the *logical*
+//!   transfers the paper's analysis counts;
 //! * [`StripedDevice`] ([`DiskBuilder::stripe`]): round-robin striping over
 //!   independently faultable devices;
 //! * the crash-consistency layer ([`Journal`], [`recover`], [`CrashDevice`]):
@@ -66,7 +66,6 @@ mod pool;
 mod recovery;
 mod repair;
 mod run_store;
-mod shadow;
 mod stack;
 mod stats;
 mod stripe;
@@ -86,13 +85,10 @@ pub use fault::{
 };
 pub use journal::{Journal, JournalRecord, JournalStats};
 pub use kway::{KWayMerger, MergeStream, VecStream};
-pub use pool::{
-    CachePolicy, ClockPolicy, EvictionPolicy, LruPolicy, PinGuard, PinMutGuard, WriteMode,
-};
+pub use pool::{CachePolicy, ClockPolicy, EvictionPolicy, LruPolicy, WriteMode};
 pub use recovery::{fold_records, recover, RecoveredState};
 pub use repair::{RunParity, RunReader, ScrubReport};
 pub use run_store::{RunId, RunStore, RunWriter};
-pub use shadow::ShadowState;
 pub use stack::ExtStack;
 pub use stats::{CacheEvent, IoCat, IoSnapshot, IoStats};
 pub use stripe::StripedDevice;

@@ -1,7 +1,7 @@
 //! Deterministic lock-discipline sanitizer — the dynamic tier of the
 //! concurrency checker (the static tier is xlint R11–R15).
 //!
-//! Enabled with `NEXSORT_LOCKSAN=1` (mirroring `NEXSORT_SHADOW`) or
+//! Enabled with `NEXSORT_LOCKSAN=1` or
 //! programmatically via [`force_enable`], the sanitizer instruments every
 //! lock acquisition made through [`TrackedMutex`] / [`TrackedCondvar`] and
 //! every shared-state touch reported through [`access`]:

@@ -1,4 +1,4 @@
-//! The pinning buffer pool (page cache) between [`Disk`] and its device.
+//! The buffer pool (page cache) between [`Disk`](crate::Disk) and its device.
 //!
 //! The paper's analysis gives the algorithm `M` blocks of internal memory and
 //! counts every block transfer; our substrate routes all of those transfers
@@ -10,31 +10,23 @@
 //!
 //! Structure:
 //!
-//! * [`PoolCore`] owns the frames (reserved from a
-//!   [`MemoryBudget`](crate::MemoryBudget) via a RAII
-//!   [`FrameGuard`](crate::FrameGuard)) and the block -> frame index;
+//! * [`PoolCore`] owns the frames (plain block buffers, extra memory outside
+//!   the algorithm's `M`) and the block -> frame index;
 //! * eviction is pluggable behind [`EvictionPolicy`], with [`LruPolicy`] and
 //!   [`ClockPolicy`] provided and selectable by [`CachePolicy`];
 //! * writes follow a [`WriteMode`]: write-through keeps the device current on
 //!   every logical write, write-back defers dirty frames to eviction or an
-//!   explicit flush;
-//! * [`PinGuard`] / [`PinMutGuard`] give RAII access to a resident frame;
-//!   a pinned frame is never chosen as an eviction victim.
+//!   explicit flush.
 //!
 //! Determinism matters as much as performance here: the fault layer under
 //! the pool injects faults by physical operation index, so victim selection
 //! and flush order must be reproducible. The index is a `BTreeMap` and all
 //! bulk operations iterate in block order; policies are deterministic.
 
-use std::cell::{Ref, RefCell, RefMut};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
 use std::str::FromStr;
 
-use crate::budget::FrameGuard;
-use crate::device::Disk;
-use crate::error::{ExtError, Result};
 use crate::stats::IoCat;
 
 /// Which eviction policy a pool uses; the CLI-facing selector.
@@ -118,10 +110,10 @@ impl fmt::Display for WriteMode {
 ///
 /// The pool calls `on_insert` when a block is installed in a slot,
 /// `on_access` on every hit, and `on_remove` when a slot is evicted or
-/// invalidated. `pick_victim` is consulted only when every slot is occupied;
-/// `evictable(slot)` is false for pinned frames, which must never be chosen.
-/// Implementations must be deterministic: the fault-injection layer below
-/// the pool schedules faults by physical operation index.
+/// invalidated. `pick_victim` is consulted only when every slot is occupied,
+/// so any slot is a legal victim. Implementations must be deterministic:
+/// the fault-injection layer below the pool schedules faults by physical
+/// operation index.
 pub trait EvictionPolicy {
     /// The policy's report name.
     fn name(&self) -> &'static str;
@@ -131,15 +123,14 @@ pub trait EvictionPolicy {
     fn on_access(&mut self, slot: usize);
     /// The frame in `slot` was evicted or invalidated.
     fn on_remove(&mut self, slot: usize);
-    /// Choose an occupied, evictable slot to evict, or `None` if every
-    /// candidate is pinned.
-    fn pick_victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize>;
+    /// Choose the slot to evict from a full pool.
+    fn pick_victim(&mut self) -> usize;
 }
 
 /// Exact least-recently-used eviction: every insert/access stamps the slot
-/// with a monotone tick; the victim is the evictable slot with the smallest
-/// stamp. O(frames) per eviction, O(1) per access -- fine at the pool sizes
-/// the model considers (a slice of `M`).
+/// with a monotone tick; the victim is the slot with the smallest stamp.
+/// O(frames) per eviction, O(1) per access -- fine at the pool sizes the
+/// model considers (a slice of `M`).
 #[derive(Debug)]
 pub struct LruPolicy {
     stamps: Vec<u64>,
@@ -177,19 +168,16 @@ impl EvictionPolicy for LruPolicy {
         self.stamps[slot] = VACANT;
     }
 
-    fn pick_victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
-        self.stamps
-            .iter()
-            .enumerate()
-            .filter(|&(slot, &stamp)| stamp != VACANT && evictable(slot))
-            .min_by_key(|&(_, &stamp)| stamp)
-            .map(|(slot, _)| slot)
+    fn pick_victim(&mut self) -> usize {
+        // A vacant slot carries the largest stamp, so it is never the victim
+        // while an occupied one exists.
+        self.stamps.iter().enumerate().min_by_key(|&(_, &stamp)| stamp).map_or(0, |(slot, _)| slot)
     }
 }
 
 /// CLOCK (second-chance) eviction: a reference bit per slot and a hand that
-/// sweeps the slots, clearing set bits and evicting the first evictable slot
-/// whose bit is clear.
+/// sweeps the slots, clearing set bits and evicting the first slot whose bit
+/// is clear.
 #[derive(Debug)]
 pub struct ClockPolicy {
     referenced: Vec<bool>,
@@ -218,28 +206,21 @@ impl EvictionPolicy for ClockPolicy {
 
     fn on_remove(&mut self, _slot: usize) {}
 
-    fn pick_victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
-        let n = self.referenced.len();
-        // Two sweeps clear every set bit; one more step reaches the victim.
-        for _ in 0..=2 * n {
+    fn pick_victim(&mut self) -> usize {
+        // One sweep clears every set bit, so this ends within n + 1 steps.
+        loop {
             let slot = self.hand;
-            self.hand = (self.hand + 1) % n;
-            if !evictable(slot) {
-                continue;
-            }
-            if self.referenced[slot] {
-                self.referenced[slot] = false;
-            } else {
-                return Some(slot);
+            self.hand = (self.hand + 1) % self.referenced.len();
+            if !std::mem::take(&mut self.referenced[slot]) {
+                return slot;
             }
         }
-        None
     }
 }
 
 struct Frame {
     block: u64,
-    data: Rc<RefCell<Vec<u8>>>,
+    data: Vec<u8>,
     /// `Some(len)`: the first `len` bytes diverge from the device and must be
     /// written back. Length tracking preserves the device contract that a
     /// write covers a prefix of the block (the checksum layer records
@@ -248,7 +229,6 @@ struct Frame {
     /// Category the eventual writeback is charged to (the category of the
     /// logical write that dirtied the frame).
     cat: IoCat,
-    pins: u32,
 }
 
 /// How the pool hands out a slot for a new block (see
@@ -259,53 +239,40 @@ pub(crate) enum SlotAcquire {
     /// An unoccupied slot, already detached from the free list.
     Free(usize),
     /// Evict the frame in `slot` (currently holding `block`); `dirty` is the
-    /// writeback obligation, `data` the frame contents.
-    Evict { slot: usize, block: u64, dirty: Option<(usize, IoCat)>, data: Rc<RefCell<Vec<u8>>> },
+    /// writeback obligation.
+    Evict { slot: usize, block: u64, dirty: Option<(usize, IoCat)> },
 }
 
 /// The frame table of a buffer pool. Owned by [`Disk`](crate::Disk); all
 /// physical I/O and stats accounting stay in the disk layer, keeping this
-/// type purely about residency, dirtiness, pinning, and victim choice.
+/// type purely about residency, dirtiness, and victim choice.
 pub(crate) struct PoolCore {
     frames: Vec<Frame>,
     index: BTreeMap<u64, usize>,
     free: Vec<usize>,
     policy: Box<dyn EvictionPolicy>,
     mode: WriteMode,
-    policy_kind: &'static str,
-    _reservation: FrameGuard,
 }
 
 impl PoolCore {
     pub(crate) fn new(
-        reservation: FrameGuard,
+        capacity: usize,
         block_size: usize,
         policy: Box<dyn EvictionPolicy>,
         mode: WriteMode,
     ) -> Self {
-        let capacity = reservation.frames();
         assert!(capacity > 0, "a buffer pool needs at least one frame");
         let frames = (0..capacity)
             .map(|_| Frame {
                 block: u64::MAX,
-                data: Rc::new(RefCell::new(vec![0u8; block_size])),
+                data: vec![0u8; block_size],
                 dirty_len: None,
                 cat: IoCat::SortScratch,
-                pins: 0,
             })
             .collect();
         // Free slots are popped from the back; keep ascending order of use.
         let free = (0..capacity).rev().collect();
-        let policy_kind = policy.name();
-        Self {
-            frames,
-            index: BTreeMap::new(),
-            free,
-            policy,
-            mode,
-            policy_kind,
-            _reservation: reservation,
-        }
+        Self { frames, index: BTreeMap::new(), free, policy, mode }
     }
 
     pub(crate) fn capacity(&self) -> usize {
@@ -317,7 +284,7 @@ impl PoolCore {
     }
 
     pub(crate) fn policy_name(&self) -> &'static str {
-        self.policy_kind
+        self.policy.name()
     }
 
     /// Find `block`'s slot and record the access with the policy.
@@ -332,17 +299,16 @@ impl PoolCore {
         self.index.get(&block).copied()
     }
 
-    pub(crate) fn slot_data(&self, slot: usize) -> Rc<RefCell<Vec<u8>>> {
-        Rc::clone(&self.frames[slot].data)
+    pub(crate) fn slot_data(&self, slot: usize) -> &[u8] {
+        &self.frames[slot].data
+    }
+
+    pub(crate) fn slot_data_mut(&mut self, slot: usize) -> &mut [u8] {
+        &mut self.frames[slot].data
     }
 
     pub(crate) fn slot_block(&self, slot: usize) -> u64 {
         self.frames[slot].block
-    }
-
-    /// Lowest-numbered pinned block, if any frame is pinned.
-    pub(crate) fn first_pinned_block(&self) -> Option<u64> {
-        self.index.iter().find(|&(_, &slot)| self.frames[slot].pins > 0).map(|(&b, _)| b)
     }
 
     pub(crate) fn dirty_of(&self, slot: usize) -> Option<(usize, IoCat)> {
@@ -363,40 +329,16 @@ impl PoolCore {
         self.frames[slot].dirty_len = None;
     }
 
-    pub(crate) fn pin(&mut self, slot: usize) {
-        self.frames[slot].pins += 1;
-    }
-
-    /// Drop one pin on `block`'s frame (no-op if the block is not resident,
-    /// which cannot happen while a guard is alive).
-    pub(crate) fn unpin_block(&mut self, block: u64) {
-        if let Some(&slot) = self.index.get(&block) {
-            let f = &mut self.frames[slot];
-            f.pins = f.pins.saturating_sub(1);
-        }
-    }
-
     /// Plan how to obtain a slot for a new block: a free slot if one exists,
     /// otherwise an eviction victim. Nothing is detached yet for the `Evict`
     /// case; the caller completes (or abandons) the plan.
-    pub(crate) fn acquire_plan(&mut self) -> Result<SlotAcquire> {
+    pub(crate) fn acquire_plan(&mut self) -> SlotAcquire {
         if let Some(slot) = self.free.pop() {
-            return Ok(SlotAcquire::Free(slot));
+            return SlotAcquire::Free(slot);
         }
-        let frames = &self.frames;
-        let evictable = |slot: usize| frames[slot].pins == 0 && frames[slot].block != u64::MAX;
-        match self.policy.pick_victim(&evictable) {
-            Some(slot) => {
-                let f = &self.frames[slot];
-                Ok(SlotAcquire::Evict {
-                    slot,
-                    block: f.block,
-                    dirty: f.dirty_len.map(|len| (len, f.cat)),
-                    data: Rc::clone(&f.data),
-                })
-            }
-            None => Err(ExtError::AllFramesPinned { frames: self.capacity() }),
-        }
+        let slot = self.policy.pick_victim();
+        let f = &self.frames[slot];
+        SlotAcquire::Evict { slot, block: f.block, dirty: f.dirty_len.map(|len| (len, f.cat)) }
     }
 
     /// Remove the mapping of `slot` (after any writeback), leaving the slot
@@ -408,7 +350,6 @@ impl PoolCore {
         let f = &mut self.frames[slot];
         f.block = u64::MAX;
         f.dirty_len = None;
-        f.pins = 0;
     }
 
     /// Return a loose slot to the free list (e.g. after a failed load).
@@ -416,27 +357,22 @@ impl PoolCore {
         self.free.push(slot);
     }
 
-    /// Map `block` into the loose `slot` (clean, unpinned).
+    /// Map `block` into the loose `slot` (clean).
     pub(crate) fn install(&mut self, slot: usize, block: u64) {
         let f = &mut self.frames[slot];
         f.block = block;
         f.dirty_len = None;
-        f.pins = 0;
         self.index.insert(block, slot);
         self.policy.on_insert(slot);
     }
 
     /// Drop `block`'s frame without writing it back (the block is dead, e.g.
-    /// freed). Errors if the frame is pinned.
-    pub(crate) fn invalidate(&mut self, block: u64) -> Result<()> {
+    /// freed).
+    pub(crate) fn invalidate(&mut self, block: u64) {
         if let Some(&slot) = self.index.get(&block) {
-            if self.frames[slot].pins > 0 {
-                return Err(ExtError::FramePinned { block });
-            }
             self.detach(slot);
             self.release_slot(slot);
         }
-        Ok(())
     }
 
     /// Slots holding dirty frames, in ascending block order (deterministic
@@ -445,121 +381,20 @@ impl PoolCore {
         self.index.values().copied().filter(|&slot| self.frames[slot].dirty_len.is_some()).collect()
     }
 
-    /// Drop every resident frame without writing anything back, clearing any
-    /// pins. Crash recovery only: after a simulated crash the device image is
-    /// the authoritative state, so frame contents (dirty or not) are dead.
+    /// Drop every resident frame without writing anything back. Crash
+    /// recovery only: after a simulated crash the device image is the
+    /// authoritative state, so frame contents (dirty or not) are dead.
     pub(crate) fn purge_all(&mut self) {
-        let blocks: Vec<u64> = self.index.keys().copied().collect();
-        for block in blocks {
-            if let Some(&slot) = self.index.get(&block) {
-                self.frames[slot].pins = 0;
-                self.detach(slot);
-                self.release_slot(slot);
-            }
+        let slots: Vec<usize> = self.index.values().copied().collect();
+        for slot in slots {
+            self.detach(slot);
+            self.release_slot(slot);
         }
     }
 
     /// Number of resident (mapped) frames.
     pub(crate) fn resident(&self) -> usize {
         self.index.len()
-    }
-}
-
-/// RAII read pin on a resident block frame (see [`Disk::pin`]).
-///
-/// While the guard is alive the frame cannot be evicted or invalidated;
-/// dropping it unpins. The data borrow is per-call, so multiple `PinGuard`s
-/// on the same block coexist.
-pub struct PinGuard {
-    disk: Rc<Disk>,
-    block: u64,
-    data: Rc<RefCell<Vec<u8>>>,
-}
-
-impl PinGuard {
-    pub(crate) fn new(disk: Rc<Disk>, block: u64, data: Rc<RefCell<Vec<u8>>>) -> Self {
-        Self { disk, block, data }
-    }
-
-    /// The pinned block's id.
-    pub fn block(&self) -> u64 {
-        self.block
-    }
-
-    /// Borrow the block contents.
-    pub fn data(&self) -> Ref<'_, [u8]> {
-        Ref::map(self.data.borrow(), Vec::as_slice)
-    }
-
-    /// Run `f` over the block contents.
-    pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.data.borrow())
-    }
-}
-
-impl Drop for PinGuard {
-    fn drop(&mut self) {
-        self.disk.cache_unpin(self.block, true);
-    }
-}
-
-impl fmt::Debug for PinGuard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PinGuard").field("block", &self.block).finish()
-    }
-}
-
-/// RAII mutable pin on a resident block frame (see [`Disk::pin_mut`]).
-///
-/// The frame is marked dirty for its full block when the guard is created;
-/// edits land in the frame immediately. In both write modes the device sees
-/// them at eviction, [`Disk::cache_flush_all`](crate::Disk::cache_flush_all),
-/// or an explicit [`PinMutGuard::commit`] -- unpinning itself never performs
-/// I/O, so dropping the guard cannot fail.
-pub struct PinMutGuard {
-    disk: Rc<Disk>,
-    block: u64,
-    data: Rc<RefCell<Vec<u8>>>,
-}
-
-impl PinMutGuard {
-    pub(crate) fn new(disk: Rc<Disk>, block: u64, data: Rc<RefCell<Vec<u8>>>) -> Self {
-        Self { disk, block, data }
-    }
-
-    /// The pinned block's id.
-    pub fn block(&self) -> u64 {
-        self.block
-    }
-
-    /// Borrow the block contents.
-    pub fn data(&self) -> Ref<'_, [u8]> {
-        Ref::map(self.data.borrow(), Vec::as_slice)
-    }
-
-    /// Mutably borrow the block contents.
-    pub fn data_mut(&self) -> RefMut<'_, [u8]> {
-        RefMut::map(self.data.borrow_mut(), Vec::as_mut_slice)
-    }
-
-    /// Unpin and write the frame to the device now (one physical write).
-    /// The write-through analogue for pinned edits.
-    pub fn commit(self) -> Result<()> {
-        // Drop runs afterwards and unpins; flushing first keeps the frame
-        // pinned during its own writeback.
-        self.disk.cache_flush(self.block)
-    }
-}
-
-impl Drop for PinMutGuard {
-    fn drop(&mut self) {
-        self.disk.cache_unpin(self.block, false);
-    }
-}
-
-impl fmt::Debug for PinMutGuard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PinMutGuard").field("block", &self.block).finish()
     }
 }
 
@@ -581,17 +416,17 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used_and_respects_pins() {
+    fn lru_evicts_the_least_recently_used_slot() {
         let mut p = LruPolicy::new(3);
         p.on_insert(0);
         p.on_insert(1);
         p.on_insert(2);
         p.on_access(0); // order now: 1, 2, 0
-        assert_eq!(p.pick_victim(&|_| true), Some(1));
-        assert_eq!(p.pick_victim(&|s| s != 1), Some(2));
-        assert_eq!(p.pick_victim(&|_| false), None);
-        p.on_remove(1);
-        assert_eq!(p.pick_victim(&|_| true), Some(2), "vacant slots are not victims");
+        assert_eq!(p.pick_victim(), 1);
+        p.on_access(1); // order now: 2, 0, 1
+        assert_eq!(p.pick_victim(), 2);
+        p.on_remove(2);
+        assert_eq!(p.pick_victim(), 0, "vacant slots are not victims");
     }
 
     #[test]
@@ -601,27 +436,23 @@ mod tests {
         p.on_insert(1);
         p.on_insert(2);
         // First sweep clears all bits, then slot 0 is the victim.
-        assert_eq!(p.pick_victim(&|_| true), Some(0));
+        assert_eq!(p.pick_victim(), 0);
         // Re-reference slot 1: the hand (at 1) clears it and takes slot 2.
         p.on_access(1);
-        assert_eq!(p.pick_victim(&|_| true), Some(2));
-        assert_eq!(p.pick_victim(&|_| false), None, "all pinned: no victim");
+        assert_eq!(p.pick_victim(), 2);
     }
 
     #[test]
-    fn pool_core_tracks_residency_dirt_and_pins() {
-        let budget = crate::MemoryBudget::new(4);
-        let reservation = budget.reserve(2).unwrap();
-        let mut pc = PoolCore::new(reservation, 64, CachePolicy::Lru.build(2), WriteMode::Back);
+    fn pool_core_tracks_residency_and_dirt() {
+        let mut pc = PoolCore::new(2, 64, CachePolicy::Lru.build(2), WriteMode::Back);
         assert_eq!(pc.capacity(), 2);
         assert_eq!(pc.resident(), 0);
-        assert_eq!(budget.used_frames(), 2, "pool frames stay reserved");
 
-        let SlotAcquire::Free(s0) = pc.acquire_plan().unwrap() else {
+        let SlotAcquire::Free(s0) = pc.acquire_plan() else {
             panic!("first acquire must find a free slot")
         };
         pc.install(s0, 10);
-        let SlotAcquire::Free(s1) = pc.acquire_plan().unwrap() else {
+        let SlotAcquire::Free(s1) = pc.acquire_plan() else {
             panic!("second acquire must find a free slot")
         };
         pc.install(s1, 20);
@@ -634,32 +465,24 @@ mod tests {
         assert_eq!(pc.dirty_of(s1), Some((16, IoCat::RunWrite)));
         assert_eq!(pc.dirty_slots_in_block_order(), vec![s1]);
 
-        // Full pool: the next acquire plans an eviction; block 20 was touched
-        // more recently via mark-free lookup of 10 above, so 20 is *not* LRU.
-        match pc.acquire_plan().unwrap() {
-            SlotAcquire::Evict { block, .. } => assert_eq!(block, 20, "10 was re-accessed"),
+        // Full pool: the next acquire plans an eviction; block 10 was
+        // re-accessed by the lookup above, so 20 is the LRU victim, and the
+        // plan carries its writeback obligation.
+        match pc.acquire_plan() {
+            SlotAcquire::Evict { slot, block, dirty } => {
+                assert_eq!((slot, block), (s1, 20), "10 was re-accessed");
+                assert_eq!(dirty, Some((16, IoCat::RunWrite)));
+            }
             SlotAcquire::Free(_) => panic!("pool is full"),
         }
 
-        // Pins exclude a frame from eviction and block invalidation.
-        pc.pin(s1);
-        match pc.acquire_plan().unwrap() {
-            SlotAcquire::Evict { block, .. } => assert_eq!(block, 10),
-            SlotAcquire::Free(_) => panic!("pool is full"),
-        }
-        assert!(matches!(pc.invalidate(20), Err(ExtError::FramePinned { block: 20 })));
-        assert_eq!(pc.first_pinned_block(), Some(20));
-        pc.unpin_block(20);
-        pc.invalidate(20).unwrap();
+        // Invalidation drops a frame without a writeback and frees its slot.
+        pc.invalidate(20);
         assert_eq!(pc.resident(), 1);
-
-        // With every remaining frame pinned, acquire fails loudly.
-        let s = pc.peek(10).unwrap();
-        pc.pin(s);
-        // One slot free (from the invalidation) -- consume it first.
-        let SlotAcquire::Free(f) = pc.acquire_plan().unwrap() else { panic!("free slot") };
-        pc.install(f, 30);
-        pc.pin(f);
-        assert!(matches!(pc.acquire_plan(), Err(ExtError::AllFramesPinned { frames: 2 })));
+        assert!(pc.dirty_slots_in_block_order().is_empty());
+        assert!(matches!(pc.acquire_plan(), SlotAcquire::Free(s) if s == s1));
+        pc.install(s1, 30);
+        pc.purge_all();
+        assert_eq!(pc.resident(), 0);
     }
 }

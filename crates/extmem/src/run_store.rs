@@ -452,9 +452,7 @@ mod tests {
     #[test]
     fn warm_pool_serves_run_rereads_without_physical_io() {
         let disk = Disk::new_mem(32);
-        let cache_budget = MemoryBudget::new(8);
-        disk.enable_cache(&cache_budget, 8, crate::CachePolicy::Clock, crate::WriteMode::Back)
-            .unwrap();
+        disk.enable_cache(8, crate::CachePolicy::Clock, crate::WriteMode::Back);
         let budget = MemoryBudget::new(8);
         let store = RunStore::new(disk.clone());
         let mut w = store.create(&budget, IoCat::RunWrite).unwrap();

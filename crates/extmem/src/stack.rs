@@ -436,10 +436,7 @@ mod tests {
         let plain = Disk::new_mem(16);
         run(&plain);
         let cached = Disk::new_mem(16);
-        let cache_budget = MemoryBudget::new(4);
-        cached
-            .enable_cache(&cache_budget, 4, crate::CachePolicy::Lru, crate::WriteMode::Through)
-            .unwrap();
+        cached.enable_cache(4, crate::CachePolicy::Lru, crate::WriteMode::Through);
         run(&cached);
         let p = plain.stats().snapshot();
         let c = cached.stats().snapshot();

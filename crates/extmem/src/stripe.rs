@@ -38,8 +38,7 @@ impl StripedDevice {
         // Reopened inner devices may already hold blocks; the global count
         // must cover their highest mapped id (local id `nb-1` of device `d`
         // maps to `(nb-1) * n + d`), or a reattached stack would treat
-        // preexisting blocks as out of bounds (and the shadow sanitizer
-        // would refuse to grandfather them).
+        // preexisting blocks as out of bounds.
         let n = inners.len() as u64;
         let num_blocks = inners
             .iter()
@@ -105,20 +104,9 @@ impl BlockDevice for StripedDevice {
         self.inners[d].write(local, data).map_err(|e| self.globalize(e, id))
     }
 
-    fn live_blocks(&self) -> Vec<u64> {
-        // Union of the inner devices' live sets, each local id mapped back
-        // to its global id (the inverse of `split`), in ascending order.
-        let n = self.inners.len() as u64;
-        let mut all: Vec<u64> = self
-            .inners
-            .iter()
-            .enumerate()
-            .flat_map(|(d, dev)| {
-                dev.live_blocks().into_iter().map(move |local| local * n + d as u64)
-            })
-            .collect();
-        all.sort_unstable();
-        all
+    fn is_live(&self, id: u64) -> bool {
+        let (d, local) = self.split(id);
+        self.inners[d].is_live(local)
     }
 }
 

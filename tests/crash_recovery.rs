@@ -10,8 +10,9 @@
 //!    merges plus the journal-committed passes it skipped equal the
 //!    uninterrupted run's pass count, and the resume's scratch I/O never
 //!    exceeds the full sort's;
-//! 3. the shadow-state sanitizer stays clean across crash -> recover ->
-//!    resume (recovery's purge must reconcile, not bypass, the shadow);
+//! 3. the disk's liveness check stays clean across crash -> recover ->
+//!    resume (no transfer touches a block recovery freed or never
+//!    allocated);
 //! 4. a corrupted journal surfaces as a structured `ExtError`, never as a
 //!    silent wrong resume.
 
@@ -290,10 +291,10 @@ fn standard_mode_crash_resume_restarts_and_matches() {
 }
 
 #[test]
-fn shadow_sanitizer_stays_clean_across_crash_and_resume() {
-    // The sanitizer's shadow image must survive recovery: purge_volatile and
-    // the journal replay touch blocks outside the normal read/write path,
-    // and any bookkeeping slip shows up as a ShadowViolation here.
+fn liveness_check_stays_clean_across_crash_and_resume() {
+    // purge_volatile, the journal replay and the free-map reconciliation
+    // touch blocks outside the normal read/write path; a transfer to a block
+    // they freed shows up as BlockNotLive here.
     let doc = flat_doc(300);
     let o = opts();
     let spec = SortSpec::by_attribute("k");
@@ -301,7 +302,6 @@ fn shadow_sanitizer_stays_clean_across_crash_and_resume() {
     let mid = base.stage_ios + (base.sort_ios - base.stage_ios) / 2;
 
     let (disk, ctl) = make_disk(4, true);
-    disk.enable_shadow();
     let input = stage(&disk, &doc);
     ctl.arm_after(mid);
     let nx = Nexsort::new(disk.clone(), o, spec).unwrap();
@@ -311,7 +311,7 @@ fn shadow_sanitizer_stays_clean_across_crash_and_resume() {
     };
     assert!(is_simulated_crash(&e), "{e}");
     ctl.thaw();
-    let resumed = nx.resume_xml_extent(&input).expect("shadow-checked resume must stay clean");
+    let resumed = nx.resume_xml_extent(&input).expect("liveness-checked resume must stay clean");
     assert_eq!(resumed.to_xml(false).unwrap(), base.xml);
 }
 

@@ -14,9 +14,9 @@
 //! 4. (property) any random set of hard faults within parity tolerance --
 //!    mirrored runs tolerate every data-block loss -- never changes output.
 //!
-//! Every disk here runs with the shadow-state sanitizer attached, so the
-//! repair path's allocate/quarantine/rewrite traffic is also audited for
-//! discipline violations.
+//! Every transfer here passes the disk's always-on liveness check, so the
+//! repair path's allocate/quarantine/rewrite traffic is also audited: a
+//! touch of a freed block fails the sort instead of passing silently.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -92,7 +92,6 @@ struct Outcome {
 
 fn run(build: &dyn Fn(&[u64]) -> Rc<Disk>, opts: &NexsortOptions, faults: &[u64]) -> Outcome {
     let disk = build(faults);
-    disk.enable_shadow();
     let input = stage_input(&disk, doc().as_bytes()).expect("stage input");
     // Flush staging's dirty frames so the trace holds the sort's alone.
     disk.cache_flush_all().expect("flush staging");

@@ -14,8 +14,8 @@
 //! - the fetched output is byte-identical to a one-shot in-process sort;
 //! - the job directory holds exactly one `job-*` entry -- no duplicates.
 //!
-//! CI runs this suite with `NEXSORT_SHADOW=1` and `NEXSORT_LOCKSAN=1`, so
-//! every run also carries the I/O shadow checker and the lock sanitizer.
+//! CI runs this suite with `NEXSORT_LOCKSAN=1`, so every run also carries
+//! the lock sanitizer; the disk's block liveness check is always on.
 
 use std::path::{Path, PathBuf};
 

@@ -12,8 +12,8 @@
 //!    to identical output; a daemon dying mid-pq redoes the script
 //!    deterministically. Both are modeled by the per-job crash hook.
 //!
-//! CI runs this suite with `NEXSORT_SHADOW=1`, so every device stack
-//! carries the shadow-state I/O sanitizer.
+//! Every device stack checks block liveness on each transfer (always on),
+//! so an operator that touches a freed block fails.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

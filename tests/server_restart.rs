@@ -11,8 +11,8 @@
 //!    its write-ahead journal to byte-identical output -- without redoing
 //!    any committed merge pass.
 //!
-//! CI runs this suite with `NEXSORT_SHADOW=1`, so every device stack the
-//! workers build carries the shadow-state I/O sanitizer.
+//! Every device stack the workers build checks block liveness on each
+//! transfer (always on), so a resume that touches a freed block fails.
 
 use std::path::PathBuf;
 use std::time::Duration;
