@@ -10,8 +10,8 @@ use nexsort_extmem::{
     ByteReader, Disk, Extent, ExtentReader, IoCat, MemoryBudget, SliceReader, STREAM_BUF,
 };
 use nexsort_xml::{
-    EncodedPath, EventSource, KeyValue, PathedRec, Rec, RecBuilder, RecDecoder, Result, SortSpec,
-    TagDict, XmlError, XmlParser,
+    EncodedPath, PathedRec, Rec, RecBuilder, RecDecoder, RecKind, Result, SortSpec, TagDict,
+    XmlError, XmlParser,
 };
 use std::io::{BufRead, BufReader, Read};
 use std::rc::Rc;
@@ -20,6 +20,18 @@ use std::rc::Rc;
 pub trait RecSource {
     /// The next record, or `None` at end of stream.
     fn next_rec(&mut self) -> Result<Option<Rec>>;
+
+    /// Append the next record to `out` in the [`Rec::encode`] format and
+    /// return its kind and level, or `None` at end of stream. The default
+    /// encodes [`Self::next_rec`]; a source that builds records as bytes
+    /// overrides it.
+    fn next_encoded(&mut self, out: &mut Vec<u8>) -> Result<Option<(RecKind, u32)>> {
+        let Some(rec) = self.next_rec()? else {
+            return Ok(None);
+        };
+        rec.encode(out)?;
+        Ok(Some((rec.kind(), rec.level())))
+    }
 }
 
 /// Records decoded from an extent of encoded records.
@@ -62,13 +74,14 @@ impl RecSource for ExtentRecSource {
 }
 
 /// Records produced by parsing XML text from an extent through the
-/// event-to-record builder (keys evaluated on the fly).
+/// event-to-record builder (keys evaluated on the fly). The parser's
+/// borrowed events go straight into encoded records; [`RecSource::next_rec`]
+/// decodes them for scans that want owned records.
 pub struct ParsedRecSource {
     parser: XmlParser<ExtentReader>,
     builder: RecBuilder,
     dict: TagDict,
-    queue: std::collections::VecDeque<Rec>,
-    scratch: Vec<Rec>,
+    buf: Vec<u8>,
 }
 
 impl ParsedRecSource {
@@ -85,8 +98,7 @@ impl ParsedRecSource {
             parser: XmlParser::new(reader),
             builder: RecBuilder::new(spec.clone(), compaction),
             dict: TagDict::new(),
-            queue: std::collections::VecDeque::new(),
-            scratch: Vec::new(),
+            buf: Vec::new(),
         })
     }
 
@@ -103,19 +115,23 @@ impl ParsedRecSource {
 
 impl RecSource for ParsedRecSource {
     fn next_rec(&mut self) -> Result<Option<Rec>> {
-        loop {
-            if let Some(rec) = self.queue.pop_front() {
-                return Ok(Some(rec));
-            }
-            match self.parser.next_event()? {
-                None => return Ok(None),
-                Some(ev) => {
-                    self.scratch.clear();
-                    self.builder.push_event(&ev, &mut self.dict, &mut self.scratch)?;
-                    self.queue.extend(self.scratch.drain(..));
-                }
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        let rec = match self.next_encoded(&mut buf)? {
+            Some(_) => Some(Rec::decode(&mut SliceReader::new(&buf))?.0),
+            None => None,
+        };
+        self.buf = buf;
+        Ok(rec)
+    }
+
+    fn next_encoded(&mut self, out: &mut Vec<u8>) -> Result<Option<(RecKind, u32)>> {
+        while let Some(ev) = self.parser.next_ref()? {
+            if let Some(made) = self.builder.push(&ev, &mut self.dict, out)? {
+                return Ok(Some(made));
             }
         }
+        Ok(None)
     }
 }
 
@@ -162,6 +178,8 @@ pub trait PathedSource {
 /// siblings keep document order (the sequence tiebreak).
 pub struct PathedAdapter<S: RecSource> {
     src: S,
+    /// The current record, encoded.
+    rec: Vec<u8>,
     path: EncodedPath,
     base: u32,
     depth_limit: Option<u32>,
@@ -172,7 +190,14 @@ impl<S: RecSource> PathedAdapter<S> {
     /// Adapt `src`; the first record's level defines the path base (so
     /// subtree streams with absolute levels work unchanged).
     pub fn new(src: S, depth_limit: Option<u32>) -> Self {
-        Self { src, path: EncodedPath::new(), base: 0, depth_limit, started: false }
+        Self {
+            src,
+            rec: Vec::new(),
+            path: EncodedPath::new(),
+            base: 0,
+            depth_limit,
+            started: false,
+        }
     }
 
     /// Recover the wrapped source.
@@ -183,37 +208,37 @@ impl<S: RecSource> PathedAdapter<S> {
 
 impl<S: RecSource> PathedSource for PathedAdapter<S> {
     fn next_encoded(&mut self, out: &mut Vec<u8>) -> Result<Option<usize>> {
-        let Some(rec) = self.src.next_rec()? else {
+        self.rec.clear();
+        let Some((kind, level)) = self.src.next_encoded(&mut self.rec)? else {
             return Ok(None);
         };
-        if matches!(rec, Rec::KeyPatch(_)) {
+        if kind == RecKind::KeyPatch {
             return Err(XmlError::Record(
                 "deferred keys must be resolved before key-path sorting".into(),
             ));
         }
         if !self.started {
-            self.base = rec.level().saturating_sub(1);
+            self.base = level.saturating_sub(1);
             self.started = true;
         }
-        if rec.level() <= self.base {
+        if level <= self.base {
             return Err(XmlError::Record(format!(
-                "record level {} at or below stream base {}",
-                rec.level(),
+                "record level {level} at or below stream base {}",
                 self.base
             )));
         }
-        let rel = (rec.level() - self.base) as usize;
+        let rel = (level - self.base) as usize;
         if rel > self.path.depth() + 1 {
             return Err(XmlError::Record(format!(
-                "level jump to {} (relative {rel}) in pathed stream",
-                rec.level()
+                "level jump to {level} (relative {rel}) in pathed stream"
             )));
         }
         self.path.truncate(rel - 1);
-        let masked = self.depth_limit.is_some_and(|d| rec.level() > d + 1);
-        let key = if masked { &KeyValue::Missing } else { rec.key() };
-        self.path.push(key, rec.seq())?;
-        Ok(Some(self.path.encode_with(&rec, out)?))
+        let masked = self.depth_limit.is_some_and(|d| level > d + 1);
+        self.path.push_encoded(&self.rec, masked)?;
+        let path_len = self.path.write_prefix(out)?;
+        out.extend_from_slice(&self.rec);
+        Ok(Some(path_len))
     }
 }
 
@@ -289,7 +314,7 @@ pub fn unstage(disk: &Rc<Disk>, extent: &Extent) -> nexsort_extmem::Result<Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nexsort_xml::{events_to_recs, parse_events};
+    use nexsort_xml::{events_to_recs, parse_events, KeyValue};
 
     fn setup() -> (Rc<Disk>, MemoryBudget) {
         (Disk::new_mem(64), MemoryBudget::new(16))

@@ -8,13 +8,13 @@ use std::rc::Rc;
 use nexsort::{FailureCategory, Nexsort, NexsortOptions, SortedDoc};
 use nexsort_baseline::{sort_xml_extent, stage_reader, BaselineOptions};
 use nexsort_extmem::{
-    recover, ByteSink, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent,
+    recover, ByteReader, ByteSink, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent,
     FaultInjector, FaultPlan, IoCat, IoSink, JournalRecord, PartFile, RetryPolicy, RunId, RunStore,
     ScrubReport, STREAM_BUF,
 };
 use nexsort_merge::{BatchUpdate, MergeOptions, StructuralMerge};
 use nexsort_server::{JobInput, JobOp, JobSpec};
-use nexsort_xml::{RecXmlWriter, SortSpec, XmlWriter};
+use nexsort_xml::{KeyValue, Rec, RecXmlWriter, SortSpec, XmlWriter};
 
 use crate::specarg::parse_size;
 
@@ -827,6 +827,99 @@ enum Staged {
 /// their keys are re-extracted under the current criterion so `--key`
 /// arguments always apply. XML text streams from the file onto the device
 /// through `stage_reader`'s fixed buffer, never whole in memory.
+/// `xsort check`'s test, one record at a time: the children of every
+/// element must come in ascending key order. It keeps the last sibling key
+/// per level and the levels of open elements whose key is deferred (text
+/// or child-path rules); a deferred key is compared when its `KeyPatch`
+/// arrives, or as `Missing` when its element closes without one. Memory is
+/// O(height), whatever the document's size.
+struct SiblingCheck<'a> {
+    spec: &'a SortSpec,
+    depth_limit: Option<u32>,
+    last: Vec<Option<KeyValue>>,
+    deferred: Vec<u32>,
+    records: u64,
+}
+
+impl<'a> SiblingCheck<'a> {
+    fn new(spec: &'a SortSpec, depth_limit: Option<u32>) -> Self {
+        Self { spec, depth_limit, last: Vec::new(), deferred: Vec::new(), records: 0 }
+    }
+
+    /// Parse XML text from `src` and check its records as they are built.
+    fn scan_xml(&mut self, src: impl ByteReader) -> Result<(), CliError> {
+        let mut parser = nexsort_xml::XmlParser::new(src);
+        let mut builder = nexsort_xml::RecBuilder::new(self.spec.clone(), true);
+        let mut dict = nexsort_xml::TagDict::new();
+        let mut buf = Vec::new();
+        while let Some(ev) = parser.next_ref().map_err(xml_err)? {
+            buf.clear();
+            if builder.push(&ev, &mut dict, &mut buf).map_err(xml_err)?.is_some() {
+                let mut enc = nexsort_extmem::SliceReader::new(&buf);
+                let (rec, _) = Rec::decode(&mut enc).map_err(xml_err)?;
+                self.push(rec, &dict)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn push(&mut self, rec: Rec, dict: &nexsort_xml::TagDict) -> Result<(), CliError> {
+        let level = rec.level();
+        // The record closes every open element deeper than its parent; a
+        // patch belongs to the element at its own level.
+        let parent = if matches!(rec, Rec::KeyPatch(_)) { level } else { level.saturating_sub(1) };
+        while let Some(&open) = self.deferred.last().filter(|&&l| l > parent) {
+            self.deferred.pop();
+            self.compare(open, KeyValue::Missing)?;
+        }
+        if let Rec::KeyPatch(p) = rec {
+            if self.deferred.pop() != Some(level) {
+                return Err(format!("key patch at level {level} has no open element").into());
+            }
+            return self.compare(level, p.key);
+        }
+        self.records += 1;
+        self.last.truncate(level as usize);
+        let deferred = match &rec {
+            Rec::Elem(e) => {
+                self.spec.rule_for(e.name.resolve(dict).map_err(xml_err)?).source.is_deferred()
+            }
+            _ => false,
+        };
+        if deferred {
+            self.deferred.push(level);
+            return Ok(());
+        }
+        self.compare(level, rec.key().clone())
+    }
+
+    /// Compare `key` with the last sibling key at `level`, then record it.
+    fn compare(&mut self, level: u32, key: KeyValue) -> Result<(), CliError> {
+        let at = level as usize;
+        if self.last.len() < at {
+            self.last.resize(at, None);
+        }
+        let within = self.depth_limit.is_none_or(|d| level <= d + 1);
+        if let (true, Some(prev)) = (within, &self.last[at - 1]) {
+            if *prev > key {
+                return Err(
+                    format!("NOT SORTED: level {level} key {key} appears after {prev}").into()
+                );
+            }
+        }
+        self.last[at - 1] = Some(key);
+        Ok(())
+    }
+
+    /// Settle the keys still deferred at the end; the record count.
+    fn finish(mut self) -> Result<u64, CliError> {
+        while let Some(open) = self.deferred.pop() {
+            self.compare(open, KeyValue::Missing)?;
+        }
+        Ok(self.records)
+    }
+}
+
 fn load(cli: &Cli, disk: &Rc<Disk>, path: &Path) -> Result<Staged, String> {
     let cannot_read = |e: std::io::Error| format!("cannot read {path:?}: {e}");
     let mut file = File::open(path).map_err(cannot_read)?;
@@ -1320,46 +1413,33 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
             })
         }
         Command::Check { input } => {
-            let bytes = std::fs::read(input).map_err(|e| format!("cannot read {input:?}: {e}"))?;
-            let recs = if nexsort_xml::is_xrec(&bytes) {
+            let cannot_read = |e: std::io::Error| format!("cannot read {input:?}: {e}");
+            let mut file = File::open(input).map_err(cannot_read)?;
+            let meta = file.metadata().map_err(cannot_read)?;
+            let mut bytes = nexsort_xml::read_head(&mut file).map_err(cannot_read)?;
+            let mut check = SiblingCheck::new(&cli.spec, cli.job.depth_limit);
+            if nexsort_xml::is_xrec(&bytes) {
+                file.read_to_end(&mut bytes).map_err(cannot_read)?;
                 let mut src = nexsort_extmem::SliceReader::new(&bytes);
                 let (dict, recs, _flags) = nexsort_xml::read_xrec(&mut src).map_err(xml_err)?;
                 let events = nexsort_xml::recs_to_events(&recs, &dict).map_err(xml_err)?;
                 let mut new_dict = nexsort_xml::TagDict::new();
-                nexsort_xml::events_to_recs(&events, &cli.spec, &mut new_dict, true)
-                    .map_err(xml_err)?
+                let recs = nexsort_xml::events_to_recs(&events, &cli.spec, &mut new_dict, true)
+                    .map_err(xml_err)?;
+                for rec in recs {
+                    check.push(rec, &new_dict)?;
+                }
+            } else if meta.is_file() {
+                let src = nexsort_extmem::IoSource::new(bytes.as_slice().chain(file), meta.len());
+                check.scan_xml(src)?;
             } else {
-                let events = nexsort_xml::parse_events(&bytes).map_err(xml_err)?;
-                let mut dict = nexsort_xml::TagDict::new();
-                nexsort_xml::events_to_recs(&events, &cli.spec, &mut dict, true).map_err(xml_err)?
-            };
-            let recs = nexsort_xml::apply_patches(recs).map_err(xml_err)?;
-            // O(height) streaming check: last sibling key per level.
-            let mut last: Vec<Option<nexsort_xml::KeyValue>> = Vec::new();
-            for rec in &recs {
-                let lvl = rec.level() as usize;
-                last.truncate(lvl);
-                while last.len() < lvl {
-                    last.push(None);
-                }
-                let within = cli.job.depth_limit.is_none_or(|d| rec.level() <= d + 1);
-                if within {
-                    if let Some(Some(prev)) = last.get(lvl - 1) {
-                        if prev > rec.key() {
-                            return Err(format!(
-                                "NOT SORTED: level {} key {} appears after {}",
-                                rec.level(),
-                                rec.key(),
-                                prev
-                            )
-                            .into());
-                        }
-                    }
-                }
-                last[lvl - 1] = Some(rec.key().clone());
+                // A pipe or device has no length up front: read it whole.
+                file.read_to_end(&mut bytes).map_err(cannot_read)?;
+                check.scan_xml(nexsort_extmem::SliceReader::new(&bytes))?;
             }
+            let records = check.finish()?;
             if cli.stats {
-                eprintln!("check: {} records, fully sorted", recs.len());
+                eprintln!("check: {records} records, fully sorted");
             }
             Ok(())
         }

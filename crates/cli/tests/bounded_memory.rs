@@ -5,8 +5,10 @@
 //! a buffered writer. What stays resident is then `M` frames, O(depth)
 //! open-tag names and two 64 KiB stream buffers, so a document 8 times
 //! larger must not raise the peak resident set by more than a small
-//! constant. Peak RSS is read the way the benchmark reads it: by polling
-//! `VmHWM` in `/proc/<pid>/status` while the child runs.
+//! constant. `xsort check` streams the sorted documents back through the
+//! parser and must hold as little. Peak RSS is read the way the benchmark
+//! reads it: by polling `VmHWM` in `/proc/<pid>/status` while the child
+//! runs.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -85,6 +87,22 @@ fn peak_rss_does_not_grow_with_the_document_on_a_file_device() {
         growth < MAX_GROWTH_KB,
         "peak RSS grew by {growth} KiB ({hwm_1x} -> {hwm_8x}) for an 8x larger document; \
          the bound is {MAX_GROWTH_KB} KiB"
+    );
+
+    // `check` streams its input as well: checking the sorted 8x document
+    // holds no more than checking the 1x one.
+    let check = |doc: &Path| {
+        let mut cmd = Command::new(XSORT);
+        cmd.arg("check").arg(doc).args(["--default", "@k"]);
+        peak_kb(cmd)
+    };
+    let check_1x = check(&dir.join("1x.out.xml"));
+    let check_8x = check(&dir.join("8x.out.xml"));
+    let growth = check_8x.saturating_sub(check_1x);
+    assert!(
+        growth < MAX_GROWTH_KB,
+        "check's peak RSS grew by {growth} KiB ({check_1x} -> {check_8x}) for an 8x larger \
+         document; the bound is {MAX_GROWTH_KB} KiB"
     );
 
     // The streamed output is the in-memory device's output, byte for byte.

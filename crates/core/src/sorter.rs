@@ -18,7 +18,7 @@ use nexsort_extmem::{
     recover, Disk, ExtStack, Extent, IoCat, IoPhase, Journal, JournalRecord, MemoryBudget,
     RecoveredState, RunId, RunStore,
 };
-use nexsort_xml::{Rec, Result, SortSpec, TagDict, XmlError};
+use nexsort_xml::{Rec, RecKind, Result, SortSpec, TagDict, XmlError};
 
 use crate::checkpoint::{journal_stats, restore_report, seal_records};
 use crate::failure::SortFailure;
@@ -392,17 +392,21 @@ impl Nexsort {
             Ok(())
         };
 
-        while let Some(rec) = src.next_rec()? {
-            let lvl = rec.level();
+        // Records arrive encoded and go onto the data stack as they are.
+        loop {
+            buf.clear();
+            let Some((kind, lvl)) = src.next_encoded(&mut buf)? else {
+                break;
+            };
             // An arriving record at level L closes every open element at
             // level >= L; a key patch belongs to the element at its own
             // level, so it only closes deeper ones.
-            let close_to = if matches!(rec, Rec::KeyPatch(_)) { lvl + 1 } else { lvl };
+            let close_to = if kind == RecKind::KeyPatch { lvl + 1 } else { lvl };
             while child_counts.len() as u32 >= close_to {
                 close_top(&mut data, &mut path, &mut child_counts, &mut report, &mut root_run)?;
             }
-            match &rec {
-                Rec::Elem(_) => {
+            match kind {
+                RecKind::Elem => {
                     if lvl as usize != child_counts.len() + 1 {
                         return Err(XmlError::Record(format!(
                             "level jump: element at level {lvl} under {} open elements",
@@ -418,7 +422,7 @@ impl Nexsort {
                     path.push_u64(data.len())?;
                     child_counts.push(0);
                 }
-                Rec::Text(_) | Rec::RunPtr(_) => {
+                RecKind::Text | RecKind::RunPtr => {
                     if lvl as usize != child_counts.len() + 1 || child_counts.is_empty() {
                         return Err(XmlError::Record(format!(
                             "level jump: leaf record at level {lvl} under {} open elements",
@@ -429,7 +433,7 @@ impl Nexsort {
                         *count += 1;
                     }
                 }
-                Rec::KeyPatch(_) => {
+                RecKind::KeyPatch => {
                     if lvl as usize != child_counts.len() {
                         return Err(XmlError::Record(format!(
                             "key patch at level {lvl} with {} open elements",
@@ -438,12 +442,10 @@ impl Nexsort {
                     }
                 }
             }
-            if !matches!(rec, Rec::KeyPatch(_)) {
+            if kind != RecKind::KeyPatch {
                 report.n_records += 1;
                 report.max_level = report.max_level.max(lvl);
             }
-            buf.clear();
-            rec.encode(&mut buf)?;
             report.input_bytes += buf.len() as u64;
             data.push(&buf)?;
         }

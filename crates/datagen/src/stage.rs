@@ -68,20 +68,15 @@ pub fn stage_as_recs(
         let mut w = ExtentWriter::new(disk.clone(), budget, IoCat::SortScratch)?;
         let mut builder = RecBuilder::new(spec.clone(), compaction);
         let mut dict = TagDict::new();
-        let mut recs = Vec::new();
         let mut buf = Vec::new();
         let mut n_elements = 0u64;
         while let Some(ev) = gen.next_event()? {
             if matches!(ev, Event::Start { .. }) {
                 n_elements += 1;
             }
-            recs.clear();
-            builder.push_event(&ev, &mut dict, &mut recs)?;
-            for r in &recs {
-                buf.clear();
-                r.encode(&mut buf)?;
-                w.write_all(&buf)?;
-            }
+            buf.clear();
+            builder.push(&ev.view(), &mut dict, &mut buf)?;
+            w.write_all(&buf)?;
         }
         let extent = w.finish()?;
         let bytes = extent.len();

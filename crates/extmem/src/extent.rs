@@ -117,6 +117,13 @@ pub trait ByteReader {
         let _ = n;
     }
 
+    /// Make [`Self::resident`] non-empty if bytes remain, loading the next
+    /// frame exactly as the next read would (same transfer, same charge).
+    /// A no-op for readers that keep no window.
+    fn fill(&mut self) -> Result<()> {
+        Ok(())
+    }
+
     /// Read a little-endian `u32`.
     fn read_u32(&mut self) -> Result<u32> {
         let mut b = [0u8; 4];
@@ -151,6 +158,10 @@ impl<R: ByteReader + ?Sized> ByteReader for &mut R {
 
     fn consume(&mut self, n: usize) {
         (**self).consume(n)
+    }
+
+    fn fill(&mut self) -> Result<()> {
+        (**self).fill()
     }
 }
 
@@ -210,6 +221,79 @@ impl<W: std::io::Write> ByteSink for IoSink<W> {
 /// Bytes a stream of a whole document (staging its input, writing its
 /// output) holds in memory at a time.
 pub const STREAM_BUF: usize = 64 * 1024;
+
+/// A [`ByteReader`] over any [`std::io::Read`] of known length (a file):
+/// one [`STREAM_BUF`] window, refilled by [`ByteReader::fill`], so a
+/// streaming consumer holds at most that much of the input. Input that
+/// ends before `len` bytes is an [`ExtError::UnexpectedEof`]; OS errors
+/// surface as [`ExtError::Io`].
+pub struct IoSource<R: std::io::Read> {
+    src: R,
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Bytes not yet read from `src`.
+    unread: u64,
+}
+
+impl<R: std::io::Read> IoSource<R> {
+    /// Read the `len` bytes `src` holds.
+    pub fn new(src: R, len: u64) -> Self {
+        Self { src, buf: Vec::new(), start: 0, end: 0, unread: len }
+    }
+}
+
+impl<R: std::io::Read> ByteReader for IoSource<R> {
+    fn read_exact(&mut self, mut out: &mut [u8]) -> Result<()> {
+        let available = self.remaining();
+        if out.len() as u64 > available {
+            return Err(ExtError::UnexpectedEof {
+                wanted: out.len(),
+                available: available as usize,
+            });
+        }
+        while !out.is_empty() {
+            self.fill()?;
+            let w = self.resident();
+            let take = w.len().min(out.len());
+            out[..take].copy_from_slice(&w[..take]);
+            self.start += take;
+            out = &mut out[take..];
+        }
+        Ok(())
+    }
+
+    fn remaining(&self) -> u64 {
+        (self.end - self.start) as u64 + self.unread
+    }
+
+    fn resident(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.start += n.min(self.end - self.start);
+    }
+
+    fn fill(&mut self) -> Result<()> {
+        if self.start < self.end || self.unread == 0 {
+            return Ok(());
+        }
+        let want = STREAM_BUF.min(usize::try_from(self.unread).unwrap_or(STREAM_BUF));
+        self.buf.resize(want, 0);
+        let n = loop {
+            match self.src.read(&mut self.buf[..want]) {
+                Ok(0) => return Err(ExtError::UnexpectedEof { wanted: want, available: 0 }),
+                Ok(n) => break n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            }
+        };
+        (self.start, self.end) = (0, n);
+        self.unread -= n as u64;
+        Ok(())
+    }
+}
 
 /// An output file that appears at its path only once it is complete. Bytes
 /// go through a [`STREAM_BUF`] buffer into `PATH.part`; [`PartFile::commit`]
@@ -483,6 +567,13 @@ impl ByteReader for ExtentReader {
         self.pos += n.min(self.resident().len()) as u64;
     }
 
+    fn fill(&mut self) -> Result<()> {
+        if self.pos < self.len && self.resident().is_empty() {
+            self.load((self.pos / self.disk.block_size() as u64) as usize)?;
+        }
+        Ok(())
+    }
+
     fn read_exact(&mut self, buf: &mut [u8]) -> Result<()> {
         let available = (self.len - self.pos) as usize;
         if buf.len() > available {
@@ -635,6 +726,62 @@ mod tests {
         r.seek(97);
         assert_eq!(r.read_u8().unwrap(), 97);
         assert_eq!(disk.stats().reads(IoCat::SortScratch) - before, 6);
+    }
+
+    #[test]
+    fn fill_loads_the_next_frame_as_a_read_would() {
+        let (disk, budget) = setup(16, 4);
+        let data: Vec<u8> = (0..40u8).collect();
+        let ext = build_extent(&disk, &budget, &data);
+        let before = disk.stats().reads(IoCat::SortScratch);
+        let mut r = ExtentReader::new(disk.clone(), &budget, &ext, IoCat::SortScratch).unwrap();
+        let mut windows = Vec::new();
+        loop {
+            r.fill().unwrap();
+            let w = r.resident().to_vec();
+            if w.is_empty() {
+                break;
+            }
+            r.consume(w.len());
+            windows.push(w);
+        }
+        assert_eq!(windows, vec![&data[..16], &data[16..32], &data[32..]]);
+        assert_eq!(disk.stats().reads(IoCat::SortScratch) - before, 3, "one load per block");
+        r.fill().unwrap();
+        assert_eq!(disk.stats().reads(IoCat::SortScratch) - before, 3, "no load at the end");
+    }
+
+    #[test]
+    fn io_source_streams_any_reader_through_one_window() {
+        /// Yields at most 5 bytes per read, interrupted before every other.
+        struct Trickle<'a>(&'a [u8], bool);
+        impl std::io::Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.1 = !self.1;
+                if self.1 {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                let n = buf.len().min(5).min(self.0.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let data: Vec<u8> = (0..=255u8).collect();
+        let mut r = IoSource::new(Trickle(&data, false), data.len() as u64);
+        assert_eq!(r.read_u8().unwrap(), 0);
+        let mut got = vec![0u8; 100];
+        r.read_exact(&mut got).unwrap();
+        assert_eq!(got, &data[1..101]);
+        r.fill().unwrap();
+        assert!(!r.resident().is_empty());
+        let mut rest = vec![0u8; r.remaining() as usize];
+        r.read_exact(&mut rest).unwrap();
+        assert_eq!(rest, &data[101..]);
+        assert_eq!(r.remaining(), 0);
+        // A stream shorter than its declared length is an EOF error.
+        let mut short = IoSource::new(Trickle(&data[..3], false), 10);
+        assert!(short.read_exact(&mut [0u8; 10]).is_err());
     }
 
     #[test]

@@ -76,8 +76,8 @@ pub use build::{BuildError, DiskBuilder, DiskStack};
 pub use device::{BlockDevice, Disk, FileDevice, MemDevice, TraceEntry};
 pub use error::{ExtError, Result};
 pub use extent::{
-    ByteReader, ByteSink, Extent, ExtentReader, ExtentRevCursor, ExtentWriter, IoSink, PartFile,
-    SliceReader, STREAM_BUF,
+    ByteReader, ByteSink, Extent, ExtentReader, ExtentRevCursor, ExtentWriter, IoSink, IoSource,
+    PartFile, SliceReader, STREAM_BUF,
 };
 pub use fault::{
     ChecksummedDevice, CrashController, CrashDevice, CrashPlan, DeviceHealth, DiskFailure,

@@ -34,7 +34,7 @@ pub const BLOCKING_SEEDS: &[&str] = &[
 
 /// Calls that publish a durability point. Holding a lock guard across one
 /// couples an in-memory critical section to device flushing (R14).
-pub const BARRIER_SEEDS: &[&str] = &["checkpoint", "cache_flush", "cache_flush_all"];
+pub const BARRIER_SEEDS: &[&str] = &["checkpoint", "cache_flush_all"];
 
 /// Name-merging cutoff: a function name defined more than this many times
 /// across the scanned set is a *hub* (`new`, `default`, `fmt`, ...).

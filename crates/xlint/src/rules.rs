@@ -87,7 +87,7 @@ pub const RULES: &[(&str, &str, &str)] = &[
     (
         "R14",
         "no guard across barriers",
-        "arbiter and core lock guards are never held across checkpoint or cache_flush, even \
+        "arbiter and core lock guards are never held across checkpoint or cache_flush_all, even \
          transitively: critical sections stay memory-only and never couple to \
          device flushing",
     ),
@@ -532,7 +532,7 @@ fn rule_r14(
                         "R14",
                         format!(
                             "`{callee}` may reach a durability barrier (checkpoint/\
-                             cache_flush) while {} is held",
+                             cache_flush_all) while {} is held",
                             class.describe()
                         ),
                     );

@@ -453,16 +453,79 @@ impl EncodedPath {
         Ok(())
     }
 
-    /// Append the encoded `(path, rec)` pair -- `uvarint(depth) ‖
-    /// components ‖ rec`, the [`PathedRec`](crate::PathedRec) format -- to
-    /// `out`. Returns the path prefix's length.
-    pub fn encode_with(&self, rec: &Rec, out: &mut Vec<u8>) -> Result<usize> {
+    /// Append the component of an encoded element, text or pointer record
+    /// (the [`Rec::encode`] format): its key bytes as they are (the
+    /// `Missing` key instead when `masked`) and its sequence number.
+    pub fn push_encoded(&mut self, rec: &[u8], masked: bool) -> Result<()> {
+        let (key, seq) = rec_key_seq(rec)?;
+        self.comps.extend_from_slice(if masked { &[0] } else { key });
+        write_uvarint(&mut self.comps, seq)?;
+        self.ends.push(self.comps.len());
+        Ok(())
+    }
+
+    /// Append the path prefix of a `(path, rec)` pair -- `uvarint(depth) ‖
+    /// components`, the [`PathedRec`](crate::PathedRec) format -- to `out`,
+    /// returning its length; the encoded record goes right after it.
+    pub fn write_prefix(&self, out: &mut Vec<u8>) -> Result<usize> {
         let start = out.len();
         write_uvarint(out, self.ends.len() as u64)?;
         out.extend_from_slice(&self.comps);
-        let path_len = out.len() - start;
+        Ok(out.len() - start)
+    }
+
+    /// Append the encoded `(path, rec)` pair to `out`. Returns the path
+    /// prefix's length.
+    pub fn encode_with(&self, rec: &Rec, out: &mut Vec<u8>) -> Result<usize> {
+        let path_len = self.write_prefix(out)?;
         rec.encode(out)?;
         Ok(path_len)
+    }
+}
+
+/// The key bytes and sequence number of an encoded element, text or
+/// pointer record this crate wrote.
+fn rec_key_seq(rec: &[u8]) -> Result<(&[u8], u64)> {
+    let mut c = Cursor::new(rec);
+    let kind = c.u8();
+    c.uvarint(); // level
+    let skip_name = |c: &mut Cursor<'_>| match c.u8() {
+        0 => {
+            c.uvarint();
+        }
+        _ => {
+            let len = c.uvarint();
+            c.take(len);
+        }
+    };
+    match kind {
+        KIND_ELEM => {
+            skip_name(&mut c);
+            for _ in 0..c.uvarint() {
+                if c.exhausted() {
+                    break;
+                }
+                skip_name(&mut c);
+                let len = c.uvarint();
+                c.take(len);
+            }
+        }
+        KIND_TEXT => {
+            let len = c.uvarint();
+            c.take(len);
+        }
+        KIND_PTR => {
+            c.uvarint(); // run
+        }
+        k => return Err(XmlError::Record(format!("record kind {k} has no path component"))),
+    }
+    let start = c.pos;
+    c.skip_key();
+    let end = c.pos;
+    let seq = c.uvarint();
+    match rec.get(start..end) {
+        Some(key) if !c.exhausted() => Ok((key, seq)),
+        _ => Err(XmlError::Record("truncated record".into())),
     }
 }
 
@@ -663,6 +726,30 @@ mod tests {
             let item = PathedBytes { bytes: out, path_len };
             prop_assert_eq!(item.level(), 1);
             prop_assert!(!item.is_run_ptr());
+        }
+    }
+
+    #[test]
+    fn a_component_from_record_bytes_equals_one_from_the_record() {
+        for p in sample() {
+            let mut plain = Vec::new();
+            p.rec.encode(&mut plain).unwrap();
+            let mut from_bytes = EncodedPath::new();
+            if let Rec::KeyPatch(_) = p.rec {
+                assert!(from_bytes.push_encoded(&plain, false).is_err());
+                continue;
+            }
+            let mut from_rec = EncodedPath::new();
+            for masked in [false, true] {
+                from_bytes.push_encoded(&plain, masked).unwrap();
+                let key = if masked { &KeyValue::Missing } else { p.rec.key() };
+                from_rec.push(key, p.rec.seq()).unwrap();
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            from_bytes.write_prefix(&mut a).unwrap();
+            from_rec.write_prefix(&mut b).unwrap();
+            assert_eq!(a, b);
+            assert!(from_bytes.push_encoded(&plain[..plain.len() - 5], false).is_err());
         }
     }
 

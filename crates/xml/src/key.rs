@@ -12,6 +12,8 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use crate::event::Attrs;
+
 /// A sort key value, with a total order:
 /// `Missing < Num(_) < Bytes(_) < Desc(_) < Tuple(_)`.
 ///
@@ -34,17 +36,43 @@ pub enum KeyValue {
     Tuple(Vec<KeyValue>),
 }
 
+/// `raw` as a number, if the key type compares it as one.
+fn numeric(raw: &[u8], ty: KeyType) -> Option<i64> {
+    match ty {
+        KeyType::Bytes => None,
+        KeyType::Numeric => std::str::from_utf8(raw).ok().and_then(|s| s.trim().parse().ok()),
+    }
+}
+
 impl KeyValue {
     /// Build a key from raw bytes under the given [`KeyType`]. Numeric keys
     /// fall back to byte comparison when the value does not parse.
     pub fn from_bytes(raw: &[u8], ty: KeyType) -> KeyValue {
-        match ty {
-            KeyType::Bytes => KeyValue::Bytes(raw.to_vec()),
-            KeyType::Numeric => {
-                match std::str::from_utf8(raw).ok().and_then(|s| s.trim().parse().ok()) {
-                    Some(n) => KeyValue::Num(n),
-                    None => KeyValue::Bytes(raw.to_vec()),
-                }
+        match numeric(raw, ty) {
+            Some(n) => KeyValue::Num(n),
+            None => KeyValue::Bytes(raw.to_vec()),
+        }
+    }
+
+    /// Append the encoding of `KeyValue::from_bytes(raw, ty)`, oriented by
+    /// `descending` as [`KeyRule::oriented`] does, without building it.
+    pub(crate) fn encode_from_bytes(
+        raw: &[u8],
+        ty: KeyType,
+        descending: bool,
+        out: &mut Vec<u8>,
+    ) -> crate::error::Result<()> {
+        if descending {
+            out.push(3);
+        }
+        match numeric(raw, ty) {
+            Some(n) => {
+                out.push(1);
+                crate::varint::write_ivarint(out, n)
+            }
+            None => {
+                out.push(2);
+                crate::varint::write_bytes(out, raw)
             }
         }
     }
@@ -334,31 +362,43 @@ impl SortSpec {
             || self.per_tag.iter().any(|(_, r)| r.source.is_deferred())
     }
 
-    /// Extract the *immediately available* key for an element from its start
-    /// tag. Returns `None` for deferred sources (resolved later by a patch).
-    pub fn start_key(&self, tag: &[u8], attrs: &[(Vec<u8>, Vec<u8>)]) -> Option<KeyValue> {
-        let rule = self.rule_for(tag);
-        Self::start_key_for(rule, tag, attrs)
-    }
-
-    fn start_key_for(rule: &KeyRule, tag: &[u8], attrs: &[(Vec<u8>, Vec<u8>)]) -> Option<KeyValue> {
+    /// Append the encoding of the start-known key `rule` gives element
+    /// `tag` with `attrs`: the bytes [`KeyValue::encode`] writes for the
+    /// key [`KeyValue::from_bytes`] and [`KeyRule::oriented`] give it, built
+    /// from the borrowed attributes with no intermediate [`KeyValue`].
+    /// `rule` must not be deferred.
+    pub(crate) fn encode_start_key(
+        rule: &KeyRule,
+        tag: &[u8],
+        attrs: &Attrs<'_>,
+        out: &mut Vec<u8>,
+    ) -> crate::error::Result<()> {
         let raw = match &rule.source {
-            KeySource::DocOrder => KeyValue::Missing,
-            KeySource::TagName => KeyValue::from_bytes(tag, rule.ty),
-            KeySource::Attribute(name) => attrs
-                .iter()
-                .find(|(k, _)| k == name)
-                .map_or(KeyValue::Missing, |(_, v)| KeyValue::from_bytes(v, rule.ty)),
+            KeySource::DocOrder => None,
+            KeySource::TagName => Some(tag),
+            KeySource::Attribute(name) => attrs.get(name),
             KeySource::Composite(rules) => {
-                let mut parts = Vec::with_capacity(rules.len());
-                for r in rules {
-                    parts.push(Self::start_key_for(r, tag, attrs)?);
+                if rule.descending {
+                    out.push(3);
                 }
-                KeyValue::Tuple(parts)
+                out.push(4);
+                crate::varint::write_uvarint(out, rules.len() as u64)?;
+                for r in rules {
+                    Self::encode_start_key(r, tag, attrs, out)?;
+                }
+                return Ok(());
             }
-            KeySource::Text | KeySource::ChildPath(_) => return None,
+            KeySource::Text | KeySource::ChildPath(_) => {
+                unreachable!("deferred rules have no start key")
+            }
         };
-        Some(rule.oriented(raw))
+        match raw {
+            Some(raw) => KeyValue::encode_from_bytes(raw, rule.ty, rule.descending, out),
+            None => {
+                out.push(0);
+                Ok(())
+            }
+        }
     }
 
     /// Check structural restrictions: composite rules may not contain

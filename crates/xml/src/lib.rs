@@ -15,6 +15,8 @@ mod error;
 mod event;
 mod key;
 mod keypath;
+#[cfg(test)]
+mod oracle;
 mod parser;
 mod rec;
 mod recstream;
@@ -27,11 +29,11 @@ mod xrec;
 pub use dom::{events_to_dom, parse_dom, Element, XNode};
 pub use encoded::{cmp_encoded_paths, read_pathed_raw, EncodedPath, PathedBytes};
 pub use error::{Result, XmlError};
-pub use event::{Event, EventSource, VecEvents};
+pub use event::{Attrs, Event, EventRef, EventSource, VecEvents};
 pub use key::{KeyRule, KeySource, KeyType, KeyValue, SortSpec, TextKey};
 pub use keypath::{attach_paths, KeyPath, PathBuilder, PathComp, PathedRec};
 pub use parser::{parse_events, XmlParser};
-pub use rec::{ElemRec, PatchRec, PtrRec, Rec, RecDecoder, TextRec};
+pub use rec::{ElemRec, PatchRec, PtrRec, Rec, RecDecoder, RecKind, TextRec};
 pub use recstream::{
     apply_patches, events_to_recs, recs_to_events, RecBuilder, RecEmitter, RecXmlWriter,
 };

@@ -2,9 +2,20 @@
 //!
 //! NEXSORT's sorting phase is a single event-driven scan of the input
 //! (Figure 4 line 2, "can be implemented using a simple event-based XML
-//! parser"). This parser pulls events from any [`ByteReader`] -- in
-//! particular from a device-resident extent, so parsing the input charges
-//! the `input-read` I/O category exactly once per block.
+//! parser"). This parser scans any [`ByteReader`] -- in particular a
+//! device-resident extent, so parsing the input charges the `input-read`
+//! I/O category exactly once per block.
+//!
+//! It scans the reader's resident window ([`ByteReader::resident`], the
+//! loaded block frame) with slice searches and yields borrowed
+//! [`EventRef`]s: names, attribute values and text are slices of that
+//! window. Only three things are copied, each into a buffer reused across
+//! events: entity-decoded text and attribute values, a construct that
+//! straddles two frames (carried over and parsed from the carry), and the
+//! names of the open elements (one byte arena, for end-tag matching). A
+//! straddling construct pulls the next frame exactly when a byte-at-a-time
+//! scan would have read into it, so block transfers happen in the same
+//! order as the input is consumed.
 //!
 //! Supported: elements, attributes (single- or double-quoted), self-closing
 //! tags, character data with the five predefined entities plus numeric
@@ -12,84 +23,83 @@
 //! the XML declaration, and a (skipped) DOCTYPE with internal subset.
 //! Not supported (not needed for data-centric documents): external entities
 //! and namespaces-aware processing (prefixes are kept verbatim in names).
-
-use std::collections::VecDeque;
+//! A malformed document fails with [`XmlError::Parse`] at the byte offset
+//! where it stops being well-formed, including a second root element.
 
 use nexsort_extmem::ByteReader;
 
 use crate::error::{Result, XmlError};
-use crate::event::{Event, EventSource};
+use crate::event::{AttrSpan, Attrs, Event, EventRef, EventSource};
 
-/// Streaming pull parser over a byte source.
-pub struct XmlParser<R: ByteReader> {
-    src: R,
-    peeked: Option<u8>,
-    pos: u64,
-    pending: VecDeque<Event>,
-    open: Vec<Vec<u8>>,
-    keep_whitespace: bool,
-    done: bool,
-    seen_root: bool,
+/// Why a scan of the bytes at hand stopped short of a whole construct.
+enum Halt {
+    /// The construct runs past the bytes at hand.
+    More,
+    /// Malformed input, detected `at` bytes into the scanned slice.
+    Fail { at: usize, msg: String },
 }
 
-impl<R: ByteReader> XmlParser<R> {
-    /// Parse from `src`, dropping whitespace-only text (the default for
-    /// data-centric documents; see [`XmlParser::keep_whitespace`]).
-    pub fn new(src: R) -> Self {
-        Self {
-            src,
-            peeked: None,
-            pos: 0,
-            pending: VecDeque::new(),
-            open: Vec::new(),
-            keep_whitespace: false,
-            done: false,
-            seen_root: false,
+type Scan<T> = std::result::Result<T, Halt>;
+
+/// `NAME_CHAR[b]`: 1 for a name-start byte, 2 for a byte that may only
+/// continue a name, 0 otherwise.
+const NAME_CHAR: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        t[b] = if c.is_ascii_alphabetic() || c == b'_' || c == b':' || c >= 0x80 {
+            1
+        } else if c.is_ascii_digit() || c == b'-' || c == b'.' {
+            2
+        } else {
+            0
+        };
+        b += 1;
+    }
+    t
+};
+
+fn is_name_start(b: u8) -> bool {
+    NAME_CHAR[b as usize] == 1
+}
+
+/// A cursor over one contiguous slice of input. `eof` says the input ends
+/// with the slice; otherwise running off its end asks for more.
+struct Cur<'a> {
+    b: &'a [u8],
+    i: usize,
+    eof: bool,
+}
+
+impl Cur<'_> {
+    fn peek(&self) -> Scan<Option<u8>> {
+        match self.b.get(self.i) {
+            Some(&c) => Ok(Some(c)),
+            None if self.eof => Ok(None),
+            None => Err(Halt::More),
         }
     }
 
-    /// Retain whitespace-only text nodes instead of dropping them.
-    pub fn keep_whitespace(mut self, keep: bool) -> Self {
-        self.keep_whitespace = keep;
-        self
-    }
-
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T> {
-        Err(XmlError::Parse { offset: self.pos, msg: msg.into() })
-    }
-
-    fn peek_byte(&mut self) -> Result<Option<u8>> {
-        if self.peeked.is_none() {
-            if self.src.remaining() == 0 {
-                return Ok(None);
+    fn expect(&mut self) -> Scan<u8> {
+        match self.peek()? {
+            Some(c) => {
+                self.i += 1;
+                Ok(c)
             }
-            let b = self.src.read_u8()?;
-            self.peeked = Some(b);
-        }
-        Ok(self.peeked)
-    }
-
-    fn next_byte(&mut self) -> Result<Option<u8>> {
-        let b = self.peek_byte()?;
-        if b.is_some() {
-            self.peeked = None;
-            self.pos += 1;
-        }
-        Ok(b)
-    }
-
-    fn expect_byte(&mut self) -> Result<u8> {
-        match self.next_byte()? {
-            Some(b) => Ok(b),
-            None => self.err("unexpected end of input"),
+            None => self.fail("unexpected end of input"),
         }
     }
 
-    fn expect_literal(&mut self, lit: &[u8]) -> Result<()> {
+    fn fail<T>(&self, msg: impl Into<String>) -> Scan<T> {
+        Err(Halt::Fail { at: self.i, msg: msg.into() })
+    }
+
+    fn expect_literal(&mut self, lit: &[u8]) -> Scan<()> {
         for &want in lit {
-            let got = self.expect_byte()?;
+            let got = self.expect()?;
             if got != want {
-                return self.err(format!(
+                return self.fail(format!(
                     "expected {:?}, found byte {:?}",
                     String::from_utf8_lossy(lit),
                     got as char
@@ -99,336 +109,582 @@ impl<R: ByteReader> XmlParser<R> {
         Ok(())
     }
 
-    fn skip_ws(&mut self) -> Result<()> {
-        while let Some(b) = self.peek_byte()? {
-            if b.is_ascii_whitespace() {
-                self.next_byte()?;
-            } else {
+    fn skip_ws(&mut self) -> Scan<()> {
+        while let Some(c) = self.peek()? {
+            if !c.is_ascii_whitespace() {
                 break;
             }
+            self.i += 1;
         }
         Ok(())
     }
 
-    fn is_name_start(b: u8) -> bool {
-        b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
-    }
-
-    fn is_name_char(b: u8) -> bool {
-        Self::is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
-    }
-
-    fn read_name(&mut self) -> Result<Vec<u8>> {
-        let first = self.expect_byte()?;
-        if !Self::is_name_start(first) {
-            return self.err(format!("invalid name start character {:?}", first as char));
-        }
-        let mut name = vec![first];
-        while let Some(b) = self.peek_byte()? {
-            if Self::is_name_char(b) {
-                name.push(b);
-                self.next_byte()?;
-            } else {
-                break;
+    /// Move to the first byte from here on that `stop` accepts, returning
+    /// it; at the end of input, move there and return `None`.
+    fn find(&mut self, stop: impl Fn(u8) -> bool) -> Scan<Option<u8>> {
+        match self.b[self.i..].iter().position(|&c| stop(c)) {
+            Some(n) => {
+                self.i += n;
+                Ok(Some(self.b[self.i]))
             }
+            None if self.eof => {
+                self.i = self.b.len();
+                Ok(None)
+            }
+            None => Err(Halt::More),
         }
-        Ok(name)
     }
 
-    fn read_entity(&mut self, out: &mut Vec<u8>) -> Result<()> {
-        // '&' already consumed.
-        let mut ent = Vec::new();
+    /// Read a name, returning its span.
+    fn name(&mut self) -> Scan<(usize, usize)> {
+        let start = self.i;
+        let first = self.expect()?;
+        if !is_name_start(first) {
+            return self.fail(format!("invalid name start character {:?}", first as char));
+        }
+        self.find(|c| NAME_CHAR[c as usize] == 0)?;
+        Ok((start, self.i))
+    }
+
+    /// Skip to just past the first `>` whose two preceding bytes, both at
+    /// or after `from`, satisfy `closes` (`-->`, `?>`, `]]>`). Returns the
+    /// offset of that `>`.
+    fn skip_to_close(&mut self, from: usize, closes: impl Fn(&[u8]) -> bool) -> Scan<usize> {
         loop {
-            match self.next_byte()? {
-                Some(b';') => break,
-                Some(b) if ent.len() < 12 => ent.push(b),
-                Some(_) => return self.err("entity reference too long"),
-                None => return self.err("unterminated entity reference"),
+            if self.find(|c| c == b'>')?.is_none() {
+                return self.fail("unexpected end of input");
+            }
+            let gt = self.i;
+            self.i += 1;
+            if closes(&self.b[from.max(gt.saturating_sub(2))..gt]) {
+                return Ok(gt);
             }
         }
-        match ent.as_slice() {
+    }
+
+    /// Decode the entity reference after a consumed `&` onto `out`.
+    fn entity(&mut self, out: &mut Vec<u8>) -> Scan<()> {
+        let start = self.i;
+        loop {
+            match self.peek()? {
+                Some(b';') => break,
+                Some(_) if self.i - start < 12 => self.i += 1,
+                Some(_) => {
+                    self.i += 1;
+                    return self.fail("entity reference too long");
+                }
+                None => return self.fail("unterminated entity reference"),
+            }
+        }
+        let ent = &self.b[start..self.i];
+        self.i += 1;
+        match ent {
             b"lt" => out.push(b'<'),
             b"gt" => out.push(b'>'),
             b"amp" => out.push(b'&'),
             b"apos" => out.push(b'\''),
             b"quot" => out.push(b'"'),
-            _ if ent.first() == Some(&b'#') => {
-                let digits = &ent[1..];
-                let cp = if digits.first() == Some(&b'x') || digits.first() == Some(&b'X') {
-                    u32::from_str_radix(&String::from_utf8_lossy(&digits[1..]), 16).ok()
-                } else {
-                    String::from_utf8_lossy(digits).parse::<u32>().ok()
+            [b'#', digits @ ..] => {
+                let digits = std::str::from_utf8(digits).ok();
+                let cp = match digits {
+                    Some(d) if d.starts_with(['x', 'X']) => u32::from_str_radix(&d[1..], 16).ok(),
+                    Some(d) => d.parse::<u32>().ok(),
+                    None => None,
                 };
                 let Some(cp) = cp else {
-                    return self.err("bad numeric character reference");
+                    return self.fail("bad numeric character reference");
                 };
-                match char::from_u32(cp) {
-                    Some(c) => {
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                    }
-                    None => return self.err("numeric character reference out of range"),
-                }
+                let Some(c) = char::from_u32(cp) else {
+                    return self.fail("numeric character reference out of range");
+                };
+                out.extend_from_slice(c.encode_utf8(&mut [0u8; 4]).as_bytes());
             }
-            _ => return self.err(format!("unknown entity &{};", String::from_utf8_lossy(&ent))),
+            _ => return self.fail(format!("unknown entity &{};", String::from_utf8_lossy(ent))),
         }
         Ok(())
     }
+}
 
-    fn read_attr_value(&mut self) -> Result<Vec<u8>> {
-        let quote = self.expect_byte()?;
-        if quote != b'"' && quote != b'\'' {
-            return self.err("attribute value must be quoted");
-        }
-        let mut val = Vec::new();
-        loop {
-            match self.expect_byte()? {
-                b if b == quote => break,
-                b'&' => self.read_entity(&mut val)?,
-                b'<' => return self.err("'<' not allowed in attribute value"),
-                b => val.push(b),
-            }
-        }
-        Ok(val)
+/// Where a text event's content sits: in the input, or (when it held an
+/// entity reference) in the decode scratch.
+#[derive(Clone, Copy)]
+struct TextSpan {
+    span: (usize, usize),
+    decoded: bool,
+}
+
+/// What one construct produced.
+enum Got {
+    /// Nothing to report (comment, PI, DOCTYPE, dropped whitespace).
+    Skip,
+    /// End of a complete document.
+    Eof,
+    /// A start tag; its name is the open-name stack's top.
+    Start,
+    /// `<name .../>`: a start tag whose end tag comes next.
+    Empty,
+    /// An end tag matching the open-name stack's top.
+    End,
+    /// Character data or a CDATA section.
+    Text(TextSpan),
+}
+
+/// The names of the open elements, back to back in one buffer.
+#[derive(Default)]
+struct OpenNames {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl OpenNames {
+    fn top(&self) -> Option<&[u8]> {
+        let end = *self.ends.last()?;
+        let start = self.ends.len().checked_sub(2).map_or(0, |i| self.ends[i]);
+        Some(&self.bytes[start..end])
     }
 
-    /// Skip a `<!-- ... -->` comment; the leading `<!` has been consumed and
-    /// the next two bytes are known to be `--`.
-    fn skip_comment(&mut self) -> Result<()> {
-        self.expect_literal(b"--")?;
-        let mut dashes = 0;
-        loop {
-            match self.expect_byte()? {
-                b'-' => dashes += 1,
-                b'>' if dashes >= 2 => return Ok(()),
-                _ => dashes = 0,
-            }
-        }
+    fn push(&mut self, name: &[u8]) {
+        self.bytes.extend_from_slice(name);
+        self.ends.push(self.bytes.len());
     }
 
-    /// Skip `<!DOCTYPE ...>` including a bracketed internal subset.
-    fn skip_doctype(&mut self) -> Result<()> {
-        let mut depth = 0i32; // '[' nesting
-        loop {
-            match self.expect_byte()? {
-                b'[' => depth += 1,
-                b']' => depth -= 1,
-                b'>' if depth <= 0 => return Ok(()),
-                _ => {}
-            }
-        }
+    fn pop(&mut self) {
+        self.ends.pop();
+        self.bytes.truncate(self.ends.last().copied().unwrap_or(0));
     }
 
-    /// Skip `<? ... ?>`.
-    fn skip_pi(&mut self) -> Result<()> {
-        let mut question = false;
-        loop {
-            match self.expect_byte()? {
-                b'?' => question = true,
-                b'>' if question => return Ok(()),
-                _ => question = false,
-            }
-        }
+    fn is_empty(&self) -> bool {
+        self.ends.is_empty()
     }
+}
 
-    /// Read `<![CDATA[ ... ]]>` content; the `<!` is consumed, `[` is next.
-    fn read_cdata(&mut self, out: &mut Vec<u8>) -> Result<()> {
-        self.expect_literal(b"[CDATA[")?;
-        let mut brackets = 0;
-        loop {
-            match self.expect_byte()? {
-                b']' => {
-                    brackets += 1;
-                    if brackets > 2 {
-                        out.push(b']');
-                        brackets = 2;
-                    }
-                }
-                b'>' if brackets >= 2 => return Ok(()),
-                b => {
-                    for _ in 0..brackets {
-                        out.push(b']');
-                    }
-                    brackets = 0;
-                    out.push(b);
-                }
-            }
-        }
-    }
+/// The parse state a construct reads and updates; kept apart from the
+/// input buffers so a scan can borrow both.
+#[derive(Default)]
+struct State {
+    open: OpenNames,
+    attrs: Vec<AttrSpan>,
+    decoded: Vec<u8>,
+    keep_whitespace: bool,
+    seen_root: bool,
+}
 
-    /// Parse one markup construct starting at `<` (already consumed),
-    /// enqueueing any resulting events.
-    fn parse_markup(&mut self) -> Result<()> {
-        match self.peek_byte()? {
-            Some(b'/') => {
-                self.next_byte()?;
-                let name = self.read_name()?;
-                self.skip_ws()?;
-                if self.expect_byte()? != b'>' {
-                    return self.err("malformed end tag");
-                }
-                match self.open.pop() {
-                    Some(top) if top == name => {}
-                    Some(top) => {
-                        return self.err(format!(
-                            "mismatched end tag </{}>, open element is <{}>",
-                            String::from_utf8_lossy(&name),
-                            String::from_utf8_lossy(&top)
-                        ))
-                    }
-                    None => {
-                        return self.err(format!(
-                            "end tag </{}> with no open element",
-                            String::from_utf8_lossy(&name)
-                        ))
-                    }
-                }
-                self.pending.push_back(Event::End { name });
-                Ok(())
-            }
-            Some(b'!') => {
-                self.next_byte()?;
-                match self.peek_byte()? {
-                    Some(b'-') => self.skip_comment(),
-                    Some(b'[') => {
-                        let mut content = Vec::new();
-                        self.read_cdata(&mut content)?;
-                        if self.open.is_empty() {
-                            return self.err("CDATA outside the root element");
-                        }
-                        self.pending.push_back(Event::Text { content });
-                        Ok(())
-                    }
-                    Some(b'D') => {
-                        if self.seen_root {
-                            return self.err("DOCTYPE after the root element");
-                        }
-                        self.skip_doctype()
-                    }
-                    _ => self.err("unrecognized '<!' construct"),
-                }
-            }
-            Some(b'?') => {
-                self.next_byte()?;
-                self.skip_pi()
-            }
-            Some(_) => {
-                let name = self.read_name()?;
-                let mut attrs = Vec::new();
-                loop {
-                    self.skip_ws()?;
-                    match self.peek_byte()? {
-                        Some(b'>') => {
-                            self.next_byte()?;
-                            self.open.push(name.clone());
-                            self.seen_root = true;
-                            self.pending.push_back(Event::Start { name, attrs });
-                            return Ok(());
-                        }
-                        Some(b'/') => {
-                            self.next_byte()?;
-                            if self.expect_byte()? != b'>' {
-                                return self.err("expected '>' after '/'");
-                            }
-                            self.seen_root = true;
-                            self.pending.push_back(Event::Start { name: name.clone(), attrs });
-                            self.pending.push_back(Event::End { name });
-                            return Ok(());
-                        }
-                        Some(b) if Self::is_name_start(b) => {
-                            let key = self.read_name()?;
-                            self.skip_ws()?;
-                            if self.expect_byte()? != b'=' {
-                                return self.err("expected '=' after attribute name");
-                            }
-                            self.skip_ws()?;
-                            let val = self.read_attr_value()?;
-                            if attrs.iter().any(|(k, _)| *k == key) {
-                                return self.err(format!(
-                                    "duplicate attribute {:?}",
-                                    String::from_utf8_lossy(&key)
-                                ));
-                            }
-                            attrs.push((key, val));
-                        }
-                        Some(b) => {
-                            return self
-                                .err(format!("unexpected character {:?} in start tag", b as char))
-                        }
-                        None => return self.err("unterminated start tag"),
-                    }
-                }
-            }
-            None => self.err("dangling '<' at end of input"),
-        }
-    }
-
-    /// Accumulate character data up to the next `<` (or end of input).
-    fn parse_text(&mut self) -> Result<()> {
-        let mut content = Vec::new();
-        loop {
-            match self.peek_byte()? {
-                Some(b'<') | None => break,
-                Some(b'&') => {
-                    self.next_byte()?;
-                    self.read_entity(&mut content)?;
-                }
-                Some(b) => {
-                    content.push(b);
-                    self.next_byte()?;
-                }
-            }
-        }
-        let all_ws = content.iter().all(u8::is_ascii_whitespace);
-        if self.open.is_empty() {
-            // Outside the root only whitespace is allowed.
-            if all_ws {
-                return Ok(());
-            }
-            return self.err("character data outside the root element");
-        }
-        if all_ws && !self.keep_whitespace {
-            return Ok(());
-        }
-        self.pending.push_back(Event::Text { content });
-        Ok(())
-    }
-
-    fn advance(&mut self) -> Result<()> {
-        match self.peek_byte()? {
+impl State {
+    /// Parse one construct from the start of `c`. Only a whole construct
+    /// changes the state, so one that halts with [`Halt::More`] is parsed
+    /// again from its start once more input is at hand.
+    fn construct(&mut self, c: &mut Cur<'_>) -> Scan<Got> {
+        self.attrs.clear();
+        self.decoded.clear();
+        match c.peek()? {
             None => {
-                if let Some(open) = self.open.last() {
-                    return self.err(format!(
+                if let Some(open) = self.open.top() {
+                    return c.fail(format!(
                         "input ended with <{}> still open",
                         String::from_utf8_lossy(open)
                     ));
                 }
                 if !self.seen_root {
-                    return self.err("document has no root element");
+                    return c.fail("document has no root element");
                 }
-                self.done = true;
-                Ok(())
+                Ok(Got::Eof)
             }
             Some(b'<') => {
-                self.next_byte()?;
-                self.parse_markup()
+                c.i += 1;
+                self.markup(c)
             }
-            Some(_) => self.parse_text(),
+            Some(_) => self.text(c),
         }
+    }
+
+    /// Character data up to the next `<` (or end of input).
+    fn text(&mut self, c: &mut Cur<'_>) -> Scan<Got> {
+        let start = c.i;
+        let mut decoded = false;
+        loop {
+            let seg = c.i;
+            let stop = c.find(|b| b == b'<' || b == b'&')?;
+            if decoded {
+                self.decoded.extend_from_slice(&c.b[seg..c.i]);
+            }
+            if stop != Some(b'&') {
+                break;
+            }
+            if !decoded {
+                decoded = true;
+                self.decoded.extend_from_slice(&c.b[start..c.i]);
+            }
+            c.i += 1;
+            c.entity(&mut self.decoded)?;
+        }
+        let text = if decoded {
+            TextSpan { span: (0, self.decoded.len()), decoded }
+        } else {
+            TextSpan { span: (start, c.i), decoded }
+        };
+        let content = if decoded { &self.decoded[..] } else { &c.b[start..c.i] };
+        let all_ws = content.iter().all(u8::is_ascii_whitespace);
+        if self.open.is_empty() {
+            // Outside the root only whitespace is allowed.
+            if all_ws {
+                return Ok(Got::Skip);
+            }
+            return c.fail("character data outside the root element");
+        }
+        if all_ws && !self.keep_whitespace {
+            return Ok(Got::Skip);
+        }
+        Ok(Got::Text(text))
+    }
+
+    /// One markup construct; the `<` is consumed.
+    fn markup(&mut self, c: &mut Cur<'_>) -> Scan<Got> {
+        match c.peek()? {
+            Some(b'/') => {
+                c.i += 1;
+                let (ns, ne) = c.name()?;
+                c.skip_ws()?;
+                if c.expect()? != b'>' {
+                    return c.fail("malformed end tag");
+                }
+                let name = &c.b[ns..ne];
+                match self.open.top() {
+                    Some(top) if top == name => Ok(Got::End),
+                    Some(top) => c.fail(format!(
+                        "mismatched end tag </{}>, open element is <{}>",
+                        String::from_utf8_lossy(name),
+                        String::from_utf8_lossy(top)
+                    )),
+                    None => c.fail(format!(
+                        "end tag </{}> with no open element",
+                        String::from_utf8_lossy(name)
+                    )),
+                }
+            }
+            Some(b'!') => {
+                c.i += 1;
+                match c.peek()? {
+                    Some(b'-') => {
+                        c.expect_literal(b"--")?;
+                        let from = c.i;
+                        c.skip_to_close(from, |w| w == b"--")?;
+                        Ok(Got::Skip)
+                    }
+                    Some(b'[') => {
+                        c.expect_literal(b"[CDATA[")?;
+                        let from = c.i;
+                        let gt = c.skip_to_close(from, |w| w == b"]]")?;
+                        if self.open.is_empty() {
+                            return c.fail("CDATA outside the root element");
+                        }
+                        Ok(Got::Text(TextSpan { span: (from, gt - 2), decoded: false }))
+                    }
+                    Some(b'D') => {
+                        if self.seen_root {
+                            return c.fail("DOCTYPE after the root element");
+                        }
+                        let mut depth = 0i32; // '[' nesting
+                        loop {
+                            match c.expect()? {
+                                b'[' => depth += 1,
+                                b']' => depth -= 1,
+                                b'>' if depth <= 0 => return Ok(Got::Skip),
+                                _ => {}
+                            }
+                        }
+                    }
+                    _ => c.fail("unrecognized '<!' construct"),
+                }
+            }
+            Some(b'?') => {
+                c.i += 1;
+                let from = c.i;
+                c.skip_to_close(from, |w| w.last() == Some(&b'?'))?;
+                Ok(Got::Skip)
+            }
+            Some(_) => {
+                if self.seen_root && self.open.is_empty() {
+                    c.i -= 1;
+                    return c.fail("a second root element (a document has exactly one)");
+                }
+                self.start_tag(c)
+            }
+            None => c.fail("dangling '<' at end of input"),
+        }
+    }
+
+    /// A start tag after its `<`.
+    fn start_tag(&mut self, c: &mut Cur<'_>) -> Scan<Got> {
+        let (ns, ne) = c.name()?;
+        loop {
+            c.skip_ws()?;
+            match c.peek()? {
+                Some(b'>') => {
+                    c.i += 1;
+                    self.open.push(&c.b[ns..ne]);
+                    self.seen_root = true;
+                    return Ok(Got::Start);
+                }
+                Some(b'/') => {
+                    c.i += 1;
+                    if c.expect()? != b'>' {
+                        return c.fail("expected '>' after '/'");
+                    }
+                    self.open.push(&c.b[ns..ne]);
+                    self.seen_root = true;
+                    return Ok(Got::Empty);
+                }
+                Some(b) if is_name_start(b) => {
+                    let name = c.name()?;
+                    c.skip_ws()?;
+                    if c.expect()? != b'=' {
+                        return c.fail("expected '=' after attribute name");
+                    }
+                    c.skip_ws()?;
+                    let (value, decoded) = self.attr_value(c)?;
+                    let key = &c.b[name.0..name.1];
+                    if self.attrs.iter().any(|a| &c.b[a.name.0..a.name.1] == key) {
+                        return c.fail(format!(
+                            "duplicate attribute {:?}",
+                            String::from_utf8_lossy(key)
+                        ));
+                    }
+                    self.attrs.push(AttrSpan { name, value, decoded });
+                }
+                Some(b) => {
+                    return c.fail(format!("unexpected character {:?} in start tag", b as char))
+                }
+                None => return c.fail("unterminated start tag"),
+            }
+        }
+    }
+
+    /// A quoted attribute value: its span, in the input or (after an
+    /// entity reference) in the decode scratch.
+    fn attr_value(&mut self, c: &mut Cur<'_>) -> Scan<((usize, usize), bool)> {
+        let quote = c.expect()?;
+        if quote != b'"' && quote != b'\'' {
+            return c.fail("attribute value must be quoted");
+        }
+        let start = c.i;
+        let mut from = None; // where the value starts in `decoded`
+        loop {
+            let seg = c.i;
+            let stop = c.find(|b| b == quote || b == b'&' || b == b'<')?;
+            if from.is_some() {
+                self.decoded.extend_from_slice(&c.b[seg..c.i]);
+            }
+            match stop {
+                Some(b'&') => {
+                    if from.is_none() {
+                        from = Some(self.decoded.len());
+                        self.decoded.extend_from_slice(&c.b[start..c.i]);
+                    }
+                    c.i += 1;
+                    c.entity(&mut self.decoded)?;
+                }
+                Some(b'<') => {
+                    c.i += 1;
+                    return c.fail("'<' not allowed in attribute value");
+                }
+                Some(_) => {
+                    c.i += 1;
+                    return Ok(match from {
+                        Some(from) => ((from, self.decoded.len()), true),
+                        None => ((start, c.i - 1), false),
+                    });
+                }
+                None => return c.fail("unexpected end of input"),
+            }
+        }
+    }
+}
+
+/// Streaming pull parser over a byte source.
+pub struct XmlParser<R: ByteReader> {
+    src: R,
+    /// Input taken off the reader ahead of the window: a construct that
+    /// straddled frames, and whatever followed it in the frames pulled.
+    carry: Vec<u8>,
+    carry_pos: usize,
+    /// The last event's bytes: window bytes to consume on the next call,
+    /// or the carry offset it was parsed from.
+    borrowed: usize,
+    event_in_carry: bool,
+    event_base: usize,
+    /// Input offset of the next unparsed byte.
+    pos: u64,
+    st: State,
+    /// The last event was a self-closing start tag: its end comes next.
+    pending_end: bool,
+    /// The last event closed the open-name stack's top.
+    pending_pop: bool,
+    done: bool,
+}
+
+impl<R: ByteReader> XmlParser<R> {
+    /// Parse from `src`, dropping whitespace-only text (the default for
+    /// data-centric documents; see [`XmlParser::keep_whitespace`]).
+    pub fn new(src: R) -> Self {
+        Self {
+            src,
+            carry: Vec::new(),
+            carry_pos: 0,
+            borrowed: 0,
+            event_in_carry: false,
+            event_base: 0,
+            pos: 0,
+            st: State::default(),
+            pending_end: false,
+            pending_pop: false,
+            done: false,
+        }
+    }
+
+    /// Retain whitespace-only text nodes instead of dropping them.
+    pub fn keep_whitespace(mut self, keep: bool) -> Self {
+        self.st.keep_whitespace = keep;
+        self
+    }
+
+    /// The next event, borrowed from the parser until its next call, or
+    /// `None` at the end of a well-formed document.
+    pub fn next_ref(&mut self) -> Result<Option<EventRef<'_>>> {
+        self.src.consume(std::mem::take(&mut self.borrowed));
+        if std::mem::take(&mut self.pending_pop) {
+            self.st.open.pop();
+        }
+        if std::mem::take(&mut self.pending_end) {
+            self.pending_pop = true;
+            return Ok(Some(EventRef::End { name: self.open_top() }));
+        }
+        loop {
+            if self.done {
+                return Ok(None);
+            }
+            match self.step()? {
+                Got::Skip => {}
+                Got::Eof => self.done = true,
+                Got::Start => return Ok(Some(self.start_event())),
+                Got::Empty => {
+                    self.pending_end = true;
+                    return Ok(Some(self.start_event()));
+                }
+                Got::End => {
+                    self.pending_pop = true;
+                    return Ok(Some(EventRef::End { name: self.open_top() }));
+                }
+                Got::Text(t) => {
+                    let bytes = if t.decoded { &self.st.decoded[..] } else { self.event_input() };
+                    return Ok(Some(EventRef::Text { content: &bytes[t.span.0..t.span.1] }));
+                }
+            }
+        }
+    }
+
+    fn open_top(&self) -> &[u8] {
+        self.st.open.top().expect("an element is open at its start and end events")
+    }
+
+    fn start_event(&self) -> EventRef<'_> {
+        let attrs = Attrs::spans(&self.st.attrs, self.event_input(), &self.st.decoded);
+        EventRef::Start { name: self.open_top(), attrs }
+    }
+
+    /// The input slice the last construct was parsed from.
+    fn event_input(&self) -> &[u8] {
+        if self.event_in_carry {
+            &self.carry[self.event_base..]
+        } else {
+            self.src.resident()
+        }
+    }
+
+    /// Parse the next construct from the carry or, once it is used up,
+    /// from the reader's window.
+    fn step(&mut self) -> Result<Got> {
+        loop {
+            if self.carry_pos == self.carry.len() {
+                self.carry.clear();
+                self.carry_pos = 0;
+                if self.src.resident().is_empty() && self.src.remaining() > 0 {
+                    self.src.fill()?;
+                }
+            }
+            let in_carry = !self.carry.is_empty();
+            let (b, eof) = if in_carry {
+                (&self.carry[self.carry_pos..], self.src.remaining() == 0)
+            } else {
+                let w = self.src.resident();
+                (w, self.src.remaining() == w.len() as u64)
+            };
+            let mut c = Cur { b, i: 0, eof };
+            match self.st.construct(&mut c) {
+                Ok(got) => {
+                    let n = c.i;
+                    self.pos += n as u64;
+                    self.event_in_carry = in_carry;
+                    if in_carry {
+                        self.event_base = self.carry_pos;
+                        self.carry_pos += n;
+                    } else if matches!(got, Got::Skip | Got::Eof) {
+                        self.src.consume(n);
+                    } else {
+                        self.borrowed = n;
+                    }
+                    return Ok(got);
+                }
+                Err(Halt::More) => {
+                    // Text ends at a `<`, markup at a `>`: no scan can
+                    // finish before one arrives.
+                    let stop = if b.first() == Some(&b'<') { b'>' } else { b'<' };
+                    self.pull(stop)?;
+                }
+                Err(Halt::Fail { at, msg }) => {
+                    return Err(XmlError::Parse { offset: self.pos + at as u64, msg })
+                }
+            }
+        }
+    }
+
+    /// Move the unparsed input into the carry and append frames until one
+    /// holds `stop` or the input ends.
+    fn pull(&mut self, stop: u8) -> Result<()> {
+        if self.carry.is_empty() {
+            let w = self.src.resident();
+            let n = w.len();
+            self.carry.extend_from_slice(w);
+            self.src.consume(n);
+        } else {
+            self.carry.drain(..self.carry_pos);
+        }
+        self.carry_pos = 0;
+        while self.src.remaining() > 0 {
+            self.src.fill()?;
+            let w = self.src.resident();
+            if w.is_empty() {
+                // A reader without a window: a byte at a time.
+                let b = self.src.read_u8()?;
+                self.carry.push(b);
+                if b == stop {
+                    break;
+                }
+                continue;
+            }
+            let (n, found) = (w.len(), w.contains(&stop));
+            self.carry.extend_from_slice(w);
+            self.src.consume(n);
+            if found {
+                break;
+            }
+        }
+        Ok(())
     }
 }
 
 impl<R: ByteReader> EventSource for XmlParser<R> {
     fn next_event(&mut self) -> Result<Option<Event>> {
-        loop {
-            if let Some(ev) = self.pending.pop_front() {
-                return Ok(Some(ev));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            self.advance()?;
-        }
+        Ok(self.next_ref()?.map(EventRef::into_owned))
     }
 }
 
@@ -436,8 +692,8 @@ impl<R: ByteReader> EventSource for XmlParser<R> {
 pub fn parse_events(input: &[u8]) -> Result<Vec<Event>> {
     let mut p = XmlParser::new(nexsort_extmem::SliceReader::new(input));
     let mut out = Vec::new();
-    while let Some(ev) = p.next_event()? {
-        out.push(ev);
+    while let Some(ev) = p.next_ref()? {
+        out.push(ev.into_owned());
     }
     Ok(out)
 }

@@ -94,6 +94,19 @@ pub enum Rec {
     KeyPatch(PatchRec),
 }
 
+/// The kind of a record, without its payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecKind {
+    /// [`Rec::Elem`].
+    Elem,
+    /// [`Rec::Text`].
+    Text,
+    /// [`Rec::RunPtr`].
+    RunPtr,
+    /// [`Rec::KeyPatch`].
+    KeyPatch,
+}
+
 pub(crate) const KIND_ELEM: u8 = 1;
 pub(crate) const KIND_TEXT: u8 = 2;
 pub(crate) const KIND_PTR: u8 = 3;
@@ -137,6 +150,16 @@ impl Rec {
             Rec::Text(r) => r.level,
             Rec::RunPtr(r) => r.level,
             Rec::KeyPatch(r) => r.level,
+        }
+    }
+
+    /// The record's kind.
+    pub fn kind(&self) -> RecKind {
+        match self {
+            Rec::Elem(_) => RecKind::Elem,
+            Rec::Text(_) => RecKind::Text,
+            Rec::RunPtr(_) => RecKind::RunPtr,
+            Rec::KeyPatch(_) => RecKind::KeyPatch,
         }
     }
 

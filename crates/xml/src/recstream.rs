@@ -1,7 +1,7 @@
 //! Conversion between XML events and compact records.
 //!
 //! [`RecBuilder`] is the scanning half: it turns the event stream into level-
-//! numbered records (end tags are consumed, not stored -- Section 3.2's
+//! numbered encoded records (end tags are consumed, not stored -- Section 3.2's
 //! end-tag elimination) while evaluating the ordering criterion. Keys known
 //! from the start tag are embedded directly; *deferred* keys (text or
 //! child-path sources) are evaluated in a single pass with constant state per
@@ -16,42 +16,53 @@
 //! into an [`XmlWriter`], one record at a time.
 
 use crate::error::{Result, XmlError};
-use crate::event::Event;
-use crate::key::{KeyRule, KeySource, KeyValue, SortSpec};
-use crate::rec::{ElemRec, PatchRec, Rec, TextRec};
-use crate::sym::{NameRef, TagDict};
+use crate::event::{Attrs, Event, EventRef};
+use crate::key::{KeyRule, KeySource, KeyType, KeyValue, SortSpec, TextKey};
+use crate::rec::{Rec, RecDecoder, RecKind, KIND_ELEM, KIND_PATCH, KIND_TEXT};
+use crate::sym::TagDict;
+use crate::varint::{write_bytes, write_uvarint};
 use crate::writer::XmlWriter;
-use nexsort_extmem::ByteSink;
+use nexsort_extmem::{ByteSink, SliceReader};
 
 /// Deferred-key evaluation state for one open element.
 #[derive(Debug)]
 struct Pending {
-    rule: KeyRule,
+    /// The element's rule (see [`rule_at`]).
+    rule: usize,
     /// For `ChildPath`: number of path components matched along the current
     /// open chain. Unused for `Text`.
     matched: usize,
     captured: Option<Vec<u8>>,
 }
 
-#[derive(Debug)]
-struct EvalFrame {
-    pending: Option<Pending>,
+/// Rule `ix` of `spec`: 0 is the default, `i + 1` the `i`-th per-tag rule.
+fn rule_at(spec: &SortSpec, ix: usize) -> &KeyRule {
+    match ix {
+        0 => &spec.default,
+        i => &spec.per_tag[i - 1].1,
+    }
 }
 
-/// Streaming events-to-records converter with key evaluation.
+/// Streaming events-to-records converter with key evaluation. Records are
+/// appended to a byte buffer in exactly the [`Rec::encode`] format, built
+/// from the borrowed event: no [`Rec`] or [`KeyValue`] is made on the way.
 pub struct RecBuilder {
     spec: SortSpec,
     compaction: bool,
+    /// Some rule defers its key to the end tag, so the open elements'
+    /// matchers must be advanced on every event.
+    deferred: bool,
     level: u32,
     seq: u64,
-    frames: Vec<EvalFrame>,
+    frames: Vec<Option<Pending>>,
 }
 
 impl RecBuilder {
     /// A builder for `spec`. With `compaction` on, names are interned into
     /// the caller's [`TagDict`]; off, they are stored inline in each record.
     pub fn new(spec: SortSpec, compaction: bool) -> Self {
-        Self { spec, compaction, level: 0, seq: 0, frames: Vec::new() }
+        let deferred = spec.has_deferred_keys();
+        Self { spec, compaction, deferred, level: 0, seq: 0, frames: Vec::new() }
     }
 
     /// Current element nesting depth (root = 1 while open).
@@ -64,126 +75,158 @@ impl RecBuilder {
         self.seq
     }
 
-    fn name_ref(&self, dict: &mut TagDict, name: &[u8]) -> NameRef {
+    fn write_name(&self, dict: &mut TagDict, name: &[u8], out: &mut Vec<u8>) -> Result<()> {
         if self.compaction {
-            NameRef::Sym(dict.intern(name))
+            out.push(0);
+            write_uvarint(out, u64::from(dict.intern(name)))
         } else {
-            NameRef::Inline(name.to_vec())
+            out.push(1);
+            write_bytes(out, name)
         }
     }
 
-    /// Feed one event; resulting records are appended to `out` (0..=2 per
-    /// event: an end tag yields at most one `KeyPatch`).
-    pub fn push_event(&mut self, ev: &Event, dict: &mut TagDict, out: &mut Vec<Rec>) -> Result<()> {
-        match ev {
-            Event::Start { name, attrs } => {
-                self.level += 1;
-                // Advance child-path matchers of open ancestors.
-                let new_level = self.level as usize;
-                for (j, frame) in self.frames.iter_mut().enumerate() {
-                    if let Some(p) = &mut frame.pending {
-                        if p.captured.is_some() {
-                            continue;
-                        }
-                        if let KeySource::ChildPath(path) = &p.rule.source {
-                            let d = new_level - (j + 1); // relative depth
-                            if d >= 1
-                                && p.matched == d - 1
-                                && d - 1 < path.len()
-                                && path[d - 1] == *name
-                            {
-                                p.matched = d;
-                            }
-                        }
-                    }
-                }
-                let rule = self.spec.rule_for(name);
-                let key = self.spec.start_key(name, attrs);
-                let pending = if key.is_none() {
-                    Some(Pending { rule: rule.clone(), matched: 0, captured: None })
-                } else {
-                    None
+    /// Feed one event. The record it yields, if any (an end tag yields at
+    /// most a `KeyPatch`), is appended to `out`; its kind and level are
+    /// returned.
+    pub fn push(
+        &mut self,
+        ev: &EventRef<'_>,
+        dict: &mut TagDict,
+        out: &mut Vec<u8>,
+    ) -> Result<Option<(RecKind, u32)>> {
+        let start = out.len();
+        let made = match *ev {
+            EventRef::Start { name, attrs } => {
+                self.start(name, &attrs, dict, out)?;
+                (RecKind::Elem, self.level)
+            }
+            EventRef::Text { content } => {
+                self.text(content, out)?;
+                (RecKind::Text, self.level + 1)
+            }
+            EventRef::End { .. } => match self.end(out)? {
+                Some(level) => (RecKind::KeyPatch, level),
+                None => return Ok(None),
+            },
+        };
+        let total = (out.len() - start + 4) as u32;
+        out.extend_from_slice(&total.to_le_bytes());
+        Ok(Some(made))
+    }
+
+    fn start(
+        &mut self,
+        name: &[u8],
+        attrs: &Attrs<'_>,
+        dict: &mut TagDict,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        self.level += 1;
+        if self.deferred {
+            // Advance child-path matchers of open ancestors.
+            let new_level = self.level as usize;
+            for (j, frame) in self.frames.iter_mut().enumerate() {
+                let Some(p) = frame.as_mut().filter(|p| p.captured.is_none()) else {
+                    continue;
                 };
-                self.frames.push(EvalFrame { pending });
-                let name_ref = self.name_ref(dict, name);
-                let attrs =
-                    attrs.iter().map(|(k, v)| (self.name_ref(dict, k), v.clone())).collect();
-                out.push(Rec::Elem(ElemRec {
-                    level: self.level,
-                    name: name_ref,
-                    attrs,
-                    key: key.unwrap_or(KeyValue::Missing),
-                    seq: self.seq,
-                }));
-                self.seq += 1;
-                Ok(())
-            }
-            Event::Text { content } => {
-                if self.level == 0 {
-                    return Err(XmlError::Record("text outside the root element".into()));
-                }
-                let text_level = self.level as usize + 1;
-                for (j, frame) in self.frames.iter_mut().enumerate() {
-                    if let Some(p) = &mut frame.pending {
-                        if p.captured.is_some() {
-                            continue;
-                        }
-                        let owner_level = j + 1;
-                        match &p.rule.source {
-                            KeySource::Text if text_level == owner_level + 1 => {
-                                p.captured = Some(content.clone());
-                            }
-                            KeySource::ChildPath(path)
-                                if p.matched == path.len()
-                                    && text_level == owner_level + path.len() + 1 =>
-                            {
-                                p.captured = Some(content.clone());
-                            }
-                            _ => {}
-                        }
+                if let KeySource::ChildPath(path) = &rule_at(&self.spec, p.rule).source {
+                    let d = new_level - (j + 1); // relative depth
+                    if d >= 1 && p.matched == d - 1 && d - 1 < path.len() && path[d - 1] == name {
+                        p.matched = d;
                     }
                 }
-                out.push(Rec::Text(TextRec {
-                    level: self.level + 1,
-                    content: content.clone(),
-                    key: self.spec.text_node_key(content),
-                    seq: self.seq,
-                }));
-                self.seq += 1;
-                Ok(())
-            }
-            Event::End { .. } => {
-                if self.level == 0 {
-                    return Err(XmlError::Record("end tag with no open element".into()));
-                }
-                let closing_level = self.level as usize;
-                let frame = self.frames.pop().expect("frame per open element");
-                if let Some(p) = frame.pending {
-                    let key = match p.captured {
-                        Some(raw) => p.rule.oriented(KeyValue::from_bytes(&raw, p.rule.ty)),
-                        None => KeyValue::Missing,
-                    };
-                    if key != KeyValue::Missing {
-                        out.push(Rec::KeyPatch(PatchRec { level: self.level, key }));
-                    }
-                }
-                // Backtrack child-path matchers of remaining ancestors.
-                for (j, frame) in self.frames.iter_mut().enumerate() {
-                    if let Some(p) = &mut frame.pending {
-                        if p.captured.is_none() {
-                            if let KeySource::ChildPath(_) = &p.rule.source {
-                                let d = closing_level - (j + 1);
-                                if d >= 1 && p.matched == d {
-                                    p.matched = d - 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                self.level -= 1;
-                Ok(())
             }
         }
+        let ix = self.spec.per_tag.iter().position(|(t, _)| t == name).map_or(0, |i| i + 1);
+        out.push(KIND_ELEM);
+        write_uvarint(out, u64::from(self.level))?;
+        self.write_name(dict, name, out)?;
+        write_uvarint(out, attrs.len() as u64)?;
+        for (k, v) in attrs.iter() {
+            self.write_name(dict, k, out)?;
+            write_bytes(out, v)?;
+        }
+        let rule = rule_at(&self.spec, ix);
+        let pending = if rule.source.is_deferred() {
+            out.push(0); // `KeyValue::Missing` until the patch
+            Some(Pending { rule: ix, matched: 0, captured: None })
+        } else {
+            SortSpec::encode_start_key(rule, name, attrs, out)?;
+            None
+        };
+        self.frames.push(pending);
+        write_uvarint(out, self.seq)?;
+        self.seq += 1;
+        Ok(())
+    }
+
+    fn text(&mut self, content: &[u8], out: &mut Vec<u8>) -> Result<()> {
+        if self.level == 0 {
+            return Err(XmlError::Record("text outside the root element".into()));
+        }
+        if self.deferred {
+            let text_level = self.level as usize + 1;
+            for (j, frame) in self.frames.iter_mut().enumerate() {
+                let Some(p) = frame.as_mut().filter(|p| p.captured.is_none()) else {
+                    continue;
+                };
+                let owner_level = j + 1;
+                let captures = match &rule_at(&self.spec, p.rule).source {
+                    KeySource::Text => text_level == owner_level + 1,
+                    KeySource::ChildPath(path) => {
+                        p.matched == path.len() && text_level == owner_level + path.len() + 1
+                    }
+                    _ => false,
+                };
+                if captures {
+                    p.captured = Some(content.to_vec());
+                }
+            }
+        }
+        out.push(KIND_TEXT);
+        write_uvarint(out, u64::from(self.level + 1))?;
+        write_bytes(out, content)?;
+        match self.spec.text_key {
+            TextKey::DocOrder => out.push(0),
+            TextKey::Content => KeyValue::encode_from_bytes(content, KeyType::Bytes, false, out)?,
+        }
+        write_uvarint(out, self.seq)?;
+        self.seq += 1;
+        Ok(())
+    }
+
+    /// Close the innermost element, writing its key patch if it captured
+    /// a deferred key; returns the patch's level.
+    fn end(&mut self, out: &mut Vec<u8>) -> Result<Option<u32>> {
+        if self.level == 0 {
+            return Err(XmlError::Record("end tag with no open element".into()));
+        }
+        let closing_level = self.level as usize;
+        let frame = self.frames.pop().expect("frame per open element");
+        let mut patched = None;
+        if let Some(Pending { rule, captured: Some(raw), .. }) = frame {
+            let rule = rule_at(&self.spec, rule);
+            out.push(KIND_PATCH);
+            write_uvarint(out, u64::from(self.level))?;
+            KeyValue::encode_from_bytes(&raw, rule.ty, rule.descending, out)?;
+            patched = Some(self.level);
+        }
+        if self.deferred {
+            // Backtrack child-path matchers of remaining ancestors.
+            for (j, frame) in self.frames.iter_mut().enumerate() {
+                let Some(p) = frame.as_mut().filter(|p| p.captured.is_none()) else {
+                    continue;
+                };
+                if let KeySource::ChildPath(_) = &rule_at(&self.spec, p.rule).source {
+                    let d = closing_level - (j + 1);
+                    if d >= 1 && p.matched == d {
+                        p.matched = d - 1;
+                    }
+                }
+            }
+        }
+        self.level -= 1;
+        Ok(patched)
     }
 }
 
@@ -195,12 +238,17 @@ pub fn events_to_recs(
     compaction: bool,
 ) -> Result<Vec<Rec>> {
     let mut b = RecBuilder::new(spec.clone(), compaction);
-    let mut out = Vec::new();
+    let mut buf = Vec::new();
     for ev in events {
-        b.push_event(ev, dict, &mut out)?;
+        b.push(&ev.view(), dict, &mut buf)?;
     }
     if b.level() != 0 {
         return Err(XmlError::Record("event stream ended with open elements".into()));
+    }
+    let mut dec = RecDecoder::new(SliceReader::new(&buf));
+    let mut out = Vec::new();
+    while let Some(rec) = dec.next_rec()? {
+        out.push(rec);
     }
     Ok(out)
 }
@@ -379,8 +427,9 @@ pub fn recs_to_events(recs: &[Rec], dict: &TagDict) -> Result<Vec<Event>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::{KeyRule, TextKey};
     use crate::parser::parse_events;
+    use crate::rec::ElemRec;
+    use crate::sym::NameRef;
 
     fn roundtrip(doc: &str, spec: &SortSpec) -> (Vec<Event>, Vec<Rec>, Vec<Event>) {
         let events = parse_events(doc.as_bytes()).unwrap();
@@ -463,6 +512,17 @@ mod tests {
         // deeper k, so the first capture is "right-late"? No: the second
         // child <k> has a <k> child whose text is at depth root+3, too deep.
         assert_eq!(root_patch, Some(KeyValue::Bytes(b"right-late".to_vec())));
+
+        // A matched first step that closes is forgotten: text under a
+        // later sibling with another name does not match.
+        let spec = SortSpec::uniform(KeyRule::child_path(&["b", "c"]));
+        let doc = "<root><b/><x><c>wrong</c></x><b><c>right</c></b></root>";
+        let (_, recs, _) = roundtrip(doc, &spec);
+        let root_patch = recs.iter().find_map(|r| match r {
+            Rec::KeyPatch(p) if p.level == 1 => Some(p.key.clone()),
+            _ => None,
+        });
+        assert_eq!(root_patch, Some(KeyValue::Bytes(b"right".to_vec())));
     }
 
     #[test]
