@@ -10,7 +10,9 @@
 use std::rc::Rc;
 
 use nexsort_extmem::{ByteSink, Disk, Extent, ExtentWriter, IoCat, MemoryBudget, RunId, RunStore};
-use nexsort_xml::{Event, Rec, RecDecoder, RecEmitter, RecXmlWriter, Result, SortSpec, TagDict};
+use nexsort_xml::{
+    Event, Rec, RecDecoder, RecEmitter, RecKind, RecXmlWriter, Result, SortSpec, TagDict,
+};
 
 use crate::extsort::{external_merge_sort, ExtSortOptions, ExtSortReport};
 use crate::resolve::resolve_deferred;
@@ -65,15 +67,17 @@ impl BaselineSorted {
         Ok(out)
     }
 
-    /// Stream the sorted document as XML text into `sink`, decoding the
-    /// final run one record at a time (a 2-frame budget of its own, like
-    /// [`Self::to_recs`]).
+    /// Stream the sorted document as XML text into `sink`, formatting the
+    /// final run's records from their bytes one at a time (a 2-frame budget
+    /// of its own, like [`Self::to_recs`]).
     pub fn write_xml(&self, sink: impl ByteSink, pretty: bool) -> Result<()> {
         let budget = MemoryBudget::new(2);
         let mut dec = RecDecoder::new(self.store.open(self.run, &budget, IoCat::RunRead)?);
         let mut w = RecXmlWriter::new(sink, pretty);
-        while let Some(rec) = dec.next_rec()? {
-            w.push_rec(&rec, &self.dict)?;
+        let mut buf = Vec::new();
+        while dec.next_encoded(&mut buf)?.is_some() {
+            w.push_encoded(&buf, &self.dict)?;
+            buf.clear();
         }
         w.finish()?;
         Ok(())
@@ -138,10 +142,9 @@ fn sort_source(
         let mut staged = {
             let mut w = ExtentWriter::new(disk.clone(), budget, IoCat::SortScratch)?;
             let mut buf = Vec::new();
-            while let Some(rec) = src.next_rec()? {
-                buf.clear();
-                rec.encode(&mut buf)?;
+            while src.next_encoded(&mut buf)?.is_some() {
                 w.write_all(&buf)?;
+                buf.clear();
             }
             w.finish()?
         };
@@ -158,6 +161,10 @@ fn sort_source(
         impl RecSource for DynAdapter<'_> {
             fn next_rec(&mut self) -> Result<Option<Rec>> {
                 self.0.next_rec()
+            }
+
+            fn next_encoded(&mut self, out: &mut Vec<u8>) -> Result<Option<(RecKind, u32)>> {
+                self.0.next_encoded(out)
             }
         }
         let mut pathed = PathedAdapter::new(DynAdapter(src), opts.depth_limit);

@@ -4,9 +4,13 @@
 //! subtree rooted at every child element. Then, we sort the list of children,
 //! which simply involves reordering the pointers to them."
 //!
-//! Two forms are provided: over the DOM (the cross-sorter test oracle) and
-//! over record streams (used by NEXSORT for subtrees that fit in memory,
-//! including collapsed `RunPtr` leaves and deferred-key patches).
+//! Two forms are provided, both oracles: over the DOM (the cross-sorter
+//! test oracle) and over owned record streams ([`sort_recs`], including
+//! collapsed `RunPtr` leaves and deferred-key patches). No production path
+//! calls [`sort_recs`]: NEXSORT sorts in-memory subtrees as bytes with
+//! `nexsort_xml::EncodedForest`, which is *defined* to equal [`sort_recs`]
+//! followed by `Rec::encode`, and the property tests below hold it to that
+//! over `nexsort-datagen` documents and random forests.
 
 use std::cmp::Ordering;
 
@@ -78,6 +82,8 @@ fn sort_rnode(node: &mut RNode, depth_limit: Option<u32>) {
 
 /// Sort a record stream in memory: build the subtree forest, apply key
 /// patches, recursively sort sibling lists, and flatten back to DFS order.
+/// The owned-record oracle of `nexsort_xml::EncodedForest` (and of the
+/// `merge`/`update` tests); production sorts call that instead.
 ///
 /// The stream may be a forest (several roots at its minimum level); with
 /// `sort_roots`, the root list itself is also ordered. Patches are consumed
@@ -151,8 +157,10 @@ pub fn sort_recs(recs: Vec<Rec>, sort_roots: bool, depth_limit: Option<u32>) -> 
 mod tests {
     use super::*;
     use nexsort_xml::{
-        events_to_dom, events_to_recs, parse_dom, parse_events, recs_to_events, KeyRule, TagDict,
+        events_to_dom, events_to_recs, parse_dom, parse_events, recs_to_events, EncodedForest,
+        Event, EventSource, KeyRule, KeyValue, TagDict,
     };
+    use proptest::prelude::*;
 
     fn spec() -> SortSpec {
         SortSpec::by_attribute("name").with_rule("employee", KeyRule::attr_numeric("ID"))
@@ -275,6 +283,186 @@ mod tests {
         use nexsort_xml::{KeyValue, PatchRec};
         let recs = vec![Rec::KeyPatch(PatchRec { level: 3, key: KeyValue::Num(1) })];
         assert!(sort_recs(recs, true, None).is_err());
+    }
+
+    /// The byte-level sort of `recs`, encoded back to back.
+    fn sort_bytes(recs: &[Rec], depth_limit: Option<u32>) -> Result<Vec<u8>> {
+        let mut arena = Vec::new();
+        for r in recs {
+            r.encode(&mut arena)?;
+        }
+        let mut out = Vec::new();
+        EncodedForest::index(&arena)?.write_sorted(depth_limit, &mut out)?;
+        Ok(out)
+    }
+
+    /// The oracle: the owned sort, then `Rec::encode`.
+    fn sort_owned(recs: &[Rec], depth_limit: Option<u32>) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        for r in sort_recs(recs.to_vec(), false, depth_limit)? {
+            r.encode(&mut out)?;
+        }
+        Ok(out)
+    }
+
+    /// Both sorts give the same bytes, or both fail with the same error.
+    fn agree(recs: &[Rec], depth_limit: Option<u32>) -> std::result::Result<(), String> {
+        match (sort_bytes(recs, depth_limit), sort_owned(recs, depth_limit)) {
+            (Ok(a), Ok(b)) if a == b => Ok(()),
+            (Err(a), Err(b)) if a.to_string() == b.to_string() => Ok(()),
+            (a, b) => Err(format!("depth {depth_limit:?}: encoded {a:?} vs owned {b:?}")),
+        }
+    }
+
+    fn small_key() -> BoxedStrategy<KeyValue> {
+        // Few distinct values, so sibling keys tie and the seq decides.
+        let leaf = prop_oneof![
+            Just(KeyValue::Missing),
+            (-3i64..4).prop_map(KeyValue::Num),
+            prop::collection::vec(0u8..3, 0..3).prop_map(KeyValue::Bytes),
+        ];
+        leaf.prop_recursive(2, 8, 3, |inner| {
+            prop_oneof![
+                inner.clone().prop_map(|k| KeyValue::Desc(Box::new(k))),
+                prop::collection::vec(inner, 0..3).prop_map(KeyValue::Tuple),
+            ]
+        })
+    }
+
+    /// A random DFS record stream: a forest of roots at level `base`, with
+    /// elements (names interned or inline), text and run-pointer leaves,
+    /// and elements whose key arrives as a patch at their end.
+    fn build_forest(base: u32, ops: Vec<(u8, KeyValue, bool)>) -> Vec<Rec> {
+        use nexsort_xml::{ElemRec, NameRef, PatchRec, PtrRec, TextRec};
+        let mut out = Vec::new();
+        let mut open: Vec<(u32, Option<KeyValue>)> = Vec::new();
+        for (seq, (op, key, flag)) in ops.into_iter().enumerate() {
+            let (seq, level) = (seq as u64, base + open.len() as u32);
+            match op {
+                0..=3 if open.len() < 5 => {
+                    let name = if flag {
+                        NameRef::Sym(u32::from(op))
+                    } else {
+                        NameRef::Inline(b"e".to_vec())
+                    };
+                    let attrs = vec![(NameRef::Inline(b"a".to_vec()), b"v&<\"".to_vec())];
+                    let own = if flag { KeyValue::Missing } else { key.clone() };
+                    out.push(Rec::Elem(ElemRec { level, name, attrs, key: own, seq }));
+                    open.push((level, flag.then_some(key)));
+                }
+                4 | 5 => {
+                    let content = b"t".repeat(usize::from(op));
+                    out.push(Rec::Text(TextRec { level, content, key, seq }));
+                }
+                6 => out.push(Rec::RunPtr(PtrRec { level, run: seq as u32, key, seq })),
+                _ => {
+                    if let Some((level, Some(key))) = open.pop() {
+                        out.push(Rec::KeyPatch(PatchRec { level, key }));
+                    }
+                }
+            }
+        }
+        while let Some((level, patch)) = open.pop() {
+            if let Some(key) = patch {
+                out.push(Rec::KeyPatch(PatchRec { level, key }));
+            }
+        }
+        out
+    }
+
+    fn gen_events(gen: &mut dyn EventSource) -> Vec<Event> {
+        let mut events = Vec::new();
+        while let Some(ev) = gen.next_event().unwrap() {
+            events.push(ev);
+        }
+        events
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// `nexsort-datagen` documents under attribute, numeric, tag,
+        /// doc-order, descending, text and child-path (deferred) keys, with
+        /// compaction on and off, at every depth limit.
+        #[test]
+        fn encoded_sort_equals_the_owned_sort_on_generated_documents(seed in any::<u64>()) {
+            use nexsort_datagen::{AuctionConfig, AuctionGen, ExactGen, GenConfig};
+            let cfg = GenConfig { seed, avg_elem_bytes: 40, ..Default::default() };
+            let auction = AuctionConfig { seed, sellers: 3, ..Default::default() };
+            let docs = [
+                gen_events(&mut ExactGen::new(&[3, 4, 2], cfg.clone())),
+                gen_events(&mut ExactGen::new(&[2, 2, 2, 2], cfg.clone())),
+                gen_events(&mut ExactGen::new(&[14], cfg)),
+                gen_events(&mut AuctionGen::new(auction)),
+            ];
+            let specs = [
+                SortSpec::by_attribute("k"),
+                SortSpec::uniform(KeyRule::attr("k").desc()),
+                SortSpec::uniform(KeyRule::tag_name()),
+                SortSpec::uniform(KeyRule::doc_order()),
+                SortSpec::uniform(KeyRule::text()),
+                SortSpec::uniform(KeyRule::attr("id"))
+                    .with_rule("item", KeyRule::child_path(&["description"]))
+                    .with_rule("bid", KeyRule::attr_numeric("amount")),
+            ];
+            for events in &docs {
+                for spec in &specs {
+                    for compaction in [true, false] {
+                        let mut dict = TagDict::new();
+                        let recs = events_to_recs(events, spec, &mut dict, compaction).unwrap();
+                        for depth in [None, Some(1), Some(2), Some(3)] {
+                            prop_assert_eq!(agree(&recs, depth), Ok(()));
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Random forests with run-pointer leaves and patched keys; and the
+        /// same streams with one record dropped, which leaves dangling
+        /// patches and level jumps that both sorts must refuse alike.
+        #[test]
+        fn encoded_sort_equals_the_owned_sort_on_random_forests(
+            base in 1u32..4,
+            ops in prop::collection::vec((0u8..10, small_key(), any::<bool>()), 0..60),
+            drop_at in any::<u64>()
+        ) {
+            let recs = build_forest(base, ops);
+            for depth in [None, Some(1), Some(2), Some(3)] {
+                prop_assert_eq!(agree(&recs, depth), Ok(()));
+            }
+            if !recs.is_empty() {
+                let mut cut = recs.clone();
+                cut.remove((drop_at % recs.len() as u64) as usize);
+                prop_assert_eq!(agree(&cut, None), Ok(()));
+            }
+        }
+    }
+
+    #[test]
+    fn encoded_sort_refuses_dangling_patches_and_level_jumps() {
+        use nexsort_xml::{ElemRec, NameRef, PatchRec, TextRec};
+        let elem = |level| {
+            Rec::Elem(ElemRec {
+                level,
+                name: NameRef::Sym(0),
+                attrs: vec![],
+                key: KeyValue::Missing,
+                seq: 0,
+            })
+        };
+        let patch = |level| Rec::KeyPatch(PatchRec { level, key: KeyValue::Num(1) });
+        let text =
+            |level| Rec::Text(TextRec { level, content: vec![], key: KeyValue::Missing, seq: 1 });
+        for recs in [
+            vec![patch(3)],
+            vec![elem(1), elem(3)],
+            vec![elem(1), text(2), patch(2)],
+            vec![elem(2), text(4)],
+        ] {
+            let err = sort_bytes(&recs, None).unwrap_err().to_string();
+            assert_eq!(err, sort_owned(&recs, None).unwrap_err().to_string());
+        }
     }
 
     #[test]

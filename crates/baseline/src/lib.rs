@@ -3,8 +3,10 @@
 //! The comparison algorithms of the NEXSORT paper, built from scratch:
 //!
 //! * **Internal-memory recursive sort** ([`sort_dom`], [`sort_recs`]) -- the
-//!   straw-man that assumes the document fits in memory; used here as the
-//!   test oracle and, by NEXSORT, for subtrees that do fit.
+//!   straw-man that assumes the document fits in memory, over owned trees.
+//!   It is the oracle: NEXSORT sorts the subtrees that fit in memory as
+//!   bytes (`nexsort_xml::EncodedForest`), and tests hold that byte-level
+//!   sort to [`sort_recs`].
 //! * **Key-path external merge sort** ([`sort_xml_extent`],
 //!   [`external_merge_sort`]) -- the paper's baseline: annotate every record
 //!   with its root-to-here key path (Table 1) and run a classic

@@ -71,6 +71,10 @@ impl RecSource for ExtentRecSource {
     fn next_rec(&mut self) -> Result<Option<Rec>> {
         self.dec.next_rec()
     }
+
+    fn next_encoded(&mut self, out: &mut Vec<u8>) -> Result<Option<(RecKind, u32)>> {
+        Ok(self.dec.next_encoded(out)?.map(|h| (h.kind, h.level)))
+    }
 }
 
 /// Records produced by parsing XML text from an extent through the

@@ -14,7 +14,9 @@ use nexsort_extmem::{
 };
 use nexsort_merge::{BatchUpdate, MergeOptions, StructuralMerge};
 use nexsort_server::{JobInput, JobOp, JobSpec};
-use nexsort_xml::{KeyValue, Rec, RecXmlWriter, SortSpec, XmlWriter};
+use nexsort_xml::{
+    cmp_encoded_keys, KeyValue, RecHead, RecKind, RecRef, RecXmlWriter, SortSpec, XmlWriter,
+};
 
 use crate::specarg::parse_size;
 
@@ -827,23 +829,37 @@ enum Staged {
 /// their keys are re-extracted under the current criterion so `--key`
 /// arguments always apply. XML text streams from the file onto the device
 /// through `stage_reader`'s fixed buffer, never whole in memory.
-/// `xsort check`'s test, one record at a time: the children of every
-/// element must come in ascending key order. It keeps the last sibling key
-/// per level and the levels of open elements whose key is deferred (text
-/// or child-path rules); a deferred key is compared when its `KeyPatch`
-/// arrives, or as `Missing` when its element closes without one. Memory is
+/// `xsort check`'s test, one encoded record at a time: the children of
+/// every element must come in ascending key order. It keeps the last
+/// sibling key per level, as bytes in a reused buffer, and the levels of
+/// open elements whose key is deferred (text or child-path rules); a
+/// deferred key is compared when its `KeyPatch` arrives, or as `Missing`
+/// when its element closes without one. Keys are compared encoded
+/// (`cmp_encoded_keys`) and decoded only to report a failure. Memory is
 /// O(height), whatever the document's size.
 struct SiblingCheck<'a> {
     spec: &'a SortSpec,
     depth_limit: Option<u32>,
-    last: Vec<Option<KeyValue>>,
+    /// `last[l]` holds the last key seen at level `l + 1`, when `seen[l]`.
+    last: Vec<Vec<u8>>,
+    seen: Vec<bool>,
     deferred: Vec<u32>,
     records: u64,
 }
 
+/// The encoded `Missing` key.
+const MISSING_KEY: &[u8] = &[0];
+
 impl<'a> SiblingCheck<'a> {
     fn new(spec: &'a SortSpec, depth_limit: Option<u32>) -> Self {
-        Self { spec, depth_limit, last: Vec::new(), deferred: Vec::new(), records: 0 }
+        Self {
+            spec,
+            depth_limit,
+            last: Vec::new(),
+            seen: Vec::new(),
+            deferred: Vec::new(),
+            records: 0,
+        }
     }
 
     /// Parse XML text from `src` and check its records as they are built.
@@ -855,34 +871,35 @@ impl<'a> SiblingCheck<'a> {
         while let Some(ev) = parser.next_ref().map_err(xml_err)? {
             buf.clear();
             if builder.push(&ev, &mut dict, &mut buf).map_err(xml_err)?.is_some() {
-                let mut enc = nexsort_extmem::SliceReader::new(&buf);
-                let (rec, _) = Rec::decode(&mut enc).map_err(xml_err)?;
-                self.push(rec, &dict)?;
+                self.push(&buf, &dict)?;
             }
         }
         Ok(())
     }
 
-    fn push(&mut self, rec: Rec, dict: &nexsort_xml::TagDict) -> Result<(), CliError> {
-        let level = rec.level();
+    /// Check one encoded record.
+    fn push(&mut self, rec: &[u8], dict: &nexsort_xml::TagDict) -> Result<(), CliError> {
+        let head = RecHead::parse(rec).map_err(xml_err)?;
+        let level = head.level;
+        let patch = head.kind == RecKind::KeyPatch;
         // The record closes every open element deeper than its parent; a
         // patch belongs to the element at its own level.
-        let parent = if matches!(rec, Rec::KeyPatch(_)) { level } else { level.saturating_sub(1) };
+        let parent = if patch { level } else { level.saturating_sub(1) };
         while let Some(&open) = self.deferred.last().filter(|&&l| l > parent) {
             self.deferred.pop();
-            self.compare(open, KeyValue::Missing)?;
+            self.compare(open, MISSING_KEY)?;
         }
-        if let Rec::KeyPatch(p) = rec {
+        if patch {
             if self.deferred.pop() != Some(level) {
                 return Err(format!("key patch at level {level} has no open element").into());
             }
-            return self.compare(level, p.key);
+            return self.compare(level, head.key_of(rec));
         }
         self.records += 1;
-        self.last.truncate(level as usize);
-        let deferred = match &rec {
-            Rec::Elem(e) => {
-                self.spec.rule_for(e.name.resolve(dict).map_err(xml_err)?).source.is_deferred()
+        self.seen.truncate(level as usize);
+        let deferred = match RecRef::read(rec).map_err(xml_err)? {
+            RecRef::Elem { name, .. } => {
+                self.spec.rule_for(name.resolve(dict).map_err(xml_err)?).source.is_deferred()
             }
             _ => false,
         };
@@ -890,31 +907,37 @@ impl<'a> SiblingCheck<'a> {
             self.deferred.push(level);
             return Ok(());
         }
-        self.compare(level, rec.key().clone())
+        self.compare(level, head.key_of(rec))
     }
 
     /// Compare `key` with the last sibling key at `level`, then record it.
-    fn compare(&mut self, level: u32, key: KeyValue) -> Result<(), CliError> {
+    fn compare(&mut self, level: u32, key: &[u8]) -> Result<(), CliError> {
         let at = level as usize;
+        if self.seen.len() < at {
+            self.seen.resize(at, false);
+        }
         if self.last.len() < at {
-            self.last.resize(at, None);
+            self.last.resize(at, Vec::new());
         }
         let within = self.depth_limit.is_none_or(|d| level <= d + 1);
-        if let (true, Some(prev)) = (within, &self.last[at - 1]) {
-            if *prev > key {
-                return Err(
-                    format!("NOT SORTED: level {level} key {key} appears after {prev}").into()
-                );
-            }
+        let prev = &self.last[at - 1];
+        if within && self.seen[at - 1] && cmp_encoded_keys(prev, key).is_gt() {
+            let decode = |k: &[u8]| {
+                KeyValue::decode(&mut nexsort_extmem::SliceReader::new(k)).map_err(xml_err)
+            };
+            let (key, prev) = (decode(key)?, decode(prev)?);
+            return Err(format!("NOT SORTED: level {level} key {key} appears after {prev}").into());
         }
-        self.last[at - 1] = Some(key);
+        self.last[at - 1].clear();
+        self.last[at - 1].extend_from_slice(key);
+        self.seen[at - 1] = true;
         Ok(())
     }
 
     /// Settle the keys still deferred at the end; the record count.
     fn finish(mut self) -> Result<u64, CliError> {
         while let Some(open) = self.deferred.pop() {
-            self.compare(open, KeyValue::Missing)?;
+            self.compare(open, MISSING_KEY)?;
         }
         Ok(self.records)
     }
@@ -1426,8 +1449,11 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                 let mut new_dict = nexsort_xml::TagDict::new();
                 let recs = nexsort_xml::events_to_recs(&events, &cli.spec, &mut new_dict, true)
                     .map_err(xml_err)?;
+                let mut buf = Vec::new();
                 for rec in recs {
-                    check.push(rec, &new_dict)?;
+                    buf.clear();
+                    rec.encode(&mut buf).map_err(xml_err)?;
+                    check.push(&buf, &new_dict)?;
                 }
             } else if meta.is_file() {
                 let src = nexsort_extmem::IoSource::new(bytes.as_slice().chain(file), meta.len());
@@ -1484,6 +1510,7 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                 while let Some(ev) = gen.next_event().map_err(xml_err)? {
                     w.write(&ev).map_err(xml_err)?;
                 }
+                w.into_inner().map_err(xml_err)?;
                 Ok(())
             })
         }

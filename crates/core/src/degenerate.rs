@@ -28,12 +28,15 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use nexsort_baseline::{sort_recs, PathedArena, PathedRunStream, RecSource};
+use nexsort_baseline::{PathedArena, PathedRunStream, RecSource};
 use nexsort_extmem::{
     ByteSink, Disk, IoCat, IoPhase, Journal, JournalRecord, KWayMerger, MemoryBudget,
-    RecoveredState, RunId, RunStore,
+    RecoveredState, RunId, RunStore, SliceReader,
 };
-use nexsort_xml::{EncodedPath, PathComp, PathedBytes, PtrRec, Rec, Result, SortSpec, XmlError};
+use nexsort_xml::{
+    EncodedForest, EncodedPath, KeyValue, PathedBytes, PtrRec, Rec, RecKind, Result, SortSpec,
+    XmlError,
+};
 
 use crate::checkpoint::{journal_stats, restore_report, seal_record, seal_records};
 use crate::options::NexsortOptions;
@@ -41,12 +44,9 @@ use crate::report::SortReport;
 
 struct Frame {
     level: u32,
-    comp: PathComp,
-    /// Index of this element's record in the staging buffer; `None` once a
+    /// Index of this element's record in `Degenerate::spans`; `None` once a
     /// flush has spilled it into an incomplete run.
     start_idx: Option<usize>,
-    /// `total_staged_bytes` at the moment this element was staged.
-    start_total: u64,
     /// Incomplete runs whose contents lie entirely within this subtree.
     pendings: Vec<RunId>,
     fanout: u64,
@@ -58,16 +58,20 @@ struct Degenerate<'a> {
     store: Rc<RunStore>,
     threshold: u64,
     capacity: u64,
-    staging: Vec<Rec>,
-    total_staged_bytes: u64,
+    /// The staged records' bytes, back to back, in document order.
+    staging: Vec<u8>,
+    /// Where each staged record starts in `staging`, and its level.
+    spans: Vec<(usize, u32)>,
     frames: Vec<Frame>,
+    /// The key-path components of the open elements, one per frame.
+    open_path: EncodedPath,
     /// Owner depth of the current staging fragment (number of frames open
     /// when its first record was staged; 0 = the document itself).
     owner_depth: usize,
     /// Key-path prefix of the current fragment: the components of every
     /// element open when the fragment's first record was staged. Ancestors
     /// that close mid-fragment stay available here for path building.
-    fragment_seed: Vec<PathComp>,
+    fragment_seed: EncodedPath,
     /// Incomplete runs owned above the root (the fragment holding the root's
     /// own start record).
     super_pendings: Vec<RunId>,
@@ -87,33 +91,35 @@ struct Degenerate<'a> {
 }
 
 impl Degenerate<'_> {
-    fn stage(&mut self, rec: Rec, encoded_len: u64) -> Result<()> {
-        if self.staging.is_empty() {
+    fn stage(&mut self, rec: &[u8], level: u32) {
+        if self.spans.is_empty() {
             self.owner_depth = self.frames.len();
-            self.fragment_seed = self.frames.iter().map(|f| f.comp.clone()).collect();
+            self.fragment_seed = self.open_path.clone();
         }
-        self.staging.push(rec);
-        self.total_staged_bytes += encoded_len;
-        Ok(())
+        self.spans.push((self.staging.len(), level));
+        self.staging.extend_from_slice(rec);
+    }
+
+    /// The bytes of staged record `k`.
+    fn staged(&self, k: usize) -> &[u8] {
+        let end = self.spans.get(k + 1).map_or(self.staging.len(), |s| s.0);
+        &self.staging[self.spans[k].0..end]
     }
 
     /// Spill the staging buffer as one incomplete sorted run.
     fn flush(&mut self) -> Result<()> {
-        if self.staging.is_empty() {
+        if self.spans.is_empty() {
             return Ok(());
         }
         // Seed the key-path builder with the fragment's opening context:
         // every ancestor of the first staged record. Ancestors that closed
         // mid-fragment are covered by the seed; elements opened later have
         // their own records in the staging buffer.
-        let mut path = EncodedPath::new();
-        for c in std::mem::take(&mut self.fragment_seed) {
-            path.push(&c.key, c.seq)?;
-        }
+        let mut path = std::mem::take(&mut self.fragment_seed);
         let mut arena = PathedArena::new();
         let mut pathed = Vec::new();
-        for rec in self.staging.drain(..) {
-            let level = rec.level() as usize;
+        for k in 0..self.spans.len() {
+            let (rec, level) = (self.staged(k), self.spans[k].1 as usize);
             if level == 0 || level > path.depth() + 1 {
                 return Err(XmlError::Record(format!(
                     "staged record at level {level} jumps past path depth {}",
@@ -121,11 +127,14 @@ impl Degenerate<'_> {
                 )));
             }
             path.truncate(level - 1);
-            path.push(rec.key(), rec.seq())?;
+            path.push_encoded(rec, false)?;
             pathed.clear();
-            path.encode_with(&rec, &mut pathed)?;
+            path.write_prefix(&mut pathed)?;
+            pathed.extend_from_slice(rec);
             arena.push(&pathed);
         }
+        self.staging.clear();
+        self.spans.clear();
         // Spilling an incomplete run is run formation.
         let run = self.store.disk().in_phase(IoPhase::RunFormation, || -> Result<RunId> {
             let mut w = self.store.create(self.budget, IoCat::SortScratch)?;
@@ -140,7 +149,6 @@ impl Degenerate<'_> {
         for f in &mut self.frames {
             f.start_idx = None;
         }
-        self.total_staged_bytes = 0;
         Ok(())
     }
 
@@ -237,32 +245,35 @@ impl Degenerate<'_> {
         let Some(frame) = self.frames.pop() else {
             return Err(XmlError::Record("close with no open frame".into()));
         };
+        self.open_path.truncate(self.frames.len());
         self.report.max_fanout = self.report.max_fanout.max(frame.fanout);
         self.owner_depth = self.owner_depth.min(self.frames.len());
         let is_root = self.frames.is_empty();
         match frame.start_idx {
             Some(i) => {
                 debug_assert!(frame.pendings.is_empty(), "unflushed frame cannot own runs");
-                let size = self.total_staged_bytes - frame.start_total;
+                let start = self.spans[i].0;
+                let size = (self.staging.len() - start) as u64;
                 let within_depth = self.opts.depth_limit.is_none_or(|d| frame.level <= d + 1);
                 if (size > self.threshold && within_depth) || is_root {
                     // The whole subtree is still buffered: a pure in-memory
-                    // NEXSORT collapse with zero stack I/O.
-                    let sub: Vec<Rec> = self.staging.split_off(i);
-                    self.total_staged_bytes = frame.start_total;
+                    // NEXSORT collapse with zero stack I/O, sorted as bytes.
                     self.report.subtree_sorts += 1;
                     self.report.internal_sorts += 1;
                     self.report.sum_sorted_bytes += size;
                     self.report.max_sort_bytes = self.report.max_sort_bytes.max(size);
-                    self.report.sum_sorted_records += sub.len() as u64;
-                    let sorted = sort_recs(sub, false, self.opts.depth_limit)?;
+                    let forest = EncodedForest::index(&self.staging[start..])?;
+                    self.report.sum_sorted_records += forest.len() as u64;
                     if is_root {
-                        self.root_has_ptrs = sorted.iter().any(|r| matches!(r, Rec::RunPtr(_)));
+                        self.root_has_ptrs = forest.has_run_ptrs();
                     }
-                    let root = match sorted.first() {
-                        Some(Rec::Elem(e)) if e.level == frame.level => {
-                            PtrRec { level: frame.level, run: 0, key: e.key.clone(), seq: e.seq }
-                        }
+                    let root = match forest.first() {
+                        Some((RecKind::Elem, l, key, seq)) if l == frame.level => PtrRec {
+                            level: l,
+                            run: 0,
+                            key: KeyValue::decode(&mut SliceReader::new(key))?,
+                            seq,
+                        },
                         other => {
                             return Err(XmlError::Record(format!(
                                 "buffered subtree does not start at level {}: {other:?}",
@@ -270,22 +281,20 @@ impl Degenerate<'_> {
                             )))
                         }
                     };
+                    let depth_limit = self.opts.depth_limit;
                     let run = self.store.disk().in_phase(IoPhase::RunFormation, || {
                         let mut w = self.store.create(self.budget, IoCat::RunWrite)?;
-                        let mut buf = Vec::new();
-                        for r in &sorted {
-                            buf.clear();
-                            r.encode(&mut buf)?;
-                            w.write_all(&buf)?;
-                        }
+                        forest.write_sorted(depth_limit, &mut w)?;
                         Ok::<_, XmlError>(w.finish()?)
                     })?;
+                    self.staging.truncate(start);
+                    self.spans.truncate(i);
                     if is_root {
                         self.root_run = Some(run);
                     } else {
-                        let ptr = Rec::RunPtr(PtrRec { run: run.0, ..root });
-                        let len = ptr.encoded_len() as u64;
-                        self.stage(ptr, len)?;
+                        let mut ptr = Vec::new();
+                        Rec::RunPtr(PtrRec { run: run.0, ..root }).encode(&mut ptr)?;
+                        self.stage(&ptr, frame.level);
                     }
                 }
                 // else: small and fully buffered -- leave it alone.
@@ -352,10 +361,11 @@ pub(crate) fn sort_degenerate(
         threshold,
         capacity,
         staging: Vec::new(),
-        total_staged_bytes: 0,
+        spans: Vec::new(),
         frames: Vec::new(),
+        open_path: EncodedPath::new(),
         owner_depth: 0,
-        fragment_seed: Vec::new(),
+        fragment_seed: EncodedPath::new(),
         super_pendings: Vec::new(),
         root_run: None,
         root_has_ptrs: false,
@@ -365,11 +375,14 @@ pub(crate) fn sort_degenerate(
         report,
     };
 
-    // Sizes staged records by encoding each into one reused buffer.
-    let mut sizer = Vec::new();
-    while let Some(rec) = src.next_rec()? {
-        let lvl = rec.level();
-        if matches!(rec, Rec::KeyPatch(_)) {
+    // Records arrive as the builder's bytes and are staged as they are.
+    let mut rec = Vec::new();
+    loop {
+        rec.clear();
+        let Some((kind, lvl)) = src.next_encoded(&mut rec)? else {
+            break;
+        };
+        if kind == RecKind::KeyPatch {
             return Err(XmlError::Record(
                 "deferred keys are not supported in degeneration mode".into(),
             ));
@@ -377,14 +390,12 @@ pub(crate) fn sort_degenerate(
         while st.frames.len() as u32 >= lvl {
             st.close_top()?;
         }
-        sizer.clear();
-        rec.encode(&mut sizer)?;
-        let encoded_len = sizer.len() as u64;
-        if st.total_staged_bytes + encoded_len > st.capacity && !st.staging.is_empty() {
+        let encoded_len = rec.len() as u64;
+        if st.staging.len() as u64 + encoded_len > st.capacity && !st.spans.is_empty() {
             st.flush()?;
         }
-        match &rec {
-            Rec::Elem(e) => {
+        match kind {
+            RecKind::Elem => {
                 if lvl as usize != st.frames.len() + 1 {
                     return Err(XmlError::Record(format!(
                         "level jump: element at level {lvl} under {} open elements",
@@ -397,17 +408,15 @@ pub(crate) fn sort_degenerate(
                 if let Some(parent) = st.frames.last_mut() {
                     parent.fanout += 1;
                 }
-                let frame = Frame {
+                st.open_path.push_encoded(&rec, false)?;
+                st.frames.push(Frame {
                     level: lvl,
-                    comp: PathComp { key: e.key.clone(), seq: e.seq },
-                    start_idx: Some(st.staging.len()),
-                    start_total: st.total_staged_bytes,
+                    start_idx: Some(st.spans.len()),
                     pendings: Vec::new(),
                     fanout: 0,
-                };
-                st.frames.push(frame);
+                });
             }
-            Rec::Text(_) | Rec::RunPtr(_) => {
+            RecKind::Text | RecKind::RunPtr => {
                 if lvl as usize != st.frames.len() + 1 || st.frames.is_empty() {
                     return Err(XmlError::Record(format!(
                         "level jump: leaf record at level {lvl} under {} open elements",
@@ -418,14 +427,14 @@ pub(crate) fn sort_degenerate(
                     top.fanout += 1;
                 }
             }
-            Rec::KeyPatch(_) => {
+            RecKind::KeyPatch => {
                 return Err(XmlError::Record("key patch in the degenerate input stream".into()))
             }
         }
         st.report.n_records += 1;
         st.report.max_level = st.report.max_level.max(lvl);
         st.report.input_bytes += encoded_len;
-        st.stage(rec, encoded_len)?;
+        st.stage(&rec, lvl);
     }
     while !st.frames.is_empty() {
         if st.frames.len() == 1 && st.frames[0].start_idx.is_none() {
@@ -510,10 +519,11 @@ pub(crate) fn resume_degenerate(
         threshold,
         capacity: 0,
         staging: Vec::new(),
-        total_staged_bytes: 0,
+        spans: Vec::new(),
         frames: Vec::new(),
+        open_path: EncodedPath::new(),
         owner_depth: 0,
-        fragment_seed: Vec::new(),
+        fragment_seed: EncodedPath::new(),
         super_pendings: Vec::new(),
         root_run: None,
         root_has_ptrs: false,

@@ -13,10 +13,14 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use nexsort_baseline::RecSource;
+use nexsort_extmem::SliceReader;
 use nexsort_extmem::{
     ByteSink, Disk, ExtStack, IoCat, IoPhase, IoSnapshot, MemoryBudget, RunId, RunReader, RunStore,
 };
-use nexsort_xml::{Event, Rec, RecDecoder, RecXmlWriter, Result, TagDict, XmlError, XmlWriter};
+use nexsort_xml::{
+    cmp_encoded_keys, Event, KeyValue, Rec, RecDecoder, RecHead, RecKind, RecRef, RecXmlWriter,
+    Result, TagDict, XmlError, XmlWriter,
+};
 
 use crate::report::SortReport;
 
@@ -98,10 +102,9 @@ impl SortedDoc {
             let mut w = self.store.create(&budget, IoCat::OutputWrite)?;
             let mut buf = Vec::new();
             let mut records = 0u64;
-            while let Some(rec) = cursor.next_rec()? {
-                buf.clear();
-                rec.encode(&mut buf)?;
+            while cursor.next_encoded(&mut buf)?.is_some() {
                 w.write_all(&buf)?;
+                buf.clear();
                 records += 1;
             }
             let run = w.finish()?;
@@ -135,14 +138,16 @@ impl SortedDoc {
 
     /// Stream the sorted document as XML text into `sink`: the output
     /// phase's single DFS over the run tree (Figure 4, lines 13-21), each
-    /// record written as soon as the cursor yields it. Resident memory is
-    /// the cursor's frames plus O(depth) open-tag names, whatever the size
-    /// of the document.
+    /// record formatted from its bytes as soon as the cursor yields it.
+    /// Resident memory is the cursor's frames plus O(depth) open-tag names,
+    /// whatever the size of the document.
     pub fn write_xml(&self, sink: impl ByteSink, pretty: bool) -> Result<()> {
         let mut cursor = self.cursor()?;
         let mut w = RecXmlWriter::new(sink, pretty);
-        while let Some(rec) = cursor.next_rec()? {
-            w.push_rec(&rec, &self.dict)?;
+        let mut buf = Vec::new();
+        while cursor.next_encoded(&mut buf)?.is_some() {
+            w.push_encoded(&buf, &self.dict)?;
+            buf.clear();
         }
         w.finish()?;
         Ok(())
@@ -157,7 +162,8 @@ impl SortedDoc {
 
     /// Stream the document once and verify it is *fully sorted* under
     /// `spec`: every element's children must be in nondecreasing key order.
-    /// O(height) memory; returns the number of records checked.
+    /// O(height) memory -- the last key per level, kept encoded in reused
+    /// buffers; returns the number of records checked.
     ///
     /// `depth_limit` mirrors the sort's own option: children of elements
     /// deeper than the limit are exempt.
@@ -168,30 +174,38 @@ impl SortedDoc {
     ) -> Result<u64> {
         let _ = spec; // keys were extracted at scan time; records carry them
         let mut cursor = self.cursor()?;
-        // last_key[l] = key of the last sibling seen at level l+1.
-        let mut last_key: Vec<Option<nexsort_xml::KeyValue>> = Vec::new();
+        // last_key[l] = key of the last sibling seen at level l+1, when
+        // seen[l]; the buffers are reused, never freed.
+        let mut last_key: Vec<Vec<u8>> = Vec::new();
+        let mut seen: Vec<bool> = Vec::new();
+        let mut buf = Vec::new();
         let mut checked = 0u64;
-        while let Some(rec) = cursor.next_rec()? {
+        while let Some(head) = cursor.next_encoded(&mut buf)? {
             checked += 1;
-            let lvl = rec.level() as usize;
-            last_key.truncate(lvl);
-            while last_key.len() < lvl {
-                last_key.push(None);
+            let lvl = head.level as usize;
+            if lvl == 0 {
+                return Err(XmlError::Record("record at level 0 in a sorted document".into()));
             }
-            let within = depth_limit.is_none_or(|d| rec.level() <= d + 1);
-            if within {
-                if let Some(Some(prev)) = last_key.get(lvl - 1) {
-                    if prev > rec.key() {
-                        return Err(XmlError::Record(format!(
-                            "document not sorted: level {} key {} after {}",
-                            rec.level(),
-                            rec.key(),
-                            prev
-                        )));
-                    }
-                }
+            if seen.len() < lvl {
+                seen.resize(lvl, false);
+                last_key.resize(lvl, Vec::new());
             }
-            last_key[lvl - 1] = Some(rec.key().clone());
+            seen[lvl..].fill(false);
+            let key = head.key_of(&buf);
+            let within = depth_limit.is_none_or(|d| head.level <= d + 1);
+            if within && seen[lvl - 1] && cmp_encoded_keys(&last_key[lvl - 1], key).is_gt() {
+                let decode = |k: &[u8]| KeyValue::decode(&mut SliceReader::new(k));
+                return Err(XmlError::Record(format!(
+                    "document not sorted: level {} key {} after {}",
+                    head.level,
+                    decode(key)?,
+                    decode(&last_key[lvl - 1])?
+                )));
+            }
+            last_key[lvl - 1].clear();
+            last_key[lvl - 1].extend_from_slice(key);
+            seen[lvl - 1] = true;
+            buf.clear();
         }
         Ok(checked)
     }
@@ -211,53 +225,48 @@ impl SortedDoc {
         let mut writer = XmlWriter::new(sink).pretty(pretty);
         let mut open_levels = 0u32;
         let mut records = 0u64;
+        let mut buf = Vec::new();
 
         let close_one = |tags: &mut ExtStack, w: &mut XmlWriter<S>| -> Result<()> {
             let len = tags.pop_u32()? as usize;
             let name = tags.pop(len)?;
-            w.write(&Event::End { name })?;
-            Ok(())
+            w.end_tag(&name)
         };
 
-        while let Some(rec) = cursor.next_rec()? {
+        while let Some(head) = cursor.next_encoded(&mut buf)? {
             records += 1;
-            let lvl = rec.level();
+            let lvl = head.level;
             while open_levels >= lvl {
                 close_one(&mut tags, &mut writer)?;
                 open_levels -= 1;
             }
-            match rec {
-                Rec::Elem(e) => {
+            match RecRef::read(&buf)? {
+                RecRef::Elem { name, attrs, .. } => {
                     if lvl != open_levels + 1 {
                         return Err(XmlError::Record(format!(
                             "level jump to {lvl} with {open_levels} open tags"
                         )));
                     }
-                    let name = e.name.resolve(&self.dict)?.to_vec();
-                    let attrs = e
-                        .attrs
-                        .iter()
-                        .map(|(k, v)| Ok((k.resolve(&self.dict)?.to_vec(), v.clone())))
-                        .collect::<Result<Vec<_>>>()?;
-                    writer.write(&Event::Start { name: name.clone(), attrs })?;
-                    tags.push(&name)?;
+                    let name = name.resolve(&self.dict)?;
+                    writer.start_tag(name, attrs.map(|(k, v)| Ok((k.resolve(&self.dict)?, v))))?;
+                    tags.push(name)?;
                     tags.push_u32(name.len() as u32)?;
                     open_levels += 1;
                 }
-                Rec::Text(t) => {
-                    writer.write(&Event::Text { content: t.content })?;
-                }
-                Rec::RunPtr(_) | Rec::KeyPatch(_) => {
+                RecRef::Text { content, .. } => writer.text(content)?,
+                RecRef::RunPtr { .. } | RecRef::KeyPatch { .. } => {
                     return Err(XmlError::Record(
                         "unresolved pointer or patch record reached output".into(),
                     ))
                 }
             }
+            buf.clear();
         }
         while open_levels > 0 {
             close_one(&mut tags, &mut writer)?;
             open_levels -= 1;
         }
+        writer.into_inner()?;
         Ok(records)
     }
 }
@@ -270,6 +279,8 @@ pub struct DocCursor {
     /// Current run and its decoder, with the run id and base offset needed
     /// to compute the return location when a pointer is followed.
     cur: Option<(RunId, u64, u64, RecDecoder<RunReader>)>,
+    /// [`RecSource::next_rec`]'s buffer.
+    scratch: Vec<u8>,
 }
 
 impl DocCursor {
@@ -279,7 +290,7 @@ impl DocCursor {
         // Figure 4 line 13: initialize with (s, 0), s = the root run.
         outloc.push_u32(root.0)?;
         outloc.push_u64(0)?;
-        Ok(Self { store, budget, outloc, cur: None })
+        Ok(Self { store, budget, outloc, cur: None, scratch: Vec::new() })
     }
 
     fn open_at(&mut self, run: RunId, offset: u64) -> Result<()> {
@@ -292,23 +303,29 @@ impl DocCursor {
     }
 }
 
-impl RecSource for DocCursor {
-    /// The next record of the fully sorted document, in DFS order. Pointer
+impl DocCursor {
+    /// The next record of the fully sorted document, in DFS order, appended
+    /// to `out` as its validated bytes, with no [`Rec`] built. Pointer
     /// records are followed transparently; key patches are dropped.
-    fn next_rec(&mut self) -> Result<Option<Rec>> {
+    pub fn next_encoded(&mut self, out: &mut Vec<u8>) -> Result<Option<RecHead>> {
+        let at = out.len();
         loop {
             match &mut self.cur {
-                Some((run, base, len, dec)) => match dec.next_rec()? {
-                    Some(Rec::RunPtr(p)) => {
+                Some((run, base, len, dec)) => match dec.next_encoded(out)? {
+                    Some(head) if head.kind == RecKind::RunPtr => {
+                        let RecRef::RunPtr { run: target, .. } = RecRef::read(&out[at..])? else {
+                            return Err(XmlError::Record("pointer record misread".into()));
+                        };
+                        out.truncate(at);
                         // Push the return location, then jump (lines 18-20).
                         let pos = *base + (*len - *base - dec.remaining_bytes());
                         let run_id = run.0;
                         self.outloc.push_u32(run_id)?;
                         self.outloc.push_u64(pos)?;
-                        self.open_at(RunId(p.run), 0)?;
+                        self.open_at(RunId(target), 0)?;
                     }
-                    Some(Rec::KeyPatch(_)) => continue,
-                    Some(rec) => return Ok(Some(rec)),
+                    Some(head) if head.kind == RecKind::KeyPatch => out.truncate(at),
+                    Some(head) => return Ok(Some(head)),
                     None => self.cur = None,
                 },
                 None => {
@@ -321,6 +338,24 @@ impl RecSource for DocCursor {
                 }
             }
         }
+    }
+}
+
+impl RecSource for DocCursor {
+    /// [`DocCursor::next_encoded`], decoded.
+    fn next_rec(&mut self) -> Result<Option<Rec>> {
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        let rec = match self.next_encoded(&mut buf)? {
+            Some(_) => Some(Rec::decode(&mut SliceReader::new(&buf))?.0),
+            None => None,
+        };
+        self.scratch = buf;
+        Ok(rec)
+    }
+
+    fn next_encoded(&mut self, out: &mut Vec<u8>) -> Result<Option<(RecKind, u32)>> {
+        Ok(DocCursor::next_encoded(self, out)?.map(|h| (h.kind, h.level)))
     }
 }
 
@@ -418,6 +453,21 @@ mod verify_tests {
             .unwrap();
         let n = sorted.verify_sorted(&spec, None).unwrap();
         assert_eq!(n, sorted.report.n_records);
+    }
+
+    #[test]
+    fn verify_sorted_compares_siblings_not_cousins() {
+        // Sorted, the second a's child (y) follows the first a's child (z)
+        // at the same level: cousins, which need not be in order.
+        let doc = "<r><a name=\"b\"><c name=\"y\"/></a><a name=\"a\"><c name=\"z\"/></a></r>";
+        let disk = Disk::new_mem(128);
+        let input = stage_input(&disk, doc.as_bytes()).unwrap();
+        let spec = SortSpec::by_attribute("name");
+        let sorted = Nexsort::new(disk, NexsortOptions::default(), spec.clone())
+            .unwrap()
+            .sort_xml_extent(&input)
+            .unwrap();
+        assert_eq!(sorted.verify_sorted(&spec, None).unwrap(), 5);
     }
 
     #[test]

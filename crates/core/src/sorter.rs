@@ -174,7 +174,10 @@ impl Nexsort {
             // dictionary side effect. The exhausted source stays alive so
             // its reader frame keeps the budget -- and thus the merge
             // fan-in -- identical to the uninterrupted run's.
-            while src.next_rec()?.is_some() {}
+            let mut buf = Vec::new();
+            while src.next_encoded(&mut buf)?.is_some() {
+                buf.clear();
+            }
         }
         let (store, root_run, mut report) =
             self.resume_source(&mut src, &budget, &mut journal, state)?;

@@ -5,10 +5,10 @@
 //! sorted into a run. "Depending on the actual size of the subtree, sorting
 //! may use either an internal-memory algorithm or an external-memory
 //! algorithm": a subtree that fits in the free internal memory uses the
-//! recursive sort; a larger one (the paper notes any sorted subtree is
-//! smaller than `k*t`, but that can exceed `M`) uses the key-path external
-//! merge sort, preceded by the stream-reversal pre-pass when the ordering
-//! criterion defers keys to end tags.
+//! recursive sort, over the records' bytes; a larger one (the paper notes
+//! any sorted subtree is smaller than `k*t`, but that can exceed `M`) uses
+//! the key-path external merge sort, preceded by the stream-reversal
+//! pre-pass when the ordering criterion defers keys to end tags.
 //!
 //! A subtree rooted exactly at the depth limit is *dumped* verbatim
 //! (Section 3.2: "no sorting is needed but the subtree is still written to
@@ -20,8 +20,13 @@ use nexsort_baseline::{
     external_merge_sort, resolve_deferred, ExtSortOptions, ExtentRecSource, PathedAdapter,
     RecSource,
 };
-use nexsort_extmem::{ByteSink, Disk, Extent, IoCat, IoPhase, MemoryBudget, RunStore};
-use nexsort_xml::{PtrRec, Rec, RecDecoder, Result, SortSpec, XmlError};
+use nexsort_extmem::{
+    ByteReader, ByteSink, Disk, Extent, ExtentReader, IoCat, IoPhase, MemoryBudget, RunStore,
+    SliceReader,
+};
+use nexsort_xml::{
+    EncodedForest, KeyValue, PtrRec, Rec, RecDecoder, RecKind, Result, SortSpec, XmlError,
+};
 
 use crate::report::SortReport;
 
@@ -68,7 +73,9 @@ impl SubtreeSorter<'_> {
         })
     }
 
-    /// Internal-memory recursive sort of the range.
+    /// Internal-memory sort of the range: its bytes go into an arena, the
+    /// records are indexed in place and written to the run in sorted DFS
+    /// order, none decoded ([`EncodedForest`]).
     fn sort_internal(
         &self,
         stack_ext: &Extent,
@@ -85,26 +92,18 @@ impl SubtreeSorter<'_> {
             .reserve(buffer_frames.min(self.budget.free_frames().saturating_sub(2)))
             .map_err(XmlError::from)?;
 
-        let mut src = ExtentRecSource::range(
-            self.disk.clone(),
-            self.budget,
-            stack_ext,
-            start,
-            len,
-            IoCat::DataStack,
-        )?;
-        let mut recs = Vec::new();
-        while let Some(r) = src.next_rec()? {
-            recs.push(r);
+        let mut arena = vec![0u8; len as usize];
+        {
+            let mut src =
+                ExtentReader::new(self.disk.clone(), self.budget, stack_ext, IoCat::DataStack)?;
+            src.seek(start);
+            src.read_exact(&mut arena)?;
         }
-        drop(src);
-        report.sum_sorted_records +=
-            recs.iter().filter(|r| !matches!(r, Rec::KeyPatch(_))).count() as u64;
-
-        let sorted = nexsort_baseline::sort_recs(recs, false, self.depth_limit)?;
-        let root = match sorted.first() {
-            Some(Rec::Elem(e)) if e.level == level => {
-                PtrRec { level, run: 0, key: e.key.clone(), seq: e.seq }
+        let forest = EncodedForest::index(&arena)?;
+        report.sum_sorted_records += forest.len() as u64;
+        let root = match forest.first() {
+            Some((RecKind::Elem, l, key, seq)) if l == level => {
+                PtrRec { level, run: 0, key: KeyValue::decode(&mut SliceReader::new(key))?, seq }
             }
             other => {
                 return Err(XmlError::Record(format!(
@@ -114,12 +113,7 @@ impl SubtreeSorter<'_> {
         };
 
         let mut w = self.store.create(self.budget, IoCat::RunWrite)?;
-        let mut buf = Vec::new();
-        for r in &sorted {
-            buf.clear();
-            r.encode(&mut buf)?;
-            w.write_all(&buf)?;
-        }
+        forest.write_sorted(self.depth_limit, &mut w)?;
         let run = w.finish()?;
         Ok(PtrRec { run: run.0, ..root })
     }

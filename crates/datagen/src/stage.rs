@@ -50,7 +50,7 @@ pub fn stage_as_xml(disk: &Rc<Disk>, gen: &mut dyn EventSource) -> Result<Genera
             }
             xml.write(&ev)?;
         }
-        let extent = xml.into_inner().finish()?;
+        let extent = xml.into_inner()?.finish()?;
         let bytes = extent.len();
         Ok(GeneratedDoc { extent, dict: TagDict::new(), n_elements, bytes })
     })

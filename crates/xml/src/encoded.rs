@@ -16,14 +16,29 @@
 //! * [`EncodedPath`] builds the root-to-here path as bytes, so a record is
 //!   encoded with its path once, straight into the caller's buffer;
 //! * [`PathedBytes`] is one such encoded pair, as the merges carry it.
+//!
+//! Plain records stay encoded the same way through the in-memory subtree
+//! sort and the output phase:
+//!
+//! * [`read_rec_raw`] copies one record off a byte source while validating
+//!   it exactly as [`Rec::decode`](crate::Rec::decode) does, and [`RecHead`] is what that
+//!   validation learns: kind, level, where the key lies, sequence number;
+//! * [`RecRef`] reads a validated record's name, attributes, text or run in
+//!   place, for the XML writer and the checks;
+//! * [`cmp_encoded_keys`] and [`cmp_encoded_siblings`] order encoded keys
+//!   as [`KeyValue`](crate::KeyValue)'s `Ord` and
+//!   [`Rec::sibling_cmp`](crate::Rec::sibling_cmp) order decoded ones;
+//! * [`EncodedForest`] sorts a range of records in memory by reordering
+//!   their spans -- the paper's "simply involves reordering the pointers"
+//!   (Section 1) -- and writes them out without decoding one.
 
 use std::cmp::Ordering;
 
-use nexsort_extmem::{ByteReader, ExtError};
+use nexsort_extmem::{ByteReader, ByteSink, ExtError};
 
 use crate::error::{Result, XmlError};
-use crate::key::KeyValue;
-use crate::rec::{Rec, KIND_ELEM, KIND_PATCH, KIND_PTR, KIND_TEXT};
+use crate::rec::{RecKind, KIND_ELEM, KIND_PATCH, KIND_PTR, KIND_TEXT};
+use crate::sym::TagDict;
 use crate::varint::{uvarint_len, write_uvarint};
 
 /// Order two encoded `(path, rec)` pairs by key path: component by
@@ -116,9 +131,24 @@ fn unzigzag(u: u64) -> i64 {
     ((u >> 1) as i64) ^ -((u & 1) as i64)
 }
 
+/// Order two encoded keys exactly as [`KeyValue`](crate::KeyValue)'s `Ord` orders the
+/// decoded keys. Like [`cmp_encoded_paths`], it allocates nothing and never
+/// panics on malformed bytes.
+pub fn cmp_encoded_keys(a: &[u8], b: &[u8]) -> Ordering {
+    cmp_key(&mut Cursor::new(a), &mut Cursor::new(b))
+}
+
+/// Sibling order over encoded `(key, seq)` pairs: key, then sequence
+/// number. Defined to equal [`Rec::sibling_cmp`](crate::Rec::sibling_cmp) on
+/// the decoded records.
+pub fn cmp_encoded_siblings(a: (&[u8], u64), b: (&[u8], u64)) -> Ordering {
+    cmp_encoded_keys(a.0, b.0).then(a.1.cmp(&b.1))
+}
+
 /// The comparator's byte cursor. Reads past the end yield zeros, so the
 /// comparator stays total and panic-free on any input; past both ends every
 /// further component compares equal, so the loops stop there.
+#[derive(Debug, Clone, Copy)]
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -187,6 +217,20 @@ impl<'a> Cursor<'a> {
         self.pos += n;
         &rest[..n]
     }
+
+    /// A length-prefixed byte string.
+    fn bytes(&mut self) -> &'a [u8] {
+        let len = self.uvarint();
+        self.take(len)
+    }
+
+    /// A record's name: a dictionary id or inline bytes.
+    fn name(&mut self) -> NameBytes<'a> {
+        match self.u8() {
+            0 => NameBytes::Sym(self.uvarint() as u32),
+            _ => NameBytes::Inline(self.bytes()),
+        }
+    }
 }
 
 /// Append one encoded `(path, rec)` pair from `src` to `out`, validating it
@@ -210,6 +254,50 @@ pub fn read_pathed_raw(src: &mut impl ByteReader, out: &mut Vec<u8>) -> Result<u
     // The pair runs past the window (or is malformed): validate it byte by
     // byte off the stream, copying as it goes.
     Tee { start: out.len(), src, out }.pathed()
+}
+
+/// Append one encoded record from `src` to `out`, validating it exactly as
+/// [`Rec::decode`](crate::Rec::decode) does, and return its layout: the plain-record
+/// counterpart of [`read_pathed_raw`], with the same transfers as a decode.
+/// On error `out` may hold a partial record.
+pub fn read_rec_raw(src: &mut impl ByteReader, out: &mut Vec<u8>) -> Result<RecHead> {
+    let window = src.resident();
+    let mut fast = Window { bytes: window, pos: 0 };
+    if let Ok(head) = fast.rec() {
+        out.extend_from_slice(&window[..head.len]);
+        src.consume(head.len);
+        return Ok(head);
+    }
+    Tee { start: out.len(), src, out }.rec()
+}
+
+/// The layout of one encoded record, as validating it found it: what the
+/// byte-level sort, writer and checks read instead of a decoded [`Rec`](crate::Rec).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecHead {
+    /// The record's kind.
+    pub kind: RecKind,
+    /// The record's level.
+    pub level: u32,
+    /// Where the key lies in the record: `rec[key.0..key.1]`.
+    pub key: (usize, usize),
+    /// The input sequence number (0 for a key patch, as [`Rec::seq`](crate::Rec::seq)).
+    pub seq: u64,
+    /// The encoded length, trailer included.
+    pub len: usize,
+}
+
+impl RecHead {
+    /// Validate the record at the start of `rec` exactly as [`Rec::decode`](crate::Rec::decode)
+    /// does and return its layout.
+    pub fn parse(rec: &[u8]) -> Result<RecHead> {
+        Window { bytes: rec, pos: 0 }.rec()
+    }
+
+    /// The key bytes of the record `rec` this head describes.
+    pub fn key_of<'a>(&self, rec: &'a [u8]) -> &'a [u8] {
+        rec.get(self.key.0..self.key.1).unwrap_or(&[])
+    }
 }
 
 /// A byte source for the validator, which mirrors the decoders of the same
@@ -283,12 +371,13 @@ trait Validate {
         Ok(())
     }
 
-    fn rec(&mut self) -> Result<()> {
+    fn rec(&mut self) -> Result<RecHead> {
+        let start = self.consumed();
         let kind = self.u8()?;
         let level = self.uvarint()? as u32;
         let body_start = self.consumed();
         let before = self.remaining();
-        match kind {
+        let kind = match kind {
             KIND_ELEM => {
                 self.name()?;
                 let nattrs = self.uvarint()? as usize;
@@ -299,22 +388,23 @@ trait Validate {
                     self.name()?;
                     self.bytes()?;
                 }
-                self.key()?;
-                self.uvarint()?;
+                RecKind::Elem
             }
             KIND_TEXT => {
                 self.bytes()?;
-                self.key()?;
-                self.uvarint()?;
+                RecKind::Text
             }
             KIND_PTR => {
                 self.uvarint()?;
-                self.key()?;
-                self.uvarint()?;
+                RecKind::RunPtr
             }
-            KIND_PATCH => self.key()?,
+            KIND_PATCH => RecKind::KeyPatch,
             t => return Err(XmlError::Record(format!("bad record kind {t}"))),
-        }
+        };
+        let key_start = self.consumed() - start;
+        self.key()?;
+        let key = (key_start, self.consumed() - start);
+        let seq = if kind == RecKind::KeyPatch { 0 } else { self.uvarint()? };
         // Counted the way `Rec::decode` counts, so the same trailers pass.
         let consumed =
             1 + uvarint_len(u64::from(level)) as u64 + (self.consumed() - body_start) as u64 + 4;
@@ -324,7 +414,7 @@ trait Validate {
                 "record trailer says {total} bytes, decoded {consumed}"
             )));
         }
-        Ok(())
+        Ok(RecHead { kind, level, key, seq, len: self.consumed() - start })
     }
 
     /// Validate one `(path, rec)` pair; returns the path prefix's length.
@@ -445,16 +535,8 @@ impl EncodedPath {
         }
     }
 
-    /// Append the component `(key, seq)`.
-    pub fn push(&mut self, key: &KeyValue, seq: u64) -> Result<()> {
-        key.encode(&mut self.comps)?;
-        write_uvarint(&mut self.comps, seq)?;
-        self.ends.push(self.comps.len());
-        Ok(())
-    }
-
     /// Append the component of an encoded element, text or pointer record
-    /// (the [`Rec::encode`] format): its key bytes as they are (the
+    /// (the [`Rec::encode`](crate::Rec::encode) format): its key bytes as they are (the
     /// `Missing` key instead when `masked`) and its sequence number.
     pub fn push_encoded(&mut self, rec: &[u8], masked: bool) -> Result<()> {
         let (key, seq) = rec_key_seq(rec)?;
@@ -473,14 +555,6 @@ impl EncodedPath {
         out.extend_from_slice(&self.comps);
         Ok(out.len() - start)
     }
-
-    /// Append the encoded `(path, rec)` pair to `out`. Returns the path
-    /// prefix's length.
-    pub fn encode_with(&self, rec: &Rec, out: &mut Vec<u8>) -> Result<usize> {
-        let path_len = self.write_prefix(out)?;
-        rec.encode(out)?;
-        Ok(path_len)
-    }
 }
 
 /// The key bytes and sequence number of an encoded element, text or
@@ -489,30 +563,19 @@ fn rec_key_seq(rec: &[u8]) -> Result<(&[u8], u64)> {
     let mut c = Cursor::new(rec);
     let kind = c.u8();
     c.uvarint(); // level
-    let skip_name = |c: &mut Cursor<'_>| match c.u8() {
-        0 => {
-            c.uvarint();
-        }
-        _ => {
-            let len = c.uvarint();
-            c.take(len);
-        }
-    };
     match kind {
         KIND_ELEM => {
-            skip_name(&mut c);
+            c.name();
             for _ in 0..c.uvarint() {
                 if c.exhausted() {
                     break;
                 }
-                skip_name(&mut c);
-                let len = c.uvarint();
-                c.take(len);
+                c.name();
+                c.bytes();
             }
         }
         KIND_TEXT => {
-            let len = c.uvarint();
-            c.take(len);
+            c.bytes();
         }
         KIND_PTR => {
             c.uvarint(); // run
@@ -550,7 +613,7 @@ impl PathedBytes {
         self.bytes.get(self.path_len..).unwrap_or(&[])
     }
 
-    /// True if the record is a collapsed subtree ([`Rec::RunPtr`]).
+    /// True if the record is a collapsed subtree ([`Rec::RunPtr`](crate::Rec::RunPtr)).
     pub fn is_run_ptr(&self) -> bool {
         self.rec_bytes().first() == Some(&KIND_PTR)
     }
@@ -563,12 +626,285 @@ impl PathedBytes {
     }
 }
 
+/// A name as an encoded record stores it, borrowed from the record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NameBytes<'a> {
+    /// A dictionary id (compaction on).
+    Sym(u32),
+    /// The name itself (compaction off).
+    Inline(&'a [u8]),
+}
+
+impl<'a> NameBytes<'a> {
+    /// The name's bytes: an inline name as it is, an id through `dict`.
+    pub fn resolve<'d>(self, dict: &'d TagDict) -> Result<&'d [u8]>
+    where
+        'a: 'd,
+    {
+        match self {
+            NameBytes::Sym(id) => dict.resolve(id),
+            NameBytes::Inline(b) => Ok(b),
+        }
+    }
+}
+
+/// The attributes of an encoded element record, read in place: `(name,
+/// value)` pairs in document order.
+#[derive(Debug, Clone, Copy)]
+pub struct AttrBytes<'a> {
+    c: Cursor<'a>,
+    left: u64,
+}
+
+impl<'a> Iterator for AttrBytes<'a> {
+    type Item = (NameBytes<'a>, &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 || self.c.exhausted() {
+            return None;
+        }
+        self.left -= 1;
+        let name = self.c.name();
+        Some((name, self.c.bytes()))
+    }
+}
+
+/// One encoded record (the [`Rec::encode`](crate::Rec::encode) format), read in place: the
+/// borrowed counterpart of [`Rec`](crate::Rec) that the XML writer and the checks use.
+/// Meant for records that were validated ([`read_rec_raw`],
+/// [`RecHead::parse`]); on other bytes only an unknown kind is an error,
+/// and the rest reads as zeros or empty slices, never a panic.
+#[derive(Debug, Clone, Copy)]
+pub enum RecRef<'a> {
+    /// An element start.
+    Elem {
+        /// Its level.
+        level: u32,
+        /// Its name.
+        name: NameBytes<'a>,
+        /// Its attributes.
+        attrs: AttrBytes<'a>,
+    },
+    /// A text node.
+    Text {
+        /// Its level.
+        level: u32,
+        /// Its content.
+        content: &'a [u8],
+    },
+    /// A collapsed subtree.
+    RunPtr {
+        /// Its level.
+        level: u32,
+        /// The sorted run holding the subtree.
+        run: u32,
+    },
+    /// A deferred-key patch.
+    KeyPatch {
+        /// The level of the element it patches.
+        level: u32,
+    },
+}
+
+impl<'a> RecRef<'a> {
+    /// Read the record at the start of `rec`.
+    pub fn read(rec: &'a [u8]) -> Result<Self> {
+        let mut c = Cursor::new(rec);
+        let kind = c.u8();
+        let level = c.uvarint() as u32;
+        Ok(match kind {
+            KIND_ELEM => {
+                let name = c.name();
+                let left = c.uvarint();
+                RecRef::Elem { level, name, attrs: AttrBytes { c, left } }
+            }
+            KIND_TEXT => RecRef::Text { level, content: c.bytes() },
+            KIND_PTR => RecRef::RunPtr { level, run: c.uvarint() as u32 },
+            KIND_PATCH => RecRef::KeyPatch { level },
+            k => return Err(XmlError::Record(format!("bad record kind {k}"))),
+        })
+    }
+}
+
+/// One record of an [`EncodedForest`].
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Offset of the record in the arena.
+    at: usize,
+    head: RecHead,
+    /// The sort key's span in the arena: the record's own key, or the key
+    /// of the last patch applied to it.
+    key: (usize, usize),
+    /// One past the last node of this record's subtree.
+    end: usize,
+}
+
+impl Node {
+    fn patched(&self) -> bool {
+        self.key != (self.at + self.head.key.0, self.at + self.head.key.1)
+    }
+}
+
+/// A byte range of encoded records in DFS order -- a subtree, or a forest
+/// of them -- indexed for the in-memory sort: the byte-level counterpart
+/// of sorting owned records as a tree, which it is defined to equal.
+///
+/// [`Self::index`] walks the records once, keeping each one's offset and
+/// layout, and applies every [`Rec::KeyPatch`](crate::Rec::KeyPatch) as an out-of-line key span
+/// on its open element. [`Self::write_sorted`] then orders each sibling
+/// list by [`cmp_encoded_siblings`] and writes the records' bytes in DFS
+/// order; a patched element is re-emitted with its key spliced in and its
+/// trailer recomputed, exactly as [`Rec::encode`](crate::Rec::encode) writes
+/// the patched record.
+/// Patches themselves are consumed.
+pub struct EncodedForest<'a> {
+    bytes: &'a [u8],
+    nodes: Vec<Node>,
+}
+
+impl<'a> EncodedForest<'a> {
+    /// Validate and index the records of `bytes`. Levels are absolute; a
+    /// record at level `l` closes every open element at level `>= l`, and a
+    /// patch at level `l` every one deeper than `l`. Errors: a record that
+    /// fails validation, a patch with no open element at its level, and a
+    /// record more than one level below the open element.
+    pub fn index(bytes: &'a [u8]) -> Result<Self> {
+        let mut nodes: Vec<Node> = Vec::new();
+        // Open elements, by node index; their levels increase.
+        let mut open: Vec<usize> = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let head = RecHead::parse(&bytes[at..])?;
+            let level = head.level;
+            let patch = head.kind == RecKind::KeyPatch;
+            let close_to = if patch { level.saturating_add(1) } else { level };
+            while let Some(&top) = open.last().filter(|&&t| nodes[t].head.level >= close_to) {
+                open.pop();
+                nodes[top].end = nodes.len();
+            }
+            let key = (at + head.key.0, at + head.key.1);
+            if patch {
+                match open.last() {
+                    Some(&top) if nodes[top].head.level == level => nodes[top].key = key,
+                    _ => {
+                        return Err(XmlError::Record(format!(
+                            "key patch at level {level} has no open element"
+                        )))
+                    }
+                }
+            } else {
+                if let Some(&top) = open.last() {
+                    let parent = nodes[top].head.level;
+                    if parent.checked_add(1) != Some(level) {
+                        return Err(XmlError::Record(format!(
+                            "level jump to {level} under level {parent}"
+                        )));
+                    }
+                }
+                let i = nodes.len();
+                if head.kind == RecKind::Elem {
+                    open.push(i);
+                }
+                nodes.push(Node { at, head, key, end: i + 1 });
+            }
+            at += head.len;
+        }
+        for top in open {
+            nodes[top].end = nodes.len();
+        }
+        Ok(Self { bytes, nodes })
+    }
+
+    /// Number of records, patches excluded.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True if the range held no record but patches (or nothing).
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// The first record -- the first root, which the sort leaves first --
+    /// as its kind, level, sort key bytes (patched, if a patch applied) and
+    /// sequence number.
+    pub fn first(&self) -> Option<(RecKind, u32, &'a [u8], u64)> {
+        self.nodes.first().map(|n| (n.head.kind, n.head.level, self.key(n), n.head.seq))
+    }
+
+    /// True if some record is a collapsed subtree ([`Rec::RunPtr`](crate::Rec::RunPtr)).
+    pub fn has_run_ptrs(&self) -> bool {
+        self.nodes.iter().any(|n| n.head.kind == RecKind::RunPtr)
+    }
+
+    fn key(&self, n: &Node) -> &'a [u8] {
+        &self.bytes[n.key.0..n.key.1]
+    }
+
+    /// Write the records to `sink` in DFS order, every sibling list sorted
+    /// by key then sequence number -- except the children of elements below
+    /// `depth_limit` (levels `> d` keep document order; the roots always
+    /// do).
+    pub fn write_sorted(&self, depth_limit: Option<u32>, mut sink: impl ByteSink) -> Result<()> {
+        let nodes = &self.nodes;
+        let siblings = |from: usize, end: usize, out: &mut Vec<usize>| {
+            let mut j = from;
+            while j < end {
+                out.push(j);
+                j = nodes[j].end;
+            }
+        };
+        // Nodes still to write, the next on top.
+        let mut work = Vec::new();
+        siblings(0, nodes.len(), &mut work);
+        work.reverse();
+        let mut kids = Vec::new();
+        while let Some(i) = work.pop() {
+            let n = &nodes[i];
+            self.write_node(n, &mut sink)?;
+            if n.end == i + 1 {
+                continue;
+            }
+            kids.clear();
+            siblings(i + 1, n.end, &mut kids);
+            if depth_limit.is_none_or(|d| n.head.level <= d) {
+                // Unstable, with the index last: the order a stable sort
+                // by (key, seq) gives, without its buffer.
+                kids.sort_unstable_by(|&a, &b| {
+                    let (x, y) = (&nodes[a], &nodes[b]);
+                    cmp_encoded_siblings((self.key(x), x.head.seq), (self.key(y), y.head.seq))
+                        .then(a.cmp(&b))
+                });
+            }
+            work.extend(kids.iter().rev());
+        }
+        Ok(())
+    }
+
+    fn write_node(&self, n: &Node, sink: &mut impl ByteSink) -> Result<()> {
+        let rec = &self.bytes[n.at..n.at + n.head.len];
+        if !n.patched() {
+            sink.write_all(rec)?;
+            return Ok(());
+        }
+        let key = self.key(n);
+        let (from, to) = n.head.key;
+        sink.write_all(&rec[..from])?;
+        sink.write_all(key)?;
+        sink.write_all(&rec[to..rec.len() - 4])?;
+        sink.write_u32((rec.len() - (to - from) + key.len()) as u32)?;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::KeyValue;
     use crate::keypath::{KeyPath, PathComp, PathedRec};
+    use crate::rec::Rec;
     use crate::rec::{ElemRec, PatchRec, PtrRec, TextRec};
-    use crate::sym::NameRef;
+    use crate::sym::{NameRef, TagDict};
     use nexsort_extmem::SliceReader;
     use proptest::prelude::*;
 
@@ -718,14 +1054,134 @@ mod tests {
             let p = pathed(a.clone());
             let mut ep = EncodedPath::new();
             for c in &a.comps {
-                ep.push(&c.key, c.seq).unwrap();
+                let mut comp = Vec::new();
+                leaf(c.key.clone(), c.seq).encode(&mut comp).unwrap();
+                ep.push_encoded(&comp, false).unwrap();
             }
             let mut out = Vec::new();
-            let path_len = ep.encode_with(&p.rec, &mut out).unwrap();
+            let path_len = ep.write_prefix(&mut out).unwrap();
+            p.rec.encode(&mut out).unwrap();
             prop_assert_eq!(&out, &enc(&p));
             let item = PathedBytes { bytes: out, path_len };
             prop_assert_eq!(item.level(), 1);
             prop_assert!(!item.is_run_ptr());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn encoded_sibling_order_equals_sibling_cmp(
+            a in key_strategy(),
+            b in key_strategy(),
+            sa in 0u64..3,
+            sb in 0u64..3
+        ) {
+            let (ka, kb) = (enc_key(&a), enc_key(&b));
+            prop_assert_eq!(cmp_encoded_keys(&ka, &kb), a.cmp(&b));
+            prop_assert_eq!(cmp_encoded_keys(&kb, &ka), b.cmp(&a));
+            let (ra, rb) = (leaf(a.clone(), sa), leaf(b.clone(), sb));
+            prop_assert_eq!(cmp_encoded_siblings((&ka, sa), (&kb, sb)), ra.sibling_cmp(&rb));
+            prop_assert_eq!(cmp_encoded_siblings((&kb, sb), (&ka, sa)), rb.sibling_cmp(&ra));
+        }
+    }
+
+    fn enc_key(k: &KeyValue) -> Vec<u8> {
+        let mut out = Vec::new();
+        k.encode(&mut out).unwrap();
+        out
+    }
+
+    /// The plain records of [`sample`], encoded.
+    fn plain_samples() -> Vec<(Rec, Vec<u8>)> {
+        sample()
+            .into_iter()
+            .map(|p| {
+                let mut bytes = Vec::new();
+                p.rec.encode(&mut bytes).unwrap();
+                (p.rec, bytes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rec_heads_and_views_describe_the_decoded_record() {
+        for (rec, bytes) in plain_samples() {
+            let head = RecHead::parse(&bytes).unwrap();
+            assert_eq!(
+                (head.kind, head.level, head.seq, head.len),
+                (rec.kind(), rec.level(), rec.seq(), bytes.len())
+            );
+            assert_eq!(head.key_of(&bytes), &enc_key(rec.key())[..]);
+            let dict = TagDict::new();
+            match (RecRef::read(&bytes).unwrap(), &rec) {
+                (RecRef::Elem { level, name, attrs }, Rec::Elem(e)) => {
+                    assert_eq!(level, e.level);
+                    assert_eq!(name, NameBytes::Inline(b"item"));
+                    assert_eq!(name.resolve(&dict).unwrap(), b"item");
+                    let got: Vec<_> = attrs.collect();
+                    let want: Vec<_> = e
+                        .attrs
+                        .iter()
+                        .map(|(k, v)| {
+                            let k = match k {
+                                NameRef::Sym(id) => NameBytes::Sym(*id),
+                                NameRef::Inline(b) => NameBytes::Inline(b),
+                            };
+                            (k, &v[..])
+                        })
+                        .collect();
+                    assert_eq!(got, want);
+                }
+                (RecRef::Text { level, content }, Rec::Text(t)) => {
+                    assert_eq!((level, content), (t.level, &t.content[..]));
+                }
+                (RecRef::RunPtr { level, run }, Rec::RunPtr(p)) => {
+                    assert_eq!((level, run), (p.level, p.run));
+                }
+                (RecRef::KeyPatch { level }, Rec::KeyPatch(p)) => assert_eq!(level, p.level),
+                (got, want) => panic!("{got:?} read from {want:?}"),
+            }
+        }
+        assert!(RecRef::read(&[9, 1]).is_err());
+    }
+
+    /// Whatever the damage, the raw record reader accepts exactly when the
+    /// decoder does, and then copies exactly the bytes the decoder consumed,
+    /// off the resident window and off the stream alike.
+    fn rec_raw_agrees_with_decode(bytes: &[u8]) {
+        let decoded = Rec::decode(&mut SliceReader::new(bytes));
+        for window in [0, bytes.len() / 2, bytes.len()] {
+            let mut src = Windowed { inner: SliceReader::new(bytes), window };
+            let mut out = vec![0xAA];
+            let got = read_rec_raw(&mut src, &mut out);
+            match (&decoded, got) {
+                (Ok((rec, consumed)), Ok(head)) => {
+                    assert_eq!(&out[1..], &bytes[..*consumed as usize]);
+                    assert_eq!((head.len as u64, head.kind), (*consumed, rec.kind()));
+                    assert_eq!(RecHead::parse(bytes).unwrap(), head);
+                }
+                (Err(_), Err(_)) => assert!(RecHead::parse(bytes).is_err()),
+                (d, r) => panic!("decode {:?} vs raw {:?} on {bytes:?}", d.is_ok(), r.is_ok()),
+            }
+        }
+    }
+
+    #[test]
+    fn raw_record_reader_rejects_what_decode_rejects() {
+        for (_, bytes) in plain_samples() {
+            rec_raw_agrees_with_decode(&bytes);
+            for cut in 0..bytes.len() {
+                rec_raw_agrees_with_decode(&bytes[..cut]);
+            }
+            for at in 0..bytes.len() {
+                for v in [0u8, 1, 4, 5, 9, 0x40, 0x80, 0xFF] {
+                    let mut bad = bytes.clone();
+                    bad[at] = v;
+                    rec_raw_agrees_with_decode(&bad);
+                }
+            }
         }
     }
 
@@ -739,16 +1195,16 @@ mod tests {
                 assert!(from_bytes.push_encoded(&plain, false).is_err());
                 continue;
             }
-            let mut from_rec = EncodedPath::new();
+            let mut comps = Vec::new();
             for masked in [false, true] {
                 from_bytes.push_encoded(&plain, masked).unwrap();
-                let key = if masked { &KeyValue::Missing } else { p.rec.key() };
-                from_rec.push(key, p.rec.seq()).unwrap();
+                let key = if masked { KeyValue::Missing } else { p.rec.key().clone() };
+                comps.push(PathComp { key, seq: p.rec.seq() });
             }
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            from_bytes.write_prefix(&mut a).unwrap();
-            from_rec.write_prefix(&mut b).unwrap();
-            assert_eq!(a, b);
+            let mut prefix = Vec::new();
+            from_bytes.write_prefix(&mut prefix).unwrap();
+            let owned = enc(&PathedRec { path: KeyPath { comps }, rec: p.rec.clone() });
+            assert_eq!(owned, [prefix, plain.clone()].concat());
             assert!(from_bytes.push_encoded(&plain[..plain.len() - 5], false).is_err());
         }
     }

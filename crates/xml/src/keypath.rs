@@ -302,7 +302,11 @@ mod tests {
         let spec = SortSpec::by_attribute("k");
         let mut dict = TagDict::new();
         let recs = events_to_recs(&events, &spec, &mut dict, true).unwrap();
-        let plain: usize = recs.iter().map(Rec::encoded_len).sum();
+        let mut plain = Vec::new();
+        for r in &recs {
+            r.encode(&mut plain).unwrap();
+        }
+        let plain = plain.len();
         let pathed = attach_paths(recs).unwrap();
         let mut with_paths = Vec::new();
         for p in &pathed {

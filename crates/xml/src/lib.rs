@@ -27,7 +27,10 @@ mod writer;
 mod xrec;
 
 pub use dom::{events_to_dom, parse_dom, Element, XNode};
-pub use encoded::{cmp_encoded_paths, read_pathed_raw, EncodedPath, PathedBytes};
+pub use encoded::{
+    cmp_encoded_keys, cmp_encoded_paths, cmp_encoded_siblings, read_pathed_raw, read_rec_raw,
+    AttrBytes, EncodedForest, EncodedPath, NameBytes, PathedBytes, RecHead, RecRef,
+};
 pub use error::{Result, XmlError};
 pub use event::{Attrs, Event, EventRef, EventSource, VecEvents};
 pub use key::{KeyRule, KeySource, KeyType, KeyValue, SortSpec, TextKey};

@@ -624,7 +624,7 @@ impl OracleRecBuilder {
     }
 }
 
-mod tests {
+pub(crate) mod tests {
     use std::rc::Rc;
 
     use nexsort_extmem::{
@@ -933,7 +933,7 @@ mod tests {
     }
 
     /// `nexsort-datagen` documents of every generator, as XML text.
-    fn datagen_docs(seed: u64) -> Vec<Vec<u8>> {
+    pub(crate) fn datagen_docs(seed: u64) -> Vec<Vec<u8>> {
         use nexsort_datagen::{
             stage_as_xml, AuctionConfig, AuctionGen, ExactGen, GenConfig, IbmGen,
         };

@@ -26,6 +26,7 @@ use std::cmp::Ordering;
 
 use nexsort_extmem::{ByteReader, ByteSink, ExtentRevCursor, SliceReader};
 
+use crate::encoded::{read_rec_raw, RecHead};
 use crate::error::{Result, XmlError};
 use crate::key::KeyValue;
 use crate::sym::NameRef;
@@ -239,13 +240,6 @@ impl Rec {
         Ok(())
     }
 
-    /// Encoded size in bytes (encodes into a scratch buffer).
-    pub fn encoded_len(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf).expect("Vec sink cannot fail");
-        buf.len()
-    }
-
     /// Decode one record from a forward byte source. Returns the record and
     /// the number of bytes consumed.
     pub fn decode(src: &mut impl ByteReader) -> Result<(Rec, u64)> {
@@ -352,6 +346,21 @@ impl<R: ByteReader> RecDecoder<R> {
         }
         self.left -= consumed;
         Ok(Some(rec))
+    }
+
+    /// The next record's bytes, validated as [`Self::next_rec`] decodes
+    /// them, appended to `out` without building a [`Rec`]; `None` when the
+    /// byte budget is exhausted.
+    pub fn next_encoded(&mut self, out: &mut Vec<u8>) -> Result<Option<RecHead>> {
+        if self.left == 0 {
+            return Ok(None);
+        }
+        let head = read_rec_raw(&mut self.src, out)?;
+        if head.len as u64 > self.left {
+            return Err(XmlError::Record("record overruns its byte budget".into()));
+        }
+        self.left -= head.len as u64;
+        Ok(Some(head))
     }
 }
 
@@ -496,15 +505,6 @@ mod tests {
         let mut dec = RecDecoder::with_limit(SliceReader::new(&buf), first_len);
         assert_eq!(dec.next_rec().unwrap(), Some(recs[0].clone()));
         assert_eq!(dec.next_rec().unwrap(), None);
-    }
-
-    #[test]
-    fn encoded_len_matches_actual_encoding() {
-        for rec in sample_recs() {
-            let mut buf = Vec::new();
-            rec.encode(&mut buf).unwrap();
-            assert_eq!(rec.encoded_len(), buf.len());
-        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! reconstructing end tags from level transitions ("a transition from a start
 //! tag on level l1 to a start tag on level l2 <= l1 must have l1 - l2 + 1 end
 //! tags in between"). [`RecXmlWriter`] runs the same reconstruction straight
-//! into an [`XmlWriter`], one record at a time.
+//! from encoded records into an [`XmlWriter`], one record at a time.
 
+use crate::encoded::RecRef;
 use crate::error::{Result, XmlError};
 use crate::event::{Attrs, Event, EventRef};
 use crate::key::{KeyRule, KeySource, KeyType, KeyValue, SortSpec, TextKey};
@@ -372,44 +373,97 @@ impl<'a> RecEmitter<'a> {
     }
 }
 
-/// Records straight to XML text: the events of each record are regenerated
-/// as [`RecEmitter`] does, written, and dropped before the next record
-/// arrives. Memory is O(depth) open-tag names whatever the document's size,
-/// so a sorted document streams to a file or stdout without being held.
+/// Records straight to XML text, formatted from their encoded bytes: names
+/// come from the [`TagDict`] as slices, attribute values and text are
+/// escaped straight from the record, and end tags are reconstructed from
+/// level transitions as [`RecEmitter`] does. The open elements' names are
+/// kept as spans of one byte arena, so memory is O(depth) names whatever
+/// the document's size, and a sorted document streams to a file or stdout
+/// without being held.
 pub struct RecXmlWriter<S: ByteSink> {
-    open: OpenTags,
-    events: Vec<Event>,
+    /// Names of the open elements, back to back.
+    names: Vec<u8>,
+    /// Where each open element's name starts in `names`.
+    open: Vec<usize>,
     xml: XmlWriter<S>,
+    /// Scratch for [`Self::push_rec`]'s encoding.
+    scratch: Vec<u8>,
 }
 
 impl<S: ByteSink> RecXmlWriter<S> {
     /// A writer into `sink`, compact or indented like [`XmlWriter`].
     pub fn new(sink: S, pretty: bool) -> Self {
         Self {
-            open: OpenTags::default(),
-            events: Vec::new(),
+            names: Vec::new(),
+            open: Vec::new(),
             xml: XmlWriter::new(sink).pretty(pretty),
+            scratch: Vec::new(),
         }
     }
 
-    /// Write one record, resolving its interned names against `dict`.
-    pub fn push_rec(&mut self, rec: &Rec, dict: &TagDict) -> Result<()> {
-        self.open.push_rec(rec, dict, &mut self.events)?;
-        self.write_events()
-    }
-
-    fn write_events(&mut self) -> Result<()> {
-        for ev in self.events.drain(..) {
-            self.xml.write(&ev)?;
+    /// Write the end tags of the open elements beyond the first `target`.
+    fn close_to(&mut self, target: usize) -> Result<()> {
+        while self.open.len() > target {
+            let at = self.open.pop().expect("checked non-empty");
+            self.xml.end_tag(&self.names[at..])?;
+            self.names.truncate(at);
         }
         Ok(())
     }
 
+    /// Write one encoded record (the [`Rec::encode`] format, as validated
+    /// by [`RecDecoder::next_encoded`]), resolving its interned names
+    /// against `dict`. Key patches are skipped; a run pointer or a level
+    /// jump is an error.
+    pub fn push_encoded(&mut self, rec: &[u8], dict: &TagDict) -> Result<()> {
+        match RecRef::read(rec)? {
+            RecRef::Elem { level, name, attrs } => {
+                let target = level.wrapping_sub(1) as usize;
+                if target > self.open.len() {
+                    return Err(XmlError::Record(format!(
+                        "level jump: element at level {level} under {} open elements",
+                        self.open.len()
+                    )));
+                }
+                self.close_to(target)?;
+                let name = name.resolve(dict)?;
+                self.xml.start_tag(name, attrs.map(|(k, v)| Ok((k.resolve(dict)?, v))))?;
+                self.open.push(self.names.len());
+                self.names.extend_from_slice(name);
+                Ok(())
+            }
+            RecRef::Text { level, content } => {
+                let target = (level.max(1) - 1) as usize;
+                if level < 2 || target > self.open.len() {
+                    return Err(XmlError::Record(format!(
+                        "level jump: text at level {level} under {} open elements",
+                        self.open.len()
+                    )));
+                }
+                self.close_to(target)?;
+                self.xml.text(content)
+            }
+            RecRef::RunPtr { run, .. } => Err(XmlError::Record(format!(
+                "run pointer (run {run}) cannot be emitted as events; resolve runs first"
+            ))),
+            RecRef::KeyPatch { .. } => Ok(()), // metadata only
+        }
+    }
+
+    /// Write one owned record: its encoding, through [`Self::push_encoded`].
+    pub fn push_rec(&mut self, rec: &Rec, dict: &TagDict) -> Result<()> {
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        rec.encode(&mut buf)?;
+        let done = self.push_encoded(&buf, dict);
+        self.scratch = buf;
+        done
+    }
+
     /// Close the still-open elements and return the sink.
     pub fn finish(mut self) -> Result<S> {
-        self.open.close_to(0, &mut self.events);
-        self.write_events()?;
-        Ok(self.xml.into_inner())
+        self.close_to(0)?;
+        self.xml.into_inner()
     }
 }
 
@@ -577,7 +631,11 @@ mod tests {
         let size = |compaction: bool| {
             let mut dict = TagDict::new();
             let recs = events_to_recs(&events, &spec, &mut dict, compaction).unwrap();
-            recs.iter().map(Rec::encoded_len).sum::<usize>()
+            let mut bytes = Vec::new();
+            for r in &recs {
+                r.encode(&mut bytes).unwrap();
+            }
+            bytes.len()
         };
         assert!(size(true) < size(false));
     }
@@ -616,6 +674,98 @@ mod tests {
                 w.push_rec(r, &dict).unwrap();
             }
             assert_eq!(w.finish().unwrap(), whole, "pretty={pretty}");
+        }
+    }
+
+    /// The encoded writer's output, or its error, over `recs`.
+    fn write_encoded(recs: &[Rec], dict: &TagDict, pretty: bool) -> Result<Vec<u8>> {
+        let mut w = RecXmlWriter::new(Vec::new(), pretty);
+        let mut buf = Vec::new();
+        for r in recs {
+            buf.clear();
+            r.encode(&mut buf)?;
+            w.push_encoded(&buf, dict)?;
+        }
+        w.finish()
+    }
+
+    /// The owned oracle: records to events, events to text.
+    fn write_owned(recs: &[Rec], dict: &TagDict, pretty: bool) -> Result<Vec<u8>> {
+        Ok(crate::writer::events_to_xml(&recs_to_events(recs, dict)?, pretty))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(40))]
+
+        /// `nexsort-datagen` documents (exact, ibm and auction shapes), plus
+        /// one full of characters that need escaping, with names interned
+        /// and inline, compact and pretty: the encoded writer equals the
+        /// owned path byte for byte.
+        #[test]
+        fn encoded_writer_equals_the_owned_path(seed in proptest::prelude::any::<u64>()) {
+            let mut docs = crate::oracle::tests::datagen_docs(seed);
+            docs.push(
+                b"<r a=\"&quot;&lt;&gt;&amp;'\">x &amp; y &lt; z &gt; w \"q\"\
+                  <b c=\"1\"/>mid<b c=\"&amp;\"><d>deep</d></b>tail</r>"
+                    .to_vec(),
+            );
+            let docs: Vec<Vec<Event>> = docs.iter().map(|d| parse_events(d).unwrap()).collect();
+            let spec = SortSpec::by_attribute("k")
+                .with_rule("item", KeyRule::child_path(&["description"]));
+            for events in &docs {
+                for compaction in [true, false] {
+                    let mut dict = TagDict::new();
+                    let recs = events_to_recs(events, &spec, &mut dict, compaction).unwrap();
+                    for pretty in [false, true] {
+                        let got = write_encoded(&recs, &dict, pretty).unwrap();
+                        proptest::prop_assert_eq!(got, write_owned(&recs, &dict, pretty).unwrap());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encoded_writer_refuses_run_pointers_and_level_jumps_as_the_owned_path_does() {
+        let dict = TagDict::new();
+        let elem = |level| {
+            Rec::Elem(ElemRec {
+                level,
+                name: NameRef::Inline(b"x".to_vec()),
+                attrs: vec![],
+                key: KeyValue::Missing,
+                seq: 0,
+            })
+        };
+        let text = |level| {
+            Rec::Text(crate::rec::TextRec {
+                level,
+                content: b"t".to_vec(),
+                key: KeyValue::Missing,
+                seq: 0,
+            })
+        };
+        let ptr =
+            Rec::RunPtr(crate::rec::PtrRec { level: 2, run: 7, key: KeyValue::Missing, seq: 0 });
+        let unknown = Rec::Elem(ElemRec {
+            level: 1,
+            name: NameRef::Sym(3),
+            attrs: vec![],
+            key: KeyValue::Missing,
+            seq: 0,
+        });
+        for recs in [
+            vec![elem(1), ptr],
+            vec![elem(1), elem(3)],
+            vec![elem(2)],
+            vec![text(1)],
+            vec![elem(1), text(3)],
+            vec![unknown],
+        ] {
+            for pretty in [false, true] {
+                let got = write_encoded(&recs, &dict, pretty).unwrap_err().to_string();
+                assert_eq!(got, write_owned(&recs, &dict, pretty).unwrap_err().to_string());
+            }
         }
     }
 
