@@ -7,18 +7,19 @@
 //! * **run formation** -- fill the free internal memory with records, sort
 //!   them by key path, spill a sorted scratch run; repeat;
 //! * **merge passes** -- merge up to `m - 1` runs at a time (one input frame
-//!   per run plus one output frame) until one run remains;
+//!   per run plus one output frame), in the order a [`MergePlan`] picks,
+//!   until one final merge remains;
 //! * the **final merge** strips the key paths and writes plain records with
 //!   a caller-chosen I/O category (the sorted output).
 //!
 //! The logarithmic factor the paper derives -- `log_{M/B}(N/B)` passes --
 //! falls directly out of this loop, which is what Figures 5 and 6 measure.
 
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use nexsort_extmem::{
-    ByteSink, IoCat, IoPhase, KWayMerger, MemoryBudget, MergeStream, RunId, RunReader, RunStore,
+    ByteSink, ExtError, IoCat, IoPhase, Journal, JournalRecord, KWayMerger, MemoryBudget,
+    MergePlan, MergeStream, Result as ExtResult, RunId, RunReader, RunStore,
 };
 use nexsort_xml::{cmp_encoded_paths, read_pathed_raw, PathedBytes, Rec, Result, XmlError};
 
@@ -60,52 +61,97 @@ pub struct ExtSortReport {
 }
 
 /// One sorted run of encoded key-path records, read record by record as
-/// [`PathedBytes`] (validated, never decoded): the merge stream of every
-/// key-path merge -- this module's, graceful degeneration's and top-k's.
-pub struct PathedRunStream {
+/// [`PathedBytes`] (validated, never decoded) into the buffer of the record
+/// the merge emitted last.
+struct PathedRunStream {
     reader: RunReader,
     left: u64,
-    /// Size of the last record read: the next buffer's starting capacity.
-    hint: usize,
-}
-
-impl PathedRunStream {
-    /// Open every run of `ids`, in order, charging reads to `cat` (one
-    /// frame each).
-    pub fn open_all(
-        store: &Rc<RunStore>,
-        ids: &[RunId],
-        budget: &MemoryBudget,
-        cat: IoCat,
-    ) -> Result<Vec<Self>> {
-        ids.iter()
-            .map(|&id| {
-                let left = store.run_len(id)?;
-                let reader = store.open(id, budget, cat)?;
-                Ok(Self { reader, left, hint: 64 })
-            })
-            .collect()
-    }
 }
 
 impl MergeStream for PathedRunStream {
     type Item = PathedBytes;
 
-    fn next_item(&mut self) -> nexsort_extmem::Result<Option<PathedBytes>> {
+    fn next_item(&mut self, spare: Option<PathedBytes>) -> ExtResult<Option<PathedBytes>> {
         if self.left == 0 {
             return Ok(None);
         }
-        let mut bytes = Vec::with_capacity(self.hint);
+        let mut bytes = spare.map(|p| p.bytes).unwrap_or_default();
+        bytes.clear();
         match read_pathed_raw(&mut self.reader, &mut bytes) {
             Ok(path_len) => {
                 self.left = self.left.saturating_sub(bytes.len() as u64);
-                self.hint = bytes.len();
                 Ok(Some(PathedBytes { bytes, path_len }))
             }
             Err(XmlError::Ext(e)) => Err(e),
-            Err(e) => Err(nexsort_extmem::ExtError::Corrupt(e.to_string())),
+            Err(e) => Err(ExtError::Corrupt(e.to_string())),
         }
     }
+}
+
+/// Merge the key-path runs `ids`, in order (ties go to the earlier run),
+/// into a new run charged to `out_cat`: the first `limit` records in
+/// key-path order, each written as the bytes `emit` picks from it (the
+/// whole pair, or its plain record). Reads are charged to `cat`, one frame
+/// per run. Returns the new run and how many records it holds.
+pub fn merge_pathed_runs(
+    store: &Rc<RunStore>,
+    budget: &MemoryBudget,
+    ids: &[RunId],
+    cat: IoCat,
+    out_cat: IoCat,
+    limit: u64,
+    mut emit: impl FnMut(&PathedBytes) -> &[u8],
+) -> Result<(RunId, u64)> {
+    let mut streams = Vec::with_capacity(ids.len());
+    for &id in ids {
+        let (left, reader) = (store.run_len(id)?, store.open(id, budget, cat)?);
+        streams.push(PathedRunStream { reader, left });
+    }
+    let mut merger = KWayMerger::new(streams, PathedBytes::cmp_path)?;
+    let mut w = store.create(budget, out_cat)?;
+    let mut emitted = 0;
+    while emitted < limit {
+        let Some((p, _)) = merger.next_merged()? else { break };
+        w.write_all(emit(p))?;
+        emitted += 1;
+    }
+    Ok((w.finish()?, emitted))
+}
+
+/// Intermediate merge pass `pass` of key-path runs, labelled as such on the
+/// disk: `group` merged into a new run of `cat` (at most `limit` records),
+/// its inputs discarded. Under a journal the pass is an intent record, the
+/// merge, the output's seal and the pass commit in one batch, and only
+/// then the discard -- a crash before the commit replays to the previous
+/// one, and a crash after it finds every run the commit names allocated.
+/// Returns the new run and its length, as a [`MergePlan`] takes them.
+pub fn merge_pass(
+    store: &Rc<RunStore>,
+    budget: &MemoryBudget,
+    journal: &mut Option<Journal>,
+    pass: u32,
+    group: &[RunId],
+    cat: IoCat,
+    limit: u64,
+) -> Result<(RunId, u64)> {
+    store.disk().in_phase(IoPhase::MergePass(pass), || {
+        if let Some(j) = journal.as_mut() {
+            j.append(&JournalRecord::MergePassStarted { pass })?;
+        }
+        let (out, _) = merge_pathed_runs(store, budget, group, cat, cat, limit, |p| &p.bytes)?;
+        if let Some(j) = journal.as_mut() {
+            let consumed = group.iter().map(|r| r.0).collect();
+            let commit = JournalRecord::MergePassCommitted { pass, output: out.0, consumed };
+            j.checkpoint(&[store.seal_record(out)?, commit])?;
+        }
+        group.iter().try_for_each(|&id| store.discard(id))?;
+        Ok((out, store.run_len(out)?))
+    })
+}
+
+/// Runs `ids` with their lengths: the pending list a [`MergePlan`] takes.
+pub fn run_lens(store: &RunStore, ids: &[RunId]) -> Result<Vec<(RunId, u64)>> {
+    ids.iter().map(|&id| Ok((id, store.run_len(id)?))).collect()
 }
 
 /// A memory-load of encoded key-path records: one byte arena plus each
@@ -173,15 +219,12 @@ pub fn external_merge_sort(
     // the final merge.
 
     // ---- Run formation ----
-    let mut runs: VecDeque<RunId> = VecDeque::new();
+    let mut runs: Vec<RunId> = Vec::new();
     disk.in_phase(IoPhase::RunFormation, || {
         // One frame stays free for the spill writer.
         let free = budget.free_frames();
         if free < 2 {
-            return Err(XmlError::Ext(nexsort_extmem::ExtError::BudgetExceeded {
-                requested: 2,
-                free,
-            }));
+            return Err(XmlError::Ext(ExtError::BudgetExceeded { requested: 2, free }));
         }
         let buffer_guard = budget.reserve(free - 1).expect("just checked");
         let capacity = buffer_guard.frames() as u64 * block_size;
@@ -191,11 +234,11 @@ pub fn external_merge_sort(
 
         let spill = |arena: &mut PathedArena,
                      report: &mut ExtSortReport,
-                     runs: &mut VecDeque<RunId>|
+                     runs: &mut Vec<RunId>|
          -> Result<()> {
             let mut w = store.create(budget, opts.scratch_cat)?;
             arena.spill(&mut w)?;
-            runs.push_back(w.finish()?);
+            runs.push(w.finish()?);
             report.initial_runs += 1;
             Ok(())
         };
@@ -220,53 +263,24 @@ pub fn external_merge_sort(
         }
         Ok(())
     })?;
-    report.passes = 1;
 
     // ---- Merge passes ----
     let fan_in = budget.free_frames().saturating_sub(1).max(2);
     report.fan_in = fan_in;
-
-    // Intermediate merges until the remainder fits in one final merge.
-    while runs.len() > fan_in {
-        disk.in_phase(IoPhase::MergePass(report.intermediate_merges + 1), || -> Result<()> {
-            let group: Vec<RunId> = runs.drain(..fan_in).collect();
-            let streams = PathedRunStream::open_all(store, &group, budget, opts.scratch_cat)?;
-            let mut merger = KWayMerger::new(streams, PathedBytes::cmp_path)?;
-            let mut w = store.create(budget, opts.scratch_cat)?;
-            while let Some((p, _)) = merger.next_merged()? {
-                w.write_all(&p.bytes)?;
-            }
-            runs.push_back(w.finish()?);
-            for id in group {
-                store.discard(id)?;
-            }
-            Ok(())
-        })?;
-        report.intermediate_merges += 1;
-    }
-    // Count pass levels: every intermediate merge touches a subset; the
-    // standard accounting is ceil(log_fanin(initial_runs)) extra passes.
-    let mut levels = 0u32;
-    let mut r = report.initial_runs.max(1) as u64;
-    while r > 1 {
-        r = r.div_ceil(fan_in as u64);
-        levels += 1;
-    }
-    report.passes += levels.max(1); // the final merge is always one pass
+    let (mut plan, cat) = (MergePlan::new(fan_in, run_lens(store, &runs)?), opts.scratch_cat);
+    plan.merge_down(|n, group| merge_pass(store, budget, &mut None, n, group, cat, u64::MAX))?;
+    report.intermediate_merges = plan.merges();
+    report.passes = 1 + plan.depth();
 
     // ---- Final merge: strip paths, write the sorted output run ----
     let final_run = disk.in_phase(IoPhase::FinalMerge, || -> Result<RunId> {
-        let group: Vec<RunId> = runs.drain(..).collect();
-        let streams = PathedRunStream::open_all(store, &group, budget, opts.scratch_cat)?;
-        let mut merger = KWayMerger::new(streams, PathedBytes::cmp_path)?;
-        let mut w = store.create(budget, opts.final_cat)?;
-        while let Some((p, _)) = merger.next_merged()? {
-            w.write_all(if opts.strip_paths { p.rec_bytes() } else { &p.bytes })?;
-        }
-        let final_run = w.finish()?;
-        for id in group {
-            store.discard(id)?;
-        }
+        let group = plan.runs();
+        let skip = |p: &PathedBytes| if opts.strip_paths { p.path_len } else { 0 };
+        let (final_run, _) =
+            merge_pathed_runs(store, budget, &group, cat, opts.final_cat, u64::MAX, |p| {
+                &p.bytes[skip(p)..]
+            })?;
+        group.iter().try_for_each(|&id| store.discard(id))?;
         Ok(final_run)
     })?;
     Ok((final_run, report))

@@ -25,7 +25,8 @@ mod source;
 
 pub use docsort::{sort_rec_extent, sort_xml_extent, BaselineOptions, BaselineSorted};
 pub use extsort::{
-    external_merge_sort, run_to_recs, ExtSortOptions, ExtSortReport, PathedArena, PathedRunStream,
+    external_merge_sort, merge_pass, merge_pathed_runs, run_lens, run_to_recs, ExtSortOptions,
+    ExtSortReport, PathedArena,
 };
 pub use internal::{sort_dom, sort_recs, sorted_dom};
 pub use resolve::resolve_deferred;

@@ -93,11 +93,12 @@ fn kway_merge(c: &mut Criterion) {
                     VecStream::new(v)
                 })
                 .collect();
-            KWayMerger::new(streams, |a: &i64, b: &i64| a.cmp(b))
-                .unwrap()
-                .collect_all()
-                .unwrap()
-                .len()
+            let mut m = KWayMerger::new(streams, |a: &i64, b: &i64| a.cmp(b)).unwrap();
+            let mut merged = 0;
+            while m.next_merged().unwrap().is_some() {
+                merged += 1;
+            }
+            merged
         })
     });
     g.finish();

@@ -1168,13 +1168,7 @@ pub fn scrub_device(cli: &Cli, path: &Path) -> Result<ScrubReport, CliError> {
     // until it overflows.
     let mut records = vec![JournalRecord::SortStarted { input_len: state.input_len }];
     for &(token, _, _) in &state.runs {
-        let id = RunId(token);
-        records.push(JournalRecord::RunSealed {
-            token,
-            len: store.run_len(id).map_err(|e| e.to_string())?,
-            blocks: store.extent_of(id).map_err(|e| e.to_string())?.blocks().to_vec(),
-            parity: store.parity_of(id).map_err(|e| e.to_string())?,
-        });
+        records.push(store.seal_record(RunId(token)).map_err(|e| e.to_string())?);
     }
     if let Some((root, root_flat)) = state.sort_done {
         records.push(JournalRecord::SortDone { root, root_flat, stats: state.stats });

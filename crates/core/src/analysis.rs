@@ -11,6 +11,8 @@
 //!   `O(n + n * log_{m}(min{kt, N}/B))`;
 //! * the flat-file sorting bound `Theta(n * log_{m}(n))` the baseline obeys.
 
+use nexsort_extmem::MergePlan;
+
 /// Natural log of `x!`, exact summation below 256, Stirling above.
 pub fn ln_factorial(x: u64) -> f64 {
     if x < 2 {
@@ -79,19 +81,10 @@ pub fn mergesort_bound_ios(n: u64, m: u64) -> f64 {
 }
 
 /// Number of passes external merge sort makes over the data: one formation
-/// pass plus `ceil(log_fanin(runs))` merge passes.
+/// pass plus the merge levels of the [`MergePlan`] over that many equal
+/// runs, which is `ceil(log_fanin(runs))` (at least one, the final merge).
 pub fn predicted_merge_passes(initial_runs: u64, fan_in: u64) -> u32 {
-    if initial_runs <= 1 {
-        return 2; // formation + the final output pass
-    }
-    let fan_in = fan_in.max(2);
-    let mut passes = 1u32;
-    let mut runs = initial_runs;
-    while runs > 1 {
-        runs = runs.div_ceil(fan_in);
-        passes += 1;
-    }
-    passes
+    1 + MergePlan::simulate(fan_in as usize, &vec![1; initial_runs as usize]).depth()
 }
 
 /// The constant-factor-match condition of Section 4.2: the NEXSORT bound and

@@ -48,19 +48,6 @@ pub fn restore_report(stats: &JournalStats, report: &mut SortReport) {
     report.degenerate_merges = stats.degenerate_merges;
 }
 
-/// A `RunSealed` record for one run, naming its extent -- and its parity
-/// metadata, when the run was sealed with redundancy -- as the durable
-/// identity recovery rebuilds the store from.
-pub fn seal_record(store: &RunStore, id: RunId) -> Result<JournalRecord> {
-    let ext = store.extent_of(id)?;
-    Ok(JournalRecord::RunSealed {
-        token: id.0,
-        len: ext.len(),
-        blocks: ext.blocks().to_vec(),
-        parity: store.parity_of(id)?,
-    })
-}
-
 /// `RunSealed` records for every non-empty run in the store. Discarded and
 /// never-finished runs hold empty extents and are skipped; their tokens stay
 /// reserved so surviving pointer records keep resolving.
@@ -81,12 +68,7 @@ pub fn seal_records_except(store: &RunStore, skip: &[u32]) -> Result<Vec<Journal
         if ext.is_empty() && ext.blocks().is_empty() {
             continue;
         }
-        recs.push(JournalRecord::RunSealed {
-            token,
-            len: ext.len(),
-            blocks: ext.blocks().to_vec(),
-            parity: store.parity_of(RunId(token))?,
-        });
+        recs.push(store.seal_record(RunId(token))?);
     }
     Ok(recs)
 }

@@ -28,17 +28,16 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use nexsort_baseline::{PathedArena, PathedRunStream, RecSource};
+use nexsort_baseline::{merge_pass, merge_pathed_runs, run_lens, PathedArena, RecSource};
 use nexsort_extmem::{
-    ByteSink, Disk, IoCat, IoPhase, Journal, JournalRecord, KWayMerger, MemoryBudget,
-    RecoveredState, RunId, RunStore, SliceReader,
+    Disk, IoCat, IoPhase, Journal, JournalRecord, MemoryBudget, MergePlan, RecoveredState, RunId,
+    RunStore, SliceReader,
 };
 use nexsort_xml::{
-    EncodedForest, EncodedPath, KeyValue, PathedBytes, PtrRec, Rec, RecKind, Result, SortSpec,
-    XmlError,
+    EncodedForest, EncodedPath, KeyValue, PtrRec, Rec, RecKind, Result, SortSpec, XmlError,
 };
 
-use crate::checkpoint::{journal_stats, restore_report, seal_record, seal_records};
+use crate::checkpoint::{journal_stats, restore_report, seal_records};
 use crate::options::NexsortOptions;
 use crate::report::SortReport;
 
@@ -152,76 +151,34 @@ impl Degenerate<'_> {
         Ok(())
     }
 
-    /// Multi-level merge of incomplete runs into the complete root run.
-    fn merge_all(&mut self, mut runs: Vec<RunId>) -> Result<RunId> {
-        let disk = self.store.disk().clone();
+    /// Multi-level merge of incomplete runs into the complete root run, in
+    /// the order the [`MergePlan`] picks.
+    fn merge_all(&mut self, runs: Vec<RunId>) -> Result<RunId> {
         let fan_in = self.budget.free_frames().saturating_sub(1).max(2);
-        while runs.len() > fan_in {
-            let pass = self.pass_base + self.report.degenerate_merges + 1;
-            disk.in_phase(IoPhase::MergePass(pass), || -> Result<()> {
-                if let Some(j) = self.journal.as_mut() {
-                    // Intent record; uncommitted until the pass's checkpoint, so
-                    // a crash mid-pass replays to the previous commit.
-                    j.append(&JournalRecord::MergePassStarted { pass })?;
-                }
-                let group: Vec<RunId> = runs.drain(..fan_in).collect();
-                let streams = PathedRunStream::open_all(
-                    &self.store,
-                    &group,
-                    self.budget,
-                    IoCat::SortScratch,
-                )?;
-                let mut merger = KWayMerger::new(streams, PathedBytes::cmp_path)?;
-                let mut w = self.store.create(self.budget, IoCat::SortScratch)?;
-                while let Some((p, _)) = merger.next_merged()? {
-                    w.write_all(&p.bytes)?;
-                }
-                let out = w.finish()?;
-                runs.push(out);
-                if let Some(j) = self.journal.as_mut() {
-                    // Seal the output and commit the pass in one batch -- only
-                    // then may the consumed inputs be discarded, or a crash here
-                    // would find the committed pending list naming freed blocks.
-                    j.checkpoint(&[
-                        seal_record(&self.store, out)?,
-                        JournalRecord::MergePassCommitted {
-                            pass,
-                            output: out.0,
-                            consumed: group.iter().map(|r| r.0).collect(),
-                        },
-                    ])?;
-                }
-                for id in group {
-                    self.store.discard(id)?;
-                }
-                Ok(())
-            })?;
-            self.report.degenerate_merges += 1;
-        }
+        let mut plan = MergePlan::new(fan_in, run_lens(&self.store, &runs)?);
+        let (store, budget, cat) = (&self.store, self.budget, IoCat::SortScratch);
+        plan.merge_down(|n, group| {
+            merge_pass(store, budget, self.journal, self.pass_base + n, group, cat, u64::MAX)
+        })?;
         // Final merge strips key paths: the complete, sorted root run.
-        let final_run = disk.in_phase(IoPhase::FinalMerge, || -> Result<RunId> {
-            let streams =
-                PathedRunStream::open_all(&self.store, &runs, self.budget, IoCat::SortScratch)?;
-            let mut merger = KWayMerger::new(streams, PathedBytes::cmp_path)?;
-            let mut w = self.store.create(self.budget, IoCat::RunWrite)?;
-            while let Some((p, _)) = merger.next_merged()? {
-                self.root_has_ptrs |= p.is_run_ptr();
-                w.write_all(p.rec_bytes())?;
-            }
-            let final_run = w.finish()?;
+        let runs = plan.runs();
+        let final_run = store.disk().in_phase(IoPhase::FinalMerge, || -> Result<RunId> {
+            let (final_run, _) =
+                merge_pathed_runs(store, budget, &runs, cat, IoCat::RunWrite, u64::MAX, |p| {
+                    self.root_has_ptrs |= p.is_run_ptr();
+                    p.rec_bytes()
+                })?;
             if self.journal.is_some() {
                 // The final run commits as part of `SortDone`; until that lands,
                 // the last committed pending list still names these inputs, so
                 // their discard is deferred past the commit.
                 self.deferred_discards = runs;
             } else {
-                for id in runs {
-                    self.store.discard(id)?;
-                }
+                runs.iter().try_for_each(|&id| store.discard(id))?;
             }
             Ok(final_run)
         })?;
-        self.report.degenerate_merges += 1;
+        self.report.degenerate_merges += plan.merges() + 1;
         Ok(final_run)
     }
 

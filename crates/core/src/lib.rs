@@ -57,9 +57,7 @@ mod report;
 mod sorter;
 mod subtree;
 
-pub use checkpoint::{
-    journal_stats, restore_report, seal_record, seal_records, seal_records_except,
-};
+pub use checkpoint::{journal_stats, restore_report, seal_records, seal_records_except};
 pub use failure::{FailureCategory, SortFailure};
 pub use options::{journal_blocks, NexsortOptions};
 pub use output::{DocCursor, OutputReport, SortedDoc};

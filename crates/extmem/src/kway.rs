@@ -1,10 +1,11 @@
-//! Generic k-way merge over sorted streams.
+//! Generic k-way merge over sorted streams, and the multi-pass merge plan.
 //!
 //! The key-path external merge sort (the paper's baseline, also used by
 //! NEXSORT for subtrees too large to sort in memory, and by the graceful-
 //! degeneration optimization to combine incomplete runs) merges up to
 //! `m - 1` sorted runs per pass. This module provides the merging engine: a
-//! tournament tree of stream heads driven by a caller-supplied comparator.
+//! tournament tree of stream heads driven by a caller-supplied comparator,
+//! and [`MergePlan`], which decides which runs each merge takes.
 //!
 //! The merger is device-agnostic; when its streams read runs through a
 //! [`Disk`](crate::Disk) with a buffer pool enabled, fan-in block fetches
@@ -13,6 +14,8 @@
 //! are).
 
 use std::cmp::Ordering;
+use std::collections::BTreeSet;
+use std::convert::Infallible;
 
 use crate::error::Result;
 
@@ -20,8 +23,10 @@ use crate::error::Result;
 pub trait MergeStream {
     /// The item type produced by the stream.
     type Item;
-    /// Produce the next item, or `None` at end of stream.
-    fn next_item(&mut self) -> Result<Option<Self::Item>>;
+    /// Produce the next item, or `None` at end of stream. `spare` is the
+    /// item the merge emitted last, handed back so that a stream whose
+    /// items own buffers can refill one in place instead of allocating.
+    fn next_item(&mut self, spare: Option<Self::Item>) -> Result<Option<Self::Item>>;
 }
 
 /// A [`MergeStream`] over an in-memory vector (used in tests and for the
@@ -40,7 +45,7 @@ impl<T> VecStream<T> {
 impl<T> MergeStream for VecStream<T> {
     type Item = T;
 
-    fn next_item(&mut self) -> Result<Option<T>> {
+    fn next_item(&mut self, _spare: Option<T>) -> Result<Option<T>> {
         Ok(self.items.next())
     }
 }
@@ -56,6 +61,8 @@ pub struct KWayMerger<S: MergeStream, F> {
     streams: Vec<S>,
     /// Each stream's buffered head; `None` once the stream is exhausted.
     heads: Vec<Option<S::Item>>,
+    /// The item [`Self::next_merged`] lent out last.
+    last: Option<S::Item>,
     /// `tree[0]` is the current winner's stream; `tree[n]` for `n` in
     /// `1..k` is the loser of the match at internal node `n`, whose
     /// children are nodes `2n` and `2n + 1` (leaf `i` is node `k + i`).
@@ -74,10 +81,10 @@ where
     pub fn new(mut streams: Vec<S>, cmp: F) -> Result<Self> {
         let mut heads = Vec::with_capacity(streams.len());
         for s in &mut streams {
-            heads.push(s.next_item()?);
+            heads.push(s.next_item(None)?);
         }
         let k = streams.len();
-        let mut m = Self { streams, heads, tree: vec![0; k], cmp };
+        let mut m = Self { streams, heads, last: None, tree: vec![0; k], cmp };
         // Play every match bottom-up; `winners[n]` is node n's winner.
         let mut winners = vec![0; k];
         winners.extend(0..k);
@@ -109,17 +116,19 @@ where
     }
 
     /// Produce the next smallest item across all streams, with the index of
-    /// the stream it came from.
-    pub fn next_merged(&mut self) -> Result<Option<(S::Item, usize)>> {
+    /// the stream it came from. The item is lent until the next call, which
+    /// hands it to a stream as the spare to refill: a merge of items that
+    /// own buffers allocates per stream, not per item.
+    pub fn next_merged(&mut self) -> Result<Option<(&S::Item, usize)>> {
         let Some(&w) = self.tree.first() else { return Ok(None) };
         if self.heads[w].is_none() {
             // The winner is exhausted, so every stream is.
             return Ok(None);
         }
-        // Pull the replacement first: if the stream fails, the winner stays
-        // buffered and the next call retries it.
-        let replacement = self.streams[w].next_item()?;
-        let out = std::mem::replace(&mut self.heads[w], replacement);
+        // Pull the replacement first, into the item lent out last: if the
+        // stream fails, the winner stays buffered and the next call retries.
+        let replacement = self.streams[w].next_item(self.last.take())?;
+        self.last = std::mem::replace(&mut self.heads[w], replacement);
         // Replay the winner's path from its leaf to the root.
         let mut cur = w;
         let mut n = (w + self.heads.len()) / 2;
@@ -130,16 +139,113 @@ where
             n /= 2;
         }
         self.tree[0] = cur;
-        Ok(out.map(|item| (item, w)))
+        Ok(self.last.as_ref().map(|item| (item, w)))
     }
+}
 
-    /// Drain the merge into a vector (convenience for tests and small merges).
-    pub fn collect_all(mut self) -> Result<Vec<S::Item>> {
+#[cfg(test)]
+impl<S, F> KWayMerger<S, F>
+where
+    S: MergeStream,
+    S::Item: Clone,
+    F: Fn(&S::Item, &S::Item) -> Ordering,
+{
+    /// Drain the merge into a vector of copies.
+    fn collect_all(mut self) -> Result<Vec<S::Item>> {
         let mut out = Vec::new();
         while let Some((item, _)) = self.next_merged()? {
-            out.push(item);
+            out.push(item.clone());
         }
         Ok(out)
+    }
+}
+
+/// Which runs each merge of a multi-pass merge takes, until at most
+/// `fan_in` are left for the final merge: Huffman's optimal pattern for
+/// `fan_in`-ary merges (Knuth, TAOCP Vol. 3, 5.4.9). The first intermediate
+/// merge takes only the excess, `(runs - fan_in - 1) mod (fan_in - 1) + 2`
+/// runs, every later one `fan_in`, each the shortest pending runs, ties
+/// going to the earlier run in the list. That is as many merges as draining
+/// `fan_in` runs off the list's front, without re-reading merged runs.
+///
+/// Groups come in list order and outputs join the back of the list, as the
+/// journal's replay of a committed merge rebuilds it. The choice depends
+/// only on the list (runs, order, lengths), so a resume makes the merges
+/// the uninterrupted sort would have.
+#[derive(Debug)]
+pub struct MergePlan<R> {
+    fan_in: usize,
+    /// Every run the plan has held, in list order, with its merge level
+    /// (0 for an initial run); `None` once merged.
+    list: Vec<Option<(R, u32)>>,
+    /// The pending runs as `(length, list position)`, shortest first.
+    pending: BTreeSet<(u64, usize)>,
+    merges: u32,
+}
+
+impl<R: Copy> MergePlan<R> {
+    /// Plan the merge of `runs`, given as `(run, length)` in list order, at
+    /// the given fan-in (at least 2).
+    pub fn new(fan_in: usize, runs: impl IntoIterator<Item = (R, u64)>) -> Self {
+        let (list, pending) = runs
+            .into_iter()
+            .enumerate()
+            .map(|(at, (run, len))| (Some((run, 0)), (len, at)))
+            .unzip();
+        Self { fan_in: fan_in.max(2), list, pending, merges: 0 }
+    }
+
+    /// Run every intermediate merge: `merge(n, group)` merges the `n`-th
+    /// group (counting from 1) into one new run and returns it with its
+    /// length. An error stops the loop and leaves the list as it was.
+    pub fn merge_down<E>(
+        &mut self,
+        mut merge: impl FnMut(u32, &[R]) -> std::result::Result<(R, u64), E>,
+    ) -> std::result::Result<(), E> {
+        while self.pending.len() > self.fan_in {
+            let take = (self.pending.len() - self.fan_in - 1) % (self.fan_in - 1) + 2;
+            let mut picked: Vec<(u64, usize)> = self.pending.iter().take(take).copied().collect();
+            picked.sort_unstable_by_key(|&(_, at)| at);
+            let group: Vec<(R, u32)> = picked.iter().filter_map(|&(_, at)| self.list[at]).collect();
+            let runs: Vec<R> = group.iter().map(|&(run, _)| run).collect();
+            let (out, len) = merge(self.merges + 1, &runs)?;
+            for (len, at) in picked {
+                self.pending.remove(&(len, at));
+                self.list[at] = None;
+            }
+            let level = group.iter().map(|&(_, level)| level).max().unwrap_or(0) + 1;
+            self.pending.insert((len, self.list.len()));
+            self.list.push(Some((out, level)));
+            self.merges += 1;
+        }
+        Ok(())
+    }
+
+    /// Intermediate merges run so far.
+    pub fn merges(&self) -> u32 {
+        self.merges
+    }
+
+    /// The runs pending, in list order: after [`Self::merge_down`], the
+    /// final merge's inputs.
+    pub fn runs(&self) -> Vec<R> {
+        self.list.iter().flatten().map(|&(run, _)| run).collect()
+    }
+
+    /// Merge levels from the initial runs to the output, the final merge
+    /// included: the passes over the data after run formation.
+    pub fn depth(&self) -> u32 {
+        self.list.iter().flatten().map(|&(_, level)| level).max().unwrap_or(0) + 1
+    }
+}
+
+impl MergePlan<u64> {
+    /// The plan for runs of lengths `lens`, carried out on paper: each
+    /// merge's output is as long as its inputs together.
+    pub fn simulate(fan_in: usize, lens: &[u64]) -> Self {
+        let mut plan = Self::new(fan_in, lens.iter().map(|&len| (len, len)));
+        let Ok(()) = plan.merge_down(|_, g| Ok::<_, Infallible>((g.iter().sum(), g.iter().sum())));
+        plan
     }
 }
 
@@ -178,7 +284,7 @@ mod tests {
         let mut m =
             KWayMerger::new(streams, |x: &(i32, char), y: &(i32, char)| x.0.cmp(&y.0)).unwrap();
         let mut out = Vec::new();
-        while let Some((item, src)) = m.next_merged().unwrap() {
+        while let Some((&item, src)) = m.next_merged().unwrap() {
             out.push((item, src));
         }
         assert_eq!(out, vec![((1, 'a'), 0), ((1, 'b'), 1), ((2, 'a'), 0), ((2, 'b'), 1)]);
@@ -229,11 +335,196 @@ mod tests {
     fn reports_source_stream_indices() {
         let streams = vec![VecStream::new(vec![10]), VecStream::new(vec![5, 20])];
         let mut m = KWayMerger::new(streams, |a: &i64, b: &i64| a.cmp(b)).unwrap();
-        assert_eq!(m.next_merged().unwrap(), Some((5, 1)));
-        assert_eq!(m.next_merged().unwrap(), Some((10, 0)));
-        assert_eq!(m.next_merged().unwrap(), Some((20, 1)));
+        assert_eq!(m.next_merged().unwrap(), Some((&5, 1)));
+        assert_eq!(m.next_merged().unwrap(), Some((&10, 0)));
+        assert_eq!(m.next_merged().unwrap(), Some((&20, 1)));
         assert_eq!(m.next_merged().unwrap(), None);
         assert_eq!(m.next_merged().unwrap(), None, "exhausted merger stays exhausted");
+    }
+
+    /// Yields its values as one-element vectors, refilling the spare when
+    /// it gets one and counting the buffers it had to allocate.
+    struct BufStream {
+        items: std::vec::IntoIter<u32>,
+        allocs: std::rc::Rc<std::cell::Cell<usize>>,
+    }
+
+    impl MergeStream for BufStream {
+        type Item = Vec<u32>;
+
+        fn next_item(&mut self, spare: Option<Vec<u32>>) -> Result<Option<Vec<u32>>> {
+            let Some(v) = self.items.next() else { return Ok(None) };
+            let mut buf = spare.unwrap_or_else(|| {
+                self.allocs.set(self.allocs.get() + 1);
+                Vec::new()
+            });
+            buf.clear();
+            buf.push(v);
+            Ok(Some(buf))
+        }
+    }
+
+    #[test]
+    fn the_lent_item_is_refilled_as_the_next_pulls_spare() {
+        let allocs = std::rc::Rc::new(std::cell::Cell::new(0));
+        let streams: Vec<BufStream> = (0..3u32)
+            .map(|s| BufStream {
+                items: (0..100u32).map(|i| 3 * i + s).collect::<Vec<_>>().into_iter(),
+                allocs: allocs.clone(),
+            })
+            .collect();
+        let mut m = KWayMerger::new(streams, |a: &Vec<u32>, b: &Vec<u32>| a.cmp(b)).unwrap();
+        let mut out = Vec::new();
+        while let Some((item, src)) = m.next_merged().unwrap() {
+            assert_eq!(item[0] % 3, src as u32);
+            out.push(item[0]);
+        }
+        assert_eq!(out, (0..300).collect::<Vec<u32>>());
+        // One buffer per stream head plus the one lent out: every later
+        // pull refills the item the merge emitted before it.
+        assert_eq!(allocs.get(), 4, "300 items merged through 4 buffers");
+    }
+}
+
+#[cfg(test)]
+mod plan_tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    /// What a schedule did: intermediate merges, bytes they read, and the
+    /// merge depth (final merge included).
+    #[derive(Debug, PartialEq)]
+    struct Shape {
+        merges: u32,
+        volume: u64,
+        depth: u32,
+    }
+
+    /// The schedule the plan replaced: drain `fan_in` runs off the front of
+    /// the list and append the output at the back.
+    fn fifo(fan_in: usize, lens: &[u64]) -> Shape {
+        let mut runs: VecDeque<(u64, u32)> = lens.iter().map(|&len| (len, 0)).collect();
+        let (mut merges, mut volume) = (0, 0);
+        while runs.len() > fan_in {
+            let group: Vec<(u64, u32)> = runs.drain(..fan_in).collect();
+            let len: u64 = group.iter().map(|g| g.0).sum();
+            volume += len;
+            runs.push_back((len, group.iter().map(|g| g.1).max().unwrap_or(0) + 1));
+            merges += 1;
+        }
+        let depth = runs.iter().map(|r| r.1).max().unwrap_or(0) + 1;
+        Shape { merges, volume, depth }
+    }
+
+    fn planned(fan_in: usize, lens: &[u64]) -> (Shape, MergePlan<u64>) {
+        let mut plan = MergePlan::new(fan_in, lens.iter().map(|&len| (len, len)));
+        let mut volume = 0;
+        plan.merge_down(|_, group| {
+            let len: u64 = group.iter().sum();
+            volume += len;
+            Ok::<_, ()>((len, len))
+        })
+        .unwrap();
+        (Shape { merges: plan.merges(), volume, depth: plan.depth() }, plan)
+    }
+
+    /// `ceil(log_fan_in(runs))`, at least 1: the textbook pass count.
+    fn log_depth(fan_in: usize, runs: usize) -> u32 {
+        let (mut r, mut levels) = (runs, 0);
+        while r > 1 {
+            r = r.div_ceil(fan_in);
+            levels += 1;
+        }
+        levels.max(1)
+    }
+
+    /// Run counts in `1..600` for `fan_in`: every count where the textbook
+    /// depth steps (a power of `fan_in`, one either side) plus a seeded
+    /// sample of the rest -- the whole grid takes a minute unoptimized.
+    fn run_counts(fan_in: usize, rng: &mut impl rand::Rng) -> Vec<usize> {
+        let mut counts: Vec<usize> = (1..24).map(|_| rng.gen_range(1..600)).collect();
+        let mut power = 1;
+        while power < 600 {
+            counts.extend(
+                [power - 1, power, power + 1].into_iter().filter(|&r| (1..600).contains(&r)),
+            );
+            power *= fan_in;
+        }
+        counts
+    }
+
+    #[test]
+    fn plan_matches_fifo_merge_count_and_never_reads_more() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        for fan_in in 2..40usize {
+            for runs in run_counts(fan_in, &mut rng) {
+                let equal = vec![4096u64; runs];
+                let random: Vec<u64> = (0..runs).map(|_| rng.gen_range(1..10_000)).collect();
+                for lens in [&equal, &random] {
+                    let (got, plan) = planned(fan_in, lens);
+                    let old = fifo(fan_in, lens);
+                    let case = format!("runs={runs} fan_in={fan_in}");
+                    assert_eq!(got.merges, old.merges, "{case}");
+                    assert!(plan.runs().len() <= fan_in, "{case}");
+                    assert!(got.volume <= old.volume, "{case}: {got:?} vs {old:?}");
+                    assert_eq!(plan.runs().iter().sum::<u64>(), lens.iter().sum(), "{case}");
+                }
+                let simulated = MergePlan::simulate(fan_in, &equal);
+                assert_eq!(
+                    simulated.depth(),
+                    log_depth(fan_in, runs),
+                    "runs={runs} fan_in={fan_in}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_excess_goes_first_and_the_shortest_runs_are_taken() {
+        // 128 runs at fan-in 22: FIFO's sixth merge re-reads four merged
+        // runs to go from 23 runs to 2; the plan merges 2 runs first, then
+        // only initial runs, and ends on a full final merge.
+        let (got, plan) = planned(22, &[1; 128]);
+        let old = fifo(22, &[1; 128]);
+        assert_eq!((got.merges, old.merges), (6, 6));
+        assert_eq!((got.volume, old.volume), (2 + 5 * 22, 5 * 22 + 18 + 88));
+        assert_eq!(plan.runs().len(), 22);
+        assert_eq!((got.depth, old.depth), (2, 3));
+    }
+
+    #[test]
+    fn groups_come_in_list_order_and_ties_go_to_the_earlier_run() {
+        let mut plan = MergePlan::new(3, [('a', 5), ('b', 1), ('c', 9), ('d', 1), ('e', 1)]);
+        let mut groups = Vec::new();
+        plan.merge_down(|n, group| {
+            groups.push((n, group.to_vec()));
+            Ok::<_, ()>((char::from(b'0' + n as u8), 3))
+        })
+        .unwrap();
+        // 5 runs at fan-in 3: one merge of the three shortest, in list order.
+        assert_eq!(groups, vec![(1, vec!['b', 'd', 'e'])]);
+        assert_eq!(plan.runs(), vec!['a', 'c', '1']);
+        let mut plan = MergePlan::new(2, [('a', 2), ('b', 1), ('c', 1), ('d', 1)]);
+        let mut groups = Vec::new();
+        plan.merge_down(|n, group| {
+            groups.push(group.to_vec());
+            Ok::<_, ()>((char::from(b'0' + n as u8), 2))
+        })
+        .unwrap();
+        // Ties: b and c before d; then the new run 1 (length 2) loses its
+        // tie with the earlier a.
+        assert_eq!(groups, vec![vec!['b', 'c'], vec!['a', 'd']]);
+        assert_eq!(plan.runs(), vec!['1', '2']);
+    }
+
+    #[test]
+    fn a_failed_merge_leaves_the_list_as_it_was() {
+        let mut plan = MergePlan::new(2, [(0u32, 1), (1, 1), (2, 1)]);
+        assert_eq!(plan.merge_down(|_, _| Err("device gone")), Err("device gone"));
+        assert_eq!((plan.runs(), plan.merges()), (vec![0, 1, 2], 0));
+        plan.merge_down(|_, group| Ok::<_, ()>((group[0] + 10, 2))).unwrap();
+        assert_eq!((plan.runs(), plan.merges(), plan.depth()), (vec![2, 10], 1, 2));
     }
 }
 
@@ -256,7 +547,7 @@ mod pooled_tests {
     impl MergeStream for U32RunStream {
         type Item = u32;
 
-        fn next_item(&mut self) -> Result<Option<u32>> {
+        fn next_item(&mut self, _spare: Option<u32>) -> Result<Option<u32>> {
             let mut b = [0u8; 4];
             match self.r.read_exact(&mut b) {
                 Ok(()) => Ok(Some(u32::from_le_bytes(b))),
@@ -317,7 +608,7 @@ mod error_tests {
     impl MergeStream for FailingStream {
         type Item = i64;
 
-        fn next_item(&mut self) -> Result<Option<i64>> {
+        fn next_item(&mut self, _spare: Option<i64>) -> Result<Option<i64>> {
             if self.yields == 0 {
                 Err(ExtError::Corrupt("stream broke".into()))
             } else {
@@ -345,7 +636,7 @@ mod error_tests {
     impl MergeStream for RecoveringStream {
         type Item = i64;
 
-        fn next_item(&mut self) -> Result<Option<i64>> {
+        fn next_item(&mut self, _spare: Option<i64>) -> Result<Option<i64>> {
             let pull = self.pulls;
             self.pulls += 1;
             if pull == self.fail_at {
@@ -367,14 +658,14 @@ mod error_tests {
             RecoveringStream { items: vec![15, 25], next: 0, fail_at: usize::MAX, pulls: 0 },
         ];
         let mut m = KWayMerger::new(streams, |a: &i64, b: &i64| a.cmp(b)).unwrap();
-        assert_eq!(m.next_merged().unwrap(), Some((10, 0)));
-        assert_eq!(m.next_merged().unwrap(), Some((15, 1)));
+        assert_eq!(m.next_merged().unwrap(), Some((&10, 0)));
+        assert_eq!(m.next_merged().unwrap(), Some((&15, 1)));
         // Yielding 20 requires pulling stream 0's replacement: that errors.
         assert!(m.next_merged().is_err(), "the transient fault must surface");
         // Nothing was dropped: 20 is still buffered, and the merge continues
         // in full sorted order once the stream recovers.
         let mut rest = Vec::new();
-        while let Some((item, _)) = m.next_merged().unwrap() {
+        while let Some((&item, _)) = m.next_merged().unwrap() {
             rest.push(item);
         }
         assert_eq!(rest, vec![20, 25, 30], "buffered heads survive a mid-merge error");
@@ -390,7 +681,7 @@ mod error_tests {
         let mut m =
             KWayMerger::new(streams, |a: &(u8, usize), b: &(u8, usize)| a.0.cmp(&b.0)).unwrap();
         let mut out = Vec::new();
-        while let Some(((key, origin), src)) = m.next_merged().unwrap() {
+        while let Some((&(key, origin), src)) = m.next_merged().unwrap() {
             assert_eq!(origin, src, "payload tags its source stream");
             out.push((key, src));
         }

@@ -84,7 +84,7 @@ pub use fault::{
     FaultCounts, FaultInjector, FaultKind, FaultPlan, FaultRng, FaultyDevice, IoPhase, RetryPolicy,
 };
 pub use journal::{Journal, JournalRecord, JournalStats};
-pub use kway::{KWayMerger, MergeStream, VecStream};
+pub use kway::{KWayMerger, MergePlan, MergeStream, VecStream};
 pub use pool::{CachePolicy, ClockPolicy, EvictionPolicy, LruPolicy, WriteMode};
 pub use recovery::{fold_records, recover, RecoveredState};
 pub use repair::{RunParity, RunReader, ScrubReport};

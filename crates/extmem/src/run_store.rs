@@ -22,6 +22,7 @@ use crate::device::Disk;
 use crate::error::{ExtError, Result};
 use crate::extent::{ByteSink, Extent, ExtentWriter};
 use crate::fault::fnv1a64;
+use crate::journal::JournalRecord;
 use crate::repair::{
     block_prefix_len, reconstruct_block, ParityBuilder, RunParity, RunReader, ScrubReport,
 };
@@ -102,6 +103,19 @@ impl RunStore {
             return Err(ExtError::BadRun { run: id.0, total: runs.len() as u32 });
         }
         Ok(self.parity.borrow()[id.0 as usize].clone())
+    }
+
+    /// A `RunSealed` record for run `id`: its extent and parity metadata,
+    /// the durable identity recovery rebuilds the store from.
+    pub fn seal_record(&self, id: RunId) -> Result<JournalRecord> {
+        let ext = self.extent_of(id)?;
+        let parity = self.parity_of(id)?;
+        Ok(JournalRecord::RunSealed {
+            token: id.0,
+            len: ext.len(),
+            blocks: ext.blocks().to_vec(),
+            parity,
+        })
     }
 
     /// The disk the runs live on.

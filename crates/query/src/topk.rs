@@ -30,13 +30,16 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use nexsort::{
-    is_beyond_parity, journal_stats, restore_report, seal_record, seal_records,
-    seal_records_except, NexsortOptions, SortReport,
+    is_beyond_parity, journal_stats, restore_report, seal_records, seal_records_except,
+    NexsortOptions, SortReport,
 };
-use nexsort_baseline::{ParsedRecSource, PathedAdapter, PathedRunStream, PathedSource, RecSource};
+use nexsort_baseline::{
+    merge_pass, merge_pathed_runs, run_lens, ParsedRecSource, PathedAdapter, PathedSource,
+    RecSource,
+};
 use nexsort_extmem::{
-    recover, ByteSink, Disk, Extent, IoCat, IoPhase, Journal, JournalRecord, KWayMerger,
-    MemoryBudget, RunId, RunStore,
+    recover, ByteSink, Disk, Extent, IoCat, IoPhase, Journal, JournalRecord, MemoryBudget,
+    MergePlan, RunId, RunStore,
 };
 use nexsort_xml::{PathedBytes, Rec, RecDecoder, Result, SortSpec, TagDict, XmlError};
 
@@ -308,11 +311,17 @@ impl TopK {
         .map_err(XmlError::Ext)?;
         let block_size = self.disk.block_size();
         let threshold = self.opts.threshold_bytes(block_size);
+        if state.sort_done.is_some() || state.scan_done {
+            // The scan will not run again: drain the parser for its
+            // dictionary side effect.
+            let mut buf = Vec::new();
+            while src.next_encoded(&mut buf)?.is_some() {
+                buf.clear();
+            }
+        }
 
         if let Some((root, _flat)) = state.sort_done {
-            // Finished before the crash: drain the parser for its
-            // dictionary side effect and reattach.
-            while src.next_rec()?.is_some() {}
+            // Finished before the crash: reattach.
             let mut report = TopKReport::new(self.k, block_size, self.opts.mem_frames, threshold);
             restore_report(&state.stats, &mut report.sort);
             report.runs_formed = state.stats.incomplete_runs;
@@ -339,7 +348,6 @@ impl TopK {
             // pass; whole-run metadata died with the crashed process, so
             // the metadata prune is skipped (the merge's early stop still
             // bounds the work).
-            while src.next_rec()?.is_some() {}
             let mut report = TopKReport::new(self.k, block_size, self.opts.mem_frames, threshold);
             restore_report(&state.stats, &mut report.sort);
             report.runs_formed = state.stats.incomplete_runs;
@@ -428,9 +436,10 @@ impl TopK {
             report.runs_pruned = drop.len() as u32;
             metas = keep;
         }
-        // Pending order: ascending run minimum, so the merge front loads
-        // the most promising runs first. Determinism: ties cannot happen
-        // (key paths are unique), but fall back to run id anyway.
+        // Pending order: ascending run minimum. The merge plan takes the
+        // shortest runs and breaks length ties by this order. Determinism:
+        // ties cannot happen (key paths are unique), but fall back to run
+        // id anyway.
         metas.sort_by(|a, b| a.min.cmp_path(&b.min).then(a.id.cmp(&b.id)));
         let pending: Vec<RunId> = metas.iter().map(|m| m.id).collect();
 
@@ -548,101 +557,56 @@ impl TopK {
     }
 
     /// Selection phase: reduce the surviving runs below the merge fan-in
-    /// (k-truncated intermediate passes), then merge with an early stop
-    /// after k records, stripping key paths into the flat output run.
+    /// (k-truncated intermediate passes, in the order the [`MergePlan`]
+    /// picks), then merge with an early stop after k records, stripping key
+    /// paths into the flat output run.
     fn select(
         &self,
         store: &Rc<RunStore>,
-        mut runs: Vec<RunId>,
+        runs: Vec<RunId>,
         budget: &MemoryBudget,
         journal: &mut Option<Journal>,
         report: &mut TopKReport,
         pass_base: u32,
     ) -> Result<RunId> {
         let fan_in = budget.free_frames().saturating_sub(1).max(2);
-
-        while runs.len() > fan_in {
-            let pass = pass_base + report.sort.degenerate_merges + 1;
-            self.disk.in_phase(IoPhase::MergePass(pass), || -> Result<()> {
-                if let Some(j) = journal.as_mut() {
-                    j.append(&JournalRecord::MergePassStarted { pass }).map_err(XmlError::Ext)?;
-                }
-                let group: Vec<RunId> = runs.drain(..fan_in).collect();
-                let streams = PathedRunStream::open_all(store, &group, budget, IoCat::SortScratch)?;
-                let mut merger =
-                    KWayMerger::new(streams, PathedBytes::cmp_path).map_err(XmlError::Ext)?;
-                let mut w = store.create(budget, IoCat::SortScratch).map_err(XmlError::Ext)?;
-                let mut emitted = 0u64;
-                // k-truncation: only the k best of any run subset can be in
-                // the global top k, so the pass output stops there.
-                while emitted < self.k {
-                    let Some((p, _)) = merger.next_merged().map_err(XmlError::Ext)? else {
-                        break;
-                    };
-                    w.write_all(&p.bytes).map_err(XmlError::Ext)?;
-                    emitted += 1;
-                }
-                let out = w.finish().map_err(XmlError::Ext)?;
-                runs.push(out);
-                if let Some(j) = journal.as_mut() {
-                    j.checkpoint(&[
-                        seal_record(store, out)?,
-                        JournalRecord::MergePassCommitted {
-                            pass,
-                            output: out.0,
-                            consumed: group.iter().map(|r| r.0).collect(),
-                        },
-                    ])
-                    .map_err(XmlError::Ext)?;
-                }
-                for id in group {
-                    store.discard(id).map_err(XmlError::Ext)?;
-                }
-                Ok(())
-            })?;
-            report.sort.degenerate_merges += 1;
-            report.merge_passes += 1;
-        }
+        let (mut plan, cat) = (MergePlan::new(fan_in, run_lens(store, &runs)?), IoCat::SortScratch);
+        // k-truncation: only the k best of any run subset can be in the
+        // global top k, so a pass's output stops there.
+        plan.merge_down(|n, group| {
+            merge_pass(store, budget, journal, pass_base + n, group, cat, self.k)
+        })?;
+        // Merges run here, the final one included.
+        report.sort.degenerate_merges += plan.merges() + 1;
+        report.merge_passes += plan.merges() + 1;
 
         // Final merge: strip key paths, stop after k records.
+        let runs = plan.runs();
         self.disk.in_phase(IoPhase::FinalMerge, || {
-            let streams = PathedRunStream::open_all(store, &runs, budget, IoCat::SortScratch)?;
-            let mut merger =
-                KWayMerger::new(streams, PathedBytes::cmp_path).map_err(XmlError::Ext)?;
-            let mut w = store.create(budget, IoCat::RunWrite).map_err(XmlError::Ext)?;
-            while report.records_emitted < self.k {
-                let Some((p, _)) = merger.next_merged().map_err(XmlError::Ext)? else {
-                    break;
-                };
-                w.write_all(p.rec_bytes()).map_err(XmlError::Ext)?;
-                report.records_emitted += 1;
-            }
-            drop(merger);
-            let root = w.finish().map_err(XmlError::Ext)?;
-            report.sort.degenerate_merges += 1;
-            report.merge_passes += 1;
+            let (root, emitted) =
+                merge_pathed_runs(store, budget, &runs, cat, IoCat::RunWrite, self.k, |p| {
+                    p.rec_bytes()
+                })?;
+            report.records_emitted = emitted;
             report.sort.root_flat = true;
-            report.merge_passes_skipped = full_merge_passes(report.runs_formed as usize, fan_in)
-                .saturating_sub(pass_base + report.merge_passes);
+            // Against a full merge of every formed run: as many merges as
+            // the plan of that many runs makes, the final one included.
+            let full =
+                MergePlan::simulate(fan_in, &vec![1; report.runs_formed as usize]).merges() + 1;
+            report.merge_passes_skipped = full.saturating_sub(pass_base + report.merge_passes);
 
-            if journal.is_some() {
+            if let Some(j) = journal.as_mut() {
                 let consumed: Vec<u32> = runs.iter().map(|r| r.0).collect();
-                if let Some(j) = journal.as_mut() {
-                    let mut recs = seal_records_except(store, &consumed)?;
-                    recs.extend(
-                        consumed.iter().map(|&token| JournalRecord::RunDiscarded { token }),
-                    );
-                    recs.push(JournalRecord::SortDone {
-                        root: root.0,
-                        root_flat: true,
-                        stats: journal_stats(&report.sort),
-                    });
-                    j.checkpoint(&recs).map_err(XmlError::Ext)?;
-                }
+                let mut recs = seal_records_except(store, &consumed)?;
+                recs.extend(consumed.iter().map(|&token| JournalRecord::RunDiscarded { token }));
+                recs.push(JournalRecord::SortDone {
+                    root: root.0,
+                    root_flat: true,
+                    stats: journal_stats(&report.sort),
+                });
+                j.checkpoint(&recs).map_err(XmlError::Ext)?;
             }
-            for id in runs {
-                store.discard(id).map_err(XmlError::Ext)?;
-            }
+            runs.iter().try_for_each(|&id| store.discard(id)).map_err(XmlError::Ext)?;
             Ok(root)
         })
     }
@@ -665,28 +629,14 @@ fn kth_bound(metas: &[RunMeta], k: u64) -> Option<PathedBytes> {
     None
 }
 
-/// Merge passes a full (untruncated) merge of `runs` runs needs at the
-/// given fan-in, final pass included -- the baseline top-k's skipped-pass
-/// counter is measured against.
-fn full_merge_passes(mut runs: usize, fan_in: usize) -> u32 {
-    if runs == 0 {
-        return 0;
-    }
-    let mut passes = 0u32;
-    while runs > fan_in {
-        runs = runs - fan_in + 1;
-        passes += 1;
-    }
-    passes + 1
-}
-
 /// Records in a run (used when reattaching a finished output on resume).
 fn count_records(store: &Rc<RunStore>, id: RunId, budget: &MemoryBudget) -> Result<u64> {
     let len = store.run_len(id).map_err(XmlError::Ext)?;
     let reader = store.open(id, budget, IoCat::RunRead).map_err(XmlError::Ext)?;
     let mut dec = RecDecoder::with_limit(reader, len);
-    let mut n = 0u64;
-    while dec.next_rec()?.is_some() {
+    let (mut n, mut buf) = (0u64, Vec::new());
+    while dec.next_encoded(&mut buf)?.is_some() {
+        buf.clear();
         n += 1;
     }
     Ok(n)

@@ -24,7 +24,7 @@ use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::stage_input;
 use nexsort_extmem::{
     recover, CachePolicy, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent, IoCat,
-    Journal, WriteMode,
+    Journal, JournalRecord, WriteMode,
 };
 use nexsort_xml::{SortSpec, XmlError};
 
@@ -288,6 +288,104 @@ fn standard_mode_crash_resume_restarts_and_matches() {
             .unwrap_or_else(|e| panic!("standard-mode resume at {n} failed: {e}"));
         assert_eq!(resumed.to_xml(false).unwrap(), expect, "crash at {n}");
     }
+}
+
+/// A flat document whose records switch between short and long every 25
+/// items, so its incomplete runs differ in length (a run of short records
+/// carries more key-path bytes) and the merge plan's shortest-first choice
+/// is not the head of the pending list.
+fn uneven_doc(n: usize) -> String {
+    let mut d = String::from("<root>");
+    for i in 0..n {
+        let pad = if (i / 25) % 2 == 0 { 1 } else { 40 };
+        d.push_str(&format!("<item k=\"{:04}\" pad=\"{}\"/>", n - 1 - i, "x".repeat(pad)));
+    }
+    d.push_str("</root>");
+    d
+}
+
+/// The merge passes the journal on `disk` committed, in order: each one's
+/// consumed runs and its output.
+fn merge_history(disk: &Rc<Disk>) -> Vec<(Vec<u32>, u32)> {
+    let records = Journal::locate(disk).unwrap().expect("a journal").replay().unwrap();
+    let passes = records.into_iter().filter_map(|rec| match rec {
+        JournalRecord::MergePassCommitted { consumed, output, .. } => Some((consumed, output)),
+        _ => None,
+    });
+    passes.collect()
+}
+
+#[test]
+fn a_crash_between_merge_passes_resumes_the_same_plan() {
+    let doc = uneven_doc(400);
+    let o = opts();
+    let spec = SortSpec::by_attribute("k");
+    let (disk, ctl) = make_disk(1, false);
+    let input = stage(&disk, &doc);
+    let (stage_ios, before) = (ctl.ios(), disk.stats().snapshot());
+    let nx = Nexsort::new(disk.clone(), o.clone(), spec.clone()).unwrap();
+    let sorted = nx.sort_xml_extent(&input).unwrap();
+    let full_io = disk.stats().snapshot().since(&before);
+    let (sort_ios, merges, xml) =
+        (ctl.ios(), sorted.report.degenerate_merges, sorted.to_xml(false).unwrap());
+    drop(sorted);
+    let history = merge_history(&disk);
+
+    // The committed passes did not all take the head of the pending list:
+    // the runs are uneven enough for the plan to choose.
+    let mut pending = Vec::new();
+    let mut off_head = 0;
+    for rec in Journal::locate(&disk).unwrap().expect("journal").replay().unwrap() {
+        match rec {
+            JournalRecord::ScanDone { pending: p, .. } => pending = p,
+            JournalRecord::MergePassCommitted { output, consumed, .. } => {
+                off_head += usize::from(pending[..consumed.len()] != consumed[..]);
+                pending.retain(|t| !consumed.contains(t));
+                pending.push(output);
+            }
+            _ => {}
+        }
+    }
+    assert!(merges >= 3 && off_head > 0, "{merges} merges, {off_head} off the list head");
+
+    // Crash at every point: the resume must make the uninterrupted run's
+    // merges, run for run, and produce its output. The first crash point
+    // after pass j's commit falls between passes; from there the crashed
+    // plus the resumed transfers equal the uninterrupted ones in every
+    // category but the resume's own overhead (the dictionary's input
+    // re-read, the journal).
+    let mut last_skipped = 0;
+    for n in stage_ios..sort_ios {
+        let (disk, ctl) = make_disk(1, false);
+        let input = stage(&disk, &doc);
+        ctl.arm_after(n);
+        let before = disk.stats().snapshot();
+        let nx = Nexsort::new(disk.clone(), o.clone(), spec.clone()).unwrap();
+        let Err(e) = nx.sort_xml_extent(&input) else { continue };
+        assert!(is_simulated_crash(&e), "crash at {n}: {e}");
+        ctl.thaw();
+        let crashed = disk.stats().snapshot();
+        let resumed = nx.resume_xml_extent(&input).unwrap();
+        let resume_io = disk.stats().snapshot().since(&crashed);
+        let crashed = crashed.since(&before);
+        assert_eq!(resumed.to_xml(false).unwrap(), xml, "crash at {n}");
+        assert_eq!(merge_history(&disk), history, "crash at {n}: the merges differ");
+        let skipped = resumed.report.committed_passes_skipped;
+        if skipped == last_skipped || skipped >= merges {
+            continue;
+        }
+        last_skipped = skipped;
+        assert_eq!(resumed.report.degenerate_merges + skipped, merges, "crash at {n}");
+        for cat in IoCat::ALL.into_iter().filter(|&c| c != IoCat::InputRead && c != IoCat::Journal)
+        {
+            assert_eq!(
+                crashed.total(cat) + resume_io.total(cat),
+                full_io.total(cat),
+                "crash at {n}, after pass {skipped}: {cat} transfers"
+            );
+        }
+    }
+    assert_eq!(last_skipped, merges - 1, "every pass boundary was crashed at");
 }
 
 #[test]
