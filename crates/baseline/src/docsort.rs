@@ -14,7 +14,7 @@ use nexsort_xml::{
     Event, Rec, RecDecoder, RecEmitter, RecKind, RecXmlWriter, Result, SortSpec, TagDict,
 };
 
-use crate::extsort::{external_merge_sort, ExtSortOptions, ExtSortReport};
+use crate::extsort::{external_merge_sort, ExtSortReport};
 use crate::resolve::resolve_deferred;
 use crate::source::{ExtentRecSource, ParsedRecSource, PathedAdapter, RecSource};
 
@@ -133,7 +133,6 @@ fn sort_source(
     spec: &SortSpec,
     opts: &BaselineOptions,
 ) -> Result<(RunId, ExtSortReport)> {
-    let sort_opts = ExtSortOptions::default();
     if spec.has_deferred_keys() {
         // Complex criteria: materialize the record stream, resolve the
         // deferred keys with the reversal pre-pass, then sort the resolved
@@ -153,7 +152,7 @@ fn sort_source(
         staged.free(disk)?;
         let inner = ExtentRecSource::new(disk.clone(), budget, &resolved, IoCat::SortScratch)?;
         let mut pathed = PathedAdapter::new(inner, opts.depth_limit);
-        let out = external_merge_sort(store, budget, &mut pathed, &sort_opts)?;
+        let out = external_merge_sort(store, budget, &mut pathed, IoCat::OutputWrite)?;
         resolved.free(disk)?;
         Ok(out)
     } else {
@@ -168,7 +167,7 @@ fn sort_source(
             }
         }
         let mut pathed = PathedAdapter::new(DynAdapter(src), opts.depth_limit);
-        external_merge_sort(store, budget, &mut pathed, &sort_opts)
+        external_merge_sort(store, budget, &mut pathed, IoCat::OutputWrite)
     }
 }
 

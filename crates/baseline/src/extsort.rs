@@ -25,24 +25,6 @@ use nexsort_xml::{cmp_encoded_paths, read_pathed_raw, PathedBytes, Rec, Result, 
 
 use crate::source::PathedSource;
 
-/// Options for one external merge sort.
-#[derive(Debug, Clone)]
-pub struct ExtSortOptions {
-    /// Category charged for scratch runs (formation + intermediate merges).
-    pub scratch_cat: IoCat,
-    /// Category charged for the final sorted output run.
-    pub final_cat: IoCat,
-    /// Strip key paths in the final pass (plain records out). Kept on for
-    /// document sorts; off when a caller wants a pathed result.
-    pub strip_paths: bool,
-}
-
-impl Default for ExtSortOptions {
-    fn default() -> Self {
-        Self { scratch_cat: IoCat::SortScratch, final_cat: IoCat::OutputWrite, strip_paths: true }
-    }
-}
-
 /// What one external merge sort did (pass structure for the experiments).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExtSortReport {
@@ -198,7 +180,9 @@ impl PathedArena {
 }
 
 /// External merge sort of a pathed record stream. Returns the final run
-/// (sorted document order) and a pass report.
+/// (sorted document order, key paths stripped) and a pass report. Scratch
+/// runs (formation and intermediate merges) are charged to
+/// [`IoCat::SortScratch`], the final run to `final_cat`.
 ///
 /// Frame usage: during formation, all free frames buffer records except one
 /// for the spill writer; during merges, one frame per input run plus one for
@@ -208,7 +192,7 @@ pub fn external_merge_sort(
     store: &Rc<RunStore>,
     budget: &MemoryBudget,
     src: &mut dyn PathedSource,
-    opts: &ExtSortOptions,
+    final_cat: IoCat,
 ) -> Result<(RunId, ExtSortReport)> {
     let disk = store.disk().clone();
     let block_size = disk.block_size() as u64;
@@ -236,7 +220,7 @@ pub fn external_merge_sort(
                      report: &mut ExtSortReport,
                      runs: &mut Vec<RunId>|
          -> Result<()> {
-            let mut w = store.create(budget, opts.scratch_cat)?;
+            let mut w = store.create(budget, IoCat::SortScratch)?;
             arena.spill(&mut w)?;
             runs.push(w.finish()?);
             report.initial_runs += 1;
@@ -267,7 +251,7 @@ pub fn external_merge_sort(
     // ---- Merge passes ----
     let fan_in = budget.free_frames().saturating_sub(1).max(2);
     report.fan_in = fan_in;
-    let (mut plan, cat) = (MergePlan::new(fan_in, run_lens(store, &runs)?), opts.scratch_cat);
+    let (mut plan, cat) = (MergePlan::new(fan_in, run_lens(store, &runs)?), IoCat::SortScratch);
     plan.merge_down(|n, group| merge_pass(store, budget, &mut None, n, group, cat, u64::MAX))?;
     report.intermediate_merges = plan.merges();
     report.passes = 1 + plan.depth();
@@ -275,11 +259,8 @@ pub fn external_merge_sort(
     // ---- Final merge: strip paths, write the sorted output run ----
     let final_run = disk.in_phase(IoPhase::FinalMerge, || -> Result<RunId> {
         let group = plan.runs();
-        let skip = |p: &PathedBytes| if opts.strip_paths { p.path_len } else { 0 };
         let (final_run, _) =
-            merge_pathed_runs(store, budget, &group, cat, opts.final_cat, u64::MAX, |p| {
-                &p.bytes[skip(p)..]
-            })?;
+            merge_pathed_runs(store, budget, &group, cat, final_cat, u64::MAX, |p| p.rec_bytes())?;
         group.iter().try_for_each(|&id| store.discard(id))?;
         Ok(final_run)
     })?;
@@ -334,7 +315,7 @@ mod tests {
         let mut src = PathedAdapter::new(VecRecSource::new(recs), None);
         let before = disk.stats().snapshot();
         let (run, report) =
-            external_merge_sort(&store, &budget, &mut src, &ExtSortOptions::default()).unwrap();
+            external_merge_sort(&store, &budget, &mut src, IoCat::OutputWrite).unwrap();
         let ios = disk.stats().snapshot().since(&before).grand_total();
         let out = run_to_recs(&store, &budget, run, IoCat::SortScratch).unwrap();
         (out, report, ios)
@@ -388,8 +369,7 @@ mod tests {
         let budget = MemoryBudget::new(4);
         let store = RunStore::new(disk.clone());
         let mut src = PathedAdapter::new(VecRecSource::new(recs), None);
-        let (run, _) =
-            external_merge_sort(&store, &budget, &mut src, &ExtSortOptions::default()).unwrap();
+        let (run, _) = external_merge_sort(&store, &budget, &mut src, IoCat::OutputWrite).unwrap();
         // Only the final run still occupies blocks.
         let final_blocks = store.run_len(run).unwrap().div_ceil(256);
         assert_eq!(store.total_blocks(), final_blocks);
@@ -402,7 +382,7 @@ mod tests {
         let budget = MemoryBudget::new(1);
         let store = RunStore::new(disk.clone());
         let mut src = PathedAdapter::new(VecRecSource::new(recs), None);
-        assert!(external_merge_sort(&store, &budget, &mut src, &ExtSortOptions::default()).is_err());
+        assert!(external_merge_sort(&store, &budget, &mut src, IoCat::OutputWrite).is_err());
     }
 
     #[test]
@@ -412,23 +392,8 @@ mod tests {
         let store = RunStore::new(disk.clone());
         let mut src = PathedAdapter::new(VecRecSource::new(vec![]), None);
         let (run, report) =
-            external_merge_sort(&store, &budget, &mut src, &ExtSortOptions::default()).unwrap();
+            external_merge_sort(&store, &budget, &mut src, IoCat::OutputWrite).unwrap();
         assert_eq!(report.items, 0);
         assert_eq!(store.run_len(run).unwrap(), 0);
-    }
-
-    #[test]
-    fn final_run_can_keep_paths_when_requested() {
-        let (recs, _) = make_recs(5);
-        let disk = Disk::new_mem(256);
-        let budget = MemoryBudget::new(8);
-        let store = RunStore::new(disk.clone());
-        let mut src = PathedAdapter::new(VecRecSource::new(recs), None);
-        let opts = ExtSortOptions { strip_paths: false, ..Default::default() };
-        let (run, _) = external_merge_sort(&store, &budget, &mut src, &opts).unwrap();
-        // Decodes as pathed records.
-        let mut reader = store.open(run, &budget, IoCat::SortScratch).unwrap();
-        let (p, _) = nexsort_xml::PathedRec::decode(&mut reader).unwrap();
-        assert_eq!(p.path.len(), 1);
     }
 }

@@ -886,7 +886,7 @@ pub fn topk_sweep(scale: &ExpScale) -> Result<ExpTable> {
             r.runs_formed.to_string(),
             r.runs_pruned.to_string(),
             r.bound_drops.to_string(),
-            r.merge_passes.to_string(),
+            r.sort.degenerate_merges.to_string(),
             r.merge_passes_skipped.to_string(),
             r.total_ios().to_string(),
             full_ios.to_string(),

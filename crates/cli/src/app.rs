@@ -1,16 +1,16 @@
 //! The `xsort` application: argument handling and command execution.
 
 use std::fs::File;
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use nexsort::{FailureCategory, Nexsort, NexsortOptions, SortedDoc};
 use nexsort_baseline::{sort_xml_extent, stage_reader, BaselineOptions};
 use nexsort_extmem::{
-    recover, ByteReader, ByteSink, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent,
-    FaultInjector, FaultPlan, IoCat, IoSink, JournalRecord, PartFile, RetryPolicy, RunId, RunStore,
-    ScrubReport, STREAM_BUF,
+    recover, ByteSink, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent,
+    FaultInjector, FaultPlan, IoCat, IoSink, IoSource, JournalRecord, PartFile, RetryPolicy, RunId,
+    RunStore, ScrubReport, STREAM_BUF,
 };
 use nexsort_merge::{BatchUpdate, MergeOptions, StructuralMerge};
 use nexsort_server::{JobInput, JobOp, JobSpec};
@@ -49,8 +49,6 @@ pub struct Cli {
     pub device: Option<PathBuf>,
     /// Algorithm (`--algo degen` also sets `job.degeneration`).
     pub algo: Algo,
-    /// Output format for `sort`: XML text or the `.xrec` binary container.
-    pub format: OutFormat,
     /// Print the sort report to stderr.
     pub stats: bool,
     /// Probability of a transient I/O error per transfer (fault injection).
@@ -87,16 +85,6 @@ impl Cli {
     pub fn faults_enabled(&self) -> bool {
         self.fault_rate > 0.0 || self.fault_flips > 0.0 || self.fault_torn > 0.0
     }
-}
-
-/// Output format of the `sort` command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutFormat {
-    /// XML text.
-    Xml,
-    /// The `.xrec` binary container (records + dictionary): feeds back into
-    /// later `xsort` invocations without re-parsing.
-    Xrec,
 }
 
 /// The operation to perform.
@@ -221,8 +209,6 @@ OPTIONS:
       --threshold SIZE  sort threshold t              (default: 2 blocks)
       --depth N         depth-limited sorting
       --device FILE     back the block device with FILE (default: in-memory)
-      --format F        sort output: xml | xrec (binary records; re-readable
-                        by any xsort subcommand without re-parsing)
       --pretty          indent the output
       --stats           print the I/O report to stderr
 
@@ -232,8 +218,7 @@ QUERY OPERATORS (`xsort topk` / `xsort pq`):
                         k-th bound are pruned whole; logical I/O shrinks as
                         k does. Output is one line per record (`level kind
                         name key`) -- byte-identical to the first k records
-                        of a full sort. --format xrec emits the raw encoded
-                        records instead. Honors --checkpoint / --resume /
+                        of a full sort. Honors --checkpoint / --resume /
                         --crash-after-ios exactly like sort.
   `xsort pq SCRIPT` executes `push KEY` | `pop` | `peek` lines (# comments)
   against an external priority queue backed by sealed insertion runs, and
@@ -363,7 +348,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut op_given = false;
     let mut device = None;
     let mut algo = Algo::Nexsort;
-    let mut format = OutFormat::Xml;
     let mut stats = false;
     let mut seed = 42u64;
     let mut fault_rate = 0.0f64;
@@ -438,13 +422,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--default" => job.default_rule = Some(next_value(&mut it, arg)?),
             "--key" => job.keys.push(next_value(&mut it, arg)?),
-            "--format" => {
-                format = match next_value(&mut it, arg)?.as_str() {
-                    "xml" => OutFormat::Xml,
-                    "xrec" => OutFormat::Xrec,
-                    other => return Err(format!("unknown format {other:?}")),
-                }
-            }
             "--fault-rate" => fault_rate = parse_rate(next_value(&mut it, arg)?, arg)?,
             "--fault-flips" => fault_flips = parse_rate(next_value(&mut it, arg)?, arg)?,
             "--fault-torn" => fault_torn = parse_rate(next_value(&mut it, arg)?, arg)?,
@@ -701,7 +678,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
         job,
         device,
         algo,
-        format,
         stats,
         fault_rate,
         fault_flips,
@@ -819,16 +795,6 @@ fn make_disk(cli: &Cli) -> Result<DiskSetup, String> {
     Ok((stack.disk, stack.injectors, stack.crash))
 }
 
-/// A staged input document: XML text, or pre-encoded records + dictionary.
-enum Staged {
-    Xml(Extent),
-    Recs(Extent, nexsort_xml::TagDict),
-}
-
-/// Read a document; `.xrec` inputs (detected by magic) skip XML parsing, but
-/// their keys are re-extracted under the current criterion so `--key`
-/// arguments always apply. XML text streams from the file onto the device
-/// through `stage_reader`'s fixed buffer, never whole in memory.
 /// `xsort check`'s test, one encoded record at a time: the children of
 /// every element must come in ascending key order. It keeps the last
 /// sibling key per level, as bytes in a reused buffer, and the levels of
@@ -862,13 +828,21 @@ impl<'a> SiblingCheck<'a> {
         }
     }
 
-    /// Parse XML text from `src` and check its records as they are built.
-    fn scan_xml(&mut self, src: impl ByteReader) -> Result<(), CliError> {
-        let mut parser = nexsort_xml::XmlParser::new(src);
+    /// Stream the XML text of `path`, a file or a pipe, through one
+    /// [`IoSource`] window and check its records as they are built.
+    fn scan_xml(&mut self, path: &Path) -> Result<(), CliError> {
+        let cannot_read = |e: std::io::Error| format!("cannot read {path:?}: {e}");
+        let file = File::open(path).map_err(cannot_read)?;
+        let mut parser = nexsort_xml::XmlParser::new(IoSource::new(file));
         let mut builder = nexsort_xml::RecBuilder::new(self.spec.clone(), true);
         let mut dict = nexsort_xml::TagDict::new();
         let mut buf = Vec::new();
-        while let Some(ev) = parser.next_ref().map_err(xml_err)? {
+        // The only raw I/O errors here are the input's own.
+        let parse_err = |e| match e {
+            nexsort_xml::XmlError::Ext(ExtError::Io(e)) => cannot_read(e),
+            e => e.to_string(),
+        };
+        while let Some(ev) = parser.next_ref().map_err(parse_err)? {
             buf.clear();
             if builder.push(&ev, &mut dict, &mut buf).map_err(xml_err)?.is_some() {
                 self.push(&buf, &dict)?;
@@ -943,29 +917,17 @@ impl<'a> SiblingCheck<'a> {
     }
 }
 
-fn load(cli: &Cli, disk: &Rc<Disk>, path: &Path) -> Result<Staged, String> {
-    let cannot_read = |e: std::io::Error| format!("cannot read {path:?}: {e}");
-    let mut file = File::open(path).map_err(cannot_read)?;
-    let mut bytes = nexsort_xml::read_head(&mut file).map_err(cannot_read)?;
-    if !nexsort_xml::is_xrec(&bytes) {
-        let ext = stage_reader(disk, bytes.as_slice().chain(file)).map_err(|e| e.to_string())?;
-        return Ok(Staged::Xml(ext));
-    }
-    file.read_to_end(&mut bytes).map_err(cannot_read)?;
-    let mut src = nexsort_extmem::SliceReader::new(&bytes);
-    let (dict, recs, _flags) = nexsort_xml::read_xrec(&mut src).map_err(xml_err)?;
-    let events = nexsort_xml::recs_to_events(&recs, &dict).map_err(xml_err)?;
-    let mut new_dict = nexsort_xml::TagDict::new();
-    let rekeyed =
-        nexsort_xml::events_to_recs(&events, &cli.spec, &mut new_dict, true).map_err(xml_err)?;
-    let ext = nexsort_baseline::stage_recs(disk, &rekeyed).map_err(xml_err)?;
-    Ok(Staged::Recs(ext, new_dict))
+/// Stream a document's XML text onto the device through `stage_reader`.
+fn load(disk: &Rc<Disk>, path: &Path) -> Result<Extent, String> {
+    let file = File::open(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+    // A path that opens but cannot be read (a directory) fails here.
+    stage_reader(disk, file).map_err(|e| format!("cannot stage {path:?}: {e}"))
 }
 
 fn sort_one(
     cli: &Cli,
     disk: &Rc<Disk>,
-    input: &Staged,
+    input: &Extent,
     crash: Option<&CrashController>,
 ) -> Result<SortedDoc, CliError> {
     let opts = cli.job.nexsort_options(cli.checkpoint);
@@ -976,11 +938,7 @@ fn sort_one(
     }
     // The try_* variants classify unrecoverable faults into a structured
     // SortFailure naming the phase, failing transfer, and I/O spent.
-    let first = match input {
-        Staged::Xml(ext) => sorter.try_sort_xml_extent(ext),
-        Staged::Recs(ext, dict) => sorter.try_sort_rec_extent(ext, dict.clone()),
-    };
-    let doc = match first {
+    let doc = match sorter.try_sort_xml_extent(input) {
         Ok(doc) => doc,
         Err(f)
             if cli.resume
@@ -998,11 +956,7 @@ fn sort_one(
                 "xsort: simulated crash after {} physical I/Os; resuming from the journal",
                 ctl.ios()
             );
-            match input {
-                Staged::Xml(ext) => sorter.try_resume_xml_extent(ext),
-                Staged::Recs(ext, dict) => sorter.try_resume_rec_extent(ext, dict.clone()),
-            }
-            .map_err(|f| CliError {
+            sorter.try_resume_xml_extent(input).map_err(|f| CliError {
                 code: exit_code(f.category()),
                 message: format!("resume failed: {f}"),
             })?
@@ -1079,13 +1033,6 @@ fn print_stack_stats(disk: &Disk) {
     }
 }
 
-/// A sorted document as an `.xrec` container (records + dictionary).
-fn xrec_bytes(dict: &nexsort_xml::TagDict, recs: &[nexsort_xml::Rec]) -> Result<Vec<u8>, String> {
-    let mut buf = Vec::new();
-    nexsort_xml::write_xrec(&mut buf, dict, recs, nexsort_xml::FLAG_KEYS_FINAL).map_err(xml_err)?;
-    Ok(buf)
-}
-
 /// Stream a command's output: `body` writes through a [`STREAM_BUF`]
 /// buffer to locked stdout, or for `-o PATH` to a [`PartFile`] that becomes
 /// `PATH` only once `body` succeeds, so a failed command never leaves a
@@ -1117,7 +1064,7 @@ fn emit_with(
     out.commit().map_err(cannot_write)
 }
 
-/// Emit output already held in memory (listings, `.xrec` containers).
+/// Emit output already held in memory (listings).
 fn emit(cli: &Cli, bytes: &[u8]) -> Result<(), CliError> {
     emit_with(cli, |out| out.write_all(bytes).map_err(|e| e.to_string()))
 }
@@ -1331,24 +1278,15 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
     let (disk, injectors, crash) = make_disk(cli)?;
     let result: Result<(), CliError> = match &cli.command {
         Command::Sort { input } => {
-            let staged = load(cli, &disk, input)?;
+            let staged = load(&disk, input)?;
             if cli.algo == Algo::Mergesort {
                 let opts = BaselineOptions {
                     mem_frames: cli.job.mem_frames,
                     compaction: true,
                     depth_limit: cli.job.depth_limit,
                 };
-                let sorted = match &staged {
-                    Staged::Xml(ext) => sort_xml_extent(&disk, ext, &cli.spec, &opts),
-                    Staged::Recs(ext, dict) => nexsort_baseline::sort_rec_extent(
-                        &disk,
-                        ext,
-                        dict.clone(),
-                        &cli.spec,
-                        &opts,
-                    ),
-                }
-                .map_err(|e| e.to_string())?;
+                let sorted =
+                    sort_xml_extent(&disk, &staged, &cli.spec, &opts).map_err(|e| e.to_string())?;
                 if cli.stats {
                     eprintln!(
                         "mergesort: passes={} runs={} fan-in={}",
@@ -1357,43 +1295,15 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                     eprintln!("{}", disk.stats().snapshot());
                     print_stack_stats(&disk);
                 }
-                match cli.format {
-                    OutFormat::Xml => {
-                        emit_with(cli, |out| sorted.write_xml(out, cli.job.pretty).map_err(xml_err))
-                    }
-                    OutFormat::Xrec => {
-                        emit(cli, &xrec_bytes(&sorted.dict, &sorted.to_recs().map_err(xml_err)?)?)
-                    }
-                }
+                emit_with(cli, |out| sorted.write_xml(out, cli.job.pretty).map_err(xml_err))
             } else {
                 let doc = sort_one(cli, &disk, &staged, crash.as_ref())?;
-                match cli.format {
-                    OutFormat::Xml => {
-                        emit_with(cli, |out| doc.write_xml(out, cli.job.pretty).map_err(xml_err))
-                    }
-                    OutFormat::Xrec => {
-                        emit(cli, &xrec_bytes(&doc.dict, &doc.to_recs().map_err(xml_err)?)?)
-                    }
-                }
+                emit_with(cli, |out| doc.write_xml(out, cli.job.pretty).map_err(xml_err))
             }
         }
         Command::TopK { input } => {
-            let staged = load(cli, &disk, input)?;
-            let out = match &staged {
-                Staged::Xml(ext) => {
-                    let doc = topk_one(cli, &disk, ext, crash.as_ref())?;
-                    match cli.format {
-                        OutFormat::Xml => doc.to_text().map_err(|e| e.to_string())?.into_bytes(),
-                        OutFormat::Xrec => doc.encoded().map_err(|e| e.to_string())?,
-                    }
-                }
-                Staged::Recs(..) => {
-                    return Err("topk reads XML input (render the xrec back to XML first)"
-                        .to_string()
-                        .into())
-                }
-            };
-            emit(cli, &out)
+            let doc = topk_one(cli, &disk, &load(&disk, input)?, crash.as_ref())?;
+            emit(cli, doc.to_text().map_err(|e| e.to_string())?.as_bytes())
         }
         Command::Pq { script } => {
             let text = std::fs::read_to_string(script)
@@ -1412,8 +1322,8 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
             emit(cli, out.as_bytes())
         }
         Command::Merge { left, right } => {
-            let a = sort_one(cli, &disk, &load(cli, &disk, left)?, crash.as_ref())?;
-            let b = sort_one(cli, &disk, &load(cli, &disk, right)?, crash.as_ref())?;
+            let a = sort_one(cli, &disk, &load(&disk, left)?, crash.as_ref())?;
+            let b = sort_one(cli, &disk, &load(&disk, right)?, crash.as_ref())?;
             let merge = StructuralMerge::new(&a.dict, &b.dict, MergeOptions::default());
             let mut ca = a.cursor().map_err(|e| e.to_string())?;
             let mut cb = b.cursor().map_err(|e| e.to_string())?;
@@ -1430,33 +1340,8 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
             })
         }
         Command::Check { input } => {
-            let cannot_read = |e: std::io::Error| format!("cannot read {input:?}: {e}");
-            let mut file = File::open(input).map_err(cannot_read)?;
-            let meta = file.metadata().map_err(cannot_read)?;
-            let mut bytes = nexsort_xml::read_head(&mut file).map_err(cannot_read)?;
             let mut check = SiblingCheck::new(&cli.spec, cli.job.depth_limit);
-            if nexsort_xml::is_xrec(&bytes) {
-                file.read_to_end(&mut bytes).map_err(cannot_read)?;
-                let mut src = nexsort_extmem::SliceReader::new(&bytes);
-                let (dict, recs, _flags) = nexsort_xml::read_xrec(&mut src).map_err(xml_err)?;
-                let events = nexsort_xml::recs_to_events(&recs, &dict).map_err(xml_err)?;
-                let mut new_dict = nexsort_xml::TagDict::new();
-                let recs = nexsort_xml::events_to_recs(&events, &cli.spec, &mut new_dict, true)
-                    .map_err(xml_err)?;
-                let mut buf = Vec::new();
-                for rec in recs {
-                    buf.clear();
-                    rec.encode(&mut buf).map_err(xml_err)?;
-                    check.push(&buf, &new_dict)?;
-                }
-            } else if meta.is_file() {
-                let src = nexsort_extmem::IoSource::new(bytes.as_slice().chain(file), meta.len());
-                check.scan_xml(src)?;
-            } else {
-                // A pipe or device has no length up front: read it whole.
-                file.read_to_end(&mut bytes).map_err(cannot_read)?;
-                check.scan_xml(nexsort_extmem::SliceReader::new(&bytes))?;
-            }
+            check.scan_xml(input)?;
             let records = check.finish()?;
             if cli.stats {
                 eprintln!("check: {records} records, fully sorted");
@@ -1509,8 +1394,8 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
             })
         }
         Command::Update { base, updates } => {
-            let b = sort_one(cli, &disk, &load(cli, &disk, base)?, crash.as_ref())?;
-            let u = sort_one(cli, &disk, &load(cli, &disk, updates)?, crash.as_ref())?;
+            let b = sort_one(cli, &disk, &load(&disk, base)?, crash.as_ref())?;
+            let u = sort_one(cli, &disk, &load(&disk, updates)?, crash.as_ref())?;
             let apply = BatchUpdate::new(&b.dict, &u.dict, MergeOptions::default());
             let mut cb = b.cursor().map_err(|e| e.to_string())?;
             let mut cu = u.cursor().map_err(|e| e.to_string())?;
@@ -1762,9 +1647,15 @@ mod tests {
         assert_eq!(cli.job.stripe, 4);
         assert!(parse_args(&args(&["sort", "x.xml", "--stripe", "0"])).is_err());
 
-        // Scripts still passing the retired scheduler flags fail loudly
-        // instead of silently sorting without them.
-        for flag in [&["--io-workers", "1"][..], &["--prefetch-depth", "8"], &["--write-behind"]] {
+        // Scripts still passing the retired scheduler flags or the retired
+        // output-format flag fail loudly instead of silently sorting
+        // without them.
+        for flag in [
+            &["--io-workers", "1"][..],
+            &["--prefetch-depth", "8"],
+            &["--write-behind"],
+            &["--format", "xml"],
+        ] {
             let err = parse_args(&args(&[&["sort", "x.xml"][..], flag].concat())).unwrap_err();
             assert!(err.contains("unknown option"), "{flag:?}: {err}");
         }
@@ -2740,111 +2631,6 @@ mod checkgen_tests {
             parse_args(&args(&["check", f.to_str().unwrap(), "--default", "@k", "--depth", "1"]))
                 .unwrap();
         run(&limited).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[cfg(test)]
-mod xrec_cli_tests {
-    use super::*;
-
-    fn args(s: &[&str]) -> Vec<String> {
-        s.iter().map(ToString::to_string).collect()
-    }
-
-    #[test]
-    fn xrec_roundtrip_through_sort_check_and_merge() {
-        let dir = std::env::temp_dir().join(format!("xsort-xrec-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let raw = dir.join("raw.xml");
-        let xrec = dir.join("sorted.xrec");
-        let out = dir.join("out.xml");
-        std::fs::write(&raw, b"<r><e id=\"3\" v=\"c\"/><e id=\"1\" v=\"a\"/><e id=\"2\"/></r>")
-            .unwrap();
-
-        // Sort to the binary container...
-        let cli = parse_args(&args(&[
-            "sort",
-            raw.to_str().unwrap(),
-            "--default",
-            "@id:num",
-            "--format",
-            "xrec",
-            "-o",
-            xrec.to_str().unwrap(),
-        ]))
-        .unwrap();
-        run(&cli).unwrap();
-        let bytes = std::fs::read(&xrec).unwrap();
-        assert!(nexsort_xml::is_xrec(&bytes));
-
-        // ...check it without re-parsing XML...
-        let cli =
-            parse_args(&args(&["check", xrec.to_str().unwrap(), "--default", "@id:num"])).unwrap();
-        run(&cli).unwrap();
-
-        // ...and merge it with an XML document (mixed input formats).
-        let other = dir.join("other.xml");
-        std::fs::write(&other, b"<r><e id=\"2\" w=\"x\"/><e id=\"4\"/></r>").unwrap();
-        let cli = parse_args(&args(&[
-            "merge",
-            xrec.to_str().unwrap(),
-            other.to_str().unwrap(),
-            "--default",
-            "@id:num",
-            "-o",
-            out.to_str().unwrap(),
-        ]))
-        .unwrap();
-        run(&cli).unwrap();
-        let merged = std::fs::read_to_string(&out).unwrap();
-        assert!(merged.contains("id=\"1\"") && merged.contains("id=\"4\""));
-        assert!(merged.contains("w=\"x\"") && merged.contains("v=\"a\""));
-        assert_eq!(merged.matches("id=\"2\"").count(), 1);
-
-        // Re-sorting an xrec under a *different* criterion re-extracts keys.
-        let cli = parse_args(&args(&[
-            "sort",
-            xrec.to_str().unwrap(),
-            "--default",
-            "@v",
-            "-o",
-            out.to_str().unwrap(),
-        ]))
-        .unwrap();
-        run(&cli).unwrap();
-        let resorted = std::fs::read_to_string(&out).unwrap();
-        // e#2 has no @v -> Missing sorts first; then a, c.
-        let p2 = resorted.find("id=\"2\"").unwrap();
-        let pa = resorted.find("v=\"a\"").unwrap();
-        let pc = resorted.find("v=\"c\"").unwrap();
-        assert!(p2 < pa && pa < pc, "{resorted}");
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn mergesort_algo_also_emits_xrec() {
-        let dir = std::env::temp_dir().join(format!("xsort-xrm-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let raw = dir.join("raw.xml");
-        let xrec = dir.join("s.xrec");
-        std::fs::write(&raw, b"<r><e id=\"2\"/><e id=\"1\"/></r>").unwrap();
-        let cli = parse_args(&args(&[
-            "sort",
-            raw.to_str().unwrap(),
-            "--default",
-            "@id:num",
-            "--algo",
-            "mergesort",
-            "--format",
-            "xrec",
-            "-o",
-            xrec.to_str().unwrap(),
-        ]))
-        .unwrap();
-        run(&cli).unwrap();
-        assert!(nexsort_xml::is_xrec(&std::fs::read(&xrec).unwrap()));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -6,7 +6,8 @@
 //! open-tag names and two 64 KiB stream buffers, so a document 8 times
 //! larger must not raise the peak resident set by more than a small
 //! constant. `xsort check` streams the sorted documents back through the
-//! parser and must hold as little. Peak RSS is read the way the benchmark
+//! parser and must hold as little, from a file and from a pipe alike.
+//! Peak RSS is read the way the benchmark
 //! reads it: by polling `VmHWM` in `/proc/<pid>/status` while the child
 //! runs.
 
@@ -36,9 +37,17 @@ fn gen(shape: &str, out: &Path) {
     assert!(status.success(), "xsort gen {shape} failed");
 }
 
-/// Run `sort` to completion and return its peak `VmHWM` in KiB.
-fn peak_kb(mut sort: Command) -> u64 {
-    let mut child = sort.stdin(Stdio::null()).stdout(Stdio::null()).spawn().unwrap();
+/// Run `sort` to completion and return its peak `VmHWM` in KiB. The file
+/// `stdin`, when given, is written into a real pipe on its standard input
+/// by a writer thread.
+fn peak_kb(mut sort: Command, stdin: Option<&Path>) -> u64 {
+    let piped = if stdin.is_some() { Stdio::piped() } else { Stdio::null() };
+    let mut child = sort.stdin(piped).stdout(Stdio::null()).spawn().unwrap();
+    let writer = stdin.map(|path| {
+        let mut pipe = child.stdin.take().unwrap();
+        let mut file = std::fs::File::open(path).unwrap();
+        std::thread::spawn(move || std::io::copy(&mut file, &mut pipe).unwrap())
+    });
     let status = format!("/proc/{}/status", child.id());
     let mut peak = 0;
     loop {
@@ -51,6 +60,9 @@ fn peak_kb(mut sort: Command) -> u64 {
         }
         if let Some(exit) = child.try_wait().unwrap() {
             assert!(exit.success(), "{sort:?} failed");
+            if let Some(writer) = writer {
+                writer.join().unwrap();
+            }
             return peak;
         }
         std::thread::sleep(Duration::from_millis(2));
@@ -67,7 +79,7 @@ fn sort(input: &Path, output: &Path) -> Command {
 fn sort_on_file_device(input: &Path, device: &Path, output: &Path) -> u64 {
     let mut cmd = sort(input, output);
     cmd.arg("--device").arg(device);
-    peak_kb(cmd)
+    peak_kb(cmd, None)
 }
 
 #[test]
@@ -94,7 +106,7 @@ fn peak_rss_does_not_grow_with_the_document_on_a_file_device() {
     let check = |doc: &Path| {
         let mut cmd = Command::new(XSORT);
         cmd.arg("check").arg(doc).args(["--default", "@k"]);
-        peak_kb(cmd)
+        peak_kb(cmd, None)
     };
     let check_1x = check(&dir.join("1x.out.xml"));
     let check_8x = check(&dir.join("8x.out.xml"));
@@ -103,6 +115,22 @@ fn peak_rss_does_not_grow_with_the_document_on_a_file_device() {
         growth < MAX_GROWTH_KB,
         "check's peak RSS grew by {growth} KiB ({check_1x} -> {check_8x}) for an 8x larger \
          document; the bound is {MAX_GROWTH_KB} KiB"
+    );
+
+    // The same through a real pipe: `/dev/stdin` is then a FIFO with no
+    // length up front, and `check` still streams it.
+    let check_pipe = |doc: &Path| {
+        let mut cmd = Command::new(XSORT);
+        cmd.args(["check", "/dev/stdin", "--default", "@k"]);
+        peak_kb(cmd, Some(doc))
+    };
+    let pipe_1x = check_pipe(&dir.join("1x.out.xml"));
+    let pipe_8x = check_pipe(&dir.join("8x.out.xml"));
+    let growth = pipe_8x.saturating_sub(pipe_1x);
+    assert!(
+        growth < MAX_GROWTH_KB,
+        "check's peak RSS on a pipe grew by {growth} KiB ({pipe_1x} -> {pipe_8x}) for an 8x \
+         larger document; the bound is {MAX_GROWTH_KB} KiB"
     );
 
     // The streamed output is the in-memory device's output, byte for byte.

@@ -24,21 +24,32 @@ fn path(p: &Path) -> &str {
 #[test]
 fn a_second_root_element_fails_every_sorter_and_check_at_its_offset() {
     let dir = tempdir("two-roots");
-    let input = dir.join("two.xml");
-    std::fs::write(&input, b"<a k=\"1\"/><b k=\"2\"/>").unwrap();
-    let want = "XML parse error at byte 10: a second root element";
-    for algo in ["nexsort", "degen", "mergesort"] {
-        let out = dir.join(format!("{algo}.xml"));
-        let done =
-            xsort(&["sort", path(&input), "--algo", algo, "--default", "@k", "-o", path(&out)]);
-        let stderr = String::from_utf8_lossy(&done.stderr);
-        assert!(!done.status.success(), "{algo} accepted two roots");
-        assert!(stderr.contains(want), "{algo}: {stderr}");
-        assert!(!out.exists(), "{algo} left an output file");
+    // A second root fails at its `<`; bytes that are not XML at all (a
+    // binary container's magic number) fail at the first of them.
+    let cases: [(&str, &[u8], &str); 2] = [
+        ("two", b"<a k=\"1\"/><b k=\"2\"/>", "XML parse error at byte 10: a second root element"),
+        (
+            "binary",
+            b"XREC1\x00\x01<\x02\xff",
+            "XML parse error at byte 0: character data outside the root element",
+        ),
+    ];
+    for (name, doc, want) in cases {
+        let input = dir.join(format!("{name}.in"));
+        std::fs::write(&input, doc).unwrap();
+        for algo in ["nexsort", "degen", "mergesort"] {
+            let out = dir.join(format!("{name}-{algo}.xml"));
+            let done =
+                xsort(&["sort", path(&input), "--algo", algo, "--default", "@k", "-o", path(&out)]);
+            let stderr = String::from_utf8_lossy(&done.stderr);
+            assert!(!done.status.success(), "{algo} accepted {name}");
+            assert!(stderr.contains(want), "{algo}: {stderr}");
+            assert!(!out.exists(), "{algo} left an output file");
+        }
+        let done = xsort(&["check", path(&input), "--default", "@k"]);
+        assert!(!done.status.success(), "check accepted {name}");
+        assert!(String::from_utf8_lossy(&done.stderr).contains(want));
     }
-    let done = xsort(&["check", path(&input), "--default", "@k"]);
-    assert!(!done.status.success(), "check accepted two roots");
-    assert!(String::from_utf8_lossy(&done.stderr).contains(want));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

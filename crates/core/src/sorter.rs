@@ -220,18 +220,6 @@ impl Nexsort {
             .map_err(|e| Box::new(SortFailure::classify(&self.disk, e, &before)))
     }
 
-    /// [`resume_rec_extent`](Self::resume_rec_extent) with structured
-    /// failure reporting; see [`try_sort_xml_extent`](Self::try_sort_xml_extent).
-    pub fn try_resume_rec_extent(
-        &self,
-        input: &Extent,
-        dict: TagDict,
-    ) -> std::result::Result<SortedDoc, Box<SortFailure>> {
-        let before = self.disk.stats().snapshot();
-        self.resume_rec_extent(input, dict)
-            .map_err(|e| Box::new(SortFailure::classify(&self.disk, e, &before)))
-    }
-
     /// [`sort_xml_extent`](Self::sort_xml_extent), but an unrecoverable
     /// fault is returned as a structured [`SortFailure`] naming the phase,
     /// the failing transfer, and the I/O spent before giving up.

@@ -17,8 +17,7 @@
 use std::rc::Rc;
 
 use nexsort_baseline::{
-    external_merge_sort, resolve_deferred, ExtSortOptions, ExtentRecSource, PathedAdapter,
-    RecSource,
+    external_merge_sort, resolve_deferred, ExtentRecSource, PathedAdapter, RecSource,
 };
 use nexsort_extmem::{
     ByteReader, ByteSink, Disk, Extent, ExtentReader, IoCat, IoPhase, MemoryBudget, RunStore,
@@ -128,11 +127,6 @@ impl SubtreeSorter<'_> {
         report: &mut SortReport,
     ) -> Result<PtrRec> {
         report.external_sorts += 1;
-        let opts = ExtSortOptions {
-            scratch_cat: IoCat::SortScratch,
-            final_cat: IoCat::RunWrite,
-            strip_paths: true,
-        };
         let (run, sort_report, resolved) = if self.spec.has_deferred_keys() {
             // Deferred keys: reversal pre-pass over the stack range first.
             let resolved = resolve_deferred(
@@ -150,7 +144,8 @@ impl SubtreeSorter<'_> {
                 IoCat::SortScratch,
             )?;
             let mut pathed = PathedAdapter::new(inner, self.depth_limit);
-            let (run, rep) = external_merge_sort(self.store, self.budget, &mut pathed, &opts)?;
+            let (run, rep) =
+                external_merge_sort(self.store, self.budget, &mut pathed, IoCat::RunWrite)?;
             (run, rep, Some(resolved))
         } else {
             let inner = ExtentRecSource::range(
@@ -162,7 +157,8 @@ impl SubtreeSorter<'_> {
                 IoCat::DataStack,
             )?;
             let mut pathed = PathedAdapter::new(inner, self.depth_limit);
-            let (run, rep) = external_merge_sort(self.store, self.budget, &mut pathed, &opts)?;
+            let (run, rep) =
+                external_merge_sort(self.store, self.budget, &mut pathed, IoCat::RunWrite)?;
             (run, rep, None)
         };
         if let Some(mut ext) = resolved {

@@ -222,39 +222,39 @@ impl<W: std::io::Write> ByteSink for IoSink<W> {
 /// output) holds in memory at a time.
 pub const STREAM_BUF: usize = 64 * 1024;
 
-/// A [`ByteReader`] over any [`std::io::Read`] of known length (a file):
+/// A [`ByteReader`] over any [`std::io::Read`] -- a file, a pipe, stdin:
 /// one [`STREAM_BUF`] window, refilled by [`ByteReader::fill`], so a
-/// streaming consumer holds at most that much of the input. Input that
-/// ends before `len` bytes is an [`ExtError::UnexpectedEof`]; OS errors
-/// surface as [`ExtError::Io`].
+/// streaming consumer holds at most that much of the input. The input's
+/// length need not be known up front: the source ends at the first
+/// zero-length read. Until then [`ByteReader::remaining`] counts one byte
+/// past the window, so `remaining() == resident().len()` holds exactly
+/// when the window is the input's last. OS errors surface as
+/// [`ExtError::Io`].
 pub struct IoSource<R: std::io::Read> {
     src: R,
     buf: Vec<u8>,
     start: usize,
     end: usize,
-    /// Bytes not yet read from `src`.
-    unread: u64,
+    /// A read of `src` has returned zero bytes.
+    ended: bool,
 }
 
 impl<R: std::io::Read> IoSource<R> {
-    /// Read the `len` bytes `src` holds.
-    pub fn new(src: R, len: u64) -> Self {
-        Self { src, buf: Vec::new(), start: 0, end: 0, unread: len }
+    /// Read `src` until it ends.
+    pub fn new(src: R) -> Self {
+        Self { src, buf: Vec::new(), start: 0, end: 0, ended: false }
     }
 }
 
 impl<R: std::io::Read> ByteReader for IoSource<R> {
     fn read_exact(&mut self, mut out: &mut [u8]) -> Result<()> {
-        let available = self.remaining();
-        if out.len() as u64 > available {
-            return Err(ExtError::UnexpectedEof {
-                wanted: out.len(),
-                available: available as usize,
-            });
-        }
+        let wanted = out.len();
         while !out.is_empty() {
             self.fill()?;
             let w = self.resident();
+            if w.is_empty() {
+                return Err(ExtError::UnexpectedEof { wanted, available: wanted - out.len() });
+            }
             let take = w.len().min(out.len());
             out[..take].copy_from_slice(&w[..take]);
             self.start += take;
@@ -264,7 +264,7 @@ impl<R: std::io::Read> ByteReader for IoSource<R> {
     }
 
     fn remaining(&self) -> u64 {
-        (self.end - self.start) as u64 + self.unread
+        (self.end - self.start) as u64 + u64::from(!self.ended)
     }
 
     fn resident(&self) -> &[u8] {
@@ -275,22 +275,25 @@ impl<R: std::io::Read> ByteReader for IoSource<R> {
         self.start += n.min(self.end - self.start);
     }
 
+    /// Read until the window is full or the input ends, so a short window
+    /// is known to be the last one.
     fn fill(&mut self) -> Result<()> {
-        if self.start < self.end || self.unread == 0 {
+        if self.start < self.end || self.ended {
             return Ok(());
         }
-        let want = STREAM_BUF.min(usize::try_from(self.unread).unwrap_or(STREAM_BUF));
-        self.buf.resize(want, 0);
-        let n = loop {
-            match self.src.read(&mut self.buf[..want]) {
-                Ok(0) => return Err(ExtError::UnexpectedEof { wanted: want, available: 0 }),
-                Ok(n) => break n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+        self.buf.resize(STREAM_BUF, 0);
+        (self.start, self.end) = (0, 0);
+        while self.end < STREAM_BUF {
+            match self.src.read(&mut self.buf[self.end..]) {
+                Ok(0) => {
+                    self.ended = true;
+                    break;
+                }
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
-        };
-        (self.start, self.end) = (0, n);
-        self.unread -= n as u64;
+        }
         Ok(())
     }
 }
@@ -768,7 +771,7 @@ mod tests {
             }
         }
         let data: Vec<u8> = (0..=255u8).collect();
-        let mut r = IoSource::new(Trickle(&data, false), data.len() as u64);
+        let mut r = IoSource::new(Trickle(&data, false));
         assert_eq!(r.read_u8().unwrap(), 0);
         let mut got = vec![0u8; 100];
         r.read_exact(&mut got).unwrap();
@@ -779,9 +782,29 @@ mod tests {
         r.read_exact(&mut rest).unwrap();
         assert_eq!(rest, &data[101..]);
         assert_eq!(r.remaining(), 0);
-        // A stream shorter than its declared length is an EOF error.
-        let mut short = IoSource::new(Trickle(&data[..3], false), 10);
+        // A stream that ends before a read is satisfied is an EOF error.
+        let mut short = IoSource::new(Trickle(&data[..3], false));
         assert!(short.read_exact(&mut [0u8; 10]).is_err());
+    }
+
+    #[test]
+    fn io_source_learns_the_end_from_a_zero_length_read() {
+        // A full window cannot tell whether more follows: `remaining`
+        // counts one byte past it until a read returns zero.
+        for extra in [0, 10] {
+            let data = vec![7u8; STREAM_BUF + extra];
+            let mut r = IoSource::new(data.as_slice());
+            r.fill().unwrap();
+            assert_eq!(r.resident().len(), STREAM_BUF);
+            assert_eq!(r.remaining(), STREAM_BUF as u64 + 1);
+            r.consume(STREAM_BUF);
+            r.fill().unwrap();
+            assert_eq!(r.resident().len(), extra);
+            assert_eq!(r.remaining(), extra as u64, "a short window is the last one");
+            r.consume(extra);
+            r.fill().unwrap();
+            assert_eq!(r.remaining(), 0);
+        }
     }
 
     #[test]

@@ -58,10 +58,10 @@ pub struct TopKReport {
     /// Records dropped during the scan by the per-load k-bound (they were
     /// provably outside the top k of their own memory-load).
     pub bound_drops: u64,
-    /// Merge passes actually run (intermediate + final).
-    pub merge_passes: u32,
     /// Merge passes a full sort of the same formed runs would have needed
     /// but top-k skipped (pruning + k-truncation shrank the run count).
+    /// The passes actually run, the final one included, are
+    /// `sort.degenerate_merges`.
     pub merge_passes_skipped: u32,
     /// Records in the output (min(k, N)).
     pub records_emitted: u64,
@@ -77,7 +77,6 @@ impl TopKReport {
             runs_formed: 0,
             runs_pruned: 0,
             bound_drops: 0,
-            merge_passes: 0,
             merge_passes_skipped: 0,
             records_emitted: 0,
             sort: SortReport::new(block_size, mem_frames, threshold),
@@ -98,7 +97,7 @@ impl TopKReport {
             self.runs_formed,
             self.runs_pruned,
             self.bound_drops,
-            self.merge_passes,
+            self.sort.degenerate_merges,
             self.merge_passes_skipped,
             self.total_ios()
         )
@@ -130,16 +129,6 @@ impl TopKDoc {
             recs.push(rec);
         }
         Ok(recs)
-    }
-
-    /// The raw encoded bytes of the output run (the byte-identity the
-    /// acceptance tests compare).
-    pub fn encoded(&self) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        for rec in self.to_recs()? {
-            rec.encode(&mut out)?;
-        }
-        Ok(out)
     }
 
     /// Render one line per output record: `level kind name key`. A top-k
@@ -578,7 +567,6 @@ impl TopK {
         })?;
         // Merges run here, the final one included.
         report.sort.degenerate_merges += plan.merges() + 1;
-        report.merge_passes += plan.merges() + 1;
 
         // Final merge: strip key paths, stop after k records.
         let runs = plan.runs();
@@ -593,7 +581,8 @@ impl TopK {
             // the plan of that many runs makes, the final one included.
             let full =
                 MergePlan::simulate(fan_in, &vec![1; report.runs_formed as usize]).merges() + 1;
-            report.merge_passes_skipped = full.saturating_sub(pass_base + report.merge_passes);
+            report.merge_passes_skipped =
+                full.saturating_sub(pass_base + report.sort.degenerate_merges);
 
             if let Some(j) = journal.as_mut() {
                 let consumed: Vec<u32> = runs.iter().map(|r| r.0).collect();

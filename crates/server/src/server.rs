@@ -414,23 +414,8 @@ impl Server {
             )));
         }
         // Take the input out of the spec: inline bytes move into the job's
-        // copy and are never cloned; a file is checked by its first bytes
-        // here and copied by the OS below.
+        // copy and are never cloned; a file is copied by the OS below.
         let input = std::mem::replace(&mut spec.input, JobInput::Inline(Vec::new()));
-        let xrec = match &input {
-            JobInput::Path(path) => {
-                let head = std::fs::File::open(path)
-                    .and_then(nexsort_xml::read_head)
-                    .map_err(|e| SubmitError::Invalid(format!("cannot read {path:?}: {e}")))?;
-                nexsort_xml::is_xrec(&head)
-            }
-            JobInput::Inline(bytes) => nexsort_xml::is_xrec(bytes),
-        };
-        if spec.op != JobOp::Pq && xrec {
-            return Err(SubmitError::Invalid(
-                "server jobs take XML text; .xrec inputs are not resumable across restarts".into(),
-            ));
-        }
         // Admission: reserve a queue slot (or push back) and an id. A
         // resubmit carrying a known idempotency token short-circuits to its
         // existing job -- the client's first submit was accepted but the
@@ -471,10 +456,13 @@ impl Server {
             std::fs::create_dir_all(&job_dir).map_err(|e| format!("mkdir {job_dir:?}: {e}"))?;
             let copy = job_dir.join("input.xml");
             match &input {
-                JobInput::Path(path) => std::fs::copy(path, &copy).map(drop),
-                JobInput::Inline(bytes) => std::fs::write(&copy, bytes),
-            }
-            .map_err(|e| format!("cannot copy input: {e}"))?;
+                JobInput::Path(path) => std::fs::copy(path, &copy)
+                    .map(drop)
+                    .map_err(|e| format!("cannot copy input {path:?}: {e}")),
+                JobInput::Inline(bytes) => {
+                    std::fs::write(&copy, bytes).map_err(|e| format!("cannot copy input: {e}"))
+                }
+            }?;
             Manifest {
                 id,
                 state: JobState::Queued,
@@ -488,8 +476,10 @@ impl Server {
             .store(&job_dir)
         })();
         if let Err(e) = persist {
-            // The job never became durable: un-register its token so a
-            // genuine resubmit is not pointed at a ghost.
+            // The job never became durable: drop what the attempt left in
+            // its directory, and un-register its token so a genuine
+            // resubmit is not pointed at a ghost.
+            let _ = std::fs::remove_dir_all(&job_dir);
             if let Some(tok) = &spec.idem {
                 let mut core = self.shared.lock_core();
                 core.idem.remove(tok);
@@ -1414,6 +1404,7 @@ mod tests {
         let no_input =
             JobSpec { input: JobInput::Path(dir.join("nope.xml")), ..JobSpec::default() };
         assert!(matches!(server.submit(no_input), Err(SubmitError::Invalid(_))));
+        assert!(!dir.join("job-0").exists(), "a failed copy left its job directory");
         // A block size no stream could allocate.
         let huge_block = JobSpec {
             input: JobInput::Inline(b"<a/>".to_vec()),

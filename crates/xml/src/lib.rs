@@ -24,7 +24,6 @@ mod specstr;
 mod sym;
 mod varint;
 mod writer;
-mod xrec;
 
 pub use dom::{events_to_dom, parse_dom, Element, XNode};
 pub use encoded::{
@@ -46,4 +45,3 @@ pub use varint::{
     read_bytes, read_ivarint, read_uvarint, uvarint_len, write_bytes, write_ivarint, write_uvarint,
 };
 pub use writer::{events_to_xml, XmlWriter};
-pub use xrec::{is_xrec, read_head, read_xrec, write_xrec, XrecReader, FLAG_KEYS_FINAL};

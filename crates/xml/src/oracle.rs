@@ -368,8 +368,13 @@ impl<R: ByteReader> OracleParser<R> {
     /// Accumulate character data up to the next `<` (or end of input).
     fn parse_text(&mut self) -> Result<()> {
         let mut content = Vec::new();
+        let mut first_non_ws = None;
         loop {
-            match self.peek_byte()? {
+            let b = self.peek_byte()?;
+            if first_non_ws.is_none() && b.is_some_and(|b| !b.is_ascii_whitespace()) {
+                first_non_ws = Some(self.pos);
+            }
+            match b {
                 Some(b'<') | None => break,
                 Some(b'&') => {
                     self.next_byte()?;
@@ -387,7 +392,10 @@ impl<R: ByteReader> OracleParser<R> {
             if all_ws {
                 return Ok(());
             }
-            return self.err("character data outside the root element");
+            return Err(XmlError::Parse {
+                offset: first_non_ws.unwrap_or(self.pos),
+                msg: "character data outside the root element".into(),
+            });
         }
         if all_ws && !self.keep_whitespace {
             return Ok(());
@@ -628,7 +636,8 @@ pub(crate) mod tests {
     use std::rc::Rc;
 
     use nexsort_extmem::{
-        ByteSink, Disk, Extent, ExtentReader, ExtentWriter, IoCat, MemoryBudget, SliceReader,
+        ByteSink, Disk, Extent, ExtentReader, ExtentWriter, IoCat, IoSource, MemoryBudget,
+        SliceReader, STREAM_BUF,
     };
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -667,7 +676,8 @@ pub(crate) mod tests {
         (disk, ext)
     }
 
-    /// Run `f` on the new parser over `doc` through a `SliceReader` and an
+    /// Run `f` on the new parser over `doc` through a `SliceReader`, an
+    /// `IoSource` (which learns the length only at the end) and an
     /// `ExtentReader` at every block size, labelling each result.
     fn each_reader<T>(
         doc: &[u8],
@@ -678,6 +688,9 @@ pub(crate) mod tests {
         let mut slice = SliceReader::new(doc);
         let mut p = XmlParser::new(&mut slice as &mut dyn ByteReader).keep_whitespace(keep_ws);
         out.push(("slice".into(), f(&mut p)));
+        let mut stream = IoSource::new(doc);
+        let mut p = XmlParser::new(&mut stream as &mut dyn ByteReader).keep_whitespace(keep_ws);
+        out.push(("stream".into(), f(&mut p)));
         for block in BLOCKS {
             let (disk, ext) = on_disk(doc, block);
             let budget = MemoryBudget::new(1);
@@ -994,6 +1007,20 @@ pub(crate) mod tests {
                     x='a&amp;b'><!-- c --><a k=\"2\">t&#65;<![CDATA[ c ]]></a><?p q?><b/></r>";
         for cut in 0..=doc.len() {
             assert_same_events(&doc[..cut], false);
+        }
+    }
+
+    #[test]
+    fn documents_ending_at_a_stream_window_edge_parse_as_the_oracle_does() {
+        // An `IoSource` learns that a full window was the last one only
+        // from the zero-length read after it.
+        for tail in ["</r>", "</r>\n", "</r>tail", "</r"] {
+            for len in [STREAM_BUF - 1, STREAM_BUF, STREAM_BUF + 1] {
+                let mut doc = b"<r>".to_vec();
+                doc.resize(len - tail.len(), b'a');
+                doc.extend_from_slice(tail.as_bytes());
+                assert_same_events(&doc, false);
+            }
         }
     }
 

@@ -325,10 +325,12 @@ impl State {
         let content = if decoded { &self.decoded[..] } else { &c.b[start..c.i] };
         let all_ws = content.iter().all(u8::is_ascii_whitespace);
         if self.open.is_empty() {
-            // Outside the root only whitespace is allowed.
+            // Outside the root only whitespace is allowed: fail at the
+            // first byte that is not.
             if all_ws {
                 return Ok(Got::Skip);
             }
+            c.i = (start..c.i).find(|&i| !c.b[i].is_ascii_whitespace()).unwrap_or(start);
             return c.fail("character data outside the root element");
         }
         if all_ws && !self.keep_whitespace {
@@ -663,6 +665,10 @@ impl<R: ByteReader> XmlParser<R> {
             self.src.fill()?;
             let w = self.src.resident();
             if w.is_empty() {
+                if self.src.remaining() == 0 {
+                    // The input ended at the edge of the last window.
+                    break;
+                }
                 // A reader without a window: a byte at a time.
                 let b = self.src.read_u8()?;
                 self.carry.push(b);
@@ -800,6 +806,14 @@ mod tests {
     fn stray_content_outside_root_is_rejected() {
         assert!(parse_events(b"hello<a/>").is_err());
         assert!(parse_events(b"</a>").is_err());
+        // Stray text fails at its first non-whitespace byte, not its end.
+        let at = |doc: &[u8]| match parse_events(doc) {
+            Err(XmlError::Parse { offset, .. }) => offset,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(at(b" \n hello<a/>"), 3);
+        assert_eq!(at(b"<a/>\n tail"), 6);
+        assert_eq!(at(b"<a/> &amp; "), 5);
     }
 
     #[test]
