@@ -15,8 +15,9 @@ use nexsort_xml::{
 };
 
 use crate::extsort::{external_merge_sort, ExtSortReport};
+use crate::pipeline::ParsedRecSource;
 use crate::resolve::resolve_deferred;
-use crate::source::{ExtentRecSource, ParsedRecSource, PathedAdapter, RecSource};
+use crate::source::{ExtentRecSource, PathedAdapter, RecSource};
 
 /// Options for a baseline document sort.
 #[derive(Debug, Clone)]

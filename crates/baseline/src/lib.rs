@@ -20,6 +20,7 @@
 mod docsort;
 mod extsort;
 mod internal;
+mod pipeline;
 mod resolve;
 mod source;
 
@@ -29,8 +30,9 @@ pub use extsort::{
     PathedArena,
 };
 pub use internal::{sort_dom, sort_recs, sorted_dom};
+pub use pipeline::ParsedRecSource;
 pub use resolve::resolve_deferred;
 pub use source::{
-    stage_input, stage_reader, stage_recs, unstage, ExtentRecSource, ParsedRecSource,
-    PathedAdapter, PathedSource, RecSource, VecRecSource,
+    stage_input, stage_reader, stage_recs, unstage, ExtentRecSource, PathedAdapter, PathedSource,
+    RecSource, VecRecSource,
 };

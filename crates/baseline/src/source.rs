@@ -2,17 +2,15 @@
 //!
 //! Both sorters consume a document as a stream of records. The stream can
 //! come from parsing XML text resident on the device (charging `input-read`
-//! I/Os, the paper's "Reading the input") or from an already-encoded record
-//! extent (used by the benchmarks to factor out parse CPU, and internally
-//! after the deferred-key resolution pre-pass).
+//! I/Os, the paper's "Reading the input"; [`crate::ParsedRecSource`], which
+//! parses on a second thread) or from an already-encoded record extent
+//! (used by the benchmarks to factor out parse CPU, and internally after
+//! the deferred-key resolution pre-pass).
 
 use nexsort_extmem::{
     ByteReader, Disk, Extent, ExtentReader, IoCat, MemoryBudget, SliceReader, STREAM_BUF,
 };
-use nexsort_xml::{
-    EncodedPath, PathedRec, Rec, RecBuilder, RecDecoder, RecKind, Result, SortSpec, TagDict,
-    XmlError, XmlParser,
-};
+use nexsort_xml::{EncodedPath, PathedRec, Rec, RecDecoder, RecKind, Result, XmlError};
 use std::io::{BufRead, BufReader, Read};
 use std::rc::Rc;
 
@@ -74,68 +72,6 @@ impl RecSource for ExtentRecSource {
 
     fn next_encoded(&mut self, out: &mut Vec<u8>) -> Result<Option<(RecKind, u32)>> {
         Ok(self.dec.next_encoded(out)?.map(|h| (h.kind, h.level)))
-    }
-}
-
-/// Records produced by parsing XML text from an extent through the
-/// event-to-record builder (keys evaluated on the fly). The parser's
-/// borrowed events go straight into encoded records; [`RecSource::next_rec`]
-/// decodes them for scans that want owned records.
-pub struct ParsedRecSource {
-    parser: XmlParser<ExtentReader>,
-    builder: RecBuilder,
-    dict: TagDict,
-    buf: Vec<u8>,
-}
-
-impl ParsedRecSource {
-    /// Parse `extent` as XML text (reads charged to [`IoCat::InputRead`]).
-    pub fn new(
-        disk: Rc<Disk>,
-        budget: &MemoryBudget,
-        extent: &Extent,
-        spec: &SortSpec,
-        compaction: bool,
-    ) -> nexsort_extmem::Result<Self> {
-        let reader = ExtentReader::new(disk, budget, extent, IoCat::InputRead)?;
-        Ok(Self {
-            parser: XmlParser::new(reader),
-            builder: RecBuilder::new(spec.clone(), compaction),
-            dict: TagDict::new(),
-            buf: Vec::new(),
-        })
-    }
-
-    /// The tag dictionary accumulated while parsing (needed to emit output).
-    pub fn into_dict(self) -> TagDict {
-        self.dict
-    }
-
-    /// Borrow the dictionary built so far.
-    pub fn dict(&self) -> &TagDict {
-        &self.dict
-    }
-}
-
-impl RecSource for ParsedRecSource {
-    fn next_rec(&mut self) -> Result<Option<Rec>> {
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        let rec = match self.next_encoded(&mut buf)? {
-            Some(_) => Some(Rec::decode(&mut SliceReader::new(&buf))?.0),
-            None => None,
-        };
-        self.buf = buf;
-        Ok(rec)
-    }
-
-    fn next_encoded(&mut self, out: &mut Vec<u8>) -> Result<Option<(RecKind, u32)>> {
-        while let Some(ev) = self.parser.next_ref()? {
-            if let Some(made) = self.builder.push(&ev, &mut self.dict, out)? {
-                return Ok(Some(made));
-            }
-        }
-        Ok(None)
     }
 }
 
@@ -318,7 +254,8 @@ pub fn unstage(disk: &Rc<Disk>, extent: &Extent) -> nexsort_extmem::Result<Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nexsort_xml::{events_to_recs, parse_events, KeyValue};
+    use crate::pipeline::ParsedRecSource;
+    use nexsort_xml::{events_to_recs, parse_events, KeyValue, SortSpec, TagDict};
 
     fn setup() -> (Rc<Disk>, MemoryBudget) {
         (Disk::new_mem(64), MemoryBudget::new(16))

@@ -314,7 +314,8 @@ SORT DAEMON (`xsort serve` / `xsort client`, newline-delimited JSON):
   the daemon exits; a restart on the same --job-dir redoes no committed work.
   `client submit` forwards exactly the sort flags above (--default, --key,
   --block, --mem, --cache-frames, --stripe, --parity-group, ...) as the job
-  spec and ships FILE inline; `client fetch` streams the output in bounded
+  spec and ships FILE inline, as text: a FILE that is not UTF-8 is refused;
+  `client fetch` streams the output in bounded
   chunks (the `fetch_chunk` protocol verb) and writes it to -o or stdout.
 
 EXIT CODES:
@@ -1218,6 +1219,18 @@ fn run_client(cli: &Cli) -> Result<(), CliError> {
             let input =
                 args.first().ok_or_else(|| "client submit needs an input file".to_string())?;
             let bytes = std::fs::read(input).map_err(|e| format!("cannot read {input:?}: {e}"))?;
+            // The request carries the document as JSON text, which would
+            // replace every invalid byte with U+FFFD: refuse rather than
+            // sort different bytes.
+            if let Err(e) = std::str::from_utf8(&bytes) {
+                let at = e.valid_up_to();
+                return Err(format!(
+                    "cannot submit {input:?}: byte {at} (0x{:02X}) is not UTF-8; \
+                     client submit sends the document as text",
+                    bytes[at]
+                )
+                .into());
+            }
             nexsort_server::submit_value(&JobSpec {
                 input: JobInput::Inline(bytes),
                 ..cli.job.clone()

@@ -81,3 +81,43 @@ fn streamed_check_accepts_sorted_output_and_names_the_first_misorder() {
         .contains("NOT SORTED: level 3 key amy appears after zed"));
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn client_submit_refuses_a_file_that_is_not_utf8_before_it_connects() {
+    let dir = tempdir("submit-bytes");
+    let sock = dir.join("d.sock");
+    let connect = format!("unix:{}", path(&sock));
+    /// Kills the daemon if the test fails before shutting it down.
+    struct Daemon(std::process::Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut daemon = Daemon(
+        Command::new(XSORT)
+            .args(["serve", "--listen", &connect, "--job-dir", path(&dir.join("jobs"))])
+            .args(["--workers", "1"])
+            .spawn()
+            .unwrap(),
+    );
+    let up = (0..100).any(|_| {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        xsort(&["client", "ping", "--connect", &connect]).status.success()
+    });
+    assert!(up, "the daemon never answered a ping");
+    // 0xE9 is Latin-1 'é': JSON text would carry it as U+FFFD.
+    let input = dir.join("latin1.xml");
+    std::fs::write(&input, b"<r><a k=\"caf\xE9\"/></r>").unwrap();
+    let done = xsort(&["client", "submit", path(&input), "--connect", &connect, "--default", "@k"]);
+    let stderr = String::from_utf8_lossy(&done.stderr);
+    assert!(!done.status.success(), "submit accepted bytes it would rewrite");
+    assert!(stderr.contains("byte 12 (0xE9) is not UTF-8"), "{stderr}");
+    let listed = xsort(&["client", "list", "--connect", &connect]);
+    assert!(listed.status.success());
+    assert!(String::from_utf8_lossy(&listed.stdout).contains("\"jobs\":[]"), "a job was made");
+    assert!(xsort(&["client", "shutdown", "--connect", &connect]).status.success());
+    daemon.0.wait().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}

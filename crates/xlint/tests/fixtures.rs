@@ -396,6 +396,12 @@ fn r13_concurrency_primitives_outside_the_sanctioned_sites() {
     assert_eq!(rules_fired("crates/server/src/fake.rs", bad), Vec::<String>::new());
     assert_eq!(rules_fired("crates/extmem/src/arbiter.rs", bad), Vec::<String>::new());
 
+    // The sort's parse/format pipeline may start threads; its neighbour
+    // in the same crate may not.
+    let spawns = "fn go() {\n    let h = std::thread::spawn(|| 1);\n}\n";
+    assert_eq!(rules_fired("crates/baseline/src/pipeline.rs", spawns), Vec::<String>::new());
+    assert_eq!(rules_fired("crates/baseline/src/source.rs", spawns), ["R13"]);
+
     // Atomics are covered by prefix; test code is exempt.
     let atomics = "fn hot() {\n    let c = AtomicU64::new(0);\n}\n";
     assert_eq!(rules_fired("crates/core/src/run.rs", atomics), ["R13"]);
