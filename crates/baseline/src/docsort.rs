@@ -9,7 +9,9 @@
 
 use std::rc::Rc;
 
-use nexsort_extmem::{ByteSink, Disk, Extent, ExtentWriter, IoCat, MemoryBudget, RunId, RunStore};
+use nexsort_extmem::{
+    ByteSink, Disk, Extent, ExtentWriter, IoCat, IoPhase, MemoryBudget, RunId, RunStore,
+};
 use nexsort_xml::{
     Event, Rec, RecDecoder, RecEmitter, RecKind, RecXmlWriter, Result, SortSpec, TagDict,
 };
@@ -70,18 +72,21 @@ impl BaselineSorted {
 
     /// Stream the sorted document as XML text into `sink`, formatting the
     /// final run's records from their bytes one at a time (a 2-frame budget
-    /// of its own, like [`Self::to_recs`]).
+    /// of its own, like [`Self::to_recs`]). Its transfers are labelled
+    /// [`IoPhase::OutputEmit`], as NEXSORT's are.
     pub fn write_xml(&self, sink: impl ByteSink, pretty: bool) -> Result<()> {
-        let budget = MemoryBudget::new(2);
-        let mut dec = RecDecoder::new(self.store.open(self.run, &budget, IoCat::RunRead)?);
-        let mut w = RecXmlWriter::new(sink, pretty);
-        let mut buf = Vec::new();
-        while dec.next_encoded(&mut buf)?.is_some() {
-            w.push_encoded(&buf, &self.dict)?;
-            buf.clear();
-        }
-        w.finish()?;
-        Ok(())
+        self.store.disk().in_phase(IoPhase::OutputEmit, || {
+            let budget = MemoryBudget::new(2);
+            let mut dec = RecDecoder::new(self.store.open(self.run, &budget, IoCat::RunRead)?);
+            let mut w = RecXmlWriter::new(sink, pretty);
+            let mut buf = Vec::new();
+            while dec.next_encoded(&mut buf)?.is_some() {
+                w.push_encoded(&buf, &self.dict)?;
+                buf.clear();
+            }
+            w.finish()?;
+            Ok(())
+        })
     }
 
     /// Serialize the sorted document to XML text in memory (convenience).

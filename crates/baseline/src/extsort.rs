@@ -21,7 +21,7 @@ use nexsort_extmem::{
     ByteSink, ExtError, IoCat, IoPhase, Journal, JournalRecord, KWayMerger, MemoryBudget,
     MergePlan, MergeStream, Result as ExtResult, RunId, RunReader, RunStore,
 };
-use nexsort_xml::{cmp_encoded_paths, read_pathed_raw, PathedBytes, Rec, Result, XmlError};
+use nexsort_xml::{read_pathed_raw, PathedBytes, PathedForest, Rec, Result, XmlError};
 
 use crate::source::PathedSource;
 
@@ -136,13 +136,14 @@ pub fn run_lens(store: &RunStore, ids: &[RunId]) -> Result<Vec<(RunId, u64)>> {
     ids.iter().map(|&id| Ok((id, store.run_len(id)?))).collect()
 }
 
-/// A memory-load of encoded key-path records: one byte arena plus each
-/// record's span, sorted in place by [`cmp_encoded_paths`] and spilled as
-/// one run -- run formation without a decoded record in sight.
+/// A memory-load of encoded key-path records: one byte arena, indexed as
+/// sibling lists ([`PathedForest`]) as the records arrive, and spilled as
+/// one run in key-path order -- run formation without a decoded record or a
+/// whole-path comparison in sight.
 #[derive(Debug, Default)]
 pub struct PathedArena {
     bytes: Vec<u8>,
-    spans: Vec<(usize, usize)>,
+    forest: PathedForest,
 }
 
 impl PathedArena {
@@ -153,28 +154,25 @@ impl PathedArena {
 
     /// True if no record is held.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.forest.is_empty()
     }
 
-    /// Add one encoded `(path, rec)` pair.
-    pub fn push(&mut self, pathed: &[u8]) {
+    /// Add one encoded `(path, rec)` pair whose path prefix is `path_len`
+    /// bytes long. Pairs must come in document order: each one's path is
+    /// the path of an ancestor still open (or of one the load's first pair
+    /// names) plus one component, or this errors.
+    pub fn push(&mut self, pathed: &[u8], path_len: usize) -> Result<()> {
         let start = self.bytes.len();
         self.bytes.extend_from_slice(pathed);
-        self.spans.push((start, self.bytes.len()));
+        self.forest.push(&self.bytes, start, path_len)
     }
 
     /// Write the records to `w` in key-path order and empty the arena. Ties
-    /// keep arrival order (key paths are unique, but stay stable anyway).
+    /// keep arrival order, except the one [`PathedForest`] refuses.
     pub fn spill(&mut self, w: &mut impl ByteSink) -> Result<()> {
-        let bytes = &self.bytes;
-        self.spans.sort_unstable_by(|a, b| {
-            cmp_encoded_paths(&bytes[a.0..a.1], &bytes[b.0..b.1]).then(a.0.cmp(&b.0))
-        });
-        for &(s, e) in &self.spans {
-            w.write_all(&bytes[s..e])?;
-        }
+        self.forest.write_sorted(&self.bytes, w)?;
         self.bytes.clear();
-        self.spans.clear();
+        self.forest.clear();
         Ok(())
     }
 }
@@ -229,9 +227,9 @@ pub fn external_merge_sort(
 
         loop {
             rec.clear();
-            if src.next_encoded(&mut rec)?.is_none() {
+            let Some(path_len) = src.next_encoded(&mut rec)? else {
                 break;
-            }
+            };
             let len = rec.len() as u64;
             if buf_bytes + len > capacity && !arena.is_empty() {
                 spill(&mut arena, &mut report, &mut runs)?;
@@ -240,7 +238,7 @@ pub fn external_merge_sort(
             buf_bytes += len;
             report.items += 1;
             report.bytes += len;
-            arena.push(&rec);
+            arena.push(&rec, path_len)?;
         }
         if !arena.is_empty() || runs.is_empty() {
             spill(&mut arena, &mut report, &mut runs)?;
@@ -286,9 +284,16 @@ pub fn run_to_recs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{PathedAdapter, VecRecSource};
+    use crate::resolve::resolve_deferred;
+    use crate::source::{stage_recs, ExtentRecSource, PathedAdapter, PathedSource, VecRecSource};
+    use nexsort_datagen::{auction_spec, collect_events, AuctionConfig, AuctionGen};
+    use nexsort_datagen::{ExactGen, GenConfig, IbmGen};
     use nexsort_extmem::Disk;
-    use nexsort_xml::{events_to_recs, parse_events, SortSpec, TagDict};
+    use nexsort_xml::{
+        cmp_encoded_paths, events_to_recs, events_to_xml, parse_events, KeyPath, KeyRule, KeyValue,
+        PathComp, PathedRec, SortSpec, TagDict, TextRec,
+    };
+    use proptest::prelude::*;
 
     fn make_recs(n_children: usize) -> (Vec<Rec>, TagDict) {
         let mut doc = String::from("<root>");
@@ -395,5 +400,176 @@ mod tests {
             external_merge_sort(&store, &budget, &mut src, IoCat::OutputWrite).unwrap();
         assert_eq!(report.items, 0);
         assert_eq!(store.run_len(run).unwrap(), 0);
+    }
+
+    /// A generated document and the criterion to sort it by: an exact
+    /// shape and an IBM-style one by attribute, and an auction site whose
+    /// items are keyed by their description's text -- a deferred key.
+    fn document(shape: usize, seed: u64) -> (Vec<u8>, SortSpec) {
+        let cfg = GenConfig { seed, ..Default::default() };
+        let (events, spec) = match shape {
+            0 => (collect_events(&mut ExactGen::new(&[3, 4, 5], cfg)), SortSpec::by_attribute("k")),
+            1 => (
+                collect_events(&mut IbmGen::new(5, 6, Some(150), cfg)),
+                SortSpec::by_attribute("k"),
+            ),
+            _ => {
+                let cfg = AuctionConfig { seed, sellers: 5, ..Default::default() };
+                let spec = auction_spec().with_rule("item", KeyRule::child_path(&["description"]));
+                (collect_events(&mut AuctionGen::new(cfg)), spec)
+            }
+        };
+        (events_to_xml(&events.unwrap(), false), spec)
+    }
+
+    /// The `(path, rec)` pairs run formation receives for `xml`, deferred
+    /// keys resolved and levels past `depth` masked, with their path lengths.
+    fn pairs_of(xml: &[u8], spec: &SortSpec, depth: Option<u32>) -> Vec<(Vec<u8>, usize)> {
+        let mut dict = TagDict::new();
+        let recs = events_to_recs(&parse_events(xml).unwrap(), spec, &mut dict, true).unwrap();
+        let (disk, budget) = (Disk::new_mem(256), MemoryBudget::new(8));
+        let staged = stage_recs(&disk, &recs).unwrap();
+        let cat = IoCat::SortScratch;
+        let resolved = resolve_deferred(&disk, &budget, &staged, 0, staged.len(), cat).unwrap();
+        let src = ExtentRecSource::new(disk, &budget, &resolved, cat).unwrap();
+        let mut adapter = PathedAdapter::new(src, depth);
+        let mut pairs = Vec::new();
+        loop {
+            let mut pair = Vec::new();
+            let Some(path_len) = adapter.next_encoded(&mut pair).unwrap() else { break };
+            pairs.push((pair, path_len));
+        }
+        pairs
+    }
+
+    /// The oracle: the pairs sorted by whole key path ([`cmp_encoded_paths`]),
+    /// ties to arrival order -- run formation as it was before sibling lists.
+    fn comparator_sort(load: &[(Vec<u8>, usize)]) -> Vec<u8> {
+        let mut order: Vec<&[u8]> = load.iter().map(|p| &p.0[..]).collect();
+        order.sort_by(|a, b| cmp_encoded_paths(a, b));
+        order.concat()
+    }
+
+    /// `load` through a fresh arena: its spilled bytes, or the first error.
+    fn arena_sort(load: &[(Vec<u8>, usize)]) -> Result<Vec<u8>> {
+        let mut arena = PathedArena::new();
+        for (pair, path_len) in load {
+            arena.push(pair, *path_len)?;
+        }
+        let mut out = Vec::new();
+        arena.spill(&mut out)?;
+        Ok(out)
+    }
+
+    fn depth_limit() -> impl Strategy<Value = Option<u32>> {
+        prop_oneof![Just(None), (1u32..4).prop_map(Some)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Every load, cut at every record (so its first record sits at
+        /// every depth and the spine takes every length), spills exactly
+        /// what the comparator sort gives -- through one arena, as run
+        /// formation reuses it.
+        #[test]
+        fn sibling_run_formation_equals_the_comparator_sort(
+            shape in 0usize..3,
+            seed in 0u64..1000,
+            depth in depth_limit(),
+            len in prop_oneof![Just(1usize), 2usize..8, 8usize..80]
+        ) {
+            let (xml, spec) = document(shape, seed);
+            let pairs = pairs_of(&xml, &spec, depth);
+            let mut arena = PathedArena::new();
+            for start in 0..pairs.len() {
+                let load = &pairs[start..(start + len).min(pairs.len())];
+                for (pair, path_len) in load {
+                    arena.push(pair, *path_len).unwrap();
+                }
+                let mut got = Vec::new();
+                arena.spill(&mut got).unwrap();
+                prop_assert!(arena.is_empty());
+                prop_assert_eq!(got, comparator_sort(load));
+            }
+        }
+
+        /// A load out of document order -- two records swapped, one
+        /// dropped or repeated -- either fails or still spills exactly the
+        /// comparator's order: the arena never misorders.
+        #[test]
+        fn a_load_out_of_document_order_errors_or_sorts_right(
+            shape in 0usize..3,
+            seed in 0u64..1000,
+            depth in depth_limit(),
+            start in 0usize..400,
+            len in 2usize..60,
+            edit in 0usize..3,
+            picks in (0usize..1000, 0usize..1000)
+        ) {
+            let (xml, spec) = document(shape, seed);
+            let pairs = pairs_of(&xml, &spec, depth);
+            let start = start % pairs.len();
+            let mut load = pairs[start..(start + len).min(pairs.len())].to_vec();
+            let (i, j) = (picks.0 % load.len(), picks.1 % load.len());
+            match edit {
+                0 => load.swap(i, j),
+                1 => drop(load.remove(i)),
+                _ => load.insert(j, load[i].clone()),
+            }
+            if let Ok(got) = arena_sort(&load) {
+                prop_assert_eq!(got, comparator_sort(&load));
+            }
+        }
+    }
+
+    /// A pair from `path` (one key byte string and a sequence number per
+    /// component) and a text record.
+    fn pair(path: &[(&str, u64)]) -> (Vec<u8>, usize) {
+        let comps = path
+            .iter()
+            .map(|(k, seq)| PathComp { key: KeyValue::Bytes(k.as_bytes().to_vec()), seq: *seq })
+            .collect();
+        let rec = Rec::Text(TextRec {
+            level: path.len() as u32,
+            content: b"t".to_vec(),
+            key: KeyValue::Missing,
+            seq: path.last().map_or(0, |c| c.1),
+        });
+        let pathed = PathedRec { path: KeyPath { comps }, rec };
+        let (mut bytes, mut plain) = (Vec::new(), Vec::new());
+        pathed.encode(&mut bytes).unwrap();
+        pathed.rec.encode(&mut plain).unwrap();
+        let path_len = bytes.len() - plain.len();
+        (bytes, path_len)
+    }
+
+    #[test]
+    fn pushes_out_of_document_order_are_refused() {
+        let (a, ax, ay, b) = (
+            pair(&[("a", 1)]),
+            pair(&[("a", 1), ("x", 2)]),
+            pair(&[("a", 1), ("y", 4)]),
+            pair(&[("b", 3)]),
+        );
+        // Back under `a` after `b` opened: `a` is no open node's path.
+        assert!(arena_sort(&[a.clone(), ax.clone(), b.clone(), ay.clone()]).is_err());
+        // Two levels down at once.
+        assert!(arena_sort(&[a.clone(), pair(&[("a", 1), ("x", 2), ("z", 5)])]).is_err());
+        // Under the spine the first record implies, in order, it is fine.
+        let deep = [ax.clone(), ay.clone(), b.clone()];
+        assert_eq!(arena_sort(&deep).unwrap(), comparator_sort(&deep));
+        // A record at the spine's own path comes after its descendants:
+        // out of document order, and a tie with children.
+        assert!(arena_sort(&[ax.clone(), a.clone()]).is_err());
+        // Equal siblings, one with a child: a tie the sibling order cannot
+        // break the way whole key paths do.
+        assert!(arena_sort(&[a.clone(), a.clone(), ax.clone()]).is_err());
+        // Equal leaves tie in arrival order either way.
+        assert_eq!(arena_sort(&[a.clone(), a.clone()]).unwrap(), [a.0.clone(), a.0].concat());
+        // No path at all, or a path prefix past the pair.
+        let (bytes, _) = pair(&[]);
+        assert!(arena_sort(&[(bytes, 1)]).is_err());
+        assert!(arena_sort(&[(b.0.clone(), b.0.len() + 1)]).is_err());
     }
 }

@@ -5,12 +5,12 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use nexsort::{FailureCategory, Nexsort, NexsortOptions, SortedDoc};
+use nexsort::{FailureCategory, Nexsort, NexsortOptions, SortFailure, SortedDoc};
 use nexsort_baseline::{sort_xml_extent, stage_reader, BaselineOptions};
 use nexsort_extmem::{
     recover, ByteSink, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent,
-    FaultInjector, FaultPlan, IoCat, IoSink, IoSource, JournalRecord, PartFile, RetryPolicy, RunId,
-    RunStore, ScrubReport, STREAM_BUF,
+    FaultInjector, FaultPlan, IoCat, IoSink, IoSnapshot, IoSource, JournalRecord, PartFile,
+    RetryPolicy, RunId, RunStore, ScrubReport, STREAM_BUF,
 };
 use nexsort_merge::{BatchUpdate, MergeOptions, StructuralMerge};
 use nexsort_server::{JobInput, JobOp, JobSpec};
@@ -712,6 +712,18 @@ impl From<String> for CliError {
     }
 }
 
+impl From<&str> for CliError {
+    fn from(message: &str) -> Self {
+        CliError::from(message.to_string())
+    }
+}
+
+impl From<&SortFailure> for CliError {
+    fn from(f: &SortFailure) -> Self {
+        CliError { code: exit_code(f.category()), message: f.to_string() }
+    }
+}
+
 /// The exit code a [`FailureCategory`] maps to.
 fn exit_code(cat: FailureCategory) -> u8 {
     match cat {
@@ -962,7 +974,7 @@ fn sort_one(
                 message: format!("resume failed: {f}"),
             })?
         }
-        Err(f) => return Err(CliError { code: exit_code(f.category()), message: f.to_string() }),
+        Err(f) => return Err(CliError::from(&*f)),
     };
     if let Some(ctl) = crash {
         // The sort outlived the armed point (or was resumed): disarm so the
@@ -1041,12 +1053,12 @@ fn print_stack_stats(disk: &Disk) {
 /// (`/dev/null`, a FIFO) is written in place.
 fn emit_with(
     cli: &Cli,
-    body: impl FnOnce(&mut dyn ByteSink) -> Result<(), String>,
+    body: impl FnOnce(&mut dyn ByteSink) -> Result<(), CliError>,
 ) -> Result<(), CliError> {
     fn buffered<W: Write>(
         w: W,
         name: &str,
-        body: impl FnOnce(&mut dyn ByteSink) -> Result<(), String>,
+        body: impl FnOnce(&mut dyn ByteSink) -> Result<(), CliError>,
     ) -> Result<(), CliError> {
         let mut out = IoSink(BufWriter::with_capacity(STREAM_BUF, w));
         body(&mut out)?;
@@ -1065,9 +1077,43 @@ fn emit_with(
     out.commit().map_err(cannot_write)
 }
 
+/// Emit a sorted document as `write` formats it. A transfer of the sort's
+/// own device that fails while formatting is classified like one that fails
+/// during the sort ([`SortFailure`], counted from `before`); a failure of
+/// the output sink itself keeps its plain message.
+fn emit_sorted(
+    cli: &Cli,
+    disk: &Disk,
+    before: &IoSnapshot,
+    write: impl FnOnce(&mut dyn ByteSink) -> nexsort_xml::Result<()>,
+) -> Result<(), CliError> {
+    /// The output sink, noting whether a write to it failed.
+    struct Watched<'a> {
+        out: &'a mut dyn ByteSink,
+        failed: bool,
+    }
+    impl ByteSink for Watched<'_> {
+        fn write_all(&mut self, buf: &[u8]) -> nexsort_extmem::Result<()> {
+            let done = self.out.write_all(buf);
+            self.failed |= done.is_err();
+            done
+        }
+    }
+    emit_with(cli, |out| {
+        let mut sink = Watched { out, failed: false };
+        write(&mut sink).map_err(|e| {
+            if sink.failed {
+                CliError::from(xml_err(e))
+            } else {
+                CliError::from(&SortFailure::classify(disk, e, before))
+            }
+        })
+    })
+}
+
 /// Emit output already held in memory (listings).
 fn emit(cli: &Cli, bytes: &[u8]) -> Result<(), CliError> {
-    emit_with(cli, |out| out.write_all(bytes).map_err(|e| e.to_string()))
+    emit_with(cli, |out| out.write_all(bytes).map_err(|e| e.to_string().into()))
 }
 
 /// Execute a parsed command line. Convenience wrapper over [`run_code`]
@@ -1292,14 +1338,15 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
     let result: Result<(), CliError> = match &cli.command {
         Command::Sort { input } => {
             let staged = load(&disk, input)?;
+            let before = disk.stats().snapshot();
             if cli.algo == Algo::Mergesort {
                 let opts = BaselineOptions {
                     mem_frames: cli.job.mem_frames,
                     compaction: true,
                     depth_limit: cli.job.depth_limit,
                 };
-                let sorted =
-                    sort_xml_extent(&disk, &staged, &cli.spec, &opts).map_err(|e| e.to_string())?;
+                let sorted = sort_xml_extent(&disk, &staged, &cli.spec, &opts)
+                    .map_err(|e| CliError::from(&SortFailure::classify(&disk, e, &before)))?;
                 if cli.stats {
                     eprintln!(
                         "mergesort: passes={} runs={} fan-in={}",
@@ -1308,10 +1355,10 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
                     eprintln!("{}", disk.stats().snapshot());
                     print_stack_stats(&disk);
                 }
-                emit_with(cli, |out| sorted.write_xml(out, cli.job.pretty).map_err(xml_err))
+                emit_sorted(cli, &disk, &before, |out| sorted.write_xml(out, cli.job.pretty))
             } else {
                 let doc = sort_one(cli, &disk, &staged, crash.as_ref())?;
-                emit_with(cli, |out| doc.write_xml(out, cli.job.pretty).map_err(xml_err))
+                emit_sorted(cli, &disk, &before, |out| doc.write_xml(out, cli.job.pretty))
             }
         }
         Command::TopK { input } => {

@@ -168,3 +168,36 @@ fn a_failed_sort_leaves_no_file_at_the_output_path() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A transfer of the sort's device that fails while the sorted document is
+/// written, or during `--algo mergesort`'s sort, is reported like one that
+/// fails during NEXSORT's sort: the phase, the failing transfer and the I/O
+/// done, with its category's exit code -- here 3 for a transient fault
+/// without retries, 5 for a lost input block -- not a bare I/O error with
+/// exit code 1. The seeds pick a fault in each of those places.
+#[test]
+fn device_failures_after_and_outside_nexsorts_sort_are_classified() {
+    let dir = tempdir("classified");
+    let input = dir.join("in.xml");
+    gen("exact:10,10,30", "7", &input);
+    let cases = [
+        ("nexsort", "10", 3, "output emit while reading run-read block 895"),
+        ("degen", "25", 3, "output emit while reading run-read block 1451"),
+        ("mergesort", "132", 3, "output emit while reading run-read block 2855"),
+        ("mergesort", "12", 5, "run formation while reading input-read block 40"),
+    ];
+    for (algo, seed, code, site) in cases {
+        let mut args = strings(&["sort", &path_str(&input), "--algo", algo, "-o", "/dev/null"]);
+        args.extend(strings(&FLAGS));
+        args.extend(strings(&["--fault-rate", "0.0005", "--retries", "0", "--stats"]));
+        args.extend(strings(&["--fault-seed", seed]));
+        let failed = xsort(&args);
+        let stderr = String::from_utf8_lossy(&failed.stderr);
+        let last = stderr.lines().last().unwrap_or_default();
+        let want = format!("xsort: sort failed during {site} after 1 attempt(s): I/O error:");
+        assert!(last.starts_with(&want), "{algo} seed {seed}: {last}");
+        assert!(last.ends_with(" transfers done, 0 retried]"), "{algo} seed {seed}: {last}");
+        assert_eq!(failed.status.code(), Some(code), "{algo} seed {seed}: {last}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -99,6 +99,13 @@ impl Degenerate<'_> {
         self.staging.extend_from_slice(rec);
     }
 
+    /// True if the key of a record at `level` is masked in its key path:
+    /// under `--depth d` only elements at level `<= d` have their children
+    /// reordered, exactly as [`nexsort_baseline::PathedAdapter`] masks.
+    fn masked(&self, level: u32) -> bool {
+        self.opts.depth_limit.is_some_and(|d| level > d.saturating_add(1))
+    }
+
     /// The bytes of staged record `k`.
     fn staged(&self, k: usize) -> &[u8] {
         let end = self.spans.get(k + 1).map_or(self.staging.len(), |s| s.0);
@@ -126,11 +133,11 @@ impl Degenerate<'_> {
                 )));
             }
             path.truncate(level - 1);
-            path.push_encoded(rec, false)?;
+            path.push_encoded(rec, self.masked(self.spans[k].1))?;
             pathed.clear();
-            path.write_prefix(&mut pathed)?;
+            let path_len = path.write_prefix(&mut pathed)?;
             pathed.extend_from_slice(rec);
-            arena.push(&pathed);
+            arena.push(&pathed, path_len)?;
         }
         self.staging.clear();
         self.spans.clear();
@@ -365,7 +372,7 @@ pub(crate) fn sort_degenerate(
                 if let Some(parent) = st.frames.last_mut() {
                     parent.fanout += 1;
                 }
-                st.open_path.push_encoded(&rec, false)?;
+                st.open_path.push_encoded(&rec, st.masked(lvl))?;
                 st.frames.push(Frame {
                     level: lvl,
                     start_idx: Some(st.spans.len()),

@@ -140,17 +140,20 @@ impl SortedDoc {
     /// phase's single DFS over the run tree (Figure 4, lines 13-21), each
     /// record formatted from its bytes as soon as the cursor yields it.
     /// Resident memory is the cursor's frames plus O(depth) open-tag names,
-    /// whatever the size of the document.
+    /// whatever the size of the document. Its transfers are labelled
+    /// [`IoPhase::OutputEmit`].
     pub fn write_xml(&self, sink: impl ByteSink, pretty: bool) -> Result<()> {
-        let mut cursor = self.cursor()?;
-        let mut w = RecXmlWriter::new(sink, pretty);
-        let mut buf = Vec::new();
-        while cursor.next_encoded(&mut buf)?.is_some() {
-            w.push_encoded(&buf, &self.dict)?;
-            buf.clear();
-        }
-        w.finish()?;
-        Ok(())
+        self.disk.in_phase(IoPhase::OutputEmit, || {
+            let mut cursor = self.cursor()?;
+            let mut w = RecXmlWriter::new(sink, pretty);
+            let mut buf = Vec::new();
+            while cursor.next_encoded(&mut buf)?.is_some() {
+                w.push_encoded(&buf, &self.dict)?;
+                buf.clear();
+            }
+            w.finish()?;
+            Ok(())
+        })
     }
 
     /// Serialize the sorted document to XML text in memory (convenience).

@@ -12,7 +12,10 @@
 //!   [`KeyPath::cmp_path`](crate::KeyPath::cmp_path) orders their decoded
 //!   paths, walking the bytes and allocating nothing;
 //! * [`read_pathed_raw`] copies one pair off a byte source while validating
-//!   it exactly as [`PathedRec::decode`](crate::PathedRec::decode) does;
+//!   it exactly as [`PathedRec::decode`](crate::PathedRec::decode) does,
+//!   building an error only when the pair fails;
+//! * [`PathedForest`] indexes a memory-load of pairs as sibling lists, so
+//!   run formation sorts siblings by their last component, not whole paths;
 //! * [`EncodedPath`] builds the root-to-here path as bytes, so a record is
 //!   encoded with its path once, straight into the caller's buffer;
 //! * [`PathedBytes`] is one such encoded pair, as the merges carry it.
@@ -34,7 +37,7 @@
 
 use std::cmp::Ordering;
 
-use nexsort_extmem::{ByteReader, ByteSink, ExtError};
+use nexsort_extmem::{ByteReader, ByteSink, ExtError, SliceReader};
 
 use crate::error::{Result, XmlError};
 use crate::rec::{RecKind, KIND_ELEM, KIND_PATCH, KIND_PTR, KIND_TEXT};
@@ -246,14 +249,14 @@ pub fn read_pathed_raw(src: &mut impl ByteReader, out: &mut Vec<u8>) -> Result<u
     // window's smaller `remaining` validates against the stream's too.
     let window = src.resident();
     let mut fast = Window { bytes: window, pos: 0 };
-    if let Ok(path_len) = fast.pathed() {
+    if let Some(path_len) = fast.pathed() {
         out.extend_from_slice(&window[..fast.pos]);
         src.consume(fast.pos);
         return Ok(path_len);
     }
     // The pair runs past the window (or is malformed): validate it byte by
     // byte off the stream, copying as it goes.
-    Tee { start: out.len(), src, out }.pathed()
+    Tee::run(src, out, |t| t.pathed())
 }
 
 /// Append one encoded record from `src` to `out`, validating it exactly as
@@ -263,12 +266,12 @@ pub fn read_pathed_raw(src: &mut impl ByteReader, out: &mut Vec<u8>) -> Result<u
 pub fn read_rec_raw(src: &mut impl ByteReader, out: &mut Vec<u8>) -> Result<RecHead> {
     let window = src.resident();
     let mut fast = Window { bytes: window, pos: 0 };
-    if let Ok(head) = fast.rec() {
+    if let Some(head) = fast.rec() {
         out.extend_from_slice(&window[..head.len]);
         src.consume(head.len);
         return Ok(head);
     }
-    Tee { start: out.len(), src, out }.rec()
+    Tee::run(src, out, |t| t.rec())
 }
 
 /// The layout of one encoded record, as validating it found it: what the
@@ -291,7 +294,12 @@ impl RecHead {
     /// Validate the record at the start of `rec` exactly as [`Rec::decode`](crate::Rec::decode)
     /// does and return its layout.
     pub fn parse(rec: &[u8]) -> Result<RecHead> {
-        Window { bytes: rec, pos: 0 }.rec()
+        if let Some(head) = (Window { bytes: rec, pos: 0 }).rec() {
+            return Ok(head);
+        }
+        // Only a failure pays for its error: validate again, as a stream
+        // over the same bytes, which says why.
+        Tee::run(&mut SliceReader::new(rec), &mut Vec::new(), |t| t.rec())
     }
 
     /// The key bytes of the record `rec` this head describes.
@@ -302,43 +310,50 @@ impl RecHead {
 
 /// A byte source for the validator, which mirrors the decoders of the same
 /// shapes (`read_uvarint`, `read_bytes`, `KeyValue::decode`, `Rec::decode`)
-/// but builds nothing.
+/// but builds nothing: every step answers `None` on failure, and only a
+/// validator that reports why ([`Tee`]) builds the error, at the failing
+/// step.
 trait Validate {
-    fn u8(&mut self) -> Result<u8>;
+    fn u8(&mut self) -> Option<u8>;
     /// Step over `n` bytes, already checked against [`Self::remaining`].
-    fn skip(&mut self, n: usize) -> Result<()>;
-    fn u32(&mut self) -> Result<u32>;
+    fn skip(&mut self, n: usize) -> Option<()>;
+    fn u32(&mut self) -> Option<u32>;
     fn remaining(&self) -> u64;
     /// Bytes consumed so far.
     fn consumed(&self) -> usize;
+    /// Fail the current step for the reason `why` builds, if this
+    /// validator reports reasons.
+    fn fail<T>(&mut self, why: impl FnOnce() -> XmlError) -> Option<T>;
 
-    fn uvarint(&mut self) -> Result<u64> {
+    fn uvarint(&mut self) -> Option<u64> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
             let byte = self.u8()?;
             if shift == 63 && byte > 1 {
-                return Err(XmlError::Ext(ExtError::Corrupt("varint overflows u64".into())));
+                return self
+                    .fail(|| XmlError::Ext(ExtError::Corrupt("varint overflows u64".into())));
             }
             v |= u64::from(byte & 0x7F) << shift;
             if byte & 0x80 == 0 {
-                return Ok(v);
+                return Some(v);
             }
             shift += 7;
         }
     }
 
-    fn bytes(&mut self) -> Result<()> {
+    fn bytes(&mut self) -> Option<()> {
         let len = self.uvarint()? as usize;
         if len as u64 > self.remaining() {
-            return Err(XmlError::Ext(ExtError::Corrupt(format!(
-                "byte-string length {len} exceeds remaining input"
-            ))));
+            return self.fail(|| {
+                let msg = format!("byte-string length {len} exceeds remaining input");
+                XmlError::Ext(ExtError::Corrupt(msg))
+            });
         }
         self.skip(len)
     }
 
-    fn key(&mut self) -> Result<()> {
+    fn key(&mut self) -> Option<()> {
         match self.u8()? {
             0 => {}
             1 => {
@@ -349,29 +364,29 @@ trait Validate {
             4 => {
                 let n = self.uvarint()? as usize;
                 if n > 64 {
-                    return Err(XmlError::Record(format!("implausible tuple arity {n}")));
+                    return self.fail(|| XmlError::Record(format!("implausible tuple arity {n}")));
                 }
                 for _ in 0..n {
                     self.key()?;
                 }
             }
-            t => return Err(XmlError::Record(format!("bad key tag {t}"))),
+            t => return self.fail(|| XmlError::Record(format!("bad key tag {t}"))),
         }
-        Ok(())
+        Some(())
     }
 
-    fn name(&mut self) -> Result<()> {
+    fn name(&mut self) -> Option<()> {
         match self.u8()? {
             0 => {
                 self.uvarint()?;
             }
             1 => self.bytes()?,
-            t => return Err(XmlError::Record(format!("bad name tag {t}"))),
+            t => return self.fail(|| XmlError::Record(format!("bad name tag {t}"))),
         }
-        Ok(())
+        Some(())
     }
 
-    fn rec(&mut self) -> Result<RecHead> {
+    fn rec(&mut self) -> Option<RecHead> {
         let start = self.consumed();
         let kind = self.u8()?;
         let level = self.uvarint()? as u32;
@@ -382,7 +397,9 @@ trait Validate {
                 self.name()?;
                 let nattrs = self.uvarint()? as usize;
                 if nattrs as u64 > before {
-                    return Err(XmlError::Record(format!("implausible attribute count {nattrs}")));
+                    return self.fail(|| {
+                        XmlError::Record(format!("implausible attribute count {nattrs}"))
+                    });
                 }
                 for _ in 0..nattrs {
                     self.name()?;
@@ -399,7 +416,7 @@ trait Validate {
                 RecKind::RunPtr
             }
             KIND_PATCH => RecKind::KeyPatch,
-            t => return Err(XmlError::Record(format!("bad record kind {t}"))),
+            t => return self.fail(|| XmlError::Record(format!("bad record kind {t}"))),
         };
         let key_start = self.consumed() - start;
         self.key()?;
@@ -410,18 +427,18 @@ trait Validate {
             1 + uvarint_len(u64::from(level)) as u64 + (self.consumed() - body_start) as u64 + 4;
         let total = self.u32()?;
         if u64::from(total) != consumed {
-            return Err(XmlError::Record(format!(
-                "record trailer says {total} bytes, decoded {consumed}"
-            )));
+            return self.fail(|| {
+                XmlError::Record(format!("record trailer says {total} bytes, decoded {consumed}"))
+            });
         }
-        Ok(RecHead { kind, level, key, seq, len: self.consumed() - start })
+        Some(RecHead { kind, level, key, seq, len: self.consumed() - start })
     }
 
     /// Validate one `(path, rec)` pair; returns the path prefix's length.
-    fn pathed(&mut self) -> Result<usize> {
+    fn pathed(&mut self) -> Option<usize> {
         let n = self.uvarint()?;
         if n > self.remaining() {
-            return Err(XmlError::Record(format!("implausible key-path length {n}")));
+            return self.fail(|| XmlError::Record(format!("implausible key-path length {n}")));
         }
         for _ in 0..n {
             self.key()?;
@@ -429,36 +446,33 @@ trait Validate {
         }
         let path_len = self.consumed();
         self.rec()?;
-        Ok(path_len)
+        Some(path_len)
     }
 }
 
-/// Validates in place over a reader's resident bytes.
+/// Validates in place over a reader's resident bytes, and never says why it
+/// failed: a failure here only means "ask the stream".
 struct Window<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl Validate for Window<'_> {
-    fn u8(&mut self) -> Result<u8> {
-        let b =
-            *self.bytes.get(self.pos).ok_or(ExtError::UnexpectedEof { wanted: 1, available: 0 })?;
+    fn u8(&mut self) -> Option<u8> {
+        let b = *self.bytes.get(self.pos)?;
         self.pos += 1;
-        Ok(b)
+        Some(b)
     }
 
-    fn skip(&mut self, n: usize) -> Result<()> {
+    fn skip(&mut self, n: usize) -> Option<()> {
         self.pos += n;
-        Ok(())
+        Some(())
     }
 
-    fn u32(&mut self) -> Result<u32> {
-        let b = self.bytes.get(self.pos..self.pos + 4).ok_or(ExtError::UnexpectedEof {
-            wanted: 4,
-            available: self.bytes.len().saturating_sub(self.pos),
-        })?;
+    fn u32(&mut self) -> Option<u32> {
+        let b = self.bytes.get(self.pos..self.pos + 4)?;
         self.pos += 4;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     fn remaining(&self) -> u64 {
@@ -468,33 +482,65 @@ impl Validate for Window<'_> {
     fn consumed(&self) -> usize {
         self.pos
     }
+
+    fn fail<T>(&mut self, _why: impl FnOnce() -> XmlError) -> Option<T> {
+        None
+    }
 }
 
-/// Validates off a stream, appending every byte it reads to `out`.
+/// Validates off a stream, appending every byte it reads to `out`, and
+/// keeps why it failed: the stream's own error (a device fault, the end of
+/// the data) or the grammar's.
 struct Tee<'a, R: ByteReader> {
     start: usize,
     src: &'a mut R,
     out: &'a mut Vec<u8>,
+    why: Option<XmlError>,
+}
+
+impl<'a, R: ByteReader> Tee<'a, R> {
+    /// Validate off `src` as `step` does, appending what it reads to `out`:
+    /// its answer, or why it failed.
+    fn run<T>(
+        src: &'a mut R,
+        out: &'a mut Vec<u8>,
+        step: impl FnOnce(&mut Self) -> Option<T>,
+    ) -> Result<T> {
+        let mut tee = Tee { start: out.len(), src, out, why: None };
+        step(&mut tee).ok_or_else(|| {
+            tee.why.take().unwrap_or_else(|| XmlError::Record("invalid record".into()))
+        })
+    }
 }
 
 impl<R: ByteReader> Validate for Tee<'_, R> {
-    fn u8(&mut self) -> Result<u8> {
-        let b = self.src.read_u8()?;
-        self.out.push(b);
-        Ok(b)
+    fn u8(&mut self) -> Option<u8> {
+        match self.src.read_u8() {
+            Ok(b) => {
+                self.out.push(b);
+                Some(b)
+            }
+            Err(e) => self.fail(|| e.into()),
+        }
     }
 
-    fn skip(&mut self, n: usize) -> Result<()> {
+    fn skip(&mut self, n: usize) -> Option<()> {
         let at = self.out.len();
         self.out.resize(at + n, 0);
-        self.src.read_exact(&mut self.out[at..])?;
-        Ok(())
+        match self.src.read_exact(&mut self.out[at..]) {
+            Ok(()) => Some(()),
+            Err(e) => self.fail(|| e.into()),
+        }
     }
 
-    fn u32(&mut self) -> Result<u32> {
-        let v = self.src.read_u32()?;
-        self.out.extend_from_slice(&v.to_le_bytes());
-        Ok(v)
+    fn u32(&mut self) -> Option<u32> {
+        match self.src.read_u32() {
+            Ok(v) => {
+                self.out.extend_from_slice(&v.to_le_bytes());
+                Some(v)
+            }
+            Err(e) => self.fail(|| e.into()),
+        }
     }
 
     fn remaining(&self) -> u64 {
@@ -503,6 +549,11 @@ impl<R: ByteReader> Validate for Tee<'_, R> {
 
     fn consumed(&self) -> usize {
         self.out.len() - self.start
+    }
+
+    fn fail<T>(&mut self, why: impl FnOnce() -> XmlError) -> Option<T> {
+        self.why = Some(why());
+        None
     }
 }
 
@@ -847,38 +898,16 @@ impl<'a> EncodedForest<'a> {
     /// do).
     pub fn write_sorted(&self, depth_limit: Option<u32>, mut sink: impl ByteSink) -> Result<()> {
         let nodes = &self.nodes;
-        let siblings = |from: usize, end: usize, out: &mut Vec<usize>| {
-            let mut j = from;
-            while j < end {
-                out.push(j);
-                j = nodes[j].end;
-            }
-        };
-        // Nodes still to write, the next on top.
-        let mut work = Vec::new();
-        siblings(0, nodes.len(), &mut work);
-        work.reverse();
-        let mut kids = Vec::new();
-        while let Some(i) = work.pop() {
-            let n = &nodes[i];
-            self.write_node(n, &mut sink)?;
-            if n.end == i + 1 {
-                continue;
-            }
-            kids.clear();
-            siblings(i + 1, n.end, &mut kids);
-            if depth_limit.is_none_or(|d| n.head.level <= d) {
-                // Unstable, with the index last: the order a stable sort
-                // by (key, seq) gives, without its buffer.
-                kids.sort_unstable_by(|&a, &b| {
-                    let (x, y) = (&nodes[a], &nodes[b]);
-                    cmp_encoded_siblings((self.key(x), x.head.seq), (self.key(y), y.head.seq))
-                        .then(a.cmp(&b))
-                });
-            }
-            work.extend(kids.iter().rev());
-        }
-        Ok(())
+        walk_sorted(
+            nodes.len(),
+            |i| nodes[i].end,
+            |i| depth_limit.is_none_or(|d| nodes[i].head.level <= d),
+            |a, b| {
+                let (x, y) = (&nodes[a], &nodes[b]);
+                cmp_encoded_siblings((self.key(x), x.head.seq), (self.key(y), y.head.seq))
+            },
+            |i| self.write_node(&nodes[i], &mut sink),
+        )
     }
 
     fn write_node(&self, n: &Node, sink: &mut impl ByteSink) -> Result<()> {
@@ -894,6 +923,260 @@ impl<'a> EncodedForest<'a> {
         sink.write_all(&rec[to..rec.len() - 4])?;
         sink.write_u32((rec.len() - (to - from) + key.len()) as u32)?;
         Ok(())
+    }
+}
+
+/// Visit a forest kept in pre-order -- node `i`'s subtree is the nodes
+/// `i..end(i)` -- depth first: the roots in their order, and the children of
+/// every node `i` with `sorts(i)` ordered by `cmp`, ties to the earlier
+/// node. The one walk behind [`EncodedForest::write_sorted`] and
+/// [`PathedForest::write_sorted`].
+fn walk_sorted(
+    len: usize,
+    end: impl Fn(usize) -> usize,
+    sorts: impl Fn(usize) -> bool,
+    mut cmp: impl FnMut(usize, usize) -> Ordering,
+    mut visit: impl FnMut(usize) -> Result<()>,
+) -> Result<()> {
+    let siblings = |from: usize, to: usize, out: &mut Vec<usize>| {
+        let mut j = from;
+        while j < to {
+            out.push(j);
+            j = end(j);
+        }
+    };
+    // Nodes still to visit, the next on top.
+    let mut work = Vec::new();
+    siblings(0, len, &mut work);
+    work.reverse();
+    let mut kids = Vec::new();
+    while let Some(i) = work.pop() {
+        visit(i)?;
+        let to = end(i);
+        if to == i + 1 {
+            continue;
+        }
+        kids.clear();
+        siblings(i + 1, to, &mut kids);
+        if sorts(i) {
+            // Unstable, with the index last: the order a stable sort gives,
+            // without its buffer.
+            kids.sort_unstable_by(|&a, &b| cmp(a, b).then(a.cmp(&b)));
+        }
+        work.extend(kids.iter().rev());
+    }
+    Ok(())
+}
+
+/// One node of a [`PathedForest`]: a pair of the load, or a spine node
+/// standing for an ancestor the load does not hold. Offsets are into the
+/// arena the pairs lie in.
+#[derive(Debug, Clone, Copy)]
+struct PathNode {
+    /// Where the pair starts (unused for a spine node).
+    at: u32,
+    /// The key path's components, without the depth: `arena[path.0..path.1]`.
+    path: (u32, u32),
+    /// The last component's key: `arena[key.0..key.1]`.
+    key: (u32, u32),
+    /// One past the last node of this node's subtree (`u32::MAX` while it
+    /// is open).
+    end: u32,
+    /// The last component's sequence number.
+    seq: u64,
+    /// [`key_lead`] of the last component's key.
+    lead: u64,
+}
+
+impl PathNode {
+    /// A node for the component `arena[key.0..]` (a key, then `seq`) of the
+    /// path `arena[path.0..path.1]`, whose pair starts at `at`.
+    fn new(
+        arena: &[u8],
+        at: usize,
+        path: (usize, usize),
+        key: (usize, usize),
+        seq: u64,
+    ) -> Result<Self> {
+        let offset =
+            |x: usize| u32::try_from(x).map_err(|_| XmlError::Record("load over 4 GiB".into()));
+        Ok(PathNode {
+            at: offset(at)?,
+            path: (offset(path.0)?, offset(path.1)?),
+            key: (offset(key.0)?, offset(key.1)?),
+            end: u32::MAX,
+            seq,
+            lead: key_lead(&arena[key.0..key.1]),
+        })
+    }
+}
+
+/// The first bytes of an encoded key's order, as a number: two keys whose
+/// leads differ order as their leads do ([`cmp_encoded_keys`]); equal leads
+/// say nothing. The tag's rank, then the top 56 bits of a number or the
+/// first 7 bytes of a byte string -- a normalized key prefix (Graefe), which
+/// settles most sibling comparisons in one integer compare.
+fn key_lead(key: &[u8]) -> u64 {
+    let mut c = Cursor::new(key);
+    let tag = c.u8();
+    let body = match tag {
+        1 => ((unzigzag(c.uvarint()) as u64) ^ (1 << 63)) >> 8,
+        2 => {
+            let (bytes, mut lead) = (c.bytes(), [0u8; 8]);
+            let n = bytes.len().min(7);
+            lead[1..1 + n].copy_from_slice(&bytes[..n]);
+            u64::from_be_bytes(lead)
+        }
+        _ => 0,
+    };
+    (u64::from(tag) << 56) | body
+}
+
+/// A memory-load of encoded `(path, rec)` pairs in document order, indexed
+/// as the tree their key paths describe, so that sorting it sorts sibling
+/// lists by their last component instead of whole key paths -- the paper's
+/// point that sorting siblings "simply involves reordering the pointers"
+/// (Section 1), applied to run formation.
+///
+/// The pairs lie back to back in an arena the caller owns; [`Self::push`]
+/// indexes each one as it is appended. The first pair's path prefix becomes
+/// a spine of nodes standing for the ancestors the load does not hold; every
+/// later pair hangs under the open node one component up, whose path must
+/// be its path's prefix byte for byte. [`Self::write_sorted`] then writes
+/// the pairs depth first, every sibling list ordered by
+/// [`cmp_encoded_siblings`] on the last component, ties to arrival order:
+/// exactly the order [`cmp_encoded_paths`] gives the pairs, ties to arrival
+/// order too, which is why two siblings with equal components, one of them
+/// with children, are an error rather than a tie.
+#[derive(Debug, Default)]
+pub struct PathedForest {
+    nodes: Vec<PathNode>,
+    /// The open nodes, root first: `open[d]` has a path of `d` components.
+    open: Vec<usize>,
+    /// How many nodes are spine nodes (the first ones).
+    spine: usize,
+}
+
+impl PathedForest {
+    /// True if no pair was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// Forget every pair.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.open.clear();
+        self.spine = 0;
+    }
+
+    /// Index the pair `arena[at..]` -- the last one appended -- whose path
+    /// prefix is `path_len` bytes long. Errors if its path is not an open
+    /// node's path plus one component: a pair out of document order, a
+    /// level jump, or an empty path.
+    pub fn push(&mut self, arena: &[u8], at: usize, path_len: usize) -> Result<()> {
+        let bad = |what: &str| Err(XmlError::Record(format!("key-path load: {what}")));
+        let Some(prefix) = arena.get(at..).and_then(|p| p.get(..path_len)) else {
+            return bad("path prefix runs past the pair");
+        };
+        let mut c = Cursor::new(prefix);
+        let depth = c.uvarint();
+        let path_start = at + c.pos;
+        if depth == 0 {
+            return bad("empty key path");
+        }
+        if self.nodes.is_empty() {
+            // The spine: a root for the empty path, then one node per
+            // ancestor the first pair names.
+            let root = (path_start, path_start);
+            self.nodes.push(PathNode::new(arena, 0, root, root, 0)?);
+            self.open.push(0);
+            for _ in 1..depth {
+                let (key, seq) = Self::comp(&mut c, path_len)?;
+                let path = (path_start, at + c.pos);
+                self.open.push(self.nodes.len());
+                self.nodes.push(PathNode::new(arena, 0, path, (at + key.0, at + key.1), seq)?);
+            }
+            self.spine = self.nodes.len();
+        } else {
+            if depth > self.open.len() as u64 {
+                return bad("level jump");
+            }
+            // A load holds fewer than 2^32 nodes (PathNode::new checks the
+            // arena's offsets); `u32::MAX` would still read as "to the end".
+            let end = u32::try_from(self.nodes.len()).unwrap_or(u32::MAX);
+            while self.open.len() as u64 > depth {
+                if let Some(top) = self.open.pop() {
+                    self.nodes[top].end = end;
+                }
+            }
+            let parent = self.nodes[self.open[self.open.len() - 1]];
+            let parent_path = &arena[parent.path.0 as usize..parent.path.1 as usize];
+            let from = path_start - at;
+            match prefix.get(from..from + parent_path.len()) {
+                Some(p) if p == parent_path => c.pos = from + parent_path.len(),
+                _ => return bad("path is not an open node's path plus one component"),
+            }
+        }
+        let (key, seq) = Self::comp(&mut c, path_len)?;
+        if c.pos != path_len {
+            return bad("path is not an open node's path plus one component");
+        }
+        let path = (path_start, at + path_len);
+        self.open.push(self.nodes.len());
+        self.nodes.push(PathNode::new(arena, at, path, (at + key.0, at + key.1), seq)?);
+        Ok(())
+    }
+
+    /// Step `c` over one path component, which must end by `limit`: the
+    /// span of its key, and its sequence number.
+    fn comp(c: &mut Cursor<'_>, limit: usize) -> Result<((usize, usize), u64)> {
+        let from = c.pos;
+        c.skip_key();
+        let key = (from, c.pos);
+        let seq = c.uvarint();
+        if c.pos > limit {
+            return Err(XmlError::Record("key-path load: component runs past the path".into()));
+        }
+        Ok((key, seq))
+    }
+
+    /// Write the pairs of `arena` (the one every [`Self::push`] indexed) to
+    /// `sink` in key-path order.
+    pub fn write_sorted(&self, arena: &[u8], sink: &mut impl ByteSink) -> Result<()> {
+        let nodes = &self.nodes;
+        let len = nodes.len();
+        let end = |i: usize| (nodes[i].end as usize).min(len);
+        let span = |s: (u32, u32)| &arena[s.0 as usize..s.1 as usize];
+        let clash = std::cell::Cell::new(false);
+        walk_sorted(
+            len,
+            end,
+            |_| true,
+            |a, b| {
+                let (x, y) = (&nodes[a], &nodes[b]);
+                let ord = x
+                    .lead
+                    .cmp(&y.lead)
+                    .then_with(|| cmp_encoded_siblings((span(x.key), x.seq), (span(y.key), y.seq)));
+                if ord == Ordering::Equal && (end(a) > a + 1 || end(b) > b + 1) {
+                    clash.set(true);
+                }
+                ord
+            },
+            |i| {
+                if clash.get() {
+                    return Err(XmlError::Record(
+                        "key-path load: two siblings share a component".into(),
+                    ));
+                }
+                if i >= self.spine {
+                    let to = nodes.get(i + 1).map_or(arena.len(), |n| n.at as usize);
+                    sink.write_all(&arena[nodes[i].at as usize..to])?;
+                }
+                Ok(())
+            },
+        )
     }
 }
 
@@ -1085,6 +1368,15 @@ mod tests {
             prop_assert_eq!(cmp_encoded_siblings((&ka, sa), (&kb, sb)), ra.sibling_cmp(&rb));
             prop_assert_eq!(cmp_encoded_siblings((&kb, sb), (&ka, sa)), rb.sibling_cmp(&ra));
         }
+
+        #[test]
+        fn key_leads_that_differ_order_as_the_keys(a in key_strategy(), b in key_strategy()) {
+            let (ka, kb) = (enc_key(&a), enc_key(&b));
+            let (la, lb) = (key_lead(&ka), key_lead(&kb));
+            if la != lb {
+                prop_assert_eq!(la.cmp(&lb), a.cmp(&b));
+            }
+        }
     }
 
     fn enc_key(k: &KeyValue) -> Vec<u8> {
@@ -1147,11 +1439,54 @@ mod tests {
         assert!(RecRef::read(&[9, 1]).is_err());
     }
 
+    /// Each sample whole, cut at every byte, and with every byte set to each
+    /// of a few values (which covers bad key and name tags, kinds, lengths
+    /// and trailers).
+    fn damaged(bytes: &[u8]) -> Vec<Vec<u8>> {
+        let mut out = vec![bytes.to_vec()];
+        out.extend((0..bytes.len()).map(|cut| bytes[..cut].to_vec()));
+        for at in 0..bytes.len() {
+            for v in [0u8, 1, 4, 5, 9, 0x40, 0x80, 0xFF] {
+                let mut bad = bytes.to_vec();
+                bad[at] = v;
+                out.push(bad);
+            }
+        }
+        out
+    }
+
+    /// The error texts the raw readers gave for [`damaged`] samples before
+    /// their errors were built lazily, `(count, text)` per `reader`, in text
+    /// order.
+    fn pinned_errors(reader: &str) -> Vec<(usize, String)> {
+        include_str!("testdata/raw_reader_errors.txt")
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|l| {
+                let mut f = l.splitn(3, '\t');
+                let (r, n, text) = (f.next()?, f.next()?, f.next()?);
+                (r == reader).then(|| (n.parse().unwrap(), text.to_string()))
+            })
+            .collect()
+    }
+
+    /// Tally error texts, as [`pinned_errors`] lists them.
+    fn tally(texts: impl IntoIterator<Item = String>) -> Vec<(usize, String)> {
+        let mut counts = std::collections::BTreeMap::new();
+        for t in texts {
+            *counts.entry(t).or_insert(0) += 1;
+        }
+        counts.into_iter().map(|(t, n)| (n, t)).collect()
+    }
+
     /// Whatever the damage, the raw record reader accepts exactly when the
     /// decoder does, and then copies exactly the bytes the decoder consumed,
-    /// off the resident window and off the stream alike.
-    fn rec_raw_agrees_with_decode(bytes: &[u8]) {
+    /// off the resident window and off the stream alike; when it rejects,
+    /// it says the same thing at every window size, and so does
+    /// [`RecHead::parse`]. Returns that error's text.
+    fn rec_raw_agrees_with_decode(bytes: &[u8]) -> Option<String> {
         let decoded = Rec::decode(&mut SliceReader::new(bytes));
+        let mut said = None;
         for window in [0, bytes.len() / 2, bytes.len()] {
             let mut src = Windowed { inner: SliceReader::new(bytes), window };
             let mut out = vec![0xAA];
@@ -1162,27 +1497,24 @@ mod tests {
                     assert_eq!((head.len as u64, head.kind), (*consumed, rec.kind()));
                     assert_eq!(RecHead::parse(bytes).unwrap(), head);
                 }
-                (Err(_), Err(_)) => assert!(RecHead::parse(bytes).is_err()),
+                (Err(_), Err(e)) => {
+                    let parsed = RecHead::parse(bytes).unwrap_err().to_string();
+                    assert_eq!(e.to_string(), parsed, "window {window} on {bytes:?}");
+                    said = Some(parsed);
+                }
                 (d, r) => panic!("decode {:?} vs raw {:?} on {bytes:?}", d.is_ok(), r.is_ok()),
             }
         }
+        said
     }
 
     #[test]
     fn raw_record_reader_rejects_what_decode_rejects() {
+        let mut texts = Vec::new();
         for (_, bytes) in plain_samples() {
-            rec_raw_agrees_with_decode(&bytes);
-            for cut in 0..bytes.len() {
-                rec_raw_agrees_with_decode(&bytes[..cut]);
-            }
-            for at in 0..bytes.len() {
-                for v in [0u8, 1, 4, 5, 9, 0x40, 0x80, 0xFF] {
-                    let mut bad = bytes.clone();
-                    bad[at] = v;
-                    rec_raw_agrees_with_decode(&bad);
-                }
-            }
+            texts.extend(damaged(&bytes).iter().filter_map(|bad| rec_raw_agrees_with_decode(bad)));
         }
+        assert_eq!(tally(texts), pinned_errors("plain"));
     }
 
     #[test]
@@ -1246,17 +1578,27 @@ mod tests {
 
     /// Whatever the damage, the raw reader accepts exactly when the decoder
     /// does, and then copies exactly the bytes the decoder consumed --
-    /// off the resident window and off the stream alike.
-    fn agrees_with_decode(bytes: &[u8]) {
+    /// off the resident window and off the stream alike; when it rejects,
+    /// it says the same thing at every window size. Returns that error's
+    /// text.
+    fn agrees_with_decode(bytes: &[u8]) -> Option<String> {
         let decoded = PathedRec::decode(&mut SliceReader::new(bytes));
+        let mut said: Option<String> = None;
         for window in [0, bytes.len() / 2, bytes.len()] {
             let (got, out, _) = raw(bytes, window);
             match (&decoded, got) {
                 (Ok((_, consumed)), Ok(_)) => assert_eq!(out.len() as u64, *consumed),
-                (Err(_), Err(_)) => {}
+                (Err(_), Err(e)) => {
+                    let text = e.to_string();
+                    if let Some(first) = &said {
+                        assert_eq!(&text, first, "window {window} on {bytes:?}");
+                    }
+                    said = Some(text);
+                }
                 (d, r) => panic!("decode {:?} vs raw {:?} on {bytes:?}", d.is_ok(), r.is_ok()),
             }
         }
+        said
     }
 
     #[test]
@@ -1274,6 +1616,7 @@ mod tests {
 
     #[test]
     fn raw_reader_rejects_what_decode_rejects() {
+        let mut texts = Vec::new();
         for p in sample() {
             let bytes = enc(&p);
             let rec_at = bytes.len() - {
@@ -1290,11 +1633,51 @@ mod tests {
                 agrees_with_decode(&bad);
                 assert!(raw(&bad, n).0.is_err() && raw(&bad, 0).0.is_err());
             }
-            for at in 0..n {
-                for v in [0u8, 1, 4, 5, 9, 0x40, 0x80, 0xFF] {
-                    let mut bad = bytes.clone();
-                    bad[at] = v;
-                    agrees_with_decode(&bad);
+            texts.extend(damaged(&bytes).iter().filter_map(|bad| agrees_with_decode(bad)));
+        }
+        assert_eq!(tally(texts), pinned_errors("pathed"));
+    }
+
+    /// A reader whose device fails once `ok` bytes have been read, with
+    /// no resident window: every read goes through the stream.
+    struct Failing<'a> {
+        inner: SliceReader<'a>,
+        ok: usize,
+    }
+
+    impl ByteReader for Failing<'_> {
+        fn read_exact(&mut self, buf: &mut [u8]) -> nexsort_extmem::Result<()> {
+            if self.inner.position() + buf.len() > self.ok {
+                return Err(ExtError::ChecksumMismatch { block: 7 });
+            }
+            self.inner.read_exact(buf)
+        }
+
+        fn remaining(&self) -> u64 {
+            self.inner.remaining()
+        }
+    }
+
+    /// A device fault mid-record reaches the caller as that fault, not as
+    /// a grammar error, from both raw readers.
+    #[test]
+    fn a_device_error_mid_record_is_the_error_returned() {
+        for p in sample() {
+            let pair = enc(&p);
+            let mut plain = Vec::new();
+            p.rec.encode(&mut plain).unwrap();
+            for (bytes, pathed) in [(&pair, true), (&plain, false)] {
+                for ok in 0..bytes.len() {
+                    let mut src = Failing { inner: SliceReader::new(bytes), ok };
+                    let got = if pathed {
+                        read_pathed_raw(&mut src, &mut Vec::new()).map(|_| ())
+                    } else {
+                        read_rec_raw(&mut src, &mut Vec::new()).map(|_| ())
+                    };
+                    assert!(
+                        matches!(got, Err(XmlError::Ext(ExtError::ChecksumMismatch { block: 7 }))),
+                        "{got:?} after {ok} bytes"
+                    );
                 }
             }
         }
@@ -1307,6 +1690,12 @@ mod tests {
         bad[1] = 5; // the first component's key tag
         assert!(PathedRec::decode(&mut SliceReader::new(&bad)).is_err());
         assert!(raw(&bad, bad.len()).0.is_err() && raw(&bad, 0).0.is_err());
+    }
+
+    /// DESIGN.md's "What is resident" counts 40 bytes of index per pair.
+    #[test]
+    fn a_pathed_forest_node_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<PathNode>(), 40);
     }
 
     #[test]

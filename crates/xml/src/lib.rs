@@ -28,7 +28,7 @@ mod writer;
 pub use dom::{events_to_dom, parse_dom, Element, XNode};
 pub use encoded::{
     cmp_encoded_keys, cmp_encoded_paths, cmp_encoded_siblings, read_pathed_raw, read_rec_raw,
-    AttrBytes, EncodedForest, EncodedPath, NameBytes, PathedBytes, RecHead, RecRef,
+    AttrBytes, EncodedForest, EncodedPath, NameBytes, PathedBytes, PathedForest, RecHead, RecRef,
 };
 pub use error::{Result, XmlError};
 pub use event::{Attrs, Event, EventRef, EventSource, VecEvents};

@@ -136,3 +136,43 @@ fn single_element_and_tiny_documents() {
         agreement_case(doc, &SortSpec::by_attribute("k"));
     }
 }
+
+/// Under a depth limit only the elements at level `<= d` have their
+/// children reordered. Degeneration spills incomplete runs sorted by key
+/// path whenever staging fills mid-subtree, so those key paths must mask
+/// the deeper levels exactly as the baseline's do, or the deeper sibling
+/// lists come out sorted. Small memory makes the subtrees span flushes.
+#[test]
+fn degeneration_nexsort_and_baseline_agree_under_depth_limits() {
+    let spec = SortSpec::by_attribute("k");
+    for (fanouts, seed) in [(vec![3u64, 4, 5, 5], 9u64), (vec![2, 3, 3, 3, 4], 4)] {
+        let mut g = ExactGen::new(&fanouts, GenConfig { seed, ..Default::default() });
+        let xml = events_to_xml(&collect_events(&mut g).unwrap(), false);
+        for depth in [1u32, 2, 3] {
+            let oracle = sorted_dom(&parse_dom(&xml).unwrap(), &spec, Some(depth));
+            let disk = Disk::new_mem(512);
+            let input = stage_input(&disk, &xml).unwrap();
+            let opts = NexsortOptions {
+                mem_frames: 9,
+                degeneration: true,
+                depth_limit: Some(depth),
+                ..Default::default()
+            };
+            let degen = Nexsort::new(disk, opts, spec.clone()).unwrap().sort_xml_extent(&input);
+            let degen = degen.unwrap();
+            assert!(degen.report.incomplete_runs > 1, "{}", degen.report.summary());
+            let got = events_to_dom(&degen.to_events().unwrap()).unwrap();
+            assert_eq!(got, oracle, "degen {fanouts:?} depth {depth}");
+            let opts =
+                NexsortOptions { mem_frames: 9, depth_limit: Some(depth), ..Default::default() };
+            assert_eq!(nexsort_result(&xml, &spec, opts, 512), oracle, "nexsort depth {depth}");
+            let disk = Disk::new_mem(512);
+            let input = stage_input(&disk, &xml).unwrap();
+            let opts =
+                BaselineOptions { mem_frames: 9, depth_limit: Some(depth), ..Default::default() };
+            let sorted = sort_xml_extent(&disk, &input, &spec, &opts).unwrap();
+            let got = events_to_dom(&sorted.to_events().unwrap()).unwrap();
+            assert_eq!(got, oracle, "baseline depth {depth}");
+        }
+    }
+}
