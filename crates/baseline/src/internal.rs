@@ -14,7 +14,7 @@
 
 use std::cmp::Ordering;
 
-use nexsort_xml::{Element, Rec, Result, SortSpec, XNode, XmlError};
+use nexsort_xml::{sorts_children_of, Element, Rec, Result, SortSpec, XNode, XmlError};
 
 /// Recursively sort `root`'s descendants in place under `spec`.
 ///
@@ -34,7 +34,7 @@ fn node_key_cmp(a: &(usize, &XNode), b: &(usize, &XNode), spec: &SortSpec) -> Or
 }
 
 fn sort_dom_at(el: &mut Element, spec: &SortSpec, depth_limit: Option<u32>, level: u32) {
-    if depth_limit.is_some_and(|d| level > d) {
+    if !sorts_children_of(depth_limit, level) {
         return;
     }
     for c in &mut el.children {
@@ -71,7 +71,7 @@ fn flatten(node: RNode, out: &mut Vec<Rec>) {
 }
 
 fn sort_rnode(node: &mut RNode, depth_limit: Option<u32>) {
-    if depth_limit.is_some_and(|d| node.rec.level() > d) {
+    if !sorts_children_of(depth_limit, node.rec.level()) {
         return;
     }
     for c in &mut node.children {

@@ -10,7 +10,9 @@
 use nexsort_extmem::{
     ByteReader, Disk, Extent, ExtentReader, IoCat, MemoryBudget, SliceReader, STREAM_BUF,
 };
-use nexsort_xml::{EncodedPath, PathedRec, Rec, RecDecoder, RecKind, Result, XmlError};
+use nexsort_xml::{
+    sorts_children_of, EncodedPath, PathedRec, Rec, RecDecoder, RecKind, Result, XmlError,
+};
 use std::io::{BufRead, BufReader, Read};
 use std::rc::Rc;
 
@@ -174,7 +176,7 @@ impl<S: RecSource> PathedSource for PathedAdapter<S> {
             )));
         }
         self.path.truncate(rel - 1);
-        let masked = self.depth_limit.is_some_and(|d| level > d + 1);
+        let masked = !sorts_children_of(self.depth_limit, level - 1);
         self.path.push_encoded(&self.rec, masked)?;
         let path_len = self.path.write_prefix(out)?;
         out.extend_from_slice(&self.rec);

@@ -15,7 +15,8 @@ use nexsort_extmem::{
 use nexsort_merge::{BatchUpdate, MergeOptions, StructuralMerge};
 use nexsort_server::{JobInput, JobOp, JobSpec};
 use nexsort_xml::{
-    cmp_encoded_keys, KeyValue, RecHead, RecKind, RecRef, RecXmlWriter, SortSpec, XmlWriter,
+    cmp_encoded_keys, sorts_children_of, KeyValue, RecHead, RecKind, RecRef, RecXmlWriter,
+    SortSpec, XmlWriter,
 };
 
 use crate::specarg::parse_size;
@@ -906,7 +907,7 @@ impl<'a> SiblingCheck<'a> {
         if self.last.len() < at {
             self.last.resize(at, Vec::new());
         }
-        let within = self.depth_limit.is_none_or(|d| level <= d + 1);
+        let within = sorts_children_of(self.depth_limit, level - 1);
         let prev = &self.last[at - 1];
         if within && self.seen[at - 1] && cmp_encoded_keys(prev, key).is_gt() {
             let decode = |k: &[u8]| {

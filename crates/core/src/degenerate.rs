@@ -34,7 +34,8 @@ use nexsort_extmem::{
     RunStore, SliceReader,
 };
 use nexsort_xml::{
-    EncodedForest, EncodedPath, KeyValue, PtrRec, Rec, RecKind, Result, SortSpec, XmlError,
+    sorts_children_of, EncodedForest, EncodedPath, KeyValue, PtrRec, Rec, RecKind, Result,
+    SortSpec, XmlError,
 };
 
 use crate::checkpoint::{journal_stats, restore_report, seal_records};
@@ -103,7 +104,7 @@ impl Degenerate<'_> {
     /// under `--depth d` only elements at level `<= d` have their children
     /// reordered, exactly as [`nexsort_baseline::PathedAdapter`] masks.
     fn masked(&self, level: u32) -> bool {
-        self.opts.depth_limit.is_some_and(|d| level > d.saturating_add(1))
+        !sorts_children_of(self.opts.depth_limit, level.saturating_sub(1))
     }
 
     /// The bytes of staged record `k`.
@@ -218,7 +219,8 @@ impl Degenerate<'_> {
                 debug_assert!(frame.pendings.is_empty(), "unflushed frame cannot own runs");
                 let start = self.spans[i].0;
                 let size = (self.staging.len() - start) as u64;
-                let within_depth = self.opts.depth_limit.is_none_or(|d| frame.level <= d + 1);
+                let within_depth =
+                    sorts_children_of(self.opts.depth_limit, frame.level.saturating_sub(1));
                 if (size > self.threshold && within_depth) || is_root {
                     // The whole subtree is still buffered: a pure in-memory
                     // NEXSORT collapse with zero stack I/O, sorted as bytes.

@@ -18,8 +18,8 @@ use nexsort_extmem::{
     ByteSink, Disk, ExtStack, IoCat, IoPhase, IoSnapshot, MemoryBudget, RunId, RunReader, RunStore,
 };
 use nexsort_xml::{
-    cmp_encoded_keys, Event, KeyValue, Rec, RecDecoder, RecHead, RecKind, RecRef, RecXmlWriter,
-    Result, TagDict, XmlError, XmlWriter,
+    cmp_encoded_keys, sorts_children_of, Event, KeyValue, Rec, RecDecoder, RecHead, RecKind,
+    RecRef, RecXmlWriter, Result, TagDict, XmlError, XmlWriter,
 };
 
 use crate::report::SortReport;
@@ -195,7 +195,7 @@ impl SortedDoc {
             }
             seen[lvl..].fill(false);
             let key = head.key_of(&buf);
-            let within = depth_limit.is_none_or(|d| head.level <= d + 1);
+            let within = sorts_children_of(depth_limit, head.level - 1);
             if within && seen[lvl - 1] && cmp_encoded_keys(&last_key[lvl - 1], key).is_gt() {
                 let decode = |k: &[u8]| KeyValue::decode(&mut SliceReader::new(k));
                 return Err(XmlError::Record(format!(

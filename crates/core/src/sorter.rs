@@ -18,7 +18,7 @@ use nexsort_extmem::{
     recover, Disk, ExtStack, Extent, IoCat, IoPhase, Journal, JournalRecord, MemoryBudget,
     RecoveredState, RunId, RunStore,
 };
-use nexsort_xml::{Rec, RecKind, Result, SortSpec, TagDict, XmlError};
+use nexsort_xml::{sorts_children_of, Rec, RecKind, Result, SortSpec, TagDict, XmlError};
 
 use crate::checkpoint::{journal_stats, restore_report, seal_records};
 use crate::failure::SortFailure;
@@ -360,7 +360,7 @@ impl Nexsort {
             report.max_fanout = report.max_fanout.max(fanout);
             let size = data.len() - l;
             let is_root = child_counts.is_empty();
-            let within_depth = self.opts.depth_limit.is_none_or(|d| level <= d + 1);
+            let within_depth = sorts_children_of(self.opts.depth_limit, level.saturating_sub(1));
             if (size > threshold && within_depth) || is_root {
                 let stack_ext = data.range_extent()?;
                 let sorter = SubtreeSorter {

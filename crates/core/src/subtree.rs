@@ -24,7 +24,8 @@ use nexsort_extmem::{
     SliceReader,
 };
 use nexsort_xml::{
-    EncodedForest, KeyValue, PtrRec, Rec, RecDecoder, RecKind, Result, SortSpec, XmlError,
+    sorts_children_of, EncodedForest, KeyValue, PtrRec, Rec, RecDecoder, RecKind, Result, SortSpec,
+    XmlError,
 };
 
 use crate::report::SortReport;
@@ -54,7 +55,7 @@ impl SubtreeSorter<'_> {
         report.max_sort_bytes = report.max_sort_bytes.max(len);
 
         self.disk.in_phase(IoPhase::RunFormation, || {
-            if self.depth_limit.is_some_and(|d| level > d) {
+            if !sorts_children_of(self.depth_limit, level) {
                 return self.dump_range(stack_ext, start, len, level, report);
             }
             let block_size = self.disk.block_size() as u64;

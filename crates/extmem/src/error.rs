@@ -57,12 +57,6 @@ pub enum ExtError {
     /// parity block can reconstruct; the run must be re-derived from its
     /// source or the job fails.
     UnrecoverableGroup { run: u32, lost: u64 },
-    /// The lock-discipline sanitizer (see `locksan.rs`, enabled with
-    /// `NEXSORT_LOCKSAN=1`) observed a concurrency-discipline violation:
-    /// a lock-order inversion that could deadlock, or a shared-state access
-    /// with neither a happens-before edge nor a common lock. `check` names
-    /// the violated check; `detail` describes the offending locks or site.
-    LockSanViolation { check: &'static str, detail: String },
 }
 
 impl ExtError {
@@ -94,8 +88,7 @@ impl ExtError {
             | ExtError::JournalCorrupt { .. }
             | ExtError::ParityMismatch { .. }
             | ExtError::BlockQuarantined { .. }
-            | ExtError::UnrecoverableGroup { .. }
-            | ExtError::LockSanViolation { .. } => false,
+            | ExtError::UnrecoverableGroup { .. } => false,
         }
     }
 
@@ -119,8 +112,7 @@ impl ExtError {
             | ExtError::SimulatedCrash { .. }
             | ExtError::JournalCorrupt { .. }
             | ExtError::ParityMismatch { .. }
-            | ExtError::UnrecoverableGroup { .. }
-            | ExtError::LockSanViolation { .. } => false,
+            | ExtError::UnrecoverableGroup { .. } => false,
         }
     }
 }
@@ -175,9 +167,6 @@ impl fmt::Display for ExtError {
                     "parity group of run {run} is unrecoverable (block {lost} lost beyond parity)"
                 )
             }
-            ExtError::LockSanViolation { check, detail } => {
-                write!(f, "lock sanitizer caught {check}: {detail}")
-            }
         }
     }
 }
@@ -200,8 +189,7 @@ impl std::error::Error for ExtError {
             | ExtError::JournalCorrupt { .. }
             | ExtError::ParityMismatch { .. }
             | ExtError::BlockQuarantined { .. }
-            | ExtError::UnrecoverableGroup { .. }
-            | ExtError::LockSanViolation { .. } => None,
+            | ExtError::UnrecoverableGroup { .. } => None,
         }
     }
 }
@@ -300,19 +288,6 @@ mod tests {
         let e = ExtError::UnrecoverableGroup { run: 3, lost: 40 };
         assert!(e.to_string().contains("run 3") && e.to_string().contains("40"));
         assert!(!e.is_transient());
-        assert!(std::error::Error::source(&e).is_none());
-    }
-
-    #[test]
-    fn locksan_violation_displays_and_is_fatal() {
-        let e = ExtError::LockSanViolation {
-            check: "lock-order-inversion",
-            detail: "`arbiter.state` after `server.core`".into(),
-        };
-        assert!(e.to_string().contains("lock-order-inversion"));
-        assert!(e.to_string().contains("server.core"));
-        assert!(!e.is_transient(), "a discipline violation must never be retried away");
-        assert!(!e.is_hard_media_fault());
         assert!(std::error::Error::source(&e).is_none());
     }
 

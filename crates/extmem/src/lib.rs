@@ -61,7 +61,6 @@ mod extent;
 mod fault;
 mod journal;
 mod kway;
-pub mod locksan;
 mod pool;
 mod recovery;
 mod repair;
@@ -70,7 +69,7 @@ mod stack;
 mod stats;
 mod stripe;
 
-pub use arbiter::{BudgetArbiter, BudgetLease};
+pub use arbiter::{poison_recoveries, recover_poison, BudgetArbiter, BudgetLease};
 pub use budget::{FrameGuard, MemoryBudget};
 pub use build::{BuildError, DiskBuilder, DiskStack};
 pub use device::{BlockDevice, Disk, FileDevice, MemDevice, TraceEntry};

@@ -49,11 +49,11 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::fault::{NetFaultKind, NetFaultPlan, NetFaultState, NetRetryPolicy};
-use nexsort_extmem::locksan::TrackedMutex;
+use nexsort_extmem::recover_poison;
 
 use crate::job::{spec_from_value, spec_to_value};
 use crate::json::{b, n, obj, parse, s, Value};
@@ -205,10 +205,7 @@ pub fn serve_with(server: Server, addr: &str, opts: ServeOptions) -> Result<(), 
     // The injector is shared by every connection thread so exchange indices
     // are global and deterministic in arrival order. It is a leaf lock:
     // taken briefly per response, never while any other lock is held.
-    let faults = opts
-        .fault_plan
-        .clone()
-        .map(|plan| Arc::new(TrackedMutex::new("server.netfault", NetFaultState::new(plan))));
+    let faults = opts.fault_plan.clone().map(|plan| Arc::new(Mutex::new(NetFaultState::new(plan))));
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
         // Blocks until a client connects, or until the stop signal's own
@@ -345,7 +342,7 @@ fn handle_conn(
     stop: &StopSignal,
     stream: Stream,
     opts: &ServeOptions,
-    faults: Option<&TrackedMutex<NetFaultState>>,
+    faults: Option<&Mutex<NetFaultState>>,
 ) {
     let net = server.net_stats();
     net.conns_accepted.fetch_add(1, Ordering::Relaxed);
@@ -389,7 +386,7 @@ fn handle_conn(
         // response never carries the stop flag -- a dropped or corrupted
         // shutdown ACK means the client retries, and the *delivered* ACK
         // stops the daemon, exactly like any other retried request.
-        let fault = faults.map(|f| f.lock().next_exchange().1).unwrap_or(None);
+        let fault = faults.map(|f| recover_poison(f.lock()).next_exchange().1).unwrap_or(None);
         let delivered = match fault {
             None => true,
             Some(kind) => {
@@ -403,7 +400,8 @@ fn handle_conn(
                         return;
                     }
                     NetFaultKind::Stall => {
-                        let ms = faults.map(|f| f.lock().stall_millis()).unwrap_or(0);
+                        let ms =
+                            faults.map(|f| recover_poison(f.lock()).stall_millis()).unwrap_or(0);
                         std::thread::sleep(Duration::from_millis(ms));
                         true
                     }
@@ -589,7 +587,6 @@ fn stats_value(st: &ServerStats) -> Value {
         ("budget_high_water", n(st.budget_high_water as u64)),
         ("budget_waiters", n(st.budget_waiters as u64)),
         ("lock_recoveries", n(st.lock_recoveries)),
-        ("locksan_violations", n(st.locksan_violations)),
         ("draining", b(st.draining)),
         ("drains", n(st.drains)),
         ("duplicate_submits", n(st.duplicate_submits)),
@@ -703,7 +700,7 @@ pub fn request_with_retry_injected(
     addr: &str,
     req: &Value,
     opts: &ClientOptions,
-    faults: Option<&TrackedMutex<NetFaultState>>,
+    faults: Option<&Mutex<NetFaultState>>,
 ) -> Result<Value, String> {
     let req = with_auto_idem(req, opts);
     let req_json = req.to_json();
@@ -714,7 +711,7 @@ pub fn request_with_retry_injected(
             CLIENT_RETRIES.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(Duration::from_millis(opts.retry.delay_before_ms(attempt - 1)));
         }
-        let fault = faults.map(|f| f.lock().next_exchange().1).unwrap_or(None);
+        let fault = faults.map(|f| recover_poison(f.lock()).next_exchange().1).unwrap_or(None);
         last = match fault {
             None => request_once(addr, &req_json, timeout),
             Some(kind) => request_once_faulty(addr, &req_json, timeout, kind, faults),
@@ -761,11 +758,11 @@ fn request_once_faulty(
     req_json: &str,
     timeout: Option<Duration>,
     kind: NetFaultKind,
-    faults: Option<&TrackedMutex<NetFaultState>>,
+    faults: Option<&Mutex<NetFaultState>>,
 ) -> Result<Value, String> {
     match kind {
         NetFaultKind::Stall => {
-            let ms = faults.map(|f| f.lock().stall_millis()).unwrap_or(0);
+            let ms = faults.map(|f| recover_poison(f.lock()).stall_millis()).unwrap_or(0);
             std::thread::sleep(Duration::from_millis(ms));
             request_once(addr, req_json, timeout)
         }

@@ -34,13 +34,15 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::stage_reader;
-use nexsort_extmem::locksan::{self, TrackedCondvar, TrackedGuard, TrackedMutex};
-use nexsort_extmem::{BudgetArbiter, CrashPlan, DiskStack, ExtError, Extent, PartFile};
+use nexsort_extmem::{
+    poison_recoveries, recover_poison, BudgetArbiter, CrashPlan, DiskStack, ExtError, Extent,
+    PartFile,
+};
 use nexsort_xml::XmlError;
 
 use crate::job::{JobInput, JobOp, JobSpec, JobState, JobSummary, Manifest};
@@ -145,13 +147,10 @@ pub struct ServerStats {
     /// Requests parked in the budget's FIFO waiter queue.
     pub budget_waiters: usize,
     /// Mutex-poisoning recoveries performed (process-wide) by the audited
-    /// `locksan::recover_poison` helper: each one means a thread panicked
-    /// while holding a lock and the guard was recovered rather than
+    /// `recover_poison` helper: each one is an acquisition of a lock that a
+    /// panicking thread poisoned, whose guard was recovered rather than
     /// silently swallowed.
     pub lock_recoveries: u64,
-    /// Violations recorded (process-wide) by the `NEXSORT_LOCKSAN=1`
-    /// lock-discipline sanitizer; always 0 when the sanitizer is off.
-    pub locksan_violations: u64,
     /// True while the server is draining: admissions get lame-duck busy
     /// replies and workers exit once no job is running.
     pub draining: bool,
@@ -226,8 +225,8 @@ struct Core {
 struct Shared {
     cfg: ServerConfig,
     arbiter: BudgetArbiter,
-    core: TrackedMutex<Core>,
-    cv: TrackedCondvar,
+    core: Mutex<Core>,
+    cv: Condvar,
     net: NetStats,
 }
 
@@ -244,17 +243,15 @@ impl Core {
 }
 
 impl Shared {
-    /// The single acquisition choke point for the core lock: the job
-    /// table, queue, and lifetime counters are only ever touched through
-    /// the guard returned here, which is what lets the static checker
-    /// (xlint R11-R14) and the runtime sanitizer identify core critical
-    /// sections. Poisoning routes through the audited
-    /// `locksan::recover_poison` helper inside `TrackedMutex::lock` and is
-    /// surfaced as `ServerStats::lock_recoveries`.
-    fn lock_core(&self) -> TrackedGuard<'_, Core> {
-        let core = self.core.lock();
-        locksan::access("server.job-table");
-        core
+    /// The single acquisition choke point for the core lock. The job
+    /// table, queue, and lifetime counters live inside `Mutex<Core>`, so
+    /// the compiler rejects any touch that does not hold the guard
+    /// returned here; routing every acquisition through this one name is
+    /// what lets the static checker (xlint R11-R14) find each core
+    /// critical section. Poisoning is recovered and counted by
+    /// `recover_poison` and surfaced as `ServerStats::lock_recoveries`.
+    fn lock_core(&self) -> MutexGuard<'_, Core> {
+        recover_poison(self.core.lock())
     }
 
     fn job_path(&self, id: u64) -> PathBuf {
@@ -379,8 +376,8 @@ impl Server {
         let shared = Arc::new(Shared {
             arbiter,
             cfg,
-            core: TrackedMutex::new("server.core", core),
-            cv: TrackedCondvar::new(),
+            core: Mutex::new(core),
+            cv: Condvar::new(),
             net: NetStats::default(),
         });
         let workers = (0..shared.cfg.workers)
@@ -564,10 +561,7 @@ impl Server {
         let budget_used = self.shared.arbiter.used_frames();
         let budget_high_water = self.shared.arbiter.high_water_frames();
         let budget_waiters = self.shared.arbiter.waiters();
-        // Likewise read outside the core region: violation_count takes the
-        // sanitizer's own bookkeeping lock, which must not nest under core.
-        let lock_recoveries = locksan::poison_recoveries();
-        let locksan_violations = locksan::violation_count() as u64;
+        let lock_recoveries = poison_recoveries();
         // Socket-edge counters are plain atomics outside every lock order.
         let conns_accepted = self.shared.net.conns_accepted.load(Ordering::Relaxed);
         let conns_timed_out = self.shared.net.conns_timed_out.load(Ordering::Relaxed);
@@ -589,7 +583,6 @@ impl Server {
             budget_high_water,
             budget_waiters,
             lock_recoveries,
-            locksan_violations,
             draining: core.draining,
             drains: core.drains,
             duplicate_submits: core.duplicate_submits,
@@ -674,7 +667,7 @@ impl Server {
                 {
                     return Some(snapshot(id, rec));
                 }
-                core = self.shared.cv.wait_timeout(core, deadline - now).0;
+                core = recover_poison(self.shared.cv.wait_timeout(core, deadline - now)).0;
             }
             if id >= core.next_id {
                 return None;
@@ -705,7 +698,7 @@ impl Server {
             if now >= deadline {
                 return false;
             }
-            core = self.shared.cv.wait_timeout(core, deadline - now).0;
+            core = recover_poison(self.shared.cv.wait_timeout(core, deadline - now)).0;
         }
     }
 
@@ -813,7 +806,7 @@ fn next_job(shared: &Shared) -> Option<u64> {
             }
             return Some(id);
         }
-        core = shared.cv.wait(core);
+        core = recover_poison(shared.cv.wait(core));
     }
 }
 
@@ -1182,7 +1175,6 @@ mod tests {
     fn stats_surface_lock_recovery_counters() {
         let st = ServerStats::default();
         assert_eq!(st.lock_recoveries, 0);
-        assert_eq!(st.locksan_violations, 0);
     }
 
     #[test]

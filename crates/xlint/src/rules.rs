@@ -81,8 +81,8 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "R13",
         "concurrency confinement",
         "Mutex, Condvar, Arc, atomics, and thread spawns appear only in the sanctioned sites \
-         (crates/server, arbiter.rs, locksan.rs, and the sort's parse pipeline.rs); the Rc/Cell \
-         sorting substrate stays provably single-threaded",
+         (crates/server, arbiter.rs, and the sort's parse pipeline.rs); the Rc/Cell sorting \
+         substrate stays provably single-threaded",
     ),
     (
         "R14",
@@ -94,7 +94,7 @@ pub const RULES: &[(&str, &str, &str)] = &[
     (
         "R15",
         "audited poison recovery",
-        "mutex-poisoning recovery (unwrap_or_else into_inner) lives only in locksan.rs's \
+        "mutex-poisoning recovery (unwrap_or_else into_inner) lives only in arbiter.rs's \
          recover_poison helper, which counts every recovery into server stats instead of \
          silently swallowing the panic",
     ),
@@ -365,22 +365,17 @@ fn rule_r9(rel: &str, toks: &[Tok], non_test: &dyn Fn(usize) -> bool, out: &mut 
 
 /// Files sanctioned to use cross-thread primitives (R13): the server
 /// crate (the one threaded component), the arbiter it leases frames
-/// from, the lock sanitizer's own instrumentation, and the sort's one
-/// thread site, which parses beside a single-threaded disk.
+/// from, and the sort's one thread site, which parses beside a
+/// single-threaded disk.
 const R13_ALLOW_PREFIX: &str = "crates/server/src/";
-const R13_ALLOW: &[&str] = &[
-    "crates/extmem/src/arbiter.rs",
-    "crates/extmem/src/locksan.rs",
-    "crates/baseline/src/pipeline.rs",
-];
+const R13_ALLOW: &[&str] = &["crates/extmem/src/arbiter.rs", "crates/baseline/src/pipeline.rs"];
 
 /// Cross-thread primitives R13 confines (plus any `Atomic*`-prefixed
 /// ident and `spawn`).
-const R13_TOKENS: &[&str] =
-    &["Mutex", "RwLock", "Condvar", "Arc", "TrackedMutex", "TrackedCondvar", "spawn"];
+const R13_TOKENS: &[&str] = &["Mutex", "RwLock", "Condvar", "Arc", "spawn"];
 
 /// The one audited poisoning-recovery site R15 permits.
-const R15_ALLOW: &[&str] = &["crates/extmem/src/locksan.rs"];
+const R15_ALLOW: &[&str] = &["crates/extmem/src/arbiter.rs"];
 
 /// Call names the hold-region rules (R11/R12/R14) never flag: a condvar
 /// wait under the lock is the one sanctioned block — the guard is released
@@ -507,7 +502,7 @@ fn rule_r13(rel: &str, toks: &[Tok], non_test: &dyn Fn(usize) -> bool, out: &mut
                 "R13",
                 format!(
                     "cross-thread primitive `{}` outside the sanctioned concurrency sites \
-                     (crates/server, arbiter.rs, locksan.rs, pipeline.rs)",
+                     (crates/server, arbiter.rs, pipeline.rs)",
                     t.text
                 ),
             );
@@ -548,7 +543,7 @@ fn rule_r14(
 }
 
 /// R15: the `unwrap_or_else(..into_inner())` poisoning-recovery pattern is
-/// allowed only inside the audited `locksan::recover_poison` helper, which
+/// allowed only inside the audited `arbiter::recover_poison` helper, which
 /// counts recoveries instead of silently swallowing them.
 fn rule_r15(rel: &str, toks: &[Tok], non_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {
     if R15_ALLOW.contains(&rel) {
@@ -566,7 +561,7 @@ fn rule_r15(rel: &str, toks: &[Tok], non_test: &dyn Fn(usize) -> bool, out: &mut
                 line_at(toks, t.pos),
                 "R15",
                 "mutex-poisoning recovery outside the audited helper; route the lock through \
-                 locksan::recover_poison (or TrackedMutex) so recoveries are counted"
+                 nexsort_extmem::recover_poison so recoveries are counted"
                     .to_string(),
             );
         }

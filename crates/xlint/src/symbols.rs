@@ -6,12 +6,12 @@
 //! build stays offline). Two choices make the approximation workable:
 //!
 //! * **Locks are identified by choke-point method names**, not variable
-//!   names (string literals are blanked by the masking lexer, so
-//!   `TrackedMutex::new("server.core", ..)` is unreadable statically).
-//!   `Shared::lock_core` and `BudgetArbiter::lock_state` are the single
-//!   sanctioned acquisition sites for the two server-path locks; every
-//!   critical section starts with one of those calls, so the rules can
-//!   find every hold region by finding those idents.
+//!   names or types (there is no type information, so one `Mutex<_>`
+//!   looks like any other). `Shared::lock_core` and
+//!   `BudgetArbiter::lock_state` are the single sanctioned acquisition
+//!   sites for the two server-path locks; every critical section starts
+//!   with one of those calls, so the rules can find every hold region by
+//!   finding those idents.
 //! * **Functions are keyed by bare name** across the whole workspace;
 //!   same-named functions are merged (their callees union). That is
 //!   conservative in the direction we want for R11/R12/R14 — a merged
@@ -24,9 +24,9 @@ use crate::lexer::Tok;
 /// path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LockClass {
-    /// `BudgetArbiter`'s state lock (`arbiter.state`).
+    /// `BudgetArbiter`'s state lock.
     Arbiter,
-    /// The server's core lock over the job table (`server.core`).
+    /// The server's core lock over the job table.
     Core,
 }
 

@@ -40,6 +40,7 @@ use std::cmp::Ordering;
 use nexsort_extmem::{ByteReader, ByteSink, ExtError, SliceReader};
 
 use crate::error::{Result, XmlError};
+use crate::key::sorts_children_of;
 use crate::rec::{RecKind, KIND_ELEM, KIND_PATCH, KIND_PTR, KIND_TEXT};
 use crate::sym::TagDict;
 use crate::varint::{uvarint_len, write_uvarint};
@@ -901,7 +902,7 @@ impl<'a> EncodedForest<'a> {
         walk_sorted(
             nodes.len(),
             |i| nodes[i].end,
-            |i| depth_limit.is_none_or(|d| nodes[i].head.level <= d),
+            |i| sorts_children_of(depth_limit, nodes[i].head.level),
             |a, b| {
                 let (x, y) = (&nodes[a], &nodes[b]);
                 cmp_encoded_siblings((self.key(x), x.head.seq), (self.key(y), y.head.seq))

@@ -314,6 +314,16 @@ pub enum TextKey {
     Content,
 }
 
+/// Whether a depth limit (`--depth d`; `None` for no limit) lets the
+/// children of an element at `level` be reordered: the levels `1..=d` are
+/// sorted, the root being level 1. A record at level `l` keeps its key,
+/// and its place among its siblings, exactly when the children of level
+/// `l - 1` are sorted. Every depth test goes through here, and none adds
+/// to the limit, so `--depth 4294967295` means "no limit".
+pub fn sorts_children_of(depth_limit: Option<u32>, level: u32) -> bool {
+    depth_limit.is_none_or(|d| level <= d)
+}
+
 /// The full ordering criterion for a document: a default rule, per-tag
 /// overrides (Figure 1: region by name, branch by name, employee by ID), and
 /// the treatment of text nodes.

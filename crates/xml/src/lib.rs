@@ -32,7 +32,7 @@ pub use encoded::{
 };
 pub use error::{Result, XmlError};
 pub use event::{Attrs, Event, EventRef, EventSource, VecEvents};
-pub use key::{KeyRule, KeySource, KeyType, KeyValue, SortSpec, TextKey};
+pub use key::{sorts_children_of, KeyRule, KeySource, KeyType, KeyValue, SortSpec, TextKey};
 pub use keypath::{attach_paths, KeyPath, PathBuilder, PathComp, PathedRec};
 pub use parser::{parse_events, XmlParser};
 pub use rec::{ElemRec, PatchRec, PtrRec, Rec, RecDecoder, RecKind, TextRec};

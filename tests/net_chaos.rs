@@ -14,14 +14,15 @@
 //! - the fetched output is byte-identical to a one-shot in-process sort;
 //! - the job directory holds exactly one `job-*` entry -- no duplicates.
 //!
-//! CI runs this suite with `NEXSORT_LOCKSAN=1`, so every run also carries
-//! the lock sanitizer; the disk's block liveness check is always on.
+//! The daemon's locks are plain `std::sync` mutexes whose discipline the
+//! compiler and xlint R11-R14 hold statically; the disk's block liveness
+//! check is always on in every run.
 
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::stage_input;
-use nexsort_extmem::locksan::TrackedMutex;
 use nexsort_extmem::DiskBuilder;
 use nexsort_server::json::{n, obj, s, Value};
 use nexsort_server::{
@@ -232,10 +233,9 @@ fn client_side_request_faults_are_survived_by_the_retry_loop() {
 
     let mut ids = Vec::new();
     for (k, kind) in KINDS.into_iter().enumerate() {
-        let injector = TrackedMutex::new(
-            "test.client.netfault",
-            NetFaultState::new(NetFaultPlan::new(7 + k as u64).stall_ms(5).at_exchange(0, kind)),
-        );
+        let injector = Mutex::new(NetFaultState::new(
+            NetFaultPlan::new(7 + k as u64).stall_ms(5).at_exchange(0, kind),
+        ));
         let mut spec = chaos_spec(2000);
         spec.idem = Some(format!("client-fault-{k}"));
         let resp =

@@ -233,15 +233,6 @@ fn server_runs_topk_and_pq_jobs() {
         })
         .is_err());
     server.shutdown();
-    // Under NEXSORT_LOCKSAN=1 (CI's concurrency-san job) the whole
-    // server/operator path must run with zero sanitizer reports; with the
-    // sanitizer off the count is trivially zero.
-    assert_eq!(
-        nexsort_extmem::locksan::violation_count(),
-        0,
-        "lock sanitizer reports: {:?}",
-        nexsort_extmem::locksan::violation_log()
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -159,17 +159,6 @@ fn concurrent_jobs_match_one_shot_sorts() {
     assert!(stats.budget_high_water >= 8, "high water {}", stats.budget_high_water);
     assert_eq!(stats.budget_used, 0, "all leases returned");
     server.shutdown();
-    // Under NEXSORT_LOCKSAN=1 (CI's concurrency-san job) the concurrent
-    // worker pool must produce zero sanitizer reports; with the sanitizer
-    // off the count is trivially zero. The `stats` verb mirrors the same
-    // counter.
-    assert_eq!(
-        nexsort_extmem::locksan::violation_count(),
-        0,
-        "lock sanitizer reports: {:?}",
-        nexsort_extmem::locksan::violation_log()
-    );
-    assert_eq!(stats.locksan_violations, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
