@@ -4,22 +4,22 @@
 //! ```text
 //! xsort-bench [--quick|--full] [--csv DIR] [--json DIR] [all|table1|table2|
 //!              threshold|fig5|fig6|fig7|ablate-compaction|ablate-frames|
-//!              bounds|faults|cache|recovery|degradation|jobs|topk]
+//!              ablate-dsframes|bounds|faults|cache|recovery|degradation|jobs|topk]
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use nexsort_bench::{
-    ablate_compaction, ablate_frames, bounds_vs_measured, cache_sweep, degradation_sweep,
-    fault_sweep, fig5, fig6, fig7, jobs_sweep, recovery_sweep, table1, table2,
+    ablate_compaction, ablate_dsframes, ablate_frames, bounds_vs_measured, cache_sweep,
+    degradation_sweep, fault_sweep, fig5, fig6, fig7, jobs_sweep, recovery_sweep, table1, table2,
     threshold_experiment, topk_sweep, ExpScale, ExpTable,
 };
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: xsort-bench [--quick|--full] [--csv DIR] [--json DIR] \
-         [all|table1|table2|threshold|fig5|fig6|fig7|ablate-compaction|ablate-frames|bounds|faults|cache|recovery|degradation|jobs|topk]..."
+         [all|table1|table2|threshold|fig5|fig6|fig7|ablate-compaction|ablate-frames|ablate-dsframes|bounds|faults|cache|recovery|degradation|jobs|topk]..."
     );
     ExitCode::FAILURE
 }
@@ -63,6 +63,7 @@ fn main() -> ExitCode {
             "fig7" => fig7(scale).map_err(|e| e.to_string())?,
             "ablate-compaction" => ablate_compaction(scale).map_err(|e| e.to_string())?,
             "ablate-frames" => ablate_frames(scale).map_err(|e| e.to_string())?,
+            "ablate-dsframes" => ablate_dsframes(scale).map_err(|e| e.to_string())?,
             "bounds" => bounds_vs_measured(scale).map_err(|e| e.to_string())?,
             "faults" => fault_sweep(scale).map_err(|e| e.to_string())?,
             "cache" => cache_sweep(scale).map_err(|e| e.to_string())?,
@@ -84,6 +85,7 @@ fn main() -> ExitCode {
         "fig7",
         "ablate-compaction",
         "ablate-frames",
+        "ablate-dsframes",
         "bounds",
         "faults",
         "cache",

@@ -347,6 +347,51 @@ pub fn ablate_frames(scale: &ExpScale) -> Result<ExpTable> {
     Ok(t)
 }
 
+/// **Ablation: data-stack frames** -- the published one-frame data stack
+/// (Section 3.1's minimum, which every other experiment runs) against the
+/// lending window the sorter uses by default, on the Figure 5 document
+/// across its memory sizes and the Figure 6 documents at `m = 24`.
+pub fn ablate_dsframes(scale: &ExpScale) -> Result<ExpTable> {
+    let spec = bench_spec();
+    let mut t = ExpTable::new(
+        "ablate-dsframes",
+        "Ablation: data-stack resident frames, published (1) vs lent (Section 3.1 minimum)",
+        &[&["input", "mem(frames)", "data-stack", "data-stack io"][..], &IOS_HEADERS[..]].concat(),
+    );
+    let fig6: Vec<Vec<u64>> = scale.fig6_sizes.iter().map(|&n| fanouts_for(n, 85)).collect();
+    let runs = scale.fig5_mems.iter().map(|&mem| (None, mem));
+    let runs = runs.chain(fig6.iter().map(|f| (Some(f.as_slice()), 24)));
+    for (fanouts, mem) in runs {
+        let input = match fanouts {
+            None => format!("fig5 n={}", scale.base_elements),
+            Some(f) => format!("fig6 {f:?}"),
+        };
+        for (policy, frames) in [("published", 1), ("lent", nexsort::NexsortOptions::LEND_ALL)] {
+            let cfg =
+                RunConfig { data_stack_frames: frames, ..RunConfig::sized(scale.block_size, mem) };
+            let m = match fanouts {
+                None => {
+                    let mut g = IbmGen::new(5, 40, Some(scale.base_elements), GenConfig::default());
+                    measure_nexsort(&mut g, &spec, &cfg)?
+                }
+                Some(f) => {
+                    measure_nexsort(&mut ExactGen::new(f, GenConfig::default()), &spec, &cfg)?
+                }
+            };
+            let mut row = vec![
+                input.clone(),
+                mem.to_string(),
+                policy.to_string(),
+                m.breakdown.total(IoCat::DataStack).to_string(),
+            ];
+            row.extend(ios_cell(&m));
+            t.push_row(row);
+        }
+    }
+    t.note("lent: the data stack borrows budget frames nobody holds during the scan and sorts a resident subtree where it sits; its choices of internal vs external sort, run formation and fan-in are the published ones");
+    Ok(t)
+}
+
 /// **Bounds check** -- Section 4's formulas against a measured run.
 pub fn bounds_vs_measured(scale: &ExpScale) -> Result<ExpTable> {
     let spec = bench_spec();
@@ -981,6 +1026,19 @@ mod tests {
             per_last < per0 * 1.6,
             "NEXSORT I/O per element should stay near-constant: {per0:.4} -> {per_last:.4}"
         );
+    }
+
+    #[test]
+    fn quick_ablate_dsframes_lent_never_costs_more() {
+        let t = ablate_dsframes(&ExpScale::quick()).unwrap();
+        for pair in t.rows.chunks(2) {
+            let (published, lent) = (&pair[0], &pair[1]);
+            assert_eq!((published[2].as_str(), lent[2].as_str()), ("published", "lent"));
+            let io = |r: &Vec<String>, col: usize| -> u64 { r[col].parse().unwrap() };
+            assert!(io(lent, 3) <= io(published, 3), "data stack: {pair:?}");
+            assert!(io(lent, 6) <= io(published, 6), "total: {pair:?}");
+            assert_eq!(lent[9], published[9], "same subtree sorts: {pair:?}");
+        }
     }
 
     #[test]

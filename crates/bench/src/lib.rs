@@ -12,7 +12,7 @@ mod runner;
 mod table;
 
 pub use experiments::{
-    ablate_compaction, ablate_frames, bench_spec, bounds_vs_measured, cache_sweep,
+    ablate_compaction, ablate_dsframes, ablate_frames, bench_spec, bounds_vs_measured, cache_sweep,
     degradation_sweep, fanouts_for, fault_sweep, fig5, fig6, fig7, jobs_sweep, recovery_sweep,
     table1, table2, threshold_experiment, topk_sweep, ExpScale,
 };

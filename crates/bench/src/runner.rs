@@ -35,6 +35,10 @@ pub struct RunConfig {
     pub compaction: bool,
     /// Path-stack resident frames (Lemma 4.11 ablation).
     pub path_stack_frames: usize,
+    /// Cap on the data stack's resident frames. The experiments model the
+    /// paper, so the default is its one-frame policy; `ablate-dsframes`
+    /// sets [`NexsortOptions::LEND_ALL`], the sorter's own default.
+    pub data_stack_frames: usize,
     /// Crash-consistent checkpointing: keep a write-ahead manifest journal
     /// on the device (extra I/O the paper's model does not charge).
     pub checkpoint: bool,
@@ -48,6 +52,7 @@ impl Default for RunConfig {
             job: JobSpec::default(),
             compaction: true,
             path_stack_frames: 2,
+            data_stack_frames: 1,
             checkpoint: false,
             journal_blocks: 32,
         }
@@ -66,6 +71,7 @@ fn nexsort_opts(cfg: &RunConfig) -> NexsortOptions {
     NexsortOptions {
         compaction: cfg.compaction,
         path_stack_frames: cfg.path_stack_frames,
+        data_stack_frames: cfg.data_stack_frames,
         journal_blocks: cfg.journal_blocks,
         ..cfg.job.nexsort_options(cfg.checkpoint)
     }

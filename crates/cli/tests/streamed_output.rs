@@ -181,7 +181,7 @@ fn device_failures_after_and_outside_nexsorts_sort_are_classified() {
     let input = dir.join("in.xml");
     gen("exact:10,10,30", "7", &input);
     let cases = [
-        ("nexsort", "10", 3, "output emit while reading run-read block 895"),
+        ("nexsort", "25", 3, "output emit while reading run-read block 1727"),
         ("degen", "25", 3, "output emit while reading run-read block 1451"),
         ("mergesort", "132", 3, "output emit while reading run-read block 2855"),
         ("mergesort", "12", 5, "run formation while reading input-read block 40"),

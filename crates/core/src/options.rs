@@ -32,7 +32,13 @@ pub struct NexsortOptions {
     /// Resident frames for the path stack (the analysis of Lemma 4.11
     /// assumes at least 2).
     pub path_stack_frames: usize,
-    /// Resident frames for the data stack (at least 1, Section 3.1).
+    /// Cap on the data stack's resident frames (at least 1, Section 3.1).
+    /// The stack reserves one frame and borrows free budget frames up to
+    /// this cap instead of paging out; a subtree range it holds entirely
+    /// resident is sorted where it sits. `1` is the published policy (one
+    /// frame, every range streamed through the device), which the paper's
+    /// cost model and the figure experiments use. The default,
+    /// [`NexsortOptions::LEND_ALL`], takes as many frames as the budget lends.
     pub data_stack_frames: usize,
     /// Crash-consistent checkpointing: maintain a write-ahead manifest
     /// journal on the device (see `nexsort_extmem::Journal`) whose commit
@@ -63,6 +69,10 @@ impl NexsortOptions {
     /// least a 2-frame sort buffer / 2-way merge fan-in).
     pub const MIN_MEM_FRAMES: usize = 8;
 
+    /// `data_stack_frames` with no cap: the data stack holds as many frames
+    /// as the budget has free.
+    pub const LEND_ALL: usize = usize::MAX;
+
     /// The effective sort threshold in bytes for a given block size.
     pub fn threshold_bytes(&self, block_size: usize) -> u64 {
         self.threshold.unwrap_or(2 * block_size as u64)
@@ -85,7 +95,7 @@ impl Default for NexsortOptions {
             compaction: true,
             degeneration: false,
             path_stack_frames: 2,
-            data_stack_frames: 1,
+            data_stack_frames: Self::LEND_ALL,
             checkpoint: false,
             journal_blocks: 32,
             parity_group: 0,

@@ -328,12 +328,10 @@ impl Nexsort {
 
         let store = RunStore::new(self.disk.clone());
         store.set_parity_group(self.opts.parity_group);
-        let mut data = ExtStack::new(
-            self.disk.clone(),
-            budget,
-            IoCat::DataStack,
-            self.opts.data_stack_frames,
-        )?;
+        // Degeneration mode holds at most one data-stack block: its
+        // fallback here (deferred keys) keeps the published stack.
+        let cap = if self.opts.degeneration { 1 } else { self.opts.data_stack_frames };
+        let mut data = ExtStack::new(self.disk.clone(), budget, IoCat::DataStack, 1)?.lending(cap);
         let mut path = ExtStack::new(
             self.disk.clone(),
             budget,
@@ -362,7 +360,6 @@ impl Nexsort {
             let is_root = child_counts.is_empty();
             let within_depth = sorts_children_of(self.opts.depth_limit, level.saturating_sub(1));
             if (size > threshold && within_depth) || is_root {
-                let stack_ext = data.range_extent()?;
                 let sorter = SubtreeSorter {
                     disk: &self.disk,
                     store: &store,
@@ -370,8 +367,7 @@ impl Nexsort {
                     spec: &self.spec,
                     depth_limit: self.opts.depth_limit,
                 };
-                let ptr = sorter.sort_range(&stack_ext, l, size, level, report)?;
-                data.truncate(l)?;
+                let ptr = sorter.sort_range(data, l, level, report)?;
                 if is_root {
                     *root_run = Some(RunId(ptr.run));
                 } else {

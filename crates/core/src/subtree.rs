@@ -13,6 +13,12 @@
 //! A subtree rooted exactly at the depth limit is *dumped* verbatim
 //! (Section 3.2: "no sorting is needed but the subtree is still written to
 //! disk, ensuring that we do not carry large subtrees along").
+//!
+//! When the data stack lends ([`ExtStack::lending`]) and holds the whole
+//! range resident, an internal sort takes the bytes straight off the stack:
+//! no flush, no range read, no reload of the block the pointer lands in.
+//! Every other sort first sheds the window to one frame, so it streams the
+//! range from the device with exactly the budget a one-frame stack leaves.
 
 use std::rc::Rc;
 
@@ -20,8 +26,8 @@ use nexsort_baseline::{
     external_merge_sort, resolve_deferred, ExtentRecSource, PathedAdapter, RecSource,
 };
 use nexsort_extmem::{
-    ByteReader, ByteSink, Disk, Extent, ExtentReader, IoCat, IoPhase, MemoryBudget, RunStore,
-    SliceReader,
+    ByteReader, ByteSink, Disk, ExtStack, Extent, ExtentReader, IoCat, IoPhase, MemoryBudget,
+    RunStore, SliceReader,
 };
 use nexsort_xml::{
     sorts_children_of, EncodedForest, KeyValue, PtrRec, Rec, RecDecoder, RecKind, Result, SortSpec,
@@ -39,38 +45,65 @@ pub(crate) struct SubtreeSorter<'a> {
 }
 
 impl SubtreeSorter<'_> {
-    /// Sort the record range `[start, start+len)` of the (flushed) data
-    /// stack, whose first record is the subtree root at `level`. Writes a
-    /// run and returns the pointer record that replaces the subtree.
+    /// Sort the data stack's top range `[start, len)`, whose first record is
+    /// the subtree root at `level`, into a run; truncate the stack to
+    /// `start` and return the pointer record that replaces the subtree.
     pub(crate) fn sort_range(
         &self,
-        stack_ext: &Extent,
+        data: &mut ExtStack,
         start: u64,
-        len: u64,
         level: u32,
         report: &mut SortReport,
     ) -> Result<PtrRec> {
+        let len = data.len() - start;
         report.subtree_sorts += 1;
         report.sum_sorted_bytes += len;
         report.max_sort_bytes = report.max_sort_bytes.max(len);
 
         self.disk.in_phase(IoPhase::RunFormation, || {
-            if !sorts_children_of(self.depth_limit, level) {
-                return self.dump_range(stack_ext, start, len, level, report);
-            }
+            let sorts = sorts_children_of(self.depth_limit, level);
             let block_size = self.disk.block_size() as u64;
             // Frames left after the sorting phase's fixtures: we need one for
             // the range reader and one for the run writer; the rest buffer
-            // the sort.
-            let free = self.budget.free_frames() as u64;
-            let internal_capacity = free.saturating_sub(2) * block_size;
-
-            if len <= internal_capacity {
-                self.sort_internal(stack_ext, start, len, level, report)
-            } else {
-                self.sort_external(stack_ext, start, len, level, report)
+            // the sort. Frames the data stack borrowed count as free, so the
+            // choice is the one a one-frame stack would make.
+            let free = (self.budget.free_frames() + data.lent_frames()) as u64;
+            let internal = len <= free.saturating_sub(2) * block_size;
+            if sorts && internal && data.lends() && data.is_resident_from(start) {
+                return self.sort_in_place(data, len, level, report);
             }
+            data.shed(data.lent_frames())?;
+            let stack_ext = data.range_extent()?;
+            let ptr = if !sorts {
+                self.dump_range(&stack_ext, start, len, level, report)
+            } else if internal {
+                self.sort_internal(&stack_ext, start, len, level, report)
+            } else {
+                self.sort_external(&stack_ext, start, len, level, report)
+            }?;
+            data.truncate(start)?;
+            Ok(ptr)
         })
+    }
+
+    /// Internal-memory sort of a range the data stack holds resident: the
+    /// pop moves its bytes out of the window with no transfer, and the
+    /// consumed frames are dropped unwritten.
+    fn sort_in_place(
+        &self,
+        data: &mut ExtStack,
+        len: u64,
+        level: u32,
+        report: &mut SortReport,
+    ) -> Result<PtrRec> {
+        report.internal_sorts += 1;
+        let arena = data.pop(len as usize)?;
+        // The arena and the run writer need frames the window may still
+        // hold below the range: page out its deepest blocks until they fit.
+        let arena_frames = (len.div_ceil(self.disk.block_size() as u64) as usize).max(1);
+        data.shed((arena_frames + 1).saturating_sub(self.budget.free_frames()))?;
+        let _buffer = self.budget.reserve(arena_frames).map_err(XmlError::from)?;
+        self.write_sorted_run(&arena, level, report)
     }
 
     /// Internal-memory sort of the range: its bytes go into an arena, the
@@ -99,7 +132,18 @@ impl SubtreeSorter<'_> {
             src.seek(start);
             src.read_exact(&mut arena)?;
         }
-        let forest = EncodedForest::index(&arena)?;
+        self.write_sorted_run(&arena, level, report)
+    }
+
+    /// Index the subtree's record bytes and write them to a new run in
+    /// sorted DFS order; returns the pointer record for its root.
+    fn write_sorted_run(
+        &self,
+        arena: &[u8],
+        level: u32,
+        report: &mut SortReport,
+    ) -> Result<PtrRec> {
+        let forest = EncodedForest::index(arena)?;
         report.sum_sorted_records += forest.len() as u64;
         let root = match forest.first() {
             Some((RecKind::Elem, l, key, seq)) if l == level => {

@@ -52,17 +52,24 @@ use crate::error::{ExtError, Result};
 
 static POISON_RECOVERIES: AtomicU64 = AtomicU64::new(0);
 
-/// The one audited mutex-poisoning recovery site (xlint R15 rejects the
-/// `unwrap_or_else(..into_inner())` pattern everywhere else). A poisoned
-/// lock means a thread panicked while holding it; the protected state is
-/// still structurally valid (everything here is crash-consistent or
+/// The one audited mutex-poisoning recovery site (xlint R15 rejects
+/// recovering a poisoned guard with `into_inner` everywhere else). `result`
+/// is an acquisition of `lock` (`lock()`, or a condvar wait on its guard). A
+/// poisoned lock means a thread panicked while holding it; the protected
+/// state is still structurally valid (everything here is crash-consistent or
 /// re-derivable), so we recover the guard — but we *count* the recovery so
-/// it is observable in server stats rather than silently swallowed.
-pub fn recover_poison<G>(result: LockResult<G>) -> G {
-    result.unwrap_or_else(|poisoned| {
-        POISON_RECOVERIES.fetch_add(1, Ordering::Relaxed);
-        poisoned.into_inner()
-    })
+/// it is observable in server stats rather than silently swallowed, and
+/// clear the poison so one panic is counted once, not again on every later
+/// acquisition.
+pub fn recover_poison<T: ?Sized, G>(lock: &Mutex<T>, result: LockResult<G>) -> G {
+    match result {
+        Ok(guard) => guard,
+        Err(poisoned) => {
+            POISON_RECOVERIES.fetch_add(1, Ordering::Relaxed);
+            lock.clear_poison();
+            poisoned.into_inner()
+        }
+    }
 }
 
 /// Number of mutex-poisoning recoveries performed by [`recover_poison`]
@@ -253,7 +260,7 @@ impl BudgetArbiter {
         }
         let ticket = st.enqueue_as(frames, tenant);
         while !st.grantable(ticket) {
-            st = recover_poison(cv.wait(st));
+            st = recover_poison(&self.inner.0, cv.wait(st));
         }
         let Some(w) = st.grant(ticket) else {
             // Unreachable (a grantable ticket is queued), but a lost ticket
@@ -283,7 +290,7 @@ impl BudgetArbiter {
     /// static checker (xlint R11-R14) identify arbiter critical sections.
     /// Poisoning is recovered and counted by [`recover_poison`].
     fn lock_state(&self) -> MutexGuard<'_, ArbState> {
-        recover_poison(self.inner.0.lock())
+        recover_poison(&self.inner.0, self.inner.0.lock())
     }
 }
 
@@ -423,8 +430,17 @@ mod tests {
         assert!(arb.high_water_frames() <= 8, "never over-committed");
     }
 
+    /// The poisoning tests read the process-wide recovery counter, so they
+    /// run one at a time: each then sees only its own recoveries.
+    static POISON_TESTS: Mutex<()> = Mutex::new(());
+
+    fn poison_tests_serial() -> MutexGuard<'static, ()> {
+        recover_poison(&POISON_TESTS, POISON_TESTS.lock())
+    }
+
     #[test]
     fn poisoning_recovery_is_counted() {
+        let _serial = poison_tests_serial();
         let arb = BudgetArbiter::new(4);
         let held = arb.acquire(1).unwrap();
         let before = poison_recoveries();
@@ -441,7 +457,25 @@ mod tests {
     }
 
     #[test]
+    fn one_panic_is_counted_once() {
+        let _serial = poison_tests_serial();
+        let arb = BudgetArbiter::new(4);
+        let before = poison_recoveries();
+        let a = arb.clone();
+        let t = std::thread::spawn(move || {
+            let _st = a.lock_state();
+            panic!("poison the arbiter lock");
+        });
+        assert!(t.join().is_err());
+        drop(arb.lock_state());
+        drop(arb.lock_state());
+        assert_eq!(poison_recoveries() - before, 1, "the first acquisition clears the poison");
+        assert!(arb.inner.0.lock().is_ok());
+    }
+
+    #[test]
     fn poison_recovery_is_counted_not_swallowed() {
+        let _serial = poison_tests_serial();
         let m = Arc::new(Mutex::new(7u32));
         let before = poison_recoveries();
         let m2 = Arc::clone(&m);
@@ -452,7 +486,7 @@ mod tests {
         .join();
         assert!(panicked.is_err(), "the poisoning thread must have panicked");
         assert!(m.lock().is_err(), "std reports the poison");
-        assert_eq!(*recover_poison(m.lock()), 7, "the guard is recovered");
+        assert_eq!(*recover_poison(&m, m.lock()), 7, "the guard is recovered");
         assert!(
             poison_recoveries() > before,
             "recovery must be counted (before={before}, after={})",

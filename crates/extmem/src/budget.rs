@@ -60,13 +60,21 @@ impl MemoryBudget {
 
     /// Reserve `n` frames, failing if fewer than `n` are free.
     pub fn reserve(&self, n: usize) -> Result<FrameGuard> {
+        if !self.take(n) {
+            return Err(ExtError::BudgetExceeded { requested: n, free: self.free_frames() });
+        }
+        Ok(FrameGuard { budget: self.clone(), frames: n })
+    }
+
+    /// Count `n` more frames as used if that many are free.
+    fn take(&self, n: usize) -> bool {
         let used = self.inner.used.get();
         if used + n > self.inner.total {
-            return Err(ExtError::BudgetExceeded { requested: n, free: self.inner.total - used });
+            return false;
         }
         self.inner.used.set(used + n);
         self.inner.high_water.set(self.inner.high_water.get().max(used + n));
-        Ok(FrameGuard { budget: self.clone(), frames: n })
+        true
     }
 
     /// Reserve every currently-free frame (possibly zero).
@@ -89,6 +97,14 @@ impl FrameGuard {
     /// Number of frames held by this guard.
     pub fn frames(&self) -> usize {
         self.frames
+    }
+
+    /// Take one more frame from the budget if one is free; false (and no
+    /// change) when the budget is exhausted.
+    pub fn try_grow(&mut self) -> bool {
+        let grown = self.budget.take(1);
+        self.frames += usize::from(grown);
+        grown
     }
 
     /// Release `n` of the held frames early (e.g. shrinking a sort buffer).
@@ -157,6 +173,19 @@ mod tests {
         assert_eq!(b.used_frames(), 0);
         drop(g);
         assert_eq!(b.used_frames(), 0);
+    }
+
+    #[test]
+    fn try_grow_takes_only_free_frames() {
+        let b = MemoryBudget::new(3);
+        let mut g = b.reserve(1).unwrap();
+        let _other = b.reserve(1).unwrap();
+        assert!(g.try_grow());
+        assert_eq!((g.frames(), b.free_frames(), b.high_water_frames()), (2, 0, 3));
+        assert!(!g.try_grow(), "nothing left to lend");
+        assert_eq!(g.frames(), 2);
+        g.release(1);
+        assert_eq!(b.free_frames(), 1);
     }
 
     #[test]

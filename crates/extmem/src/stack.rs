@@ -15,6 +15,14 @@
 //! * replacement prefers frames *above* the access point (their contents have
 //!   been consumed), else the deepest frame (top-of-stack blocks stay hot).
 //!
+//! **Lending.** A stack built with [`ExtStack::lending`] may hold more than
+//! its reserved frames: when the alternative is a page-out, it takes one
+//! more frame from the budget if one is free, up to its cap, and gives frames
+//! back as soon as `truncate`/`pop` leaves them without a block, or when the
+//! owner asks ([`ExtStack::shed`]). Every resident frame is charged to the
+//! budget while it is held, so memory stays within `M` at every instant. A
+//! cap equal to the reservation is the paper's fixed window.
+//!
 //! All paging goes through [`Disk::read_block`] / [`Disk::write_block`], so
 //! when the disk has a buffer pool enabled ([`DiskBuilder::cache`](crate::DiskBuilder::cache)) the
 //! stack's repaging of hot boundary blocks is absorbed by the pool: logical
@@ -38,7 +46,11 @@ struct ResidentBlock {
 pub struct ExtStack {
     disk: Rc<Disk>,
     cat: IoCat,
-    _frames: FrameGuard,
+    /// The reserved frames plus any lent ones: always
+    /// `max(reserved, resident.len())`.
+    frames: FrameGuard,
+    reserved: usize,
+    /// Cap on resident frames; above `reserved` only when lending.
     max_resident: usize,
     bs: usize,
     /// Block ids for indices `0..ceil(len/bs)`; only grows/shrinks at the top.
@@ -63,13 +75,66 @@ impl ExtStack {
         Ok(Self {
             disk,
             cat,
-            _frames: frames,
+            frames,
+            reserved: resident_frames,
             max_resident: resident_frames,
             bs,
             blocks: Vec::new(),
             len: 0,
             resident: Vec::new(),
         })
+    }
+
+    /// Let the stack borrow free budget frames, up to `cap` resident frames
+    /// in all, instead of paging out (see the module docs). A `cap` at or
+    /// below the reservation keeps the fixed window.
+    pub fn lending(mut self, cap: usize) -> Self {
+        self.max_resident = cap.max(self.reserved);
+        self
+    }
+
+    /// True if the stack may hold more frames than it reserved.
+    pub fn lends(&self) -> bool {
+        self.max_resident > self.reserved
+    }
+
+    /// Frames held beyond the reservation, borrowed from the budget.
+    pub fn lent_frames(&self) -> usize {
+        self.frames.frames() - self.reserved
+    }
+
+    /// True if every block holding a byte at or above offset `from` is
+    /// resident, so the bytes `[from, len)` can be popped without a transfer.
+    pub fn is_resident_from(&self, from: u64) -> bool {
+        let first = (from / self.bs as u64) as usize;
+        let above = self.resident.iter().filter(|r| r.idx >= first).count();
+        above == self.blocks.len().saturating_sub(first)
+    }
+
+    /// Give up to `n` lent frames back to the budget: page out that many of
+    /// the deepest resident blocks, writing the dirty ones. The reserved
+    /// frames stay.
+    pub fn shed(&mut self, n: usize) -> Result<()> {
+        let keep = self.resident.len().saturating_sub(n).max(self.reserved);
+        while self.resident.len() > keep {
+            let Some(pos) = self.deepest_resident() else { break };
+            let r = self.resident.swap_remove(pos);
+            if r.dirty {
+                self.disk.write_block(self.blocks[r.idx], &r.buf, self.cat)?;
+            }
+        }
+        self.give_back();
+        Ok(())
+    }
+
+    /// Return lent frames that no resident block uses any more.
+    fn give_back(&mut self) {
+        let keep = self.reserved.max(self.resident.len());
+        self.frames.release(self.frames.frames().saturating_sub(keep));
+    }
+
+    fn deepest_resident(&self) -> Option<usize> {
+        self.resident.iter().enumerate().min_by_key(|(_, r)| r.idx).map(|(i, _)| i)
     }
 
     /// Current length in bytes.
@@ -92,7 +157,10 @@ impl ExtStack {
     }
 
     fn evict_for(&mut self, incoming_idx: usize) -> Result<()> {
-        if self.resident.len() < self.max_resident {
+        if self.resident.len() < self.frames.frames() {
+            return Ok(());
+        }
+        if self.resident.len() < self.max_resident && self.frames.try_grow() {
             return Ok(());
         }
         // Prefer the frame farthest above the access point (already
@@ -104,9 +172,7 @@ impl ExtStack {
             .filter(|(_, r)| r.idx > incoming_idx)
             .max_by_key(|(_, r)| r.idx)
             .map(|(i, _)| i)
-            .or_else(|| {
-                self.resident.iter().enumerate().min_by_key(|(_, r)| r.idx).map(|(i, _)| i)
-            });
+            .or_else(|| self.deepest_resident());
         // The resident set was checked full above, so non-empty; if it ever
         // were empty there is nothing to evict.
         let Some(victim) = victim else { return Ok(()) };
@@ -202,6 +268,7 @@ impl ExtStack {
             self.disk.free_block(id)?;
         }
         self.len = new_len;
+        self.give_back();
         Ok(())
     }
 
@@ -415,6 +482,62 @@ mod tests {
         s.flush().unwrap(); // nothing dirty: free
         let w2 = disk.stats().snapshot().writes(IoCat::DataStack);
         assert_eq!(w1, w2);
+    }
+
+    #[test]
+    fn a_lending_stack_borrows_free_frames_instead_of_paging_out() {
+        let (disk, budget) = setup(16, 6);
+        let _other = budget.reserve(1).unwrap();
+        let mut s = ExtStack::new(disk.clone(), &budget, IoCat::DataStack, 1).unwrap().lending(8);
+        s.push(&[3u8; 16 * 5]).unwrap();
+        assert_eq!((s.lent_frames(), budget.free_frames()), (4, 0));
+        assert_eq!(disk.stats().snapshot().grand_total(), 0, "no page-out while frames are free");
+        // The budget is empty: the sixth block pages the deepest one out.
+        s.push(&[3u8; 16]).unwrap();
+        assert_eq!(s.lent_frames(), 4);
+        assert_eq!(disk.stats().snapshot().writes(IoCat::DataStack), 1);
+        assert!(!s.is_resident_from(0) && s.is_resident_from(16));
+        // Truncating gives the frames of the dropped blocks back.
+        s.truncate(16 * 2 + 3).unwrap();
+        assert_eq!((s.lent_frames(), budget.free_frames()), (1, 3));
+        assert!(s.is_resident_from(16));
+    }
+
+    #[test]
+    fn lending_stops_at_the_cap() {
+        let (disk, budget) = setup(16, 10);
+        let mut s = ExtStack::new(disk.clone(), &budget, IoCat::DataStack, 1).unwrap().lending(3);
+        s.push(&[1u8; 16 * 5]).unwrap();
+        assert_eq!((s.lent_frames(), budget.used_frames()), (2, 3));
+        assert_eq!(disk.stats().snapshot().writes(IoCat::DataStack), 2);
+        assert_eq!(s.pop(16 * 5).unwrap(), [1u8; 16 * 5]);
+        assert_eq!(budget.used_frames(), 1, "only the reservation outlives the bytes");
+    }
+
+    #[test]
+    fn shed_writes_dirty_frames_and_returns_them() {
+        let (disk, budget) = setup(16, 8);
+        let mut s = ExtStack::new(disk.clone(), &budget, IoCat::DataStack, 1).unwrap().lending(8);
+        let data: Vec<u8> = (0..64u8).collect();
+        s.push(&data).unwrap();
+        assert_eq!(s.lent_frames(), 3);
+        s.shed(1).unwrap();
+        assert_eq!((s.lent_frames(), budget.used_frames()), (2, 3));
+        s.shed(usize::MAX).unwrap();
+        assert_eq!((s.lent_frames(), budget.used_frames()), (0, 1));
+        assert_eq!(disk.stats().snapshot().writes(IoCat::DataStack), 3, "deep frames written");
+        assert!(s.is_resident_from(48), "the top block stays");
+        assert_eq!(s.pop(64).unwrap(), data);
+    }
+
+    #[test]
+    fn a_fixed_window_never_lends() {
+        let (disk, budget) = setup(16, 8);
+        let mut s = ExtStack::new(disk.clone(), &budget, IoCat::DataStack, 1).unwrap().lending(1);
+        assert!(!s.lends());
+        s.push(&[2u8; 16 * 4]).unwrap();
+        assert_eq!((s.lent_frames(), budget.used_frames()), (0, 1));
+        assert_eq!(disk.stats().snapshot().writes(IoCat::DataStack), 3);
     }
 
     #[test]

@@ -386,7 +386,7 @@ fn handle_conn(
         // response never carries the stop flag -- a dropped or corrupted
         // shutdown ACK means the client retries, and the *delivered* ACK
         // stops the daemon, exactly like any other retried request.
-        let fault = faults.map(|f| recover_poison(f.lock()).next_exchange().1).unwrap_or(None);
+        let fault = faults.map(|f| recover_poison(f, f.lock()).next_exchange().1).unwrap_or(None);
         let delivered = match fault {
             None => true,
             Some(kind) => {
@@ -401,7 +401,7 @@ fn handle_conn(
                     }
                     NetFaultKind::Stall => {
                         let ms =
-                            faults.map(|f| recover_poison(f.lock()).stall_millis()).unwrap_or(0);
+                            faults.map(|f| recover_poison(f, f.lock()).stall_millis()).unwrap_or(0);
                         std::thread::sleep(Duration::from_millis(ms));
                         true
                     }
@@ -711,7 +711,7 @@ pub fn request_with_retry_injected(
             CLIENT_RETRIES.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(Duration::from_millis(opts.retry.delay_before_ms(attempt - 1)));
         }
-        let fault = faults.map(|f| recover_poison(f.lock()).next_exchange().1).unwrap_or(None);
+        let fault = faults.map(|f| recover_poison(f, f.lock()).next_exchange().1).unwrap_or(None);
         last = match fault {
             None => request_once(addr, &req_json, timeout),
             Some(kind) => request_once_faulty(addr, &req_json, timeout, kind, faults),
@@ -762,7 +762,7 @@ fn request_once_faulty(
 ) -> Result<Value, String> {
     match kind {
         NetFaultKind::Stall => {
-            let ms = faults.map(|f| recover_poison(f.lock()).stall_millis()).unwrap_or(0);
+            let ms = faults.map(|f| recover_poison(f, f.lock()).stall_millis()).unwrap_or(0);
             std::thread::sleep(Duration::from_millis(ms));
             request_once(addr, req_json, timeout)
         }

@@ -251,7 +251,7 @@ impl Shared {
     /// critical section. Poisoning is recovered and counted by
     /// `recover_poison` and surfaced as `ServerStats::lock_recoveries`.
     fn lock_core(&self) -> MutexGuard<'_, Core> {
-        recover_poison(self.core.lock())
+        recover_poison(&self.core, self.core.lock())
     }
 
     fn job_path(&self, id: u64) -> PathBuf {
@@ -667,7 +667,11 @@ impl Server {
                 {
                     return Some(snapshot(id, rec));
                 }
-                core = recover_poison(self.shared.cv.wait_timeout(core, deadline - now)).0;
+                core = recover_poison(
+                    &self.shared.core,
+                    self.shared.cv.wait_timeout(core, deadline - now),
+                )
+                .0;
             }
             if id >= core.next_id {
                 return None;
@@ -698,7 +702,11 @@ impl Server {
             if now >= deadline {
                 return false;
             }
-            core = recover_poison(self.shared.cv.wait_timeout(core, deadline - now)).0;
+            core = recover_poison(
+                &self.shared.core,
+                self.shared.cv.wait_timeout(core, deadline - now),
+            )
+            .0;
         }
     }
 
@@ -806,7 +814,7 @@ fn next_job(shared: &Shared) -> Option<u64> {
             }
             return Some(id);
         }
-        core = recover_poison(shared.cv.wait(core));
+        core = recover_poison(&shared.core, shared.cv.wait(core));
     }
 }
 

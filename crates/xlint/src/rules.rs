@@ -94,9 +94,9 @@ pub const RULES: &[(&str, &str, &str)] = &[
     (
         "R15",
         "audited poison recovery",
-        "mutex-poisoning recovery (unwrap_or_else into_inner) lives only in arbiter.rs's \
-         recover_poison helper, which counts every recovery into server stats instead of \
-         silently swallowing the panic",
+        "mutex-poisoning recovery (into_inner on a poisoned lock, by unwrap_or_else or a \
+         match/if-let Err arm) lives only in arbiter.rs's recover_poison helper, which counts \
+         every recovery into server stats instead of silently swallowing the panic",
     ),
 ];
 
@@ -542,19 +542,34 @@ fn rule_r14(
     }
 }
 
-/// R15: the `unwrap_or_else(..into_inner())` poisoning-recovery pattern is
-/// allowed only inside the audited `arbiter::recover_poison` helper, which
-/// counts recoveries instead of silently swallowing them.
+/// R15: recovering a poisoned guard with `into_inner` is allowed only inside
+/// the audited `arbiter::recover_poison` helper, which counts recoveries
+/// instead of silently swallowing them. Two shapes recover: a closure,
+/// `.unwrap_or_else(|p| p.into_inner())`, and an `Err` arm of a `match` or
+/// `if let`, `Err(p) => p.into_inner()`.
 fn rule_r15(rel: &str, toks: &[Tok], non_test: &dyn Fn(usize) -> bool, out: &mut Vec<Finding>) {
     if R15_ALLOW.contains(&rel) {
         return;
     }
     for (i, t) in toks.iter().enumerate() {
-        if t.text != "unwrap_or_else" || !non_test(t.pos) {
+        if !non_test(t.pos) {
             continue;
         }
-        let window = &toks[i + 1..toks.len().min(i + 14)];
-        if window.iter().any(|n| n.text == "into_inner") {
+        let recovers = match t.text {
+            "unwrap_or_else" => {
+                toks[i + 1..toks.len().min(i + 14)].iter().any(|n| n.text == "into_inner")
+            }
+            "Err" => match toks.get(i + 1..i + 4) {
+                Some([open, bind, close]) if open.text == "(" && close.text == ")" => {
+                    toks[i + 4..toks.len().min(i + 20)].windows(3).any(|w| {
+                        w[0].text == bind.text && w[1].text == "." && w[2].text == "into_inner"
+                    })
+                }
+                _ => false,
+            },
+            _ => false,
+        };
+        if recovers {
             push(
                 out,
                 rel,

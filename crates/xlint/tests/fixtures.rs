@@ -475,6 +475,37 @@ fn grab(m: &Mutex<u32>) -> u32 {
 }
 
 #[test]
+fn r15_sees_the_match_and_if_let_forms() {
+    let matched = r#"
+fn grab(m: &Mutex<u32>) -> u32 {
+    let g = match m.lock() {
+        Ok(g) => g,
+        Err(p) => p.into_inner(),
+    };
+    *g
+}
+"#;
+    assert_eq!(rules_fired("crates/server/src/net.rs", matched), ["R15"]);
+    assert_eq!(rules_fired("crates/extmem/src/arbiter.rs", matched), Vec::<String>::new());
+
+    let if_let = r#"
+fn grab(m: &Mutex<u32>) -> u32 {
+    if let Err(poisoned) = m.lock() {
+        return *poisoned.into_inner();
+    }
+    0
+}
+"#;
+    assert_eq!(rules_fired("crates/server/src/net.rs", if_let), ["R15"]);
+
+    // An `Err` arm that does not recover its binding is not the pattern.
+    let other = matched.replace("Err(p) => p.into_inner()", "Err(p) => panic!(\"{p}\")");
+    assert_eq!(rules_fired("crates/server/src/net.rs", &other), Vec::<String>::new());
+    let elsewhere = matched.replace("Err(p) => p.into_inner()", "Err(_) => q.into_inner()");
+    assert_eq!(rules_fired("crates/server/src/net.rs", &elsewhere), Vec::<String>::new());
+}
+
+#[test]
 fn findings_format_as_file_line_rule_message() {
     let found = check_rust_file(
         "crates/merge/src/fake.rs",

@@ -67,7 +67,10 @@ fn lemma_4_8_run_blocks_are_linear_in_input() {
 
 #[test]
 fn lemma_4_10_data_stack_paging_is_linear_in_input() {
-    let r = standard_run(2, 1500);
+    // The lemma counts the published one-frame data stack's paging.
+    let mut g = IbmGen::new(5, 9, Some(1500), GenConfig { seed: 2, ..Default::default() });
+    let opts = NexsortOptions { mem_frames: 16, data_stack_frames: 1, ..Default::default() };
+    let r = run_nexsort(&mut g, opts, 512);
     let rep = &r.doc.report;
     let ds = rep.io_of(IoCat::DataStack);
     // The lemma's count: <= 3x + (N-1+x)/B page-ins (+ equal page-outs).
@@ -209,10 +212,12 @@ fn budget_high_water_stays_within_m() {
 #[test]
 fn concrete_cost_model_matches_measurement_in_the_internal_regime() {
     // A workload whose subtree sorts all fit in memory (fig5's m >= 48
-    // regime): the 6n + 5x model must land within 15%.
+    // regime): the 6n + 5x model of the published one-frame data stack
+    // must land within 15%.
     let fanouts = [10u64, 10, 10, 10];
     let mut g = ExactGen::new(&fanouts, GenConfig::default());
-    let r = run_nexsort(&mut g, NexsortOptions { mem_frames: 16, ..Default::default() }, 512);
+    let opts = NexsortOptions { mem_frames: 16, data_stack_frames: 1, ..Default::default() };
+    let r = run_nexsort(&mut g, opts, 512);
     let rep = &r.doc.report;
     assert_eq!(rep.external_sorts, 0, "model only covers the internal regime");
     let predicted =
@@ -223,4 +228,56 @@ fn concrete_cost_model_matches_measurement_in_the_internal_regime() {
         (0.85..=1.15).contains(&ratio),
         "measured {measured} vs predicted {predicted} (ratio {ratio:.3})"
     );
+}
+
+fn run_exact(fanouts: &[u64], mem_frames: usize, data_stack_frames: usize) -> Run {
+    let mut g = ExactGen::new(fanouts, GenConfig::default());
+    run_nexsort(&mut g, NexsortOptions { mem_frames, data_stack_frames, ..Default::default() }, 512)
+}
+
+#[test]
+fn lent_data_stack_never_costs_more_than_the_published_one() {
+    // Internal, mixed and mostly external regimes (m = 8 is the floor).
+    let cases: [(&[u64], usize); 5] = [
+        (&[10, 10, 10, 10], 16),
+        (&[12, 12, 12], 16),
+        (&[40, 40], 24),
+        (&[6, 6, 6, 6], 16),
+        (&[8, 8, 8, 8], 8),
+    ];
+    for (fanouts, mem) in cases {
+        let published = run_exact(fanouts, mem, 1);
+        let lent = run_exact(fanouts, mem, NexsortOptions::default().data_stack_frames);
+        let (p, l) = (&published.doc.report, &lent.doc.report);
+        let what = format!("{fanouts:?} m={mem}: published {} / lent {}", p.summary(), l.summary());
+        assert!(l.io_of(IoCat::DataStack) <= p.io_of(IoCat::DataStack), "{what}");
+        assert!(l.total_ios() <= p.total_ios(), "{what}");
+        assert_eq!(lent.output_io, published.output_io, "{what}");
+        // The same sorts, each internal or external as published.
+        assert_eq!(
+            (l.subtree_sorts, l.internal_sorts, l.external_sorts),
+            (p.subtree_sorts, p.internal_sorts, p.external_sorts),
+            "{what}"
+        );
+        assert_eq!(lent.doc.to_recs().unwrap(), published.doc.to_recs().unwrap(), "{what}");
+    }
+}
+
+#[test]
+fn lent_data_stack_is_free_while_the_open_path_fits() {
+    // Each open path (the root's pointers plus the subtree being scanned)
+    // fits the frames the budget lends, so every subtree sort takes its
+    // range off the resident window: no data-stack transfer at all, and
+    // the total lands on the window's 4n + 2x model.
+    for (fanouts, mem) in [(&[10u64, 10, 10, 10][..], 16usize), (&[40, 40], 24)] {
+        let r = run_exact(fanouts, mem, NexsortOptions::default().data_stack_frames);
+        let rep = &r.doc.report;
+        assert_eq!(rep.io_of(IoCat::DataStack), 0, "{fanouts:?}: {}", rep.summary());
+        assert_eq!(rep.external_sorts, 0, "model only covers the internal regime");
+        let predicted =
+            analysis::predict_nexsort_total_lent(r.input_blocks, u64::from(rep.subtree_sorts))
+                as f64;
+        let ratio = (rep.total_ios() + r.output_io) as f64 / predicted;
+        assert!((0.85..=1.15).contains(&ratio), "{fanouts:?}: ratio {ratio:.3}");
+    }
 }
