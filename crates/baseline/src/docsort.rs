@@ -12,9 +12,7 @@ use std::rc::Rc;
 use nexsort_extmem::{
     ByteSink, Disk, Extent, ExtentWriter, IoCat, IoPhase, MemoryBudget, RunId, RunStore,
 };
-use nexsort_xml::{
-    Event, Rec, RecDecoder, RecEmitter, RecKind, RecXmlWriter, Result, SortSpec, TagDict,
-};
+use nexsort_xml::{Event, Rec, RecDecoder, RecEmitter, RecXmlWriter, Result, SortSpec, TagDict};
 
 use crate::extsort::{external_merge_sort, ExtSortReport};
 use crate::pipeline::ParsedRecSource;
@@ -162,17 +160,7 @@ fn sort_source(
         resolved.free(disk)?;
         Ok(out)
     } else {
-        struct DynAdapter<'a>(&'a mut dyn RecSource);
-        impl RecSource for DynAdapter<'_> {
-            fn next_rec(&mut self) -> Result<Option<Rec>> {
-                self.0.next_rec()
-            }
-
-            fn next_encoded(&mut self, out: &mut Vec<u8>) -> Result<Option<(RecKind, u32)>> {
-                self.0.next_encoded(out)
-            }
-        }
-        let mut pathed = PathedAdapter::new(DynAdapter(src), opts.depth_limit);
+        let mut pathed = PathedAdapter::new(src, opts.depth_limit);
         external_merge_sort(store, budget, &mut pathed, IoCat::OutputWrite)
     }
 }

@@ -34,6 +34,18 @@ pub trait RecSource {
     }
 }
 
+// A borrowed source is a source, so `&mut dyn RecSource` can be handed to
+// code generic over `S: RecSource`.
+impl<S: RecSource + ?Sized> RecSource for &mut S {
+    fn next_rec(&mut self) -> Result<Option<Rec>> {
+        (**self).next_rec()
+    }
+
+    fn next_encoded(&mut self, out: &mut Vec<u8>) -> Result<Option<(RecKind, u32)>> {
+        (**self).next_encoded(out)
+    }
+}
+
 /// Records decoded from an extent of encoded records.
 pub struct ExtentRecSource {
     dec: RecDecoder<ExtentReader>,

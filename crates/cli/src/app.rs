@@ -9,10 +9,10 @@ use nexsort::{FailureCategory, Nexsort, NexsortOptions, SortFailure, SortedDoc};
 use nexsort_baseline::{sort_xml_extent, stage_reader, BaselineOptions};
 use nexsort_extmem::{
     recover, ByteSink, CrashController, CrashPlan, Disk, DiskBuilder, ExtError, Extent,
-    FaultInjector, FaultPlan, IoCat, IoSink, IoSnapshot, IoSource, JournalRecord, PartFile,
-    RetryPolicy, RunId, RunStore, ScrubReport, STREAM_BUF,
+    FaultInjector, FaultPlan, IoCat, IoPhase, IoSink, IoSnapshot, IoSource, JournalRecord,
+    PartFile, RetryPolicy, RunId, RunStore, ScrubReport, STREAM_BUF,
 };
-use nexsort_merge::{BatchUpdate, MergeOptions, StructuralMerge};
+use nexsort_merge::{BatchUpdate, StructuralMerge};
 use nexsort_server::{JobInput, JobOp, JobSpec};
 use nexsort_xml::{
     cmp_encoded_keys, sorts_children_of, KeyValue, RecHead, RecKind, RecRef, RecXmlWriter,
@@ -1383,21 +1383,23 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
             emit(cli, out.as_bytes())
         }
         Command::Merge { left, right } => {
+            let before = disk.stats().snapshot();
             let a = sort_one(cli, &disk, &load(&disk, left)?, crash.as_ref())?;
             let b = sort_one(cli, &disk, &load(&disk, right)?, crash.as_ref())?;
-            let merge = StructuralMerge::new(&a.dict, &b.dict, MergeOptions::default());
+            let merge = StructuralMerge::new(&a.dict, &b.dict);
             let mut ca = a.cursor().map_err(|e| e.to_string())?;
             let mut cb = b.cursor().map_err(|e| e.to_string())?;
-            emit_with(cli, |out| {
-                let mut w = RecXmlWriter::new(out, cli.job.pretty);
-                let (_, stats) = merge
-                    .run(&mut ca, &mut cb, &mut |r, dict| w.push_rec(&r, dict))
-                    .map_err(xml_err)?;
-                w.finish().map_err(xml_err)?;
-                if cli.stats {
-                    eprintln!("merge: {stats:?}");
-                }
-                Ok(())
+            emit_sorted(cli, &disk, &before, |out| {
+                disk.in_phase(IoPhase::OutputEmit, || {
+                    let mut w = RecXmlWriter::new(out, cli.job.pretty);
+                    let (_, stats) =
+                        merge.run(&mut ca, &mut cb, &mut |r, dict| w.push_rec(&r, dict))?;
+                    w.finish()?;
+                    if cli.stats {
+                        eprintln!("merge: {stats:?}");
+                    }
+                    Ok(())
+                })
             })
         }
         Command::Check { input } => {
@@ -1455,21 +1457,23 @@ pub fn run_code(cli: &Cli) -> Result<(), CliError> {
             })
         }
         Command::Update { base, updates } => {
+            let before = disk.stats().snapshot();
             let b = sort_one(cli, &disk, &load(&disk, base)?, crash.as_ref())?;
             let u = sort_one(cli, &disk, &load(&disk, updates)?, crash.as_ref())?;
-            let apply = BatchUpdate::new(&b.dict, &u.dict, MergeOptions::default());
+            let apply = BatchUpdate::new(&b.dict, &u.dict);
             let mut cb = b.cursor().map_err(|e| e.to_string())?;
             let mut cu = u.cursor().map_err(|e| e.to_string())?;
-            emit_with(cli, |out| {
-                let mut w = RecXmlWriter::new(out, cli.job.pretty);
-                let (_, stats) = apply
-                    .run(&mut cb, &mut cu, &mut |r, dict| w.push_rec(&r, dict))
-                    .map_err(xml_err)?;
-                w.finish().map_err(xml_err)?;
-                if cli.stats {
-                    eprintln!("update: {stats:?}");
-                }
-                Ok(())
+            emit_sorted(cli, &disk, &before, |out| {
+                disk.in_phase(IoPhase::OutputEmit, || {
+                    let mut w = RecXmlWriter::new(out, cli.job.pretty);
+                    let (_, stats) =
+                        apply.run(&mut cb, &mut cu, &mut |r, dict| w.push_rec(&r, dict))?;
+                    w.finish()?;
+                    if cli.stats {
+                        eprintln!("update: {stats:?}");
+                    }
+                    Ok(())
+                })
             })
         }
         Command::Scrub { .. } | Command::Serve { .. } | Command::Client { .. } => {

@@ -9,7 +9,7 @@ use std::process::{Command, Output};
 use nexsort::{Nexsort, SortedDoc};
 use nexsort_baseline::{sort_xml_extent, stage_input, BaselineOptions};
 use nexsort_cli::app::{disk_spec, parse_args, Algo, Cli};
-use nexsort_merge::{BatchUpdate, MergeOptions, StructuralMerge};
+use nexsort_merge::{BatchUpdate, StructuralMerge};
 use nexsort_xml::{events_to_xml, recs_to_events, Rec, TagDict};
 
 const XSORT: &str = env!("CARGO_BIN_EXE_xsort");
@@ -110,15 +110,9 @@ fn whole_document_combine(cli: &Cli, verb: &str, left: &Path, right: &Path) -> V
         Ok(())
     };
     let dict = if verb == "merge" {
-        StructuralMerge::new(&a.dict, &b.dict, MergeOptions::default())
-            .run(&mut ca, &mut cb, &mut collect)
-            .unwrap()
-            .0
+        StructuralMerge::new(&a.dict, &b.dict).run(&mut ca, &mut cb, &mut collect).unwrap().0
     } else {
-        BatchUpdate::new(&a.dict, &b.dict, MergeOptions::default())
-            .run(&mut ca, &mut cb, &mut collect)
-            .unwrap()
-            .0
+        BatchUpdate::new(&a.dict, &b.dict).run(&mut ca, &mut cb, &mut collect).unwrap().0
     };
     events_to_xml(&recs_to_events(&recs, &dict).unwrap(), cli.job.pretty)
 }
@@ -199,5 +193,63 @@ fn device_failures_after_and_outside_nexsorts_sort_are_classified() {
         assert!(last.ends_with(" transfers done, 0 retried]"), "{algo} seed {seed}: {last}");
         assert_eq!(failed.status.code(), Some(code), "{algo} seed {seed}: {last}");
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `merge` and `update` read both sorted inputs while they write, and a
+/// transfer that fails there is classified like one during a sort's output:
+/// the phase, the failing transfer and exit code 3 for a transient fault.
+#[test]
+fn merge_and_update_device_failures_are_classified_like_sorts() {
+    let dir = tempdir("classified-combine");
+    let (left, right) = (dir.join("a.xml"), dir.join("b.xml"));
+    gen("exact:20,20", "1", &left);
+    gen("exact:20,20", "2", &right);
+    let out = dir.join("out.xml");
+    for (verb, seed, block) in [("merge", "1", 133), ("update", "10", 121)] {
+        let mut args = strings(&[verb, &path_str(&left), &path_str(&right), "-o", &path_str(&out)]);
+        args.extend(strings(&FLAGS));
+        args.extend(strings(&["--fault-rate", "0.002", "--retries", "0", "--fault-seed", seed]));
+        let failed = xsort(&args);
+        let stderr = String::from_utf8_lossy(&failed.stderr);
+        let last = stderr.lines().last().unwrap_or_default();
+        let want = format!(
+            "xsort: sort failed during output emit while reading run-read block {block} \
+             after 1 attempt(s): I/O error:"
+        );
+        assert!(last.starts_with(&want), "{verb}: {last}");
+        assert_eq!(failed.status.code(), Some(3), "{verb}: {last}");
+        assert!(!out.exists(), "{verb}: a failed {verb} left a file at -o");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The combining pass keeps no state per level beyond one integer, so a
+/// document nested far deeper than a call stack allows merges and updates
+/// with itself into exactly what `sort` writes.
+#[test]
+fn merge_and_update_of_a_deep_chain_equal_its_sort() {
+    const DEPTH: usize = 20_000;
+    let dir = tempdir("deep-combine");
+    let chain = dir.join("chain.xml");
+    let mut doc = String::new();
+    for k in 0..DEPTH {
+        doc.push_str(&format!("<e k=\"{k}\">"));
+    }
+    doc.push_str(&"</e>".repeat(DEPTH));
+    std::fs::write(&chain, doc).unwrap();
+    let c = path_str(&chain);
+    let run = |verb: &str, inputs: &[&str]| {
+        let out = dir.join(format!("{verb}.xml"));
+        let mut args = strings(&[verb]);
+        args.extend(strings(inputs));
+        args.extend(strings(&["--default", "@k:num", "-o", &path_str(&out)]));
+        let done = xsort(&args);
+        assert!(done.status.success(), "{verb}: {:?}", done.status);
+        std::fs::read(&out).unwrap()
+    };
+    let sorted = run("sort", &[&c]);
+    assert!(run("merge", &[&c, &c]) == sorted, "merge differs from sort");
+    assert!(run("update", &[&c, &c]) == sorted, "update differs from sort");
     std::fs::remove_dir_all(&dir).unwrap();
 }

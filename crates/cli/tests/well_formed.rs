@@ -121,3 +121,51 @@ fn client_submit_refuses_a_file_that_is_not_utf8_before_it_connects() {
     daemon.0.wait().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `merge` and `update` write one root: the two inputs' same-named roots
+/// combine whatever their keys, while roots with different names, or an
+/// update that deletes the root, fail and leave no file at `-o`.
+#[test]
+fn merge_and_update_write_one_root_or_fail_without_output() {
+    let dir = tempdir("one-root");
+    let write = |name: &str, doc: &str| {
+        let p = dir.join(name);
+        std::fs::write(&p, doc).unwrap();
+        p
+    };
+    let base = write("base.xml", "<r id=\"1\"><e id=\"1\"/></r>");
+    let other = write("other.xml", "<r id=\"2\"><e id=\"2\"/></r>");
+    let renamed = write("renamed.xml", "<s id=\"2\"><e id=\"2\"/></s>");
+    let delete_root = write("delete.xml", "<r id=\"1\" op=\"delete\"/>");
+    let out = dir.join("out.xml");
+    let run = |verb: &str, right: &Path| {
+        xsort(&[verb, path(&base), path(right), "--default", "@id", "-o", path(&out)])
+    };
+
+    for (verb, want) in [
+        ("merge", "<r id=\"1\"><e id=\"1\"></e><e id=\"2\"></e></r>"),
+        ("update", "<r id=\"2\"><e id=\"1\"></e><e id=\"2\"></e></r>"),
+    ] {
+        let done = run(verb, &other);
+        assert!(done.status.success(), "{verb}: {}", String::from_utf8_lossy(&done.stderr));
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), want, "{verb}");
+        let check = xsort(&["check", path(&out), "--default", "@id"]);
+        assert!(check.status.success(), "{verb}: {}", String::from_utf8_lossy(&check.stderr));
+        std::fs::remove_file(&out).unwrap();
+    }
+
+    let refused = [
+        ("merge", &renamed, "the two roots differ: <r> and <s>"),
+        ("update", &renamed, "the two roots differ: <r> and <s>"),
+        ("update", &delete_root, "an update cannot delete the root element <r>"),
+    ];
+    for (verb, right, want) in refused {
+        let done = run(verb, right);
+        let stderr = String::from_utf8_lossy(&done.stderr);
+        assert_eq!(done.status.code(), Some(1), "{verb} {right:?}: {stderr}");
+        assert!(stderr.contains(want), "{verb} {right:?}: {stderr}");
+        assert!(!out.exists(), "{verb} {right:?} left an output file");
+        assert!(!dir.join("out.xml.part").exists(), "{verb} {right:?} left its part file");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -163,19 +163,15 @@ impl SortedDoc {
         Ok(out)
     }
 
-    /// Stream the document once and verify it is *fully sorted* under
-    /// `spec`: every element's children must be in nondecreasing key order.
+    /// Stream the document once and verify it is *fully sorted* under the
+    /// spec it was sorted by (its records carry the keys extracted at scan
+    /// time): every element's children must be in nondecreasing key order.
     /// O(height) memory -- the last key per level, kept encoded in reused
     /// buffers; returns the number of records checked.
     ///
     /// `depth_limit` mirrors the sort's own option: children of elements
     /// deeper than the limit are exempt.
-    pub fn verify_sorted(
-        &self,
-        spec: &nexsort_xml::SortSpec,
-        depth_limit: Option<u32>,
-    ) -> Result<u64> {
-        let _ = spec; // keys were extracted at scan time; records carry them
+    pub fn verify_sorted(&self, depth_limit: Option<u32>) -> Result<u64> {
         let mut cursor = self.cursor()?;
         // last_key[l] = key of the last sibling seen at level l+1, when
         // seen[l]; the buffers are reused, never freed.
@@ -450,11 +446,11 @@ mod verify_tests {
         let disk = Disk::new_mem(128);
         let input = stage_input(&disk, doc.as_bytes()).unwrap();
         let spec = SortSpec::by_attribute("name");
-        let sorted = Nexsort::new(disk, NexsortOptions::default(), spec.clone())
+        let sorted = Nexsort::new(disk, NexsortOptions::default(), spec)
             .unwrap()
             .sort_xml_extent(&input)
             .unwrap();
-        let n = sorted.verify_sorted(&spec, None).unwrap();
+        let n = sorted.verify_sorted(None).unwrap();
         assert_eq!(n, sorted.report.n_records);
     }
 
@@ -466,11 +462,11 @@ mod verify_tests {
         let disk = Disk::new_mem(128);
         let input = stage_input(&disk, doc.as_bytes()).unwrap();
         let spec = SortSpec::by_attribute("name");
-        let sorted = Nexsort::new(disk, NexsortOptions::default(), spec.clone())
+        let sorted = Nexsort::new(disk, NexsortOptions::default(), spec)
             .unwrap()
             .sort_xml_extent(&input)
             .unwrap();
-        assert_eq!(sorted.verify_sorted(&spec, None).unwrap(), 5);
+        assert_eq!(sorted.verify_sorted(None).unwrap(), 5);
     }
 
     #[test]
@@ -480,11 +476,10 @@ mod verify_tests {
         let input = stage_input(&disk, doc.as_bytes()).unwrap();
         let spec = SortSpec::by_attribute("name");
         let opts = NexsortOptions { depth_limit: Some(1), ..Default::default() };
-        let sorted =
-            Nexsort::new(disk, opts, spec.clone()).unwrap().sort_xml_extent(&input).unwrap();
+        let sorted = Nexsort::new(disk, opts, spec).unwrap().sort_xml_extent(&input).unwrap();
         // The c's keep document order 2,1 -- full verification must fail...
-        assert!(sorted.verify_sorted(&spec, None).is_err());
+        assert!(sorted.verify_sorted(None).is_err());
         // ...while depth-limited verification passes.
-        assert!(sorted.verify_sorted(&spec, Some(1)).is_ok());
+        assert!(sorted.verify_sorted(Some(1)).is_ok());
     }
 }

@@ -77,6 +77,60 @@ impl<T: BlockDevice + ?Sized> BlockDevice for Box<T> {
     }
 }
 
+/// The block-id allocator both devices share: ids are dense, freed ids are
+/// recycled last-freed first, and a free of an id that is out of range or
+/// already free is refused.
+struct Allocator {
+    num_blocks: u64,
+    free_list: Vec<u64>,
+    free_set: HashSet<u64>,
+}
+
+impl Allocator {
+    /// An allocator whose ids `0..num_blocks` are all live.
+    fn new(num_blocks: u64) -> Self {
+        Self { num_blocks, free_list: Vec::new(), free_set: HashSet::new() }
+    }
+
+    /// A recycled id if there is one, else the next fresh id.
+    fn allocate(&mut self) -> u64 {
+        if let Some(id) = self.free_list.pop() {
+            self.free_set.remove(&id);
+            return id;
+        }
+        self.num_blocks += 1;
+        self.num_blocks - 1
+    }
+
+    fn free(&mut self, id: u64) -> Result<()> {
+        self.check(id)?;
+        // A double free would enqueue the id twice and hand the same block
+        // to two later allocations -- the classic aliasing corruption.
+        if !self.free_set.insert(id) {
+            return Err(ExtError::DoubleFree { block: id });
+        }
+        self.free_list.push(id);
+        Ok(())
+    }
+
+    /// `BadBlock` unless `id` has ever been allocated.
+    fn check(&self, id: u64) -> Result<()> {
+        if id >= self.num_blocks {
+            return Err(ExtError::BadBlock { block: id, total: self.num_blocks });
+        }
+        Ok(())
+    }
+
+    fn is_live(&self, id: u64) -> bool {
+        id < self.num_blocks && !self.free_set.contains(&id)
+    }
+
+    /// Ids allocated and not freed.
+    fn live(&self) -> u64 {
+        self.num_blocks - self.free_list.len() as u64
+    }
+}
+
 /// An in-memory block device: the default substrate for tests and benches.
 ///
 /// Keeping blocks in host RAM does not change what is being measured -- the
@@ -84,9 +138,9 @@ impl<T: BlockDevice + ?Sized> BlockDevice for Box<T> {
 /// medium backs the blocks.
 pub struct MemDevice {
     block_size: usize,
+    /// One buffer per id `alloc` has ever handed out, indexed by id.
     blocks: Vec<Box<[u8]>>,
-    free_list: Vec<u64>,
-    free_set: HashSet<u64>,
+    alloc: Allocator,
     high_water: u64,
 }
 
@@ -94,13 +148,7 @@ impl MemDevice {
     /// A device with the given block size in bytes (must be nonzero).
     pub fn new(block_size: usize) -> Self {
         assert!(block_size > 0, "block size must be nonzero");
-        Self {
-            block_size,
-            blocks: Vec::new(),
-            free_list: Vec::new(),
-            free_set: HashSet::new(),
-            high_water: 0,
-        }
+        Self { block_size, blocks: Vec::new(), alloc: Allocator::new(0), high_water: 0 }
     }
 
     /// Maximum number of live (allocated, unfreed) blocks seen so far.
@@ -115,55 +163,37 @@ impl BlockDevice for MemDevice {
     }
 
     fn num_blocks(&self) -> u64 {
-        self.blocks.len() as u64
+        self.alloc.num_blocks
     }
 
     fn allocate(&mut self) -> u64 {
-        let id = if let Some(id) = self.free_list.pop() {
-            self.free_set.remove(&id);
-            self.blocks[id as usize].fill(0);
-            id
-        } else {
-            self.blocks.push(vec![0u8; self.block_size].into_boxed_slice());
-            (self.blocks.len() - 1) as u64
-        };
-        let live = self.blocks.len() as u64 - self.free_list.len() as u64;
-        self.high_water = self.high_water.max(live);
+        let id = self.alloc.allocate();
+        match self.blocks.get_mut(id as usize) {
+            Some(recycled) => recycled.fill(0),
+            None => self.blocks.push(vec![0u8; self.block_size].into_boxed_slice()),
+        }
+        self.high_water = self.high_water.max(self.alloc.live());
         id
     }
 
     fn free(&mut self, id: u64) -> Result<()> {
-        if id >= self.blocks.len() as u64 {
-            return Err(ExtError::BadBlock { block: id, total: self.blocks.len() as u64 });
-        }
-        // A double free would enqueue the id twice and hand the same block
-        // to two later allocations -- the classic aliasing corruption.
-        if !self.free_set.insert(id) {
-            return Err(ExtError::DoubleFree { block: id });
-        }
-        self.free_list.push(id);
-        Ok(())
+        self.alloc.free(id)
     }
 
     fn read(&mut self, id: u64, buf: &mut [u8]) -> Result<()> {
-        let src = self
-            .blocks
-            .get(id as usize)
-            .ok_or(ExtError::BadBlock { block: id, total: self.blocks.len() as u64 })?;
-        buf[..self.block_size].copy_from_slice(src);
+        self.alloc.check(id)?;
+        buf[..self.block_size].copy_from_slice(&self.blocks[id as usize]);
         Ok(())
     }
 
     fn write(&mut self, id: u64, data: &[u8]) -> Result<()> {
-        let total = self.blocks.len() as u64;
-        let dst =
-            self.blocks.get_mut(id as usize).ok_or(ExtError::BadBlock { block: id, total })?;
-        dst[..data.len()].copy_from_slice(data);
+        self.alloc.check(id)?;
+        self.blocks[id as usize][..data.len()].copy_from_slice(data);
         Ok(())
     }
 
     fn is_live(&self, id: u64) -> bool {
-        id < self.blocks.len() as u64 && !self.free_set.contains(&id)
+        self.alloc.is_live(id)
     }
 }
 
@@ -172,9 +202,7 @@ impl BlockDevice for MemDevice {
 pub struct FileDevice {
     block_size: usize,
     file: File,
-    num_blocks: u64,
-    free_list: Vec<u64>,
-    free_set: HashSet<u64>,
+    alloc: Allocator,
 }
 
 impl FileDevice {
@@ -182,13 +210,7 @@ impl FileDevice {
     pub fn create(path: &Path, block_size: usize) -> Result<Self> {
         assert!(block_size > 0, "block size must be nonzero");
         let file = File::options().read(true).write(true).create(true).truncate(true).open(path)?;
-        Ok(Self {
-            block_size,
-            file,
-            num_blocks: 0,
-            free_list: Vec::new(),
-            free_set: HashSet::new(),
-        })
+        Ok(Self { block_size, file, alloc: Allocator::new(0) })
     }
 
     /// Open an *existing* device file without truncating it, e.g. to scrub or
@@ -198,13 +220,7 @@ impl FileDevice {
         assert!(block_size > 0, "block size must be nonzero");
         let file = File::options().read(true).write(true).open(path)?;
         let len = file.metadata()?.len();
-        Ok(Self {
-            block_size,
-            file,
-            num_blocks: len.div_ceil(block_size as u64),
-            free_list: Vec::new(),
-            free_set: HashSet::new(),
-        })
+        Ok(Self { block_size, file, alloc: Allocator::new(len.div_ceil(block_size as u64)) })
     }
 }
 
@@ -214,35 +230,19 @@ impl BlockDevice for FileDevice {
     }
 
     fn num_blocks(&self) -> u64 {
-        self.num_blocks
+        self.alloc.num_blocks
     }
 
     fn allocate(&mut self) -> u64 {
-        if let Some(id) = self.free_list.pop() {
-            self.free_set.remove(&id);
-            return id;
-        }
-        let id = self.num_blocks;
-        self.num_blocks += 1;
-        id
+        self.alloc.allocate()
     }
 
     fn free(&mut self, id: u64) -> Result<()> {
-        if id >= self.num_blocks {
-            return Err(ExtError::BadBlock { block: id, total: self.num_blocks });
-        }
-        // Same aliasing hazard as MemDevice::free: reject double frees.
-        if !self.free_set.insert(id) {
-            return Err(ExtError::DoubleFree { block: id });
-        }
-        self.free_list.push(id);
-        Ok(())
+        self.alloc.free(id)
     }
 
     fn read(&mut self, id: u64, buf: &mut [u8]) -> Result<()> {
-        if id >= self.num_blocks {
-            return Err(ExtError::BadBlock { block: id, total: self.num_blocks });
-        }
+        self.alloc.check(id)?;
         self.file.seek(SeekFrom::Start(id * self.block_size as u64))?;
         // A freshly-allocated block may not have been written yet; a short
         // read past EOF yields zeroes, matching MemDevice semantics.
@@ -259,16 +259,14 @@ impl BlockDevice for FileDevice {
     }
 
     fn write(&mut self, id: u64, data: &[u8]) -> Result<()> {
-        if id >= self.num_blocks {
-            return Err(ExtError::BadBlock { block: id, total: self.num_blocks });
-        }
+        self.alloc.check(id)?;
         self.file.seek(SeekFrom::Start(id * self.block_size as u64))?;
         self.file.write_all(data)?;
         Ok(())
     }
 
     fn is_live(&self, id: u64) -> bool {
-        id < self.num_blocks && !self.free_set.contains(&id)
+        self.alloc.is_live(id)
     }
 }
 

@@ -5,7 +5,7 @@ use nexsort_xml::{Rec, Result};
 
 /// A one-record lookahead over a [`RecSource`] -- the merge needs to inspect
 /// the head of each stream before deciding which side advances.
-pub struct Peek<S: RecSource> {
+pub(crate) struct Peek<S: RecSource> {
     src: S,
     head: Option<Rec>,
     primed: bool,
@@ -13,7 +13,7 @@ pub struct Peek<S: RecSource> {
 
 impl<S: RecSource> Peek<S> {
     /// Wrap a source.
-    pub fn new(src: S) -> Self {
+    pub(crate) fn new(src: S) -> Self {
         Self { src, head: None, primed: false }
     }
 
@@ -26,13 +26,13 @@ impl<S: RecSource> Peek<S> {
     }
 
     /// The record at the head of the stream, if any.
-    pub fn peek(&mut self) -> Result<Option<&Rec>> {
+    pub(crate) fn peek(&mut self) -> Result<Option<&Rec>> {
         self.prime()?;
         Ok(self.head.as_ref())
     }
 
     /// Take the head record, advancing the stream.
-    pub fn take(&mut self) -> Result<Option<Rec>> {
+    pub(crate) fn take(&mut self) -> Result<Option<Rec>> {
         self.prime()?;
         let out = self.head.take();
         self.primed = false;
@@ -42,7 +42,7 @@ impl<S: RecSource> Peek<S> {
     /// Head record if it sits exactly at `level` (a sibling of the sequence
     /// currently being merged); `None` if the stream moved shallower or
     /// ended.
-    pub fn peek_at(&mut self, level: u32) -> Result<Option<&Rec>> {
+    pub(crate) fn peek_at(&mut self, level: u32) -> Result<Option<&Rec>> {
         self.prime()?;
         match &self.head {
             Some(r) if r.level() == level => Ok(self.head.as_ref()),

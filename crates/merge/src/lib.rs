@@ -19,8 +19,8 @@ mod cursor;
 mod merge;
 mod seqnum;
 mod update;
+mod walk;
 
-pub use cursor::Peek;
-pub use merge::{merge_rec_vecs, MergeOptions, MergeStats, StructuralMerge};
+pub use merge::{merge_rec_vecs, MergeStats, StructuralMerge};
 pub use seqnum::{annotate_order, restore_order, SEQ_ATTR};
 pub use update::{BatchUpdate, UpdateStats};

@@ -11,15 +11,15 @@ pub const SEQ_ATTR: &str = "__seq";
 
 /// Annotate every element with its sibling position under [`SEQ_ATTR`].
 pub fn annotate_order(root: &mut Element) {
-    fn walk(e: &mut Element) {
+    let mut todo = vec![root];
+    while let Some(e) = todo.pop() {
         for (idx, c) in e.children.iter_mut().enumerate() {
             if let XNode::Elem(child) = c {
                 child.attrs.push((SEQ_ATTR.as_bytes().to_vec(), idx.to_string().into_bytes()));
-                walk(child);
+                todo.push(child);
             }
         }
     }
-    walk(root);
 }
 
 /// Restore original document order by sorting on the sequence attribute,
@@ -27,15 +27,15 @@ pub fn annotate_order(root: &mut Element) {
 pub fn restore_order(root: &mut Element) {
     let spec = SortSpec::uniform(KeyRule::attr_numeric(SEQ_ATTR));
     nexsort_baseline::sort_dom(root, &spec, None);
-    fn strip(e: &mut Element) {
+    let mut todo = vec![root];
+    while let Some(e) = todo.pop() {
         e.attrs.retain(|(k, _)| k != SEQ_ATTR.as_bytes());
         for c in &mut e.children {
             if let XNode::Elem(child) = c {
-                strip(child);
+                todo.push(child);
             }
         }
     }
-    strip(root);
 }
 
 #[cfg(test)]

@@ -6,30 +6,21 @@
 //! existing document. The result document remains sorted."
 //!
 //! The update batch is itself an XML document mirroring the base document's
-//! structure; elements may carry an `op` attribute:
+//! structure, with the same root; elements may carry an `op` attribute:
 //!
 //! * `op="delete"`  -- remove the matching base element (and its subtree);
 //! * `op="replace"` -- replace the matching subtree with the update's;
-//! * no `op` / `op="merge"` -- structural-merge semantics: union attributes,
-//!   recurse into children, insert when there is no match.
+//! * no `op` / `op="merge"` -- structural-merge semantics: union attributes
+//!   (the update's value wins), merge the children, insert when there is no
+//!   match.
 //!
-//! The `op` attributes are stripped from the output.
-
-use std::cmp::Ordering;
+//! The `op` attributes are stripped from the output. The pass is the walk
+//! shared with [`crate::StructuralMerge`].
 
 use nexsort_baseline::RecSource;
-use nexsort_xml::{ElemRec, KeyValue, Rec, Result, TagDict, TextRec, XmlError};
+use nexsort_xml::{Rec, Result, TagDict};
 
-use crate::cursor::Peek;
-use crate::merge::MergeOptions;
-
-/// The update operation an element in the batch requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Merge,
-    Delete,
-    Replace,
-}
+use crate::walk::{walk, Job};
 
 /// What a batch-update application did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -48,235 +39,36 @@ pub struct UpdateStats {
 
 /// Applies a sorted update batch to a sorted base document.
 pub struct BatchUpdate<'a> {
-    opts: MergeOptions,
     dict_base: &'a TagDict,
     dict_upd: &'a TagDict,
-    out_dict: TagDict,
-    op_attr: Vec<u8>,
-    stats: UpdateStats,
-    next_seq: u64,
 }
-
-struct DynSource<'a, 'b>(&'a mut (dyn RecSource + 'b));
-
-impl RecSource for DynSource<'_, '_> {
-    fn next_rec(&mut self) -> Result<Option<Rec>> {
-        self.0.next_rec()
-    }
-}
-
-type P<'a, 'b> = Peek<DynSource<'a, 'b>>;
 
 impl<'a> BatchUpdate<'a> {
     /// An applier for a base document interned against `dict_base` and an
     /// update batch against `dict_upd`.
-    pub fn new(dict_base: &'a TagDict, dict_upd: &'a TagDict, opts: MergeOptions) -> Self {
-        Self {
-            opts,
-            dict_base,
-            dict_upd,
-            out_dict: TagDict::new(),
-            op_attr: b"op".to_vec(),
-            stats: UpdateStats::default(),
-            next_seq: 0,
-        }
+    pub fn new(dict_base: &'a TagDict, dict_upd: &'a TagDict) -> Self {
+        Self { dict_base, dict_upd }
     }
 
     /// Apply the batch; emits the updated (still sorted) document, each
-    /// record with the output dictionary its names are interned in.
+    /// record with the output dictionary its names are interned in. A batch
+    /// whose root is named differently from the base's, or that deletes the
+    /// root, is an error.
     pub fn run(
-        mut self,
+        self,
         base: &mut dyn RecSource,
         updates: &mut dyn RecSource,
         out: &mut dyn FnMut(Rec, &TagDict) -> Result<()>,
     ) -> Result<(TagDict, UpdateStats)> {
-        let mut pb = Peek::new(DynSource(base));
-        let mut pu = Peek::new(DynSource(updates));
-        self.apply_level(&mut pb, &mut pu, 1, out)?;
-        Ok((self.out_dict, self.stats))
-    }
-
-    fn op_of(&self, rec: &Rec) -> Result<Op> {
-        let Rec::Elem(e) = rec else { return Ok(Op::Merge) };
-        for (k, v) in &e.attrs {
-            if k.resolve(self.dict_upd)? == self.op_attr.as_slice() {
-                return match v.as_slice() {
-                    b"delete" => Ok(Op::Delete),
-                    b"replace" => Ok(Op::Replace),
-                    b"merge" | b"" => Ok(Op::Merge),
-                    other => Err(XmlError::Record(format!(
-                        "unknown update op {:?}",
-                        String::from_utf8_lossy(other)
-                    ))),
-                };
-            }
-        }
-        Ok(Op::Merge)
-    }
-
-    fn remap(&mut self, rec: Rec, from_base: bool) -> Result<Rec> {
-        let dict = if from_base { self.dict_base } else { self.dict_upd };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        Ok(match rec {
-            Rec::Elem(e) => {
-                let name = nexsort_xml::NameRef::Sym(self.out_dict.intern(e.name.resolve(dict)?));
-                let mut attrs = Vec::with_capacity(e.attrs.len());
-                for (k, v) in &e.attrs {
-                    let kb = k.resolve(dict)?;
-                    if !from_base && kb == self.op_attr.as_slice() {
-                        continue; // strip op attributes from the output
-                    }
-                    attrs.push((nexsort_xml::NameRef::Sym(self.out_dict.intern(kb)), v.clone()));
-                }
-                Rec::Elem(ElemRec { level: e.level, name, attrs, key: e.key, seq })
-            }
-            Rec::Text(t) => {
-                Rec::Text(TextRec { level: t.level, content: t.content, key: t.key, seq })
-            }
-            other => {
-                return Err(XmlError::Record(format!(
-                    "unexpected record kind in update input: {other:?}"
-                )))
-            }
-        })
-    }
-
-    fn skip_subtree(src: &mut P<'_, '_>, level: u32) -> Result<()> {
-        src.take()?;
-        while let Some(r) = src.peek()? {
-            if r.level() <= level {
-                break;
-            }
-            src.take()?;
-        }
-        Ok(())
-    }
-
-    fn copy_subtree(
-        &mut self,
-        src: &mut P<'_, '_>,
-        level: u32,
-        from_base: bool,
-        out: &mut dyn FnMut(Rec, &TagDict) -> Result<()>,
-    ) -> Result<()> {
-        let root = src.take()?.ok_or_else(|| XmlError::Record("copy from empty stream".into()))?;
-        let mapped = self.remap(root, from_base)?;
-        out(mapped, &self.out_dict)?;
-        while let Some(r) = src.peek()? {
-            if r.level() <= level {
-                break;
-            }
-            let r = src.take()?.expect("peeked");
-            let mapped = self.remap(r, from_base)?;
-            out(mapped, &self.out_dict)?;
-        }
-        Ok(())
-    }
-
-    fn matchable(&self, rb: &Rec, ru: &Rec) -> Result<bool> {
-        match (rb, ru) {
-            (Rec::Elem(eb), Rec::Elem(eu)) => {
-                let keys_ok = !self.opts.skip_missing_keys || !matches!(eb.key, KeyValue::Missing);
-                let names_ok = !self.opts.match_requires_same_name
-                    || eb.name.resolve(self.dict_base)? == eu.name.resolve(self.dict_upd)?;
-                Ok(keys_ok && names_ok)
-            }
-            _ => Ok(false),
-        }
-    }
-
-    fn apply_level(
-        &mut self,
-        base: &mut P<'_, '_>,
-        upd: &mut P<'_, '_>,
-        level: u32,
-        out: &mut dyn FnMut(Rec, &TagDict) -> Result<()>,
-    ) -> Result<()> {
-        loop {
-            let hb = base.peek_at(level)?.cloned();
-            let hu = upd.peek_at(level)?.cloned();
-            match (hb, hu) {
-                (None, None) => return Ok(()),
-                (Some(_), None) => self.copy_subtree(base, level, true, out)?,
-                (None, Some(ru)) => self.apply_unmatched(upd, level, &ru, out)?,
-                (Some(rb), Some(ru)) => match rb.key().cmp(ru.key()) {
-                    Ordering::Less => self.copy_subtree(base, level, true, out)?,
-                    Ordering::Greater => self.apply_unmatched(upd, level, &ru, out)?,
-                    Ordering::Equal => {
-                        if !self.matchable(&rb, &ru)? {
-                            self.copy_subtree(base, level, true, out)?;
-                            continue;
-                        }
-                        match self.op_of(&ru)? {
-                            Op::Delete => {
-                                Self::skip_subtree(base, level)?;
-                                Self::skip_subtree(upd, level)?;
-                                self.stats.deleted += 1;
-                            }
-                            Op::Replace => {
-                                Self::skip_subtree(base, level)?;
-                                self.copy_subtree(upd, level, false, out)?;
-                                self.stats.replaced += 1;
-                            }
-                            Op::Merge => {
-                                let (Some(Rec::Elem(eb)), Some(Rec::Elem(eu))) =
-                                    (base.take()?, upd.take()?)
-                                else {
-                                    return Err(XmlError::Record("match on non-elements".into()));
-                                };
-                                let mut merged = self.remap(Rec::Elem(eb), true)?;
-                                if let Rec::Elem(m) = &mut merged {
-                                    for (k, v) in &eu.attrs {
-                                        let kb = k.resolve(self.dict_upd)?;
-                                        if kb == self.op_attr.as_slice() {
-                                            continue;
-                                        }
-                                        // Updates overwrite base attributes.
-                                        let sym =
-                                            nexsort_xml::NameRef::Sym(self.out_dict.intern(kb));
-                                        if let Some(slot) = m.attrs.iter_mut().find(|(mk, _)| {
-                                            mk.resolve(&self.out_dict)
-                                                .map(|n| n == kb)
-                                                .unwrap_or(false)
-                                        }) {
-                                            slot.1 = v.clone();
-                                        } else {
-                                            m.attrs.push((sym, v.clone()));
-                                        }
-                                    }
-                                }
-                                self.stats.merged += 1;
-                                out(merged, &self.out_dict)?;
-                                self.apply_level(base, upd, level + 1, out)?;
-                            }
-                        }
-                    }
-                },
-            }
-        }
-    }
-
-    /// An update element with no base match: inserts merge/replace subtrees,
-    /// ignores deletes.
-    fn apply_unmatched(
-        &mut self,
-        upd: &mut P<'_, '_>,
-        level: u32,
-        head: &Rec,
-        out: &mut dyn FnMut(Rec, &TagDict) -> Result<()>,
-    ) -> Result<()> {
-        match self.op_of(head)? {
-            Op::Delete => {
-                Self::skip_subtree(upd, level)?;
-                self.stats.missed_deletes += 1;
-            }
-            Op::Merge | Op::Replace => {
-                self.copy_subtree(upd, level, false, out)?;
-                self.stats.inserted += 1;
-            }
-        }
-        Ok(())
+        let (dict, c) = walk(Job::Update, [self.dict_base, self.dict_upd], base, updates, out)?;
+        let stats = UpdateStats {
+            merged: c.merged,
+            deleted: c.deleted,
+            replaced: c.replaced,
+            inserted: c.inserted,
+            missed_deletes: c.missed_deletes,
+        };
+        Ok((dict, stats))
     }
 }
 
@@ -302,7 +94,7 @@ mod tests {
     fn apply(base: &str, upd: &str) -> (nexsort_xml::Element, UpdateStats) {
         let (rb, db) = sorted(base);
         let (ru, du) = sorted(upd);
-        let b = BatchUpdate::new(&db, &du, MergeOptions::default());
+        let b = BatchUpdate::new(&db, &du);
         let mut sb = VecRecSource::new(rb);
         let mut su = VecRecSource::new(ru);
         let mut out = Vec::new();
@@ -388,7 +180,7 @@ mod tests {
     fn unknown_ops_are_rejected() {
         let (rb, db) = sorted(BASE);
         let (ru, du) = sorted("<r><e id=\"1\" op=\"explode\"/></r>");
-        let b = BatchUpdate::new(&db, &du, MergeOptions::default());
+        let b = BatchUpdate::new(&db, &du);
         let mut sb = VecRecSource::new(rb);
         let mut su = VecRecSource::new(ru);
         let res = b.run(&mut sb, &mut su, &mut |_, _| Ok(()));

@@ -11,7 +11,7 @@ use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::stage_input;
 use nexsort_datagen::{auction_spec, collect_events, AuctionConfig, AuctionGen};
 use nexsort_extmem::Disk;
-use nexsort_merge::{MergeOptions, StructuralMerge};
+use nexsort_merge::StructuralMerge;
 use nexsort_xml::{events_to_xml, recs_to_events};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,10 +37,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("west: {}", sorted_west.report.summary());
 
     // Both are now fully sorted -- verify, then merge in one pass.
-    sorted_east.verify_sorted(&spec, None)?;
-    sorted_west.verify_sorted(&spec, None)?;
+    sorted_east.verify_sorted(None)?;
+    sorted_west.verify_sorted(None)?;
 
-    let merge = StructuralMerge::new(&sorted_east.dict, &sorted_west.dict, MergeOptions::default());
+    let merge = StructuralMerge::new(&sorted_east.dict, &sorted_west.dict);
     let mut a = sorted_east.cursor()?;
     let mut b = sorted_west.cursor()?;
     let mut merged = Vec::new();

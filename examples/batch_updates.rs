@@ -9,7 +9,7 @@
 use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::stage_input;
 use nexsort_extmem::Disk;
-use nexsort_merge::{BatchUpdate, MergeOptions};
+use nexsort_merge::BatchUpdate;
 use nexsort_xml::{events_to_xml, recs_to_events, KeyRule, SortSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- sorted base ---");
     println!("{}", String::from_utf8(sorted_base.to_xml(true)?)?);
 
-    let apply = BatchUpdate::new(&sorted_base.dict, &sorted_updates.dict, MergeOptions::default());
+    let apply = BatchUpdate::new(&sorted_base.dict, &sorted_updates.dict);
     let mut base_cur = sorted_base.cursor()?;
     let mut upd_cur = sorted_updates.cursor()?;
     let mut result = Vec::new();

@@ -9,7 +9,7 @@
 use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::stage_input;
 use nexsort_extmem::Disk;
-use nexsort_merge::{MergeOptions, StructuralMerge};
+use nexsort_merge::StructuralMerge;
 use nexsort_xml::{events_to_xml, recs_to_events, KeyRule, SortSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Step 2: a single synchronized pass merges them -- matching regions,
     // branches and employees combine; everything else passes through
     // (outer-join semantics).
-    let merge = StructuralMerge::new(&sorted1.dict, &sorted2.dict, MergeOptions::default());
+    let merge = StructuralMerge::new(&sorted1.dict, &sorted2.dict);
     let mut a = sorted1.cursor()?;
     let mut b = sorted2.cursor()?;
     let mut merged = Vec::new();

@@ -4,7 +4,7 @@ use nexsort::{Nexsort, NexsortOptions};
 use nexsort_baseline::stage_input;
 use nexsort_datagen::{collect_events, GenConfig, IbmGen};
 use nexsort_extmem::Disk;
-use nexsort_merge::{annotate_order, restore_order, BatchUpdate, MergeOptions, StructuralMerge};
+use nexsort_merge::{annotate_order, restore_order, BatchUpdate, StructuralMerge};
 use nexsort_xml::{
     events_to_dom, events_to_xml, parse_dom, recs_to_events, Element, KeyValue, Rec, SortSpec,
     XNode,
@@ -23,7 +23,7 @@ fn merge_sorted(
     a: &nexsort::SortedDoc,
     b: &nexsort::SortedDoc,
 ) -> (Vec<Rec>, nexsort_xml::TagDict) {
-    let merge = StructuralMerge::new(&a.dict, &b.dict, MergeOptions::default());
+    let merge = StructuralMerge::new(&a.dict, &b.dict);
     let mut ca = a.cursor().unwrap();
     let mut cb = b.cursor().unwrap();
     let mut out = Vec::new();
@@ -138,7 +138,7 @@ fn merge_then_batch_update_composes() {
     let (merged, dict) = merge_sorted(&base, &other);
     // Re-sort the merged records? They are already sorted; apply a batch.
     let upd = sort_doc(br#"<db><rec id="1" op="delete"/><rec id="5" v="five"/></db>"#, &spec);
-    let apply = BatchUpdate::new(&dict, &upd.dict, MergeOptions::default());
+    let apply = BatchUpdate::new(&dict, &upd.dict);
     let mut mb = nexsort_baseline::VecRecSource::new(merged);
     let mut mu = upd.cursor().unwrap();
     let mut out = Vec::new();

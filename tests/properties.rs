@@ -251,9 +251,7 @@ proptest! {
         let sb = sorted_dom(&b, &spec, None);
         let (ra, da) = doc_to_sorted_recs(&sa, &spec);
         let (rb, db) = doc_to_sorted_recs(&sb, &spec);
-        let (out, dict, stats) = nexsort_merge::merge_rec_vecs(
-            ra, &da, rb, &db, nexsort_merge::MergeOptions::default(),
-        ).unwrap();
+        let (out, dict, stats) = nexsort_merge::merge_rec_vecs(ra, &da, rb, &db).unwrap();
         let merged = events_to_dom(&nexsort_xml::recs_to_events(&out, &dict).unwrap()).unwrap();
         assert_sorted(&merged, &spec);
         let (na, nb, nm) = (sa.num_nodes(), sb.num_nodes(), merged.num_nodes());
